@@ -1,13 +1,13 @@
-//! Batch query drivers on the `popflow-exec` substrate: serial
-//! `nested_loop` / `best_first` vs. their `*_par` drivers across thread
-//! counts, on one synthetic batch window. Single-core machines should
-//! see ≈1× (the determinism contract costs nothing when there is
-//! nothing to win); multi-core machines should see records/s scale with
-//! the thread count for `nested_loop_par`.
+//! Batch query drivers on the `popflow-exec` substrate: `nested_loop`
+//! and `best_first` across `FlowConfig::exec` thread counts, on one
+//! synthetic batch window. Single-core machines should see ≈1× (the
+//! determinism contract costs nothing when there is nothing to win);
+//! multi-core machines should see records/s scale with the thread count
+//! for `nested_loop`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use popflow_bench::{query, synthetic_lab};
-use popflow_core::{best_first, best_first_par, nested_loop, nested_loop_par, FlowConfig};
+use popflow_core::{best_first, nested_loop, FlowConfig};
 
 fn bench(c: &mut Criterion) {
     let mut lab = synthetic_lab();
@@ -21,46 +21,27 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    group.bench_function("nested_loop/serial", |b| {
-        b.iter(|| {
-            let (space, iupt) = lab.space_and_iupt();
-            nested_loop(space, iupt, &q, &flow).unwrap().ranking.len()
-        })
-    });
-    group.bench_function("best_first/serial", |b| {
-        b.iter(|| {
-            let (space, iupt) = lab.space_and_iupt();
-            best_first(space, iupt, &q, &flow).unwrap().ranking.len()
-        })
-    });
     for threads in [1usize, 2, 4, 8] {
-        let par = FlowConfig {
+        let swept = FlowConfig {
             exec: popflow_core::ExecConfig::with_threads(threads),
             ..flow
         };
         group.bench_with_input(
-            BenchmarkId::new("nested_loop_par", threads),
+            BenchmarkId::new("nested_loop", threads),
             &threads,
             |b, _| {
                 b.iter(|| {
                     let (space, iupt) = lab.space_and_iupt();
-                    nested_loop_par(space, iupt, &q, &par)
-                        .unwrap()
-                        .ranking
-                        .len()
+                    nested_loop(space, iupt, &q, &swept).unwrap().ranking.len()
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("best_first_par", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let (space, iupt) = lab.space_and_iupt();
-                    best_first_par(space, iupt, &q, &par).unwrap().ranking.len()
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("best_first", threads), &threads, |b, _| {
+            b.iter(|| {
+                let (space, iupt) = lab.space_and_iupt();
+                best_first(space, iupt, &q, &swept).unwrap().ranking.len()
+            })
+        });
     }
     group.finish();
 }

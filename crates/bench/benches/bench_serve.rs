@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use popflow_core::{FlowConfig, QuerySet, RecomputeEngine, WindowSpec};
+use popflow_core::{FlowConfig, QuerySet, QuerySpec, RecomputeEngine, WindowSpec};
 use popflow_eval::experiments::streaming::{drive_stream, StreamingConfig};
 use popflow_serve::{AdvanceStrategy, ServeConfig, ServeEngine};
 
@@ -32,7 +32,8 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut engine = ServeEngine::new(
                         Arc::clone(&space),
-                        ServeConfig::new(cfg.k, QuerySet::new(slocs.clone()), spec)
+                        ServeConfig::with_buckets(spec.bucket_millis)
+                            .with_query(QuerySpec::new(cfg.k, QuerySet::new(slocs.clone()), spec))
                             .with_shards(cfg.num_shards)
                             .with_flow(flow),
                     );
@@ -49,7 +50,8 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut engine = ServeEngine::new(
                         Arc::clone(&space),
-                        ServeConfig::new(cfg.k, QuerySet::new(slocs.clone()), spec)
+                        ServeConfig::with_buckets(spec.bucket_millis)
+                            .with_query(QuerySpec::new(cfg.k, QuerySet::new(slocs.clone()), spec))
                             .with_shards(cfg.num_shards)
                             .with_strategy(AdvanceStrategy::BoundPruned)
                             .with_flow(flow),

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use indoor_geom::{Point, Rect};
 use indoor_iupt::TimeInterval;
 use indoor_iupt::Timestamp;
-use indoor_rtree::{AggTree, RTree, TimeIndex};
+use indoor_rtree::{RTree, TimeIndex};
 use popflow_bench::real_lab;
 use popflow_core::paths::build_paths;
 use popflow_core::scan_sequence;
@@ -20,14 +20,7 @@ fn bench_rtree(c: &mut Criterion) {
             (Rect::from_coords(x, y, x + 1.5, y + 1.5), i)
         })
         .collect();
-    c.bench_function("substrate/aggtree_build_2k", |b| {
-        b.iter(|| AggTree::build(entries.clone()).len())
-    });
-    let tree = AggTree::build(entries.clone());
     let query = Rect::from_coords(10.0, 10.0, 40.0, 40.0);
-    c.bench_function("substrate/aggtree_count", |b| {
-        b.iter(|| tree.count_intersecting(&query))
-    });
     c.bench_function("substrate/rtree_bulk_query", |b| {
         let rt = RTree::bulk_load(
             entries

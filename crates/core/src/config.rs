@@ -65,12 +65,11 @@ pub struct FlowConfig {
     /// of exhausting memory (the paper spills paths to disk; we fail fast
     /// and point at the DP engine).
     pub path_budget: u64,
-    /// Parallelism for the `*_par` batch drivers
-    /// ([`crate::query::nested_loop_par`],
-    /// [`crate::query::best_first_par`]): per-object work forks across
+    /// Parallelism for the batch drivers ([`crate::query::nested_loop`],
+    /// [`crate::query::best_first`]): per-object work forks across
     /// `exec.threads` scoped workers and merges deterministically, so
-    /// results are bit-identical at every thread count. The serial
-    /// drivers ignore it. Defaults to one thread.
+    /// results are bit-identical at every thread count. Defaults to one
+    /// thread, which spawns nothing. [`crate::query::naive`] ignores it.
     pub exec: popflow_exec::ExecConfig,
     /// Consult the per-`SetRef` kernel memo ([`crate::memo::FlowMemo`])
     /// when one is available: the batch engines use a memo attached to
@@ -123,7 +122,7 @@ impl FlowConfig {
         self
     }
 
-    /// Let the `*_par` drivers fork across `threads` workers.
+    /// Let the batch drivers fork across `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec = popflow_exec::ExecConfig::with_threads(threads);
         self

@@ -16,7 +16,14 @@
 //! * **Flow computation** (§3.3, Algorithm 2): [`flow::flow`].
 //! * **TkPLQ search algorithms** (§4): [`query::naive`],
 //!   [`query::nested_loop`] (Algorithm 3), [`query::best_first`]
-//!   (Algorithm 4).
+//!   (Algorithm 4's best-first COUNT-bound search, over exact
+//!   per-location candidate counts rather than an R-tree join). One
+//!   driver per algorithm: per-object work forks across
+//!   [`FlowConfig::exec`] threads and merges in object-id order, so
+//!   results are bit-identical at every thread count.
+//! * **Continuous queries** (§7's online direction): the
+//!   [`ContinuousEngine`] trait and its recompute-per-slide baseline,
+//!   [`RecomputeEngine`].
 //! * **Baselines & comparators** (§5): SC, SC-ρ, MC, and the RFID-based
 //!   SCC and UR methods used in the paper's Table 7.
 //! * **Kernel memoization** ([`memo::FlowMemo`], our optimization): a
@@ -68,10 +75,10 @@ pub use flow::{
 pub use memo::{FlowMemo, SeqEntry, SetEntry, DEFAULT_MEMO_BYTES};
 pub use popflow_exec::ExecConfig;
 pub use query::{
-    best_first, best_first_par, diff_topk, naive, nested_loop, nested_loop_par, rank_topk,
-    sloc_area, top_k_dense, BatchEngine, ContinuousEngine, ContinuousTkPlq, ContinuousUpdate,
-    Instrumented, LocationBound, QueryId, QueryOutcome, QuerySpec, RankedLocation, RecomputeEngine,
-    SearchStats, ThresholdHeap, ThresholdStep, TkPlQuery, TkplqRequest, WindowSpec,
+    best_first, diff_topk, naive, nested_loop, rank_topk, BatchEngine, ContinuousEngine,
+    ContinuousUpdate, Instrumented, LocationBound, QueryId, QueryOutcome, QuerySpec,
+    RankedLocation, RecomputeEngine, SearchStats, ThresholdHeap, ThresholdStep, TkPlQuery,
+    TkplqRequest, WindowSpec,
 };
 pub use query_set::{intersect_sorted, QuerySet};
 pub use reduction::{reduce_for_query, scan_psls, scan_sequence, ReducedSequence};

@@ -1,42 +1,42 @@
-//! The Best-First TkPLQ algorithm (§4.2, paper Algorithm 4): joins an
-//! R-tree `RQ` over the query S-locations with an in-memory
-//! COUNT-aggregate R-tree `RC` over the objects' possible-semantic-location
-//! MBRs, driven by a max-heap on flow upper bounds, so unpromising query
-//! locations and the objects only relevant to them are never evaluated.
+//! The Best-First TkPLQ algorithm (§4.2, paper Algorithm 4): rank the
+//! query locations by COUNT upper bounds on their flow and evaluate them
+//! lazily, best bound first, so unpromising query locations and the
+//! objects only relevant to them are never evaluated.
 //!
-//! Two drivers share one evaluation core:
+//! The paper obtains its bounds by joining an R-tree over the query
+//! S-locations with a COUNT-aggregate R-tree over the objects' PSL MBRs.
+//! This driver keeps the search and drops the join: a preparation pass
+//! (forked across `cfg.exec.threads` workers) merges the per-object PSL
+//! lists into one exact candidate count per query location
+//! ([`LocationBound`]), and a [`ThresholdHeap`] loop evaluates locations
+//! lazily, fanning each location's candidate objects across the same
+//! workers and accumulating the flow in ascending object-id order. Exact
+//! counts are at least as tight as R-tree node counts, and on the
+//! `batch_adhoc` benchmark workload building and descending the two
+//! trees cost 22 ms of the join's 37 ms per query while pruning no more
+//! than the exact counts do — which is why the join is gone.
 //!
-//! * [`best_first`] — the serial R-tree join, faithful to Algorithm 4.
-//! * [`best_first_par`] — the object-parallel driver: a parallel
-//!   preparation pass merges per-object candidate lists into
-//!   coordinator-held [`LocationBound`]s, and a [`ThresholdHeap`] loop
-//!   evaluates locations lazily, fanning each location's candidate
-//!   objects across `cfg.exec.threads` workers and accumulating the flow
-//!   in ascending object-id order.
-//!
-//! Both resolve ties exactly like [`rank_topk`] (descending flow, then
-//! ascending location id) and compute every per-object presence through
-//! the same shared state, so their rankings and flows are **bit-identical
-//! to each other at every thread count**.
+//! Ties resolve exactly like [`rank_topk`] (descending flow, then
+//! ascending location id), and every per-object presence goes through one
+//! function over shared per-object state, so rankings and flows are
+//! **bit-identical at every thread count** and to
+//! [`nested_loop`](crate::query::nested_loop)'s.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use indoor_geom::Rect;
 use indoor_iupt::{Iupt, ObjectId, ObjectSequence, SampleSet, SetRef};
-use indoor_model::{FloorId, IndoorSpace, SLocId};
-use indoor_rtree::{AggEntry, AggNode, AggTree};
+use indoor_model::{IndoorSpace, SLocId};
 use popflow_exec::try_par_map;
 
 use crate::config::{FlowConfig, FlowError, PresenceEngine};
 use crate::dp::presence_dp;
 use crate::memo::{FlowMemo, SeqEntry};
 use crate::paths::{build_paths, full_product_mass, PathSet};
-use crate::presence::{path_pass_probability, presence_from_paths};
+use crate::presence::presence_from_paths;
 use crate::query::bounds::{LocationBound, ThresholdHeap, ThresholdStep};
-use crate::query::{rank_topk, QueryOutcome, RankedLocation, SearchStats, TkPlQuery};
+use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
 use crate::query_set::{intersect_sorted, QuerySet};
 use crate::reduction::scan_sequence;
 
@@ -78,9 +78,9 @@ fn prepare_object<'a>(
     // a serve shard's seal) already materialized this interned
     // sequence's full contribution under the same context, serve every
     // presence from it — the PSL prune below re-derives from the cached
-    // PSL list, which equals the scanned one. The Best-First drivers
-    // never *write* the memo: they evaluate lazily and rarely produce
-    // the full-union contribution an entry requires.
+    // PSL list, which equals the scanned one. Best-First never
+    // *writes* the memo: it evaluates lazily and rarely produces the
+    // full-union contribution an entry requires.
     if let Some(memo) = memo {
         let key: Vec<SetRef> = seq.records.iter().map(|r| r.set_ref).collect();
         if let Some(entry) = memo.lookup(&key, query_set, cfg) {
@@ -126,7 +126,7 @@ fn prepare_object<'a>(
 
 /// A deferred mutation of an [`ObjectData`] discovered while computing a
 /// presence against it read-only (so parallel workers can share the
-/// state and the coordinator applies updates after the join).
+/// state and the coordinator applies updates after the workers join).
 enum PathUpdate {
     /// The cached state already had everything needed.
     Keep,
@@ -138,9 +138,8 @@ enum PathUpdate {
 }
 
 /// One object's presence `Φ(q, o)` against its shared state, without
-/// mutating it. Both drivers — and therefore every thread count —
-/// compute presences through this one function, which is what makes
-/// their flows bit-identical.
+/// mutating it. Every thread count computes presences through this one
+/// function, which is what makes the flows bit-identical.
 fn shared_presence(
     space: &IndoorSpace,
     data: &ObjectData<'_>,
@@ -154,8 +153,8 @@ fn shared_presence(
             // contract), and its `dp_fallback` flag reproduces the
             // hybrid engine's budget decision (budget consumption does
             // not depend on which locations are scored). A `q` outside
-            // the cached relevant list has zero presence by the PSL
-            // argument in `exact_flow`.
+            // the cached relevant list has zero presence: `q ∉ psls`
+            // means no transition cell covers `q`.
             return Ok(match c.relevant.binary_search(&q) {
                 // anlz:allow(panic-in-hot-path): i from binary_search on relevant, and scores.len() == relevant.len() by ObjectContribution construction
                 Ok(i) => (c.scores[i], c.dp_fallback, PathUpdate::Keep),
@@ -235,106 +234,22 @@ fn apply_update(data: &mut ObjectData<'_>, update: PathUpdate) {
     }
 }
 
-/// A reference into the `RC` aggregate tree: an internal/leaf node or a
-/// single leaf entry.
-#[derive(Clone, Copy)]
-enum RcRef<'a> {
-    Node(&'a AggNode<ObjectId>),
-    Entry(&'a AggEntry<ObjectId>),
-}
-
-impl<'a> RcRef<'a> {
-    fn mbr(&self) -> Rect {
-        match self {
-            RcRef::Node(n) => n.mbr,
-            RcRef::Entry(e) => e.mbr,
-        }
-    }
-
-    /// COUNT upper bound contributed by this reference (1 for a leaf
-    /// entry — Algorithm 4 line 38 adds 1 per intersecting entry).
-    fn count(&self) -> usize {
-        match self {
-            RcRef::Node(n) => n.count,
-            RcRef::Entry(_) => 1,
-        }
-    }
-
-    fn is_entry(&self) -> bool {
-        matches!(self, RcRef::Entry(_))
-    }
-}
-
-/// A reference into the `RQ` query tree.
-#[derive(Clone, Copy)]
-enum RqRef<'a> {
-    Node(&'a AggNode<SLocId>),
-    Entry(&'a AggEntry<SLocId>),
-}
-
-impl<'a> RqRef<'a> {
-    fn mbr(&self) -> Rect {
-        match self {
-            RqRef::Node(n) => n.mbr,
-            RqRef::Entry(e) => e.mbr,
-        }
-    }
-}
-
-/// Heap entry: a query-tree reference with its join list and flow bound
-/// (or exact flow once computed).
-struct HeapEntry<'a> {
-    /// Upper bound on the flow of any S-location under `rq` — or the exact
-    /// flow when `list` is `None`.
-    bound: f64,
-    /// Whether `bound` is an exact flow. At equal priority a *bound*
-    /// outranks an exact flow, so a location whose bound ties the best
-    /// exact value is always resolved before that exact is finalized —
-    /// the same rule as [`ThresholdHeap`], and the reason the join's
-    /// output matches [`rank_topk`]'s deterministic tie-breaking instead
-    /// of merely returning *some* valid top-k under ties.
-    exact: bool,
-    /// Insertion sequence for deterministic tie-breaking.
-    seq: u64,
-    /// S-location id for exact leaf entries (`u32::MAX` otherwise):
-    /// among equal exact flows the smaller id pops first, matching the
-    /// rank ordering the other algorithms produce.
-    tie_id: u32,
-    rq: RqRef<'a>,
-    list: Option<Vec<RcRef<'a>>>,
-}
-
-impl PartialEq for HeapEntry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp_key(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry<'_> {}
-
-impl HeapEntry<'_> {
-    fn cmp_key(&self, other: &Self) -> Ordering {
-        self.bound
-            .total_cmp(&other.bound)
-            // `false > true` here: bounds pop before exacts on ties.
-            .then(other.exact.cmp(&self.exact))
-            .then(other.tie_id.cmp(&self.tie_id))
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl Ord for HeapEntry<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.cmp_key(other)
-    }
-}
-
-impl PartialOrd for HeapEntry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Evaluates a TkPLQ with the best-first join.
+/// Evaluates a TkPLQ with the best-first COUNT-bound search.
+///
+/// 1. **Bounds pass** — every window object is prepared (scan +
+///    reduction + PSL extraction) across `cfg.exec.threads` workers; the
+///    coordinator merges the per-object candidate lists, in ascending
+///    object-id order, into one [`LocationBound`] per query location.
+/// 2. **Threshold loop** — a [`ThresholdHeap`] pops the highest bound;
+///    the location's candidate objects are evaluated concurrently (paths
+///    built lazily and cached per object — "the intermediate results of
+///    each called object should be shared") and their presences
+///    accumulate in ascending object-id order; the exact flow re-enters
+///    the heap. Locations whose bound never reaches the k-th exact flow
+///    are never evaluated.
+///
+/// With the default `threads = 1` nothing is spawned. The ranking and
+/// every flow are **bit-identical** at every thread count.
 ///
 /// Thin forwarding wrapper over the unified batch entry point
 /// ([`crate::query::request::BestFirst`] consuming a
@@ -361,246 +276,10 @@ pub(crate) fn run(
     cfg: &FlowConfig,
     memo: Option<&FlowMemo>,
 ) -> Result<QueryOutcome, FlowError> {
-    // ---- Phase 1: data preparation (Algorithm 4 lines 1–10).
     let sequences = iupt.sequences_in(query.interval);
     let objects_total = sequences.len();
 
-    let mut objects: HashMap<ObjectId, ObjectData<'_>> = HashMap::new();
-    let mut rc_items: Vec<(Rect, ObjectId)> = Vec::new();
-    for seq in &sequences {
-        let Some(data) = prepare_object(space, &query.query_set, cfg, memo, seq)? else {
-            continue;
-        };
-        // Finer-grained MBRs: one per PSL S-location ("we use a series of
-        // smaller, finer-grained MBRs to represent each psls").
-        for &psl in &data.psls {
-            rc_items.push((embedded_sloc_rect(space, psl), seq.oid));
-        }
-        objects.insert(seq.oid, data);
-    }
-
-    let rc = AggTree::build(rc_items);
-    let rq = AggTree::build(
-        query
-            .query_set
-            .slocs()
-            .iter()
-            .map(|&s| (embedded_sloc_rect(space, s), s))
-            .collect(),
-    );
-
-    let mut computed: HashSet<ObjectId> = HashSet::new();
-    let mut dp_fallbacks: HashSet<ObjectId> = HashSet::new();
-    let mut result: Vec<RankedLocation> = Vec::new();
-
-    // ---- Phase 2: initial join of the two roots (lines 11–18).
-    let mut heap: BinaryHeap<HeapEntry<'_>> = BinaryHeap::new();
-    let mut seq_counter: u64 = 0;
-
-    if let (Some(rq_root), Some(rc_root)) = (rq.root(), rc.root()) {
-        let rc_root_refs = children_of(rc_root);
-        for rq_ref in children_of_rq(rq_root) {
-            let mut list = Vec::new();
-            let mut bound = 0usize;
-            for rc_ref in &rc_root_refs {
-                if rq_ref.mbr().intersects(&rc_ref.mbr()) {
-                    bound += rc_ref.count();
-                    list.push(*rc_ref);
-                }
-            }
-            if !list.is_empty() {
-                heap.push(HeapEntry {
-                    bound: bound as f64,
-                    exact: false,
-                    seq: next_seq(&mut seq_counter),
-                    tie_id: u32::MAX,
-                    rq: rq_ref,
-                    list: Some(list),
-                });
-            }
-        }
-    }
-
-    // ---- Phase 3: best-first join loop (lines 19–43).
-    'outer: while let Some(entry) = heap.pop() {
-        match entry.rq {
-            RqRef::Entry(eq) => {
-                match entry.list {
-                    None => {
-                        // Exact flow already computed and it dominates all
-                        // remaining bounds: final (lines 23–25). Stop only
-                        // once the k-th flow is positive — at a zero k-th
-                        // flow every remaining heap entry is an exact zero
-                        // (bounds are positive and would have popped
-                        // first), and draining them keeps the tie between
-                        // evaluated and padded zero-flow locations
-                        // resolved exactly as `rank_topk` resolves it.
-                        result.push(RankedLocation {
-                            sloc: eq.data,
-                            flow: entry.bound,
-                        });
-                        if result.len() >= query.k && entry.bound > 0.0 {
-                            break 'outer;
-                        }
-                    }
-                    Some(list) if list.first().is_some_and(RcRef::is_entry) => {
-                        // Leaf entries: load the distinct objects and
-                        // compute the concrete flow (lines 27–29).
-                        // Join lists are homogeneous by construction
-                        // (this branch guarded on `first()` being an
-                        // entry); skip a mixed node defensively rather
-                        // than panicking mid-query.
-                        let mut oids: Vec<ObjectId> = list
-                            .iter()
-                            .filter_map(|r| match r {
-                                RcRef::Entry(e) => Some(e.data),
-                                RcRef::Node(_) => {
-                                    debug_assert!(false, "mixed join list");
-                                    None
-                                }
-                            })
-                            .collect();
-                        oids.sort_unstable();
-                        oids.dedup();
-                        let flow = exact_flow(
-                            space,
-                            &mut objects,
-                            &oids,
-                            eq.data,
-                            cfg,
-                            &mut computed,
-                            &mut dp_fallbacks,
-                        )?;
-                        heap.push(HeapEntry {
-                            bound: flow,
-                            exact: true,
-                            seq: next_seq(&mut seq_counter),
-                            tie_id: eq.data.0,
-                            rq: entry.rq,
-                            list: None,
-                        });
-                    }
-                    Some(list) => {
-                        // Internal RC nodes: expand the RC side (line 31).
-                        expand_list(entry.rq, &list, &mut heap, &mut seq_counter);
-                    }
-                }
-            }
-            RqRef::Node(node) => {
-                // anlz:allow(panic-in-hot-path): HeapEntry construction pairs every internal node with Some(list); no path builds one without
-                let list = entry.list.expect("internal entries always carry a list");
-                if list.first().is_some_and(RcRef::is_entry) {
-                    // RC side already at leaf entries: descend the query
-                    // side (lines 33–40).
-                    for rq_child in children_of_rq(node) {
-                        let mut sub = Vec::new();
-                        let mut bound = 0usize;
-                        for rc_ref in &list {
-                            if rq_child.mbr().intersects(&rc_ref.mbr()) {
-                                bound += rc_ref.count();
-                                sub.push(*rc_ref);
-                            }
-                        }
-                        if !sub.is_empty() {
-                            heap.push(HeapEntry {
-                                bound: bound as f64,
-                                exact: false,
-                                seq: next_seq(&mut seq_counter),
-                                tie_id: u32::MAX,
-                                rq: rq_child,
-                                list: Some(sub),
-                            });
-                        }
-                    }
-                } else {
-                    // Descend the RC side for each query sub-entry
-                    // (lines 42–43).
-                    for rq_child in children_of_rq(node) {
-                        expand_list(rq_child, &list, &mut heap, &mut seq_counter);
-                    }
-                }
-            }
-        }
-    }
-
-    // Query locations never reached by any object have zero flow. Pad
-    // them all (not just up to k): when zero flows reach the k-th rank,
-    // `rank_topk`'s id tie-break must choose among evaluated *and*
-    // untouched zeros alike.
-    let have: HashSet<SLocId> = result.iter().map(|r| r.sloc).collect();
-    for &s in query.query_set.slocs() {
-        if !have.contains(&s) {
-            result.push(RankedLocation { sloc: s, flow: 0.0 });
-        }
-    }
-
-    Ok(QueryOutcome {
-        ranking: rank_topk(
-            result.into_iter().map(|r| (r.sloc, r.flow)).collect(),
-            query.k,
-        ),
-        stats: SearchStats {
-            objects_total,
-            objects_computed: computed.len(),
-            dp_fallback_objects: dp_fallbacks.len(),
-        },
-    })
-}
-
-/// Evaluates a TkPLQ with the object-parallel best-first driver.
-///
-/// Algorithm 4's insight — rank locations by COUNT flow bounds and
-/// evaluate lazily, best-first — carries over with the R-tree join
-/// replaced by exact per-location candidate counts:
-///
-/// 1. **Parallel bounds pass** — every window object is prepared
-///    (scan + reduction + PSL extraction) across `cfg.exec.threads`
-///    workers; the coordinator merges the per-object candidate lists, in
-///    ascending object-id order, into one [`LocationBound`] per query
-///    location.
-/// 2. **Threshold loop** — a [`ThresholdHeap`] pops the highest bound;
-///    the location's candidate objects are evaluated concurrently
-///    (paths built lazily and cached per object, exactly as the serial
-///    join shares them) and their presences accumulate in ascending
-///    object-id order; the exact flow re-enters the heap. Locations
-///    whose bound never reaches the k-th exact flow are never evaluated.
-///
-/// The ranking and every flow are **bit-identical** to [`best_first`]'s
-/// at every thread count: presences come from the same shared per-object
-/// state, flows accumulate in the same object order, and both drivers
-/// resolve rank ties exactly like [`rank_topk`]. Work accounting may
-/// differ ([`SearchStats::objects_computed`]) — the exact candidate
-/// counts here are tighter than R-tree node counts, so this driver
-/// typically evaluates *fewer* objects.
-///
-/// Thin forwarding wrapper over the unified batch entry point
-/// ([`crate::query::request::BestFirstPar`]).
-pub fn best_first_par(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<QueryOutcome, FlowError> {
-    use crate::query::request::{BatchEngine, BestFirstPar, TkplqRequest};
-    BestFirstPar.evaluate(
-        space,
-        iupt,
-        &TkplqRequest::from_query(query, cfg),
-        query.interval,
-    )
-}
-
-pub(crate) fn run_par(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
-) -> Result<QueryOutcome, FlowError> {
-    let sequences = iupt.sequences_in(query.interval);
-    let objects_total = sequences.len();
-
-    // ---- Phase 1: the parallel bounds pass.
+    // ---- Phase 1: the bounds pass (Algorithm 4 lines 1–10).
     let prepared = try_par_map(cfg.exec, &sequences, |_, seq| {
         prepare_object(space, &query.query_set, cfg, memo, seq)
     })?;
@@ -615,7 +294,6 @@ pub(crate) fn run_par(
     // its candidate objects, ascending by object id (`sequences` is
     // id-sorted and the merge preserves that order).
     let mut candidates: HashMap<SLocId, Vec<usize>> = HashMap::new();
-    // anlz:allow(nondeterministic-iteration): `objects` is an id-sorted Vec in this fn (the serial path's HashMap shares the name); iteration order is the id order
     for (i, (_, data)) in objects.iter().enumerate() {
         for q in intersect_sorted(query.query_set.slocs(), &data.psls) {
             candidates.entry(q).or_default().push(i);
@@ -646,7 +324,7 @@ pub(crate) fn run_par(
                 let idxs = candidates
                     .get(&sloc)
                     .expect("only seeded locations are evaluated");
-                let flow = evaluate_location_par(
+                let flow = evaluate_location(
                     space,
                     cfg,
                     &mut objects,
@@ -673,9 +351,9 @@ pub(crate) fn run_par(
 /// One lazy evaluation round: computes `q`'s exact flow over its
 /// candidate objects. Presences run concurrently against the shared
 /// read-only object states; the coordinator then applies the deferred
-/// path updates and accumulates the flow in ascending object-id order —
-/// the identical floating-point sum the serial join produces.
-fn evaluate_location_par(
+/// path updates and accumulates the flow in ascending object-id order,
+/// so the floating-point sum does not depend on the thread count.
+fn evaluate_location(
     space: &IndoorSpace,
     cfg: &FlowConfig,
     objects: &mut [(ObjectId, ObjectData<'_>)],
@@ -715,132 +393,6 @@ fn evaluate_location_par(
     Ok(flow)
 }
 
-fn next_seq(counter: &mut u64) -> u64 {
-    *counter += 1;
-    *counter
-}
-
-/// The `ExpandList` function (lines 44–51): joins `rq` with the children
-/// of every RC node in `list`, upper-bounding with child counts.
-fn expand_list<'a>(
-    rq: RqRef<'a>,
-    list: &[RcRef<'a>],
-    heap: &mut BinaryHeap<HeapEntry<'a>>,
-    seq_counter: &mut u64,
-) {
-    let mut sub: Vec<RcRef<'a>> = Vec::new();
-    let mut bound = 0usize;
-    for rc_ref in list {
-        let RcRef::Node(node) = rc_ref else {
-            // Mixed lists cannot arise from a balanced STR build.
-            debug_assert!(false, "expand_list on leaf entry");
-            continue;
-        };
-        for child in children_of(node) {
-            if rq.mbr().intersects(&child.mbr()) {
-                bound += child.count();
-                sub.push(child);
-            }
-        }
-    }
-    if !sub.is_empty() {
-        heap.push(HeapEntry {
-            bound: bound as f64,
-            exact: false,
-            seq: next_seq(seq_counter),
-            tie_id: u32::MAX,
-            rq,
-            list: Some(sub),
-        });
-    }
-}
-
-/// Children of an RC node as join-list references.
-fn children_of(node: &AggNode<ObjectId>) -> Vec<RcRef<'_>> {
-    if node.is_leaf() {
-        node.entries().iter().map(RcRef::Entry).collect()
-    } else {
-        node.child_nodes().iter().map(RcRef::Node).collect()
-    }
-}
-
-/// Children of an RQ node as query references.
-fn children_of_rq(node: &AggNode<SLocId>) -> Vec<RqRef<'_>> {
-    if node.is_leaf() {
-        node.entries().iter().map(RqRef::Entry).collect()
-    } else {
-        node.child_nodes().iter().map(RqRef::Node).collect()
-    }
-}
-
-/// Computes the exact flow of `q` over the candidate objects, sharing each
-/// object's reduced sequence and (for the enumeration engine) its path set
-/// across query locations.
-fn exact_flow(
-    space: &IndoorSpace,
-    objects: &mut HashMap<ObjectId, ObjectData<'_>>,
-    oids: &[ObjectId],
-    q: SLocId,
-    cfg: &FlowConfig,
-    computed: &mut HashSet<ObjectId>,
-    dp_fallbacks: &mut HashSet<ObjectId>,
-) -> Result<f64, FlowError> {
-    let mut flow = 0.0;
-    for oid in oids {
-        // anlz:allow(panic-in-hot-path): the RC tree is built over the retained object map; every entry id originates from it
-        let data = objects
-            .get_mut(oid)
-            .expect("RC entries reference retained objects");
-        // MBR intersection can be a false positive; the PSL list is exact,
-        // and q ∉ psls implies zero presence (no transition cell covers q).
-        if data.psls.binary_search(&q).is_err() {
-            continue;
-        }
-        computed.insert(*oid);
-        let (phi, fell_back, update) = shared_presence(space, data, q, cfg)?;
-        apply_update(data, update);
-        if fell_back {
-            dp_fallbacks.insert(*oid);
-        }
-        flow += phi;
-    }
-    Ok(flow)
-}
-
-/// An S-location's MBR embedded in a per-floor plane: floors are disjoint
-/// in reality but share plan coordinates, so each floor is translated along
-/// x by its own offset before indexing (the paper keeps floors apart by
-/// dedicating a child of the R-tree root to each floor; a coordinate
-/// embedding achieves the same separation without a custom root layout).
-fn embedded_sloc_rect(space: &IndoorSpace, sloc: SLocId) -> Rect {
-    let s = space.sloc(sloc);
-    embed_rect(space, s.floor, s.rect)
-}
-
-fn embed_rect(space: &IndoorSpace, floor: FloorId, rect: Rect) -> Rect {
-    // Offset by floor index times a stride larger than any floor's extent.
-    let stride = floor_stride(space);
-    let dx = f64::from(floor.0) * stride;
-    Rect::from_coords(rect.min.x + dx, rect.min.y, rect.max.x + dx, rect.max.y)
-}
-
-fn floor_stride(space: &IndoorSpace) -> f64 {
-    // Upper bound on plan extent across floors, plus slack.
-    let mut max_extent: f64 = 1.0;
-    for f in space.building().floors() {
-        if let Some(b) = space.building().floor_bounds(f) {
-            max_extent = max_extent.max(b.max.x.abs().max(b.width()));
-        }
-    }
-    max_extent * 2.0 + 100.0
-}
-
-/// The pass-probability helper re-exported for parity tests.
-#[allow(dead_code)]
-fn debug_pass(space: &IndoorSpace, locs: &[indoor_model::PLocId], q: SLocId) -> f64 {
-    path_pass_probability(space, locs, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,41 +421,53 @@ mod tests {
     }
 
     /// BF returns the same top-k as Naive and NL ("Naive, NL, BF return
-    /// the same top-k results for the same query", §5.1) across configs
-    /// and k values. Flow ties at the k-th position make multiple
-    /// k-subsets valid per Problem 1, so the comparison is tie-aware: the
-    /// per-rank flows must match, and every returned location's flow must
-    /// equal its exact (naive, full-ranking) flow.
+    /// the same top-k results for the same query", §5.1) across engines,
+    /// reduction settings, normalizations and k values. BF and NL must
+    /// agree exactly; against Naive — which sums per location instead of
+    /// per object — flow ties at the k-th position make multiple
+    /// k-subsets valid per Problem 1, so that comparison is tie-aware:
+    /// the per-rank flows must match, and every returned location's flow
+    /// must equal its exact (naive, full-ranking) flow.
     #[test]
     fn agrees_with_naive_and_nested_loop() {
+        use crate::config::Normalization;
         let fig = paper_figure1();
+        let mut cfgs = Vec::new();
+        for use_reduction in [true, false] {
+            for engine in [
+                PresenceEngine::PathEnumeration,
+                PresenceEngine::TransitionDp,
+            ] {
+                for normalization in [Normalization::FullProduct, Normalization::ValidPaths] {
+                    cfgs.push(FlowConfig {
+                        use_reduction,
+                        engine,
+                        normalization,
+                        ..FlowConfig::default()
+                    });
+                }
+            }
+        }
         for k in 1..=6 {
-            for use_reduction in [true, false] {
-                let cfg = FlowConfig {
-                    use_reduction,
-                    ..FlowConfig::default()
-                };
+            for cfg in &cfgs {
                 let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), interval());
                 let full_query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
                 let mut i1 = paper_table2();
-                let bf = best_first(&fig.space, &mut i1, &query, &cfg).unwrap();
+                let bf = best_first(&fig.space, &mut i1, &query, cfg).unwrap();
                 let mut i2 = paper_table2();
-                let nv = naive(&fig.space, &mut i2, &query, &cfg).unwrap();
+                let nv = naive(&fig.space, &mut i2, &query, cfg).unwrap();
                 let mut i3 = paper_table2();
-                let nl = nested_loop(&fig.space, &mut i3, &query, &cfg).unwrap();
+                let nl = nested_loop(&fig.space, &mut i3, &query, cfg).unwrap();
                 let mut i4 = paper_table2();
-                let exact = naive(&fig.space, &mut i4, &full_query, &cfg).unwrap();
+                let exact = naive(&fig.space, &mut i4, &full_query, cfg).unwrap();
 
-                assert_eq!(
-                    nl.topk_slocs(),
-                    nv.topk_slocs(),
-                    "k={k} red={use_reduction}"
-                );
+                assert_eq!(nl.topk_slocs(), nv.topk_slocs(), "k={k} cfg={cfg:?}");
+                assert_eq!(bf.topk_slocs(), nl.topk_slocs(), "k={k} cfg={cfg:?}");
                 assert_eq!(bf.ranking.len(), k);
                 for (rank, (a, b)) in bf.ranking.iter().zip(nv.ranking.iter()).enumerate() {
                     assert!(
                         (a.flow - b.flow).abs() < 1e-9,
-                        "k={k} red={use_reduction} rank {rank}: {} vs {}",
+                        "k={k} cfg={cfg:?} rank {rank}: {} vs {}",
                         a.flow,
                         b.flow
                     );
@@ -917,7 +481,7 @@ mod tests {
                         .flow;
                     assert!(
                         (r.flow - want).abs() < 1e-9,
-                        "k={k} red={use_reduction} {}: {} vs exact {want}",
+                        "k={k} cfg={cfg:?} {}: {} vs exact {want}",
                         r.sloc,
                         r.flow
                     );
@@ -940,21 +504,44 @@ mod tests {
         assert_eq!(bf.ranking[0].sloc, nl.ranking[0].sloc);
     }
 
-    /// Zero-flow padding: query locations untouched by any object still
-    /// fill the top-k when k exceeds the touched count.
+    /// Zero-flow padding and k-th-rank ties: over a window only some
+    /// objects report in, several query locations have zero flow —
+    /// some with candidates (evaluated to zero or never evaluated),
+    /// some with none (seeded as exact zeros). At every k the returned
+    /// order must be the one [`rank_topk`] gives Nested-Loop's full
+    /// score table: descending flow, then ascending location id.
     #[test]
     fn pads_with_zero_flow_locations() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        // r3 is visited only by o3's samples (p3 touches c3) — but r2 has
-        // flow too; use a k as large as Q.
-        let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let out = best_first(&fig.space, &mut iupt, &query, &FlowConfig::default()).unwrap();
-        assert_eq!(out.ranking.len(), 6);
-        let slocs = out.topk_slocs();
-        for r in fig.r {
-            assert!(slocs.contains(&r));
+        let mut zero_flows_seen = 0;
+        for (from, to) in [(1, 8), (1, 2), (7, 8)] {
+            let window = TimeInterval::new(Timestamp::from_secs(from), Timestamp::from_secs(to));
+            for k in 1..=6 {
+                let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), window);
+                let mut i1 = paper_table2();
+                let bf = best_first(&fig.space, &mut i1, &query, &FlowConfig::default()).unwrap();
+                let mut i2 = paper_table2();
+                let nl = nested_loop(&fig.space, &mut i2, &query, &FlowConfig::default()).unwrap();
+                assert_eq!(bf.ranking.len(), k);
+                assert_eq!(
+                    bf.topk_slocs(),
+                    nl.topk_slocs(),
+                    "window {from}..{to} k={k}"
+                );
+                for (a, b) in bf.ranking.iter().zip(&nl.ranking) {
+                    assert_eq!(
+                        a.flow.to_bits(),
+                        b.flow.to_bits(),
+                        "window {from}..{to} k={k}"
+                    );
+                }
+                zero_flows_seen += bf.ranking.iter().filter(|r| r.flow == 0.0).count();
+            }
         }
+        assert!(
+            zero_flows_seen > 0,
+            "the fixture windows must exercise zero flows"
+        );
     }
 
     /// DP engine agreement.
@@ -978,9 +565,11 @@ mod tests {
         }
     }
 
-    /// The parallel driver is bit-identical to the serial join — every
-    /// rank, sloc, and flow bit — at several thread counts, across
-    /// engines, reduction settings, and k values.
+    /// Every thread count returns the `threads = 1` outcome bit for bit
+    /// — every rank, sloc, and flow bit — across engines, reduction
+    /// settings, normalizations and k values; and that outcome is
+    /// Nested-Loop's, with no more objects evaluated than Nested-Loop
+    /// evaluates.
     #[test]
     fn par_bit_identical_to_serial() {
         let fig = paper_figure1();
@@ -994,13 +583,20 @@ mod tests {
                 let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), interval());
                 let mut i1 = paper_table2();
                 let serial = best_first(&fig.space, &mut i1, &query, &cfg).unwrap();
+                let mut i3 = paper_table2();
+                let nl = nested_loop(&fig.space, &mut i3, &query, &cfg).unwrap();
+                assert_eq!(serial.topk_slocs(), nl.topk_slocs(), "k={k} cfg={cfg:?}");
+                for (a, b) in serial.ranking.iter().zip(&nl.ranking) {
+                    assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "k={k} cfg={cfg:?}");
+                }
+                assert!(serial.stats.objects_computed <= nl.stats.objects_computed);
                 for threads in [1, 2, 4, 7] {
                     let par_cfg = FlowConfig {
                         exec: popflow_exec::ExecConfig::with_threads(threads),
                         ..cfg
                     };
                     let mut i2 = paper_table2();
-                    let par = best_first_par(&fig.space, &mut i2, &query, &par_cfg).unwrap();
+                    let par = best_first(&fig.space, &mut i2, &query, &par_cfg).unwrap();
                     assert_eq!(
                         serial.topk_slocs(),
                         par.topk_slocs(),
@@ -1014,27 +610,31 @@ mod tests {
                         );
                     }
                     assert_eq!(serial.stats.objects_total, par.stats.objects_total);
-                    // Exact candidate counts are at least as tight as
-                    // R-tree node counts.
-                    assert!(par.stats.objects_computed <= serial.stats.objects_computed);
+                    assert_eq!(serial.stats.objects_computed, par.stats.objects_computed);
+                    assert_eq!(
+                        serial.stats.dp_fallback_objects,
+                        par.stats.dp_fallback_objects
+                    );
                 }
             }
         }
     }
 
-    /// The parallel driver propagates the same error the serial join
-    /// surfaces (a blown path budget on the pure enumeration engine).
+    /// A blown path budget on the pure enumeration engine surfaces as
+    /// the same error whether or not workers are forked.
     #[test]
     fn par_propagates_budget_error() {
         let fig = paper_figure1();
-        let cfg = FlowConfig {
-            path_budget: 1,
-            exec: popflow_exec::ExecConfig::with_threads(4),
-            ..FlowConfig::default()
-        };
-        let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let mut iupt = paper_table2();
-        let err = best_first_par(&fig.space, &mut iupt, &query, &cfg).unwrap_err();
-        assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
+        for threads in [1, 4] {
+            let cfg = FlowConfig {
+                path_budget: 1,
+                exec: popflow_exec::ExecConfig::with_threads(threads),
+                ..FlowConfig::default()
+            };
+            let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
+            let mut iupt = paper_table2();
+            let err = best_first(&fig.space, &mut iupt, &query, &cfg).unwrap_err();
+            assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
+        }
     }
 }

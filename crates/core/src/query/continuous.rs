@@ -2,22 +2,15 @@
 //! ("it is relevant to consider an online and continuous version of the
 //! top-k popular location query in similar scenarios").
 //!
-//! A [`ContinuousTkPlq`] monitors a sliding window over the IUPT: each
-//! call to [`ContinuousTkPlq::advance`] re-evaluates the top-k over
-//! `[now − window, now]` and reports what changed relative to the previous
-//! evaluation — the delta a dashboard or alerting pipeline would consume.
-//!
-//! Evaluation reuses the Nested-Loop search per slide. Each slide touches
-//! only the records inside the new window through the time index, so the
-//! cost per advance is that of one windowed query, independent of the
-//! table's total history.
-//!
-//! The [`ContinuousEngine`] trait abstracts the standing-query shape —
-//! ingest a time-ordered record stream, advance a bucketed sliding window,
-//! report the top-k delta — so alternative evaluation strategies are
-//! interchangeable. Two implementations exist: [`RecomputeEngine`] here
-//! (re-runs the Nested-Loop search per slide — the baseline) and the
-//! sharded incremental engine in `popflow-serve`.
+//! The [`ContinuousEngine`] trait is the standing-query shape: ingest a
+//! time-ordered record stream, advance a bucketed sliding window, report
+//! what changed in the top-k relative to the previous evaluation — the
+//! delta a dashboard or alerting pipeline would consume. Two
+//! implementations exist: [`RecomputeEngine`] here (re-runs the
+//! Nested-Loop search per slide — the baseline; each slide touches only
+//! the records inside the new window through the time index, so the cost
+//! per advance is that of one windowed query, independent of the table's
+//! total history) and the sharded incremental engine in `popflow-serve`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -227,17 +220,6 @@ pub fn diff_topk(
     }
 }
 
-/// A standing top-k query over a sliding time window.
-#[derive(Debug, Clone)]
-pub struct ContinuousTkPlq {
-    k: usize,
-    query_set: QuerySet,
-    window_millis: i64,
-    cfg: FlowConfig,
-    previous: Option<Vec<SLocId>>,
-    last_advance: Option<Timestamp>,
-}
-
 /// The outcome of one slide.
 #[derive(Debug, Clone)]
 pub struct ContinuousUpdate {
@@ -254,67 +236,9 @@ pub struct ContinuousUpdate {
     pub window: TimeInterval,
 }
 
-impl ContinuousTkPlq {
-    /// Creates the standing query: top-`k` of `query_set` over the last
-    /// `window_millis` milliseconds.
-    pub fn new(k: usize, query_set: QuerySet, window_millis: i64, cfg: FlowConfig) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert!(window_millis > 0, "window must be positive");
-        ContinuousTkPlq {
-            k,
-            query_set,
-            window_millis,
-            cfg,
-            previous: None,
-            last_advance: None,
-        }
-    }
-
-    /// The most recent top-k, if any slide has run.
-    pub fn current(&self) -> Option<&[SLocId]> {
-        self.previous.as_deref()
-    }
-
-    /// Advances the monitor to `now`, evaluating `[now − window, now]`.
-    ///
-    /// `now` must not move backwards ([`FlowError::TimeRegression`]
-    /// otherwise); re-advancing to the same instant is allowed
-    /// (idempotent).
-    pub fn advance(
-        &mut self,
-        space: &IndoorSpace,
-        iupt: &mut Iupt,
-        now: Timestamp,
-    ) -> Result<ContinuousUpdate, FlowError> {
-        if let Some(last) = self.last_advance {
-            if now < last {
-                return Err(FlowError::TimeRegression {
-                    last_millis: last.millis(),
-                    offending_millis: now.millis(),
-                });
-            }
-        }
-        self.last_advance = Some(now);
-        let window = TimeInterval::new(now.plus_millis(-self.window_millis), now);
-        let query = TkPlQuery::new(self.k, self.query_set.clone(), window);
-        let outcome = nested_loop(space, iupt, &query, &self.cfg)?;
-        let fresh = outcome.topk_slocs();
-        let (changed, entered, left) = diff_topk(self.previous.as_deref(), &fresh);
-        self.previous = Some(fresh);
-        Ok(ContinuousUpdate {
-            outcome,
-            changed,
-            entered,
-            left,
-            window,
-        })
-    }
-}
-
 /// The recompute-per-slide baseline engine: owns its IUPT, and every
 /// [`ContinuousEngine::advance`] re-runs the full Nested-Loop search over
-/// the bucket-aligned window. This is the strategy [`ContinuousTkPlq`]
-/// has always used, packaged behind the streaming [`ContinuousEngine`]
+/// the bucket-aligned window, behind the streaming [`ContinuousEngine`]
 /// interface so it can be compared head-to-head against the incremental
 /// `popflow-serve` engine on identical windows.
 #[derive(Debug, Clone)]
@@ -455,19 +379,30 @@ mod tests {
         FlowConfig::default().with_full_product_normalization()
     }
 
+    /// The paper's Table 2 replayed into a fresh baseline engine whose
+    /// window is `window_buckets` one-second buckets.
+    fn loaded_engine(k: usize, window_buckets: usize) -> RecomputeEngine {
+        let fig = paper_figure1();
+        let mut engine = RecomputeEngine::new(
+            Arc::new(fig.space.clone()),
+            k,
+            QuerySet::new(fig.r.to_vec()),
+            WindowSpec::new(1_000, window_buckets),
+            cfg(),
+        );
+        for r in paper_table2().to_records() {
+            engine.ingest(r).unwrap();
+        }
+        engine
+    }
+
     #[test]
     fn first_advance_reports_everything_as_entered() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        let mut monitor = ContinuousTkPlq::new(
-            2,
-            QuerySet::new(fig.r.to_vec()),
-            8_000, // the full t1..t8 span
-            cfg(),
-        );
-        let update = monitor
-            .advance(&fig.space, &mut iupt, Timestamp::from_secs(8))
-            .unwrap();
+        // Nine buckets ending at 8999 ms: the full t1..t8 span.
+        let mut engine = loaded_engine(2, 9);
+        assert!(engine.current().is_none());
+        let update = engine.advance(Timestamp::from_secs(9)).unwrap();
         assert!(update.changed);
         assert_eq!(update.entered.len(), 2);
         assert!(update.left.is_empty());
@@ -477,77 +412,54 @@ mod tests {
 
     #[test]
     fn idempotent_re_advance_reports_no_change() {
-        let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        let mut monitor = ContinuousTkPlq::new(2, QuerySet::new(fig.r.to_vec()), 8_000, cfg());
-        let now = Timestamp::from_secs(8);
-        monitor.advance(&fig.space, &mut iupt, now).unwrap();
-        let second = monitor.advance(&fig.space, &mut iupt, now).unwrap();
+        let mut engine = loaded_engine(2, 9);
+        let now = Timestamp::from_secs(9);
+        engine.advance(now).unwrap();
+        let second = engine.advance(now).unwrap();
         assert!(!second.changed);
         assert!(second.entered.is_empty() && second.left.is_empty());
     }
 
+    /// A 3-second window sliding through the data: every slide evaluates
+    /// exactly its own window, and the reported delta is the diff
+    /// against the previous slide's top-k.
     #[test]
     fn sliding_window_changes_topk() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        // A 3-second window sliding through the data: early windows see
-        // r4/r6 traffic (o2, o3 around p1..p4), late windows see o3 parked
-        // near r3/r4.
-        let mut monitor = ContinuousTkPlq::new(1, QuerySet::new(fig.r.to_vec()), 3_000, cfg());
-        let mut tops = Vec::new();
-        for t in [3i64, 5, 8] {
-            let update = monitor
-                .advance(&fig.space, &mut iupt, Timestamp::from_secs(t))
-                .unwrap();
-            tops.push(update.outcome.ranking[0].sloc);
+        let mut engine = loaded_engine(1, 3);
+        let mut previous: Option<Vec<SLocId>> = None;
+        for t in [4i64, 6, 9] {
+            let update = engine.advance(Timestamp::from_secs(t)).unwrap();
+            assert_eq!(update.window.start, Timestamp::from_secs(t - 3));
+            assert_eq!(update.window.end, Timestamp(t * 1_000 - 1));
+            let mut iupt = paper_table2();
+            let one_shot = nested_loop(
+                &fig.space,
+                &mut iupt,
+                &TkPlQuery::new(1, QuerySet::new(fig.r.to_vec()), update.window),
+                &cfg(),
+            )
+            .unwrap();
+            let fresh = update.outcome.topk_slocs();
+            assert_eq!(fresh, one_shot.topk_slocs(), "slide to {t}s");
+            let (changed, entered, left) = diff_topk(previous.as_deref(), &fresh);
+            assert_eq!(
+                (update.changed, &update.entered, &update.left),
+                (changed, &entered, &left)
+            );
+            previous = Some(fresh);
         }
-        // The monitor ran and produced a top location for every slide;
-        // flows stay within the population bound.
-        assert_eq!(tops.len(), 3);
-    }
-
-    #[test]
-    fn matches_one_shot_query() {
-        let fig = paper_figure1();
-        let mut monitor = ContinuousTkPlq::new(3, QuerySet::new(fig.r.to_vec()), 5_000, cfg());
-        let now = Timestamp::from_secs(8);
-        let mut i1 = paper_table2();
-        let cont = monitor.advance(&fig.space, &mut i1, now).unwrap();
-
-        let mut i2 = paper_table2();
-        let one_shot = nested_loop(
-            &fig.space,
-            &mut i2,
-            &TkPlQuery::new(
-                3,
-                QuerySet::new(fig.r.to_vec()),
-                TimeInterval::new(Timestamp::from_secs(3), now),
-            ),
-            &cfg(),
-        )
-        .unwrap();
-        assert_eq!(cont.outcome.topk_slocs(), one_shot.topk_slocs());
-        assert_eq!(monitor.current().unwrap(), one_shot.topk_slocs());
     }
 
     #[test]
     fn rejects_time_regression() {
-        let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        let mut monitor = ContinuousTkPlq::new(1, QuerySet::new(fig.r.to_vec()), 1_000, cfg());
-        monitor
-            .advance(&fig.space, &mut iupt, Timestamp::from_secs(5))
-            .unwrap();
-        let err = monitor
-            .advance(&fig.space, &mut iupt, Timestamp::from_secs(4))
-            .unwrap_err();
+        let mut engine = loaded_engine(1, 1);
+        engine.advance(Timestamp::from_secs(5)).unwrap();
+        let err = engine.advance(Timestamp::from_secs(4)).unwrap_err();
         assert!(matches!(err, FlowError::TimeRegression { .. }));
-        // The rejected slide must not corrupt the monitor: advancing
+        // The rejected slide must not corrupt the engine: advancing
         // forward still works.
-        monitor
-            .advance(&fig.space, &mut iupt, Timestamp::from_secs(6))
-            .unwrap();
+        engine.advance(Timestamp::from_secs(6)).unwrap();
     }
 
     #[test]

@@ -5,20 +5,17 @@
 mod best_first;
 pub mod bounds;
 pub mod continuous;
-pub mod density;
 mod naive;
 mod nested_loop;
 pub mod request;
 
-pub use best_first::{best_first, best_first_par};
+pub use best_first::best_first;
 pub use bounds::{LocationBound, ThresholdHeap, ThresholdStep};
 pub use continuous::{
-    diff_topk, ContinuousEngine, ContinuousTkPlq, ContinuousUpdate, QueryId, QuerySpec,
-    RecomputeEngine, WindowSpec,
+    diff_topk, ContinuousEngine, ContinuousUpdate, QueryId, QuerySpec, RecomputeEngine, WindowSpec,
 };
-pub use density::{sloc_area, top_k_dense};
 pub use naive::naive;
-pub use nested_loop::{nested_loop, nested_loop_par};
+pub use nested_loop::nested_loop;
 pub use request::{BatchEngine, Instrumented, TkplqRequest};
 
 use indoor_iupt::{ObjectId, TimeInterval};

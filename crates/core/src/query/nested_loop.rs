@@ -17,7 +17,7 @@ use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
 /// kernel memo (keyed by the sequence's interned [`SetRef`]s) when one
 /// is attached, straight through [`object_flow_contributions`]
 /// otherwise. Both paths return bit-identical contributions (the memo's
-/// contract), so the drivers below never branch on results.
+/// contract), so the driver below never branches on results.
 fn seq_contribution(
     space: &IndoorSpace,
     seq: &ObjectSequence<'_>,
@@ -54,6 +54,16 @@ fn seq_contribution(
 /// `popflow-serve` engine caches per bucket, so batch and incremental
 /// evaluation agree bit for bit.
 ///
+/// The search is embarrassingly parallel over objects: each object's
+/// kernel is independent, and only the final accumulation couples them.
+/// The kernels fan out through [`popflow_exec::try_par_map`] across
+/// `cfg.exec.threads` workers (dynamic load balancing, deterministic
+/// in-order merge; with the default `threads = 1` nothing is spawned)
+/// and the merged contributions accumulate **in ascending object-id
+/// order**, so rankings, flows and [`SearchStats`] are **bit-identical**
+/// at every thread count, and an error surfaces as the first error in
+/// object-id order.
+///
 /// Thin forwarding wrapper over the unified batch entry point
 /// ([`crate::query::request::NestedLoop`] consuming a
 /// [`crate::query::request::TkplqRequest`]).
@@ -83,75 +93,9 @@ pub(crate) fn run(
     let mut global: HashMap<SLocId, f64> =
         query.query_set.slocs().iter().map(|&s| (s, 0.0)).collect();
 
-    let sequences = iupt.sequences_in(query.interval);
-    let objects_total = sequences.len();
-    let mut objects_computed = 0;
-    let mut dp_fallback_objects = 0;
-
-    for seq in sequences {
-        let Some(contribution) = seq_contribution(space, &seq, query, cfg, memo)? else {
-            continue; // PSL-pruned (Algorithm 3 line 8)
-        };
-        objects_computed += 1;
-        dp_fallback_objects += usize::from(contribution.dp_fallback);
-        contribution.add_to(&mut global);
-    }
-
-    Ok(QueryOutcome {
-        // Ranked in one expression: the unordered drain feeds straight
-        // into rank_topk's total sort, so hash order never escapes.
-        ranking: rank_topk(global.into_iter().collect(), query.k),
-        stats: SearchStats {
-            objects_total,
-            objects_computed,
-            dp_fallback_objects,
-        },
-    })
-}
-
-/// Evaluates a TkPLQ in the nested-loop paradigm with the per-object
-/// kernels forked across `cfg.exec.threads` workers.
-///
-/// The search is embarrassingly parallel over objects: each object's
-/// [`object_flow_contributions`] is independent, and only the final
-/// accumulation couples them. The driver fans the kernel out through
-/// [`popflow_exec::try_par_map`] (dynamic load balancing, deterministic
-/// in-order merge) and then accumulates the merged contributions **in
-/// ascending object-id order** — the exact iteration order of the serial
-/// [`nested_loop`] — so rankings and flows are **bit-identical** to the
-/// serial search at every thread count, and an error surfaces as the
-/// same first-in-id-order error the serial loop would hit.
-///
-/// Thin forwarding wrapper over the unified batch entry point
-/// ([`crate::query::request::NestedLoopPar`]).
-pub fn nested_loop_par(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<QueryOutcome, FlowError> {
-    use crate::query::request::{BatchEngine, NestedLoopPar, TkplqRequest};
-    NestedLoopPar.evaluate(
-        space,
-        iupt,
-        &TkplqRequest::from_query(query, cfg),
-        query.interval,
-    )
-}
-
-pub(crate) fn run_par(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
-) -> Result<QueryOutcome, FlowError> {
-    let mut global: HashMap<SLocId, f64> =
-        query.query_set.slocs().iter().map(|&s| (s, 0.0)).collect();
-
-    // `sequences_in` returns objects in ascending id order; `try_par_map`
-    // preserves item order, so the serial accumulation below reproduces
-    // the serial driver's floating-point sums bit for bit. Workers share
+    // `sequences_in` returns objects in ascending id order and
+    // `try_par_map` preserves item order, so the accumulation below is
+    // the same floating-point sum at every thread count. Workers share
     // the memo (`FlowMemo` is interior-mutable): racing misses duplicate
     // work but insert identical bits, so thread count never changes
     // results.
@@ -163,6 +107,7 @@ pub(crate) fn run_par(
 
     let mut objects_computed = 0;
     let mut dp_fallback_objects = 0;
+    // `None` = PSL-pruned (Algorithm 3 line 8).
     for contribution in contributions.into_iter().flatten() {
         objects_computed += 1;
         dp_fallback_objects += usize::from(contribution.dp_fallback);
@@ -264,8 +209,8 @@ mod tests {
         assert!((out.stats.pruning_ratio() - 1.0 / 3.0).abs() < 1e-12);
     }
 
-    /// The parallel driver is bit-identical to the serial search —
-    /// ranking, flows, and stats — at several thread counts and configs.
+    /// Every thread count returns the `threads = 1` outcome bit for bit
+    /// — ranking, flows, and stats — across configs.
     #[test]
     fn par_bit_identical_to_serial() {
         let fig = paper_figure1();
@@ -284,7 +229,7 @@ mod tests {
                     ..cfg
                 };
                 let mut i2 = paper_table2();
-                let par = nested_loop_par(&fig.space, &mut i2, &query, &par_cfg).unwrap();
+                let par = nested_loop(&fig.space, &mut i2, &query, &par_cfg).unwrap();
                 assert_eq!(serial.topk_slocs(), par.topk_slocs(), "threads {threads}");
                 for (a, b) in serial.ranking.iter().zip(par.ranking.iter()) {
                     assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "threads {threads}");
@@ -296,6 +241,24 @@ mod tests {
                     par.stats.dp_fallback_objects
                 );
             }
+        }
+    }
+
+    /// A blown path budget on the pure enumeration engine surfaces as
+    /// the same error whether or not workers are forked.
+    #[test]
+    fn budget_error_propagates_at_every_thread_count() {
+        let fig = paper_figure1();
+        for threads in [1, 4] {
+            let cfg = FlowConfig {
+                path_budget: 1,
+                exec: popflow_exec::ExecConfig::with_threads(threads),
+                ..FlowConfig::default()
+            };
+            let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
+            let mut iupt = paper_table2();
+            let err = nested_loop(&fig.space, &mut iupt, &query, &cfg).unwrap_err();
+            assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
         }
     }
 

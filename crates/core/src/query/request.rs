@@ -3,12 +3,11 @@
 //! interval — consumed by every TkPLQ search algorithm through the
 //! [`BatchEngine`] trait.
 //!
-//! Historically each algorithm exposed its own free function taking
-//! `(space, iupt, &TkPlQuery, &FlowConfig)`. Those functions still exist
-//! as thin forwarding wrappers (call sites migrate incrementally), but
-//! they all route through here, so drivers that sweep algorithms — the
-//! evaluation harness, the serving registry's batch spot-checks — can
-//! hold a `&dyn BatchEngine` instead of matching on function pointers.
+//! The classic free functions taking `(space, iupt, &TkPlQuery,
+//! &FlowConfig)` — [`naive()`], [`nested_loop()`], [`best_first()`] —
+//! are thin forwarding wrappers over the three engines here ([`Naive`], [`NestedLoop`],
+//! [`BestFirst`]), so drivers that sweep algorithms can hold a
+//! `&dyn BatchEngine` instead of matching on function pointers.
 
 use std::sync::Arc;
 
@@ -33,9 +32,9 @@ pub struct TkplqRequest {
     /// parallelism).
     pub flow: FlowConfig,
     /// Optional shared kernel memo ([`FlowMemo`]). When attached (and
-    /// [`FlowConfig::memo`] is on), the Nested-Loop engines serve and
-    /// populate per-sequence kernel results through it, and the
-    /// Best-First engines read it — so repeated or overlapping requests
+    /// [`FlowConfig::memo`] is on), the Nested-Loop engine serves and
+    /// populates per-sequence kernel results through it, and the
+    /// Best-First engine reads it — so repeated or overlapping requests
     /// against the same store skip per-object kernels bit-identically.
     /// `None` (the default, and what [`TkplqRequest::from_query`]
     /// produces) evaluates every kernel from scratch; cross-request
@@ -180,22 +179,16 @@ impl<E: BatchEngine> BatchEngine for Instrumented<E> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Naive;
 
-/// The Nested-Loop search (§4.1, Algorithm 3).
+/// The Nested-Loop search (§4.1, Algorithm 3); per-object kernels fork
+/// across [`FlowConfig::exec`] threads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NestedLoop;
 
-/// [`NestedLoop`] with per-object kernels forked across
-/// [`FlowConfig::exec`] threads; bit-identical to the serial driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NestedLoopPar;
-
-/// The Best-First R-tree join (§4.2, Algorithm 4).
+/// The Best-First search (§4.2, Algorithm 4) over exact per-location
+/// candidate counts; per-object work forks across [`FlowConfig::exec`]
+/// threads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BestFirst;
-
-/// [`BestFirst`] with a parallel bounds pass; bit-identical rankings.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFirstPar;
 
 impl BatchEngine for Naive {
     fn name(&self) -> &'static str {
@@ -235,28 +228,6 @@ impl BatchEngine for NestedLoop {
     }
 }
 
-impl BatchEngine for NestedLoopPar {
-    fn name(&self) -> &'static str {
-        "nested-loop-par"
-    }
-
-    fn evaluate(
-        &self,
-        space: &IndoorSpace,
-        iupt: &mut Iupt,
-        request: &TkplqRequest,
-        interval: TimeInterval,
-    ) -> Result<QueryOutcome, FlowError> {
-        nested_loop::run_par(
-            space,
-            iupt,
-            &request.query(interval),
-            &request.flow,
-            request.kernel_memo(),
-        )
-    }
-}
-
 impl BatchEngine for BestFirst {
     fn name(&self) -> &'static str {
         "best-first"
@@ -279,28 +250,6 @@ impl BatchEngine for BestFirst {
     }
 }
 
-impl BatchEngine for BestFirstPar {
-    fn name(&self) -> &'static str {
-        "best-first-par"
-    }
-
-    fn evaluate(
-        &self,
-        space: &IndoorSpace,
-        iupt: &mut Iupt,
-        request: &TkplqRequest,
-        interval: TimeInterval,
-    ) -> Result<QueryOutcome, FlowError> {
-        best_first::run_par(
-            space,
-            iupt,
-            &request.query(interval),
-            &request.flow,
-            request.kernel_memo(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,43 +258,44 @@ mod tests {
     use indoor_model::fixtures::paper_figure1;
 
     /// Every engine consumes the same request and returns the same
-    /// ranking with bit-identical flows — and agrees with the classic
-    /// free-function wrappers it now backs.
+    /// ranking with bit-identical flows, whether or not its per-object
+    /// work is forked — and agrees with the classic free-function
+    /// wrappers it now backs.
     #[test]
     fn all_engines_agree_on_one_request() {
         let fig = paper_figure1();
         let mut iupt = paper_table2();
         let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
-        let request = TkplqRequest::new(3, QuerySet::new(fig.r.to_vec()))
-            .with_flow(FlowConfig::default().with_full_product_normalization());
-        let engines: [&dyn BatchEngine; 5] = [
-            &Naive,
-            &NestedLoop,
-            &NestedLoopPar,
-            &BestFirst,
-            &BestFirstPar,
-        ];
+        let flow = FlowConfig::default().with_full_product_normalization();
+        let request = TkplqRequest::new(3, QuerySet::new(fig.r.to_vec())).with_flow(flow);
+        let engines: [&dyn BatchEngine; 3] = [&Naive, &NestedLoop, &BestFirst];
         let reference = NestedLoop
             .evaluate(&fig.space, &mut iupt, &request, interval)
             .unwrap();
         assert_eq!(reference.ranking[0].sloc, fig.r[5]); // Example 4: r6 tops
-        for engine in engines {
-            let out = engine
-                .evaluate(&fig.space, &mut iupt, &request, interval)
-                .unwrap();
-            assert_eq!(
-                out.topk_slocs(),
-                reference.topk_slocs(),
-                "engine {}",
-                engine.name()
-            );
-            for (a, b) in out.ranking.iter().zip(&reference.ranking) {
+        for threads in [1, 4] {
+            let forked = request.clone().with_flow(FlowConfig {
+                exec: popflow_exec::ExecConfig::with_threads(threads),
+                ..flow
+            });
+            for engine in engines {
+                let out = engine
+                    .evaluate(&fig.space, &mut iupt, &forked, interval)
+                    .unwrap();
                 assert_eq!(
-                    a.flow.to_bits(),
-                    b.flow.to_bits(),
-                    "engine {}",
+                    out.topk_slocs(),
+                    reference.topk_slocs(),
+                    "engine {} threads {threads}",
                     engine.name()
                 );
+                for (a, b) in out.ranking.iter().zip(&reference.ranking) {
+                    assert_eq!(
+                        a.flow.to_bits(),
+                        b.flow.to_bits(),
+                        "engine {} threads {threads}",
+                        engine.name()
+                    );
+                }
             }
         }
         // The classic wrappers forward through the same entry point.
@@ -393,8 +343,8 @@ mod tests {
     }
 
     /// A memo attached to the request leaves every engine's ranking and
-    /// flows bit-identical while the Nested-Loop engines populate it and
-    /// the Best-First engines serve from it read-only; turning
+    /// flows bit-identical while the Nested-Loop engine populates it and
+    /// the Best-First engine serves from it read-only; turning
     /// [`FlowConfig::memo`] off bypasses the attached memo entirely.
     #[test]
     fn attached_memo_is_bit_identical_across_engines() {
@@ -413,8 +363,7 @@ mod tests {
             let reference = NestedLoop
                 .evaluate(&fig.space, &mut iupt, &plain, interval)
                 .unwrap();
-            let engines: [&dyn BatchEngine; 4] =
-                [&NestedLoop, &NestedLoopPar, &BestFirst, &BestFirstPar];
+            let engines: [&dyn BatchEngine; 2] = [&NestedLoop, &BestFirst];
             for round in 0..2 {
                 for engine in engines {
                     let out = engine

@@ -20,7 +20,7 @@
 //! phase coverage drops under 90%, or instrumentation costs ≥ 5%) to
 //! `--obs-json` (default `BENCH_obs.json`),
 //! and the `batch_scale` experiment writes its thread-scaling report
-//! (records/s and speedup at 1/2/4/8 threads, serial-equality audit) to
+//! (records/s and speedup at 1/2/4/8 threads, one-thread-equality audit) to
 //! `--batch-json` (default `BENCH_batch.json`), and the `store_footprint`
 //! experiment writes the columnar store's ingest/footprint sweep
 //! (records/s, bytes/record vs the row baseline, intern hit rate per
@@ -43,7 +43,8 @@
 //! Experiment ids: table4 table5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 //! fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 table7 ablation-dp
 //! ablation-norm streaming batch_scale store_footprint server_load, or
-//! `all` / `real` / `synthetic`.
+//! `all` / `real` / `synthetic` / `ablations`. An unknown id or flag is a
+//! usage error (exit code 2) reported before any experiment runs.
 
 use std::time::Instant;
 
@@ -65,6 +66,15 @@ const ABLATIONS: &[&str] = &["ablation-dp", "ablation-norm"];
 // closed-loop latency sweep, so it only runs when asked for by id
 // (locally or in CI's dedicated server-smoke job).
 const STREAMING: &[&str] = &["streaming", "batch_scale", "store_footprint"];
+const SERVER_LOAD: &str = "server_load";
+
+/// Whether `id` names an experiment [`run_exp`] dispatches.
+fn is_known(id: &str) -> bool {
+    id == SERVER_LOAD
+        || [REAL_EXPS, SYNTH_EXPS, ABLATIONS, STREAMING]
+            .iter()
+            .any(|list| list.contains(&id))
+}
 
 /// Output paths for the machine-readable per-experiment reports.
 struct ReportPaths {
@@ -87,13 +97,8 @@ impl Default for ReportPaths {
     }
 }
 
-fn run_exp(
-    id: &str,
-    opts: &ExpOpts,
-    load: &ServerLoadOpts,
-    paths: &ReportPaths,
-) -> Option<Vec<Row>> {
-    let rows = match id {
+fn run_exp(id: &str, opts: &ExpOpts, load: &ServerLoadOpts, paths: &ReportPaths) -> Vec<Row> {
+    match id {
         "table4" => real::table4(opts),
         "table5" => real::table5(opts),
         "fig7" => real::fig7(opts),
@@ -121,10 +126,9 @@ fn run_exp(
         "store_footprint" => {
             store_footprint::store_footprint_with_json(opts, Some(&paths.memory_json))
         }
-        "server_load" => server_load::server_load_with_json(opts, load, Some(&paths.server_json)),
-        _ => return None,
-    };
-    Some(rows)
+        SERVER_LOAD => server_load::server_load_with_json(opts, load, Some(&paths.server_json)),
+        _ => unreachable!("main validates every id with is_known before running"),
+    }
 }
 
 /// The value following a `--flag`, or a usage error (instead of an
@@ -215,7 +219,17 @@ fn main() {
         }
         i += 1;
     }
-    if ids.is_empty() {
+    // Validate before running anything: a typo after an hour of
+    // experiments must not surface as a stderr line and exit code 0.
+    let unknown: Vec<&String> = ids.iter().filter(|id| !is_known(id)).collect();
+    for arg in &unknown {
+        if arg.starts_with('-') {
+            eprintln!("unknown flag: {arg}");
+        } else {
+            eprintln!("unknown experiment id: {arg}");
+        }
+    }
+    if ids.is_empty() || !unknown.is_empty() {
         eprintln!(
             "usage: experiments [EXP-ID|all|real|synthetic|ablations ...] \
              [--scale S] [--repeats N] [--seed S] [--mc-rounds N] [--queries N] \
@@ -225,7 +239,7 @@ fn main() {
         );
         eprintln!(
             "experiment ids: {REAL_EXPS:?} {SYNTH_EXPS:?} {ABLATIONS:?} {STREAMING:?} \
-             [\"server_load\"]"
+             [{SERVER_LOAD:?}]"
         );
         std::process::exit(2);
     }
@@ -237,14 +251,10 @@ fn main() {
     let mut all_rows: Vec<Row> = Vec::new();
     for id in &ids {
         let start = Instant::now();
-        match run_exp(id, &opts, &load, &paths) {
-            Some(rows) => {
-                println!("\n== {id} ({:.1}s) ==", start.elapsed().as_secs_f64());
-                println!("{}", render_table(&rows));
-                all_rows.extend(rows);
-            }
-            None => eprintln!("unknown experiment id: {id}"),
-        }
+        let rows = run_exp(id, &opts, &load, &paths);
+        println!("\n== {id} ({:.1}s) ==", start.elapsed().as_secs_f64());
+        println!("{}", render_table(&rows));
+        all_rows.extend(rows);
     }
     if let Some(path) = tsv_path {
         std::fs::write(&path, render_tsv(&all_rows)).expect("failed to write TSV");

@@ -1,11 +1,11 @@
-//! Batch scaling experiment: the parallel TkPLQ drivers
-//! (`nested_loop_par`, `best_first_par`) vs. their serial counterparts
-//! on one batch window, swept over thread counts.
+//! Batch scaling experiment: the two TkPLQ drivers (`nested_loop`,
+//! `best_first`) on one batch window, swept over `FlowConfig::exec`
+//! thread counts with `threads = 1` as the baseline point.
 //!
 //! The quantities reported are records/s (window records divided by
-//! evaluation wall-clock) and the speedup over the serial driver, plus a
-//! per-point equality audit: every parallel outcome must match the
-//! serial ranking **bit for bit** (`f64::to_bits` on every flow), at
+//! evaluation wall-clock) and the speedup over the one-thread point,
+//! plus a per-point equality audit: every outcome must match the
+//! one-thread ranking **bit for bit** (`f64::to_bits` on every flow), at
 //! every thread count — the `popflow-exec` determinism contract made
 //! observable. The machine-readable report (`BENCH_batch.json`) is
 //! archived by CI per commit, giving the batch path a scaling
@@ -14,11 +14,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use indoor_iupt::Iupt;
+use indoor_model::IndoorSpace;
 use indoor_sim::StreamScenario;
 use popflow_core::query::request::NestedLoop;
 use popflow_core::{
-    best_first, best_first_par, nested_loop, nested_loop_par, BatchEngine, FlowConfig, FlowMemo,
-    QueryOutcome, QuerySet, TkPlQuery, TkplqRequest,
+    best_first, nested_loop, BatchEngine, FlowConfig, FlowError, FlowMemo, QueryOutcome, QuerySet,
+    TkPlQuery, TkplqRequest,
 };
 
 use crate::lab::Lab;
@@ -26,7 +28,8 @@ use crate::report::Row;
 
 use super::ExpOpts;
 
-/// Thread counts the experiment sweeps.
+/// Thread counts the experiment sweeps; the first is the baseline every
+/// other point is compared against.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Identical query rounds the memoization phase replays per side — the
@@ -69,9 +72,9 @@ pub struct ThreadPoint {
     pub secs: f64,
     /// Window records divided by `secs`.
     pub records_per_sec: f64,
-    /// Serial wall-clock of the same algorithm divided by `secs`.
+    /// One-thread wall-clock of the same driver divided by `secs`.
     pub speedup: f64,
-    /// Whether the outcome matched the serial driver bit for bit.
+    /// Whether the outcome matched the one-thread outcome bit for bit.
     pub matches_serial: bool,
 }
 
@@ -84,13 +87,10 @@ pub struct BatchScaleReport {
     pub objects: usize,
     /// Query set size.
     pub query_locations: usize,
-    /// Serial `nested_loop` wall-clock, seconds (best of repeats).
-    pub nl_serial_secs: f64,
-    /// Serial `best_first` wall-clock, seconds (best of repeats).
-    pub bf_serial_secs: f64,
     /// One point per (driver, thread count).
     pub points: Vec<ThreadPoint>,
-    /// Points whose outcome diverged from serial (must be 0).
+    /// Points whose outcome diverged from the one-thread point (must be
+    /// 0).
     pub mismatched_points: usize,
     /// The kernel-memoization phase on the skewed dwell stream.
     pub memo: MemoPhase,
@@ -129,11 +129,11 @@ pub struct MemoPhase {
 }
 
 impl BatchScaleReport {
-    /// The `nested_loop_par` speedup at `threads`, if that point exists.
+    /// The `nested_loop` speedup at `threads`, if that point exists.
     pub fn nl_speedup_at(&self, threads: usize) -> Option<f64> {
         self.points
             .iter()
-            .find(|p| p.name == "nested_loop_par" && p.threads == threads)
+            .find(|p| p.name == "nested_loop" && p.threads == threads)
             .map(|p| p.speedup)
     }
 }
@@ -252,8 +252,12 @@ fn run_memo_phase(cfg: &BatchScaleConfig) -> MemoPhase {
     }
 }
 
-/// Runs the full comparison: generate the workload once, evaluate the
-/// serial drivers, then each parallel driver across [`THREAD_SWEEP`].
+/// The signature both batch drivers share.
+type Driver =
+    fn(&IndoorSpace, &mut Iupt, &TkPlQuery, &FlowConfig) -> Result<QueryOutcome, FlowError>;
+
+/// Runs the full comparison: generate the workload once, then evaluate
+/// each driver at every thread count of [`THREAD_SWEEP`].
 pub fn run_batch_scale(cfg: &BatchScaleConfig) -> BatchScaleReport {
     let mut lab = Lab::new(indoor_sim::Scenario::synthetic_scaled(cfg.scale).with_seed(cfg.seed));
     let query = TkPlQuery::new(
@@ -273,46 +277,29 @@ pub fn run_batch_scale(cfg: &BatchScaleConfig) -> BatchScaleReport {
         (records, objects)
     };
 
-    let (nl_serial_secs, nl_serial) = best_of(cfg.repeats, || {
-        let (space, iupt) = lab.space_and_iupt();
-        nested_loop(space, iupt, &query, &flow).expect("serial nested_loop")
-    });
-    let (bf_serial_secs, bf_serial) = best_of(cfg.repeats, || {
-        let (space, iupt) = lab.space_and_iupt();
-        best_first(space, iupt, &query, &flow).expect("serial best_first")
-    });
-
+    let drivers: [(&str, Driver); 2] = [("nested_loop", nested_loop), ("best_first", best_first)];
     let mut points = Vec::new();
-    for &threads in &THREAD_SWEEP {
-        let par_flow = FlowConfig {
-            exec: popflow_core::ExecConfig::with_threads(threads),
-            ..flow
-        };
-        let (secs, outcome) = best_of(cfg.repeats, || {
-            let (space, iupt) = lab.space_and_iupt();
-            nested_loop_par(space, iupt, &query, &par_flow).expect("nested_loop_par")
-        });
-        points.push(ThreadPoint {
-            name: "nested_loop_par".into(),
-            threads,
-            secs,
-            records_per_sec: records as f64 / secs.max(f64::MIN_POSITIVE),
-            speedup: nl_serial_secs / secs.max(f64::MIN_POSITIVE),
-            matches_serial: outcomes_identical(&outcome, &nl_serial),
-        });
-
-        let (secs, outcome) = best_of(cfg.repeats, || {
-            let (space, iupt) = lab.space_and_iupt();
-            best_first_par(space, iupt, &query, &par_flow).expect("best_first_par")
-        });
-        points.push(ThreadPoint {
-            name: "best_first_par".into(),
-            threads,
-            secs,
-            records_per_sec: records as f64 / secs.max(f64::MIN_POSITIVE),
-            speedup: bf_serial_secs / secs.max(f64::MIN_POSITIVE),
-            matches_serial: outcomes_identical(&outcome, &bf_serial),
-        });
+    for (name, driver) in drivers {
+        let mut baseline: Option<(f64, QueryOutcome)> = None;
+        for &threads in &THREAD_SWEEP {
+            let swept = FlowConfig {
+                exec: popflow_core::ExecConfig::with_threads(threads),
+                ..flow
+            };
+            let (secs, outcome) = best_of(cfg.repeats, || {
+                let (space, iupt) = lab.space_and_iupt();
+                driver(space, iupt, &query, &swept).expect("batch driver")
+            });
+            let (base_secs, base_outcome) = baseline.get_or_insert_with(|| (secs, outcome.clone()));
+            points.push(ThreadPoint {
+                name: name.into(),
+                threads,
+                secs,
+                records_per_sec: records as f64 / secs.max(f64::MIN_POSITIVE),
+                speedup: *base_secs / secs.max(f64::MIN_POSITIVE),
+                matches_serial: outcomes_identical(&outcome, base_outcome),
+            });
+        }
     }
 
     let mismatched_points = points.iter().filter(|p| !p.matches_serial).count();
@@ -320,8 +307,6 @@ pub fn run_batch_scale(cfg: &BatchScaleConfig) -> BatchScaleReport {
         records,
         objects,
         query_locations: query.query_set.len(),
-        nl_serial_secs,
-        bf_serial_secs,
         points,
         mismatched_points,
         memo: run_memo_phase(cfg),
@@ -332,15 +317,6 @@ pub fn run_batch_scale(cfg: &BatchScaleConfig) -> BatchScaleReport {
 pub fn report_rows(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> Vec<Row> {
     let x = format!("objs={} recs={}", report.objects, report.records);
     let mut rows = Vec::new();
-    for (name, secs) in [
-        ("nested_loop (serial)", report.nl_serial_secs),
-        ("best_first (serial)", report.bf_serial_secs),
-    ] {
-        let mut row = Row::new("batch_scale", &x, name);
-        row.time_secs = Some(secs);
-        row.note = format!("{:.0} rec/s", report.records as f64 / secs.max(1e-12));
-        rows.push(row);
-    }
     for p in &report.points {
         let mut row = Row::new("batch_scale", &x, format!("{}@{}t", p.name, p.threads));
         row.time_secs = Some(p.secs);
@@ -354,7 +330,7 @@ pub fn report_rows(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> Vec<Row
     }
     let mut summary = Row::new("batch_scale", &x, "audit");
     summary.note = format!(
-        "mismatches={} (every parallel point must equal serial bit-for-bit) k={} scale={}",
+        "mismatches={} (every point must equal its 1-thread point bit-for-bit) k={} scale={}",
         report.mismatched_points, cfg.k, cfg.scale
     );
     rows.push(summary);
@@ -410,8 +386,6 @@ pub fn bench_json(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> String {
             .field("records", report.records)
             .field("objects", report.objects)
             .field("query_locations", report.query_locations)
-            .num("nested_loop_serial_secs", report.nl_serial_secs, 6)
-            .num("best_first_serial_secs", report.bf_serial_secs, 6)
             .field(
                 "speedup_4t",
                 Json::opt(report.nl_speedup_at(4).map(|s| Json::num(s, 3))),
@@ -438,7 +412,7 @@ pub fn bench_json(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> String {
 /// The `batch_scale` experiment id. When `json_path` is given, the
 /// machine-readable report is written there as well — success or failure
 /// of the write is reported truthfully on stdout/stderr. Panics when any
-/// parallel point diverged from serial, when a memoized round diverged
+/// point diverged from its one-thread point, when a memoized round diverged
 /// from its memo-off round, or when the memo phase's skewed dwell
 /// stream failed its speedup (≥ 1.3×) or hit-rate (> 0.5) floor — so a
 /// CI run is a live determinism *and* memoization gate, not just a
@@ -456,7 +430,7 @@ pub fn batch_scale_with_json(opts: &ExpOpts, json_path: Option<&str>) -> Vec<Row
     }
     assert_eq!(
         report.mismatched_points, 0,
-        "parallel drivers diverged from serial"
+        "a driver's outcome changed with the thread count"
     );
     let m = &report.memo;
     assert!(
@@ -489,8 +463,8 @@ pub fn batch_scale(opts: &ExpOpts) -> Vec<Row> {
 mod tests {
     use super::*;
 
-    /// A miniature end-to-end run: every parallel point bit-matches
-    /// serial and the JSON artifact is structurally sound.
+    /// A miniature end-to-end run: every point bit-matches its
+    /// one-thread point and the JSON artifact is structurally sound.
     #[test]
     fn small_batch_scale_is_consistent() {
         let cfg = BatchScaleConfig {
@@ -505,7 +479,7 @@ mod tests {
         assert_eq!(report.points.len(), 2 * THREAD_SWEEP.len());
         assert_eq!(
             report.mismatched_points, 0,
-            "parallel diverged: {:?}",
+            "thread count changed an outcome: {:?}",
             report.points
         );
         assert!(report.nl_speedup_at(4).is_some());
@@ -531,8 +505,8 @@ mod tests {
         for key in [
             "\"speedup_4t\"",
             "\"mismatched_points\": 0",
-            "\"nested_loop_par\"",
-            "\"best_first_par\"",
+            "\"nested_loop\"",
+            "\"best_first\"",
             "\"matches_serial\": true",
             "\"memo_speedup\"",
             "\"memo_hit_rate\"",

@@ -528,7 +528,8 @@ pub fn run_streaming_on(
     let flow = FlowConfig::default().with_dp_engine();
     let duration = cfg.scenario.duration_secs;
 
-    let serve_cfg = ServeConfig::new(cfg.k, QuerySet::new(slocs.clone()), spec)
+    let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
+        .with_query(QuerySpec::new(cfg.k, QuerySet::new(slocs.clone()), spec))
         .with_shards(cfg.num_shards)
         .with_flow(flow);
 

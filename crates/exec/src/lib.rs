@@ -3,21 +3,17 @@
 //!
 //! The paper's TkPLQ algorithms are embarrassingly parallel over
 //! *objects*: each object's presence/flow contribution is computed
-//! independently and only the final merge couples them. Before this
-//! crate existed that observation was exploited three separate times —
-//! `popflow-serve` hand-rolled a thread-per-shard worker pool,
-//! `indoor-iupt` carried its own single-threaded shard layout, and the
-//! batch algorithms ran on one core. This crate is the one substrate all
-//! of them now build on:
+//! independently and only the final merge couples them. This crate is
+//! the one substrate both the batch algorithms and the streaming shards
+//! build on:
 //!
 //! * [`Partitioner`] — the stable object→partition mapping (a Fibonacci
-//!   multiplicative mix), shared by the serve shard pool, the
-//!   `ShardedIupt` layout, and the batch drivers, so every layer agrees
-//!   on which partition owns an object.
+//!   multiplicative mix) behind [`ShardPool`]'s routing, so every
+//!   caller agrees on which partition owns an object.
 //! * [`par_map`] / [`try_par_map`] — scoped fork-join over a read-only
 //!   item slice with dynamic load balancing and a deterministic
-//!   in-order merge; the engine under `popflow_core`'s
-//!   `nested_loop_par` and `best_first_par`.
+//!   in-order merge; the engine under `popflow_core`'s `nested_loop`
+//!   and `best_first` (one thread, the default, spawns nothing).
 //! * [`ShardPool`] — long-lived worker threads owning per-partition
 //!   mutable state, driven by coordinator closures; the engine under
 //!   `popflow-serve`'s streaming shards.

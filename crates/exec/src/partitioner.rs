@@ -11,9 +11,8 @@
 ///
 /// The mapping depends only on `(key, partitions)` — never on thread
 /// count, hardware, or insertion order — so any two components that
-/// agree on the partition count (the `popflow-serve` shard pool, the
-/// single-threaded `ShardedIupt` layout, the batch parallel drivers)
-/// route every object to the same partition, forever.
+/// agree on the partition count (the `popflow-serve` shard pool and
+/// its coordinator) route every object to the same partition, forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partitioner {
     parts: usize,

@@ -1,29 +1,26 @@
 //! Spatial indexing substrates for the `popflow` workspace.
 //!
-//! The paper relies on three index structures, all re-implemented here from
-//! scratch:
+//! Two index structures, both re-implemented here from scratch:
 //!
 //! * [`RTree`] — a classic R-tree with STR bulk loading and quadratic-split
-//!   insertion. Used as the in-memory index over indoor entities
-//!   (S-locations, P-locations, doors) described in §5.2, and as the query
-//!   S-location tree `RQ` of the Best-First algorithm (§4.2).
-//! * [`AggTree`] — a COUNT-aggregate R-tree (Tao & Papadias, TKDE 2004) in
-//!   which every node carries the number of data entries beneath it. The
-//!   Best-First algorithm builds one per query (`RC`) over the objects'
-//!   possible-semantic-location MBRs and uses the counts as flow upper
-//!   bounds.
+//!   insertion: the in-memory index over indoor entities (S-locations,
+//!   P-locations, doors) that §5.2 describes.
 //! * [`TimeIndex`] — the "1DR-tree" (Lu, Yang & Jensen, ICDE 2011) indexing
 //!   the Indoor Uncertain Positioning Table on its time attribute; a packed
 //!   one-dimensional R-tree supporting appends in time order and interval
 //!   range queries.
+//!
+//! The paper's third structure, the COUNT-aggregate R-tree that
+//! Best-First (§4.2) joins against a query tree, is not here: popflow's
+//! Best-First bounds flows with exact per-location candidate counts
+//! instead (see `popflow_core::query::best_first`), so nothing would
+//! build one.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod aggregate;
 mod rtree;
 mod time_index;
 
-pub use aggregate::{AggChildren, AggEntry, AggNode, AggTree};
 pub use rtree::{Entry, RTree};
 pub use time_index::TimeIndex;

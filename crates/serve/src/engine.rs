@@ -13,7 +13,7 @@ use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
     diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, LocationBound,
     ObjectContribution, QueryId, QueryOutcome, QuerySet, QuerySpec, SearchStats, ThresholdHeap,
-    ThresholdStep, WindowSpec,
+    ThresholdStep,
 };
 use popflow_exec::{Reply, ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
@@ -99,15 +99,6 @@ impl ServeConfig {
         }
     }
 
-    /// The classic single-query constructor: a registry config with one
-    /// entry, `QuerySpec { k, query_set, window: spec }`. Kept so the
-    /// pre-registry call shape `ServeConfig::new(k, query_set, spec)`
-    /// keeps compiling; the engine it builds is the registry engine with
-    /// one registered query.
-    pub fn new(k: usize, query_set: QuerySet, spec: WindowSpec) -> Self {
-        ServeConfig::with_buckets(spec.bucket_millis).with_query(QuerySpec::new(k, query_set, spec))
-    }
-
     /// Adds a query to register at construction. Its window must use the
     /// config's bucket width.
     pub fn with_query(mut self, spec: QuerySpec) -> Self {
@@ -140,12 +131,6 @@ impl ServeConfig {
     pub fn with_memo(mut self, enabled: bool) -> Self {
         self.flow.memo = enabled;
         self
-    }
-
-    /// Switches to bound-pruned lazy advances.
-    #[deprecated(note = "use with_strategy(AdvanceStrategy::BoundPruned)")]
-    pub fn with_bound_pruning(self) -> Self {
-        self.with_strategy(AdvanceStrategy::BoundPruned)
     }
 
     /// Overrides the advance strategy.
@@ -426,17 +411,18 @@ struct Registered {
 /// use indoor_iupt::fixtures::paper_table2;
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
-/// use popflow_core::{ContinuousEngine, FlowConfig, QuerySet, WindowSpec};
+/// use popflow_core::{ContinuousEngine, FlowConfig, QuerySet, QuerySpec, WindowSpec};
 /// use popflow_serve::{AdvanceStrategy, ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
-/// let cfg = ServeConfig::new(
-///     2,
-///     QuerySet::new(fig.r.to_vec()),
-///     WindowSpec::new(4_000, 2), // two 4-second buckets
-/// )
-/// .with_strategy(AdvanceStrategy::BoundPruned)
-/// .with_flow(FlowConfig::default().with_full_product_normalization());
+/// let cfg = ServeConfig::with_buckets(4_000)
+///     .with_query(QuerySpec::new(
+///         2,
+///         QuerySet::new(fig.r.to_vec()),
+///         WindowSpec::new(4_000, 2), // two 4-second buckets
+///     ))
+///     .with_strategy(AdvanceStrategy::BoundPruned)
+///     .with_flow(FlowConfig::default().with_full_product_normalization());
 /// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
 /// for r in paper_table2().to_records() {
 ///     engine.ingest(r).unwrap();

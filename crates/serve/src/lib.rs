@@ -116,7 +116,8 @@ mod tests {
     ) -> (ServeEngine, Arc<IndoorSpaceAlias>) {
         let fig = paper_figure1();
         let space = Arc::new(fig.space.clone());
-        let cfg = ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), spec)
+        let cfg = ServeConfig::with_buckets(spec.bucket_millis)
+            .with_query(QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), spec))
             .with_shards(shards)
             .with_strategy(strategy)
             .with_flow(FlowConfig::default().with_full_product_normalization());
@@ -219,7 +220,8 @@ mod tests {
         let spec = WindowSpec::new(30_000, 4); // 30 s buckets, 2 min window
         let flow = FlowConfig::default().with_dp_engine();
 
-        let serve_cfg = ServeConfig::new(3, QuerySet::new(slocs.clone()), spec)
+        let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
+            .with_query(QuerySpec::new(3, QuerySet::new(slocs.clone()), spec))
             .with_shards(3)
             .with_flow(flow);
         let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg.clone());
@@ -364,7 +366,12 @@ mod tests {
     fn failed_advance_poisons_engine() {
         for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
             let fig = paper_figure1();
-            let cfg = ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(4_000, 2))
+            let cfg = ServeConfig::with_buckets(4_000)
+                .with_query(QuerySpec::new(
+                    2,
+                    QuerySet::new(fig.r.to_vec()),
+                    WindowSpec::new(4_000, 2),
+                ))
                 .with_shards(2)
                 .with_strategy(strategy)
                 .with_flow(FlowConfig {
@@ -698,7 +705,12 @@ mod tests {
     fn advance_traces_ring_buffer() {
         for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
             let fig = paper_figure1();
-            let cfg = ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(1_000, 4))
+            let cfg = ServeConfig::with_buckets(1_000)
+                .with_query(QuerySpec::new(
+                    2,
+                    QuerySet::new(fig.r.to_vec()),
+                    WindowSpec::new(1_000, 4),
+                ))
                 .with_shards(3)
                 .with_strategy(strategy)
                 .with_trace_capacity(3);
@@ -751,10 +763,14 @@ mod tests {
     fn metrics_off_leaves_no_footprint_and_identical_results() {
         for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
             let fig = paper_figure1();
-            let base =
-                ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(2_000, 4))
-                    .with_shards(2)
-                    .with_strategy(strategy);
+            let base = ServeConfig::with_buckets(2_000)
+                .with_query(QuerySpec::new(
+                    2,
+                    QuerySet::new(fig.r.to_vec()),
+                    WindowSpec::new(2_000, 4),
+                ))
+                .with_shards(2)
+                .with_strategy(strategy);
             let mut on = ServeEngine::new(Arc::new(fig.space.clone()), base.clone());
             let mut off = ServeEngine::new(Arc::new(fig.space.clone()), base.with_metrics(false));
             for engine in [&mut on, &mut off] {
@@ -848,7 +864,8 @@ mod tests {
         let spec = WindowSpec::new(1_000, 4);
         let narrow = QuerySet::new(fig.r[..3].to_vec());
         for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let base = ServeConfig::new(2, narrow.clone(), spec)
+            let base = ServeConfig::with_buckets(spec.bucket_millis)
+                .with_query(QuerySpec::new(2, narrow.clone(), spec))
                 .with_shards(2)
                 .with_strategy(strategy);
             let mut on = ServeEngine::new(Arc::clone(&space), base.clone());
@@ -909,18 +926,6 @@ mod tests {
             assert_eq!(off_stats.memo_misses, 0, "{strategy:?}");
             assert_eq!(off_stats.memo_bytes, 0, "{strategy:?}");
         }
-    }
-
-    /// The deprecated builder still compiles and still means
-    /// bound-pruned advances.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bound_pruning_builder_still_works() {
-        let fig = paper_figure1();
-        let cfg = ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(1_000, 2))
-            .with_bound_pruning();
-        assert_eq!(cfg.strategy, AdvanceStrategy::BoundPruned);
-        assert_eq!(cfg.queries.len(), 1);
     }
 
     /// Regression (panic-in-hot-path sweep): `ServeConfig.queries` is a

@@ -49,11 +49,15 @@ pub struct QueryTrace {
 /// use indoor_iupt::fixtures::paper_table2;
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
-/// use popflow_core::{ContinuousEngine, QuerySet, WindowSpec};
+/// use popflow_core::{ContinuousEngine, QuerySet, QuerySpec, WindowSpec};
 /// use popflow_serve::{metric_names, ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
-/// let cfg = ServeConfig::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(4_000, 2));
+/// let cfg = ServeConfig::with_buckets(4_000).with_query(QuerySpec::new(
+///     2,
+///     QuerySet::new(fig.r.to_vec()),
+///     WindowSpec::new(4_000, 2),
+/// ));
 /// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
 /// for r in paper_table2().to_records() {
 ///     engine.ingest(r).unwrap();

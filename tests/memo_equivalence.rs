@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use indoor_iupt::Timestamp;
 use indoor_sim::StreamScenario;
-use popflow_core::query::request::{BestFirst, BestFirstPar, NestedLoop, NestedLoopPar};
+use popflow_core::query::request::{BestFirst, NestedLoop};
 use popflow_core::{
     BatchEngine, ContinuousEngine, ExecConfig, FlowConfig, FlowMemo, QueryOutcome, QuerySet,
     WindowSpec,
@@ -29,11 +29,11 @@ fn identical(a: &QueryOutcome, b: &QueryOutcome) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every batch engine — Nested-Loop and Best-First, serial and
-    /// parallel at 1 and 4 threads — returns bit-identical outcomes
-    /// with a shared memo attached and with memoization off, over two
-    /// rounds against the same store (round two reads round one's
-    /// entries: the NL engines write, the BF engines read).
+    /// Both memo-aware batch engines — Nested-Loop and Best-First, at 1
+    /// and 4 threads — return bit-identical outcomes with a shared memo
+    /// attached and with memoization off, over two rounds against the
+    /// same store (round two reads round one's entries: NL writes, BF
+    /// reads).
     #[test]
     fn batch_engines_bit_identical_memo_on_off(
         seed in 1u64..400,
@@ -66,9 +66,7 @@ proptest! {
         for round in 0..2 {
             for (name, engine) in [
                 ("nested_loop", &NestedLoop as &dyn BatchEngine),
-                ("nested_loop_par", &NestedLoopPar),
                 ("best_first", &BestFirst),
-                ("best_first_par", &BestFirstPar),
             ] {
                 let on = engine
                     .evaluate(&space, &mut iupt, &memoized, interval)

@@ -58,7 +58,8 @@ fn assert_equivalent(
             .with_full_product_normalization()
     };
 
-    let serve_cfg = ServeConfig::new(k, QuerySet::new(slocs.clone()), spec)
+    let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
+        .with_query(QuerySpec::new(k, QuerySet::new(slocs.clone()), spec))
         .with_shards(num_shards)
         .with_flow(flow);
     let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg.clone());

@@ -10,12 +10,12 @@
 //!    `Vec<Record>`, grouped per object with no `Iupt`, no time index,
 //!    no interner) fed through the same `object_flow_contributions`
 //!    kernel in ascending object-id order must produce the *identical
-//!    flow bits* as `nested_loop` / `nested_loop_par` over the columnar
-//!    table, at thread counts 1 and 4 (property test over random
+//!    flow bits* as `nested_loop` over the columnar table, at thread
+//!    counts 1 and 4 (property test over random
 //!    worlds/streams, and a deterministic `batch_scale`-fixture +
 //!    skewed-stream gate).
-//! 2. **Round-trip invariance** — `naive` and `best_first` (serial and
-//!    parallel) over the columnar table equal, flow-bit for flow-bit,
+//! 2. **Round-trip invariance** — `naive` and `best_first` (at 1 and 4
+//!    threads) over the columnar table equal, flow-bit for flow-bit,
 //!    the same engine over a table rebuilt from the row copy: interning
 //!    is value-preserving, so a store round-trip cannot move a single
 //!    bit.
@@ -34,11 +34,10 @@ use indoor_iupt::{Iupt, ObjectId, Record, SampleSet, TimeInterval, Timestamp};
 use indoor_model::SLocId;
 use indoor_sim::{Scenario, StreamScenario, World};
 use popflow_core::{
-    best_first, best_first_par, naive, nested_loop, nested_loop_par, object_flow_contributions,
-    rank_topk, ContinuousEngine, ExecConfig, FlowConfig, QueryOutcome, QuerySet, RankedLocation,
-    TkPlQuery, WindowSpec,
+    best_first, naive, nested_loop, object_flow_contributions, rank_topk, ContinuousEngine,
+    ExecConfig, FlowConfig, QueryOutcome, QuerySet, RankedLocation, TkPlQuery, WindowSpec,
 };
-use popflow_serve::{AdvanceStrategy, ServeConfig, ServeEngine};
+use popflow_serve::{AdvanceStrategy, QuerySpec, ServeConfig, ServeEngine};
 use proptest::prelude::*;
 
 /// The pre-refactor row store, reduced to its essence: owned records in
@@ -87,8 +86,8 @@ fn assert_flow_bits_equal(tag: &str, got: &QueryOutcome, want: &[RankedLocation]
     }
 }
 
-/// Batch gates 1 and 2 over one world: columnar NL (serial + par) equals
-/// the row baseline bitwise; naive/BF equal themselves over the
+/// Batch gates 1 and 2 over one world: columnar NL (1 and 4 threads)
+/// equals the row baseline bitwise; naive/BF equal themselves over the
 /// row-rebuilt table bitwise.
 fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowConfig) {
     let space = &world.space;
@@ -100,18 +99,16 @@ fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowCon
     let rows: Vec<Record> = world.iupt.to_records();
     let want = row_store_flows(space, &rows, &query_set, interval, k, cfg);
 
-    // Gate 1: the shared kernel over columnar storage, serial and
-    // parallel, against the kernel over bare rows.
+    // Gate 1: the shared kernel over columnar storage, forked or not,
+    // against the kernel over bare rows.
     let mut columnar = world.iupt.clone();
-    let nl = nested_loop(space, &mut columnar, &query, cfg).expect("nested_loop");
-    assert_flow_bits_equal("nested_loop vs rows", &nl, &want);
     for threads in [1usize, 4] {
-        let par_cfg = FlowConfig {
+        let swept = FlowConfig {
             exec: ExecConfig::with_threads(threads),
             ..*cfg
         };
-        let par = nested_loop_par(space, &mut columnar, &query, &par_cfg).expect("nl_par");
-        assert_flow_bits_equal(&format!("nested_loop_par@{threads}t vs rows"), &par, &want);
+        let nl = nested_loop(space, &mut columnar, &query, &swept).expect("nested_loop");
+        assert_flow_bits_equal(&format!("nested_loop@{threads}t vs rows"), &nl, &want);
     }
 
     // Gate 2: the other engines, columnar vs a table round-tripped
@@ -123,18 +120,12 @@ fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowCon
     let bf_col = best_first(space, &mut columnar, &query, cfg).expect("bf columnar");
     let bf_row = best_first(space, &mut rebuilt, &query, cfg).expect("bf rebuilt");
     assert_flow_bits_equal("best_first columnar vs rebuilt", &bf_col, &bf_row.ranking);
-    for threads in [1usize, 4] {
-        let par_cfg = FlowConfig {
-            exec: ExecConfig::with_threads(threads),
-            ..*cfg
-        };
-        let bf_par = best_first_par(space, &mut columnar, &query, &par_cfg).expect("bf_par");
-        assert_flow_bits_equal(
-            &format!("best_first_par@{threads}t vs serial"),
-            &bf_par,
-            &bf_col.ranking,
-        );
-    }
+    let forked = FlowConfig {
+        exec: ExecConfig::with_threads(4),
+        ..*cfg
+    };
+    let bf_par = best_first(space, &mut columnar, &query, &forked).expect("bf@4t");
+    assert_flow_bits_equal("best_first@4t vs @1t", &bf_par, &bf_col.ranking);
 }
 
 /// Gate 3 over one generated stream: both serve strategies at shard
@@ -164,7 +155,8 @@ fn assert_serve_equivalence(
 
     for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
         for shards in [1usize, 4] {
-            let serve_cfg = ServeConfig::new(k, query_set.clone(), spec)
+            let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
+                .with_query(QuerySpec::new(k, query_set.clone(), spec))
                 .with_shards(shards)
                 .with_strategy(strategy)
                 .with_flow(*cfg);

@@ -9,10 +9,7 @@
 use indoor_iupt::fixtures::paper_table2;
 use indoor_iupt::{TimeInterval, Timestamp};
 use indoor_model::fixtures::paper_figure1;
-use popflow_core::{
-    best_first, best_first_par, flow, nested_loop, nested_loop_par, ExecConfig, FlowConfig,
-    QuerySet, TkPlQuery,
-};
+use popflow_core::{best_first, flow, nested_loop, ExecConfig, FlowConfig, QuerySet, TkPlQuery};
 
 /// The worked example's normalization: no data reduction, full-product
 /// denominator (the paper's Examples 2–4 compute with these).
@@ -59,9 +56,9 @@ fn paper_running_example_end_to_end() {
     );
 }
 
-/// The exec-layer smoke gate: on the Figure 1 / Table 2 fixture, the
-/// 4-thread parallel drivers return exactly — bit for bit — what the
-/// serial drivers return, on both the worked-example and the default
+/// The exec-layer smoke gate: on the Figure 1 / Table 2 fixture, both
+/// drivers return at 4 threads exactly — bit for bit — what they return
+/// at 1 thread, on both the worked-example and the default
 /// configuration.
 #[test]
 fn four_thread_parallel_drivers_match_serial_on_paper_fixture() {
@@ -76,20 +73,15 @@ fn four_thread_parallel_drivers_match_serial_on_paper_fixture() {
         let query = TkPlQuery::new(3, QuerySet::new(fig.r.to_vec()), interval);
 
         let mut iupt = paper_table2();
-        let nl = nested_loop(space, &mut iupt, &query, &base).expect("serial nested_loop");
-        let nl_par =
-            nested_loop_par(space, &mut iupt, &query, &par_cfg).expect("parallel nested_loop");
-        assert_eq!(nl.topk_slocs(), nl_par.topk_slocs());
-        for (a, b) in nl.ranking.iter().zip(nl_par.ranking.iter()) {
-            assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "nested_loop flow bits");
-        }
-
-        let bf = best_first(space, &mut iupt, &query, &base).expect("serial best_first");
-        let bf_par =
-            best_first_par(space, &mut iupt, &query, &par_cfg).expect("parallel best_first");
-        assert_eq!(bf.topk_slocs(), bf_par.topk_slocs());
-        for (a, b) in bf.ranking.iter().zip(bf_par.ranking.iter()) {
-            assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "best_first flow bits");
+        let nl = nested_loop(space, &mut iupt, &query, &base).expect("nested_loop@1t");
+        let nl_par = nested_loop(space, &mut iupt, &query, &par_cfg).expect("nested_loop@4t");
+        let bf = best_first(space, &mut iupt, &query, &base).expect("best_first@1t");
+        let bf_par = best_first(space, &mut iupt, &query, &par_cfg).expect("best_first@4t");
+        for (name, serial, par) in [("nested_loop", nl, nl_par), ("best_first", bf, bf_par)] {
+            assert_eq!(serial.topk_slocs(), par.topk_slocs(), "{name}");
+            for (a, b) in serial.ranking.iter().zip(par.ranking.iter()) {
+                assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{name} flow bits");
+            }
         }
     }
 }
