@@ -5,8 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use indoor_geom::{Point, Rect};
-use indoor_iupt::TimeInterval;
-use indoor_iupt::Timestamp;
+use indoor_iupt::{SampleSet, TimeInterval, Timestamp};
 use indoor_rtree::{RTree, TimeIndex};
 use popflow_bench::real_lab;
 use popflow_core::paths::build_paths;
@@ -45,7 +44,7 @@ fn bench_reduction_and_paths(c: &mut Criterion) {
     let iv = lab.random_window(30, 1);
     let (space, iupt) = lab.space_and_iupt();
     let seqs = iupt.sequences_in(iv);
-    let sets: Vec<Vec<indoor_iupt::SampleSet>> = seqs
+    let sets: Vec<Vec<SampleSet>> = seqs
         .iter()
         .map(|s| s.records.iter().map(|r| r.samples.clone()).collect())
         .collect();
@@ -56,6 +55,39 @@ fn bench_reduction_and_paths(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    // The two branches of the reduction fold, timed apart. A record
+    // that repeats its predecessor's support (a dwelling device, the
+    // bulk of an indoor feed) is added into the open run's sums; one
+    // that changes it is intra-merged into a set of its own. The gain of
+    // the fold over a set per record depends on the share of the former.
+    let all_sets = || sets.iter().flatten();
+    let a = all_sets()
+        .max_by_key(|s| s.len())
+        .expect("window has records");
+    let b = all_sets()
+        .find(|s| !s.same_plocs(a))
+        .expect("window has two supports");
+    let reweighted = |set: &SampleSet, i: usize| {
+        let weights = set.samples().iter().enumerate();
+        SampleSet::normalized(
+            weights
+                .map(|(j, s)| (s.loc, s.prob + 0.01 * ((i + j) % 7) as f64))
+                .collect(),
+        )
+        .expect("positive weights")
+    };
+    let dwelling: Vec<SampleSet> = (0..1000).map(|i| reweighted(a, i)).collect();
+    let changing: Vec<SampleSet> = (0..1000)
+        .map(|i| reweighted(if i % 2 == 0 { a } else { b }, i))
+        .collect();
+    for (name, input) in [
+        ("substrate/reduce_1000_repeated_supports", &dwelling),
+        ("substrate/reduce_1000_changing_supports", &changing),
+    ] {
+        c.bench_function(name, |bch| {
+            bch.iter(|| scan_sequence(space, input.iter(), true).unwrap().sets.len())
+        });
+    }
     let reduced: Vec<_> = sets
         .iter()
         .map(|s| scan_sequence(space, s.iter(), true).unwrap().sets)

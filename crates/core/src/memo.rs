@@ -59,6 +59,7 @@ use indoor_model::{IndoorSpace, SLocId};
 use crate::config::{FlowConfig, FlowError, Normalization, PresenceEngine};
 use crate::flow::{contributions_with_psls, ObjectContribution};
 use crate::query_set::QuerySet;
+use crate::reduction::scan_psls;
 
 /// Default byte budget of a [`FlowMemo`] (split 3:1 between the
 /// sequence and set tables): large enough that skewed dwell streams hit
@@ -276,17 +277,8 @@ impl FlowMemo {
                 return entry;
             }
         }
-        let matrix = space.matrix();
-        let mut psls: Vec<SLocId> = Vec::new();
-        for loc in set.plocs() {
-            for cell in matrix.cells_of(loc).iter() {
-                psls.extend_from_slice(space.slocs_in_cell(cell));
-            }
-        }
-        psls.sort_unstable();
-        psls.dedup();
         let entry = Arc::new(SetEntry {
-            psls,
+            psls: scan_psls(space, std::iter::once(set)),
             prob_sum: set.prob_sum(),
         });
         let bytes =
@@ -383,7 +375,6 @@ fn seq_entry_bytes(entry: &SeqEntry) -> usize {
 mod tests {
     use super::*;
     use crate::flow::{object_flow_contributions, object_flow_contributions_for};
-    use crate::reduction::scan_psls;
     use indoor_iupt::fixtures::paper_table2;
     use indoor_iupt::{TimeInterval, Timestamp};
     use indoor_model::fixtures::paper_figure1;

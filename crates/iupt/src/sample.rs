@@ -95,8 +95,27 @@ impl SampleSet {
         if samples.is_empty() {
             return Err(SampleSetError::Empty);
         }
+        Self::validate_probs(&mut samples)?;
+        samples.sort_by_key(|s| s.loc);
+        for w in samples.windows(2) {
+            if w[0].loc == w[1].loc {
+                return Err(SampleSetError::DuplicateLocation { loc: w[0].loc });
+            }
+        }
+        Ok(SampleSet { samples })
+    }
+
+    /// The probability half of the invariants, applied in place and in
+    /// slice order: every probability must lie in
+    /// `(0, `[`SampleSet::MAX_PROB`]`]`, values in the tolerance band
+    /// above 1 are clamped to exactly 1.0, and the clamped values must
+    /// sum to 1 within tolerance. [`SampleSet::new`] validates through
+    /// this routine; it is public so code that merges probabilities
+    /// without building a set per step (the streaming data reduction)
+    /// accepts and rejects exactly what `new` would.
+    pub fn validate_probs(samples: &mut [Sample]) -> Result<(), SampleSetError> {
         let mut sum = 0.0;
-        for s in &mut samples {
+        for s in samples {
             if !(s.prob > 0.0 && s.prob <= Self::MAX_PROB) {
                 return Err(SampleSetError::BadProbability {
                     loc: s.loc,
@@ -109,13 +128,7 @@ impl SampleSet {
         if (sum - 1.0).abs() > SUM_TOLERANCE {
             return Err(SampleSetError::BadSum { sum });
         }
-        samples.sort_by_key(|s| s.loc);
-        for w in samples.windows(2) {
-            if w[0].loc == w[1].loc {
-                return Err(SampleSetError::DuplicateLocation { loc: w[0].loc });
-            }
-        }
-        Ok(SampleSet { samples })
+        Ok(())
     }
 
     /// Creates a sample set from raw weights, normalizing them to sum to 1.
@@ -295,6 +308,36 @@ mod tests {
             SampleSet::new(vec![Sample::new(p(0), 0.5), Sample::new(p(0), 0.5)]).unwrap_err(),
             SampleSetError::DuplicateLocation { .. }
         ));
+    }
+
+    /// `new` validates through `validate_probs`: on out-of-range,
+    /// off-sum, tolerance-band and plain inputs the in-place routine
+    /// gives `new`'s verdict — the same error, or the same stored
+    /// (clamped) probabilities.
+    #[test]
+    fn validate_probs_gives_news_verdict() {
+        let cases: [&[(u32, f64)]; 5] = [
+            &[(0, 1.4)],
+            &[(0, 0.0), (1, 1.0)],
+            &[(0, 0.6)],
+            &[(0, 1.000_000_5)],
+            &[(0, 0.25), (1, 0.75)],
+        ];
+        for case in cases {
+            let samples: Vec<Sample> = case.iter().map(|&(l, pr)| Sample::new(p(l), pr)).collect();
+            let mut in_place = samples.clone();
+            match (
+                SampleSet::validate_probs(&mut in_place),
+                SampleSet::new(samples),
+            ) {
+                (Ok(()), Ok(set)) => assert_eq!(in_place, set.samples()),
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("verdicts differ on {case:?}: {a:?} vs {b:?}"),
+            }
+        }
+        let mut band = [Sample::new(p(0), 1.000_000_5)];
+        SampleSet::validate_probs(&mut band).unwrap();
+        assert_eq!(band[0].prob, 1.0, "the tolerance band clamps in place");
     }
 
     #[test]
