@@ -166,20 +166,32 @@ impl Iupt {
     pub fn from_records(mut records: Vec<Record>) -> Self {
         records.sort_by_key(|r| r.t);
         let mut table = Iupt::new();
-        for r in records {
-            table.push(r);
-        }
+        table.extend(records);
         table
     }
 
     /// Appends a record, interning its sample set; records must arrive in
     /// non-decreasing time order. Returns the record's (stable) position.
+    /// The one-record case of [`Iupt::extend`].
     pub fn push(&mut self, record: Record) -> u32 {
-        let pos = self
-            .store
-            .push(record.oid.0, record.t.millis(), record.samples);
-        self.index.push(record.t.millis(), pos);
-        pos
+        self.extend(std::iter::once(record)).start
+    }
+
+    /// Appends a run of records in iteration order — the columns and the
+    /// time index each grow once for the whole run — interning every
+    /// sample set; the run must continue the table's non-decreasing time
+    /// order. Returns the run's (stable) position range. The log that
+    /// results is position-identical to pushing the records one by one.
+    pub fn extend<I: IntoIterator<Item = Record>>(&mut self, records: I) -> std::ops::Range<u32> {
+        let run = self.store.extend(
+            records
+                .into_iter()
+                .map(|r| (r.oid.0, r.t.millis(), r.samples)),
+        );
+        // The index is fed from the time column the store just grew.
+        let times = &self.store.times()[run.start as usize..];
+        self.index.extend(times.iter().copied().zip(run.clone()));
+        run
     }
 
     /// Explicitly rebuilds the time index after a batch of appends (see

@@ -74,6 +74,19 @@ impl<T> TimeIndex<T> {
         self.dirty = true;
     }
 
+    /// Appends a time-ordered run of entries, growing the entry array
+    /// once; each entry is checked like a [`TimeIndex::push`].
+    ///
+    /// # Panics
+    /// Panics on an out-of-order entry, as [`TimeIndex::push`] does.
+    pub fn extend<I: IntoIterator<Item = (i64, T)>>(&mut self, run: I) {
+        let run = run.into_iter();
+        self.entries.reserve(run.size_hint().0);
+        for (t, value) in run {
+            self.push(t, value);
+        }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use indoor_iupt::{ObjectId, Record, Timestamp};
+use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
     diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, LocationBound,
@@ -43,6 +43,21 @@ pub enum AdvanceStrategy {
     /// pay no presence computation at all, and a location evaluated for
     /// one query is served from cache for every other.
     BoundPruned,
+}
+
+/// What [`ServeEngine::ingest_run`] does with a record that fails the
+/// time-order checks — earlier than the last accepted record, or inside
+/// a sealed bucket. Either way the record is counted in
+/// [`ServeStats::records_rejected`] and never reaches a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LateRecord {
+    /// Hand the records accepted so far to the shards and return the
+    /// late record's [`FlowError::TimeRegression`]; the rest of the run
+    /// is not looked at.
+    Stop,
+    /// Leave the late record out, report its index in the run, and
+    /// carry on with the records behind it.
+    Skip,
 }
 
 /// Configuration of a [`ServeEngine`]: the shared serving substrate
@@ -465,6 +480,11 @@ pub struct ServeEngine {
     /// Ring buffer of the last [`ServeConfig::trace_capacity`] advance
     /// traces, oldest first.
     traces: VecDeque<AdvanceTrace>,
+    /// One run under construction per shard, filled and handed over
+    /// within a single [`ServeEngine::ingest_run`] call: every run is
+    /// empty between calls, only the outer vector (and the buffer of a
+    /// shard that got nothing) is kept.
+    shard_runs: Vec<Vec<Record>>,
 }
 
 impl ServeEngine {
@@ -511,6 +531,7 @@ impl ServeEngine {
             registry,
             metrics,
             traces: VecDeque::new(),
+            shard_runs: Vec::new(),
         };
         for spec in initial {
             // `with_query` validates specs, but `ServeConfig.queries` is
@@ -761,15 +782,105 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Ingests a whole batch, stopping at the first rejected record.
+    /// Ingests a whole batch, stopping at the first rejected record
+    /// (the records before it are in the shard logs). One
+    /// [`ServeEngine::ingest_run`] hand-off.
     pub fn ingest_all<I: IntoIterator<Item = Record>>(
         &mut self,
         records: I,
     ) -> Result<(), FlowError> {
-        for r in records {
-            self.ingest(r)?;
+        self.ingest_run(records, LateRecord::Stop).map(|_| ())
+    }
+
+    /// The engine's one ingest path: validates a run of records in
+    /// order, partitions the accepted ones into one run per shard
+    /// (stream order kept within each) and hands every non-empty shard
+    /// run over with a single `tell` — so a shard's log is the stream
+    /// filtered by shard whatever the run lengths, and the hand-off cost
+    /// is per run, not per record. Nothing is held back: when the call
+    /// returns every accepted record is queued on its shard.
+    ///
+    /// Returns the indices (into `records`, ascending) of the records
+    /// skipped as late — always empty under [`LateRecord::Stop`], which
+    /// returns the first late record's [`FlowError::TimeRegression`]
+    /// instead. [`serve.ingest_ns`](crate::metric_names::INGEST_NS)
+    /// gets one sample per call.
+    pub fn ingest_run<I: IntoIterator<Item = Record>>(
+        &mut self,
+        records: I,
+        late: LateRecord,
+    ) -> Result<Vec<usize>, FlowError> {
+        self.check_poisoned()?;
+        let timer = self.metrics.as_ref().map(|_| Timer::start());
+        let records = records.into_iter();
+        let shards = self.pool.shards();
+        let partitioner = self.pool.partitioner();
+        let mut runs = std::mem::take(&mut self.shard_runs);
+        runs.resize_with(shards, Vec::new);
+        // Hash partitioning is near-even: an even share plus a sixteenth
+        // spares the fuller shards a regrowth on all but skewed runs.
+        let expected = records.size_hint().0;
+        for run in &mut runs {
+            run.reserve(expected / shards + expected / 16 + 1);
         }
-        Ok(())
+        let mut skipped = Vec::new();
+        let mut stopped = None;
+        let mut accepted = 0u64;
+        for (i, record) in records.enumerate() {
+            if let Err(e) = self.check_ingest_time(record.t) {
+                match late {
+                    LateRecord::Stop => {
+                        stopped = Some(e);
+                        break;
+                    }
+                    LateRecord::Skip => {
+                        skipped.push(i);
+                        continue;
+                    }
+                }
+            }
+            if self.first_ingest.is_none() {
+                self.first_ingest = Some(record.t);
+            }
+            self.last_ingest = Some(record.t);
+            let shard = partitioner.partition_of(u64::from(record.oid.0));
+            if let Some(run) = runs.get_mut(shard) {
+                run.push(record);
+                accepted += 1;
+            }
+        }
+        for (shard, slot) in runs.iter_mut().enumerate() {
+            if slot.is_empty() {
+                continue;
+            }
+            let run = std::mem::take(slot);
+            self.pool
+                .tell(shard, move |worker| worker.ingest(run))
+                .map_err(|down| {
+                    let e = self.shard_down(down);
+                    self.poison(e)
+                })?;
+        }
+        self.shard_runs = runs;
+        self.stats.records_ingested += accepted;
+        if let (Some(m), Some(timer)) = (&self.metrics, timer) {
+            timer.record_into(&m.ingest_ns);
+            m.records_ingested.add(accepted);
+        }
+        match stopped {
+            Some(e) => Err(e),
+            None => Ok(skipped),
+        }
+    }
+
+    /// A copy of every shard's partition of the positioning log, in
+    /// shard order, as of everything ingested so far — for audits and
+    /// equivalence tests (each call clones the logs).
+    pub fn shard_logs(&self) -> Result<Vec<Iupt>, FlowError> {
+        self.check_poisoned()?;
+        self.pool
+            .ask_all(|_, worker: &mut ShardWorker| worker.log())
+            .map_err(|down| self.shard_down(down))
     }
 
     fn check_poisoned(&self) -> Result<(), FlowError> {
@@ -1334,33 +1445,11 @@ impl ContinuousEngine for ServeEngine {
         }
     }
 
+    /// A run of one: the same path as [`ServeEngine::ingest_all`], one
+    /// `tell`.
     fn ingest(&mut self, record: Record) -> Result<(), FlowError> {
-        self.check_poisoned()?;
-        self.check_ingest_time(record.t)?;
-        // Hot path: when metrics are on, the cost is one timestamp pair,
-        // one histogram record, and one counter add — no allocation, no
-        // locks, and no effect on what the shard computes.
-        let timer = self.metrics.as_ref().map(|_| Timer::start());
-        if self.first_ingest.is_none() {
-            self.first_ingest = Some(record.t);
-        }
-        self.last_ingest = Some(record.t);
-        let shard = self
-            .pool
-            .partitioner()
-            .partition_of(u64::from(record.oid.0));
-        self.pool
-            .tell(shard, move |worker| worker.ingest(record))
-            .map_err(|down| {
-                let e = self.shard_down(down);
-                self.poison(e)
-            })?;
-        self.stats.records_ingested += 1;
-        if let (Some(m), Some(timer)) = (&self.metrics, timer) {
-            timer.record_into(&m.ingest_ns);
-            m.records_ingested.inc();
-        }
-        Ok(())
+        self.ingest_run(std::iter::once(record), LateRecord::Stop)
+            .map(|_| ())
     }
 
     /// The single-query facade over [`ServeEngine::advance_all`]: every

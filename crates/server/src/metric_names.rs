@@ -8,8 +8,10 @@
 //! expositions, which is why every name here is `server.`-prefixed —
 //! the two namespaces can never collide.
 
-/// Histogram: ns spent in `ServeEngine::ingest` per record drained by
-/// the scheduler.
+/// Histogram: ns spent in the tick's one `ServeEngine::ingest_run`
+/// hand-off — one sample per tick that drained anything, however many
+/// records the run carried ([`RECORDS_INGESTED`] counts the records).
+/// Taken with the queue lock released.
 pub const INGEST_NS: &str = "server.ingest_ns";
 
 /// Histogram: ns one full scheduler tick took (control + drain +

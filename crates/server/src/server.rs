@@ -14,8 +14,12 @@
 //!   bleed memory or stall the scheduler.
 //! - The single **scheduler thread** owns the [`ServeEngine`]. Each
 //!   tick it applies control ops, drains the ingest queues through a
-//!   watermark-gated merge up to a record/byte budget, runs the window
-//!   advances that became due (deadline- and count-bounded via
+//!   watermark-gated merge up to a record/byte budget — under the
+//!   queue lock only the merge itself ([`crate::merge`]: records are
+//!   moved into one tick-local run), then, with the lock released, one
+//!   [`ServeEngine::ingest_run`] hand-off for the whole run, then the
+//!   acks of the batches it finished — runs the window advances that
+//!   became due (deadline- and count-bounded via
 //!   [`ServeEngine::advance_due`]), pushes the resulting top-k deltas
 //!   to subscribers, and reaps dead connections.
 //!
@@ -41,10 +45,11 @@ use std::time::{Duration, Instant};
 
 use indoor_iupt::{Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
-use popflow_core::{ContinuousEngine, QueryId, QuerySet, QuerySpec, WindowSpec};
+use popflow_core::{QueryId, QuerySet, QuerySpec, WindowSpec};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
-use popflow_serve::{ServeConfig, ServeEngine};
+use popflow_serve::{LateRecord, ServeConfig, ServeEngine};
 
+use crate::merge::{merge_run, release_bound, IngestQueue, PendingBatch, Run};
 use crate::metric_names as names;
 use crate::protocol::{error_code, role, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use crate::scenario::delta_frame;
@@ -194,28 +199,13 @@ enum OutMsg {
     Close,
 }
 
-/// A queued, partially drained ingest batch.
-struct PendingBatch {
-    seq: u64,
-    records: Vec<Record>,
-    /// Index of the next undrained record (`< records.len()` while the
-    /// batch is queued).
-    next: usize,
-    /// Estimated wire bytes per record, for the byte budget.
-    per_record_bytes: usize,
-    accepted: u32,
-    rejected: u32,
-    enqueued: Instant,
-}
-
 /// Scheduler-side view of one connection.
 struct ConnState {
     role: u8,
     out: SyncSender<OutMsg>,
-    queue: VecDeque<PendingBatch>,
-    /// Timestamp (ms) of the last record this connection enqueued —
-    /// its promise that nothing earlier will ever arrive on it.
-    watermark: Option<i64>,
+    /// The connection's queued batches, watermark and end-of-stream
+    /// flag — what the merge reads (and, for the queue, drains).
+    ingest: IngestQueue,
     /// Set while any throttled batch awaits re-admission:
     /// `(expected, max_refused)` — the next seq that must be
     /// re-admitted, and the highest seq refused while the gate was up.
@@ -228,9 +218,6 @@ struct ConnState {
     /// clearing it after only the first re-admission would do the same
     /// to the refused batches still pending behind it.
     throttle_gate: Option<(u64, u64)>,
-    /// No more batches will arrive (StreamEnd, or the socket closed):
-    /// the connection stops gating the merge once its queue drains.
-    ended: bool,
     /// The connection is dead; reap it once its queue drains.
     gone: bool,
 }
@@ -301,11 +288,11 @@ impl Shared {
             Err(TrySendError::Full(_)) => {
                 self.metrics.slow_consumer_drops.inc();
                 state.gone = true;
-                state.ended = true;
+                state.ingest.ended = true;
             }
             Err(TrySendError::Disconnected(_)) => {
                 state.gone = true;
-                state.ended = true;
+                state.ingest.ended = true;
             }
         }
     }
@@ -434,10 +421,8 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                 ConnState {
                     role: role::CONTROL,
                     out: tx.clone(),
-                    queue: VecDeque::new(),
-                    watermark: None,
+                    ingest: IngestQueue::default(),
                     throttle_gate: None,
-                    ended: false,
                     gone: false,
                 },
             );
@@ -465,21 +450,33 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 
 // ------------------------------------------------------------- writer
 
+/// Writes every message already queued, then flushes once before
+/// blocking on the channel again: a tick's burst of acks leaves in one
+/// `write`, and a frame is still on the wire the moment the channel
+/// runs empty.
 fn writer_loop(rx: Receiver<OutMsg>, stream: TcpStream, frames_out: Counter) {
     let mut w = std::io::BufWriter::new(stream);
-    while let Ok(msg) = rx.recv() {
-        let ok = match msg {
-            OutMsg::Frame(frame) => {
-                let sent = frame.write_to(&mut w).is_ok() && w.flush().is_ok();
-                if sent {
-                    frames_out.inc();
+    while let Ok(first) = rx.recv() {
+        let mut frames = 0u64;
+        let mut open = true;
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            open = match msg {
+                OutMsg::Frame(frame) => {
+                    frames += 1;
+                    frame.write_to(&mut w).is_ok()
                 }
-                sent
-            }
-            OutMsg::Raw(bytes) => w.write_all(&bytes).is_ok() && w.flush().is_ok(),
-            OutMsg::Close => false,
-        };
-        if !ok {
+                OutMsg::Raw(bytes) => w.write_all(&bytes).is_ok(),
+                OutMsg::Close => false,
+            };
+            next = if open { rx.try_recv().ok() } else { None };
+        }
+        // A burst cut short by `Close` still flushes what preceded it.
+        if w.flush().is_err() {
+            break;
+        }
+        frames_out.add(frames);
+        if !open {
             break;
         }
     }
@@ -690,7 +687,7 @@ fn handle_frame(shared: &Shared, conn_id: u64, frame: Frame, out: &SyncSender<Ou
         Frame::StreamEnd => {
             let mut inner = shared.lock();
             if let Some(state) = inner.conns.get_mut(&conn_id) {
-                state.ended = true;
+                state.ingest.ended = true;
             }
             drop(inner);
             shared.wake.notify_all();
@@ -749,7 +746,7 @@ fn handle_batch(
         }));
         return;
     }
-    if state.ended {
+    if state.ingest.ended {
         let _ = out.try_send(OutMsg::Frame(Frame::Error {
             code: error_code::REJECTED,
             detail: "ingest batch after StreamEnd".to_string(),
@@ -777,7 +774,7 @@ fn handle_batch(
     // The merge's correctness rests on per-connection time order;
     // refuse a violating batch wholesale rather than corrupting the
     // global order.
-    let mut prev = state.watermark.unwrap_or(i64::MIN);
+    let mut prev = state.ingest.watermark.unwrap_or(i64::MIN);
     for r in &records {
         if r.t.millis() < prev {
             let _ = out.try_send(OutMsg::Frame(Frame::Error {
@@ -795,7 +792,7 @@ fn handle_batch(
     // Backpressure: over global capacity the batch is refused — unless
     // this connection's queue is empty, whose head batch must always
     // be admittable or the merge could deadlock on its gate.
-    if total_queued + n > capacity && !state.queue.is_empty() {
+    if total_queued + n > capacity && !state.ingest.batches.is_empty() {
         let max_refused = match state.throttle_gate {
             Some((_, m)) => m.max(seq),
             None => seq,
@@ -819,11 +816,10 @@ fn handle_batch(
         }
         _ => None,
     };
-    state.watermark = Some(prev);
-    state.queue.push_back(PendingBatch {
+    state.ingest.watermark = Some(prev);
+    state.ingest.batches.push_back(PendingBatch {
         seq,
-        records,
-        next: 0,
+        records: records.into_iter(),
         per_record_bytes: (wire_bytes / n).max(1),
         accepted: 0,
         rejected: 0,
@@ -843,7 +839,7 @@ fn handle_batch(
 fn disconnect(shared: &Shared, conn_id: u64) {
     let mut inner = shared.lock();
     if let Some(state) = inner.conns.get_mut(&conn_id) {
-        state.ended = true;
+        state.ingest.ended = true;
         state.gone = true;
     }
     drop(inner);
@@ -856,6 +852,8 @@ fn scheduler_loop(shared: Arc<Shared>, mut engine: ServeEngine) {
     let cfg = shared.config.clone();
     let tick = Duration::from_millis(cfg.tick_millis.max(1));
     let mut subs: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    // The tick-local drain buffers, reused from tick to tick.
+    let mut run = Run::default();
     let mut next_tick = Instant::now() + tick;
     loop {
         // Park until the tick boundary (woken early by new work or
@@ -891,7 +889,7 @@ fn scheduler_loop(shared: Arc<Shared>, mut engine: ServeEngine) {
         }
 
         run_control_ops(&shared, &mut engine, &mut subs);
-        let bound = drain_ingest(&shared, &mut engine, &cfg);
+        let bound = drain_ingest(&shared, &mut engine, &cfg, &mut run);
         run_advances(&shared, &mut engine, &cfg, &subs, bound, tick_start);
         reap_connections(&shared, &mut subs);
         shared
@@ -963,7 +961,7 @@ fn run_control_ops(
                     if let Some(state) = inner.conns.get_mut(&conn) {
                         let _ = state.out.try_send(OutMsg::Raw(http_response(&text)));
                         let _ = state.out.try_send(OutMsg::Close);
-                        state.ended = true;
+                        state.ingest.ended = true;
                         state.gone = true;
                     }
                 } else {
@@ -999,110 +997,123 @@ fn http_response(body: &str) -> Vec<u8> {
 /// smallest timestamp any connection could still deliver (`i64::MIN`
 /// while the release gate holds, `i64::MAX` once every stream ended
 /// and drained).
-fn drain_ingest(shared: &Shared, engine: &mut ServeEngine, cfg: &ServerConfig) -> i64 {
-    let mut inner = shared.lock();
-    if inner.ingest_seen < cfg.min_ingest_streams {
+///
+/// Under the queue lock the tick only *moves* records into `run`
+/// ([`merge_run`]); the lock is dropped for the engine's one
+/// [`ServeEngine::ingest_run`] hand-off — readers keep enqueueing
+/// meanwhile — and retaken to post the acks of the batches the run
+/// finished.
+fn drain_ingest(
+    shared: &Shared,
+    engine: &mut ServeEngine,
+    cfg: &ServerConfig,
+    run: &mut Run,
+) -> i64 {
+    {
+        let mut inner = shared.lock();
+        if inner.ingest_seen < cfg.min_ingest_streams {
+            shared.metrics.queue_depth.set(inner.total_queued as u64);
+            return i64::MIN;
+        }
+        let mut queues: Vec<(u64, &mut IngestQueue)> = inner
+            .conns
+            .iter_mut()
+            .filter(|(_, state)| state.role == role::INGEST)
+            .map(|(&id, state)| (id, &mut state.ingest))
+            .collect();
+        merge_run(
+            &mut queues,
+            cfg.tick_budget_records,
+            cfg.tick_budget_bytes,
+            run,
+        );
+        inner.total_queued = inner.total_queued.saturating_sub(run.records.len());
         shared.metrics.queue_depth.set(inner.total_queued as u64);
-        return i64::MIN;
+        if run.records.is_empty() {
+            return advance_bound(&inner);
+        }
     }
-    let mut drained = 0usize;
-    let mut bytes = 0usize;
-    while drained < cfg.tick_budget_records && bytes < cfg.tick_budget_bytes {
-        // Candidate: the globally smallest queued head. Floor: the
-        // earliest timestamp an *empty, still-open* connection might
-        // still send (its watermark; `i64::MIN` before its first
-        // batch). Popping above the floor would risk reordering.
-        let mut floor = i64::MAX;
-        let mut best: Option<(u64, i64)> = None;
-        for (&id, state) in &inner.conns {
-            if state.role != role::INGEST {
-                continue;
-            }
-            match state.queue.front().and_then(|b| b.records.get(b.next)) {
-                Some(r) => {
-                    let t = r.t.millis();
-                    if best.is_none_or(|(_, bt)| t < bt) {
-                        best = Some((id, t));
-                    }
-                }
-                None => {
-                    if !state.ended {
-                        floor = floor.min(state.watermark.unwrap_or(i64::MIN));
-                    }
-                }
-            }
-        }
-        let Some((conn_id, t)) = best else { break };
-        if t > floor {
-            break;
-        }
-        let Some(record) = inner.conns.get_mut(&conn_id).and_then(|state| {
-            let batch = state.queue.front_mut()?;
-            let record = batch.records.get(batch.next).cloned()?;
-            batch.next += 1;
-            Some((record, batch.per_record_bytes))
-        }) else {
-            break;
-        };
-        let (record, per_record_bytes) = record;
-        inner.total_queued = inner.total_queued.saturating_sub(1);
-        drained += 1;
-        bytes += per_record_bytes;
-        let t0 = Instant::now();
-        let accepted = engine.ingest(record).is_ok();
-        shared
-            .metrics
-            .ingest_ns
-            .record(t0.elapsed().as_nanos() as u64);
-        if accepted {
-            shared.metrics.records_ingested.inc();
-        } else {
-            shared.metrics.records_rejected.inc();
-        }
-        let mut ack = None;
-        if let Some(state) = inner.conns.get_mut(&conn_id) {
-            if let Some(batch) = state.queue.front_mut() {
-                if accepted {
-                    batch.accepted += 1;
-                } else {
+
+    let t0 = Instant::now();
+    let outcome = engine.ingest_run(run.records.drain(..), LateRecord::Skip);
+    shared
+        .metrics
+        .ingest_ns
+        .record(t0.elapsed().as_nanos() as u64);
+    match outcome {
+        Ok(late) => {
+            for i in late {
+                let batch = run
+                    .source
+                    .get(i)
+                    .and_then(|&at| run.batches.get_mut(at as usize));
+                if let Some(batch) = batch {
                     batch.rejected += 1;
                 }
-                if batch.next >= batch.records.len() {
-                    ack = state.queue.pop_front();
+            }
+        }
+        // A poisoned engine takes nothing.
+        Err(_) => {
+            for batch in &mut run.batches {
+                batch.rejected = batch.taken;
+            }
+        }
+    }
+    run.source.clear();
+
+    let mut inner = shared.lock();
+    for drained in run.batches.drain(..) {
+        let accepted = drained.taken - drained.rejected;
+        shared.metrics.records_ingested.add(u64::from(accepted));
+        shared
+            .metrics
+            .records_rejected
+            .add(u64::from(drained.rejected));
+        match drained.done {
+            Some(done) => {
+                shared
+                    .metrics
+                    .batch_latency_ns
+                    .record(done.enqueued.elapsed().as_nanos() as u64);
+                shared.send_frame(
+                    &mut inner,
+                    drained.conn,
+                    Frame::BatchAck {
+                        seq: done.seq,
+                        accepted: done.accepted + accepted,
+                        rejected: done.rejected + drained.rejected,
+                    },
+                );
+            }
+            // Records remain: the batch is still its connection's
+            // front (only this thread pops), and carries the counts to
+            // the tick that finishes it.
+            None => {
+                let front = inner
+                    .conns
+                    .get_mut(&drained.conn)
+                    .and_then(|state| state.ingest.batches.front_mut())
+                    .filter(|batch| batch.seq == drained.seq);
+                if let Some(batch) = front {
+                    batch.accepted += accepted;
+                    batch.rejected += drained.rejected;
                 }
             }
         }
-        if let Some(done) = ack {
-            shared
-                .metrics
-                .batch_latency_ns
-                .record(done.enqueued.elapsed().as_nanos() as u64);
-            shared.send_frame(
-                &mut inner,
-                conn_id,
-                Frame::BatchAck {
-                    seq: done.seq,
-                    accepted: done.accepted,
-                    rejected: done.rejected,
-                },
-            );
-        }
     }
-    shared.metrics.queue_depth.set(inner.total_queued as u64);
-    // Advance bound: nothing at or before it can still arrive.
-    let mut bound = i64::MAX;
-    for state in inner.conns.values() {
-        if state.role != role::INGEST {
-            continue;
-        }
-        let gate = match state.queue.front().and_then(|b| b.records.get(b.next)) {
-            Some(r) => r.t.millis(),
-            None if state.ended => i64::MAX,
-            None => state.watermark.unwrap_or(i64::MIN),
-        };
-        bound = bound.min(gate);
-    }
-    bound
+    advance_bound(&inner)
+}
+
+/// Nothing at or before the returned timestamp can still arrive on any
+/// ingest connection.
+fn advance_bound(inner: &Inner) -> i64 {
+    release_bound(
+        inner
+            .conns
+            .values()
+            .filter(|state| state.role == role::INGEST)
+            .map(|state| &state.ingest),
+    )
 }
 
 fn run_advances(
@@ -1169,7 +1180,7 @@ fn reap_connections(shared: &Shared, subs: &mut BTreeMap<u64, BTreeSet<u64>>) {
     let dead: Vec<u64> = inner
         .conns
         .iter()
-        .filter(|(_, state)| state.gone && state.queue.is_empty())
+        .filter(|(_, state)| state.gone && state.ingest.batches.is_empty())
         .map(|(&id, _)| id)
         .collect();
     if dead.is_empty() {

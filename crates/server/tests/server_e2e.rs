@@ -364,3 +364,190 @@ fn http_get_scrapes_prometheus_text() {
     );
     server.shutdown();
 }
+
+/// Ack accounting on the run-shaped drain. A 50-record tick budget
+/// splits every 128-record batch across ticks; two connections carry
+/// the same timestamps, so the merge alternates between them on ties;
+/// a third joins after the stream has been sealed and sends one batch
+/// whose head is late. Every `BatchAck` must carry exactly the counts
+/// one `ingest` per record gives an in-process engine, the server's
+/// counters must add up, and the deltas must stay bit-identical.
+///
+/// (Over the wire a late record can only sit at the *head* of a
+/// connection's stream: a batch that breaks its own connection's time
+/// order is refused whole, and the merge never reorders. A late record
+/// behind accepted ones in the same engine call is
+/// `tests/ingest_equivalence.rs`'s case.)
+#[test]
+fn acks_count_what_the_engine_took_across_ticks_ties_and_late_records() {
+    use indoor_iupt::{ObjectId, Timestamp};
+    use indoor_model::SLocId;
+    use popflow_core::{ContinuousEngine, QuerySet, QuerySpec, WindowSpec};
+    use popflow_serve::ServeEngine;
+    use popflow_server::scenario::delta_frame;
+
+    const BATCH: usize = 128;
+    let (space, stream) = world();
+    let config = ServerConfig::new(serve_config())
+        .with_tick_millis(1)
+        .with_ingest_budget(50, 1 << 20)
+        .with_min_ingest_streams(2);
+    let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
+    let addr = server.local_addr();
+    let timeout = Some(Duration::from_secs(10));
+
+    let mut control = Client::connect(addr, role::CONTROL).expect("control connect");
+    control.set_read_timeout(timeout).expect("timeout");
+    let queries = query_slocs(space, 2);
+    for slocs in &queries {
+        control
+            .register(3, BUCKET_MILLIS, WINDOW_BUCKETS, slocs)
+            .expect("register");
+    }
+    let specs: Vec<QuerySpec> = queries
+        .iter()
+        .map(|slocs| {
+            QuerySpec::new(
+                3,
+                QuerySet::new(slocs.iter().copied().map(SLocId).collect()),
+                WindowSpec::new(BUCKET_MILLIS, WINDOW_BUCKETS as usize),
+            )
+        })
+        .collect();
+
+    // Connection A carries the stream, connection B a copy under other
+    // object ids: every timestamp is tied across the two.
+    let first = stream.to_records();
+    let second: Vec<Record> = first
+        .iter()
+        .map(|r| Record {
+            oid: ObjectId(r.oid.0 + 10_000),
+            ..r.clone()
+        })
+        .collect();
+    // The merge's order: by time, the lower connection id on ties,
+    // arrival order within a connection — a stable sort of A then B.
+    let mut merged: Vec<Record> = first.iter().chain(&second).cloned().collect();
+    merged.sort_by_key(|r| r.t);
+
+    // The reference: one `ingest` per record on an in-process engine.
+    let mut reference = ServeEngine::new(Arc::clone(space), serve_config());
+    for spec in &specs {
+        reference.register(spec.clone()).expect("register");
+    }
+    for r in &merged {
+        reference.ingest(r.clone()).expect("merged order");
+    }
+    let deltas_of = |engine: &mut ServeEngine| -> Vec<Frame> {
+        let (runs, _) = engine
+            .advance_due(Timestamp(i64::MAX), None, usize::MAX)
+            .expect("advances");
+        runs.into_iter()
+            .flat_map(|(t, updates)| {
+                updates
+                    .into_iter()
+                    .map(move |(qid, update)| delta_frame(qid, t, &update))
+            })
+            .collect()
+    };
+    let want_stream = deltas_of(&mut reference);
+    assert!(!want_stream.is_empty(), "the stream must produce advances");
+
+    // A connects (and is welcomed) before B, so it holds the lower id.
+    let connect = || {
+        let client = Client::connect(addr, role::INGEST).expect("ingest connect");
+        client.set_read_timeout(timeout).expect("timeout");
+        client
+    };
+    /// Sends `records` in closed-loop batches; returns each ack's
+    /// `(accepted, rejected)`.
+    fn send_all(client: &mut Client, records: &[Record]) -> Vec<(u32, u32)> {
+        let acks = records
+            .chunks(BATCH)
+            .enumerate()
+            .map(|(seq, chunk)| {
+                let seq = seq as u64;
+                client.send_batch(seq, chunk.to_vec()).expect("send batch");
+                match client
+                    .wait_for(|f| matches!(f, Frame::BatchAck { seq: s, .. } if *s == seq))
+                    .expect("ack")
+                {
+                    Frame::BatchAck {
+                        accepted, rejected, ..
+                    } => (accepted, rejected),
+                    other => panic!("expected BatchAck, got {other:?}"),
+                }
+            })
+            .collect();
+        client.stream_end().expect("stream end");
+        acks
+    }
+    let a = connect();
+    let b = connect();
+    assert!(a.conn_id() < b.conn_id());
+    let handles: Vec<_> = [(a, first.clone()), (b, second)]
+        .into_iter()
+        .map(|(mut client, records)| std::thread::spawn(move || send_all(&mut client, &records)))
+        .collect();
+    for h in handles {
+        let acks = h.join().expect("ingest thread");
+        let want: Vec<(u32, u32)> = first.chunks(BATCH).map(|c| (c.len() as u32, 0)).collect();
+        assert_eq!(acks, want, "an ordered stream is accepted whole");
+    }
+    let next_delta = |control: &mut Client| {
+        control
+            .wait_for(|f| matches!(f, Frame::TopkDelta { .. }))
+            .expect("delta frame")
+    };
+    let got: Vec<Frame> = want_stream
+        .iter()
+        .map(|_| next_delta(&mut control))
+        .collect();
+    assert_eq!(got, want_stream, "stream deltas must be bit-identical");
+
+    // Both streams ended, so the last delta above sealed the bucket
+    // holding the stream's last record. C's first 40 records fall
+    // before that frontier.
+    let t_last = merged.last().expect("records").t.millis();
+    let frontier = (t_last.div_euclid(BUCKET_MILLIS) + 1) * BUCKET_MILLIS;
+    let tail: Vec<Record> = (0..BATCH as i64)
+        .map(|i| Record {
+            oid: ObjectId(20_000 + i as u32),
+            t: Timestamp(frontier - 40 + i),
+            samples: first[i as usize].samples.clone(),
+        })
+        .collect();
+    let rejected = tail
+        .iter()
+        .filter(|r| reference.ingest((*r).clone()).is_err())
+        .count() as u32;
+    assert_eq!(rejected, 40);
+    let want_tail = deltas_of(&mut reference);
+    assert!(!want_tail.is_empty(), "the tail must open a new bucket");
+
+    let mut c = connect();
+    let acks = send_all(&mut c, &tail);
+    assert_eq!(acks, vec![(BATCH as u32 - rejected, rejected)]);
+    let got: Vec<Frame> = want_tail.iter().map(|_| next_delta(&mut control)).collect();
+    assert_eq!(got, want_tail, "tail deltas must be bit-identical");
+
+    let snap = server.server_snapshot();
+    assert_eq!(
+        snap.counters.get("server.records_ingested").copied(),
+        Some((merged.len() + BATCH) as u64 - u64::from(rejected))
+    );
+    assert_eq!(
+        snap.counters.get("server.records_rejected").copied(),
+        Some(u64::from(rejected))
+    );
+    // One `server.ingest_ns` sample per hand-off: with a 50-record
+    // budget there are at least records / 50 of them, and far fewer
+    // than one per record.
+    let handoffs = snap.histograms["server.ingest_ns"].count;
+    let records = (merged.len() + BATCH) as u64;
+    assert!(
+        handoffs >= records / 50 && handoffs < records / 4,
+        "{handoffs} hand-offs for {records} records"
+    );
+    server.shutdown();
+}

@@ -1,6 +1,6 @@
 //! The hash-consing sample-set interner.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Handle to one interned sample set: a dense index into the pool's
 /// arena. Handles are 4 bytes — the whole point of interning is that a
@@ -44,8 +44,12 @@ pub trait PoolItem: PartialEq {
 pub struct SampleSetPool<S> {
     /// One copy per distinct interned value.
     arena: Vec<S>,
-    /// `content_hash → candidate arena indices` (collision chain).
-    index: HashMap<u64, Vec<u32>>,
+    /// `content_hash →` arena index of the first value interned under
+    /// that hash, held inline: no per-entry allocation.
+    index: HashMap<u64, u32>,
+    /// Collision chain, parallel to `arena`: the arena index of the
+    /// next value with the same hash ([`NO_NEXT`] at the tail).
+    next: Vec<u32>,
     /// Interns resolved to an existing entry.
     hits: u64,
     /// Running `size_of::<S>() + heap_bytes()` over the arena, updated
@@ -54,11 +58,16 @@ pub struct SampleSetPool<S> {
     payload_bytes: usize,
 }
 
+/// Chain terminator in [`SampleSetPool::next`]; never a valid arena
+/// index, because the arena is capped at `u32::MAX` entries.
+const NO_NEXT: u32 = u32::MAX;
+
 impl<S> Default for SampleSetPool<S> {
     fn default() -> Self {
         SampleSetPool {
             arena: Vec::new(),
             index: HashMap::new(),
+            next: Vec::new(),
             hits: 0,
             payload_bytes: 0,
         }
@@ -75,19 +84,33 @@ impl<S: PoolItem> SampleSetPool<S> {
     /// already in the arena (counting an intern *hit* and dropping
     /// `set`), otherwise moves `set` into the arena.
     pub fn intern(&mut self, set: S) -> SetRef {
-        let hash = set.content_hash();
-        let bucket = self.index.entry(hash).or_default();
-        for &i in bucket.iter() {
-            if self.arena[i as usize] == set {
-                self.hits += 1;
-                return SetRef(i);
+        let new = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&i| i != NO_NEXT)
+            .expect("pool exceeds u32 handles");
+        match self.index.entry(set.content_hash()) {
+            Entry::Vacant(slot) => {
+                slot.insert(new);
+            }
+            Entry::Occupied(head) => {
+                let mut i = *head.get();
+                loop {
+                    if self.arena[i as usize] == set {
+                        self.hits += 1;
+                        return SetRef(i);
+                    }
+                    match self.next[i as usize] {
+                        NO_NEXT => break,
+                        n => i = n,
+                    }
+                }
+                self.next[i as usize] = new;
             }
         }
-        let i = u32::try_from(self.arena.len()).expect("pool exceeds u32 handles");
-        bucket.push(i);
         self.payload_bytes += std::mem::size_of::<S>() + set.heap_bytes();
         self.arena.push(set);
-        SetRef(i)
+        self.next.push(NO_NEXT);
+        SetRef(new)
     }
 
     /// Zero-copy access to the interned value behind `r`.

@@ -133,6 +133,26 @@ impl<S: PoolItem> RecordStore<S> {
         pos
     }
 
+    /// Appends a run of `(oid, t, set)` records in iteration order,
+    /// growing each column once for the whole run. Interning, positions
+    /// and the resulting columns are exactly those of pushing the
+    /// records one by one. Returns the run's position range.
+    pub fn extend<I>(&mut self, records: I) -> std::ops::Range<u32>
+    where
+        I: IntoIterator<Item = (u32, i64, S)>,
+    {
+        let records = records.into_iter();
+        let expected = records.size_hint().0;
+        self.oids.reserve(expected);
+        self.times.reserve(expected);
+        self.sets.reserve(expected);
+        let start = self.len() as u32;
+        for (oid, t, set) in records {
+            self.push(oid, t, set);
+        }
+        start..self.len() as u32
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.oids.len()
