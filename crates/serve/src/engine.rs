@@ -22,16 +22,18 @@ use crate::metric_names as names;
 use crate::shard::{EagerReport, EvalReport, ShardWorker};
 use crate::trace::{AdvanceTrace, QueryTrace, ShardTrace};
 
-/// One merged window of an eager advance: the union-wide flow map plus
-/// the shared [`SearchStats`] reported for every query on that window.
-type WindowScores = (HashMap<SLocId, f64>, SearchStats);
+/// One merged window of an eager advance: the union-wide flows, in
+/// `union.slocs()` order, plus the shared [`SearchStats`] reported for
+/// every query on that window.
+type WindowScores = (Vec<f64>, SearchStats);
 
 /// How an advance turns sealed buckets into a ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceStrategy {
-    /// Seal buckets eagerly: every sealed object's full union
-    /// contribution is computed at seal time, and an advance merges all
-    /// cached window contributions, slicing them per registered query.
+    /// Evaluate every window object's full union contribution — once
+    /// per span of sealed buckets its records cover, cached on the shard
+    /// until a slide changes the span — and merge all of a window's
+    /// contributions per advance, slicing them per registered query.
     #[default]
     Eager,
     /// Bound-pruned lazy advance (the paper's §4.2 COUNT bound lifted to
@@ -305,24 +307,31 @@ pub struct ServeStats {
     /// Window advances served (each advance evaluates every registered
     /// query).
     pub advances: u64,
-    /// Work served from caches. Eager advances count *objects* served
-    /// from sealed-bucket contribution caches; bound-pruned advances
-    /// count (object, location) *cells* served from lazily-filled score
-    /// caches. Work shared across registered queries shows up here: the
-    /// second query to need a cell finds it cached.
+    /// Work served from caches. Eager advances count window *objects*
+    /// served from the shards' span caches — objects the slide neither
+    /// gave a record nor took one from, once per distinct window they
+    /// are in; bound-pruned advances count (object, location) *cells*
+    /// served from lazily-filled score caches. Work shared across
+    /// registered queries shows up here: the second query to need a
+    /// span or a cell finds it cached.
     pub cache_hits: u64,
-    /// Eager: objects recomputed exactly as bucket straddlers.
-    /// Bound-pruned: straddler objects observed in evaluated windows.
-    /// Counted once per distinct window per advance, however many
-    /// queries share the window.
+    /// Eager: multi-bucket spans evaluated — each distinct span once,
+    /// when a slide first produces it, not once per slide it stays in a
+    /// window. Bound-pruned: straddler objects observed in evaluated
+    /// windows, counted once per distinct window per advance, however
+    /// many queries share the window.
     pub straddler_recomputes: u64,
-    /// Presence computations counted per object (sealing + straddlers
-    /// for eager advances; lazily evaluated objects for bound-pruned
-    /// ones) — the quantity the bucketing scheme minimizes.
+    /// Presence computations counted per object — the quantity the
+    /// bucketing scheme minimizes. Eager: spans evaluated, i.e. one per
+    /// object per distinct run of sealed buckets its windowed records
+    /// cover (PSL-pruned spans pay nothing and are not counted); spans
+    /// the shards evaluated ahead of the slide that truncates them are
+    /// reported with the following advance. Bound-pruned: lazily
+    /// evaluated objects.
     pub fresh_presence: u64,
-    /// Presence computations counted per (object, location) cell — the
+    /// The same computations counted per (object, location) cell — the
     /// unit the bound-pruned strategy prunes at and the multi-query
-    /// registry shares: sealing work is paid once against the union of
+    /// registry shares: a span is evaluated once against the union of
     /// registered location sets, not once per query.
     pub presence_cells: u64,
     /// Candidate (object, location) cells a bound-pruned advance never
@@ -382,8 +391,9 @@ struct Registered {
 /// Ingestion partitions records by object across `num_shards` worker
 /// threads of a [`popflow_exec::ShardPool`] (routed by the pool's shared
 /// [`popflow_exec::Partitioner`]); each worker owns its shard's IUPT
-/// partition and ONE sealed-bucket cache computed against the **union**
-/// of every registered query's location set. An
+/// partition and ONE set of sealed buckets and cached contributions,
+/// computed against the **union** of every registered query's location
+/// set. An
 /// [`advance_all`](ServeEngine::advance_all) seals newly completed
 /// buckets once, then evaluates every registered query on top — slicing
 /// the shared union contributions per location subset (eager) or running
@@ -459,6 +469,10 @@ pub struct ServeEngine {
     /// Union of every registered query's location set — what the shard
     /// caches are computed against.
     union: QuerySet,
+    /// How many S-locations the space has. Their ids are dense indexes,
+    /// so this bounds the eager merge's by-id slot table whatever ids a
+    /// client registers.
+    num_slocs: usize,
     /// Timestamp of the first accepted record — anchors
     /// [`ServeEngine::due_advances`] before the first advance seals a
     /// frontier.
@@ -523,6 +537,7 @@ impl ServeEngine {
             queries: Vec::new(),
             next_id: 0,
             union: QuerySet::new(Vec::new()),
+            num_slocs: space.slocs().len(),
             first_ingest: None,
             last_ingest: None,
             last_advance: None,
@@ -1040,6 +1055,23 @@ impl ServeEngine {
                 self.traces.push_back(trace);
             }
         }
+        // Last, with the advance timed and its results in hand: the
+        // shards are idle until the next records arrive, and already
+        // hold everything that decides which spans the next slide will
+        // truncate. No reply — nothing here can change a result.
+        if self.config.strategy == AdvanceStrategy::Eager {
+            for shard in 0..self.pool.shards() {
+                let request = starts.clone();
+                self.pool
+                    .tell(shard, move |worker| {
+                        worker.evaluate_ahead(end_bucket, &request)
+                    })
+                    .map_err(|down| {
+                        let e = self.shard_down(down);
+                        self.poison(e)
+                    })?;
+            }
+        }
         Ok(updates)
     }
 
@@ -1092,6 +1124,8 @@ impl ServeEngine {
         self.stats.memo_misses = 0;
         self.stats.memo_bytes = 0;
         for (shard, report) in reports.iter().enumerate() {
+            self.stats.cache_hits += report.cache_hits as u64;
+            self.stats.straddler_recomputes += report.straddlers as u64;
             self.stats.fresh_presence += report.fresh_presence as u64;
             self.stats.presence_cells += report.presence_cells as u64;
             self.stats.log_bytes += report.store.bytes as u64;
@@ -1099,18 +1133,13 @@ impl ServeEngine {
             self.stats.memo_hits += report.store.memo.hits;
             self.stats.memo_misses += report.store.memo.misses;
             self.stats.memo_bytes += report.store.memo.bytes as u64;
-            let mut shard_trace = ShardTrace {
+            trace.shards.push(ShardTrace {
                 shard,
                 presence_cells: report.presence_cells as u64,
+                cache_hits: report.cache_hits as u64,
+                straddlers: report.straddlers as u64,
                 ..ShardTrace::default()
-            };
-            for win in &report.windows {
-                self.stats.cache_hits += win.cache_hits as u64;
-                self.stats.straddler_recomputes += win.straddlers as u64;
-                shard_trace.cache_hits += win.cache_hits as u64;
-                shard_trace.straddlers += win.straddlers as u64;
-            }
-            trace.shards.push(shard_trace);
+            });
         }
         let merged = self.merge_windows(reports, starts.len())?;
         trace.add_phase(names::PHASE_MERGE_NS, merge_timer.elapsed_ns());
@@ -1120,10 +1149,10 @@ impl ServeEngine {
         for reg in &self.queries {
             let query_timer = Timer::start();
             let wi = Self::window_index(starts, end_bucket, reg.spec.window.window_buckets)?;
-            let (scores, stats) = merged.get(wi).ok_or_else(|| FlowError::EngineUnavailable {
+            let (flows, stats) = merged.get(wi).ok_or_else(|| FlowError::EngineUnavailable {
                 detail: format!("merge produced no window {wi} for the advance plan"),
             })?;
-            // Slice the union-merged scores down to this query's
+            // Slice the union-merged flows down to this query's
             // locations. Per-location flows are query-independent,
             // so the projection is bit-identical to a dedicated
             // single-query merge.
@@ -1132,7 +1161,10 @@ impl ServeEngine {
                 .query_set
                 .slocs()
                 .iter()
-                .map(|&s| (s, scores.get(&s).copied().unwrap_or(0.0)))
+                .map(|&s| {
+                    let flow = self.union.index_of(s).and_then(|slot| flows.get(slot));
+                    (s, flow.copied().unwrap_or(0.0))
+                })
                 .collect();
             outcomes.push(QueryOutcome {
                 ranking: rank_topk(sliced, reg.spec.k),
@@ -1148,12 +1180,17 @@ impl ServeEngine {
         Ok(outcomes)
     }
 
-    /// Merges eager shard reports into one global score map per window,
-    /// accumulating per-object contributions in ascending object-id
-    /// order — the exact order (and therefore the exact floating-point
-    /// sums) of the batch Nested-Loop search. The per-window
-    /// [`SearchStats`] describe the shared union evaluation and are
-    /// reported identically for every query using the window.
+    /// Merges eager shard reports into one dense flow vector per window
+    /// (`union.slocs()` order), accumulating per-object contributions in
+    /// ascending object-id order with zero scores skipped — the exact
+    /// order (and therefore the exact floating-point sums) of the batch
+    /// Nested-Loop search. Each shard's list is already ascending and an
+    /// object lives on one shard, so the lists are merged, not
+    /// concatenated and re-sorted, and the reports are consumed: a
+    /// contribution is read in place and its `Arc` dropped, never cloned.
+    /// The per-window [`SearchStats`] describe the shared union
+    /// evaluation and are reported identically for every query using the
+    /// window.
     fn merge_windows(
         &self,
         reports: Vec<EagerReport>,
@@ -1164,37 +1201,59 @@ impl ServeEngine {
                 return Err(e.clone());
             }
         }
+        // Where each S-location's flow accumulates: its position in the
+        // union, looked up by id. Locations outside the current union —
+        // a cached contribution may be a superset of a shrunk union —
+        // keep the out-of-range default and are skipped.
+        let mut slots = vec![usize::MAX; self.num_slocs];
+        for (slot, s) in self.union.slocs().iter().enumerate() {
+            if let Some(entry) = slots.get_mut(s.index()) {
+                *entry = slot;
+            }
+        }
+        let mut shards: Vec<_> = reports
+            .into_iter()
+            .map(|report| report.windows.into_iter())
+            .collect();
         let mut merged = Vec::with_capacity(num_windows);
         for wi in 0..num_windows {
-            let mut contributions: Vec<(ObjectId, Arc<ObjectContribution>)> = Vec::new();
-            let mut objects_total = 0;
-            let mut dp_fallback_objects = 0;
-            for report in &reports {
-                let win = report
-                    .windows
-                    .get(wi)
-                    .ok_or_else(|| FlowError::EngineUnavailable {
-                        detail: format!("shard reply is missing window {wi} of the advance plan"),
-                    })?;
-                objects_total += win.objects_total;
-                contributions.extend(win.contributions.iter().cloned());
+            let mut flows = vec![0.0; self.union.len()];
+            let mut stats = SearchStats::default();
+            let mut runs = Vec::with_capacity(shards.len());
+            for windows in &mut shards {
+                let win = windows.next().ok_or_else(|| FlowError::EngineUnavailable {
+                    detail: format!("shard reply is missing window {wi} of the advance plan"),
+                })?;
+                stats.objects_total += win.objects_total;
+                stats.objects_computed += win.contributions.len();
+                runs.push(win.contributions.into_iter().peekable());
             }
-            contributions.sort_unstable_by_key(|(oid, _)| *oid);
-            let mut global: HashMap<SLocId, f64> =
-                self.union.slocs().iter().map(|&s| (s, 0.0)).collect();
-            let objects_computed = contributions.len();
-            for (_, contribution) in &contributions {
-                dp_fallback_objects += usize::from(contribution.dp_fallback);
-                contribution.add_to(&mut global);
+            let mut previous = None;
+            loop {
+                let lowest = runs
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(shard, run)| run.peek().map(|(oid, _)| (*oid, shard)))
+                    .min();
+                let Some((oid, contribution)) = lowest
+                    .and_then(|(_, shard)| runs.get_mut(shard))
+                    .and_then(Iterator::next)
+                else {
+                    break;
+                };
+                debug_assert!(previous < Some(oid), "shard lists ascend and are disjoint");
+                previous = Some(oid);
+                stats.dp_fallback_objects += usize::from(contribution.dp_fallback);
+                for (q, &score) in contribution.relevant.iter().zip(&contribution.scores) {
+                    if score > 0.0 {
+                        let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
+                        if let Some(flow) = slot {
+                            *flow += score;
+                        }
+                    }
+                }
             }
-            merged.push((
-                global,
-                SearchStats {
-                    objects_total,
-                    objects_computed,
-                    dp_fallback_objects,
-                },
-            ));
+            merged.push((flows, stats));
         }
         Ok(merged)
     }

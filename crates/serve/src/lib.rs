@@ -15,10 +15,11 @@
 //!   shard worker 0  shard worker 1 … shard worker N-1   (std::thread + mpsc)
 //!   ┌───────────┐   ┌───────────┐
 //!   │ IUPT part │   │ IUPT part │   per-object records, own TimeIndex
-//!   │ buckets:  │   │ buckets:  │   ONE sealed-bucket cache per shard,
-//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   computed against the UNION of all
-//!   └─────┬─────┘   └─────┬─────┘   registered location sets
-//!         └───────┬───────┘
+//!   │ buckets:  │   │ buckets:  │   sealed buckets group record positions;
+//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   ONE contribution cache per shard,
+//!   │ spans     │   │ spans     │   keyed (object, first, last bucket),
+//!   └─────┬─────┘   └─────┬─────┘   computed against the UNION of all
+//!         └───────┬───────┘         registered location sets
 //!                 ▼  advance_all(now): seal once, evaluate every query
 //!     eager: merge union contributions by object id → slice per query
 //!     pruned: COUNT bounds → one threshold loop per query over shared
@@ -48,7 +49,7 @@
 //!   engine's bucket width (the cache granularity), but their window
 //!   *lengths* may differ — each query keeps its own window frontier, so
 //!   windows of different widths advance independently off the same
-//!   shard logs. Sealing work is paid once against the union of
+//!   shard logs. Presence work is paid once against the union of
 //!   registered location sets; per-query results slice the shared union
 //!   contributions, so N overlapping queries cost far less than N
 //!   engines ([`ServeStats::presence_cells`] measures exactly this).
@@ -59,8 +60,14 @@
 //!   timestamped inside a sealed bucket is late and rejected at ingest,
 //!   while anything at or after the sealed frontier is accepted.
 //! * **Evaluation is incremental but exact**, with two strategies
-//!   ([`AdvanceStrategy`]). *Eager* advances cache every sealed object's
-//!   full union contribution and merge them per slide.
+//!   ([`AdvanceStrategy`]). *Eager* advances keep every window object's
+//!   full union contribution in a per-shard cache keyed by the object's
+//!   *span* — its first and last sealed bucket in the window — and merge
+//!   them per slide. A slide changes the span of an object it gave a
+//!   record to or took a bucket from, and of no other, so presence is
+//!   computed once per distinct span ([`ServeStats::fresh_presence`]),
+//!   not once per slide; the spans a slide will truncate are evaluated
+//!   ahead of it, while the shards are idle.
 //!   *Bound-pruned* advances ([`AdvanceStrategy::BoundPruned`]) lift the
 //!   paper's §4.2 COUNT upper bound to the serving path: sealing only
 //!   records PSL candidate lists, the coordinator merges per-location

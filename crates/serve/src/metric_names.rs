@@ -60,13 +60,20 @@ pub const RECORDS_INGESTED: &str = "serve.records_ingested";
 pub const RECORDS_REJECTED: &str = "serve.records_rejected";
 /// Counter: mirrors [`ServeStats::advances`](crate::ServeStats).
 pub const ADVANCES: &str = "serve.advances";
-/// Counter: mirrors [`ServeStats::cache_hits`](crate::ServeStats).
+/// Counter: mirrors [`ServeStats::cache_hits`](crate::ServeStats) —
+/// under eager advances, window objects served from the shards' span
+/// caches.
 pub const CACHE_HITS: &str = "serve.cache_hits";
-/// Counter: mirrors [`ServeStats::straddler_recomputes`](crate::ServeStats).
+/// Counter: mirrors [`ServeStats::straddler_recomputes`](crate::ServeStats)
+/// — under eager advances, multi-bucket spans evaluated, each once, not
+/// once per slide.
 pub const STRADDLER_RECOMPUTES: &str = "serve.straddler_recomputes";
-/// Counter: mirrors [`ServeStats::fresh_presence`](crate::ServeStats).
+/// Counter: mirrors [`ServeStats::fresh_presence`](crate::ServeStats) —
+/// under eager advances, spans evaluated; what the shards evaluated
+/// ahead of a slide is counted with the following advance.
 pub const FRESH_PRESENCE: &str = "serve.fresh_presence";
-/// Counter: mirrors [`ServeStats::presence_cells`](crate::ServeStats).
+/// Counter: mirrors [`ServeStats::presence_cells`](crate::ServeStats) —
+/// the same evaluations per (object, location) cell.
 pub const PRESENCE_CELLS: &str = "serve.presence_cells";
 /// Counter: mirrors [`ServeStats::presence_skipped`](crate::ServeStats).
 pub const PRESENCE_SKIPPED: &str = "serve.presence_skipped";

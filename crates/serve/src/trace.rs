@@ -14,13 +14,15 @@ use crate::engine::AdvanceStrategy;
 pub struct ShardTrace {
     /// Shard index.
     pub shard: usize,
-    /// (object, location) presence cells this shard computed fresh.
+    /// (object, location) presence cells this shard computed fresh —
+    /// for an eager advance, including the spans it evaluated ahead of
+    /// time after the previous one.
     pub presence_cells: u64,
-    /// Work this shard served from its caches (objects for eager
+    /// Work this shard served from its caches (window objects for eager
     /// advances, cells for bound-pruned ones).
     pub cache_hits: u64,
-    /// Bucket-straddling objects this shard saw across the requested
-    /// windows.
+    /// Eager: multi-bucket spans this shard evaluated. Bound-pruned:
+    /// bucket-straddling objects it saw across the requested windows.
     pub straddlers: u64,
     /// Candidate (object, location) cells this shard reported in the
     /// bounds phase (bound-pruned advances only; 0 for eager).

@@ -19,15 +19,25 @@
 //!    slide (property test over random overlapping subsets and window
 //!    widths), and four concurrent overlapping queries cost < 2× the
 //!    presence work of one (shared-work gate).
+//! 5. **Spans** — on a visitor-turnover stream the eager engine's span
+//!    cache stays exact while spans are born, go interior, are truncated
+//!    and leave — four widths on one engine, through a union-growing
+//!    registration and an unregistration — and its work is bounded by
+//!    what each slide changed, not by what the window holds (counts
+//!    only, no clock).
 //!
 //! Run with: `cargo test -p popflow-eval --test serve_equivalence`
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use indoor_iupt::{Iupt, Record, Timestamp};
+use indoor_iupt::{Iupt, ObjectId, Record, TimeInterval, Timestamp};
+use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::StreamScenario;
 use popflow_core::{
-    nested_loop, ContinuousEngine, FlowConfig, QuerySet, RecomputeEngine, TkPlQuery, WindowSpec,
+    nested_loop, ContinuousEngine, ContinuousUpdate, FlowConfig, QuerySet, RecomputeEngine,
+    TkPlQuery, WindowSpec,
 };
 use popflow_eval::experiments::streaming::{run_streaming, StreamingConfig};
 use popflow_serve::{AdvanceStrategy, QuerySpec, ServeConfig, ServeEngine};
@@ -96,6 +106,9 @@ fn assert_equivalent(
         let c = batch.advance(now).expect("batch advance");
         prop_assert_eq!(&a.window, &c.window);
         prop_assert_eq!(a.outcome.topk_slocs(), c.outcome.topk_slocs());
+        for (x, y) in a.outcome.ranking.iter().zip(c.outcome.ranking.iter()) {
+            prop_assert_eq!(x.flow.to_bits(), y.flow.to_bits());
+        }
         prop_assert_eq!(&a.entered, &c.entered);
         prop_assert_eq!(&a.left, &c.left);
         // The bound-pruned advance must agree not just on sets but on
@@ -420,5 +433,416 @@ fn bound_pruning_beats_eager_on_skewed_stream() {
     assert!(
         per_advance_pruned < per_advance_eager,
         "per-advance presence cells: pruned {per_advance_pruned:.1} vs eager {per_advance_eager:.1}"
+    );
+}
+
+/// A seeded visitor-turnover venue with its records in delivery order
+/// and its complete buckets (one slide each).
+fn turnover_stream(
+    seed: u64,
+    num_objects: usize,
+    duration_secs: i64,
+    visit_secs: (i64, i64),
+    bucket_millis: i64,
+) -> (Arc<IndoorSpace>, Vec<Record>, RangeInclusive<i64>) {
+    let scenario = StreamScenario {
+        num_objects,
+        duration_secs,
+        visit_secs,
+        destination_skew: 0.9,
+        dwell_cache: true,
+        seed,
+    };
+    let (world, stream) = scenario.build();
+    let records = stream.to_records();
+    let bucket_of = |r: &Record| r.t.millis().div_euclid(bucket_millis);
+    let first = bucket_of(records.first().expect("a non-empty stream"));
+    let last = bucket_of(records.last().expect("a non-empty stream")) - 1;
+    (Arc::new(world.space), records, first..=last)
+}
+
+/// The records from `*next` on that precede `now`; moves `*next` past
+/// them.
+fn take_before<'a>(records: &'a [Record], next: &mut usize, now: Timestamp) -> &'a [Record] {
+    let from = *next;
+    *next += records[from..].partition_point(|r| r.t < now);
+    &records[from..*next]
+}
+
+/// What a slide's comparison looks at: the window, the ranking with
+/// its flow bits, and the deltas.
+type UpdateKey = (TimeInterval, Vec<(SLocId, u64)>, Vec<SLocId>, Vec<SLocId>);
+
+fn update_key(u: &ContinuousUpdate) -> UpdateKey {
+    let ranking = u
+        .outcome
+        .ranking
+        .iter()
+        .map(|r| (r.sloc, r.flow.to_bits()))
+        .collect();
+    (u.window, ranking, u.entered.clone(), u.left.clone())
+}
+
+/// Four standing queries of widths 1, 3, 8 and 16 buckets on one eager
+/// engine, a fifth registered a third of the way in whose locations
+/// grow the union (the shards drop their caches) and unregistered at
+/// two thirds (the union shrinks, the caches stay): every query's
+/// update on every slide equals a dedicated [`RecomputeEngine`]'s — an
+/// implementation that shares nothing with the serving engine but the
+/// per-object kernel. Visits last ¾ to 6 buckets, so in the 16-bucket
+/// window a span is born at the leading edge, sits in the interior for
+/// a dozen slides, is truncated bucket by bucket at the trailing edge
+/// and leaves.
+fn assert_turnover_registry_matches_recompute(seed: u64) {
+    const BUCKET: i64 = 60_000;
+    let (space, records, buckets) = turnover_stream(seed, 900, 50 * 60, (45, 360), BUCKET);
+    let slides = buckets.clone().count();
+    assert!(slides >= 40, "seed {seed}: only {slides} slides");
+    let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
+    let flow = if seed % 2 == 0 {
+        FlowConfig::default().with_dp_engine()
+    } else {
+        FlowConfig::default()
+            .with_dp_engine()
+            .with_full_product_normalization()
+    };
+    // The standing queries rotate over the lower two thirds of the
+    // venue; the late one reaches into the rest.
+    let lower = &slocs[..slocs.len() * 2 / 3];
+    let mut specs: Vec<QuerySpec> = [1usize, 3, 8, 16]
+        .iter()
+        .enumerate()
+        .map(|(i, &width)| {
+            let rotated = (0..lower.len() * 3 / 4)
+                .map(|j| lower[(i * lower.len() / 4 + j) % lower.len()])
+                .collect();
+            QuerySpec::new(3, QuerySet::new(rotated), WindowSpec::new(BUCKET, width))
+        })
+        .collect();
+    specs.push(QuerySpec::new(
+        4,
+        QuerySet::new(slocs[slocs.len() / 3..].to_vec()),
+        WindowSpec::new(BUCKET, 5),
+    ));
+    let late = specs.len() - 1;
+    let register_at = buckets.start() + slides as i64 / 3;
+    let unregister_at = buckets.start() + slides as i64 * 2 / 3;
+    let recompute_engine = |spec: &QuerySpec| {
+        RecomputeEngine::new(
+            Arc::clone(&space),
+            spec.k,
+            spec.query_set.clone(),
+            spec.window,
+            flow,
+        )
+    };
+
+    // The reference updates, once: `reference[slide][query]`. The late
+    // query's engine is handed the stream so far when it is registered,
+    // so its first delta is against nothing, as the registry's is.
+    let mut recompute: Vec<Option<RecomputeEngine>> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| (i != late).then(|| recompute_engine(spec)))
+        .collect();
+    let mut reference = Vec::with_capacity(slides);
+    let mut next = 0;
+    for b in buckets.clone() {
+        let now = Timestamp((b + 1) * BUCKET);
+        if b == register_at {
+            let mut engine = recompute_engine(&specs[late]);
+            for record in &records[..next] {
+                engine.ingest(record.clone()).expect("ordered stream");
+            }
+            recompute[late] = Some(engine);
+        }
+        if b == unregister_at {
+            recompute[late] = None;
+        }
+        for record in take_before(&records, &mut next, now) {
+            for engine in recompute.iter_mut().flatten() {
+                engine.ingest(record.clone()).expect("ordered stream");
+            }
+        }
+        let updates: Vec<Option<UpdateKey>> = recompute
+            .iter_mut()
+            .map(|engine| {
+                engine
+                    .as_mut()
+                    .map(|e| update_key(&e.advance(now).expect("recompute advance")))
+            })
+            .collect();
+        reference.push(updates);
+    }
+
+    for num_shards in [1, 2, 4] {
+        let mut config = ServeConfig::with_buckets(BUCKET)
+            .with_shards(num_shards)
+            .with_flow(flow);
+        for spec in &specs[..late] {
+            config = config.with_query(spec.clone());
+        }
+        let mut engine = ServeEngine::new(Arc::clone(&space), config);
+        let mut ids = engine.query_ids();
+        let mut next = 0;
+        for (b, want) in buckets.clone().zip(&reference) {
+            let now = Timestamp((b + 1) * BUCKET);
+            let resets = engine.stats().cache_resets;
+            if b == register_at {
+                ids.push(engine.register(specs[late].clone()).expect("register"));
+                let grown = engine.stats().cache_resets;
+                assert_eq!(grown, resets + 1, "seed {seed}: union did not grow");
+            }
+            if b == unregister_at {
+                engine
+                    .unregister(ids.pop().expect("the late query"))
+                    .expect("unregister");
+                let shrunk = engine.stats().cache_resets;
+                assert_eq!(
+                    shrunk, resets,
+                    "seed {seed}: a shrunk union reset the caches"
+                );
+            }
+            engine
+                .ingest_all(take_before(&records, &mut next, now).iter().cloned())
+                .expect("ordered stream");
+            let updates = engine.advance_all(now).expect("advance");
+            assert_eq!(
+                updates.len(),
+                want.iter().flatten().count(),
+                "seed {seed}, {num_shards} shards, bucket {b}"
+            );
+            for (qi, id) in ids.iter().enumerate() {
+                let (_, got) = updates
+                    .iter()
+                    .find(|(uid, _)| uid == id)
+                    .expect("an update per registered query");
+                assert_eq!(
+                    Some(update_key(got)),
+                    want[qi],
+                    "seed {seed}, {num_shards} shards, bucket {b}, query {qi} (width {})",
+                    specs[qi].window.window_buckets
+                );
+            }
+        }
+        let stats = engine.stats();
+        assert!(
+            stats.cache_hits > stats.fresh_presence,
+            "seed {seed}: spans were not reused: {stats:?}"
+        );
+    }
+}
+
+/// Spans born, interior, truncated and gone, at four widths, across a
+/// cache reset and a kept cache — against an independent engine.
+#[test]
+fn turnover_registry_matches_recompute_through_register_and_unregister() {
+    for seed in [17, 42] {
+        assert_turnover_registry_matches_recompute(seed);
+    }
+}
+
+/// Window width of the work gates, in buckets.
+const GATE_WIDTH: i64 = 16;
+
+/// A one-query eager engine over the whole venue with w/b = 16.
+fn work_gate_engine(space: &Arc<IndoorSpace>, bucket_millis: i64) -> ServeEngine {
+    let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
+    let window = WindowSpec::new(bucket_millis, GATE_WIDTH as usize);
+    let config = ServeConfig::with_buckets(bucket_millis)
+        .with_query(QuerySpec::new(3, QuerySet::new(slocs), window))
+        .with_shards(2)
+        .with_flow(FlowConfig::default().with_dp_engine());
+    ServeEngine::new(Arc::clone(space), config)
+}
+
+/// Replays a turnover stream through a w/b = 16 eager engine and holds
+/// every advance to the work its slide justifies, in counts only:
+///
+/// * per advance, at most one presence computation per object that
+///   reported in the newly sealed bucket plus one per object whose
+///   first in-window bucket moved (the second kind is evaluated by the
+///   shards ahead of time and reported with the advance that uses it);
+/// * over the replay, every distinct `(object, first, last)` span asked
+///   for is evaluated exactly once, and the only other evaluations are
+///   spans computed ahead for a slide that then did not ask for them
+///   (the object reported again).
+///
+/// Returns the total and how many of it were never asked for.
+fn assert_work_follows_the_slide(
+    seed: u64,
+    num_objects: usize,
+    duration_secs: i64,
+    visit_secs: (i64, i64),
+    bucket_millis: i64,
+) -> (u64, u64) {
+    let (space, records, buckets) =
+        turnover_stream(seed, num_objects, duration_secs, visit_secs, bucket_millis);
+    assert!(buckets.clone().count() >= 40);
+    let mut engine = work_gate_engine(&space, bucket_millis);
+    // The buckets each object reports in, recounted from the raw
+    // records.
+    let mut reported: BTreeMap<ObjectId, BTreeSet<i64>> = BTreeMap::new();
+    for r in &records {
+        let bucket = r.t.millis().div_euclid(bucket_millis);
+        reported.entry(r.oid).or_default().insert(bucket);
+    }
+
+    // An object's span within buckets `start..=end`, and in the window
+    // ending at `end`.
+    let span_in = |oid: &ObjectId, start: i64, end: i64| {
+        let mut inside = reported[oid].range(start..=end);
+        let first = *inside.next()?;
+        Some((*oid, first, *inside.next_back().unwrap_or(&first)))
+    };
+    let span = |oid: &ObjectId, end: i64| span_in(oid, end - GATE_WIDTH + 1, end);
+    let mut asked = BTreeSet::new();
+    let mut ahead = BTreeSet::new();
+    let mut next = 0;
+    for end in buckets.clone() {
+        let now = Timestamp((end + 1) * bucket_millis);
+        engine
+            .ingest_all(take_before(&records, &mut next, now).iter().cloned())
+            .expect("ordered stream");
+        let before = engine.stats().fresh_presence;
+        let updates = engine.advance_all(now).expect("advance");
+        let paid = engine.stats().fresh_presence - before;
+
+        // Nothing on these streams is PSL-pruned (the query covers the
+        // venue), so every span evaluated is a presence computation.
+        let stats = &updates[0].1.outcome.stats;
+        assert_eq!(stats.objects_computed, stats.objects_total);
+
+        let mut reported_now = 0;
+        let mut first_moved = 0;
+        for oid in reported.keys() {
+            let Some(key) = span(oid, end) else { continue };
+            asked.insert(key);
+            reported_now += u64::from(key.2 == end);
+            first_moved += u64::from(span(oid, end - 1).is_some_and(|was| was.1 != key.1));
+        }
+        assert!(
+            paid <= reported_now + first_moved,
+            "seed {seed}, bucket {end}: {paid} presence computations for {reported_now} objects \
+             that reported and {first_moved} whose first bucket moved"
+        );
+
+        // What the shards evaluate once this advance has replied: what
+        // a one-bucket slide leaves of every object in the oldest
+        // bucket. It is reported with the next advance, so the last
+        // advance's is not in the total.
+        if end != *buckets.end() {
+            let oldest = end - GATE_WIDTH + 1;
+            for oid in reported.keys() {
+                if span(oid, end).is_some_and(|key| key.1 == oldest) {
+                    ahead.extend(span_in(oid, oldest + 1, end));
+                }
+            }
+        }
+    }
+    let total = engine.stats().fresh_presence;
+    let never_asked = ahead.difference(&asked).count() as u64;
+    assert_eq!(
+        total,
+        asked.len() as u64 + never_asked,
+        "seed {seed}: {} distinct spans asked for, {never_asked} evaluated ahead and never asked for",
+        asked.len()
+    );
+    (total, never_asked)
+}
+
+/// The work gate on the shape the span cache is for — visits of half a
+/// bucket to one bucket, so an object is new for a slide or two, then
+/// sits in the window's interior for fourteen: an eager replay pays
+/// under a third of what it paid when sealing computed bucket-local
+/// contributions and every straddler was recomputed on every slide. The
+/// parent of the change that introduced the span cache performed
+/// 26,838 presence computations on this stream; the replay now performs
+/// 5,465.
+#[test]
+fn eager_work_is_bounded_by_what_each_slide_changed() {
+    const PARENT_FRESH_PRESENCE: u64 = 26_838;
+    let (total, _) = assert_work_follows_the_slide(23, 2_500, 100 * 60, (60, 120), 120_000);
+    assert!(
+        total * 3 < PARENT_FRESH_PRESENCE,
+        "{total} presence computations, not under a third of {PARENT_FRESH_PRESENCE}"
+    );
+}
+
+/// The same gate where visits last 2 to 18 buckets: nothing sits still
+/// for long (no ratio is claimed), but a 16-bucket window then holds
+/// objects that are in its oldest and its newest bucket at once — the
+/// spans evaluated ahead for them are the ones never asked for, and
+/// the accounting must still be exact. (The parent performed 31,304
+/// presence computations on this stream against 18,774 now.)
+#[test]
+fn spans_evaluated_ahead_and_never_asked_for_are_counted_once() {
+    let (total, never_asked) = assert_work_follows_the_slide(23, 900, 50 * 60, (45, 360), 20_000);
+    assert!(
+        never_asked > 0 && never_asked * 20 < total,
+        "{never_asked} of {total} spans were never asked for"
+    );
+}
+
+/// An advance repeated at the same instant evaluates nothing: its reply
+/// is assembled from spans the first call left in the cache. The
+/// *first* repeat still reports the spans the shards evaluated ahead of
+/// time after the original call (they are the next slide's work,
+/// reported once, with whichever advance comes next); the second repeat
+/// reports nothing at all, and when the window does slide, what was
+/// evaluated ahead is served, not evaluated again.
+#[test]
+fn repeated_advance_computes_nothing() {
+    const BUCKET: i64 = 120_000;
+    let (space, records, buckets) = turnover_stream(23, 2_500, 100 * 60, (60, 120), BUCKET);
+    let mut engine = work_gate_engine(&space, BUCKET);
+    // Far enough in that the window is full and its trailing edge cuts
+    // through visits.
+    let end = buckets.start() + 24;
+    let mut next = 0;
+    let mut ingest_until = |engine: &mut ServeEngine, now: Timestamp| {
+        let run = take_before(&records, &mut next, now);
+        engine
+            .ingest_all(run.iter().cloned())
+            .expect("ordered stream");
+        run.iter()
+            .map(|r| r.oid)
+            .collect::<BTreeSet<ObjectId>>()
+            .len() as u64
+    };
+    for b in *buckets.start()..end {
+        let now = Timestamp((b + 1) * BUCKET);
+        ingest_until(&mut engine, now);
+        engine.advance_all(now).expect("advance");
+    }
+    let now = Timestamp((end + 1) * BUCKET);
+    ingest_until(&mut engine, now);
+    let advance = |engine: &mut ServeEngine, now: Timestamp| {
+        let updates = engine.advance_all(now).expect("advance");
+        let (_, update) = &updates[0];
+        let stats = engine.stats();
+        (
+            (update_key(update).1, update.outcome.stats.objects_total),
+            (stats.fresh_presence, stats.presence_cells),
+        )
+    };
+    let (first, work_first) = advance(&mut engine, now);
+    let (second, work_second) = advance(&mut engine, now);
+    let (third, work_third) = advance(&mut engine, now);
+    assert_eq!(second, first);
+    assert_eq!(third, first);
+    assert!(
+        work_second.0 > work_first.0,
+        "no span was evaluated ahead of a full window's next slide"
+    );
+    assert_eq!(work_third, work_second);
+
+    let now = Timestamp((end + 2) * BUCKET);
+    let arrivals = ingest_until(&mut engine, now);
+    let (_, work_slid) = advance(&mut engine, now);
+    assert_eq!(
+        work_slid.0 - work_third.0,
+        arrivals,
+        "the slide paid for more than the objects that reported in its new bucket"
     );
 }
