@@ -71,16 +71,6 @@ pub struct FlowConfig {
     /// results are bit-identical at every thread count. Defaults to one
     /// thread, which spawns nothing. [`crate::query::naive`] ignores it.
     pub exec: popflow_exec::ExecConfig,
-    /// Consult the per-`SetRef` kernel memo ([`crate::memo::FlowMemo`])
-    /// when one is available: the batch engines use a memo attached to
-    /// their [`crate::TkplqRequest`], and the `popflow-serve` shards own
-    /// one per shard. Memoized results are **bit-identical** to
-    /// recomputation (cached per interned sequence, which is
-    /// value-preserving), so this defaults to `true`; set `false` to
-    /// force every kernel evaluation from scratch (the memo-off baseline
-    /// of the experiments). Excluded from the memo's own context
-    /// fingerprint, like `exec`.
-    pub memo: bool,
 }
 
 impl Default for FlowConfig {
@@ -91,7 +81,6 @@ impl Default for FlowConfig {
             use_reduction: true,
             path_budget: 2_000_000,
             exec: popflow_exec::ExecConfig::default(),
-            memo: true,
         }
     }
 }
@@ -125,13 +114,6 @@ impl FlowConfig {
     /// Let the batch drivers fork across `threads` workers.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec = popflow_exec::ExecConfig::with_threads(threads);
-        self
-    }
-
-    /// Enable or disable the per-`SetRef` kernel memo (enabled by
-    /// default; results are bit-identical either way).
-    pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.memo = enabled;
         self
     }
 }

@@ -89,8 +89,7 @@ pub fn presence_dp<S: std::borrow::Borrow<SampleSet>>(
 }
 
 /// [`presence_dp`] for **many query locations at once** — the flat-pass
-/// (struct-of-arrays) presence kernel behind the memoized contribution
-/// path ([`crate::memo::FlowMemo`]) and the dense
+/// (struct-of-arrays) presence kernel behind the dense
 /// [`crate::object_flow_contributions`] DP scoring.
 ///
 /// Two structural facts make one shared forward pass serve every query:
@@ -382,8 +381,7 @@ mod tests {
     }
 
     /// Random sequences: multi-query DP bits equal single-query DP bits
-    /// everywhere (the guarantee the kernel memo's `to_bits` gates lean
-    /// on).
+    /// everywhere (the guarantee sliced union contributions lean on).
     #[test]
     fn property_multi_equals_single_bitwise() {
         let fig = paper_figure1();

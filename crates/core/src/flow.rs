@@ -173,42 +173,6 @@ where
     }))
 }
 
-/// The full-union contribution **plus the sequence's PSL list** — the
-/// memoizable unit of per-object work ([`crate::memo::FlowMemo`] caches
-/// exactly this pair under the sequence's window-clipped `SetRef` key).
-///
-/// Identical to [`object_flow_contributions`] except that the PSL list
-/// is returned alongside, and the pruned case is encoded as a `None`
-/// contribution (so the memo can cache the prune decision's inputs
-/// without recomputing the scan on every hit).
-pub(crate) fn contributions_with_psls<'a, I>(
-    space: &IndoorSpace,
-    sets: I,
-    query_set: &QuerySet,
-    cfg: &FlowConfig,
-) -> Result<(Vec<SLocId>, Option<ObjectContribution>), FlowError>
-where
-    I: IntoIterator<Item = &'a SampleSet>,
-{
-    let scanned = scan_sequence(space, sets, cfg.use_reduction)?;
-    if cfg.use_reduction && !query_set.intersects_sorted(&scanned.psls) {
-        return Ok((scanned.psls, None));
-    }
-    let relevant = intersect_sorted(query_set.slocs(), &scanned.psls);
-    if relevant.is_empty() {
-        return Ok((scanned.psls, Some(ObjectContribution::default())));
-    }
-    let (scores, dp_fallback) = contributions_for(space, &scanned.sets, &relevant, query_set, cfg)?;
-    Ok((
-        scanned.psls,
-        Some(ObjectContribution {
-            relevant,
-            scores,
-            dp_fallback,
-        }),
-    ))
-}
-
 /// Evaluates the per-location presences of one prepared (already reduced)
 /// sequence, dense over `relevant`, with the configured engine. Returns
 /// the scores and whether the hybrid engine fell back to the DP.

@@ -26,11 +26,6 @@
 //!   [`RecomputeEngine`].
 //! * **Baselines & comparators** (§5): SC, SC-ρ, MC, and the RFID-based
 //!   SCC and UR methods used in the paper's Table 7.
-//! * **Kernel memoization** ([`memo::FlowMemo`], our optimization): a
-//!   strictly bounded compute cache keyed by the storage spine's
-//!   interned `SetRef`s, serving per-object kernel results
-//!   bit-identically to recomputation across the batch engines and the
-//!   `popflow-serve` shards.
 //!
 //! # Quickstart
 //!
@@ -59,7 +54,6 @@ mod bitset;
 mod config;
 pub mod dp;
 pub mod flow;
-pub mod memo;
 pub mod paths;
 pub mod presence;
 pub mod query;
@@ -72,7 +66,6 @@ pub use flow::{
     flow, object_flow_contributions, object_flow_contributions_for, FlowComputation,
     ObjectContribution,
 };
-pub use memo::{FlowMemo, SeqEntry, SetEntry, DEFAULT_MEMO_BYTES};
 pub use popflow_exec::ExecConfig;
 pub use query::{
     best_first, diff_topk, naive, nested_loop, rank_topk, BatchEngine, ContinuousEngine,

@@ -24,15 +24,13 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use indoor_iupt::{Iupt, ObjectId, ObjectSequence, SampleSet, SetRef};
+use indoor_iupt::{Iupt, ObjectId, ObjectSequence, SampleSet};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_exec::try_par_map;
 
 use crate::config::{FlowConfig, FlowError, PresenceEngine};
 use crate::dp::presence_dp;
-use crate::memo::{FlowMemo, SeqEntry};
 use crate::paths::{build_paths, full_product_mass, PathSet};
 use crate::presence::presence_from_paths;
 use crate::query::bounds::{LocationBound, ThresholdHeap, ThresholdStep};
@@ -54,12 +52,6 @@ struct ObjectData<'a> {
     /// this object — subsequent computations go straight to the DP.
     enum_failed: bool,
     full_mass: f64,
-    /// A fully materialized contribution another engine cached in the
-    /// shared [`FlowMemo`] for this object's interned sequence: every
-    /// presence is answered by a binary search into it, and the fields
-    /// above stay empty/unused (the memo's contract makes the cached
-    /// scores bit-identical to what [`shared_presence`] would compute).
-    cached: Option<Arc<SeqEntry>>,
 }
 
 /// Prepares one object's shared evaluation state: scan (and, per `cfg`,
@@ -71,37 +63,8 @@ fn prepare_object<'a>(
     space: &IndoorSpace,
     query_set: &QuerySet,
     cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
     seq: &ObjectSequence<'a>,
 ) -> Result<Option<ObjectData<'a>>, FlowError> {
-    // Read-only memo consultation: when another engine (Nested-Loop, or
-    // a serve shard's seal) already materialized this interned
-    // sequence's full contribution under the same context, serve every
-    // presence from it — the PSL prune below re-derives from the cached
-    // PSL list, which equals the scanned one. Best-First never
-    // *writes* the memo: it evaluates lazily and rarely produces the
-    // full-union contribution an entry requires.
-    if let Some(memo) = memo {
-        let key: Vec<SetRef> = seq.records.iter().map(|r| r.set_ref).collect();
-        if let Some(entry) = memo.lookup(&key, query_set, cfg) {
-            if !query_set.intersects_sorted(&entry.psls) {
-                return Ok(None);
-            }
-            if entry.contribution.is_some() {
-                return Ok(Some(ObjectData {
-                    sets: Vec::new(),
-                    psls: entry.psls.clone(),
-                    paths: None,
-                    enum_failed: false,
-                    full_mass: 0.0,
-                    cached: Some(entry),
-                }));
-            }
-            // A prune marker whose PSLs now intersect the query set
-            // cannot arise within one memo context; fall through to the
-            // full preparation for robustness.
-        }
-    }
     // With `merge = false` (the -ORG variants) the scan returns the raw
     // sets borrowed in order, so `sets` is the right sequence under
     // either setting.
@@ -120,7 +83,6 @@ fn prepare_object<'a>(
         paths: None,
         enum_failed: false,
         full_mass,
-        cached: None,
     }))
 }
 
@@ -146,22 +108,6 @@ fn shared_presence(
     q: SLocId,
     cfg: &FlowConfig,
 ) -> Result<(f64, bool, PathUpdate), FlowError> {
-    if let Some(entry) = &data.cached {
-        if let Some(c) = &entry.contribution {
-            // Served from the shared kernel memo: the cached score for
-            // `q` is bit-identical to the engine dispatch below (memo
-            // contract), and its `dp_fallback` flag reproduces the
-            // hybrid engine's budget decision (budget consumption does
-            // not depend on which locations are scored). A `q` outside
-            // the cached relevant list has zero presence: `q ∉ psls`
-            // means no transition cell covers `q`.
-            return Ok(match c.relevant.binary_search(&q) {
-                // anlz:allow(panic-in-hot-path): i from binary_search on relevant, and scores.len() == relevant.len() by ObjectContribution construction
-                Ok(i) => (c.scores[i], c.dp_fallback, PathUpdate::Keep),
-                Err(_) => (0.0, false, PathUpdate::Keep),
-            });
-        }
-    }
     match cfg.engine {
         PresenceEngine::TransitionDp => Ok((
             presence_dp(space, &data.sets, q, cfg.normalization),
@@ -274,14 +220,13 @@ pub(crate) fn run(
     iupt: &mut Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
 ) -> Result<QueryOutcome, FlowError> {
     let sequences = iupt.sequences_in(query.interval);
     let objects_total = sequences.len();
 
     // ---- Phase 1: the bounds pass (Algorithm 4 lines 1–10).
     let prepared = try_par_map(cfg.exec, &sequences, |_, seq| {
-        prepare_object(space, &query.query_set, cfg, memo, seq)
+        prepare_object(space, &query.query_set, cfg, seq)
     })?;
     let mut objects: Vec<(ObjectId, ObjectData<'_>)> = Vec::new();
     for (seq, data) in sequences.iter().zip(prepared) {

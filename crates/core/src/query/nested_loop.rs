@@ -5,47 +5,12 @@
 
 use std::collections::HashMap;
 
-use indoor_iupt::{Iupt, ObjectSequence, SampleSet, SetRef};
+use indoor_iupt::Iupt;
 use indoor_model::{IndoorSpace, SLocId};
 
 use crate::config::{FlowConfig, FlowError};
-use crate::flow::{object_flow_contributions, ObjectContribution};
-use crate::memo::FlowMemo;
+use crate::flow::object_flow_contributions;
 use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
-
-/// One object's contribution over the full query set — through the
-/// kernel memo (keyed by the sequence's interned [`SetRef`]s) when one
-/// is attached, straight through [`object_flow_contributions`]
-/// otherwise. Both paths return bit-identical contributions (the memo's
-/// contract), so the driver below never branches on results.
-fn seq_contribution(
-    space: &IndoorSpace,
-    seq: &ObjectSequence<'_>,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
-) -> Result<Option<ObjectContribution>, FlowError> {
-    match memo {
-        Some(memo) => {
-            let key: Vec<SetRef> = seq.records.iter().map(|r| r.set_ref).collect();
-            let sets: Vec<&SampleSet> = seq.records.iter().map(|r| r.samples).collect();
-            memo.contributions(
-                space,
-                &key,
-                &sets,
-                query.query_set.slocs(),
-                &query.query_set,
-                cfg,
-            )
-        }
-        None => object_flow_contributions(
-            space,
-            seq.records.iter().map(|r| r.samples),
-            &query.query_set,
-            cfg,
-        ),
-    }
-}
 
 /// Evaluates a TkPLQ in the nested-loop join paradigm.
 ///
@@ -87,7 +52,6 @@ pub(crate) fn run(
     iupt: &mut Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
-    memo: Option<&FlowMemo>,
 ) -> Result<QueryOutcome, FlowError> {
     // Global scores `HQ : Q → score` (Algorithm 3 line 5).
     let mut global: HashMap<SLocId, f64> =
@@ -95,14 +59,16 @@ pub(crate) fn run(
 
     // `sequences_in` returns objects in ascending id order and
     // `try_par_map` preserves item order, so the accumulation below is
-    // the same floating-point sum at every thread count. Workers share
-    // the memo (`FlowMemo` is interior-mutable): racing misses duplicate
-    // work but insert identical bits, so thread count never changes
-    // results.
+    // the same floating-point sum at every thread count.
     let sequences = iupt.sequences_in(query.interval);
     let objects_total = sequences.len();
     let contributions = popflow_exec::try_par_map(cfg.exec, &sequences, |_, seq| {
-        seq_contribution(space, seq, query, cfg, memo)
+        object_flow_contributions(
+            space,
+            seq.records.iter().map(|r| r.samples),
+            &query.query_set,
+            cfg,
+        )
     })?;
 
     let mut objects_computed = 0;

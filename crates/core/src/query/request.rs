@@ -9,13 +9,10 @@
 //! [`BestFirst`]), so drivers that sweep algorithms can hold a
 //! `&dyn BatchEngine` instead of matching on function pointers.
 
-use std::sync::Arc;
-
 use indoor_iupt::{Iupt, TimeInterval};
 use indoor_model::IndoorSpace;
 
 use crate::config::{FlowConfig, FlowError};
-use crate::memo::FlowMemo;
 use crate::query::{best_first, naive, nested_loop, QueryOutcome, TkPlQuery};
 use crate::query_set::QuerySet;
 
@@ -31,16 +28,6 @@ pub struct TkplqRequest {
     /// Flow computation configuration (engine, normalization, reduction,
     /// parallelism).
     pub flow: FlowConfig,
-    /// Optional shared kernel memo ([`FlowMemo`]). When attached (and
-    /// [`FlowConfig::memo`] is on), the Nested-Loop engine serves and
-    /// populates per-sequence kernel results through it, and the
-    /// Best-First engine reads it — so repeated or overlapping requests
-    /// against the same store skip per-object kernels bit-identically.
-    /// `None` (the default, and what [`TkplqRequest::from_query`]
-    /// produces) evaluates every kernel from scratch; cross-request
-    /// reuse requires explicitly attaching one memo to each request via
-    /// [`TkplqRequest::with_memo`].
-    pub memo: Option<Arc<FlowMemo>>,
 }
 
 impl TkplqRequest {
@@ -51,7 +38,6 @@ impl TkplqRequest {
             k,
             query_set,
             flow: FlowConfig::default(),
-            memo: None,
         }
     }
 
@@ -61,30 +47,12 @@ impl TkplqRequest {
         self
     }
 
-    /// Attaches a shared kernel memo. Results stay bit-identical; only
-    /// repeated kernel work is skipped.
-    pub fn with_memo(mut self, memo: Arc<FlowMemo>) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
     /// The request a classic `(query, cfg)` call pair describes.
     pub fn from_query(query: &TkPlQuery, cfg: &FlowConfig) -> Self {
         TkplqRequest {
             k: query.k,
             query_set: query.query_set.clone(),
             flow: *cfg,
-            memo: None,
-        }
-    }
-
-    /// The memo the engines should consult: the attached one, unless
-    /// [`FlowConfig::memo`] turned memoization off.
-    fn kernel_memo(&self) -> Option<&FlowMemo> {
-        if self.flow.memo {
-            self.memo.as_deref()
-        } else {
-            None
         }
     }
 
@@ -218,13 +186,7 @@ impl BatchEngine for NestedLoop {
         request: &TkplqRequest,
         interval: TimeInterval,
     ) -> Result<QueryOutcome, FlowError> {
-        nested_loop::run(
-            space,
-            iupt,
-            &request.query(interval),
-            &request.flow,
-            request.kernel_memo(),
-        )
+        nested_loop::run(space, iupt, &request.query(interval), &request.flow)
     }
 }
 
@@ -240,13 +202,7 @@ impl BatchEngine for BestFirst {
         request: &TkplqRequest,
         interval: TimeInterval,
     ) -> Result<QueryOutcome, FlowError> {
-        best_first::run(
-            space,
-            iupt,
-            &request.query(interval),
-            &request.flow,
-            request.kernel_memo(),
-        )
+        best_first::run(space, iupt, &request.query(interval), &request.flow)
     }
 }
 
@@ -340,69 +296,6 @@ mod tests {
             2 * out.stats.objects_computed as u64
         );
         assert_eq!(snap.histograms["batch.nested-loop.evaluate_ns"].count, 2);
-    }
-
-    /// A memo attached to the request leaves every engine's ranking and
-    /// flows bit-identical while the Nested-Loop engine populates it and
-    /// the Best-First engine serves from it read-only; turning
-    /// [`FlowConfig::memo`] off bypasses the attached memo entirely.
-    #[test]
-    fn attached_memo_is_bit_identical_across_engines() {
-        let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
-        for flow in [
-            FlowConfig::default(),
-            FlowConfig::default().with_dp_engine(),
-            FlowConfig::default().without_reduction(),
-            FlowConfig::default().with_full_product_normalization(),
-        ] {
-            let plain = TkplqRequest::new(6, QuerySet::new(fig.r.to_vec())).with_flow(flow);
-            let memo = std::sync::Arc::new(crate::memo::FlowMemo::new());
-            let memoized = plain.clone().with_memo(std::sync::Arc::clone(&memo));
-            let reference = NestedLoop
-                .evaluate(&fig.space, &mut iupt, &plain, interval)
-                .unwrap();
-            let engines: [&dyn BatchEngine; 2] = [&NestedLoop, &BestFirst];
-            for round in 0..2 {
-                for engine in engines {
-                    let out = engine
-                        .evaluate(&fig.space, &mut iupt, &memoized, interval)
-                        .unwrap();
-                    assert_eq!(
-                        out.topk_slocs(),
-                        reference.topk_slocs(),
-                        "engine {} round {round}",
-                        engine.name()
-                    );
-                    for (a, b) in out.ranking.iter().zip(&reference.ranking) {
-                        assert_eq!(
-                            a.flow.to_bits(),
-                            b.flow.to_bits(),
-                            "engine {} round {round}",
-                            engine.name()
-                        );
-                    }
-                }
-            }
-            let stats = memo.stats();
-            assert!(stats.hits > 0, "repeat rounds must hit: {stats:?}");
-            assert!(stats.entries > 0 && stats.bytes > 0);
-
-            // `memo: false` ignores the attachment: the memo sees no
-            // further traffic and results are still bit-identical.
-            let before = memo.stats();
-            let off = memoized.clone().with_flow(flow.with_memo(false));
-            let out = NestedLoop
-                .evaluate(&fig.space, &mut iupt, &off, interval)
-                .unwrap();
-            for (a, b) in out.ranking.iter().zip(&reference.ranking) {
-                assert_eq!(a.flow.to_bits(), b.flow.to_bits());
-            }
-            let after = memo.stats();
-            assert_eq!(after.hits, before.hits);
-            assert_eq!(after.misses, before.misses);
-        }
     }
 
     #[test]

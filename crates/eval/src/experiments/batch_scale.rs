@@ -11,17 +11,11 @@
 //! archived by CI per commit, giving the batch path a scaling
 //! trajectory alongside the serving path's `BENCH_streaming.json`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use indoor_iupt::Iupt;
 use indoor_model::IndoorSpace;
-use indoor_sim::StreamScenario;
-use popflow_core::query::request::NestedLoop;
-use popflow_core::{
-    best_first, nested_loop, BatchEngine, FlowConfig, FlowError, FlowMemo, QueryOutcome, QuerySet,
-    TkPlQuery, TkplqRequest,
-};
+use popflow_core::{best_first, nested_loop, FlowConfig, FlowError, QueryOutcome, TkPlQuery};
 
 use crate::lab::Lab;
 use crate::report::Row;
@@ -31,10 +25,6 @@ use super::ExpOpts;
 /// Thread counts the experiment sweeps; the first is the baseline every
 /// other point is compared against.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Identical query rounds the memoization phase replays per side — the
-/// repeated-analytics workload a shared kernel memo accelerates.
-pub const MEMO_ROUNDS: usize = 5;
 
 /// Configuration of one batch scaling run.
 #[derive(Debug, Clone)]
@@ -92,40 +82,6 @@ pub struct BatchScaleReport {
     /// Points whose outcome diverged from the one-thread point (must be
     /// 0).
     pub mismatched_points: usize,
-    /// The kernel-memoization phase on the skewed dwell stream.
-    pub memo: MemoPhase,
-}
-
-/// The kernel-memoization measurement: [`MEMO_ROUNDS`] identical
-/// Nested-Loop queries over a skewed (destination Zipf 0.9),
-/// dwell-cached visitor stream — the redundancy profile per-`SetRef`
-/// memoization exploits — evaluated once with a shared [`FlowMemo`]
-/// attached to every request and once with memoization off. Flows must
-/// match bit for bit; the speedup and hit rate are the CI gate.
-#[derive(Debug, Clone)]
-pub struct MemoPhase {
-    /// Records in the skewed stream the rounds query.
-    pub records: usize,
-    /// Objects in the skewed stream.
-    pub objects: usize,
-    /// Query rounds replayed per side.
-    pub rounds: usize,
-    /// Total wall-clock of the memo-off rounds, seconds (best of
-    /// repeats).
-    pub memo_off_secs: f64,
-    /// Total wall-clock of the memo-on rounds, seconds (best of
-    /// repeats; each repeat starts from a cold memo).
-    pub memo_on_secs: f64,
-    /// `memo_off_secs / memo_on_secs` — memo-off wall-clock over
-    /// memo-on wall-clock for the identical rounds.
-    pub memo_speedup: f64,
-    /// Memo hits over (hits + misses) across the memo-on rounds.
-    pub memo_hit_rate: f64,
-    /// Resident bytes of the memo table after the memo-on rounds.
-    pub memo_bytes: u64,
-    /// Whether every memo-on round matched its memo-off round bit for
-    /// bit (must be true).
-    pub matches_memo_off: bool,
 }
 
 impl BatchScaleReport {
@@ -160,96 +116,6 @@ fn best_of<F: FnMut() -> QueryOutcome>(repeats: usize, mut run: F) -> (f64, Quer
         outcome = Some(out);
     }
     (best, outcome.expect("at least one repetition"))
-}
-
-/// Runs the memoization phase: build the skewed dwell stream, replay
-/// [`MEMO_ROUNDS`] identical Nested-Loop queries per side (memo-off
-/// first, then memo-on from a cold shared [`FlowMemo`]), repeated
-/// `cfg.repeats` times keeping each side's fastest total.
-fn run_memo_phase(cfg: &BatchScaleConfig) -> MemoPhase {
-    let scenario = StreamScenario {
-        num_objects: ((1600.0 * cfg.scale) as usize).max(40),
-        duration_secs: 1800,
-        visit_secs: (60, 120),
-        destination_skew: 0.9,
-        dwell_cache: true,
-        seed: cfg.seed ^ 0x6d65_6d6f, // "memo"
-    };
-    let (world, _stream) = scenario.build();
-    let space = world.space;
-    let mut iupt = world.iupt;
-    let interval = iupt.time_bounds().expect("generated stream is nonempty");
-    let records = iupt.len();
-    let objects = iupt.sequences_in(interval).len();
-    let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
-    let flow = FlowConfig::default().with_dp_engine();
-    let base = TkplqRequest::new(cfg.k, QuerySet::new(slocs)).with_flow(flow);
-    let off_request = base.clone().with_flow(flow.with_memo(false));
-
-    let mut memo_off_secs = f64::INFINITY;
-    let mut memo_on_secs = f64::INFINITY;
-    let mut off_outcomes: Vec<QueryOutcome> = Vec::new();
-    let mut on_outcomes: Vec<QueryOutcome> = Vec::new();
-    let mut memo_hit_rate = 0.0;
-    let mut memo_bytes = 0u64;
-    for _ in 0..cfg.repeats.max(1) {
-        let t0 = Instant::now();
-        let outs: Vec<QueryOutcome> = (0..MEMO_ROUNDS)
-            .map(|_| {
-                NestedLoop
-                    .evaluate(&space, &mut iupt, &off_request, interval)
-                    .expect("memo-off nested_loop")
-            })
-            .collect();
-        let secs = t0.elapsed().as_secs_f64();
-        if secs < memo_off_secs {
-            memo_off_secs = secs;
-            off_outcomes = outs;
-        }
-
-        // A fresh memo per repeat: every repeat pays the same cold
-        // first round, so the comparison measures steady reuse, not
-        // accumulated warm-up.
-        let memo = Arc::new(FlowMemo::new());
-        let on_request = base.clone().with_memo(Arc::clone(&memo));
-        let t0 = Instant::now();
-        let outs: Vec<QueryOutcome> = (0..MEMO_ROUNDS)
-            .map(|_| {
-                NestedLoop
-                    .evaluate(&space, &mut iupt, &on_request, interval)
-                    .expect("memoized nested_loop")
-            })
-            .collect();
-        let secs = t0.elapsed().as_secs_f64();
-        if secs < memo_on_secs {
-            memo_on_secs = secs;
-            on_outcomes = outs;
-        }
-        let stats = memo.stats();
-        let touches = stats.hits + stats.misses;
-        memo_hit_rate = if touches > 0 {
-            stats.hits as f64 / touches as f64
-        } else {
-            0.0
-        };
-        memo_bytes = stats.bytes as u64;
-    }
-    let matches_memo_off = off_outcomes.len() == on_outcomes.len()
-        && off_outcomes
-            .iter()
-            .zip(on_outcomes.iter())
-            .all(|(a, b)| outcomes_identical(a, b));
-    MemoPhase {
-        records,
-        objects,
-        rounds: MEMO_ROUNDS,
-        memo_off_secs,
-        memo_on_secs,
-        memo_speedup: memo_off_secs / memo_on_secs.max(f64::MIN_POSITIVE),
-        memo_hit_rate,
-        memo_bytes,
-        matches_memo_off,
-    }
 }
 
 /// The signature both batch drivers share.
@@ -309,7 +175,6 @@ pub fn run_batch_scale(cfg: &BatchScaleConfig) -> BatchScaleReport {
         query_locations: query.query_set.len(),
         points,
         mismatched_points,
-        memo: run_memo_phase(cfg),
     }
 }
 
@@ -334,22 +199,6 @@ pub fn report_rows(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> Vec<Row
         report.mismatched_points, cfg.k, cfg.scale
     );
     rows.push(summary);
-    let m = &report.memo;
-    let mut memo_row = Row::new(
-        "batch_scale",
-        format!("objs={} recs={}", m.objects, m.records),
-        "memo (skewed dwell)",
-    );
-    memo_row.time_secs = Some(m.memo_on_secs);
-    memo_row.note = format!(
-        "{} rounds speedup×{:.2} hit-rate={:.2} bytes={}{}",
-        m.rounds,
-        m.memo_speedup,
-        m.memo_hit_rate,
-        m.memo_bytes,
-        if m.matches_memo_off { "" } else { " MISMATCH" },
-    );
-    rows.push(memo_row);
     rows
 }
 
@@ -391,19 +240,6 @@ pub fn bench_json(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> String {
                 Json::opt(report.nl_speedup_at(4).map(|s| Json::num(s, 3))),
             )
             .field("mismatched_points", report.mismatched_points)
-            .num("memo_speedup", report.memo.memo_speedup, 3)
-            .num("memo_hit_rate", report.memo.memo_hit_rate, 4)
-            .field("memo_bytes", report.memo.memo_bytes)
-            .field(
-                "memo",
-                Obj::new()
-                    .field("records", report.memo.records)
-                    .field("objects", report.memo.objects)
-                    .field("rounds", report.memo.rounds)
-                    .num("memo_off_secs", report.memo.memo_off_secs, 6)
-                    .num("memo_on_secs", report.memo.memo_on_secs, 6)
-                    .field("matches_memo_off", report.memo.matches_memo_off),
-            )
             .field("points", points),
     )
     .to_artifact()
@@ -412,12 +248,9 @@ pub fn bench_json(cfg: &BatchScaleConfig, report: &BatchScaleReport) -> String {
 /// The `batch_scale` experiment id. When `json_path` is given, the
 /// machine-readable report is written there as well — success or failure
 /// of the write is reported truthfully on stdout/stderr. Panics when any
-/// point diverged from its one-thread point, when a memoized round diverged
-/// from its memo-off round, or when the memo phase's skewed dwell
-/// stream failed its speedup (≥ 1.3×) or hit-rate (> 0.5) floor — so a
-/// CI run is a live determinism *and* memoization gate, not just a
-/// measurement. The JSON is written before the gates fire: a failing
-/// run still leaves the evidence on disk.
+/// point diverged from its one-thread point — so a CI run is a live
+/// determinism gate, not just a measurement. The JSON is written before
+/// the gate fires: a failing run still leaves the evidence on disk.
 pub fn batch_scale_with_json(opts: &ExpOpts, json_path: Option<&str>) -> Vec<Row> {
     let cfg = BatchScaleConfig::scaled(opts.scale, opts.repeats, opts.seed);
     let report = run_batch_scale(&cfg);
@@ -431,25 +264,6 @@ pub fn batch_scale_with_json(opts: &ExpOpts, json_path: Option<&str>) -> Vec<Row
     assert_eq!(
         report.mismatched_points, 0,
         "a driver's outcome changed with the thread count"
-    );
-    let m = &report.memo;
-    assert!(
-        m.matches_memo_off,
-        "memoized rounds diverged bit-wise from memo-off rounds"
-    );
-    assert!(
-        m.memo_speedup >= 1.3,
-        "memo speedup {:.3} under the 1.3x floor on the skewed dwell stream \
-         (off {:.4}s vs on {:.4}s over {} rounds)",
-        m.memo_speedup,
-        m.memo_off_secs,
-        m.memo_on_secs,
-        m.rounds,
-    );
-    assert!(
-        m.memo_hit_rate > 0.5,
-        "memo hit rate {:.3} not above 0.5 on the skewed dwell stream",
-        m.memo_hit_rate,
     );
     report_rows(&cfg, &report)
 }
@@ -484,18 +298,6 @@ mod tests {
         );
         assert!(report.nl_speedup_at(4).is_some());
 
-        // The memoization phase: bit-identity is unconditional; the
-        // skewed dwell stream must hand the shared memo a majority hit
-        // rate (the wall-clock speedup floor is asserted at CI scale by
-        // `batch_scale_with_json`, not at this miniature scale).
-        let m = &report.memo;
-        assert!(m.records > 0 && m.objects > 0);
-        assert_eq!(m.rounds, MEMO_ROUNDS);
-        assert!(m.matches_memo_off, "memoized rounds diverged: {m:?}");
-        assert!(m.memo_hit_rate > 0.5, "hit rate too low: {m:?}");
-        assert!(m.memo_bytes > 0, "no resident memo entries: {m:?}");
-        assert!(m.memo_speedup > 0.0, "{m:?}");
-
         let json = bench_json(&cfg, &report);
         assert_eq!(
             json.matches('{').count(),
@@ -508,10 +310,6 @@ mod tests {
             "\"nested_loop\"",
             "\"best_first\"",
             "\"matches_serial\": true",
-            "\"memo_speedup\"",
-            "\"memo_hit_rate\"",
-            "\"memo_bytes\"",
-            "\"matches_memo_off\": true",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

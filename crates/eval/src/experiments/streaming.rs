@@ -99,15 +99,6 @@ pub struct EngineMetrics {
     pub log_bytes: u64,
     /// Ingested sample sets the log's interner deduplicated.
     pub intern_hits: u64,
-    /// Kernel evaluations the shards' per-`SetRef` compute caches
-    /// served without recomputation (0 for engines without a memo, e.g.
-    /// the recompute baseline).
-    pub memo_hits: u64,
-    /// Kernel evaluations the memos had to compute and insert.
-    pub memo_misses: u64,
-    /// Resident bytes of the shards' kernel memo tables at end of
-    /// replay.
-    pub memo_bytes: u64,
     /// End-of-replay export of the engine's internal
     /// [`MetricsRegistry`](popflow_obs::MetricsRegistry) (`None` for
     /// engines without one, e.g. the recompute baseline).
@@ -499,9 +490,6 @@ fn serve_metrics(
         presence_skipped: stats.presence_skipped,
         log_bytes: stats.log_bytes,
         intern_hits: stats.intern_hits,
-        memo_hits: stats.memo_hits,
-        memo_misses: stats.memo_misses,
-        memo_bytes: stats.memo_bytes,
         snapshot: Some(snapshot),
         phase_coverage,
         traces: engine.recent_traces().cloned().collect(),
@@ -625,9 +613,6 @@ pub fn run_streaming_on(
         presence_skipped: 0,
         log_bytes: recompute.store_stats().bytes as u64,
         intern_hits: recompute.store_stats().intern_hits,
-        memo_hits: 0,
-        memo_misses: 0,
-        memo_bytes: 0,
         snapshot: None,
         phase_coverage: None,
         traces: Vec::new(),
@@ -682,11 +667,6 @@ fn metrics_row(exp: &str, x: &str, m: &EngineMetrics) -> Row {
         m.log_bytes,
         m.intern_hits,
     );
-    if m.memo_hits + m.memo_misses > 0 {
-        let rate = m.memo_hits as f64 / (m.memo_hits + m.memo_misses) as f64;
-        row.note
-            .push_str(&format!(" memo-hit-rate={rate:.2} memo={}B", m.memo_bytes));
-    }
     row
 }
 
@@ -776,9 +756,6 @@ pub fn bench_json(cfg: &StreamingConfig, report: &StreamingReport) -> String {
             .field("presence_skipped", m.presence_skipped)
             .field("log_bytes", m.log_bytes)
             .field("intern_hits", m.intern_hits)
-            .field("memo_hits", m.memo_hits)
-            .field("memo_misses", m.memo_misses)
-            .field("memo_bytes", m.memo_bytes)
             .num("phase_coverage", m.phase_coverage.unwrap_or(f64::NAN), 4)
             .field("phases", phases)
             .into()
@@ -1025,18 +1002,6 @@ mod tests {
         assert_eq!(report.pruned.records, report.baseline.records);
         assert!(report.incremental.records > 0);
 
-        // The shards' kernel memos (on by default) did real work: every
-        // sealed object was inserted at least once, the tables held
-        // resident entries at end of replay, and the memo-free baseline
-        // reports nothing.
-        for m in [&report.incremental, &report.pruned] {
-            assert!(m.memo_misses > 0, "{}: no memo insertions: {m:?}", m.name);
-            assert!(m.memo_bytes > 0, "{}: no resident memo: {m:?}", m.name);
-        }
-        assert_eq!(report.baseline.memo_hits, 0);
-        assert_eq!(report.baseline.memo_misses, 0);
-        assert_eq!(report.baseline.memo_bytes, 0);
-
         // The internal telemetry came along: every required phase of
         // each strategy was recorded once per slide, the traces ring
         // retained the tail of the replay, and the baseline (which has
@@ -1125,9 +1090,6 @@ mod tests {
             "\"presence_skipped\"",
             "\"log_bytes\"",
             "\"intern_hits\"",
-            "\"memo_hits\"",
-            "\"memo_misses\"",
-            "\"memo_bytes\"",
             "\"mismatched_slides\": 0",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
@@ -1149,9 +1111,6 @@ mod tests {
             presence_skipped: 0,
             log_bytes: 0,
             intern_hits: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            memo_bytes: 0,
             snapshot: None,
             phase_coverage: None,
             traces: Vec::new(),

@@ -17,7 +17,7 @@ mod sample;
 mod table;
 mod time;
 
-pub use popflow_store::{MemoStats, SeqMemo, SetMemo, SetRef, StoreStats};
+pub use popflow_store::{SetRef, StoreStats};
 pub use rfid::{ReaderId, RfidDeployment, RfidReader, RfidRecord, RfidTrackingData};
 pub use sample::{Sample, SampleSet, SampleSetError};
 pub use table::{Iupt, IuptStats, ObjectId, ObjectSequence, Record, RecordRef, SampleSetView};

@@ -53,9 +53,9 @@ pub struct RecordRef<'a> {
     pub oid: ObjectId,
     /// Positioning timestamp.
     pub t: Timestamp,
-    /// Handle of the interned sample set in this table's pool — the key
-    /// the kernel memo tables cache per-set work under. Pool-local:
-    /// only meaningful against the [`Iupt`] that produced this view.
+    /// Handle of the interned sample set in this table's pool.
+    /// Pool-local: only meaningful against the [`Iupt`] that produced
+    /// this view.
     pub set_ref: SetRef,
     /// Borrow of the interned sample set ([`SampleSetView`]).
     pub samples: SampleSetView<'a>,
@@ -222,11 +222,6 @@ impl Iupt {
     /// serve shards use to resolve their cached record positions.
     pub fn samples_at(&self, pos: u32) -> SampleSetView<'_> {
         self.store.set(pos)
-    }
-
-    /// The interned-set handle at `pos`.
-    pub fn set_ref_at(&self, pos: u32) -> SetRef {
-        self.store.set_ref(pos)
     }
 
     /// Iterates all records in time (append) order, zero-copy.
@@ -509,7 +504,7 @@ mod tests {
         });
         // One interned copy serves both records.
         assert!(std::ptr::eq(t.samples_at(p0), t.samples_at(p2)));
-        assert_eq!(t.set_ref_at(p0), t.set_ref_at(p2));
+        assert_eq!(t.view(p0).set_ref, t.view(p2).set_ref);
         let stats = t.store_stats();
         assert_eq!(stats.records, 3);
         assert_eq!(stats.sets_interned, 2);

@@ -19,7 +19,7 @@ use popflow_exec::{Reply, ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
 
 use crate::metric_names as names;
-use crate::shard::{EagerReport, EvalReport, ShardWorker};
+use crate::shard::{EagerReport, EvalReport, ShardWorker, SpanWork};
 use crate::trace::{AdvanceTrace, QueryTrace, ShardTrace};
 
 /// One merged window of an eager advance: the union-wide flows, in
@@ -41,9 +41,12 @@ pub enum AdvanceStrategy {
     /// candidate lists; each registered query's threshold loop merges
     /// per-location candidate counts into flow upper bounds and requests
     /// exact contributions lazily, best-first, until its top-k is
-    /// final — locations whose bound never reaches the k-th exact flow
-    /// pay no presence computation at all, and a location evaluated for
-    /// one query is served from cache for every other.
+    /// final — objects that are candidates only for locations whose
+    /// bound never reaches the k-th exact flow pay no presence
+    /// computation at all. A requested object's span is evaluated once,
+    /// against the whole union, into the same shard span cache the eager
+    /// strategy uses, and serves every later location, query and slide
+    /// that asks for it.
     BoundPruned,
 }
 
@@ -139,17 +142,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables the shards' per-`SetRef` kernel memos
-    /// (on by default). Flows are bit-identical either way; the memo
-    /// only changes how much kernel work repeated advances over
-    /// dwelling objects redo. Shorthand for toggling
-    /// [`FlowConfig::memo`](popflow_core::FlowConfig) on the flow
-    /// configuration.
-    pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.flow.memo = enabled;
-        self
-    }
-
     /// Overrides the advance strategy.
     pub fn with_strategy(mut self, strategy: AdvanceStrategy) -> Self {
         self.strategy = strategy;
@@ -186,9 +178,6 @@ struct ServeMetrics {
     cache_resets: Counter,
     log_bytes: Gauge,
     intern_hits: Gauge,
-    memo_hits: Gauge,
-    memo_misses: Gauge,
-    memo_bytes: Gauge,
     registered_queries: Gauge,
     ingest_ns: Histogram,
     advance_ns: Histogram,
@@ -220,9 +209,6 @@ impl ServeMetrics {
             cache_resets: registry.counter(names::CACHE_RESETS),
             log_bytes: registry.gauge(names::LOG_BYTES),
             intern_hits: registry.gauge(names::INTERN_HITS),
-            memo_hits: registry.gauge(names::MEMO_HITS),
-            memo_misses: registry.gauge(names::MEMO_MISSES),
-            memo_bytes: registry.gauge(names::MEMO_BYTES),
             registered_queries: registry.gauge(names::REGISTERED_QUERIES),
             ingest_ns: registry.histogram(names::INGEST_NS),
             advance_ns: registry.histogram(names::ADVANCE_NS),
@@ -259,24 +245,12 @@ impl ServeMetrics {
         lift(&self.cache_resets, stats.cache_resets);
         self.log_bytes.set(stats.log_bytes);
         self.intern_hits.set(stats.intern_hits);
-        self.memo_hits.set(stats.memo_hits);
-        self.memo_misses.set(stats.memo_misses);
-        self.memo_bytes.set(stats.memo_bytes);
         self.registered_queries.set(stats.registered_queries);
     }
 }
 
-/// Per-advance work accounting for the bound-pruned threshold loops,
-/// deduplicated across lazy round-trips (and across the queries of one
-/// advance).
-#[derive(Debug, Default)]
-struct PrunedWork {
-    /// Objects that paid at least one fresh presence evaluation.
-    fresh_objects: HashSet<ObjectId>,
-}
-
 /// Per-window coordinator state of one bound-pruned advance: merged
-/// candidate bounds in, memoized exact flows out. Shared by every query
+/// candidate bounds in, exact flows out. Shared by every query
 /// whose window length maps to this window.
 struct WindowState {
     start: i64,
@@ -286,10 +260,13 @@ struct WindowState {
     per_shard: Vec<HashMap<SLocId, Vec<ObjectId>>>,
     /// All candidate (object, location) cells in the window.
     total_cells: u64,
-    /// Cells some query's threshold loop actually requested.
+    /// Candidate cells some query's threshold loop requested — each
+    /// location is requested at most once per window (see `flows`), so
+    /// this never exceeds `total_cells`.
     requested_cells: u64,
     objects_total: usize,
-    /// Exact flows finalized by any query's loop — the cross-query memo.
+    /// Exact flows finalized by any query's loop, shared by every
+    /// query of the window for the rest of the advance.
     flows: HashMap<SLocId, f64>,
     /// Objects summed / DP-fallen-back in this window (the union
     /// evaluation's accounting, shared by its queries).
@@ -307,36 +284,34 @@ pub struct ServeStats {
     /// Window advances served (each advance evaluates every registered
     /// query).
     pub advances: u64,
-    /// Work served from caches. Eager advances count window *objects*
-    /// served from the shards' span caches — objects the slide neither
-    /// gave a record nor took one from, once per distinct window they
-    /// are in; bound-pruned advances count (object, location) *cells*
-    /// served from lazily-filled score caches. Work shared across
-    /// registered queries shows up here: the second query to need a
-    /// span or a cell finds it cached.
+    /// Work served from the shards' span caches. Eager advances count
+    /// window *objects* — objects the slide neither gave a record nor
+    /// took one from, once per distinct window they are in; bound-pruned
+    /// advances count requested (object, location) *cells* whose span
+    /// was already cached. Work shared across registered queries shows
+    /// up here: the second query to need a span finds it cached.
     pub cache_hits: u64,
-    /// Eager: multi-bucket spans evaluated — each distinct span once,
-    /// when a slide first produces it, not once per slide it stays in a
-    /// window. Bound-pruned: straddler objects observed in evaluated
-    /// windows, counted once per distinct window per advance, however
-    /// many queries share the window.
+    /// Multi-bucket spans evaluated, under either strategy — each
+    /// distinct span once, when an advance first asks for it, not once
+    /// per slide it stays in a window.
     pub straddler_recomputes: u64,
     /// Presence computations counted per object — the quantity the
-    /// bucketing scheme minimizes. Eager: spans evaluated, i.e. one per
-    /// object per distinct run of sealed buckets its windowed records
-    /// cover (PSL-pruned spans pay nothing and are not counted); spans
-    /// the shards evaluated ahead of the slide that truncates them are
-    /// reported with the following advance. Bound-pruned: lazily
-    /// evaluated objects.
+    /// bucketing scheme minimizes: spans evaluated, i.e. one per object
+    /// per distinct run of sealed buckets its windowed records cover
+    /// (PSL-pruned spans pay nothing and are not counted). Eager: every
+    /// window object's span, with the spans the shards evaluated ahead
+    /// of the slide that truncates them reported with the following
+    /// advance. Bound-pruned: only the spans of objects some threshold
+    /// loop requested.
     pub fresh_presence: u64,
-    /// The same computations counted per (object, location) cell — the
-    /// unit the bound-pruned strategy prunes at and the multi-query
-    /// registry shares: a span is evaluated once against the union of
-    /// registered location sets, not once per query.
+    /// The same computations counted per (object, location) cell: the
+    /// union locations each evaluated span's contribution covers. Under
+    /// both strategies a span is evaluated against the whole union of
+    /// registered location sets, once, not once per query or location.
     pub presence_cells: u64,
     /// Candidate (object, location) cells a bound-pruned advance never
-    /// had to evaluate: no registered query's flow bound for the
-    /// location reached its k-th exact flow. Always 0 under
+    /// requested: no registered query's flow bound for the location
+    /// reached its k-th exact flow. Always 0 under
     /// [`AdvanceStrategy::Eager`].
     pub presence_skipped: u64,
     /// Resident bytes of the shard logs' columnar stores (summed across
@@ -350,22 +325,14 @@ pub struct ServeStats {
     /// already-stored copy (summed across shards). Like
     /// [`ServeStats::log_bytes`], a live gauge.
     pub intern_hits: u64,
-    /// Kernel evaluations served from the shards' per-`SetRef` compute
-    /// caches ([`popflow_core::FlowMemo`]) without recomputation, summed
-    /// across shards. Like [`ServeStats::log_bytes`], a live gauge
-    /// (cumulative within each shard memo's lifetime; a cache reset
-    /// clears entries but keeps the counters). Always 0 when
-    /// [`FlowConfig::memo`] is off.
+    /// Always 0: the shards keep no kernel memo, only the span cache
+    /// [`ServeStats::cache_hits`] counts. Kept, with
+    /// [`ServeStats::memo_misses`], only because the frozen benchmark
+    /// reads both for its `popflow-serve.memo_hit_ratio`; both go when
+    /// that metric does (ROADMAP item 3).
     pub memo_hits: u64,
-    /// Kernel evaluations the shard memos had to compute (then cached),
-    /// summed across shards. `memo_hits / (memo_hits + memo_misses)` is
-    /// the serving tier's kernel-memo hit rate.
+    /// Always 0; see [`ServeStats::memo_hits`].
     pub memo_misses: u64,
-    /// Resident bytes of the shard memos' cached entries, summed across
-    /// shards — a live gauge, strictly bounded by the per-shard
-    /// capacity, and also folded into the shards' store footprint
-    /// accounting ([`indoor_iupt::StoreStats::total_bytes`]).
-    pub memo_bytes: u64,
     /// Queries currently registered — a gauge tracking
     /// [`ServeEngine::register`] / [`ServeEngine::unregister`].
     pub registered_queries: u64,
@@ -374,6 +341,17 @@ pub struct ServeStats {
     /// re-seals from the append-only logs). Shrinking the union never
     /// resets.
     pub cache_resets: u64,
+}
+
+impl ServeStats {
+    /// Adds one shard reply's span work and cache hits — the same
+    /// accounting under both strategies.
+    fn add_work(&mut self, work: &SpanWork, cache_hits: usize) {
+        self.cache_hits += cache_hits as u64;
+        self.straddler_recomputes += work.straddlers as u64;
+        self.fresh_presence += work.fresh_presence as u64;
+        self.presence_cells += work.presence_cells as u64;
+    }
 }
 
 /// One registered standing query and its serving state.
@@ -397,8 +375,9 @@ struct Registered {
 /// [`advance_all`](ServeEngine::advance_all) seals newly completed
 /// buckets once, then evaluates every registered query on top — slicing
 /// the shared union contributions per location subset (eager) or running
-/// one threshold loop per query over shared lazy score caches
-/// (bound-pruned) — and reports one [`ContinuousUpdate`] per query.
+/// one threshold loop per query whose requested objects read the same
+/// span caches (bound-pruned) — and reports one [`ContinuousUpdate`]
+/// per query.
 /// Queries may use different window lengths (sharing the bucket width);
 /// each keeps its own frontier and delta state, so windows of different
 /// widths advance independently off the same shard logs.
@@ -581,9 +560,6 @@ impl ServeEngine {
             {
                 stats.log_bytes = stores.iter().map(|s| s.bytes as u64).sum();
                 stats.intern_hits = stores.iter().map(|s| s.intern_hits).sum();
-                stats.memo_hits = stores.iter().map(|s| s.memo.hits).sum();
-                stats.memo_misses = stores.iter().map(|s| s.memo.misses).sum();
-                stats.memo_bytes = stores.iter().map(|s| s.memo.bytes as u64).sum();
             }
         }
         if let Some(m) = &self.metrics {
@@ -1120,26 +1096,16 @@ impl ServeEngine {
         let merge_timer = Timer::start();
         self.stats.log_bytes = 0;
         self.stats.intern_hits = 0;
-        self.stats.memo_hits = 0;
-        self.stats.memo_misses = 0;
-        self.stats.memo_bytes = 0;
         for (shard, report) in reports.iter().enumerate() {
-            self.stats.cache_hits += report.cache_hits as u64;
-            self.stats.straddler_recomputes += report.straddlers as u64;
-            self.stats.fresh_presence += report.fresh_presence as u64;
-            self.stats.presence_cells += report.presence_cells as u64;
+            self.stats.add_work(&report.work, report.cache_hits);
             self.stats.log_bytes += report.store.bytes as u64;
             self.stats.intern_hits += report.store.intern_hits;
-            self.stats.memo_hits += report.store.memo.hits;
-            self.stats.memo_misses += report.store.memo.misses;
-            self.stats.memo_bytes += report.store.memo.bytes as u64;
-            trace.shards.push(ShardTrace {
+            let mut shard_trace = ShardTrace {
                 shard,
-                presence_cells: report.presence_cells as u64,
-                cache_hits: report.cache_hits as u64,
-                straddlers: report.straddlers as u64,
                 ..ShardTrace::default()
-            });
+            };
+            shard_trace.add_work(&report.work, report.cache_hits);
+            trace.shards.push(shard_trace);
         }
         let merged = self.merge_windows(reports, starts.len())?;
         trace.add_phase(names::PHASE_MERGE_NS, merge_timer.elapsed_ns());
@@ -1263,9 +1229,11 @@ impl ServeEngine {
     /// no presence work); phase 2 runs one threshold loop per registered
     /// query, requesting exact per-location contributions only while the
     /// location's merged COUNT bound can still reach that query's k-th
-    /// exact flow. Exact flows are memoized per window, so a location
-    /// two queries share is evaluated once; at the shard level, scores
-    /// memoize in the bucket caches, shared across windows and slides.
+    /// exact flow. Exact flows are kept per window for the advance, so
+    /// a location two queries share is requested once; at the shard
+    /// level, a requested object's span is evaluated once into the span
+    /// cache and serves every other location, window and slide that
+    /// asks for it.
     fn advance_pruned(
         &mut self,
         global_start: i64,
@@ -1310,15 +1278,9 @@ impl ServeEngine {
             .collect();
         self.stats.log_bytes = 0;
         self.stats.intern_hits = 0;
-        self.stats.memo_hits = 0;
-        self.stats.memo_misses = 0;
-        self.stats.memo_bytes = 0;
         for (shard, report) in reports.into_iter().enumerate() {
             self.stats.log_bytes += report.store.bytes as u64;
             self.stats.intern_hits += report.store.intern_hits;
-            self.stats.memo_hits += report.store.memo.hits;
-            self.stats.memo_misses += report.store.memo.misses;
-            self.stats.memo_bytes += report.store.memo.bytes as u64;
             for (wi, win) in report.windows.into_iter().enumerate() {
                 let state = windows
                     .get_mut(wi)
@@ -1330,9 +1292,6 @@ impl ServeEngine {
                         ),
                     })?;
                 state.objects_total += win.objects_total;
-                self.stats.straddler_recomputes += win.straddlers as u64;
-                // anlz:allow(panic-in-hot-path): trace.shards was sized to num_shards above; ask_all replies once per shard
-                trace.shards[shard].straddlers += win.straddlers as u64;
                 for (oid, relevant) in win.candidates {
                     state.total_cells += relevant.len() as u64;
                     // anlz:allow(panic-in-hot-path): trace.shards was sized to num_shards above; ask_all replies once per shard
@@ -1353,7 +1312,6 @@ impl ServeEngine {
         // work at all; locations another query already finalized are
         // free.
         let threshold_timer = Timer::start();
-        let mut work = PrunedWork::default();
         let mut outcomes = Vec::with_capacity(self.queries.len());
         for qi in 0..self.queries.len() {
             let query_timer = Timer::start();
@@ -1389,7 +1347,6 @@ impl ServeEngine {
                             self.metrics.as_ref(),
                             sloc,
                             state,
-                            &mut work,
                             &mut trace.shards,
                         )?;
                         state.flows.insert(sloc, flow);
@@ -1415,10 +1372,6 @@ impl ServeEngine {
         for state in &windows {
             self.stats.presence_skipped += state.total_cells - state.requested_cells;
         }
-        // An object evaluated for several locations (or queries) across
-        // round-trips still counts once toward the per-object presence
-        // stat.
-        self.stats.fresh_presence += work.fresh_objects.len() as u64;
         trace.add_phase(names::PHASE_THRESHOLD_NS, threshold_timer.elapsed_ns());
         Ok(outcomes)
     }
@@ -1435,7 +1388,6 @@ impl ServeEngine {
         metrics: Option<&ServeMetrics>,
         sloc: SLocId,
         state: &mut WindowState,
-        work: &mut PrunedWork,
         shard_traces: &mut [ShardTrace],
     ) -> Result<f64, FlowError> {
         let lazy_timer = Timer::start();
@@ -1443,6 +1395,7 @@ impl ServeEngine {
         let mut replies: Vec<Reply<EvalReport>> = Vec::new();
         for (shard, candidates) in state.per_shard.iter().enumerate() {
             if let Some(oids) = candidates.get(&sloc) {
+                state.requested_cells += oids.len() as u64;
                 let oids = oids.clone();
                 let reply = pool
                     .ask(shard, move |worker: &mut ShardWorker| {
@@ -1463,14 +1416,10 @@ impl ServeEngine {
             if let Some(e) = report.error {
                 return Err(e);
             }
-            stats.presence_cells += report.evaluated_cells as u64;
-            stats.cache_hits += report.cached_cells as u64;
+            stats.add_work(&report.work, report.cached_cells);
             if let Some(t) = shard_traces.get_mut(shard) {
-                t.presence_cells += report.evaluated_cells as u64;
-                t.cache_hits += report.cached_cells as u64;
+                t.add_work(&report.work, report.cached_cells);
             }
-            work.fresh_objects.extend(report.evaluated_oids);
-            state.requested_cells += (report.evaluated_cells + report.cached_cells) as u64;
             contributions.append(&mut report.contributions);
         }
         contributions.sort_unstable_by_key(|(oid, _)| *oid);

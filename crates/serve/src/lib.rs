@@ -22,8 +22,8 @@
 //!         └───────┬───────┘         registered location sets
 //!                 ▼  advance_all(now): seal once, evaluate every query
 //!     eager: merge union contributions by object id → slice per query
-//!     pruned: COUNT bounds → one threshold loop per query over shared
-//!             lazy score caches
+//!     pruned: COUNT bounds → one threshold loop per query; requested
+//!             objects read (or fill) the same span cache, sliced
 //! ```
 //!
 //! * **Ingestion** partitions records by object across worker threads;
@@ -833,6 +833,8 @@ mod tests {
         assert_eq!(snap.gauges[metric_names::LOG_BYTES], stats.log_bytes);
         assert_eq!(snap.gauges[metric_names::INTERN_HITS], stats.intern_hits);
         assert_eq!(snap.gauges[metric_names::REGISTERED_QUERIES], 1);
+        // No kernel memo: the fields kept for the frozen benchmark read 0.
+        assert_eq!((stats.memo_hits, stats.memo_misses), (0, 0));
         // Per-shard pool instrumentation came along for the ride.
         assert!(snap.histograms.contains_key("serve.pool.shard0.run_ns"));
         assert!(snap
@@ -845,100 +847,6 @@ mod tests {
         assert!(stats.records_ingested > 1);
         // The seal histogram saw work on the worker threads.
         assert!(snap.histograms[metric_names::SHARD_SEAL_NS].count > 0);
-    }
-
-    /// The shards' kernel memos are a pure compute cache: a dwelling
-    /// object (identical sample set re-reported every few hundred ms)
-    /// produces bit-identical flows with the memo on and off across
-    /// both advance strategies — including after a union-growing
-    /// mid-stream registration, which invalidates every shard memo —
-    /// while the memo-on engine reports hits and resident bytes and the
-    /// memo-off engine reports none.
-    #[test]
-    fn memo_on_off_bit_identical_with_hits_and_gauges() {
-        let fig = paper_figure1();
-        let space = Arc::new(fig.space.clone());
-        let templates = paper_table2().to_records();
-        // Two dwelling objects: each re-reports one fixed sample set
-        // three times per 1 s bucket for six buckets, so consecutive
-        // bucket seals present identical `SetRef` sequences.
-        let mut records = Vec::new();
-        for bucket in 0..6i64 {
-            for rep in 0..3i64 {
-                for template in [&templates[0], &templates[5]] {
-                    records.push(Record {
-                        t: Timestamp(bucket * 1_000 + rep * 300),
-                        ..template.clone()
-                    });
-                }
-            }
-        }
-        records.sort_by_key(|r| r.t);
-        let spec = WindowSpec::new(1_000, 4);
-        let narrow = QuerySet::new(fig.r[..3].to_vec());
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let base = ServeConfig::with_buckets(spec.bucket_millis)
-                .with_query(QuerySpec::new(2, narrow.clone(), spec))
-                .with_shards(2)
-                .with_strategy(strategy);
-            let mut on = ServeEngine::new(Arc::clone(&space), base.clone());
-            let mut off = ServeEngine::new(Arc::clone(&space), base.clone().with_memo(false));
-            on.ingest_all(records.clone()).unwrap();
-            off.ingest_all(records.clone()).unwrap();
-            let mut registered = None;
-            for slide in 2..=8i64 {
-                if slide == 5 {
-                    // Grows the union past the configured narrow set:
-                    // shard caches reset and every memo is invalidated.
-                    let spec_full = QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), spec);
-                    let a = on.register(spec_full.clone()).unwrap();
-                    let b = off.register(spec_full).unwrap();
-                    assert_eq!(a, b, "{strategy:?}");
-                    registered = Some(a);
-                }
-                let now = Timestamp(slide * 1_000);
-                let mut a = on.advance_all(now).unwrap();
-                let mut b = off.advance_all(now).unwrap();
-                a.sort_by_key(|(id, _)| *id);
-                b.sort_by_key(|(id, _)| *id);
-                assert_eq!(a.len(), b.len(), "{strategy:?} slide {slide}");
-                for ((ia, ua), (ib, ub)) in a.iter().zip(b.iter()) {
-                    assert_eq!(ia, ib, "{strategy:?} slide {slide}");
-                    assert_eq!(ua.window, ub.window, "{strategy:?} slide {slide}");
-                    assert_eq!(
-                        ua.outcome.ranking.len(),
-                        ub.outcome.ranking.len(),
-                        "{strategy:?} slide {slide}"
-                    );
-                    for (x, y) in ua.outcome.ranking.iter().zip(ub.outcome.ranking.iter()) {
-                        assert_eq!(x.sloc, y.sloc, "{strategy:?} slide {slide}");
-                        assert_eq!(
-                            x.flow.to_bits(),
-                            y.flow.to_bits(),
-                            "{strategy:?} slide {slide}"
-                        );
-                    }
-                }
-            }
-            assert!(registered.is_some());
-            let stats = on.stats();
-            assert!(
-                stats.memo_hits > 0,
-                "{strategy:?}: dwelling stream produced no memo hits: {stats:?}"
-            );
-            assert!(stats.memo_misses > 0, "{strategy:?}: {stats:?}");
-            assert!(stats.memo_bytes > 0, "{strategy:?}: {stats:?}");
-            // The registry gauges mirror the live stats.
-            let snap = on.metrics().snapshot();
-            assert_eq!(snap.gauges[metric_names::MEMO_HITS], stats.memo_hits);
-            assert_eq!(snap.gauges[metric_names::MEMO_MISSES], stats.memo_misses);
-            assert_eq!(snap.gauges[metric_names::MEMO_BYTES], stats.memo_bytes);
-            // Memo off: the cache truly does not exist.
-            let off_stats = off.stats();
-            assert_eq!(off_stats.memo_hits, 0, "{strategy:?}");
-            assert_eq!(off_stats.memo_misses, 0, "{strategy:?}");
-            assert_eq!(off_stats.memo_bytes, 0, "{strategy:?}");
-        }
     }
 
     /// Regression (panic-in-hot-path sweep): `ServeConfig.queries` is a

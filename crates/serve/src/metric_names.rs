@@ -61,19 +61,19 @@ pub const RECORDS_REJECTED: &str = "serve.records_rejected";
 /// Counter: mirrors [`ServeStats::advances`](crate::ServeStats).
 pub const ADVANCES: &str = "serve.advances";
 /// Counter: mirrors [`ServeStats::cache_hits`](crate::ServeStats) —
-/// under eager advances, window objects served from the shards' span
-/// caches.
+/// work served from the shards' span caches: window objects under eager
+/// advances, requested cells under bound-pruned ones.
 pub const CACHE_HITS: &str = "serve.cache_hits";
 /// Counter: mirrors [`ServeStats::straddler_recomputes`](crate::ServeStats)
-/// — under eager advances, multi-bucket spans evaluated, each once, not
-/// once per slide.
+/// — multi-bucket spans evaluated, each once, not once per slide.
 pub const STRADDLER_RECOMPUTES: &str = "serve.straddler_recomputes";
 /// Counter: mirrors [`ServeStats::fresh_presence`](crate::ServeStats) —
-/// under eager advances, spans evaluated; what the shards evaluated
-/// ahead of a slide is counted with the following advance.
+/// spans evaluated; what the shards evaluated ahead of an eager slide is
+/// counted with the following advance.
 pub const FRESH_PRESENCE: &str = "serve.fresh_presence";
 /// Counter: mirrors [`ServeStats::presence_cells`](crate::ServeStats) —
-/// the same evaluations per (object, location) cell.
+/// the same evaluations per (object, location) cell: the union locations
+/// each evaluated span covers.
 pub const PRESENCE_CELLS: &str = "serve.presence_cells";
 /// Counter: mirrors [`ServeStats::presence_skipped`](crate::ServeStats).
 pub const PRESENCE_SKIPPED: &str = "serve.presence_skipped";
@@ -86,17 +86,6 @@ pub const LOG_BYTES: &str = "serve.log_bytes";
 pub const INTERN_HITS: &str = "serve.intern_hits";
 /// Gauge: mirrors [`ServeStats::registered_queries`](crate::ServeStats).
 pub const REGISTERED_QUERIES: &str = "serve.registered_queries";
-
-/// Gauge: mirrors [`ServeStats::memo_hits`](crate::ServeStats) — kernel
-/// evaluations the shards' per-`SetRef` compute caches served without
-/// recomputation.
-pub const MEMO_HITS: &str = "serve.memo_hits";
-/// Gauge: mirrors [`ServeStats::memo_misses`](crate::ServeStats).
-pub const MEMO_MISSES: &str = "serve.memo_misses";
-/// Gauge: mirrors [`ServeStats::memo_bytes`](crate::ServeStats) —
-/// resident bytes of the shards' kernel memo tables (bounded by their
-/// capacity; also folded into the store footprint gauges).
-pub const MEMO_BYTES: &str = "serve.memo_bytes";
 
 /// Prefix of the shard pool's per-job histograms
 /// (`serve.pool.shard{N}.queue_wait_ns` / `.run_ns`), recorded by

@@ -15,12 +15,11 @@
 //!
 //! A window's flow decomposes per object, and an object's windowed
 //! sequence is the concatenation of its sealed bucket slices from its
-//! first in-window bucket to its last — its **span**. The eager protocol
-//! keeps one shard-level cache from `(object, first bucket, last bucket)`
-//! to the object's contribution over that span (see
-//! [`ShardWorker::spans`] for why the key determines the content), and
-//! assembles every requested window by looking each window object's span
-//! up in it:
+//! first in-window bucket to its last — its **span**. The shard keeps
+//! one compute cache, read and filled by both evaluation protocols: from
+//! `(object, first bucket, last bucket)` to the object's contribution
+//! over that span (see [`ShardWorker::spans`] for why the key determines
+//! the content). Every window object is looked up by its span:
 //!
 //! * a **hit** costs one refcount bump — an object the slide neither gave
 //!   a record nor took one from is served as it was last slide, whether
@@ -31,6 +30,9 @@
 //!   batch search uses, and caches it. The key carries no window width,
 //!   so queries of different widths share every span that does not touch
 //!   their own trailing edge.
+//!
+//! [`ShardWorker::evaluate_span`] is the one place the shard calls the
+//! kernel.
 //!
 //! The trailing edge is known one slide ahead: an object in a window's
 //! oldest bucket loses that bucket on the next slide, and what remains of
@@ -58,11 +60,12 @@
 //! scan — no presence computation) are recorded, and the reply carries
 //! per-window per-object candidate lists so the coordinator can build
 //! COUNT flow bounds per location. [`ShardWorker::evaluate_lazy`] then
-//! serves exact per-location contributions lazily, only for the
-//! (location, object) pairs no registered query's threshold loop could
-//! prune; computed scores are memoized in the bucket caches, so a
-//! location evaluated for one query (or one slide) is free for every
-//! other query whose window still contains the bucket.
+//! serves exact contributions only for the (location, object) pairs no
+//! registered query's threshold loop could prune, out of the same span
+//! cache: the first request for a span evaluates it against the whole
+//! union, and every later one — for another location, another query, or
+//! a later slide that leaves the span as it is — slices the cached
+//! contribution.
 //!
 //! # Registration changes
 //!
@@ -85,11 +88,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use indoor_iupt::{Iupt, ObjectId, Record, SampleSet, SetRef, StoreStats, TimeInterval, Timestamp};
+use indoor_iupt::{Iupt, ObjectId, Record, StoreStats, TimeInterval, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
-    intersect_sorted, object_flow_contributions, object_flow_contributions_for, scan_psls,
-    FlowConfig, FlowError, FlowMemo, ObjectContribution, QuerySet,
+    object_flow_contributions, scan_psls, FlowConfig, FlowError, ObjectContribution, QuerySet,
 };
 
 /// One window's slice of an eager advance reply.
@@ -104,17 +106,19 @@ pub(crate) struct WindowEval {
     pub objects_total: usize,
 }
 
-/// Span evaluations performed, in the units [`EagerReport`] carries.
+/// Span evaluations performed — the work both protocols report, in the
+/// same units.
 #[derive(Default)]
-struct SpanWork {
+pub(crate) struct SpanWork {
     /// Spans that paid a presence computation (PSL-pruned spans paid
     /// none and are not counted — like the batch search's
     /// `objects_computed`).
-    fresh_presence: usize,
-    /// The same work counted per (object, location) cell.
-    presence_cells: usize,
+    pub fresh_presence: usize,
+    /// The same work counted per (object, location) cell: the union
+    /// locations each evaluated span's contribution covers.
+    pub presence_cells: usize,
     /// Evaluated spans that cross a bucket boundary.
-    straddlers: usize,
+    pub straddlers: usize,
 }
 
 /// One shard's answer to an eager advance: one [`WindowEval`] per
@@ -124,17 +128,11 @@ pub(crate) struct EagerReport {
     /// Window objects, summed over the requested windows, served from
     /// the span cache.
     pub cache_hits: usize,
-    /// Multi-bucket spans evaluated since the previous report — each
-    /// distinct span once, not once per slide it stays in a window.
-    pub straddlers: usize,
-    /// Presence computations since the previous report, counted per
-    /// span: this advance's misses plus whatever
-    /// [`ShardWorker::evaluate_ahead`] evaluated after the previous
-    /// advance.
-    pub fresh_presence: usize,
-    /// The same work counted per (object, location) cell — the unit the
-    /// bound-pruned protocol prunes at.
-    pub presence_cells: usize,
+    /// Spans evaluated since the previous report: this advance's misses
+    /// plus whatever [`ShardWorker::evaluate_ahead`] evaluated after the
+    /// previous advance — each distinct span once, not once per slide it
+    /// stays in a window.
+    pub work: SpanWork,
     /// Footprint/interner accounting of this shard's log, as of this
     /// advance.
     pub store: StoreStats,
@@ -152,8 +150,6 @@ pub(crate) struct WindowBounds {
     /// Distinct objects with records in the window (including
     /// non-candidates).
     pub objects_total: usize,
-    /// Window objects whose records straddle bucket boundaries.
-    pub straddlers: usize,
 }
 
 /// Phase-1 reply of the bound-pruned advance, one [`WindowBounds`] per
@@ -166,19 +162,14 @@ pub(crate) struct BoundsReport {
 }
 
 /// Phase-2 reply: exact contributions restricted to the requested
-/// locations, ascending by object id.
+/// locations, in request order.
 pub(crate) struct EvalReport {
     pub contributions: Vec<(ObjectId, ObjectContribution)>,
-    /// (object, location) cells freshly evaluated by this request.
-    pub evaluated_cells: usize,
-    /// Cells served from lazily-filled caches (evaluated for an earlier
-    /// query or slide, for a bucket still in some window).
+    /// Requested cells served from a span already in the cache
+    /// (evaluated for an earlier location, query or slide).
     pub cached_cells: usize,
-    /// Objects that paid at least one fresh presence evaluation in this
-    /// request. The coordinator deduplicates across the advance's
-    /// requests — an object evaluated for several locations counts once
-    /// toward the per-object presence stat.
-    pub evaluated_oids: Vec<ObjectId>,
+    /// Spans this request evaluated.
+    pub work: SpanWork,
     /// First error hit, if any (the report is then partial).
     pub error: Option<FlowError>,
 }
@@ -192,12 +183,6 @@ struct CachedObject {
     /// Cheap sealing: the bucket-local candidate list `Q∪ ∩ psls`,
     /// ascending. Untouched by the eager protocol.
     relevant: Vec<SLocId>,
-    /// Bound-pruned protocol: lazily-filled exact per-location scores,
-    /// shared by every query whose window contains this bucket.
-    scores: HashMap<SLocId, f64>,
-    /// Whether a lazy evaluation of this object fell back to the DP
-    /// (hybrid engine); sticky, as the fallback is a per-object property.
-    dp_fallback: bool,
 }
 
 /// Per-bucket cache: every object with records in the bucket.
@@ -219,24 +204,6 @@ struct SpanEntry {
     asked: u64,
 }
 
-/// Where a window object's lazy evaluation state lives for the current
-/// bound-pruned advance.
-enum WindowSlot {
-    /// All records in one sealed bucket: scores memoize in that bucket's
-    /// cache and survive across slides (and across queries sharing the
-    /// bucket).
-    Single(i64),
-    /// A bucket straddler: the windowed sequence crosses bucket bounds,
-    /// so its lazy scores are only valid for this exact window; they are
-    /// still shared by every query using this window width.
-    Straddler {
-        records: Vec<u32>,
-        relevant: Vec<SLocId>,
-        scores: HashMap<SLocId, f64>,
-        dp_fallback: bool,
-    },
-}
-
 /// The state owned by one worker thread.
 pub(crate) struct ShardWorker {
     space: Arc<IndoorSpace>,
@@ -251,7 +218,7 @@ pub(crate) struct ShardWorker {
     iupt: Iupt,
     /// Sealed buckets by index; evicted once they leave every window.
     buckets: BTreeMap<i64, BucketCache>,
-    /// The eager protocol's one contribution cache.
+    /// The shard's one contribution cache, shared by both protocols.
     ///
     /// **Key ⇒ content, while the union is unchanged.** Sealed buckets
     /// are immutable and log positions stable, so the records of
@@ -269,34 +236,27 @@ pub(crate) struct ShardWorker {
     /// and neither ever moves back. A key the latest advance did not ask
     /// for can therefore only be asked for again by a wider query
     /// registered later, which simply evaluates it again — a miss costs
-    /// time, never correctness — so [`ShardWorker::evaluate_multi`] drops
-    /// every entry whose [`SpanEntry::asked`] is older than itself, and
-    /// the map stays bounded by window objects × distinct widths plus
-    /// what [`ShardWorker::evaluate_ahead`] stamped for the next advance.
+    /// time, never correctness — so every advance, under either
+    /// protocol, stamps the span of each window object it sees and drops
+    /// every entry whose [`SpanEntry::asked`] is older than itself. The
+    /// map stays bounded by window objects × distinct widths plus what
+    /// [`ShardWorker::evaluate_ahead`] stamped for the next advance.
     spans: BTreeMap<SpanKey, SpanEntry>,
-    /// Counts eager advances; what [`SpanEntry::asked`] is measured in.
+    /// Counts advances; what [`SpanEntry::asked`] is measured in.
     generation: u64,
-    /// Span evaluations no [`EagerReport`] has carried yet. An advance
-    /// reports its own misses at once; what
-    /// [`ShardWorker::evaluate_ahead`] does waits here for the next
-    /// report — so every span evaluated is reported exactly once, with
-    /// the advance it was evaluated for.
+    /// Span evaluations no report has carried yet. A reply drains it;
+    /// what [`ShardWorker::evaluate_ahead`] does waits here for the next
+    /// eager report — so every span evaluated is reported exactly once,
+    /// with the advance it was evaluated for.
     unreported: SpanWork,
-    /// Window maps of the latest `advance_bounds_multi`, keyed by window
-    /// start; consulted by `evaluate_lazy`.
-    windows: HashMap<i64, BTreeMap<ObjectId, WindowSlot>>,
+    /// The span of every window object of the latest
+    /// `advance_bounds_multi`, per window start; consulted by
+    /// `evaluate_lazy`.
+    windows: HashMap<i64, BTreeMap<ObjectId, SpanKey>>,
     /// Bucket-sealing durations, recorded on the worker thread. All
     /// shards share one histogram (the registry hands out clones of the
     /// same storage); `None` when the engine's metrics are off.
     seal_ns: Option<popflow_obs::Histogram>,
-    /// Per-shard kernel memo over the shard log's interned `SetRef`s
-    /// (`None` when [`FlowConfig::memo`] is off): every presence / PSL /
-    /// mass kernel this worker runs goes through it, so a dwelling
-    /// object — or a bucket re-sealed after a registration reset — pays
-    /// O(1) kernel work after its first evaluation. `SetRef`s are
-    /// pool-local, which is why the memo lives here and not on the
-    /// coordinator.
-    memo: Option<FlowMemo>,
 }
 
 impl ShardWorker {
@@ -320,7 +280,6 @@ impl ShardWorker {
             unreported: SpanWork::default(),
             windows: HashMap::new(),
             seal_ns,
-            memo: cfg.memo.then(FlowMemo::new),
         }
     }
 
@@ -347,17 +306,10 @@ impl ShardWorker {
         self.iupt.clone()
     }
 
-    /// Footprint/interner accounting of this shard's log — with the
-    /// kernel memo's bytes and hit/miss counters folded in, so the
-    /// engine's footprint gauges charge cache growth against the same
-    /// budget as the log — on demand, letting the engine refresh its
-    /// store gauges without an advance.
+    /// Footprint/interner accounting of this shard's log, on demand,
+    /// letting the engine refresh its store gauges without an advance.
     pub(crate) fn store_stats(&self) -> StoreStats {
-        let stats = self.iupt.store_stats();
-        match &self.memo {
-            Some(memo) => stats.with_memo(memo.stats()),
-            None => stats,
-        }
+        self.iupt.store_stats()
     }
 
     /// Retargets the shard at a new union of registered location sets.
@@ -370,13 +322,6 @@ impl ShardWorker {
             self.buckets.clear();
             self.spans.clear();
             self.windows.clear();
-            // The memo's context fingerprint would self-clear on the
-            // next lookup anyway (it hashes the union); invalidating
-            // here releases the stale entries' bytes immediately,
-            // mirroring the bucket-cache reset.
-            if let Some(memo) = &self.memo {
-                memo.invalidate();
-            }
         }
     }
 
@@ -448,44 +393,34 @@ impl ShardWorker {
         // See the invariant on `spans`: what this advance did not ask
         // for is dead.
         self.spans.retain(|_, entry| entry.asked >= generation);
-        let work = std::mem::take(&mut self.unreported);
         EagerReport {
             windows,
             cache_hits,
-            straddlers: work.straddlers,
-            fresh_presence: work.fresh_presence,
-            presence_cells: work.presence_cells,
+            work: std::mem::take(&mut self.unreported),
             store,
             error,
         }
     }
 
-    /// Evaluates one span exactly and caches it, stamped `asked`. The
-    /// span's sequence is the concatenation of the object's cached
-    /// bucket slices (buckets ascend, each slice is time-ordered). A
-    /// kernel error caches nothing.
+    /// Evaluates one span exactly against the whole union and caches
+    /// it, stamped `asked` — the shard's one kernel call, for both
+    /// protocols. The span's sequence is the concatenation of the
+    /// object's cached bucket slices (buckets ascend, each slice is
+    /// time-ordered). A kernel error caches nothing.
     fn evaluate_span(
         &mut self,
         key: SpanKey,
         asked: u64,
     ) -> Result<Option<Arc<ObjectContribution>>, FlowError> {
         let (oid, first, last) = key;
-        let records: Vec<u32> = self
+        let log = &self.iupt;
+        let sets = self
             .buckets
             .range(first..=last)
             .filter_map(|(_, cache)| cache.get(&oid))
-            .flat_map(|cached| cached.records.iter().copied())
-            .collect();
-        let contribution = kernel_contributions(
-            &self.space,
-            &self.iupt,
-            self.memo.as_ref(),
-            &records,
-            None,
-            &self.union,
-            &self.cfg,
-        )?
-        .map(Arc::new);
+            .flat_map(|cached| cached.records.iter().map(|&i| log.samples_at(i)));
+        let contribution =
+            object_flow_contributions(&self.space, sets, &self.union, &self.cfg)?.map(Arc::new);
         self.unreported.straddlers += usize::from(first != last);
         if let Some(c) = &contribution {
             self.unreported.fresh_presence += 1;
@@ -548,13 +483,17 @@ impl ShardWorker {
 
     /// Bound-pruned phase 1: cheap sealing, eviction, and candidate
     /// assembly per requested window. Performs no presence computation
-    /// at all.
+    /// at all; it records each window object's span for
+    /// [`ShardWorker::evaluate_lazy`], stamps the spans already cached
+    /// and drops the rest (see the invariant on `spans`).
     pub(crate) fn advance_bounds_multi(
         &mut self,
         global_start: i64,
         window_end: i64,
         window_starts: &[i64],
     ) -> BoundsReport {
+        self.generation += 1;
+        let generation = self.generation;
         self.seal_range(global_start, window_end, false);
         self.buckets.retain(|&b, _| b >= global_start);
 
@@ -567,62 +506,46 @@ impl ShardWorker {
             debug_assert!(window_start >= global_start);
             let presence = self.window_presence(window_start, window_end);
             let objects_total = presence.len();
-            let mut straddlers = 0;
             let mut candidates = Vec::new();
-            let mut slots: BTreeMap<ObjectId, WindowSlot> = BTreeMap::new();
-            for (&oid, &(first_bucket, last_bucket)) in &presence {
-                if first_bucket == last_bucket {
-                    // anlz:allow(panic-in-hot-path): presence was built from these exact buckets above, with no mutation in between
-                    let relevant = self.buckets[&first_bucket][&oid].relevant.clone();
-                    if !relevant.is_empty() {
-                        candidates.push((oid, relevant));
+            let mut keys = BTreeMap::new();
+            for (&oid, &(first, last)) in &presence {
+                let key = (oid, first, last);
+                if let Some(entry) = self.spans.get_mut(&key) {
+                    entry.asked = generation;
+                }
+                keys.insert(oid, key);
+                // The window-level PSL set is the union of the bucket
+                // PSL sets (PSLs come from raw record support), so the
+                // candidate list is the union of the cached ones.
+                let mut relevant: Vec<SLocId> = Vec::new();
+                for (_, cache) in self.buckets.range(first..=last) {
+                    if let Some(cached) = cache.get(&oid) {
+                        relevant = union_sorted(&relevant, &cached.relevant);
                     }
-                    slots.insert(oid, WindowSlot::Single(first_bucket));
-                } else {
-                    straddlers += 1;
-                    // The window-level PSL set is the union of the bucket
-                    // PSL sets (PSLs come from raw record support), so
-                    // the candidate list is the union of the cached ones.
-                    let mut records = Vec::new();
-                    let mut relevant: Vec<SLocId> = Vec::new();
-                    for (_, cache) in self.buckets.range(first_bucket..=window_end) {
-                        if let Some(cached) = cache.get(&oid) {
-                            records.extend_from_slice(&cached.records);
-                            relevant = union_sorted(&relevant, &cached.relevant);
-                        }
-                    }
-                    if !relevant.is_empty() {
-                        candidates.push((oid, relevant.clone()));
-                    }
-                    slots.insert(
-                        oid,
-                        WindowSlot::Straddler {
-                            records,
-                            relevant,
-                            scores: HashMap::new(),
-                            dp_fallback: false,
-                        },
-                    );
+                }
+                if !relevant.is_empty() {
+                    candidates.push((oid, relevant));
                 }
             }
-            candidates.sort_unstable_by_key(|(oid, _)| *oid);
-            self.windows.insert(window_start, slots);
+            self.windows.insert(window_start, keys);
             report.windows.push(WindowBounds {
                 candidates,
                 objects_total,
-                straddlers,
             });
         }
+        self.spans.retain(|_, entry| entry.asked >= generation);
         report
     }
 
     /// Bound-pruned phase 2: exact contributions for `oids` within the
     /// window starting at `window_start`, restricted to `slocs` (sorted).
-    /// Fresh scores are computed through the same per-object kernel as
-    /// everything else and memoized — in the bucket cache for
-    /// single-bucket objects (shared across queries and slides), in the
-    /// window slot for straddlers (shared across queries of this window
-    /// width on this slide).
+    /// Each object's span is read from the span cache or, on a miss,
+    /// evaluated against the whole union by
+    /// [`ShardWorker::evaluate_span`] — so whatever location, query or
+    /// slide asks for the span next finds it. The reply slices the union
+    /// contribution to `slocs`, bit-identical to scoring those locations
+    /// alone ([`ObjectContribution::sliced`]); a PSL-pruned span replies
+    /// an empty contribution.
     pub(crate) fn evaluate_lazy(
         &mut self,
         window_start: i64,
@@ -631,118 +554,44 @@ impl ShardWorker {
     ) -> EvalReport {
         let mut report = EvalReport {
             contributions: Vec::with_capacity(oids.len()),
-            evaluated_cells: 0,
             cached_cells: 0,
-            evaluated_oids: Vec::new(),
+            work: SpanWork::default(),
             error: None,
         };
-        let ShardWorker {
-            space,
-            union,
-            cfg,
-            iupt,
-            buckets,
-            windows,
-            memo,
-            ..
-        } = self;
-        let Some(window) = windows.get_mut(&window_start) else {
+        let Some(window) = self.windows.get(&window_start) else {
             report.error = Some(FlowError::EngineUnavailable {
                 detail: format!("evaluate requested unknown window start {window_start}"),
             });
             return report;
         };
-        let log: &Iupt = iupt;
-        for &oid in oids {
-            let Some(slot) = window.get_mut(&oid) else {
+        let mut keys = Vec::with_capacity(oids.len());
+        for oid in oids {
+            let Some(&key) = window.get(oid) else {
                 report.error = Some(FlowError::EngineUnavailable {
                     detail: format!("evaluate requested unknown window object {oid}"),
                 });
                 return report;
             };
-            let (records, relevant, scores, dp_fallback) = match slot {
-                WindowSlot::Single(b) => {
-                    let Some(cached) = buckets.get_mut(b).and_then(|cache| cache.get_mut(&oid))
-                    else {
-                        report.error = Some(FlowError::EngineUnavailable {
-                            detail: format!(
-                                "window slot for object {oid} points at bucket {b}, which is \
-                                 no longer sealed in this shard"
-                            ),
-                        });
-                        return report;
-                    };
-                    let CachedObject {
-                        records,
-                        relevant,
-                        scores,
-                        dp_fallback,
-                        ..
-                    } = cached;
-                    (&*records, &*relevant, scores, dp_fallback)
-                }
-                WindowSlot::Straddler {
-                    records,
-                    relevant,
-                    scores,
-                    dp_fallback,
-                } => (&*records, &*relevant, scores, dp_fallback),
-            };
-            let requested = intersect_sorted(slocs, relevant);
-            let missing: Vec<SLocId> = requested
-                .iter()
-                .copied()
-                .filter(|q| !scores.contains_key(q))
-                .collect();
-            report.cached_cells += requested.len() - missing.len();
-            if !missing.is_empty() {
-                report.evaluated_oids.push(oid);
-                match kernel_contributions(
-                    space,
-                    log,
-                    memo.as_ref(),
-                    records,
-                    Some(&missing),
-                    union,
-                    cfg,
-                ) {
-                    Ok(contribution) => {
-                        if let Some(c) = &contribution {
-                            report.evaluated_cells += c.relevant.len();
-                            *dp_fallback = *dp_fallback || c.dp_fallback;
-                            for (q, s) in c.relevant.iter().zip(&c.scores) {
-                                scores.insert(*q, *s);
-                            }
-                        }
-                        // Requested locations the kernel did not score
-                        // (unreachable for candidates; defensive) are 0.
-                        for q in &missing {
-                            scores.entry(*q).or_insert(0.0);
-                        }
-                    }
+            keys.push(key);
+        }
+        for key in keys {
+            let (contribution, cached) = match self.spans.get(&key) {
+                Some(entry) => (entry.contribution.clone(), true),
+                None => match self.evaluate_span(key, self.generation) {
+                    Ok(contribution) => (contribution, false),
                     Err(e) => {
                         report.error = Some(e);
-                        return report;
+                        break;
                     }
-                }
-            }
-            // Every requested location was either cached or zero-filled
-            // above, so a miss can only mean the fill was skipped —
-            // default to 0.0 (pruned) rather than panicking mid-serve.
-            let values: Vec<f64> = requested
-                .iter()
-                .map(|q| scores.get(q).copied().unwrap_or(0.0))
-                .collect();
-            report.contributions.push((
-                oid,
-                ObjectContribution {
-                    relevant: requested,
-                    scores: values,
-                    dp_fallback: *dp_fallback,
                 },
-            ));
+            };
+            let reply = contribution.map_or_else(ObjectContribution::default, |c| c.sliced(slocs));
+            if cached {
+                report.cached_cells += reply.relevant.len();
+            }
+            report.contributions.push((key.0, reply));
         }
-        report.contributions.sort_unstable_by_key(|(oid, _)| *oid);
+        report.work = std::mem::take(&mut self.unreported);
         report
     }
 
@@ -792,77 +641,19 @@ impl ShardWorker {
             let positions = self.iupt.sequence_positions_in(interval);
             let mut cache: BucketCache = BTreeMap::new();
             for (oid, records) in positions {
-                let log = &self.iupt;
                 let relevant = if eager {
                     Vec::new()
                 } else {
-                    // The memoized scan caches per-set PSL lists and
-                    // never computes presence.
-                    let psls = match &self.memo {
-                        Some(memo) => {
-                            let key: Vec<SetRef> =
-                                records.iter().map(|&i| log.set_ref_at(i)).collect();
-                            let sets: Vec<&SampleSet> =
-                                records.iter().map(|&i| log.samples_at(i)).collect();
-                            memo.scan_psls(&self.space, &key, &sets)
-                        }
-                        None => scan_psls(&self.space, records.iter().map(|&i| log.samples_at(i))),
-                    };
+                    let log = &self.iupt;
+                    let psls = scan_psls(&self.space, records.iter().map(|&i| log.samples_at(i)));
                     self.union.intersection_sorted(&psls)
                 };
-                cache.insert(
-                    oid,
-                    CachedObject {
-                        records,
-                        relevant,
-                        scores: HashMap::new(),
-                        dp_fallback: false,
-                    },
-                );
+                cache.insert(oid, CachedObject { records, relevant });
             }
             self.buckets.insert(b, cache);
         }
         if let (Some(timer), Some(hist)) = (seal_timer, &self.seal_ns) {
             timer.record_into(hist);
-        }
-    }
-}
-
-/// One object's contribution over its record positions in the shard
-/// log — served through the shard's kernel memo (keyed by the records'
-/// interned [`SetRef`]s) when one is attached, straight through the
-/// batch kernels otherwise. `locs` restricts the scored locations
-/// (`None` means the full union). Both paths return bit-identical
-/// contributions (the memo contract), so callers never branch on
-/// results.
-fn kernel_contributions(
-    space: &IndoorSpace,
-    log: &Iupt,
-    memo: Option<&FlowMemo>,
-    records: &[u32],
-    locs: Option<&[SLocId]>,
-    union: &QuerySet,
-    cfg: &FlowConfig,
-) -> Result<Option<ObjectContribution>, FlowError> {
-    match memo {
-        Some(memo) => {
-            let key: Vec<SetRef> = records.iter().map(|&i| log.set_ref_at(i)).collect();
-            let sets: Vec<&SampleSet> = records.iter().map(|&i| log.samples_at(i)).collect();
-            memo.contributions(
-                space,
-                &key,
-                &sets,
-                locs.unwrap_or_else(|| union.slocs()),
-                union,
-                cfg,
-            )
-        }
-        None => {
-            let sets = records.iter().map(|&i| log.samples_at(i));
-            match locs {
-                Some(locs) => object_flow_contributions_for(space, sets, locs, union, cfg),
-                None => object_flow_contributions(space, sets, union, cfg),
-            }
         }
     }
 }
@@ -900,11 +691,9 @@ impl ShardWorker {
     /// [`ShardWorker::evaluate_multi`]: every requested window's
     /// contribution list recomputed from the log — each window object's
     /// records read straight out of the window's time range and handed
-    /// to the batch kernel. No buckets, no span cache, no kernel memo,
-    /// nothing carried from one advance to the next; with no cache to
-    /// fill, the old assembly's two cases (a single-bucket object's
-    /// bucket-local contribution, a straddler's recompute over its
-    /// concatenated slices) are the same expression.
+    /// to the batch kernel. No buckets, no span cache, nothing carried
+    /// from one advance to the next. Sliced to any location subset, it is
+    /// also the oracle for [`ShardWorker::evaluate_lazy`].
     fn reference_evaluate_multi(
         &mut self,
         window_end: i64,
@@ -1030,12 +819,15 @@ mod tests {
     }
 
     /// Drives one worker through a seeded random schedule of ingest
-    /// runs, union changes, advances over 1–3 widths (sliding by one
-    /// bucket, by two, or not at all) and ahead-of-time jobs, checking
-    /// every reply against [`ShardWorker::reference_evaluate_multi`] and
-    /// the span map against the spans the schedule asked for. Returns
-    /// how many cache hits, DP fallbacks and cache resets it saw.
-    fn drive(seed: u64) -> [usize; 3] {
+    /// runs, union changes and advances over 1–3 widths (sliding by one
+    /// bucket, by two, or not at all), checking every reply against
+    /// [`ShardWorker::reference_evaluate_multi`] and the span map against
+    /// the spans the schedule asked for. Eager advances are followed,
+    /// most of the time, by an ahead-of-time job; bound-pruned ones by
+    /// lazy requests for random location subsets of random candidate
+    /// subsets. Returns how many cache hits, DP fallbacks and cache
+    /// resets it saw.
+    fn drive(seed: u64, pruned: bool) -> [usize; 3] {
         let mut rng = StdRng::seed_from_u64(seed);
         let scenario = StreamScenario {
             num_objects: 90,
@@ -1054,7 +846,6 @@ mod tests {
             // `dp_fallback` takes both values.
             engine: [PresenceEngine::TransitionDp, PresenceEngine::Hybrid][(seed % 2) as usize],
             path_budget: 300,
-            memo: seed % 4 < 2,
             ..FlowConfig::default()
         };
         let mut union = random_subset(&mut rng, &all);
@@ -1093,64 +884,209 @@ mod tests {
                 starts.sort_unstable();
                 starts.dedup();
 
-                let report = worker.evaluate_multi(starts[0], end, &starts);
-                assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
                 let reference = worker.reference_evaluate_multi(end, &starts);
-                assert_eq!(report.windows.len(), reference.len());
-                for ((got, want), start) in report.windows.iter().zip(&reference).zip(&starts) {
-                    assert_eq!(
-                        got.objects_total, want.objects_total,
-                        "seed {seed}: window {start}..={end}"
-                    );
-                    assert_eq!(
-                        rows(got, &union),
-                        rows(want, &union),
-                        "seed {seed}: window {start}..={end}"
-                    );
-                }
-                advances += 1;
-                seen[0] += report.cache_hits;
+                let advance = (end, &starts[..], &reference[..]);
+                seen[0] += if pruned {
+                    drive_pruned(&mut worker, &mut rng, &union, advance, seed)
+                } else {
+                    let ahead = &mut stamped_ahead;
+                    drive_eager(&mut worker, &mut rng, &union, advance, seed, ahead)
+                };
                 seen[1] += reference
                     .iter()
                     .flat_map(|win| &win.contributions)
                     .filter(|(_, c)| c.dp_fallback)
                     .count();
-
-                // The advance keeps what it asked for and what was
-                // stamped for it ahead of time, and nothing else.
-                let mut expected = spans_asked(&mut worker, end, &starts);
-                expected.append(&mut stamped_ahead);
-                assert_eq!(
-                    held(&worker),
-                    expected,
-                    "seed {seed}: span map after advance to {end}"
-                );
-
-                if rng.gen_range(0..4) != 0 {
-                    worker.evaluate_ahead(end, &starts);
-                    stamped_ahead = spans_ahead(&mut worker, end, &starts);
-                    expected.extend(&stamped_ahead);
-                    assert_eq!(
-                        held(&worker),
-                        expected,
-                        "seed {seed}: span map ahead of {end}"
-                    );
-                }
+                advances += 1;
             }
         }
         assert!(advances >= 15, "seed {seed}: only {advances} advances");
         seen
     }
 
+    /// One eager advance to `end` over the windows `starts` (whose
+    /// contributions are `reference`) and, three times in four, its
+    /// ahead-of-time job. Returns the advance's cache hits.
+    fn drive_eager(
+        worker: &mut ShardWorker,
+        rng: &mut StdRng,
+        union: &QuerySet,
+        (end, starts, reference): (i64, &[i64], &[WindowEval]),
+        seed: u64,
+        stamped_ahead: &mut BTreeSet<SpanKey>,
+    ) -> usize {
+        let report = worker.evaluate_multi(starts[0], end, starts);
+        assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
+        assert_eq!(report.windows.len(), reference.len());
+        for ((got, want), start) in report.windows.iter().zip(reference).zip(starts) {
+            assert_eq!(
+                got.objects_total, want.objects_total,
+                "seed {seed}: window {start}..={end}"
+            );
+            assert_eq!(
+                rows(got, union),
+                rows(want, union),
+                "seed {seed}: window {start}..={end}"
+            );
+        }
+
+        // The advance keeps what it asked for and what was stamped for
+        // it ahead of time, and nothing else.
+        let mut expected = spans_asked(worker, end, starts);
+        expected.append(stamped_ahead);
+        assert_eq!(
+            held(worker),
+            expected,
+            "seed {seed}: span map after advance to {end}"
+        );
+
+        if rng.gen_range(0..4) != 0 {
+            worker.evaluate_ahead(end, starts);
+            *stamped_ahead = spans_ahead(worker, end, starts);
+            expected.extend(stamped_ahead.iter());
+            assert_eq!(
+                held(worker),
+                expected,
+                "seed {seed}: span map ahead of {end}"
+            );
+        }
+        report.cache_hits
+    }
+
+    /// One bound-pruned advance to `end` over the windows `starts` (whose
+    /// contributions are `reference`): the bounds phase, then one to three
+    /// lazy requests per window, each for a random subset of the union's
+    /// locations and a random subset of the window's candidates, every
+    /// reply checked against the reference contribution sliced to the
+    /// same locations and every reported evaluation against the spans
+    /// the request added to the map. Returns the cells served from the
+    /// span cache.
+    fn drive_pruned(
+        worker: &mut ShardWorker,
+        rng: &mut StdRng,
+        union: &QuerySet,
+        (end, starts, reference): (i64, &[i64], &[WindowEval]),
+        seed: u64,
+    ) -> usize {
+        let before = held(worker);
+        let bounds = worker.advance_bounds_multi(starts[0], end, starts);
+        let asked = spans_asked(worker, end, starts);
+        // The bounds phase keeps every cached span some window object
+        // still has, and nothing else.
+        assert_eq!(
+            held(worker),
+            before.intersection(&asked).copied().collect(),
+            "seed {seed}: span map after bounds to {end}"
+        );
+        assert_eq!(bounds.windows.len(), reference.len());
+        let mut hits = 0;
+        for ((win, want), &start) in bounds.windows.iter().zip(reference).zip(starts) {
+            assert_eq!(
+                win.objects_total, want.objects_total,
+                "seed {seed}: window {start}..={end}"
+            );
+            let want: BTreeMap<ObjectId, &ObjectContribution> = want
+                .contributions
+                .iter()
+                .map(|(oid, c)| (*oid, c.as_ref()))
+                .collect();
+            for _ in 0..rng.gen_range(1..=3) {
+                let slocs = random_subset(rng, union.slocs()).slocs().to_vec();
+                let oids: Vec<ObjectId> = win
+                    .candidates
+                    .iter()
+                    .map(|(oid, _)| *oid)
+                    .filter(|_| rng.gen_range(0..2) == 0)
+                    .collect();
+                let cached = held(worker);
+                let report = worker.evaluate_lazy(start, &slocs, &oids);
+                assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
+                let got: Vec<ObjectId> = report.contributions.iter().map(|(oid, _)| *oid).collect();
+                assert_eq!(got, oids, "seed {seed}: window {start}..={end}");
+                let mut cached_cells = 0;
+                for (oid, c) in &report.contributions {
+                    let expected = want
+                        .get(oid)
+                        .map_or_else(ObjectContribution::default, |w| w.sliced(&slocs));
+                    assert_eq!(
+                        row(*oid, c),
+                        row(*oid, &expected),
+                        "seed {seed}: window {start}..={end}, locations {slocs:?}"
+                    );
+                    let key = worker.windows[&start][oid];
+                    if cached.contains(&key) {
+                        cached_cells += c.relevant.len();
+                    }
+                }
+                assert_eq!(report.cached_cells, cached_cells, "seed {seed}");
+                hits += report.cached_cells;
+
+                // The work reported is exactly the spans the request
+                // added to the map.
+                let added: Vec<SpanKey> = held(worker).difference(&cached).copied().collect();
+                let contributions: Vec<&ObjectContribution> = added
+                    .iter()
+                    .filter_map(|key| worker.spans[key].contribution.as_deref())
+                    .collect();
+                assert_eq!(
+                    report.work.fresh_presence,
+                    contributions.len(),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    report.work.presence_cells,
+                    contributions
+                        .iter()
+                        .map(|c| c.relevant.len())
+                        .sum::<usize>(),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    report.work.straddlers,
+                    added
+                        .iter()
+                        .filter(|(_, first, last)| first != last)
+                        .count(),
+                    "seed {seed}"
+                );
+            }
+        }
+        // Lazy evaluation only ever adds spans of this advance's window
+        // objects.
+        assert!(
+            held(worker).is_subset(&asked),
+            "seed {seed}: span map after lazy requests to {end}"
+        );
+        hits
+    }
+
+    /// One reply in comparable form.
+    fn row(oid: ObjectId, c: &ObjectContribution) -> Row {
+        let bits = c.scores.iter().map(|s| s.to_bits()).collect();
+        (oid, c.relevant.clone(), bits, c.dp_fallback)
+    }
+
     #[test]
     fn evaluate_multi_matches_reference_on_random_schedules() {
         let mut seen = [0; 3];
         for seed in 0..24 {
-            for (total, n) in seen.iter_mut().zip(drive(seed)) {
+            for (total, n) in seen.iter_mut().zip(drive(seed, false)) {
                 *total += n;
             }
         }
         // The schedules did exercise hits, DP fallbacks and resets.
         assert!(seen.iter().all(|&n| n > 100), "{seen:?}");
+    }
+
+    #[test]
+    fn evaluate_lazy_matches_reference_on_random_schedules() {
+        let mut seen = [0; 3];
+        for seed in 0..24 {
+            for (total, n) in seen.iter_mut().zip(drive(seed, true)) {
+                *total += n;
+            }
+        }
+        // The schedules did exercise hits, DP fallbacks and resets.
+        assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 }

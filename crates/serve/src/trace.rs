@@ -8,25 +8,35 @@
 use popflow_core::QueryId;
 
 use crate::engine::AdvanceStrategy;
+use crate::shard::SpanWork;
 
 /// One shard's contribution to an advance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTrace {
     /// Shard index.
     pub shard: usize,
-    /// (object, location) presence cells this shard computed fresh —
-    /// for an eager advance, including the spans it evaluated ahead of
-    /// time after the previous one.
+    /// (object, location) presence cells this shard computed fresh: the
+    /// union locations of every span it evaluated — for an eager
+    /// advance, including the spans it evaluated ahead of time after the
+    /// previous one.
     pub presence_cells: u64,
-    /// Work this shard served from its caches (window objects for eager
-    /// advances, cells for bound-pruned ones).
+    /// Work this shard served from its span cache (window objects for
+    /// eager advances, requested cells for bound-pruned ones).
     pub cache_hits: u64,
-    /// Eager: multi-bucket spans this shard evaluated. Bound-pruned:
-    /// bucket-straddling objects it saw across the requested windows.
+    /// Multi-bucket spans this shard evaluated.
     pub straddlers: u64,
     /// Candidate (object, location) cells this shard reported in the
     /// bounds phase (bound-pruned advances only; 0 for eager).
     pub candidate_cells: u64,
+}
+
+impl ShardTrace {
+    /// Adds one shard reply's span work and cache hits.
+    pub(crate) fn add_work(&mut self, work: &SpanWork, cache_hits: usize) {
+        self.presence_cells += work.presence_cells as u64;
+        self.cache_hits += cache_hits as u64;
+        self.straddlers += work.straddlers as u64;
+    }
 }
 
 /// One registered query's slice of an advance.

@@ -19,13 +19,6 @@
 //! * [`StoreStats`] — footprint and interner hit-rate accounting, plus
 //!   the row-layout counterfactual ([`RecordStore::row_bytes`]) the
 //!   memory experiments compare against.
-//! * [`SetMemo`] / [`SeqMemo`] — **compute caches** over the interner:
-//!   byte-capped, FIFO-evicted side-tables keyed by a [`SetRef`] (or a
-//!   window-clipped sequence of them) that let kernels above pay for a
-//!   distinct interned set (or trajectory) once instead of once per
-//!   record. [`MemoStats`] accounting folds into [`StoreStats::memo`]
-//!   so cache growth is visible to the same footprint gates as the log
-//!   itself.
 //!
 //! The crate is dependency-free and knows nothing about sample-set
 //! *semantics*: it is generic over the interned item via [`PoolItem`].
@@ -52,10 +45,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod memo;
 mod pool;
 mod store;
 
-pub use memo::{MemoStats, SeqMemo, SetMemo};
 pub use pool::{PoolItem, SampleSetPool, SampleSetView, SetRef};
 pub use store::{RecordStore, RecordView, StoreStats};

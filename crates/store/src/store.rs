@@ -1,6 +1,5 @@
 //! The columnar, append-only record store.
 
-use crate::memo::MemoStats;
 use crate::pool::{PoolItem, SampleSetPool, SampleSetView, SetRef};
 
 /// Footprint and interner accounting of a [`RecordStore`] (or a merge of
@@ -18,13 +17,6 @@ pub struct StoreStats {
     pub sets_interned: usize,
     /// Interns that deduplicated to an existing set.
     pub intern_hits: u64,
-    /// Kernel-memo side-table accounting, folded in by the layer that
-    /// owns the memo (see [`StoreStats::with_memo`]). The store itself
-    /// reports zeros; once folded, [`StoreStats::bytes_per_record`]
-    /// charges the memo's resident bytes against the same per-record
-    /// budget as the log, so the footprint gates cannot be won by
-    /// unbounded cache growth.
-    pub memo: MemoStats,
 }
 
 impl StoreStats {
@@ -35,32 +27,15 @@ impl StoreStats {
             bytes: self.bytes + other.bytes,
             sets_interned: self.sets_interned + other.sets_interned,
             intern_hits: self.intern_hits + other.intern_hits,
-            memo: self.memo.merge(other.memo),
         }
     }
 
-    /// Folds a kernel memo's accounting into the stats — used by layers
-    /// (batch drivers, serve shards) that pair a store with a compute
-    /// cache keyed by its [`SetRef`]s.
-    pub fn with_memo(mut self, memo: MemoStats) -> StoreStats {
-        self.memo = self.memo.merge(memo);
-        self
-    }
-
-    /// Total resident bytes: the log columns and interner arena
-    /// ([`StoreStats::bytes`]) plus any folded kernel-memo tables
-    /// ([`MemoStats::bytes`]).
-    pub fn total_bytes(&self) -> usize {
-        self.bytes + self.memo.bytes
-    }
-
-    /// Mean resident bytes per record (0 for an empty store), including
-    /// any folded kernel-memo bytes — caches are part of the footprint.
+    /// Mean resident bytes per record (0 for an empty store).
     pub fn bytes_per_record(&self) -> f64 {
         if self.records == 0 {
             0.0
         } else {
-            self.total_bytes() as f64 / self.records as f64
+            self.bytes as f64 / self.records as f64
         }
     }
 
@@ -173,11 +148,6 @@ impl<S: PoolItem> RecordStore<S> {
         self.times[pos as usize]
     }
 
-    /// The interned-set handle at `pos`.
-    pub fn set_ref(&self, pos: u32) -> SetRef {
-        self.sets[pos as usize]
-    }
-
     /// Zero-copy borrow of the sample set at `pos`.
     pub fn set(&self, pos: u32) -> SampleSetView<'_, S> {
         self.pool.get(self.sets[pos as usize])
@@ -231,7 +201,6 @@ impl<S: PoolItem> RecordStore<S> {
             bytes: columns + self.pool.bytes(),
             sets_interned: self.pool.sets_interned(),
             intern_hits: self.pool.intern_hits(),
-            memo: MemoStats::default(),
         }
     }
 
@@ -291,8 +260,12 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.oids(), &[1, 2, 1]);
         assert_eq!(s.times(), &[100, 200, 300]);
-        assert_eq!(s.set_ref(0), s.set_ref(2), "duplicates share a handle");
-        assert_ne!(s.set_ref(0), s.set_ref(1));
+        assert_eq!(
+            s.view(0).set_ref,
+            s.view(2).set_ref,
+            "duplicates share a handle"
+        );
+        assert_ne!(s.view(0).set_ref, s.view(1).set_ref);
         let v = s.view(2);
         assert_eq!((v.pos, v.oid, v.t), (2, 1, 300));
         assert_eq!(v.set, &set(0));
@@ -344,33 +317,6 @@ mod tests {
         assert_eq!(m.sets_interned, 2);
         assert_eq!(m.intern_hits, 1);
         assert_eq!(m.bytes, a.stats().bytes + b.stats().bytes);
-    }
-
-    #[test]
-    fn with_memo_charges_cache_bytes_per_record() {
-        let mut s = RecordStore::new();
-        for i in 0..10u32 {
-            s.push(i, i64::from(i), set(i % 2));
-        }
-        let plain = s.stats();
-        let memo = MemoStats {
-            hits: 4,
-            misses: 2,
-            entries: 2,
-            bytes: 1_000,
-            evictions: 0,
-            invalidations: 0,
-        };
-        let folded = s.stats().with_memo(memo);
-        assert_eq!(folded.memo, memo);
-        assert_eq!(folded.total_bytes(), plain.bytes + 1_000);
-        assert!(
-            folded.bytes_per_record() > plain.bytes_per_record(),
-            "memo bytes must count against the per-record footprint"
-        );
-        let merged = folded.merge(folded);
-        assert_eq!(merged.memo.bytes, 2_000);
-        assert_eq!(merged.memo.hits, 8);
     }
 
     #[test]

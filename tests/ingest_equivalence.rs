@@ -3,7 +3,7 @@
 //! `ServeEngine` hands records to its shards in runs — one `tell` per
 //! non-empty shard per `ingest_all` / `ingest_run` call — and the shard
 //! appends a run through `Iupt::extend`. Everything downstream (bucket
-//! caches hold log *positions*, kernel memos are keyed by `SetRef`)
+//! caches hold log *positions*, records keep their pool's `SetRef`)
 //! rests on the shard logs being exactly what one `ingest` per record
 //! builds, so that is what is checked here, position by position, for
 //! run lengths from 1 to 4,096 under both advance strategies and 1, 2

@@ -13,18 +13,18 @@
 //!    pipeline assembled from the public `intra_merge` and
 //!    `inter_merge`: set count, locations, `prob.to_bits()`, which sets
 //!    are borrowed from the input, and PSLs — with and without merging.
-//! 2. **One PSL collector** — `scan_psls`, `FlowMemo::scan_psls` and
-//!    `scan_sequence(..).psls` agree on every one of those sequences.
+//! 2. **One PSL collector** — `scan_psls` and `scan_sequence(..).psls`
+//!    agree on every one of those sequences.
 //!
 //! Run with: `cargo test -p popflow-eval --test reduction_equivalence`
 
 use std::borrow::Cow;
 
-use indoor_iupt::{SampleSet, SetRef, TimeInterval, Timestamp};
+use indoor_iupt::{SampleSet, TimeInterval, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::{Scenario, World};
 use popflow_core::reduction::{inter_merge, intra_merge};
-use popflow_core::{scan_psls, scan_sequence, FlowMemo};
+use popflow_core::{scan_psls, scan_sequence};
 
 /// Algorithm 1 as the paper writes it, one owned set per record:
 /// intra-merge every record, inter-merge every maximal run of equal
@@ -153,15 +153,12 @@ fn fold_equals_per_record_pipeline_on_every_object_window() {
 #[test]
 fn psl_scans_share_one_collector() {
     let (mut world, windows) = windows();
-    let memo = FlowMemo::new();
     let mut compared = 0;
     for interval in windows {
         for seq in world.iupt.sequences_in(interval) {
-            let key: Vec<SetRef> = seq.records.iter().map(|r| r.set_ref).collect();
             let sets: Vec<&SampleSet> = seq.records.iter().map(|r| r.samples).collect();
             let plain = scan_psls(&world.space, sets.iter().copied());
             assert_eq!(plain, per_record_psls(&world.space, &sets));
-            assert_eq!(plain, memo.scan_psls(&world.space, &key, &sets));
             for merge in [true, false] {
                 let scanned = scan_sequence(&world.space, sets.iter().copied(), merge).unwrap();
                 assert_eq!(plain, scanned.psls, "object {} merge={merge}", seq.oid);
@@ -170,5 +167,4 @@ fn psl_scans_share_one_collector() {
         }
     }
     assert!(compared > 100);
-    assert!(memo.stats().hits > 0, "the memoized scan must be exercised");
 }

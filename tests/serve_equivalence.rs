@@ -483,13 +483,13 @@ fn update_key(u: &ContinuousUpdate) -> UpdateKey {
     (u.window, ranking, u.entered.clone(), u.left.clone())
 }
 
-/// Four standing queries of widths 1, 3, 8 and 16 buckets on one eager
-/// engine, a fifth registered a third of the way in whose locations
-/// grow the union (the shards drop their caches) and unregistered at
-/// two thirds (the union shrinks, the caches stay): every query's
-/// update on every slide equals a dedicated [`RecomputeEngine`]'s — an
-/// implementation that shares nothing with the serving engine but the
-/// per-object kernel. Visits last ¾ to 6 buckets, so in the 16-bucket
+/// Four standing queries of widths 1, 3, 8 and 16 buckets on one
+/// engine, under each advance strategy, a fifth registered a third of
+/// the way in whose locations grow the union (the shards drop their
+/// caches) and unregistered at two thirds (the union shrinks, the caches
+/// stay): every query's update on every slide equals a dedicated
+/// [`RecomputeEngine`]'s — an implementation that shares nothing with
+/// the serving engine but the per-object kernel. Visits last ¾ to 6 buckets, so in the 16-bucket
 /// window a span is born at the leading edge, sits in the interior for
 /// a dozen slides, is truncated bucket by bucket at the trailing edge
 /// and leaves.
@@ -575,9 +575,14 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
         reference.push(updates);
     }
 
-    for num_shards in [1, 2, 4] {
+    let strategies = [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned];
+    for (strategy, num_shards) in strategies
+        .into_iter()
+        .flat_map(|strategy| [1, 2, 4].map(|n| (strategy, n)))
+    {
         let mut config = ServeConfig::with_buckets(BUCKET)
             .with_shards(num_shards)
+            .with_strategy(strategy)
             .with_flow(flow);
         for spec in &specs[..late] {
             config = config.with_query(spec.clone());
@@ -610,7 +615,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
             assert_eq!(
                 updates.len(),
                 want.iter().flatten().count(),
-                "seed {seed}, {num_shards} shards, bucket {b}"
+                "seed {seed}, {strategy:?}, {num_shards} shards, bucket {b}"
             );
             for (qi, id) in ids.iter().enumerate() {
                 let (_, got) = updates
@@ -620,7 +625,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
                 assert_eq!(
                     Some(update_key(got)),
                     want[qi],
-                    "seed {seed}, {num_shards} shards, bucket {b}, query {qi} (width {})",
+                    "seed {seed}, {strategy:?}, {num_shards} shards, bucket {b}, query {qi} (width {})",
                     specs[qi].window.window_buckets
                 );
             }
@@ -628,7 +633,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
         let stats = engine.stats();
         assert!(
             stats.cache_hits > stats.fresh_presence,
-            "seed {seed}: spans were not reused: {stats:?}"
+            "seed {seed}, {strategy:?}: spans were not reused: {stats:?}"
         );
     }
 }
