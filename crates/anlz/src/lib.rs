@@ -2,7 +2,7 @@
 //!
 //! popflow's correctness story rests on one invariant the compiler
 //! cannot see: flows are **bit-identical** (`f64::to_bits`) across the
-//! serial, parallel, serve-eager, and serve-pruned engines. That
+//! serial, parallel and serving engines. That
 //! property survives only as long as engine code avoids a handful of
 //! patterns — unordered `HashMap` iteration feeding results, float
 //! accumulation in visit order, panics where the poisoning contract

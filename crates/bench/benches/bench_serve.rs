@@ -1,14 +1,14 @@
 //! Serving-path benchmark (ours): the incremental sharded
-//! `popflow-serve` engine — eager and bound-pruned advances — vs. the
-//! recompute-per-slide baseline on one replayed visitor stream — the
-//! whole ingest-and-advance loop, at two window/bucket ratios.
+//! `popflow-serve` engine vs. the recompute-per-slide baseline on one
+//! replayed visitor stream — the whole ingest-and-advance loop, at two
+//! window/bucket ratios.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use popflow_core::{FlowConfig, QuerySet, QuerySpec, RecomputeEngine, WindowSpec};
 use popflow_eval::experiments::streaming::{drive_stream, StreamingConfig};
-use popflow_serve::{AdvanceStrategy, ServeConfig, ServeEngine};
+use popflow_serve::{ServeConfig, ServeEngine};
 
 fn bench(c: &mut Criterion) {
     let cfg = StreamingConfig::scaled(0.05, 0xcafe);
@@ -35,25 +35,6 @@ fn bench(c: &mut Criterion) {
                         ServeConfig::with_buckets(spec.bucket_millis)
                             .with_query(QuerySpec::new(cfg.k, QuerySet::new(slocs.clone()), spec))
                             .with_shards(cfg.num_shards)
-                            .with_flow(flow),
-                    );
-                    drive_stream(&mut engine, records, spec, duration)
-                        .topks
-                        .len()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pruned", format!("w/b={ratio}")),
-            &ratio,
-            |b, _| {
-                b.iter(|| {
-                    let mut engine = ServeEngine::new(
-                        Arc::clone(&space),
-                        ServeConfig::with_buckets(spec.bucket_millis)
-                            .with_query(QuerySpec::new(cfg.k, QuerySet::new(slocs.clone()), spec))
-                            .with_shards(cfg.num_shards)
-                            .with_strategy(AdvanceStrategy::BoundPruned)
                             .with_flow(flow),
                     );
                     drive_stream(&mut engine, records, spec, duration)

@@ -1,36 +1,13 @@
-//! Microbenchmarks of the substrates: R-tree construction and queries,
-//! the 1D time index, data reduction, and possible-path construction.
+//! Microbenchmarks of the substrates: the 1D time index, data
+//! reduction, and possible-path construction.
 //! Not a paper artifact — regressions here would silently distort the
 //! table/figure benches, so they are pinned.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use indoor_geom::{Point, Rect};
-use indoor_iupt::{SampleSet, TimeInterval, Timestamp};
-use indoor_rtree::{RTree, TimeIndex};
+use indoor_iupt::{SampleSet, TimeIndex, TimeInterval, Timestamp};
 use popflow_bench::real_lab;
 use popflow_core::paths::build_paths;
 use popflow_core::scan_sequence;
-
-fn bench_rtree(c: &mut Criterion) {
-    let entries: Vec<(Rect, usize)> = (0..2000)
-        .map(|i| {
-            let x = (i % 50) as f64 * 2.0;
-            let y = (i / 50) as f64 * 2.0;
-            (Rect::from_coords(x, y, x + 1.5, y + 1.5), i)
-        })
-        .collect();
-    let query = Rect::from_coords(10.0, 10.0, 40.0, 40.0);
-    c.bench_function("substrate/rtree_bulk_query", |b| {
-        let rt = RTree::bulk_load(
-            entries
-                .iter()
-                .map(|&(mbr, data)| indoor_rtree::Entry { mbr, data })
-                .collect(),
-        );
-        b.iter(|| rt.query(&query).len())
-    });
-    let _ = Point::new(0.0, 0.0);
-}
 
 fn bench_time_index(c: &mut Criterion) {
     let idx = TimeIndex::from_sorted((0..200_000i64).map(|t| (t, t)).collect());
@@ -107,10 +84,5 @@ fn bench_reduction_and_paths(c: &mut Criterion) {
     let _ = TimeInterval::new(Timestamp(0), Timestamp(1));
 }
 
-criterion_group!(
-    benches,
-    bench_rtree,
-    bench_time_index,
-    bench_reduction_and_paths
-);
+criterion_group!(benches, bench_time_index, bench_reduction_and_paths);
 criterion_main!(benches);

@@ -72,15 +72,15 @@ impl ObjectContribution {
         self.scores.iter().all(|&s| s == 0.0)
     }
 
-    /// Restricts the contribution to a **sorted** location subset — the
-    /// cross-query sharing primitive of the multi-query serving registry.
+    /// Restricts the contribution to a **sorted** location subset.
     ///
     /// Per-location presence does not depend on which other locations
     /// were evaluated alongside it (see
     /// [`object_flow_contributions_for`]), so a contribution computed
     /// once against the *union* of several queries' location sets slices
     /// down to any one query's subset with scores **bit-identical** to a
-    /// contribution computed against that subset directly.
+    /// contribution computed against that subset directly — the property
+    /// the multi-query serving registry's per-query slicing rests on.
     pub fn sliced(&self, subset: &[SLocId]) -> ObjectContribution {
         let mut relevant = Vec::new();
         let mut scores = Vec::new();
@@ -125,11 +125,9 @@ where
     object_flow_contributions_for(space, sets, query_set.slocs(), query_set, cfg)
 }
 
-/// The lazy half of [`object_flow_contributions`]: one object's
-/// contributions restricted to `locs`, a **sorted** subset of
-/// `query_set`. The bound-pruned serving path uses this to evaluate only
-/// the (location, object) pairs its COUNT upper bounds could not rule
-/// out.
+/// [`object_flow_contributions`] restricted to `locs`, a **sorted**
+/// subset of `query_set`: one object's contributions to those locations
+/// only.
 ///
 /// Per-location presence does not depend on which other locations are
 /// evaluated alongside it — paths, probabilities, and normalization
@@ -160,7 +158,7 @@ where
     }
     let relevant = intersect_sorted(locs, &scanned.psls);
     if relevant.is_empty() {
-        // Reachable for -ORG runs and for lazy requests whose locations
+        // Reachable for -ORG runs and for subset requests whose locations
         // all miss this object's PSLs: the object cannot contribute to
         // `locs`, but it was still processed.
         return Ok(Some(ObjectContribution::default()));
@@ -387,7 +385,7 @@ mod tests {
         }
     }
 
-    /// The lazy per-location kernel must return, for every requested
+    /// The subset kernel must return, for every requested
     /// location, the bit-identical score the full kernel computes —
     /// across engines and normalizations, and for every subset shape.
     #[test]

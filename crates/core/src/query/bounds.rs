@@ -1,7 +1,6 @@
 //! Count-based flow upper bounds and the threshold heap that drives
 //! bound-pruned lazy evaluation — Algorithm 4's (§4.2) COUNT bound and
-//! best-first loop lifted out of the batch join so the continuous
-//! serving engine can reuse them per slide.
+//! best-first loop, as the batch Best-First search uses them.
 //!
 //! Every object's presence at a location is a probability, so
 //! `Φ(q, o) ≤ 1` and a location's windowed flow is bounded by its number

@@ -65,8 +65,8 @@ impl QuerySet {
 
 /// Intersection of two **sorted** `SLocId` slices, ascending — the
 /// free-standing counterpart of [`QuerySet::intersection_sorted`],
-/// shared by the per-location contribution kernel and the serve shard's
-/// lazy evaluation.
+/// shared by the per-location contribution kernel and Best-First's
+/// candidate lists.
 pub fn intersect_sorted(a: &[SLocId], b: &[SLocId]) -> Vec<SLocId> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);

@@ -295,9 +295,8 @@ impl<'s> PslCollector<'s> {
 }
 
 /// Collects a sequence's possible semantic locations **without** running
-/// the merge pipeline — the cheap half of [`scan_sequence`], used by the
-/// bound-pruned serving path at bucket-seal time, when candidate lists
-/// are needed but no presence (and hence no reduced sequence) is.
+/// the merge pipeline — the cheap half of [`scan_sequence`], and all of
+/// it when merging is off.
 ///
 /// Returns exactly the `psls` field [`scan_sequence`] would return for
 /// the same sets (sorted, deduplicated): PSLs come from the raw sample

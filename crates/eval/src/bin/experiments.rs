@@ -10,12 +10,12 @@
 //!
 //! The `streaming` experiment additionally writes a machine-readable
 //! benchmark report (records/s, p50/p99 advance latency, work ratios,
-//! presence_skipped, and — with `--queries N` ≥ 2 — the multi-query
+//! presence cells, and — with `--queries N` ≥ 2 — the multi-query
 //! `shared_work_ratio` sharing audit, which exits non-zero if concurrent
 //! registered queries fail to share sealing work or diverge from
 //! dedicated engines) to `--bench-json` (default `BENCH_streaming.json`),
-//! and its end-of-run telemetry export (the serve engines' full metric
-//! snapshots, phase coverage, and the instrumentation overhead ratio;
+//! and its end-of-run telemetry export (the serve engine's full metric
+//! snapshot, phase coverage, and the instrumentation overhead ratio;
 //! the run exits non-zero if a required phase metric is missing/zero,
 //! phase coverage drops under 90%, or instrumentation costs ≥ 5%) to
 //! `--obs-json` (default `BENCH_obs.json`),

@@ -3,8 +3,9 @@
 //! Indoor floor plans in this reproduction are axis-aligned: partitions are
 //! rectangles, doors are points on partition boundaries, and positioning
 //! reference points are lattice points. The types here are deliberately
-//! small and `Copy` where possible so the spatial indexes in `indoor-rtree`
-//! and the simulators in `indoor-sim` can pass them around freely.
+//! small and `Copy` where possible so the indoor space model in
+//! `indoor-model` and the simulators in `indoor-sim` can pass them around
+//! freely.
 //!
 //! The only curved shape is [`Ellipse`], which models the uncertainty
 //! regions of the UR comparator (Lu et al., EDBT 2016) reproduced for the

@@ -16,9 +16,11 @@ mod rfid;
 mod sample;
 mod table;
 mod time;
+mod time_index;
 
 pub use popflow_store::{SetRef, StoreStats};
 pub use rfid::{ReaderId, RfidDeployment, RfidReader, RfidRecord, RfidTrackingData};
 pub use sample::{Sample, SampleSet, SampleSetError};
 pub use table::{Iupt, IuptStats, ObjectId, ObjectSequence, Record, RecordRef, SampleSetView};
 pub use time::{TimeInterval, Timestamp};
+pub use time_index::TimeIndex;

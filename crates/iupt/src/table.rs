@@ -1,10 +1,10 @@
 use std::collections::HashMap;
 
-use indoor_rtree::TimeIndex;
 use popflow_store::{RecordStore, SetRef, StoreStats};
 
 use crate::sample::SampleSet;
 use crate::time::{TimeInterval, Timestamp};
+use crate::time_index::TimeIndex;
 
 /// Identifier of an indoor moving object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -2,51 +2,41 @@
 //! shared, sharded record stream. Routes time-ordered records to shard
 //! workers and assembles each registered query's incremental window
 //! evaluation into the same top-k the batch Nested-Loop search would
-//! produce — bit-identical flows, for every query, under both advance
-//! strategies.
+//! produce — bit-identical flows, for every query.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
+use indoor_iupt::{Iupt, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
-    diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, LocationBound,
-    ObjectContribution, QueryId, QueryOutcome, QuerySet, QuerySpec, SearchStats, ThresholdHeap,
-    ThresholdStep,
+    diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, QueryId,
+    QueryOutcome, QuerySet, QuerySpec, SearchStats,
 };
-use popflow_exec::{Reply, ShardDown, ShardPool};
+use popflow_exec::{ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
 
 use crate::metric_names as names;
-use crate::shard::{EagerReport, EvalReport, ShardWorker, SpanWork};
+use crate::shard::{EagerReport, ShardWorker, SpanWork};
 use crate::trace::{AdvanceTrace, QueryTrace, ShardTrace};
 
-/// One merged window of an eager advance: the union-wide flows, in
+/// One merged window of an advance: the union-wide flows, in
 /// `union.slocs()` order, plus the shared [`SearchStats`] reported for
 /// every query on that window.
 type WindowScores = (Vec<f64>, SearchStats);
 
-/// How an advance turns sealed buckets into a ranking.
+/// A compatibility stub: the engine has one advance protocol, and
+/// [`ServeConfig::with_strategy`] ignores its argument. Kept only
+/// because the frozen benchmark still names both variants; it goes
+/// with that benchmark's `pruned_*` metrics (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceStrategy {
-    /// Evaluate every window object's full union contribution — once
-    /// per span of sealed buckets its records cover, cached on the shard
-    /// until a slide changes the span — and merge all of a window's
-    /// contributions per advance, slicing them per registered query.
+    /// The engine's one advance: every window object's union
+    /// contribution, cached per span of sealed buckets, merged per
+    /// window and sliced per registered query.
     #[default]
     Eager,
-    /// Bound-pruned lazy advance (the paper's §4.2 COUNT bound lifted to
-    /// the continuous engine): sealing only records per-object PSL
-    /// candidate lists; each registered query's threshold loop merges
-    /// per-location candidate counts into flow upper bounds and requests
-    /// exact contributions lazily, best-first, until its top-k is
-    /// final — objects that are candidates only for locations whose
-    /// bound never reaches the k-th exact flow pay no presence
-    /// computation at all. A requested object's span is evaluated once,
-    /// against the whole union, into the same shard span cache the eager
-    /// strategy uses, and serves every later location, query and slide
-    /// that asks for it.
+    /// Selects the same advance as [`AdvanceStrategy::Eager`].
     BoundPruned,
 }
 
@@ -66,10 +56,10 @@ pub enum LateRecord {
 }
 
 /// Configuration of a [`ServeEngine`]: the shared serving substrate
-/// (shard count, bucket granularity, flow configuration, advance
-/// strategy) plus any queries to register at construction. Further
-/// queries can be added and removed mid-stream with
-/// [`ServeEngine::register`] / [`ServeEngine::unregister`].
+/// (shard count, bucket granularity, flow configuration) plus any
+/// queries to register at construction. Further queries can be added
+/// and removed mid-stream with [`ServeEngine::register`] /
+/// [`ServeEngine::unregister`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shard workers (threads). Objects are hash-partitioned
@@ -81,10 +71,6 @@ pub struct ServeConfig {
     pub bucket_millis: i64,
     /// Flow computation configuration (engine, normalization, reduction).
     pub flow: FlowConfig,
-    /// Eager or bound-pruned advances. Both return bit-identical top-k
-    /// sets and flows; they differ only in how much presence work an
-    /// advance pays.
-    pub strategy: AdvanceStrategy,
     /// Queries registered at engine construction, in registration order.
     pub queries: Vec<QuerySpec>,
     /// Whether to record internal telemetry (phase histograms, mirrored
@@ -104,15 +90,14 @@ impl ServeConfig {
     /// A query-less config with the given bucket granularity and
     /// sensible defaults (4 shards, DP presence engine — the right
     /// engine for a serving path, where tail latency matters more than
-    /// paper fidelity — and eager advances). Add queries with
-    /// [`ServeConfig::with_query`] or register them on the engine.
+    /// paper fidelity). Add queries with [`ServeConfig::with_query`] or
+    /// register them on the engine.
     pub fn with_buckets(bucket_millis: i64) -> Self {
         assert!(bucket_millis > 0, "bucket width must be positive");
         ServeConfig {
             num_shards: 4,
             bucket_millis,
             flow: FlowConfig::default().with_dp_engine(),
-            strategy: AdvanceStrategy::default(),
             queries: Vec::new(),
             metrics: true,
             trace_capacity: 64,
@@ -142,9 +127,9 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the advance strategy.
-    pub fn with_strategy(mut self, strategy: AdvanceStrategy) -> Self {
-        self.strategy = strategy;
+    /// Returns the config unchanged: there is one advance protocol (see
+    /// [`AdvanceStrategy`], the compatibility stub this accepts).
+    pub fn with_strategy(self, _strategy: AdvanceStrategy) -> Self {
         self
     }
 
@@ -174,29 +159,19 @@ struct ServeMetrics {
     straddler_recomputes: Counter,
     fresh_presence: Counter,
     presence_cells: Counter,
-    presence_skipped: Counter,
     cache_resets: Counter,
     log_bytes: Gauge,
     intern_hits: Gauge,
     registered_queries: Gauge,
     ingest_ns: Histogram,
     advance_ns: Histogram,
-    lazy_eval_ns: Histogram,
-    /// One histogram per advance phase, keyed by metric name (≤ 6
+    /// One histogram per advance phase, keyed by metric name (3
     /// entries; linear scan beats hashing at this size).
     phases: Vec<(&'static str, Histogram)>,
 }
 
 impl ServeMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
-        let phase_names = [
-            names::PHASE_EVAL_RPC_NS,
-            names::PHASE_MERGE_NS,
-            names::PHASE_SLICE_NS,
-            names::PHASE_BOUNDS_RPC_NS,
-            names::PHASE_BOUNDS_MERGE_NS,
-            names::PHASE_THRESHOLD_NS,
-        ];
         ServeMetrics {
             records_ingested: registry.counter(names::RECORDS_INGESTED),
             records_rejected: registry.counter(names::RECORDS_REJECTED),
@@ -205,15 +180,13 @@ impl ServeMetrics {
             straddler_recomputes: registry.counter(names::STRADDLER_RECOMPUTES),
             fresh_presence: registry.counter(names::FRESH_PRESENCE),
             presence_cells: registry.counter(names::PRESENCE_CELLS),
-            presence_skipped: registry.counter(names::PRESENCE_SKIPPED),
             cache_resets: registry.counter(names::CACHE_RESETS),
             log_bytes: registry.gauge(names::LOG_BYTES),
             intern_hits: registry.gauge(names::INTERN_HITS),
             registered_queries: registry.gauge(names::REGISTERED_QUERIES),
             ingest_ns: registry.histogram(names::INGEST_NS),
             advance_ns: registry.histogram(names::ADVANCE_NS),
-            lazy_eval_ns: registry.histogram(names::LAZY_EVAL_NS),
-            phases: phase_names
+            phases: names::EAGER_PHASES
                 .into_iter()
                 .map(|name| (name, registry.histogram(name)))
                 .collect(),
@@ -241,37 +214,11 @@ impl ServeMetrics {
         lift(&self.straddler_recomputes, stats.straddler_recomputes);
         lift(&self.fresh_presence, stats.fresh_presence);
         lift(&self.presence_cells, stats.presence_cells);
-        lift(&self.presence_skipped, stats.presence_skipped);
         lift(&self.cache_resets, stats.cache_resets);
         self.log_bytes.set(stats.log_bytes);
         self.intern_hits.set(stats.intern_hits);
         self.registered_queries.set(stats.registered_queries);
     }
-}
-
-/// Per-window coordinator state of one bound-pruned advance: merged
-/// candidate bounds in, exact flows out. Shared by every query
-/// whose window length maps to this window.
-struct WindowState {
-    start: i64,
-    /// Per-location candidate counts — the COUNT flow bounds.
-    counts: HashMap<SLocId, usize>,
-    /// Per-shard candidate objects per location, for lazy round-trips.
-    per_shard: Vec<HashMap<SLocId, Vec<ObjectId>>>,
-    /// All candidate (object, location) cells in the window.
-    total_cells: u64,
-    /// Candidate cells some query's threshold loop requested — each
-    /// location is requested at most once per window (see `flows`), so
-    /// this never exceeds `total_cells`.
-    requested_cells: u64,
-    objects_total: usize,
-    /// Exact flows finalized by any query's loop, shared by every
-    /// query of the window for the rest of the advance.
-    flows: HashMap<SLocId, f64>,
-    /// Objects summed / DP-fallen-back in this window (the union
-    /// evaluation's accounting, shared by its queries).
-    requested_objects: HashSet<ObjectId>,
-    dp_fallback_objects: HashSet<ObjectId>,
 }
 
 /// Cumulative serving counters.
@@ -284,36 +231,27 @@ pub struct ServeStats {
     /// Window advances served (each advance evaluates every registered
     /// query).
     pub advances: u64,
-    /// Work served from the shards' span caches. Eager advances count
-    /// window *objects* — objects the slide neither gave a record nor
-    /// took one from, once per distinct window they are in; bound-pruned
-    /// advances count requested (object, location) *cells* whose span
-    /// was already cached. Work shared across registered queries shows
-    /// up here: the second query to need a span finds it cached.
+    /// Window objects served from the shards' span caches: objects the
+    /// slide neither gave a record nor took one from, once per distinct
+    /// window they are in. Work shared across registered queries shows
+    /// up here: a window two queries share is assembled once.
     pub cache_hits: u64,
-    /// Multi-bucket spans evaluated, under either strategy — each
-    /// distinct span once, when an advance first asks for it, not once
-    /// per slide it stays in a window.
+    /// Multi-bucket spans evaluated — each distinct span once, when an
+    /// advance first asks for it (or the shards evaluate it ahead of
+    /// that advance), not once per slide it stays in a window.
     pub straddler_recomputes: u64,
     /// Presence computations counted per object — the quantity the
     /// bucketing scheme minimizes: spans evaluated, i.e. one per object
     /// per distinct run of sealed buckets its windowed records cover
-    /// (PSL-pruned spans pay nothing and are not counted). Eager: every
-    /// window object's span, with the spans the shards evaluated ahead
-    /// of the slide that truncates them reported with the following
-    /// advance. Bound-pruned: only the spans of objects some threshold
-    /// loop requested.
+    /// (PSL-pruned spans pay nothing and are not counted). The spans the
+    /// shards evaluated ahead of the slide that truncates them are
+    /// reported with the following advance.
     pub fresh_presence: u64,
     /// The same computations counted per (object, location) cell: the
-    /// union locations each evaluated span's contribution covers. Under
-    /// both strategies a span is evaluated against the whole union of
-    /// registered location sets, once, not once per query or location.
+    /// union locations each evaluated span's contribution covers. A span
+    /// is evaluated against the whole union of registered location sets,
+    /// once, not once per query or location.
     pub presence_cells: u64,
-    /// Candidate (object, location) cells a bound-pruned advance never
-    /// requested: no registered query's flow bound for the location
-    /// reached its k-th exact flow. Always 0 under
-    /// [`AdvanceStrategy::Eager`].
-    pub presence_skipped: u64,
     /// Resident bytes of the shard logs' columnar stores (summed across
     /// shards). A *gauge*, not a counter: [`ServeEngine::stats`] asks
     /// the shards for their live [`indoor_iupt::StoreStats`], so the
@@ -344,8 +282,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Adds one shard reply's span work and cache hits — the same
-    /// accounting under both strategies.
+    /// Adds one shard reply's span work and cache hits.
     fn add_work(&mut self, work: &SpanWork, cache_hits: usize) {
         self.cache_hits += cache_hits as u64;
         self.straddler_recomputes += work.straddlers as u64;
@@ -374,10 +311,8 @@ struct Registered {
 /// set. An
 /// [`advance_all`](ServeEngine::advance_all) seals newly completed
 /// buckets once, then evaluates every registered query on top — slicing
-/// the shared union contributions per location subset (eager) or running
-/// one threshold loop per query whose requested objects read the same
-/// span caches (bound-pruned) — and reports one [`ContinuousUpdate`]
-/// per query.
+/// the shared union contributions per location subset — and reports one
+/// [`ContinuousUpdate`] per query.
 /// Queries may use different window lengths (sharing the bucket width);
 /// each keeps its own frontier and delta state, so windows of different
 /// widths advance independently off the same shard logs.
@@ -416,7 +351,7 @@ struct Registered {
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
 /// use popflow_core::{ContinuousEngine, FlowConfig, QuerySet, QuerySpec, WindowSpec};
-/// use popflow_serve::{AdvanceStrategy, ServeConfig, ServeEngine};
+/// use popflow_serve::{ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
 /// let cfg = ServeConfig::with_buckets(4_000)
@@ -425,7 +360,6 @@ struct Registered {
 ///         QuerySet::new(fig.r.to_vec()),
 ///         WindowSpec::new(4_000, 2), // two 4-second buckets
 ///     ))
-///     .with_strategy(AdvanceStrategy::BoundPruned)
 ///     .with_flow(FlowConfig::default().with_full_product_normalization());
 /// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
 /// for r in paper_table2().to_records() {
@@ -926,9 +860,9 @@ impl ServeEngine {
     }
 
     /// Advances every registered query to `now` and returns one update
-    /// per query, in registration order. Buckets are sealed (and, under
-    /// bound pruning, candidate bounds collected) **once** across all
-    /// queries; per-query evaluation runs on top of the shared caches.
+    /// per query, in registration order. Buckets are sealed **once**
+    /// across all queries; per-query evaluation runs on top of the
+    /// shared caches.
     ///
     /// `now` must be non-decreasing across calls, and at least one query
     /// must be registered ([`FlowError::InvalidQuery`] otherwise — a
@@ -953,8 +887,7 @@ impl ServeEngine {
         }
         self.last_advance = Some(now);
         let total_timer = Timer::start();
-        let mut trace =
-            AdvanceTrace::new(self.stats.advances + 1, now.millis(), self.config.strategy);
+        let mut trace = AdvanceTrace::new(self.stats.advances + 1, now.millis());
 
         // All queries share the bucket width, so they share the end
         // bucket; window lengths (and thus starts) differ per query.
@@ -969,14 +902,7 @@ impl ServeEngine {
         // anlz:allow(panic-in-hot-path): non-empty — advance_all rejects an empty registry above
         let global_start = starts[0];
 
-        let result = match self.config.strategy {
-            AdvanceStrategy::Eager => {
-                self.advance_eager(global_start, end_bucket, &starts, &mut trace)
-            }
-            AdvanceStrategy::BoundPruned => {
-                self.advance_pruned(global_start, end_bucket, &starts, &mut trace)
-            }
-        };
+        let result = self.advance_eager(global_start, end_bucket, &starts, &mut trace);
         // Buckets through `end_bucket` are now sealed engine-wide — even
         // if a shard reported an error: some shards may have sealed
         // their caches, and accepting a late record into a sealed bucket
@@ -1035,18 +961,16 @@ impl ServeEngine {
         // shards are idle until the next records arrive, and already
         // hold everything that decides which spans the next slide will
         // truncate. No reply — nothing here can change a result.
-        if self.config.strategy == AdvanceStrategy::Eager {
-            for shard in 0..self.pool.shards() {
-                let request = starts.clone();
-                self.pool
-                    .tell(shard, move |worker| {
-                        worker.evaluate_ahead(end_bucket, &request)
-                    })
-                    .map_err(|down| {
-                        let e = self.shard_down(down);
-                        self.poison(e)
-                    })?;
-            }
+        for shard in 0..self.pool.shards() {
+            let request = starts.clone();
+            self.pool
+                .tell(shard, move |worker| {
+                    worker.evaluate_ahead(end_bucket, &request)
+                })
+                .map_err(|down| {
+                    let e = self.shard_down(down);
+                    self.poison(e)
+                })?;
         }
         Ok(updates)
     }
@@ -1223,234 +1147,11 @@ impl ServeEngine {
         }
         Ok(merged)
     }
-
-    /// The bound-pruned lazy advance. Phase 1 collects per-window
-    /// per-location candidate counts from every shard (cheap sealing —
-    /// no presence work); phase 2 runs one threshold loop per registered
-    /// query, requesting exact per-location contributions only while the
-    /// location's merged COUNT bound can still reach that query's k-th
-    /// exact flow. Exact flows are kept per window for the advance, so
-    /// a location two queries share is requested once; at the shard
-    /// level, a requested object's span is evaluated once into the span
-    /// cache and serves every other location, window and slide that
-    /// asks for it.
-    fn advance_pruned(
-        &mut self,
-        global_start: i64,
-        end_bucket: i64,
-        starts: &[i64],
-        trace: &mut AdvanceTrace,
-    ) -> Result<Vec<QueryOutcome>, FlowError> {
-        // ---- Phase 1: bounds, for every window at once. Per-shard
-        // replies (gathered in shard order) keep candidate lists
-        // attributable to the shard that owns the objects.
-        let request: Vec<i64> = starts.to_vec();
-        let rpc_timer = Timer::start();
-        let reports = self
-            .pool
-            .ask_all(move |_, worker: &mut ShardWorker| {
-                worker.advance_bounds_multi(global_start, end_bucket, &request)
-            })
-            .map_err(|down| self.shard_down(down))?;
-        trace.add_phase(names::PHASE_BOUNDS_RPC_NS, rpc_timer.elapsed_ns());
-
-        let bounds_timer = Timer::start();
-        let num_shards = self.pool.shards();
-        trace.shards = (0..num_shards)
-            .map(|shard| ShardTrace {
-                shard,
-                ..ShardTrace::default()
-            })
-            .collect();
-        let mut windows: Vec<WindowState> = starts
-            .iter()
-            .map(|&start| WindowState {
-                start,
-                counts: HashMap::new(),
-                per_shard: vec![HashMap::new(); num_shards],
-                total_cells: 0,
-                requested_cells: 0,
-                objects_total: 0,
-                flows: HashMap::new(),
-                requested_objects: HashSet::new(),
-                dp_fallback_objects: HashSet::new(),
-            })
-            .collect();
-        self.stats.log_bytes = 0;
-        self.stats.intern_hits = 0;
-        for (shard, report) in reports.into_iter().enumerate() {
-            self.stats.log_bytes += report.store.bytes as u64;
-            self.stats.intern_hits += report.store.intern_hits;
-            for (wi, win) in report.windows.into_iter().enumerate() {
-                let state = windows
-                    .get_mut(wi)
-                    .ok_or_else(|| FlowError::EngineUnavailable {
-                        detail: format!(
-                            "shard {shard} replied with more windows than the advance plan \
-                             requested ({wi} >= {})",
-                            starts.len()
-                        ),
-                    })?;
-                state.objects_total += win.objects_total;
-                for (oid, relevant) in win.candidates {
-                    state.total_cells += relevant.len() as u64;
-                    // anlz:allow(panic-in-hot-path): trace.shards was sized to num_shards above; ask_all replies once per shard
-                    trace.shards[shard].candidate_cells += relevant.len() as u64;
-                    for &q in &relevant {
-                        *state.counts.entry(q).or_insert(0) += 1;
-                        // anlz:allow(panic-in-hot-path): per_shard was sized to num_shards at construction just above
-                        state.per_shard[shard].entry(q).or_default().push(oid);
-                    }
-                }
-            }
-        }
-        trace.add_phase(names::PHASE_BOUNDS_MERGE_NS, bounds_timer.elapsed_ns());
-
-        // ---- Phase 2: one threshold loop per query (Algorithm 4's heap
-        // loop over per-location COUNT bounds), in registration order.
-        // Zero-candidate locations have an exactly-zero flow with no
-        // work at all; locations another query already finalized are
-        // free.
-        let threshold_timer = Timer::start();
-        let mut outcomes = Vec::with_capacity(self.queries.len());
-        for qi in 0..self.queries.len() {
-            let query_timer = Timer::start();
-            // anlz:allow(panic-in-hot-path): qi ranges over self.queries.len()
-            let spec = self.queries[qi].spec.clone();
-            let wi = Self::window_index(starts, end_bucket, spec.window.window_buckets)?;
-            let state = windows
-                .get_mut(wi)
-                .ok_or_else(|| FlowError::EngineUnavailable {
-                    detail: format!("bounds merge produced no window {wi} for the advance plan"),
-                })?;
-            let mut heap = ThresholdHeap::new();
-            for &sloc in spec.query_set.slocs() {
-                if let Some(&flow) = state.flows.get(&sloc) {
-                    heap.push_exact(sloc, flow);
-                } else {
-                    match state.counts.get(&sloc).copied().unwrap_or(0) {
-                        0 => heap.push_exact(sloc, 0.0),
-                        candidates => heap.push_bound(LocationBound { sloc, candidates }),
-                    }
-                }
-            }
-            let k_eff = spec.k_eff();
-            let mut finals: Vec<(SLocId, f64)> = Vec::with_capacity(k_eff);
-            while finals.len() < k_eff {
-                match heap.pop() {
-                    None => break,
-                    Some(ThresholdStep::Finalize(sloc, flow)) => finals.push((sloc, flow)),
-                    Some(ThresholdStep::Evaluate(sloc)) => {
-                        let flow = Self::evaluate_location(
-                            &self.pool,
-                            &mut self.stats,
-                            self.metrics.as_ref(),
-                            sloc,
-                            state,
-                            &mut trace.shards,
-                        )?;
-                        state.flows.insert(sloc, flow);
-                        heap.push_exact(sloc, flow);
-                    }
-                }
-            }
-            outcomes.push(QueryOutcome {
-                ranking: rank_topk(finals, spec.k),
-                stats: SearchStats {
-                    objects_total: state.objects_total,
-                    objects_computed: state.requested_objects.len(),
-                    dp_fallback_objects: state.dp_fallback_objects.len(),
-                },
-            });
-            trace.queries.push(QueryTrace {
-                // anlz:allow(panic-in-hot-path): qi ranges over self.queries.len()
-                id: self.queries[qi].id,
-                ns: query_timer.elapsed_ns(),
-                changed: false,
-            });
-        }
-        for state in &windows {
-            self.stats.presence_skipped += state.total_cells - state.requested_cells;
-        }
-        trace.add_phase(names::PHASE_THRESHOLD_NS, threshold_timer.elapsed_ns());
-        Ok(outcomes)
-    }
-
-    /// One lazy round-trip: asks every shard holding candidates for
-    /// `sloc` in the window for their exact contributions, then
-    /// accumulates the flow in ascending object-id order — the identical
-    /// floating-point sum the eager merge (and the batch Nested-Loop
-    /// search) produces. An associated function over split borrows: the
-    /// caller holds `&mut` window state across the call.
-    fn evaluate_location(
-        pool: &ShardPool<ShardWorker>,
-        stats: &mut ServeStats,
-        metrics: Option<&ServeMetrics>,
-        sloc: SLocId,
-        state: &mut WindowState,
-        shard_traces: &mut [ShardTrace],
-    ) -> Result<f64, FlowError> {
-        let lazy_timer = Timer::start();
-        let window_start = state.start;
-        let mut replies: Vec<Reply<EvalReport>> = Vec::new();
-        for (shard, candidates) in state.per_shard.iter().enumerate() {
-            if let Some(oids) = candidates.get(&sloc) {
-                state.requested_cells += oids.len() as u64;
-                let oids = oids.clone();
-                let reply = pool
-                    .ask(shard, move |worker: &mut ShardWorker| {
-                        worker.evaluate_lazy(window_start, &[sloc], &oids)
-                    })
-                    .map_err(|down| FlowError::EngineUnavailable {
-                        detail: down.to_string(),
-                    })?;
-                replies.push(reply);
-            }
-        }
-        let mut contributions: Vec<(ObjectId, ObjectContribution)> = Vec::new();
-        for reply in replies {
-            let shard = reply.shard();
-            let mut report = reply.recv().map_err(|down| FlowError::EngineUnavailable {
-                detail: down.to_string(),
-            })?;
-            if let Some(e) = report.error {
-                return Err(e);
-            }
-            stats.add_work(&report.work, report.cached_cells);
-            if let Some(t) = shard_traces.get_mut(shard) {
-                t.add_work(&report.work, report.cached_cells);
-            }
-            contributions.append(&mut report.contributions);
-        }
-        contributions.sort_unstable_by_key(|(oid, _)| *oid);
-        let mut flow = 0.0f64;
-        for (oid, contribution) in &contributions {
-            state.requested_objects.insert(*oid);
-            if contribution.dp_fallback {
-                state.dp_fallback_objects.insert(*oid);
-            }
-            for (&q, &score) in contribution.relevant.iter().zip(&contribution.scores) {
-                debug_assert_eq!(q, sloc);
-                // Zero scores are skipped exactly as the batch search
-                // skips them, keeping the accumulation bit-identical.
-                if score > 0.0 {
-                    flow += score;
-                }
-            }
-        }
-        if let Some(m) = metrics {
-            lazy_timer.record_into(&m.lazy_eval_ns);
-        }
-        Ok(flow)
-    }
 }
 
 impl ContinuousEngine for ServeEngine {
     fn name(&self) -> &'static str {
-        match self.config.strategy {
-            AdvanceStrategy::Eager => "popflow-serve",
-            AdvanceStrategy::BoundPruned => "popflow-serve-pruned",
-        }
+        "popflow-serve"
     }
 
     /// A run of one: the same path as [`ServeEngine::ingest_all`], one

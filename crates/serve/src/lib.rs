@@ -21,9 +21,8 @@
 //!   └─────┬─────┘   └─────┬─────┘   computed against the UNION of all
 //!         └───────┬───────┘         registered location sets
 //!                 ▼  advance_all(now): seal once, evaluate every query
-//!     eager: merge union contributions by object id → slice per query
-//!     pruned: COUNT bounds → one threshold loop per query; requested
-//!             objects read (or fill) the same span cache, sliced
+//!     merge union contributions by object id → slice per query;
+//!     then each shard evaluates the next slide's truncated spans ahead
 //! ```
 //!
 //! * **Ingestion** partitions records by object across worker threads;
@@ -59,28 +58,23 @@
 //!   millisecond has *elapsed* (`now ≥ bucket end + 1`); a record
 //!   timestamped inside a sealed bucket is late and rejected at ingest,
 //!   while anything at or after the sealed frontier is accepted.
-//! * **Evaluation is incremental but exact**, with two strategies
-//!   ([`AdvanceStrategy`]). *Eager* advances keep every window object's
-//!   full union contribution in a per-shard cache keyed by the object's
-//!   *span* — its first and last sealed bucket in the window — and merge
-//!   them per slide. A slide changes the span of an object it gave a
-//!   record to or took a bucket from, and of no other, so presence is
-//!   computed once per distinct span ([`ServeStats::fresh_presence`]),
-//!   not once per slide; the spans a slide will truncate are evaluated
-//!   ahead of it, while the shards are idle.
-//!   *Bound-pruned* advances ([`AdvanceStrategy::BoundPruned`]) lift the
-//!   paper's §4.2 COUNT upper bound to the serving path: sealing only
-//!   records PSL candidate lists, the coordinator merges per-location
-//!   candidate counts into flow bounds across shards, and a best-first
-//!   threshold loop per query requests exact per-location contributions
-//!   lazily — locations whose bound never reaches the k-th exact flow
-//!   skip their presence computations entirely (`presence_skipped` in
-//!   [`ServeStats`]). Both strategies evaluate through the same
-//!   per-object kernel ([`popflow_core::object_flow_contributions`]) in
+//! * **Evaluation is incremental but exact.** An advance keeps every
+//!   window object's full union contribution in a per-shard cache keyed
+//!   by the object's *span* — its first and last sealed bucket in the
+//!   window — and merges them per slide. A slide changes the span of an
+//!   object it gave a record to or took a bucket from, and of no other,
+//!   so presence is computed once per distinct span
+//!   ([`ServeStats::fresh_presence`]), not once per slide; the spans a
+//!   slide will truncate are evaluated ahead of it, while the shards are
+//!   idle. Spans are evaluated through the batch search's per-object
+//!   kernel ([`popflow_core::object_flow_contributions`]) and merged in
 //!   the same object-id order, so every registered query's advance
 //!   reports *bit-identical* top-k sets and flows to a batch
 //!   recomputation — and to a dedicated single-query engine — over the
-//!   same window.
+//!   same window. (The paper's §4.2 COUNT bound prunes the *batch*
+//!   Best-First search, `popflow_core::best_first`; on the serving path
+//!   a bound-pruned twin of this advance measured slower on every
+//!   benchmark workload, so there is none.)
 //!
 //! The recompute-per-slide baseline lives in `popflow-core`
 //! ([`popflow_core::RecomputeEngine`]); all engines implement
@@ -119,20 +113,11 @@ mod tests {
     use super::*;
 
     fn paper_engine(spec: WindowSpec, shards: usize) -> (ServeEngine, Arc<IndoorSpaceAlias>) {
-        paper_engine_with(spec, shards, AdvanceStrategy::Eager)
-    }
-
-    fn paper_engine_with(
-        spec: WindowSpec,
-        shards: usize,
-        strategy: AdvanceStrategy,
-    ) -> (ServeEngine, Arc<IndoorSpaceAlias>) {
         let fig = paper_figure1();
         let space = Arc::new(fig.space.clone());
         let cfg = ServeConfig::with_buckets(spec.bucket_millis)
             .with_query(QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), spec))
             .with_shards(shards)
-            .with_strategy(strategy)
             .with_flow(FlowConfig::default().with_full_product_normalization());
         (ServeEngine::new(Arc::clone(&space), cfg), space)
     }
@@ -141,20 +126,18 @@ mod tests {
 
     #[test]
     fn paper_example_topk_served() {
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let (mut engine, _space) = paper_engine_with(WindowSpec::new(2_000, 4), 3, strategy);
-            engine.ingest_all(paper_table2().to_records()).unwrap();
-            // Window at t=8999: buckets 0..=3 = [0, 7999] — the full Table 2.
-            let update = engine.advance(Timestamp(8_999)).unwrap();
-            let fig = paper_figure1();
-            assert_eq!(update.outcome.ranking[0].sloc, fig.r[5]);
-            assert!((update.outcome.ranking[0].flow - 1.85).abs() < 1e-9);
-            assert!(update.changed);
-            assert_eq!(engine.current().unwrap(), update.outcome.topk_slocs());
-            let stats = engine.stats();
-            assert_eq!(stats.records_ingested, 10);
-            assert_eq!(stats.advances, 1);
-        }
+        let (mut engine, _space) = paper_engine(WindowSpec::new(2_000, 4), 3);
+        engine.ingest_all(paper_table2().to_records()).unwrap();
+        // Window at t=8999: buckets 0..=3 = [0, 7999] — the full Table 2.
+        let update = engine.advance(Timestamp(8_999)).unwrap();
+        let fig = paper_figure1();
+        assert_eq!(update.outcome.ranking[0].sloc, fig.r[5]);
+        assert!((update.outcome.ranking[0].flow - 1.85).abs() < 1e-9);
+        assert!(update.changed);
+        assert_eq!(engine.current().unwrap(), update.outcome.topk_slocs());
+        let stats = engine.stats();
+        assert_eq!(stats.records_ingested, 10);
+        assert_eq!(stats.advances, 1);
     }
 
     /// The tick planner: `due_advances` names exactly the bucket
@@ -237,13 +220,7 @@ mod tests {
             .with_query(QuerySpec::new(3, QuerySet::new(slocs.clone()), spec))
             .with_shards(3)
             .with_flow(flow);
-        let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg.clone());
-        let mut pruned = ServeEngine::new(
-            Arc::clone(&space),
-            serve_cfg
-                .with_shards(2)
-                .with_strategy(AdvanceStrategy::BoundPruned),
-        );
+        let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg);
         let mut batch =
             RecomputeEngine::new(Arc::clone(&space), 3, QuerySet::new(slocs), spec, flow);
 
@@ -253,12 +230,10 @@ mod tests {
             let now = Timestamp::from_secs(slide * 45);
             while next < records.len() && records[next].t <= now {
                 serve.ingest(records[next].clone()).unwrap();
-                pruned.ingest(records[next].clone()).unwrap();
                 batch.ingest(records[next].clone()).unwrap();
                 next += 1;
             }
             let a = serve.advance(now).unwrap();
-            let p = pruned.advance(now).unwrap();
             let b = batch.advance(now).unwrap();
             assert_eq!(a.window, b.window, "slide {slide}");
             assert_eq!(
@@ -266,30 +241,18 @@ mod tests {
                 b.outcome.topk_slocs(),
                 "slide {slide}"
             );
-            assert_eq!(
-                p.outcome.topk_slocs(),
-                b.outcome.topk_slocs(),
-                "pruned, slide {slide}"
-            );
             // Bit-identical flows, not merely equal rankings.
             for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
                 assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "slide {slide}");
             }
-            for (x, y) in p.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
-                assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "pruned, slide {slide}");
-            }
             assert_eq!(a.changed, b.changed);
             assert_eq!(a.entered, b.entered);
             assert_eq!(a.left, b.left);
-            assert_eq!(p.changed, b.changed);
-            assert_eq!(p.entered, b.entered);
-            assert_eq!(p.left, b.left);
         }
         // The windows genuinely slid and the caches were exercised.
         let stats = serve.stats();
         assert_eq!(stats.advances, 12);
         assert!(stats.cache_hits > 0, "no cached window objects: {stats:?}");
-        assert_eq!(stats.presence_skipped, 0, "eager advances never skip");
         // The shard logs' store accounting surfaces through ServeStats:
         // the gauge reflects the interned columnar footprint at the last
         // advance. Interning is per shard, so a set shared by objects on
@@ -303,9 +266,6 @@ mod tests {
             stats.intern_hits > 0,
             "dwell-free tiny world still dedups singles"
         );
-        let pstats = pruned.stats();
-        assert_eq!(pstats.advances, 12);
-        assert_eq!(pstats.log_bytes, stats.log_bytes);
     }
 
     #[test]
@@ -341,34 +301,32 @@ mod tests {
     /// last millisecond had not elapsed, so the bucket was not sealed.
     #[test]
     fn frontier_timestamped_record_accepted_after_advance() {
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let (mut engine, _space) = paper_engine_with(WindowSpec::new(1_000, 2), 2, strategy);
-            let template = paper_table2().to_records()[0].clone();
-            engine
-                .ingest(Record {
-                    t: Timestamp(1_500),
-                    ..template.clone()
-                })
-                .unwrap();
-            // Advance at t=4999: bucket 4 covers [4000, 4999] and is not
-            // yet complete, so only buckets through 3 seal (frontier 4000).
-            engine.advance(Timestamp(4_999)).unwrap();
-            engine
-                .ingest(Record {
-                    t: Timestamp(4_999),
-                    ..template.clone()
-                })
-                .expect("a frontier-timestamped record is not late");
-            // One millisecond later bucket 4 seals; now 4999 is history.
-            engine.advance(Timestamp(5_000)).unwrap();
-            let err = engine
-                .ingest(Record {
-                    t: Timestamp(4_999),
-                    ..template
-                })
-                .unwrap_err();
-            assert!(matches!(err, FlowError::TimeRegression { .. }));
-        }
+        let (mut engine, _space) = paper_engine(WindowSpec::new(1_000, 2), 2);
+        let template = paper_table2().to_records()[0].clone();
+        engine
+            .ingest(Record {
+                t: Timestamp(1_500),
+                ..template.clone()
+            })
+            .unwrap();
+        // Advance at t=4999: bucket 4 covers [4000, 4999] and is not
+        // yet complete, so only buckets through 3 seal (frontier 4000).
+        engine.advance(Timestamp(4_999)).unwrap();
+        engine
+            .ingest(Record {
+                t: Timestamp(4_999),
+                ..template.clone()
+            })
+            .expect("a frontier-timestamped record is not late");
+        // One millisecond later bucket 4 seals; now 4999 is history.
+        engine.advance(Timestamp(5_000)).unwrap();
+        let err = engine
+            .ingest(Record {
+                t: Timestamp(4_999),
+                ..template
+            })
+            .unwrap_err();
+        assert!(matches!(err, FlowError::TimeRegression { .. }));
     }
 
     /// A failed advance must poison the engine: coordinator and shard
@@ -377,40 +335,37 @@ mod tests {
     /// that evaluating the paper data blows it.
     #[test]
     fn failed_advance_poisons_engine() {
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let fig = paper_figure1();
-            let cfg = ServeConfig::with_buckets(4_000)
-                .with_query(QuerySpec::new(
-                    2,
-                    QuerySet::new(fig.r.to_vec()),
-                    WindowSpec::new(4_000, 2),
-                ))
-                .with_shards(2)
-                .with_strategy(strategy)
-                .with_flow(FlowConfig {
-                    engine: PresenceEngine::PathEnumeration,
-                    path_budget: 1,
-                    ..FlowConfig::default()
-                });
-            let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
-            engine.ingest_all(paper_table2().to_records()).unwrap();
-            let err = engine.advance(Timestamp::from_secs(8)).unwrap_err();
-            assert!(
-                matches!(err, FlowError::PathBudgetExceeded { .. }),
-                "{strategy:?}: unexpected injected error {err}"
-            );
-            assert!(engine.is_poisoned(), "{strategy:?}");
-            // Every later call is refused with EngineUnavailable — even
-            // perfectly well-formed input.
-            let record = Record {
-                t: Timestamp::from_secs(20),
-                ..paper_table2().to_records()[0].clone()
-            };
-            let err = engine.ingest(record).unwrap_err();
-            assert!(matches!(err, FlowError::EngineUnavailable { .. }));
-            let err = engine.advance(Timestamp::from_secs(30)).unwrap_err();
-            assert!(matches!(err, FlowError::EngineUnavailable { .. }));
-        }
+        let fig = paper_figure1();
+        let cfg = ServeConfig::with_buckets(4_000)
+            .with_query(QuerySpec::new(
+                2,
+                QuerySet::new(fig.r.to_vec()),
+                WindowSpec::new(4_000, 2),
+            ))
+            .with_shards(2)
+            .with_flow(FlowConfig {
+                engine: PresenceEngine::PathEnumeration,
+                path_budget: 1,
+                ..FlowConfig::default()
+            });
+        let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+        engine.ingest_all(paper_table2().to_records()).unwrap();
+        let err = engine.advance(Timestamp::from_secs(8)).unwrap_err();
+        assert!(
+            matches!(err, FlowError::PathBudgetExceeded { .. }),
+            "unexpected injected error {err}"
+        );
+        assert!(engine.is_poisoned());
+        // Every later call is refused with EngineUnavailable — even
+        // perfectly well-formed input.
+        let record = Record {
+            t: Timestamp::from_secs(20),
+            ..paper_table2().to_records()[0].clone()
+        };
+        let err = engine.ingest(record).unwrap_err();
+        assert!(matches!(err, FlowError::EngineUnavailable { .. }));
+        let err = engine.advance(Timestamp::from_secs(30)).unwrap_err();
+        assert!(matches!(err, FlowError::EngineUnavailable { .. }));
     }
 
     #[test]
@@ -425,51 +380,24 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_results() {
-        let fig = paper_figure1();
         let records = paper_table2().to_records();
         let mut rankings = Vec::new();
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            for shards in [1, 2, 5] {
-                let (mut engine, _space) =
-                    paper_engine_with(WindowSpec::new(4_000, 2), shards, strategy);
-                engine.ingest_all(records.clone()).unwrap();
-                let update = engine.advance(Timestamp::from_secs(8)).unwrap();
-                rankings.push(
-                    update
-                        .outcome
-                        .ranking
-                        .iter()
-                        .map(|r| (r.sloc, r.flow.to_bits()))
-                        .collect::<Vec<_>>(),
-                );
-            }
+        for shards in [1, 2, 5] {
+            let (mut engine, _space) = paper_engine(WindowSpec::new(4_000, 2), shards);
+            engine.ingest_all(records.clone()).unwrap();
+            let update = engine.advance(Timestamp::from_secs(8)).unwrap();
+            rankings.push(
+                update
+                    .outcome
+                    .ranking
+                    .iter()
+                    .map(|r| (r.sloc, r.flow.to_bits()))
+                    .collect::<Vec<_>>(),
+            );
         }
         for r in &rankings[1..] {
             assert_eq!(&rankings[0], r);
         }
-        let _ = fig;
-    }
-
-    /// The bound-pruned engine's lazy caches must pay for a
-    /// single-bucket object's location at most once per bucket:
-    /// re-advancing over an unchanged window serves every requested cell
-    /// from cache. (Straddlers are excluded by using one wide bucket —
-    /// their windowed scores are legitimately per-window.)
-    #[test]
-    fn pruned_re_advance_serves_from_cache() {
-        let (mut engine, _space) =
-            paper_engine_with(WindowSpec::new(10_000, 1), 2, AdvanceStrategy::BoundPruned);
-        engine.ingest_all(paper_table2().to_records()).unwrap();
-        engine.advance(Timestamp(10_000)).unwrap();
-        let cells_after_first = engine.stats().presence_cells;
-        assert!(cells_after_first > 0);
-        engine.advance(Timestamp(10_000)).unwrap();
-        let stats = engine.stats();
-        assert_eq!(
-            stats.presence_cells, cells_after_first,
-            "re-advance recomputed cached cells: {stats:?}"
-        );
-        assert!(stats.cache_hits > 0);
     }
 
     /// A query registered mid-stream returns, from its first advance on,
@@ -489,80 +417,72 @@ mod tests {
         let spec = WindowSpec::new(30_000, 3);
         let records: Vec<Record> = world.iupt.to_records();
 
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let base = ServeConfig::with_buckets(30_000)
-                .with_shards(2)
-                .with_strategy(strategy);
-            let mut registry = ServeEngine::new(
-                Arc::clone(&space),
-                base.clone()
-                    .with_query(QuerySpec::new(2, set_a.clone(), spec)),
-            );
-            let resets_before = registry.stats().cache_resets;
-            let mut dedicated = ServeEngine::new(
-                Arc::clone(&space),
-                base.clone()
-                    .with_query(QuerySpec::new(3, set_b.clone(), spec)),
-            );
-            let mut next = 0usize;
-            let mut b_id = None;
-            for slide in 1..=8 {
-                let now = Timestamp::from_secs(slide * 40);
-                while next < records.len() && records[next].t <= now {
-                    registry.ingest(records[next].clone()).unwrap();
-                    dedicated.ingest(records[next].clone()).unwrap();
-                    next += 1;
-                }
-                if slide == 4 {
-                    b_id = Some(
-                        registry
-                            .register(QuerySpec::new(3, set_b.clone(), spec))
-                            .unwrap(),
-                    );
-                    assert!(
-                        registry.stats().cache_resets > resets_before,
-                        "a union-growing registration must reset"
-                    );
-                    assert_eq!(registry.stats().registered_queries, 2);
-                }
-                let updates = registry.advance_all(now).unwrap();
-                let d = dedicated.advance(now).unwrap();
-                if let Some(id) = b_id {
-                    let (_, b) = updates.iter().find(|(i, _)| *i == id).unwrap();
-                    assert_eq!(b.window, d.window, "{strategy:?} slide {slide}");
-                    assert_eq!(
-                        b.outcome.ranking.len(),
-                        d.outcome.ranking.len(),
-                        "{strategy:?} slide {slide}"
-                    );
-                    for (x, y) in b.outcome.ranking.iter().zip(d.outcome.ranking.iter()) {
-                        assert_eq!(x.sloc, y.sloc, "{strategy:?} slide {slide}");
-                        assert_eq!(
-                            x.flow.to_bits(),
-                            y.flow.to_bits(),
-                            "{strategy:?} slide {slide}"
-                        );
-                    }
-                    assert_eq!(
-                        registry.current_for(id).unwrap(),
-                        dedicated.current().unwrap(),
-                        "{strategy:?} slide {slide}"
-                    );
-                }
+        let base = ServeConfig::with_buckets(30_000).with_shards(2);
+        let mut registry = ServeEngine::new(
+            Arc::clone(&space),
+            base.clone()
+                .with_query(QuerySpec::new(2, set_a.clone(), spec)),
+        );
+        let resets_before = registry.stats().cache_resets;
+        let mut dedicated = ServeEngine::new(
+            Arc::clone(&space),
+            base.clone()
+                .with_query(QuerySpec::new(3, set_b.clone(), spec)),
+        );
+        let mut next = 0usize;
+        let mut b_id = None;
+        for slide in 1..=8 {
+            let now = Timestamp::from_secs(slide * 40);
+            while next < records.len() && records[next].t <= now {
+                registry.ingest(records[next].clone()).unwrap();
+                dedicated.ingest(records[next].clone()).unwrap();
+                next += 1;
             }
-            // Unregistering B keeps serving A; its handle goes stale and
-            // is rejected (not ignored) from then on.
-            let id = b_id.unwrap();
-            registry.unregister(id).unwrap();
-            assert_eq!(registry.stats().registered_queries, 1);
-            assert!(registry.current_for(id).is_none());
-            assert!(matches!(
-                registry.unregister(id),
-                Err(FlowError::InvalidQuery { .. })
-            ));
-            assert!(!registry.is_poisoned());
-            registry.advance_all(Timestamp::from_secs(400)).unwrap();
+            if slide == 4 {
+                b_id = Some(
+                    registry
+                        .register(QuerySpec::new(3, set_b.clone(), spec))
+                        .unwrap(),
+                );
+                assert!(
+                    registry.stats().cache_resets > resets_before,
+                    "a union-growing registration must reset"
+                );
+                assert_eq!(registry.stats().registered_queries, 2);
+            }
+            let updates = registry.advance_all(now).unwrap();
+            let d = dedicated.advance(now).unwrap();
+            if let Some(id) = b_id {
+                let (_, b) = updates.iter().find(|(i, _)| *i == id).unwrap();
+                assert_eq!(b.window, d.window, "slide {slide}");
+                assert_eq!(
+                    b.outcome.ranking.len(),
+                    d.outcome.ranking.len(),
+                    "slide {slide}"
+                );
+                for (x, y) in b.outcome.ranking.iter().zip(d.outcome.ranking.iter()) {
+                    assert_eq!(x.sloc, y.sloc, "slide {slide}");
+                    assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "slide {slide}");
+                }
+                assert_eq!(
+                    registry.current_for(id).unwrap(),
+                    dedicated.current().unwrap(),
+                    "slide {slide}"
+                );
+            }
         }
+        // Unregistering B keeps serving A; its handle goes stale and
+        // is rejected (not ignored) from then on.
+        let id = b_id.unwrap();
+        registry.unregister(id).unwrap();
+        assert_eq!(registry.stats().registered_queries, 1);
+        assert!(registry.current_for(id).is_none());
+        assert!(matches!(
+            registry.unregister(id),
+            Err(FlowError::InvalidQuery { .. })
+        ));
+        assert!(!registry.is_poisoned());
+        registry.advance_all(Timestamp::from_secs(400)).unwrap();
     }
 
     /// Two registered queries with different window widths advance out
@@ -578,58 +498,50 @@ mod tests {
         let wide = QuerySpec::new(2, qs.clone(), WindowSpec::new(30_000, 5));
         let records: Vec<Record> = world.iupt.to_records();
 
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let base = ServeConfig::with_buckets(30_000)
-                .with_shards(2)
-                .with_strategy(strategy);
-            let mut registry = ServeEngine::new(
-                Arc::clone(&space),
-                base.clone()
-                    .with_query(narrow.clone())
-                    .with_query(wide.clone()),
+        let base = ServeConfig::with_buckets(30_000).with_shards(2);
+        let mut registry = ServeEngine::new(
+            Arc::clone(&space),
+            base.clone()
+                .with_query(narrow.clone())
+                .with_query(wide.clone()),
+        );
+        let ids = registry.query_ids();
+        assert_eq!(ids.len(), 2);
+        let mut narrow_only =
+            ServeEngine::new(Arc::clone(&space), base.clone().with_query(narrow.clone()));
+        let mut wide_only =
+            ServeEngine::new(Arc::clone(&space), base.clone().with_query(wide.clone()));
+        let mut next = 0usize;
+        for slide in 1..=8 {
+            let now = Timestamp::from_secs(slide * 40);
+            while next < records.len() && records[next].t <= now {
+                registry.ingest(records[next].clone()).unwrap();
+                narrow_only.ingest(records[next].clone()).unwrap();
+                wide_only.ingest(records[next].clone()).unwrap();
+                next += 1;
+            }
+            let updates = registry.advance_all(now).unwrap();
+            let n = updates.iter().find(|(i, _)| *i == ids[0]).unwrap();
+            let w = updates.iter().find(|(i, _)| *i == ids[1]).unwrap();
+            // Out of lockstep: same end, different start.
+            assert_eq!(n.1.window.end, w.1.window.end, "slide {slide}");
+            assert!(
+                n.1.window.start > w.1.window.start,
+                "slide {slide}: the narrow window must trail the wide one"
             );
-            let ids = registry.query_ids();
-            assert_eq!(ids.len(), 2);
-            let mut narrow_only =
-                ServeEngine::new(Arc::clone(&space), base.clone().with_query(narrow.clone()));
-            let mut wide_only =
-                ServeEngine::new(Arc::clone(&space), base.clone().with_query(wide.clone()));
-            let mut next = 0usize;
-            for slide in 1..=8 {
-                let now = Timestamp::from_secs(slide * 40);
-                while next < records.len() && records[next].t <= now {
-                    registry.ingest(records[next].clone()).unwrap();
-                    narrow_only.ingest(records[next].clone()).unwrap();
-                    wide_only.ingest(records[next].clone()).unwrap();
-                    next += 1;
-                }
-                let updates = registry.advance_all(now).unwrap();
-                let n = updates.iter().find(|(i, _)| *i == ids[0]).unwrap();
-                let w = updates.iter().find(|(i, _)| *i == ids[1]).unwrap();
-                // Out of lockstep: same end, different start.
-                assert_eq!(n.1.window.end, w.1.window.end, "{strategy:?} slide {slide}");
-                assert!(
-                    n.1.window.start > w.1.window.start,
-                    "{strategy:?} slide {slide}: the narrow window must trail the wide one"
-                );
-                for (got, reference) in [
-                    (&n.1, narrow_only.advance(now).unwrap()),
-                    (&w.1, wide_only.advance(now).unwrap()),
-                ] {
-                    assert_eq!(got.window, reference.window, "{strategy:?} slide {slide}");
-                    for (x, y) in got
-                        .outcome
-                        .ranking
-                        .iter()
-                        .zip(reference.outcome.ranking.iter())
-                    {
-                        assert_eq!(x.sloc, y.sloc, "{strategy:?} slide {slide}");
-                        assert_eq!(
-                            x.flow.to_bits(),
-                            y.flow.to_bits(),
-                            "{strategy:?} slide {slide}"
-                        );
-                    }
+            for (got, reference) in [
+                (&n.1, narrow_only.advance(now).unwrap()),
+                (&w.1, wide_only.advance(now).unwrap()),
+            ] {
+                assert_eq!(got.window, reference.window, "slide {slide}");
+                for (x, y) in got
+                    .outcome
+                    .ranking
+                    .iter()
+                    .zip(reference.outcome.ranking.iter())
+                {
+                    assert_eq!(x.sloc, y.sloc, "slide {slide}");
+                    assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "slide {slide}");
                 }
             }
         }
@@ -716,56 +628,49 @@ mod tests {
     /// buffer caps at the configured capacity (oldest dropped first).
     #[test]
     fn advance_traces_ring_buffer() {
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let fig = paper_figure1();
-            let cfg = ServeConfig::with_buckets(1_000)
-                .with_query(QuerySpec::new(
-                    2,
-                    QuerySet::new(fig.r.to_vec()),
-                    WindowSpec::new(1_000, 4),
-                ))
-                .with_shards(3)
-                .with_strategy(strategy)
-                .with_trace_capacity(3);
-            let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
-            engine.ingest_all(paper_table2().to_records()).unwrap();
-            for slide in 1..=5 {
-                engine.advance(Timestamp::from_secs(4 + slide)).unwrap();
-            }
-            let traces: Vec<_> = engine.recent_traces().collect();
-            assert_eq!(traces.len(), 3, "{strategy:?}: capacity not enforced");
-            assert_eq!(
-                traces.iter().map(|t| t.seq).collect::<Vec<_>>(),
-                vec![3, 4, 5],
-                "{strategy:?}: oldest traces must fall off first"
-            );
-            let expected = match strategy {
-                AdvanceStrategy::Eager => metric_names::EAGER_PHASES.as_slice(),
-                AdvanceStrategy::BoundPruned => metric_names::PRUNED_PHASES.as_slice(),
-            };
-            for trace in &traces {
-                assert_eq!(trace.strategy, strategy);
-                assert!(trace.total_ns > 0);
-                assert!(trace.phase_total_ns() <= trace.total_ns);
-                for phase in expected {
-                    assert!(
-                        trace.phases.iter().any(|(n, _)| n == phase),
-                        "{strategy:?}: phase {phase} missing from {:?}",
-                        trace.phases
-                    );
-                }
-                assert_eq!(trace.shards.len(), 3, "{strategy:?}");
-                assert_eq!(trace.queries.len(), 1, "{strategy:?}");
-            }
-            // Advance-scoped histograms mirror the traces.
-            let snap = engine.metrics().snapshot();
-            assert_eq!(snap.histograms[metric_names::ADVANCE_NS].count, 5);
+        let fig = paper_figure1();
+        let cfg = ServeConfig::with_buckets(1_000)
+            .with_query(QuerySpec::new(
+                2,
+                QuerySet::new(fig.r.to_vec()),
+                WindowSpec::new(1_000, 4),
+            ))
+            .with_shards(3)
+            .with_trace_capacity(3);
+        let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+        engine.ingest_all(paper_table2().to_records()).unwrap();
+        for slide in 1..=5 {
+            engine.advance(Timestamp::from_secs(4 + slide)).unwrap();
+        }
+        let traces: Vec<_> = engine.recent_traces().collect();
+        assert_eq!(traces.len(), 3, "capacity not enforced");
+        assert_eq!(
+            traces.iter().map(|t| t.seq).collect::<Vec<_>>(),
+            vec![3, 4, 5],
+            "oldest traces must fall off first"
+        );
+        let expected = metric_names::EAGER_PHASES.as_slice();
+        for trace in &traces {
+            assert!(trace.total_ns > 0);
+            assert!(trace.phase_total_ns() <= trace.total_ns);
             for phase in expected {
-                assert_eq!(
-                    snap.histograms[*phase].count, 5,
-                    "{strategy:?}: {phase} not recorded per advance"
+                assert!(
+                    trace.phases.iter().any(|(n, _)| n == phase),
+                    "phase {phase} missing from {:?}",
+                    trace.phases
                 );
             }
+            assert_eq!(trace.shards.len(), 3);
+            assert_eq!(trace.queries.len(), 1);
+        }
+        // Advance-scoped histograms mirror the traces.
+        let snap = engine.metrics().snapshot();
+        assert_eq!(snap.histograms[metric_names::ADVANCE_NS].count, 5);
+        for phase in expected {
+            assert_eq!(
+                snap.histograms[*phase].count, 5,
+                "{phase} not recorded per advance"
+            );
         }
     }
 
@@ -774,37 +679,34 @@ mod tests {
     /// to a metrics-on engine over the same stream.
     #[test]
     fn metrics_off_leaves_no_footprint_and_identical_results() {
-        for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-            let fig = paper_figure1();
-            let base = ServeConfig::with_buckets(2_000)
-                .with_query(QuerySpec::new(
-                    2,
-                    QuerySet::new(fig.r.to_vec()),
-                    WindowSpec::new(2_000, 4),
-                ))
-                .with_shards(2)
-                .with_strategy(strategy);
-            let mut on = ServeEngine::new(Arc::new(fig.space.clone()), base.clone());
-            let mut off = ServeEngine::new(Arc::new(fig.space.clone()), base.with_metrics(false));
-            for engine in [&mut on, &mut off] {
-                engine.ingest_all(paper_table2().to_records()).unwrap();
-            }
-            let a = on.advance(Timestamp(8_999)).unwrap();
-            let b = off.advance(Timestamp(8_999)).unwrap();
-            assert_eq!(a.outcome.topk_slocs(), b.outcome.topk_slocs());
-            for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
-                assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "{strategy:?}");
-            }
-            assert_eq!(off.recent_traces().count(), 0, "{strategy:?}");
-            let snap = off.metrics().snapshot();
-            assert!(
-                snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty(),
-                "{strategy:?}: metrics-off engine populated its registry: {snap:?}"
-            );
-            // Stats still work with metrics off (satellite-1 refresh
-            // included).
-            assert!(off.stats().log_bytes > 0, "{strategy:?}");
+        let fig = paper_figure1();
+        let base = ServeConfig::with_buckets(2_000)
+            .with_query(QuerySpec::new(
+                2,
+                QuerySet::new(fig.r.to_vec()),
+                WindowSpec::new(2_000, 4),
+            ))
+            .with_shards(2);
+        let mut on = ServeEngine::new(Arc::new(fig.space.clone()), base.clone());
+        let mut off = ServeEngine::new(Arc::new(fig.space.clone()), base.with_metrics(false));
+        for engine in [&mut on, &mut off] {
+            engine.ingest_all(paper_table2().to_records()).unwrap();
         }
+        let a = on.advance(Timestamp(8_999)).unwrap();
+        let b = off.advance(Timestamp(8_999)).unwrap();
+        assert_eq!(a.outcome.topk_slocs(), b.outcome.topk_slocs());
+        for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
+            assert_eq!(x.flow.to_bits(), y.flow.to_bits());
+        }
+        assert_eq!(off.recent_traces().count(), 0);
+        let snap = off.metrics().snapshot();
+        assert!(
+            snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty(),
+            "metrics-off engine populated its registry: {snap:?}"
+        );
+        // Stats still work with metrics off (satellite-1 refresh
+        // included).
+        assert!(off.stats().log_bytes > 0);
     }
 
     /// The registry's counters and gauges mirror `ServeStats` exactly

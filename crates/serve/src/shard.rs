@@ -16,10 +16,10 @@
 //! A window's flow decomposes per object, and an object's windowed
 //! sequence is the concatenation of its sealed bucket slices from its
 //! first in-window bucket to its last — its **span**. The shard keeps
-//! one compute cache, read and filled by both evaluation protocols: from
-//! `(object, first bucket, last bucket)` to the object's contribution
-//! over that span (see [`ShardWorker::spans`] for why the key determines
-//! the content). Every window object is looked up by its span:
+//! one compute cache, from `(object, first bucket, last bucket)` to the
+//! object's contribution over that span (see [`ShardWorker::spans`] for
+//! why the key determines the content). Every window object is looked
+//! up by its span:
 //!
 //! * a **hit** costs one refcount bump — an object the slide neither gave
 //!   a record nor took one from is served as it was last slide, whether
@@ -36,8 +36,8 @@
 //!
 //! The trailing edge is known one slide ahead: an object in a window's
 //! oldest bucket loses that bucket on the next slide, and what remains of
-//! it is sealed history. After each eager advance the engine hands the
-//! shard [`ShardWorker::evaluate_ahead`], which evaluates those spans into
+//! it is sealed history. After each advance the engine hands the shard
+//! [`ShardWorker::evaluate_ahead`], which evaluates those spans into
 //! the cache while the shard would otherwise sit idle, so the next
 //! advance finds them and pays first-time work for the leading edge only.
 //!
@@ -47,32 +47,20 @@
 //! window, then each requested window is assembled from the shared
 //! buckets and spans.
 //!
-//! # Two evaluation protocols
+//! # The evaluation protocol
 //!
-//! The **eager** protocol ([`ShardWorker::evaluate_multi`]) seals
+//! One request per advance ([`ShardWorker::evaluate_multi`]) seals
 //! buckets by grouping record positions — no kernel call — and replies
 //! with each requested window's complete contribution list, assembled
-//! from the span cache as above.
-//!
-//! The **bound-pruned** protocol splits an advance into two phases.
-//! [`ShardWorker::advance_bounds_multi`] seals buckets *cheaply*: only
-//! each object's record positions and PSL candidate list (`Q∪ ∩ psls`, a
-//! scan — no presence computation) are recorded, and the reply carries
-//! per-window per-object candidate lists so the coordinator can build
-//! COUNT flow bounds per location. [`ShardWorker::evaluate_lazy`] then
-//! serves exact contributions only for the (location, object) pairs no
-//! registered query's threshold loop could prune, out of the same span
-//! cache: the first request for a span evaluates it against the whole
-//! union, and every later one — for another location, another query, or
-//! a later slide that leaves the span as it is — slices the cached
-//! contribution.
+//! from the span cache as above; one `tell` after it
+//! ([`ShardWorker::evaluate_ahead`]) fills the cache for the next slide.
 //!
 //! # Registration changes
 //!
 //! [`ShardWorker::set_union`] retargets the shard at a new union set.
-//! When the union *grows*, cached spans and candidate lists are stale
-//! (they were computed against the smaller set), so the engine requests
-//! a cache reset; the append-only log then re-seals the in-window
+//! When the union *grows*, cached spans are stale (they were computed
+//! against the smaller set), so the engine requests a cache reset;
+//! the append-only log then re-seals the in-window
 //! buckets on the next advance and every span is evaluated afresh,
 //! deterministically — which is why a query registered mid-stream still
 //! gets results bit-identical to an engine that held it from the start.
@@ -81,20 +69,20 @@
 //!
 //! The worker owns no thread of its own: the engine runs one
 //! [`ShardWorker`] per shard inside a [`popflow_exec::ShardPool`], whose
-//! FIFO job queues give exactly the ordering the protocols rely on — an
+//! FIFO job queues give exactly the ordering the protocol relies on — an
 //! ingest or registration routed before an advance is always reflected
 //! by it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use indoor_iupt::{Iupt, ObjectId, Record, StoreStats, TimeInterval, Timestamp};
-use indoor_model::{IndoorSpace, SLocId};
+use indoor_model::IndoorSpace;
 use popflow_core::{
-    object_flow_contributions, scan_psls, FlowConfig, FlowError, ObjectContribution, QuerySet,
+    object_flow_contributions, FlowConfig, FlowError, ObjectContribution, QuerySet,
 };
 
-/// One window's slice of an eager advance reply.
+/// One window's slice of an advance reply.
 pub(crate) struct WindowEval {
     /// Non-pruned objects in the window with their **union**
     /// contributions, ascending by object id. `Arc` because the
@@ -106,8 +94,7 @@ pub(crate) struct WindowEval {
     pub objects_total: usize,
 }
 
-/// Span evaluations performed — the work both protocols report, in the
-/// same units.
+/// Span evaluations performed — the work a report carries.
 #[derive(Default)]
 pub(crate) struct SpanWork {
     /// Spans that paid a presence computation (PSL-pruned spans paid
@@ -121,7 +108,7 @@ pub(crate) struct SpanWork {
     pub straddlers: usize,
 }
 
-/// One shard's answer to an eager advance: one [`WindowEval`] per
+/// One shard's answer to an advance: one [`WindowEval`] per
 /// requested window start, in request order, over buckets sealed once.
 pub(crate) struct EagerReport {
     pub windows: Vec<WindowEval>,
@@ -140,53 +127,11 @@ pub(crate) struct EagerReport {
     pub error: Option<FlowError>,
 }
 
-/// One window's slice of a phase-1 bounds reply: who is in the window
-/// and which union locations each object could contribute to. No
-/// presence has been computed yet — sealing was a PSL scan.
-pub(crate) struct WindowBounds {
-    /// `(oid, Q∪ ∩ psls)` per candidate window object (objects with an
-    /// empty candidate list are omitted), ascending by object id.
-    pub candidates: Vec<(ObjectId, Vec<SLocId>)>,
-    /// Distinct objects with records in the window (including
-    /// non-candidates).
-    pub objects_total: usize,
-}
-
-/// Phase-1 reply of the bound-pruned advance, one [`WindowBounds`] per
-/// requested window start, in request order.
-pub(crate) struct BoundsReport {
-    pub windows: Vec<WindowBounds>,
-    /// Footprint/interner accounting of this shard's log, as of this
-    /// advance.
-    pub store: StoreStats,
-}
-
-/// Phase-2 reply: exact contributions restricted to the requested
-/// locations, in request order.
-pub(crate) struct EvalReport {
-    pub contributions: Vec<(ObjectId, ObjectContribution)>,
-    /// Requested cells served from a span already in the cache
-    /// (evaluated for an earlier location, query or slide).
-    pub cached_cells: usize,
-    /// Spans this request evaluated.
-    pub work: SpanWork,
-    /// First error hit, if any (the report is then partial).
-    pub error: Option<FlowError>,
-}
-
-/// One object's sealed state within one bucket.
-struct CachedObject {
-    /// The object's record positions in the shard log, in time order —
-    /// the log is append-only, so positions are stable and the cache
-    /// never duplicates sample sets.
-    records: Vec<u32>,
-    /// Cheap sealing: the bucket-local candidate list `Q∪ ∩ psls`,
-    /// ascending. Untouched by the eager protocol.
-    relevant: Vec<SLocId>,
-}
-
-/// Per-bucket cache: every object with records in the bucket.
-type BucketCache = BTreeMap<ObjectId, CachedObject>;
+/// Per-bucket cache: every object with records in the bucket, with its
+/// record positions in the shard log, in time order — the log is
+/// append-only, so positions are stable and the cache never duplicates
+/// sample sets.
+type BucketCache = BTreeMap<ObjectId, Vec<u32>>;
 
 /// `(object, first bucket, last bucket)`: an object's records in every
 /// sealed bucket from the first to the last, both of which hold at least
@@ -218,7 +163,7 @@ pub(crate) struct ShardWorker {
     iupt: Iupt,
     /// Sealed buckets by index; evicted once they leave every window.
     buckets: BTreeMap<i64, BucketCache>,
-    /// The shard's one contribution cache, shared by both protocols.
+    /// The shard's one contribution cache.
     ///
     /// **Key ⇒ content, while the union is unchanged.** Sealed buckets
     /// are immutable and log positions stable, so the records of
@@ -236,23 +181,19 @@ pub(crate) struct ShardWorker {
     /// and neither ever moves back. A key the latest advance did not ask
     /// for can therefore only be asked for again by a wider query
     /// registered later, which simply evaluates it again — a miss costs
-    /// time, never correctness — so every advance, under either
-    /// protocol, stamps the span of each window object it sees and drops
-    /// every entry whose [`SpanEntry::asked`] is older than itself. The
-    /// map stays bounded by window objects × distinct widths plus what
+    /// time, never correctness — so every advance stamps the span of
+    /// each window object it sees and drops every entry whose
+    /// [`SpanEntry::asked`] is older than itself. The map stays bounded
+    /// by window objects × distinct widths plus what
     /// [`ShardWorker::evaluate_ahead`] stamped for the next advance.
     spans: BTreeMap<SpanKey, SpanEntry>,
     /// Counts advances; what [`SpanEntry::asked`] is measured in.
     generation: u64,
     /// Span evaluations no report has carried yet. A reply drains it;
     /// what [`ShardWorker::evaluate_ahead`] does waits here for the next
-    /// eager report — so every span evaluated is reported exactly once,
-    /// with the advance it was evaluated for.
+    /// report — so every span evaluated is reported exactly once, with
+    /// the advance it was evaluated for.
     unreported: SpanWork,
-    /// The span of every window object of the latest
-    /// `advance_bounds_multi`, per window start; consulted by
-    /// `evaluate_lazy`.
-    windows: HashMap<i64, BTreeMap<ObjectId, SpanKey>>,
     /// Bucket-sealing durations, recorded on the worker thread. All
     /// shards share one histogram (the registry hands out clones of the
     /// same storage); `None` when the engine's metrics are off.
@@ -278,7 +219,6 @@ impl ShardWorker {
             spans: BTreeMap::new(),
             generation: 0,
             unreported: SpanWork::default(),
-            windows: HashMap::new(),
             seal_ns,
         }
     }
@@ -314,14 +254,13 @@ impl ShardWorker {
 
     /// Retargets the shard at a new union of registered location sets.
     /// `reset` drops every cache (required when the union grew — cached
-    /// contributions and candidate lists would be missing the new
-    /// locations); the next advance re-seals from the append-only log.
+    /// contributions would be missing the new locations); the next
+    /// advance re-seals from the append-only log.
     pub(crate) fn set_union(&mut self, union: QuerySet, reset: bool) {
         self.union = union;
         if reset {
             self.buckets.clear();
             self.spans.clear();
-            self.windows.clear();
         }
     }
 
@@ -336,9 +275,8 @@ impl ShardWorker {
 
     /// Seals buckets once through `window_end`, evicts everything before
     /// `global_start` (the widest window's start), then assembles one
-    /// eager contribution list per requested window from the span cache
-    /// (the eager protocol): one lookup per window object, one kernel
-    /// call per miss.
+    /// contribution list per requested window from the span cache: one
+    /// lookup per window object, one kernel call per miss.
     pub(crate) fn evaluate_multi(
         &mut self,
         global_start: i64,
@@ -352,7 +290,7 @@ impl ShardWorker {
         let mut cache_hits = 0;
         let mut error = None;
 
-        self.seal_range(global_start, window_end, true);
+        self.seal_range(global_start, window_end);
         // Buckets that slid out of every window are never consulted
         // again.
         self.buckets.retain(|&b, _| b >= global_start);
@@ -403,10 +341,10 @@ impl ShardWorker {
     }
 
     /// Evaluates one span exactly against the whole union and caches
-    /// it, stamped `asked` — the shard's one kernel call, for both
-    /// protocols. The span's sequence is the concatenation of the
-    /// object's cached bucket slices (buckets ascend, each slice is
-    /// time-ordered). A kernel error caches nothing.
+    /// it, stamped `asked` — the shard's one kernel call. The span's
+    /// sequence is the concatenation of the object's cached bucket
+    /// slices (buckets ascend, each slice is time-ordered). A kernel
+    /// error caches nothing.
     fn evaluate_span(
         &mut self,
         key: SpanKey,
@@ -418,7 +356,7 @@ impl ShardWorker {
             .buckets
             .range(first..=last)
             .filter_map(|(_, cache)| cache.get(&oid))
-            .flat_map(|cached| cached.records.iter().map(|&i| log.samples_at(i)));
+            .flat_map(|records| records.iter().map(|&i| log.samples_at(i)));
         let contribution =
             object_flow_contributions(&self.space, sets, &self.union, &self.cfg)?.map(Arc::new);
         self.unreported.straddlers += usize::from(first != last);
@@ -481,120 +419,6 @@ impl ShardWorker {
         }
     }
 
-    /// Bound-pruned phase 1: cheap sealing, eviction, and candidate
-    /// assembly per requested window. Performs no presence computation
-    /// at all; it records each window object's span for
-    /// [`ShardWorker::evaluate_lazy`], stamps the spans already cached
-    /// and drops the rest (see the invariant on `spans`).
-    pub(crate) fn advance_bounds_multi(
-        &mut self,
-        global_start: i64,
-        window_end: i64,
-        window_starts: &[i64],
-    ) -> BoundsReport {
-        self.generation += 1;
-        let generation = self.generation;
-        self.seal_range(global_start, window_end, false);
-        self.buckets.retain(|&b, _| b >= global_start);
-
-        let mut report = BoundsReport {
-            windows: Vec::with_capacity(window_starts.len()),
-            store: self.store_stats(),
-        };
-        self.windows.clear();
-        for &window_start in window_starts {
-            debug_assert!(window_start >= global_start);
-            let presence = self.window_presence(window_start, window_end);
-            let objects_total = presence.len();
-            let mut candidates = Vec::new();
-            let mut keys = BTreeMap::new();
-            for (&oid, &(first, last)) in &presence {
-                let key = (oid, first, last);
-                if let Some(entry) = self.spans.get_mut(&key) {
-                    entry.asked = generation;
-                }
-                keys.insert(oid, key);
-                // The window-level PSL set is the union of the bucket
-                // PSL sets (PSLs come from raw record support), so the
-                // candidate list is the union of the cached ones.
-                let mut relevant: Vec<SLocId> = Vec::new();
-                for (_, cache) in self.buckets.range(first..=last) {
-                    if let Some(cached) = cache.get(&oid) {
-                        relevant = union_sorted(&relevant, &cached.relevant);
-                    }
-                }
-                if !relevant.is_empty() {
-                    candidates.push((oid, relevant));
-                }
-            }
-            self.windows.insert(window_start, keys);
-            report.windows.push(WindowBounds {
-                candidates,
-                objects_total,
-            });
-        }
-        self.spans.retain(|_, entry| entry.asked >= generation);
-        report
-    }
-
-    /// Bound-pruned phase 2: exact contributions for `oids` within the
-    /// window starting at `window_start`, restricted to `slocs` (sorted).
-    /// Each object's span is read from the span cache or, on a miss,
-    /// evaluated against the whole union by
-    /// [`ShardWorker::evaluate_span`] — so whatever location, query or
-    /// slide asks for the span next finds it. The reply slices the union
-    /// contribution to `slocs`, bit-identical to scoring those locations
-    /// alone ([`ObjectContribution::sliced`]); a PSL-pruned span replies
-    /// an empty contribution.
-    pub(crate) fn evaluate_lazy(
-        &mut self,
-        window_start: i64,
-        slocs: &[SLocId],
-        oids: &[ObjectId],
-    ) -> EvalReport {
-        let mut report = EvalReport {
-            contributions: Vec::with_capacity(oids.len()),
-            cached_cells: 0,
-            work: SpanWork::default(),
-            error: None,
-        };
-        let Some(window) = self.windows.get(&window_start) else {
-            report.error = Some(FlowError::EngineUnavailable {
-                detail: format!("evaluate requested unknown window start {window_start}"),
-            });
-            return report;
-        };
-        let mut keys = Vec::with_capacity(oids.len());
-        for oid in oids {
-            let Some(&key) = window.get(oid) else {
-                report.error = Some(FlowError::EngineUnavailable {
-                    detail: format!("evaluate requested unknown window object {oid}"),
-                });
-                return report;
-            };
-            keys.push(key);
-        }
-        for key in keys {
-            let (contribution, cached) = match self.spans.get(&key) {
-                Some(entry) => (entry.contribution.clone(), true),
-                None => match self.evaluate_span(key, self.generation) {
-                    Ok(contribution) => (contribution, false),
-                    Err(e) => {
-                        report.error = Some(e);
-                        break;
-                    }
-                },
-            };
-            let reply = contribution.map_or_else(ObjectContribution::default, |c| c.sliced(slocs));
-            if cached {
-                report.cached_cells += reply.relevant.len();
-            }
-            report.contributions.push((key.0, reply));
-        }
-        report.work = std::mem::take(&mut self.unreported);
-        report
-    }
-
     /// Which buckets of the window does each object appear in? Its
     /// span: the first and the last that hold a record of it (most
     /// objects appear in exactly one, so nothing per bucket is kept).
@@ -626,63 +450,26 @@ impl ShardWorker {
     /// just this same path over the append-only log, which is what makes
     /// mid-stream registration deterministic.
     ///
-    /// Sealing computes no presence under either protocol. `eager`
-    /// sealing groups each object's record positions and nothing else
-    /// (contributions live in the span cache); cheap sealing also records
-    /// the PSL candidate lists [`ShardWorker::advance_bounds_multi`]
-    /// builds its bounds from.
-    fn seal_range(&mut self, window_start: i64, window_end: i64, eager: bool) {
+    /// Sealing computes no presence: it groups each object's record
+    /// positions and nothing else (contributions live in the span cache).
+    fn seal_range(&mut self, window_start: i64, window_end: i64) {
         let seal_timer = self.seal_ns.is_some().then(popflow_obs::Timer::start);
         for b in window_start..=window_end {
             if self.buckets.contains_key(&b) {
                 continue;
             }
             let interval = self.bucket_interval(b);
-            let positions = self.iupt.sequence_positions_in(interval);
-            let mut cache: BucketCache = BTreeMap::new();
-            for (oid, records) in positions {
-                let relevant = if eager {
-                    Vec::new()
-                } else {
-                    let log = &self.iupt;
-                    let psls = scan_psls(&self.space, records.iter().map(|&i| log.samples_at(i)));
-                    self.union.intersection_sorted(&psls)
-                };
-                cache.insert(oid, CachedObject { records, relevant });
-            }
+            let cache: BucketCache = self
+                .iupt
+                .sequence_positions_in(interval)
+                .into_iter()
+                .collect();
             self.buckets.insert(b, cache);
         }
         if let (Some(timer), Some(hist)) = (seal_timer, &self.seal_ns) {
             timer.record_into(hist);
         }
     }
-}
-
-/// Union of two sorted, deduplicated `SLocId` slices, ascending.
-fn union_sorted(a: &[SLocId], b: &[SLocId]) -> Vec<SLocId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        // anlz:allow(panic-in-hot-path): i/j bounded by the loop condition
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]); // anlz:allow(panic-in-hot-path): i bounded by the loop condition
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]); // anlz:allow(panic-in-hot-path): j bounded by the loop condition
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]); // anlz:allow(panic-in-hot-path): i bounded by the loop condition
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -692,8 +479,7 @@ impl ShardWorker {
     /// contribution list recomputed from the log — each window object's
     /// records read straight out of the window's time range and handed
     /// to the batch kernel. No buckets, no span cache, nothing carried
-    /// from one advance to the next. Sliced to any location subset, it is
-    /// also the oracle for [`ShardWorker::evaluate_lazy`].
+    /// from one advance to the next.
     fn reference_evaluate_multi(
         &mut self,
         window_end: i64,
@@ -728,6 +514,7 @@ impl ShardWorker {
 mod tests {
     use std::collections::BTreeSet;
 
+    use indoor_model::SLocId;
     use indoor_sim::StreamScenario;
     use popflow_core::PresenceEngine;
     use rand::rngs::StdRng;
@@ -822,12 +609,10 @@ mod tests {
     /// runs, union changes and advances over 1–3 widths (sliding by one
     /// bucket, by two, or not at all), checking every reply against
     /// [`ShardWorker::reference_evaluate_multi`] and the span map against
-    /// the spans the schedule asked for. Eager advances are followed,
-    /// most of the time, by an ahead-of-time job; bound-pruned ones by
-    /// lazy requests for random location subsets of random candidate
-    /// subsets. Returns how many cache hits, DP fallbacks and cache
-    /// resets it saw.
-    fn drive(seed: u64, pruned: bool) -> [usize; 3] {
+    /// the spans the schedule asked for. Advances are followed, most of
+    /// the time, by an ahead-of-time job. Returns how many cache hits, DP
+    /// fallbacks and cache resets it saw.
+    fn drive(seed: u64) -> [usize; 3] {
         let mut rng = StdRng::seed_from_u64(seed);
         let scenario = StreamScenario {
             num_objects: 90,
@@ -886,12 +671,8 @@ mod tests {
 
                 let reference = worker.reference_evaluate_multi(end, &starts);
                 let advance = (end, &starts[..], &reference[..]);
-                seen[0] += if pruned {
-                    drive_pruned(&mut worker, &mut rng, &union, advance, seed)
-                } else {
-                    let ahead = &mut stamped_ahead;
-                    drive_eager(&mut worker, &mut rng, &union, advance, seed, ahead)
-                };
+                let ahead = &mut stamped_ahead;
+                seen[0] += drive_advance(&mut worker, &mut rng, &union, advance, seed, ahead);
                 seen[1] += reference
                     .iter()
                     .flat_map(|win| &win.contributions)
@@ -904,10 +685,10 @@ mod tests {
         seen
     }
 
-    /// One eager advance to `end` over the windows `starts` (whose
+    /// One advance to `end` over the windows `starts` (whose
     /// contributions are `reference`) and, three times in four, its
     /// ahead-of-time job. Returns the advance's cache hits.
-    fn drive_eager(
+    fn drive_advance(
         worker: &mut ShardWorker,
         rng: &mut StdRng,
         union: &QuerySet,
@@ -953,140 +734,15 @@ mod tests {
         report.cache_hits
     }
 
-    /// One bound-pruned advance to `end` over the windows `starts` (whose
-    /// contributions are `reference`): the bounds phase, then one to three
-    /// lazy requests per window, each for a random subset of the union's
-    /// locations and a random subset of the window's candidates, every
-    /// reply checked against the reference contribution sliced to the
-    /// same locations and every reported evaluation against the spans
-    /// the request added to the map. Returns the cells served from the
-    /// span cache.
-    fn drive_pruned(
-        worker: &mut ShardWorker,
-        rng: &mut StdRng,
-        union: &QuerySet,
-        (end, starts, reference): (i64, &[i64], &[WindowEval]),
-        seed: u64,
-    ) -> usize {
-        let before = held(worker);
-        let bounds = worker.advance_bounds_multi(starts[0], end, starts);
-        let asked = spans_asked(worker, end, starts);
-        // The bounds phase keeps every cached span some window object
-        // still has, and nothing else.
-        assert_eq!(
-            held(worker),
-            before.intersection(&asked).copied().collect(),
-            "seed {seed}: span map after bounds to {end}"
-        );
-        assert_eq!(bounds.windows.len(), reference.len());
-        let mut hits = 0;
-        for ((win, want), &start) in bounds.windows.iter().zip(reference).zip(starts) {
-            assert_eq!(
-                win.objects_total, want.objects_total,
-                "seed {seed}: window {start}..={end}"
-            );
-            let want: BTreeMap<ObjectId, &ObjectContribution> = want
-                .contributions
-                .iter()
-                .map(|(oid, c)| (*oid, c.as_ref()))
-                .collect();
-            for _ in 0..rng.gen_range(1..=3) {
-                let slocs = random_subset(rng, union.slocs()).slocs().to_vec();
-                let oids: Vec<ObjectId> = win
-                    .candidates
-                    .iter()
-                    .map(|(oid, _)| *oid)
-                    .filter(|_| rng.gen_range(0..2) == 0)
-                    .collect();
-                let cached = held(worker);
-                let report = worker.evaluate_lazy(start, &slocs, &oids);
-                assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
-                let got: Vec<ObjectId> = report.contributions.iter().map(|(oid, _)| *oid).collect();
-                assert_eq!(got, oids, "seed {seed}: window {start}..={end}");
-                let mut cached_cells = 0;
-                for (oid, c) in &report.contributions {
-                    let expected = want
-                        .get(oid)
-                        .map_or_else(ObjectContribution::default, |w| w.sliced(&slocs));
-                    assert_eq!(
-                        row(*oid, c),
-                        row(*oid, &expected),
-                        "seed {seed}: window {start}..={end}, locations {slocs:?}"
-                    );
-                    let key = worker.windows[&start][oid];
-                    if cached.contains(&key) {
-                        cached_cells += c.relevant.len();
-                    }
-                }
-                assert_eq!(report.cached_cells, cached_cells, "seed {seed}");
-                hits += report.cached_cells;
-
-                // The work reported is exactly the spans the request
-                // added to the map.
-                let added: Vec<SpanKey> = held(worker).difference(&cached).copied().collect();
-                let contributions: Vec<&ObjectContribution> = added
-                    .iter()
-                    .filter_map(|key| worker.spans[key].contribution.as_deref())
-                    .collect();
-                assert_eq!(
-                    report.work.fresh_presence,
-                    contributions.len(),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    report.work.presence_cells,
-                    contributions
-                        .iter()
-                        .map(|c| c.relevant.len())
-                        .sum::<usize>(),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    report.work.straddlers,
-                    added
-                        .iter()
-                        .filter(|(_, first, last)| first != last)
-                        .count(),
-                    "seed {seed}"
-                );
-            }
-        }
-        // Lazy evaluation only ever adds spans of this advance's window
-        // objects.
-        assert!(
-            held(worker).is_subset(&asked),
-            "seed {seed}: span map after lazy requests to {end}"
-        );
-        hits
-    }
-
-    /// One reply in comparable form.
-    fn row(oid: ObjectId, c: &ObjectContribution) -> Row {
-        let bits = c.scores.iter().map(|s| s.to_bits()).collect();
-        (oid, c.relevant.clone(), bits, c.dp_fallback)
-    }
-
     #[test]
     fn evaluate_multi_matches_reference_on_random_schedules() {
         let mut seen = [0; 3];
         for seed in 0..24 {
-            for (total, n) in seen.iter_mut().zip(drive(seed, false)) {
+            for (total, n) in seen.iter_mut().zip(drive(seed)) {
                 *total += n;
             }
         }
         // The schedules did exercise hits, DP fallbacks and resets.
         assert!(seen.iter().all(|&n| n > 100), "{seen:?}");
-    }
-
-    #[test]
-    fn evaluate_lazy_matches_reference_on_random_schedules() {
-        let mut seen = [0; 3];
-        for seed in 0..24 {
-            for (total, n) in seen.iter_mut().zip(drive(seed, true)) {
-                *total += n;
-            }
-        }
-        // The schedules did exercise hits, DP fallbacks and resets.
-        assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 }

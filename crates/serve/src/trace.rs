@@ -7,7 +7,6 @@
 
 use popflow_core::QueryId;
 
-use crate::engine::AdvanceStrategy;
 use crate::shard::SpanWork;
 
 /// One shard's contribution to an advance.
@@ -16,18 +15,13 @@ pub struct ShardTrace {
     /// Shard index.
     pub shard: usize,
     /// (object, location) presence cells this shard computed fresh: the
-    /// union locations of every span it evaluated — for an eager
-    /// advance, including the spans it evaluated ahead of time after the
-    /// previous one.
+    /// union locations of every span it evaluated, including the spans
+    /// it evaluated ahead of time after the previous advance.
     pub presence_cells: u64,
-    /// Work this shard served from its span cache (window objects for
-    /// eager advances, requested cells for bound-pruned ones).
+    /// Window objects this shard served from its span cache.
     pub cache_hits: u64,
     /// Multi-bucket spans this shard evaluated.
     pub straddlers: u64,
-    /// Candidate (object, location) cells this shard reported in the
-    /// bounds phase (bound-pruned advances only; 0 for eager).
-    pub candidate_cells: u64,
 }
 
 impl ShardTrace {
@@ -45,7 +39,8 @@ pub struct QueryTrace {
     /// The query's handle.
     pub id: QueryId,
     /// Nanoseconds spent evaluating this query on top of the shared
-    /// caches (its slicing or threshold loop).
+    /// caches (slicing its locations out of the merged window and
+    /// ranking them).
     pub ns: u64,
     /// Whether the query's top-k changed this advance.
     pub changed: bool,
@@ -91,8 +86,6 @@ pub struct AdvanceTrace {
     pub seq: u64,
     /// The `now` timestamp the advance was called with, in ms.
     pub now_millis: i64,
-    /// Strategy the advance ran under.
-    pub strategy: AdvanceStrategy,
     /// Total advance wall-clock, nanoseconds.
     pub total_ns: u64,
     /// Per-phase durations `(metric name, ns)`, in execution order.
@@ -104,11 +97,10 @@ pub struct AdvanceTrace {
 }
 
 impl AdvanceTrace {
-    pub(crate) fn new(seq: u64, now_millis: i64, strategy: AdvanceStrategy) -> Self {
+    pub(crate) fn new(seq: u64, now_millis: i64) -> Self {
         AdvanceTrace {
             seq,
             now_millis,
-            strategy,
             total_ns: 0,
             phases: Vec::new(),
             shards: Vec::new(),

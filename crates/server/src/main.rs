@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use popflow_serve::AdvanceStrategy;
 use popflow_server::scenario::LoadProfile;
 use popflow_server::Server;
 
@@ -28,8 +27,6 @@ OPTIONS:
                          profile)
   --queue-records N      global ingest queue capacity (default from
                          profile)
-  --strategy NAME        advance strategy: eager | pruned (default
-                         eager)
   --help                 print this help
 ";
 
@@ -55,7 +52,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut tick_millis: Option<u64> = None;
     let mut budget_records: Option<usize> = None;
     let mut queue_records: Option<usize> = None;
-    let mut strategy = AdvanceStrategy::Eager;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -67,15 +63,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "--tick-millis" => tick_millis = Some(parse(flag, it.next())?),
             "--budget-records" => budget_records = Some(parse(flag, it.next())?),
             "--queue-records" => queue_records = Some(parse(flag, it.next())?),
-            "--strategy" => {
-                strategy = match it.next().map(String::as_str) {
-                    Some("eager") => AdvanceStrategy::Eager,
-                    Some("pruned") => AdvanceStrategy::BoundPruned,
-                    other => {
-                        return Err(format!("--strategy: expected eager|pruned, got {other:?}"))
-                    }
-                }
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return Ok(());
@@ -94,7 +81,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let space = Arc::new(world.space);
 
     let mut config = profile.server_config().with_min_ingest_streams(streams);
-    config.serve = config.serve.with_strategy(strategy);
     if let Some(t) = tick_millis {
         config = config.with_tick_millis(t);
     }

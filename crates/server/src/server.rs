@@ -60,8 +60,8 @@ use crate::scenario::delta_frame;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The wrapped engine's configuration (shards, bucket width, flow
-    /// parameters, advance strategy). Engine metrics are forced on so
-    /// a scrape always has phase timings to export.
+    /// parameters). Engine metrics are forced on so a scrape always has
+    /// phase timings to export.
     pub serve: ServeConfig,
     /// Scheduler tick period in milliseconds (≥ 1).
     pub tick_millis: u64,

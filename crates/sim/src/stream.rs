@@ -40,9 +40,7 @@ pub struct StreamScenario {
     /// Visit-length range in seconds (an object's lifespan).
     pub visit_secs: (i64, i64),
     /// Zipf exponent skewing destination choice toward popular rooms
-    /// (0 = uniform). Real visitor traffic is heavily skewed; high skew
-    /// is also what makes bound-pruned serving shine — most locations'
-    /// candidate counts never reach the top-k threshold.
+    /// (0 = uniform). Real visitor traffic is heavily skewed.
     pub destination_skew: f64,
     /// Whether the positioning pipeline re-emits its cached WkNN answer
     /// while a visitor dwells at an unchanged position (see

@@ -1,7 +1,6 @@
 //! Serving demo: a simulated day of visitor tracking replayed through
-//! the sharded incremental `popflow-serve` engine — eager and
-//! bound-pruned advances — head-to-head against the recompute-per-slide
-//! baseline.
+//! the sharded incremental `popflow-serve` engine, head-to-head against
+//! the recompute-per-slide baseline.
 //!
 //! The stream is ingested in timestamp order across shard worker
 //! threads; once per bucket the standing top-k query advances its
@@ -23,7 +22,7 @@ use popflow_serve::metric_names;
 
 fn print_engine(m: &EngineMetrics) {
     println!(
-        "  {:<20} mean {:>8.3} ms   p50 {:>8.3} ms   p99 {:>8.3} ms   {:>9.0} rec/s ingest   {:>7} presence computations ({} cells, {} skipped)",
+        "  {:<20} mean {:>8.3} ms   p50 {:>8.3} ms   p99 {:>8.3} ms   {:>9.0} rec/s ingest   {:>7} presence computations ({} cells)",
         m.name,
         m.mean_ms(),
         m.quantile_ms(0.50),
@@ -31,15 +30,15 @@ fn print_engine(m: &EngineMetrics) {
         m.records_per_sec(),
         m.presence_computations,
         m.presence_cells,
-        m.presence_skipped,
     );
 }
 
 /// The engine's own per-phase advance breakdown, from its internal
 /// metric registry (wall-clock timings above are measured externally —
 /// the two views cross-check each other through `phase_coverage`).
-fn print_phases(m: &EngineMetrics, phases: &[&str]) {
+fn print_phases(m: &EngineMetrics) {
     let Some(snap) = &m.snapshot else { return };
+    let phases = metric_names::EAGER_PHASES;
     let total: u64 = phases
         .iter()
         .filter_map(|p| snap.histograms.get(*p))
@@ -51,7 +50,7 @@ fn print_phases(m: &EngineMetrics, phases: &[&str]) {
         m.phase_coverage.unwrap_or(f64::NAN) * 100.0,
     );
     for phase in phases {
-        let Some(h) = snap.histograms.get(*phase) else {
+        let Some(h) = snap.histograms.get(phase) else {
             continue;
         };
         println!(
@@ -114,22 +113,16 @@ fn main() {
         report.incremental.records, report.slides
     );
     print_engine(&report.incremental);
-    print_engine(&report.pruned);
     print_engine(&report.baseline);
     println!();
-    print_phases(&report.incremental, &metric_names::EAGER_PHASES);
-    print_phases(&report.pruned, &metric_names::PRUNED_PHASES);
+    print_phases(&report.incremental);
     println!(
         "  instrumentation overhead: {:.3}x (paired best-case metrics-on vs metrics-off latency)",
         report.metrics_overhead,
     );
     println!(
-        "\nadvance speedup: {:.1}x wall-clock ({:.1}x pruned), {:.1}x presence work; \
-         bound pruning saves {:.1}% of presence cells",
-        report.speedup,
-        report.pruned_speedup,
-        report.work_ratio,
-        100.0 * (1.0 - 1.0 / report.pruned_work_ratio.max(1.0)),
+        "\nadvance speedup: {:.1}x wall-clock, {:.1}x presence work",
+        report.speedup, report.work_ratio,
     );
 
     if report.mismatched_slides == 0 {

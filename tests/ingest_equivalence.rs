@@ -6,9 +6,9 @@
 //! caches hold log *positions*, records keep their pool's `SetRef`)
 //! rests on the shard logs being exactly what one `ingest` per record
 //! builds, so that is what is checked here, position by position, for
-//! run lengths from 1 to 4,096 under both advance strategies and 1, 2
-//! and 4 shards — together with the counters, every advance's updates,
-//! the late-record contracts of the two callers, and the job count.
+//! run lengths from 1 to 4,096 and 1, 2 and 4 shards — together with
+//! the counters, every advance's updates, the late-record contracts of
+//! the two callers, and the job count.
 //!
 //! Run with: `cargo test -p popflow-eval --test ingest_equivalence`
 
@@ -18,7 +18,7 @@ use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::StreamScenario;
 use popflow_core::{ContinuousEngine, ContinuousUpdate, FlowError, QueryId, QuerySet, WindowSpec};
-use popflow_serve::{AdvanceStrategy, LateRecord, QuerySpec, ServeConfig, ServeEngine};
+use popflow_serve::{LateRecord, QuerySpec, ServeConfig, ServeEngine};
 
 const BUCKET_MILLIS: i64 = 1_800_000;
 const RUN_LENGTHS: [usize; 4] = [1, 7, 128, 4_096];
@@ -42,7 +42,7 @@ fn world() -> &'static (Arc<IndoorSpace>, Vec<Record>) {
     })
 }
 
-fn engine(space: &Arc<IndoorSpace>, shards: usize, strategy: AdvanceStrategy) -> ServeEngine {
+fn engine(space: &Arc<IndoorSpace>, shards: usize) -> ServeEngine {
     let slocs: Vec<SLocId> = space.slocs().iter().map(|s| s.id).collect();
     let narrow = slocs[..slocs.len() / 2].to_vec();
     let config = ServeConfig::with_buckets(BUCKET_MILLIS)
@@ -56,8 +56,7 @@ fn engine(space: &Arc<IndoorSpace>, shards: usize, strategy: AdvanceStrategy) ->
             QuerySet::new(narrow),
             WindowSpec::new(BUCKET_MILLIS, 2),
         ))
-        .with_shards(shards)
-        .with_strategy(strategy);
+        .with_shards(shards);
     ServeEngine::new(Arc::clone(space), config)
 }
 
@@ -156,31 +155,29 @@ fn runs_build_the_logs_single_records_build() {
         first_bucket > 4_096,
         "a bucket must fill a 4,096-record run ({first_bucket} records)"
     );
-    for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-        for shards in [1, 2, 4] {
-            let mut single = engine(space, shards, strategy);
-            let want_updates = replay(&mut single, records, |engine, part| {
-                for r in part {
-                    engine.ingest(r.clone()).expect("ordered stream");
+    for shards in [1, 2, 4] {
+        let mut single = engine(space, shards);
+        let want_updates = replay(&mut single, records, |engine, part| {
+            for r in part {
+                engine.ingest(r.clone()).expect("ordered stream");
+            }
+        });
+        let want_logs = logs(&single);
+        let want_stats = single.stats();
+        assert_eq!(want_logs.iter().map(Vec::len).sum::<usize>(), records.len());
+        assert!(want_updates.iter().flatten().any(|u| !u.1.is_empty()));
+
+        for len in RUN_LENGTHS {
+            let what = format!("{shards} shards, runs of {len}");
+            let mut runs = engine(space, shards);
+            let updates = replay(&mut runs, records, |engine, part| {
+                for run in part.chunks(len) {
+                    engine.ingest_all(run.to_vec()).expect("ordered stream");
                 }
             });
-            let want_logs = logs(&single);
-            let want_stats = single.stats();
-            assert_eq!(want_logs.iter().map(Vec::len).sum::<usize>(), records.len());
-            assert!(want_updates.iter().flatten().any(|u| !u.1.is_empty()));
-
-            for len in RUN_LENGTHS {
-                let what = format!("{strategy:?}, {shards} shards, runs of {len}");
-                let mut runs = engine(space, shards, strategy);
-                let updates = replay(&mut runs, records, |engine, part| {
-                    for run in part.chunks(len) {
-                        engine.ingest_all(run.to_vec()).expect("ordered stream");
-                    }
-                });
-                assert_eq!(logs(&runs), want_logs, "{what}: shard logs");
-                assert_eq!(runs.stats(), want_stats, "{what}: stats");
-                assert_eq!(updates, want_updates, "{what}: advance updates");
-            }
+            assert_eq!(logs(&runs), want_logs, "{what}: shard logs");
+            assert_eq!(runs.stats(), want_stats, "{what}: stats");
+            assert_eq!(updates, want_updates, "{what}: advance updates");
         }
     }
 }
@@ -204,7 +201,7 @@ fn a_late_record_stops_ingest_all_and_is_skipped_by_the_server_entry() {
 
     for shards in [1, 4] {
         let fresh = || {
-            let mut e = engine(space, shards, AdvanceStrategy::Eager);
+            let mut e = engine(space, shards);
             e.ingest_all(head.to_vec()).expect("ordered head");
             e
         };
@@ -263,7 +260,7 @@ fn a_late_record_stops_ingest_all_and_is_skipped_by_the_server_entry() {
 fn shard_jobs_scale_with_runs_not_records() {
     let (space, records) = world();
     for shards in [1usize, 2, 4] {
-        let mut engine = engine(space, shards, AdvanceStrategy::Eager);
+        let mut engine = engine(space, shards);
         let batches = records.chunks(128).count();
         for run in records.chunks(128) {
             engine.ingest_all(run.to_vec()).expect("ordered stream");

@@ -1,25 +1,23 @@
 //! Engine-equivalence and throughput gates for the `popflow-serve`
 //! incremental engine.
 //!
-//! The incremental engine's whole value rests on three claims, all
+//! The incremental engine's whole value rests on these claims, all
 //! checked here mechanically rather than by eye:
 //!
 //! 1. **Exactness** — on every slide, over random scenarios and random
-//!    window/bucket/shard configurations, both the eager and the
-//!    bound-pruned incremental top-k equal the batch Nested-Loop result
-//!    on the identical window, flow-bit for flow-bit (property test).
-//! 2. **Speed** — at window/bucket ratio ≥ 8 the incremental engine's
-//!    per-advance latency beats the recompute-per-slide baseline by ≥ 5×,
-//!    with identical top-k lists on every slide (throughput experiment).
-//! 3. **Pruning** — on a skewed visitor stream, bound-pruned advances
-//!    perform strictly fewer presence computations than eager ones and
-//!    actually skip candidate (object, location) cells.
-//! 4. **Sharing** — queries registered together on one engine are each
+//!    window/bucket/shard configurations, the incremental top-k equals
+//!    the batch Nested-Loop result on the identical window, flow-bit for
+//!    flow-bit (property test).
+//! 2. **Work** — at window/bucket ratio ≥ 8 the incremental engine
+//!    performs ≥ 5× fewer presence computations than the
+//!    recompute-per-slide baseline, with identical top-k lists on every
+//!    slide (counts, not a clock).
+//! 3. **Sharing** — queries registered together on one engine are each
 //!    flow-bit-identical to a dedicated single-query engine on every
 //!    slide (property test over random overlapping subsets and window
 //!    widths), and four concurrent overlapping queries cost < 2× the
 //!    presence work of one (shared-work gate).
-//! 5. **Spans** — on a visitor-turnover stream the eager engine's span
+//! 4. **Spans** — on a visitor-turnover stream the engine's span
 //!    cache stays exact while spans are born, go interior, are truncated
 //!    and leave — four widths on one engine, through a union-growing
 //!    registration and an unregistration — and its work is bounded by
@@ -40,10 +38,10 @@ use popflow_core::{
     TkPlQuery, WindowSpec,
 };
 use popflow_eval::experiments::streaming::{run_streaming, StreamingConfig};
-use popflow_serve::{AdvanceStrategy, QuerySpec, ServeConfig, ServeEngine};
+use popflow_serve::{QuerySpec, ServeConfig, ServeEngine};
 use proptest::prelude::*;
 
-/// Drives both serve strategies and the recompute baseline over one
+/// Drives the serve engine and the recompute baseline over one
 /// generated world with the given geometry, asserting equal top-k lists,
 /// bit-identical flows, and equal deltas on every bucket-aligned slide;
 /// spot-checks one slide against a direct one-shot Nested-Loop query.
@@ -72,11 +70,7 @@ fn assert_equivalent(
         .with_query(QuerySpec::new(k, QuerySet::new(slocs.clone()), spec))
         .with_shards(num_shards)
         .with_flow(flow);
-    let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg.clone());
-    let mut pruned = ServeEngine::new(
-        Arc::clone(&space),
-        serve_cfg.with_strategy(AdvanceStrategy::BoundPruned),
-    );
+    let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg);
     let mut batch = RecomputeEngine::new(
         Arc::clone(&space),
         k,
@@ -95,14 +89,10 @@ fn assert_equivalent(
         let now = Timestamp(spec.bucket_interval(b).end.millis() + 1);
         while next < records.len() && records[next].t <= now {
             serve.ingest(records[next].clone()).expect("ordered stream");
-            pruned
-                .ingest(records[next].clone())
-                .expect("ordered stream");
             batch.ingest(records[next].clone()).expect("ordered stream");
             next += 1;
         }
         let a = serve.advance(now).expect("serve advance");
-        let p = pruned.advance(now).expect("pruned advance");
         let c = batch.advance(now).expect("batch advance");
         prop_assert_eq!(&a.window, &c.window);
         prop_assert_eq!(a.outcome.topk_slocs(), c.outcome.topk_slocs());
@@ -111,15 +101,6 @@ fn assert_equivalent(
         }
         prop_assert_eq!(&a.entered, &c.entered);
         prop_assert_eq!(&a.left, &c.left);
-        // The bound-pruned advance must agree not just on sets but on
-        // flow bits: returned flows are computed exactly, only
-        // sub-threshold locations are skipped.
-        prop_assert_eq!(p.outcome.topk_slocs(), c.outcome.topk_slocs());
-        for (x, y) in p.outcome.ranking.iter().zip(c.outcome.ranking.iter()) {
-            prop_assert_eq!(x.flow.to_bits(), y.flow.to_bits());
-        }
-        prop_assert_eq!(&p.entered, &c.entered);
-        prop_assert_eq!(&p.left, &c.left);
 
         // Mid-replay, pin one slide against a literal one-shot batch
         // query over the same records — guarding the baseline itself.
@@ -133,7 +114,6 @@ fn assert_equivalent(
             )
             .expect("one-shot query");
             prop_assert_eq!(a.outcome.topk_slocs(), one_shot.topk_slocs());
-            prop_assert_eq!(p.outcome.topk_slocs(), one_shot.topk_slocs());
             checked_one_shot = true;
         }
     }
@@ -145,8 +125,8 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random worlds × random window geometry × random sharding: both
-    /// incremental strategies must match batch evaluation on every slide.
+    /// Random worlds × random window geometry × random sharding: the
+    /// incremental engine must match batch evaluation on every slide.
     #[test]
     fn incremental_topk_equals_batch_on_random_configs(
         seed in 0u64..10_000,
@@ -162,8 +142,8 @@ proptest! {
 /// Registers several overlapping queries — rotated ~¾-of-the-venue
 /// location subsets with per-query window widths over one shared bucket
 /// width — on a single registry engine, and replays the same stream into
-/// one dedicated single-query engine per spec. On every slide, under
-/// both advance strategies, each registered query's update must equal
+/// one dedicated single-query engine per spec. On every slide, each
+/// registered query's update must equal
 /// its dedicated engine's: same window, same top-k, bit-identical flows,
 /// same deltas. This is the registry's core contract — sharing sealed
 /// bucket caches across queries must be invisible in the results.
@@ -196,63 +176,60 @@ fn assert_registry_matches_dedicated(
     let step = WindowSpec::new(bucket_secs * 1000, 1);
     let last_bucket = step.last_complete_bucket(Timestamp::from_secs(duration));
 
-    for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-        let base = ServeConfig::with_buckets(bucket_secs * 1000)
-            .with_shards(num_shards)
-            .with_strategy(strategy)
-            .with_flow(flow);
-        let specs: Vec<QuerySpec> = subsets
-            .iter()
-            .zip(widths)
-            .map(|(qs, &w)| QuerySpec::new(k, qs.clone(), WindowSpec::new(bucket_secs * 1000, w)))
-            .collect();
-        let mut registry_cfg = base.clone();
-        for spec in &specs {
-            registry_cfg = registry_cfg.with_query(spec.clone());
-        }
-        let mut registry = ServeEngine::new(Arc::clone(&space), registry_cfg);
-        let ids = registry.query_ids();
-        let mut dedicated: Vec<ServeEngine> = specs
-            .iter()
-            .map(|spec| ServeEngine::new(Arc::clone(&space), base.clone().with_query(spec.clone())))
-            .collect();
+    let base = ServeConfig::with_buckets(bucket_secs * 1000)
+        .with_shards(num_shards)
+        .with_flow(flow);
+    let specs: Vec<QuerySpec> = subsets
+        .iter()
+        .zip(widths)
+        .map(|(qs, &w)| QuerySpec::new(k, qs.clone(), WindowSpec::new(bucket_secs * 1000, w)))
+        .collect();
+    let mut registry_cfg = base.clone();
+    for spec in &specs {
+        registry_cfg = registry_cfg.with_query(spec.clone());
+    }
+    let mut registry = ServeEngine::new(Arc::clone(&space), registry_cfg);
+    let ids = registry.query_ids();
+    let mut dedicated: Vec<ServeEngine> = specs
+        .iter()
+        .map(|spec| ServeEngine::new(Arc::clone(&space), base.clone().with_query(spec.clone())))
+        .collect();
 
-        let mut next = 0usize;
-        for b in 0..=last_bucket {
-            let now = Timestamp(step.bucket_interval(b).end.millis() + 1);
-            while next < records.len() && records[next].t <= now {
-                registry
+    let mut next = 0usize;
+    for b in 0..=last_bucket {
+        let now = Timestamp(step.bucket_interval(b).end.millis() + 1);
+        while next < records.len() && records[next].t <= now {
+            registry
+                .ingest(records[next].clone())
+                .expect("ordered stream");
+            for engine in dedicated.iter_mut() {
+                engine
                     .ingest(records[next].clone())
                     .expect("ordered stream");
-                for engine in dedicated.iter_mut() {
-                    engine
-                        .ingest(records[next].clone())
-                        .expect("ordered stream");
-                }
-                next += 1;
             }
-            let updates = registry.advance_all(now).expect("registry advance");
-            prop_assert_eq!(updates.len(), ids.len());
-            for (qi, engine) in dedicated.iter_mut().enumerate() {
-                let reference = engine.advance(now).expect("dedicated advance");
-                let (_, got) = updates
-                    .iter()
-                    .find(|(id, _)| *id == ids[qi])
-                    .expect("an update per registered query");
-                prop_assert_eq!(&got.window, &reference.window);
-                prop_assert_eq!(got.outcome.topk_slocs(), reference.outcome.topk_slocs());
-                for (x, y) in got
-                    .outcome
-                    .ranking
-                    .iter()
-                    .zip(reference.outcome.ranking.iter())
-                {
-                    prop_assert_eq!(x.sloc, y.sloc);
-                    prop_assert_eq!(x.flow.to_bits(), y.flow.to_bits());
-                }
-                prop_assert_eq!(&got.entered, &reference.entered);
-                prop_assert_eq!(&got.left, &reference.left);
+            next += 1;
+        }
+        let updates = registry.advance_all(now).expect("registry advance");
+        prop_assert_eq!(updates.len(), ids.len());
+        for (qi, engine) in dedicated.iter_mut().enumerate() {
+            let reference = engine.advance(now).expect("dedicated advance");
+            let (_, got) = updates
+                .iter()
+                .find(|(id, _)| *id == ids[qi])
+                .expect("an update per registered query");
+            prop_assert_eq!(&got.window, &reference.window);
+            prop_assert_eq!(got.outcome.topk_slocs(), reference.outcome.topk_slocs());
+            for (x, y) in got
+                .outcome
+                .ranking
+                .iter()
+                .zip(reference.outcome.ranking.iter())
+            {
+                prop_assert_eq!(x.sloc, y.sloc);
+                prop_assert_eq!(x.flow.to_bits(), y.flow.to_bits());
             }
+            prop_assert_eq!(&got.entered, &reference.entered);
+            prop_assert_eq!(&got.left, &reference.left);
         }
     }
     Ok(())
@@ -264,7 +241,7 @@ proptest! {
     /// Random overlapping subsets × random per-query window widths ×
     /// random sharding: every query registered on one engine must be
     /// flow-bit-identical to a dedicated single-query engine on every
-    /// slide, under both advance strategies.
+    /// slide.
     #[test]
     fn registered_queries_match_dedicated_engines(
         seed in 0u64..10_000,
@@ -326,113 +303,30 @@ fn four_overlapping_queries_share_work() {
 }
 
 /// The headline acceptance gate: ≥ 5× less presence work at
-/// window/bucket ratio 16 (≥ 8), identical rankings throughout. Both
-/// the machine-independent proxy (presence computations, deterministic,
-/// measured ≈ 6.7×) and the wall-clock speedup are asserted. The
-/// wall-clock floor is 4×: the flat-pass presence kernels
-/// (`presence_dp_multi`) sped the recompute baseline up ~1.8× — it
-/// evaluates long whole-window sequences, the ideal shape for the
-/// shared pass — while incremental advances, dominated by small
-/// per-bucket seals and coordination, start from milliseconds and
-/// gained less, compressing the measured ratio from ≈ 7× to ≈ 4.5–4.9×
-/// even though both engines got absolutely faster. The wall-clock ratio
-/// gets up to three attempts so a noisy neighbour cannot fail a correct
-/// build — a real performance regression fails all three.
+/// window/bucket ratio 16 (≥ 8), identical rankings throughout. The
+/// counts are deterministic (measured ≈ 6.7×); there is no wall-clock
+/// assertion — the advance latency is the benchmark's to judge, and a
+/// host that switches between two speeds could fail a correct build.
 #[test]
 fn incremental_advances_beat_recompute_5x_with_identical_topk() {
-    let mut best_speedup: f64 = 0.0;
-    for attempt in 1..=3 {
-        let cfg = StreamingConfig::scaled(0.5, 0xbeef + attempt);
-        assert!(
-            cfg.window_buckets >= 8,
-            "the gate is defined at window/bucket ratio ≥ 8"
-        );
-        let report = run_streaming(&cfg);
-        assert!(report.slides >= 16, "too few slides: {}", report.slides);
-        assert_eq!(
-            report.mismatched_slides, 0,
-            "attempt {attempt}: engines diverged on {} of {} slides",
-            report.mismatched_slides, report.slides
-        );
-        assert!(
-            report.work_ratio >= 5.0,
-            "attempt {attempt}: presence-work ratio {:.2} below 5x (incremental {} vs baseline {})",
-            report.work_ratio,
-            report.incremental.presence_computations,
-            report.baseline.presence_computations
-        );
-        // Bound pruning must never *add* presence-cell work over eager
-        // evaluation on the identical stream.
-        assert!(
-            report.pruned.presence_cells <= report.incremental.presence_cells,
-            "attempt {attempt}: pruning added work ({} vs {} cells)",
-            report.pruned.presence_cells,
-            report.incremental.presence_cells
-        );
-        best_speedup = best_speedup.max(report.speedup);
-        if best_speedup >= 4.0 {
-            return;
-        }
-        eprintln!(
-            "attempt {attempt}: wall-clock speedup {:.2}x (incremental {:.3} ms vs baseline {:.3} ms), retrying",
-            report.speedup,
-            report.incremental.mean_ms(),
-            report.baseline.mean_ms()
-        );
-    }
-    panic!("wall-clock advance speedup {best_speedup:.2}x below 4x after 3 attempts");
-}
-
-/// The bound-pruning acceptance gate, on a *skewed* visitor stream
-/// (popular locations dominate, so most locations' COUNT bounds never
-/// reach the k-th exact flow): strictly fewer presence computations per
-/// advance than the unpruned serve engine, with cells actually skipped
-/// and rankings identical on every slide. Deterministic — the scenario
-/// is seeded and the counters are exact.
-#[test]
-fn bound_pruning_beats_eager_on_skewed_stream() {
-    let cfg = StreamingConfig {
-        scenario: StreamScenario {
-            num_objects: 220,
-            duration_secs: 3 * 3600,
-            visit_secs: (60, 120),
-            destination_skew: 1.6,
-            dwell_cache: true,
-            seed: 0x5eed,
-        },
-        bucket_secs: 600,
-        window_buckets: 8,
-        k: 2,
-        num_shards: 3,
-        queries: 1,
-    };
+    let cfg = StreamingConfig::scaled(0.5, 0xbef0);
+    assert!(
+        cfg.window_buckets >= 8,
+        "the gate is defined at window/bucket ratio ≥ 8"
+    );
     let report = run_streaming(&cfg);
     assert!(report.slides >= 16, "too few slides: {}", report.slides);
     assert_eq!(
         report.mismatched_slides, 0,
-        "bound-pruned engine diverged on {} of {} slides",
+        "engines diverged on {} of {} slides",
         report.mismatched_slides, report.slides
     );
     assert!(
-        report.pruned.presence_cells < report.incremental.presence_cells,
-        "bound pruning did not reduce presence work: {} pruned vs {} eager cells \
-         over {} slides",
-        report.pruned.presence_cells,
-        report.incremental.presence_cells,
-        report.slides
-    );
-    assert!(
-        report.pruned.presence_skipped > 0,
-        "no candidate cells were ever skipped: {:?}",
-        report.pruned
-    );
-    // Per-advance, on average, the pruned engine must also win — the
-    // per-run total cannot hide a regression behind slide count.
-    let per_advance_pruned = report.pruned.presence_cells as f64 / report.slides as f64;
-    let per_advance_eager = report.incremental.presence_cells as f64 / report.slides as f64;
-    assert!(
-        per_advance_pruned < per_advance_eager,
-        "per-advance presence cells: pruned {per_advance_pruned:.1} vs eager {per_advance_eager:.1}"
+        report.work_ratio >= 5.0,
+        "presence-work ratio {:.2} below 5x (incremental {} vs baseline {})",
+        report.work_ratio,
+        report.incremental.presence_computations,
+        report.baseline.presence_computations
     );
 }
 
@@ -484,7 +378,7 @@ fn update_key(u: &ContinuousUpdate) -> UpdateKey {
 }
 
 /// Four standing queries of widths 1, 3, 8 and 16 buckets on one
-/// engine, under each advance strategy, a fifth registered a third of
+/// engine at 1, 2 and 4 shards, a fifth registered a third of
 /// the way in whose locations grow the union (the shards drop their
 /// caches) and unregistered at two thirds (the union shrinks, the caches
 /// stay): every query's update on every slide equals a dedicated
@@ -575,14 +469,9 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
         reference.push(updates);
     }
 
-    let strategies = [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned];
-    for (strategy, num_shards) in strategies
-        .into_iter()
-        .flat_map(|strategy| [1, 2, 4].map(|n| (strategy, n)))
-    {
+    for num_shards in [1, 2, 4] {
         let mut config = ServeConfig::with_buckets(BUCKET)
             .with_shards(num_shards)
-            .with_strategy(strategy)
             .with_flow(flow);
         for spec in &specs[..late] {
             config = config.with_query(spec.clone());
@@ -615,7 +504,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
             assert_eq!(
                 updates.len(),
                 want.iter().flatten().count(),
-                "seed {seed}, {strategy:?}, {num_shards} shards, bucket {b}"
+                "seed {seed}, {num_shards} shards, bucket {b}"
             );
             for (qi, id) in ids.iter().enumerate() {
                 let (_, got) = updates
@@ -625,7 +514,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
                 assert_eq!(
                     Some(update_key(got)),
                     want[qi],
-                    "seed {seed}, {strategy:?}, {num_shards} shards, bucket {b}, query {qi} (width {})",
+                    "seed {seed}, {num_shards} shards, bucket {b}, query {qi} (width {})",
                     specs[qi].window.window_buckets
                 );
             }
@@ -633,7 +522,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
         let stats = engine.stats();
         assert!(
             stats.cache_hits > stats.fresh_presence,
-            "seed {seed}, {strategy:?}: spans were not reused: {stats:?}"
+            "seed {seed}, {num_shards} shards: spans were not reused: {stats:?}"
         );
     }
 }
@@ -650,7 +539,7 @@ fn turnover_registry_matches_recompute_through_register_and_unregister() {
 /// Window width of the work gates, in buckets.
 const GATE_WIDTH: i64 = 16;
 
-/// A one-query eager engine over the whole venue with w/b = 16.
+/// A one-query engine over the whole venue with w/b = 16.
 fn work_gate_engine(space: &Arc<IndoorSpace>, bucket_millis: i64) -> ServeEngine {
     let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
     let window = WindowSpec::new(bucket_millis, GATE_WIDTH as usize);
@@ -661,7 +550,7 @@ fn work_gate_engine(space: &Arc<IndoorSpace>, bucket_millis: i64) -> ServeEngine
     ServeEngine::new(Arc::clone(space), config)
 }
 
-/// Replays a turnover stream through a w/b = 16 eager engine and holds
+/// Replays a turnover stream through a w/b = 16 engine and holds
 /// every advance to the work its slide justifies, in counts only:
 ///
 /// * per advance, at most one presence computation per object that

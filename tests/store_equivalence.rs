@@ -19,11 +19,11 @@
 //!    the same engine over a table rebuilt from the row copy: interning
 //!    is value-preserving, so a store round-trip cannot move a single
 //!    bit.
-//! 3. **Serving parity** — both serve strategies (eager and
-//!    bound-pruned), at shard counts 1 and 4, replayed over the stream,
-//!    must equal the row baseline's ranking on the final window, flow-bit
-//!    for flow-bit — while their interned shard logs actually
-//!    deduplicate (`intern_hits > 0`) and undercut the row layout.
+//! 3. **Serving parity** — the serve engine, at shard counts 1 and 4,
+//!    replayed over the stream, must equal the row baseline's ranking on
+//!    the final window, flow-bit for flow-bit — while its interned shard
+//!    logs actually deduplicate (`intern_hits > 0`) and undercut the row
+//!    layout.
 //!
 //! Run with: `cargo test -p popflow-eval --test store_equivalence`
 
@@ -37,7 +37,7 @@ use popflow_core::{
     best_first, naive, nested_loop, object_flow_contributions, rank_topk, ContinuousEngine,
     ExecConfig, FlowConfig, QueryOutcome, QuerySet, RankedLocation, TkPlQuery, WindowSpec,
 };
-use popflow_serve::{AdvanceStrategy, QuerySpec, ServeConfig, ServeEngine};
+use popflow_serve::{QuerySpec, ServeConfig, ServeEngine};
 use proptest::prelude::*;
 
 /// The pre-refactor row store, reduced to its essence: owned records in
@@ -128,8 +128,8 @@ fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowCon
     assert_flow_bits_equal("best_first@4t vs @1t", &bf_par, &bf_col.ranking);
 }
 
-/// Gate 3 over one generated stream: both serve strategies at shard
-/// counts {1, 4} equal the row baseline on the final bucket-aligned
+/// Gate 3 over one generated stream: the serve engine at shard
+/// counts {1, 4} equals the row baseline on the final bucket-aligned
 /// window, and the interned shard logs dedup and undercut rows.
 fn assert_serve_equivalence(
     world: &World,
@@ -153,32 +153,29 @@ fn assert_serve_equivalence(
     let rows: Vec<Record> = stream.to_records();
     let want = row_store_flows(&world.space, &rows, &query_set, window, k, cfg);
 
-    for strategy in [AdvanceStrategy::Eager, AdvanceStrategy::BoundPruned] {
-        for shards in [1usize, 4] {
-            let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
-                .with_query(QuerySpec::new(k, query_set.clone(), spec))
-                .with_shards(shards)
-                .with_strategy(strategy)
-                .with_flow(*cfg);
-            let mut engine = ServeEngine::new(Arc::clone(&space), serve_cfg);
-            for r in &rows {
-                engine.ingest(r.clone()).expect("ordered stream");
-            }
-            let update = engine.advance(now).expect("final advance");
-            let tag = format!("serve {strategy:?}@{shards}sh vs rows");
-            assert_flow_bits_equal(&tag, &update.outcome, &want);
+    for shards in [1usize, 4] {
+        let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
+            .with_query(QuerySpec::new(k, query_set.clone(), spec))
+            .with_shards(shards)
+            .with_flow(*cfg);
+        let mut engine = ServeEngine::new(Arc::clone(&space), serve_cfg);
+        for r in &rows {
+            engine.ingest(r.clone()).expect("ordered stream");
+        }
+        let update = engine.advance(now).expect("final advance");
+        let tag = format!("serve {shards} shards vs rows");
+        assert_flow_bits_equal(&tag, &update.outcome, &want);
 
-            let stats = engine.stats();
-            assert!(stats.log_bytes > 0, "{tag}: no log footprint");
-            if expect_dedup {
-                assert!(stats.intern_hits > 0, "{tag}: interner never deduplicated");
-                assert!(
-                    (stats.log_bytes as usize) < stream.row_bytes(),
-                    "{tag}: interned shard logs ({}) not below row layout ({})",
-                    stats.log_bytes,
-                    stream.row_bytes(),
-                );
-            }
+        let stats = engine.stats();
+        assert!(stats.log_bytes > 0, "{tag}: no log footprint");
+        if expect_dedup {
+            assert!(stats.intern_hits > 0, "{tag}: interner never deduplicated");
+            assert!(
+                (stats.log_bytes as usize) < stream.row_bytes(),
+                "{tag}: interned shard logs ({}) not below row layout ({})",
+                stats.log_bytes,
+                stream.row_bytes(),
+            );
         }
     }
 }
@@ -188,8 +185,8 @@ proptest! {
 
     /// Random worlds and streams: the interned columnar store yields
     /// bit-identical flows vs the row-store baseline across
-    /// naive/NL/BF (serial and parallel, threads {1, 4}) and both serve
-    /// strategies (shards {1, 4}).
+    /// naive/NL/BF (serial and parallel, threads {1, 4}) and the serve
+    /// engine (shards {1, 4}).
     #[test]
     fn columnar_store_is_bit_identical_to_rows(
         seed in 0u64..10_000,
@@ -234,7 +231,7 @@ fn batch_scale_fixture_flows_match_row_store_bitwise() {
 }
 
 /// The deterministic acceptance gate on a `destination_skew = 0.9`
-/// visitor stream: all serve strategies bit-match the row baseline, the
+/// visitor stream: the serve engine bit-matches the row baseline, the
 /// interner actually deduplicates (hit rate > 0), and the interned
 /// stream undercuts the row layout it replaced.
 #[test]
