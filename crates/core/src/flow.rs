@@ -75,12 +75,12 @@ impl ObjectContribution {
     /// Restricts the contribution to a **sorted** location subset.
     ///
     /// Per-location presence does not depend on which other locations
-    /// were evaluated alongside it (see
-    /// [`object_flow_contributions_for`]), so a contribution computed
-    /// once against the *union* of several queries' location sets slices
-    /// down to any one query's subset with scores **bit-identical** to a
-    /// contribution computed against that subset directly — the property
-    /// the multi-query serving registry's per-query slicing rests on.
+    /// were evaluated alongside it (see [`object_flow_contributions`]),
+    /// so a contribution computed once against the *union* of several
+    /// queries' location sets slices down to any one query's subset with
+    /// scores **bit-identical** to a contribution computed against that
+    /// subset directly — the property the multi-query serving registry's
+    /// per-query slicing rests on.
     pub fn sliced(&self, subset: &[SLocId]) -> ObjectContribution {
         let mut relevant = Vec::new();
         let mut scores = Vec::new();
@@ -113,6 +113,11 @@ impl ObjectContribution {
 /// enabled and `psls ∩ Q = ∅`) — the Algorithm 1 line 13 exclusion. With
 /// reduction disabled the object is processed regardless (the `-ORG`
 /// semantics) and may return an empty contribution.
+///
+/// Per-location presence does not depend on which other locations are
+/// evaluated alongside it — paths, probabilities, and normalization
+/// denominators are all per-object quantities — so each location's score
+/// is **bit-identical** whichever query set holds it.
 pub fn object_flow_contributions<'a, I>(
     space: &IndoorSpace,
     sets: I,
@@ -122,45 +127,16 @@ pub fn object_flow_contributions<'a, I>(
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
-    object_flow_contributions_for(space, sets, query_set.slocs(), query_set, cfg)
-}
-
-/// [`object_flow_contributions`] restricted to `locs`, a **sorted**
-/// subset of `query_set`: one object's contributions to those locations
-/// only.
-///
-/// Per-location presence does not depend on which other locations are
-/// evaluated alongside it — paths, probabilities, and normalization
-/// denominators are all per-object quantities — so for every location in
-/// `locs` the returned score is **bit-identical** to the one the full
-/// kernel computes for the same sequence over the whole query set.
-///
-/// PSL pruning (`Ok(None)`) still tests against the *full* `query_set`,
-/// exactly like the eager kernel, so both paths agree on which objects
-/// count as pruned.
-pub fn object_flow_contributions_for<'a, I>(
-    space: &IndoorSpace,
-    sets: I,
-    locs: &[SLocId],
-    query_set: &QuerySet,
-    cfg: &FlowConfig,
-) -> Result<Option<ObjectContribution>, FlowError>
-where
-    I: IntoIterator<Item = &'a SampleSet>,
-{
-    // anlz:allow(panic-in-hot-path): windows(2) yields exactly-2-element slices
-    debug_assert!(locs.windows(2).all(|w| w[0] < w[1]), "locs must be sorted");
     let scanned = scan_sequence(space, sets, cfg.use_reduction)?;
     // PSL pruning applies only with data reduction on; the paper's -ORG
     // variants report a pruning ratio of 0.
     if cfg.use_reduction && !query_set.intersects_sorted(&scanned.psls) {
         return Ok(None);
     }
-    let relevant = intersect_sorted(locs, &scanned.psls);
+    let relevant = intersect_sorted(query_set.slocs(), &scanned.psls);
     if relevant.is_empty() {
-        // Reachable for -ORG runs and for subset requests whose locations
-        // all miss this object's PSLs: the object cannot contribute to
-        // `locs`, but it was still processed.
+        // Reachable for -ORG runs only: the object cannot contribute,
+        // but it was still processed.
         return Ok(Some(ObjectContribution::default()));
     }
     let (scores, dp_fallback) = contributions_for(space, &scanned.sets, &relevant, query_set, cfg)?;
@@ -385,9 +361,11 @@ mod tests {
         }
     }
 
-    /// The subset kernel must return, for every requested
-    /// location, the bit-identical score the full kernel computes —
-    /// across engines and normalizations, and for every subset shape.
+    /// Per-location independence on the public kernel: for every
+    /// location, computing against that location alone — or against all
+    /// of the object's locations but the first — gives the bit-identical
+    /// score the whole query set gives, across engines and
+    /// normalizations.
     #[test]
     fn partial_kernel_scores_bit_identical_to_full() {
         let fig = paper_figure1();
@@ -400,48 +378,33 @@ mod tests {
             FlowConfig::default().without_reduction(),
         ] {
             for seq in iupt.sequences_in(interval()) {
-                let full = object_flow_contributions(
-                    &fig.space,
-                    seq.records.iter().map(|r| r.samples),
-                    &query_set,
-                    &cfg,
-                )
-                .unwrap();
-                let Some(full) = full else { continue };
-                // Every single-location request and the all-but-one ones.
-                for (i, &q) in full.relevant.iter().enumerate() {
-                    let part = object_flow_contributions_for(
+                let contributions = |set: &QuerySet| {
+                    object_flow_contributions(
                         &fig.space,
                         seq.records.iter().map(|r| r.samples),
-                        &[q],
-                        &query_set,
+                        set,
                         &cfg,
                     )
                     .unwrap()
-                    .expect("candidate location cannot be pruned");
-                    assert_eq!(part.relevant, vec![q]);
-                    assert_eq!(
-                        part.scores[0].to_bits(),
-                        full.scores[i].to_bits(),
-                        "cfg {cfg:?} object {} location {q}",
-                        seq.oid
-                    );
-                    assert_eq!(part.dp_fallback, full.dp_fallback);
-                }
-                let rest: Vec<_> = full.relevant[1..].to_vec();
-                if !rest.is_empty() {
-                    let part = object_flow_contributions_for(
-                        &fig.space,
-                        seq.records.iter().map(|r| r.samples),
-                        &rest,
-                        &query_set,
-                        &cfg,
-                    )
-                    .unwrap()
-                    .unwrap();
-                    assert_eq!(part.relevant, rest);
-                    for (s, f) in part.scores.iter().zip(&full.scores[1..]) {
-                        assert_eq!(s.to_bits(), f.to_bits());
+                };
+                let Some(full) = contributions(&query_set) else {
+                    continue;
+                };
+                let singles = full.relevant.iter().map(|&q| vec![q]);
+                let rest = full.relevant.get(1..).unwrap_or_default().to_vec();
+                for subset in singles.chain([rest]).filter(|s| !s.is_empty()) {
+                    let part = contributions(&QuerySet::new(subset.clone()))
+                        .expect("a location among the object's PSLs is not pruned");
+                    let want = full.sliced(&subset);
+                    assert_eq!(part.relevant, subset);
+                    assert_eq!(part.relevant, want.relevant);
+                    for (s, f) in part.scores.iter().zip(&want.scores) {
+                        assert_eq!(
+                            s.to_bits(),
+                            f.to_bits(),
+                            "cfg {cfg:?} object {} locations {subset:?}",
+                            seq.oid
+                        );
                     }
                 }
             }

@@ -12,7 +12,7 @@
 //! benchmark report (records/s, p50/p99 advance latency, work ratios,
 //! presence cells, and — with `--queries N` ≥ 2 — the multi-query
 //! `shared_work_ratio` sharing audit, which exits non-zero if concurrent
-//! registered queries fail to share sealing work or diverge from
+//! registered queries fail to share span work or diverge from
 //! dedicated engines) to `--bench-json` (default `BENCH_streaming.json`),
 //! and its end-of-run telemetry export (the serve engine's full metric
 //! snapshot, phase coverage, and the instrumentation overhead ratio;

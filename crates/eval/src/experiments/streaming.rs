@@ -205,7 +205,7 @@ pub struct MultiQueryReport {
     /// Presence cells the N dedicated engines paid in total.
     pub dedicated_cells: u64,
     /// `registry_cells / dedicated_cells` — below 1.0 means registered
-    /// queries genuinely share sealing work instead of multiplying it
+    /// queries genuinely share span work instead of multiplying it
     /// (the CI gate requires < 0.9 at 4 queries).
     pub shared_work_ratio: f64,
     /// (query, slide) pairs where the registry ranking was not
@@ -866,7 +866,7 @@ pub fn streaming_with_json(
         std::process::exit(1);
     }
     // The multi-query sharing gate: concurrent registered queries must
-    // genuinely share sealing work (well under 1× the dedicated cost
+    // genuinely share span work (well under 1× the dedicated cost
     // per query) and stay bit-identical to dedicated engines. The
     // comparison is written so NaN/∞ ratios fail too.
     if let Some(m) = &report.multi {
@@ -965,7 +965,6 @@ mod tests {
             "\"metrics_overhead\"",
             "\"phase_coverage\"",
             metric_names::PHASE_EVAL_RPC_NS,
-            metric_names::SHARD_SEAL_NS,
         ] {
             assert!(obs.contains(key), "missing {key} in:\n{obs}");
         }
@@ -1105,7 +1104,7 @@ mod tests {
         assert!(m.registry_cells > 0, "audit did no work: {m:?}");
         assert!(
             m.shared_work_ratio < 0.9,
-            "queries did not share sealing work: {m:?}"
+            "queries did not share span work: {m:?}"
         );
     }
 }

@@ -130,9 +130,9 @@ impl ObjectSequence<'_> {
 /// Two invariants carry the layers above:
 ///
 /// * **Position stability** — the log is append-only; a record's `u32`
-///   position (as returned in [`Iupt::sequence_positions_in`]) stays
-///   valid as later records arrive. The `popflow-serve` bucket caches
-///   hold positions across window slides on the strength of this.
+///   position (as returned by [`Iupt::push`] and [`Iupt::extend`]) stays
+///   valid as later records arrive. The `popflow-serve` shards keep
+///   positions for the log's lifetime on the strength of this.
 /// * **Value-preserving interning** — [`Iupt::samples_at`] returns a
 ///   set equal to the one pushed, so flows computed over views are
 ///   bit-identical to flows over the original owned records.
@@ -285,24 +285,6 @@ impl Iupt {
         seqs
     }
 
-    /// Like [`Iupt::sequences_in`], but returns record *positions* into
-    /// the log instead of views, grouped by object id (ascending) with
-    /// each group in time order. The log is append-only, so positions
-    /// stay valid as later records arrive — callers that cache window
-    /// slices (the `popflow-serve` bucket caches) hold these instead of
-    /// cloning sample sets out of the log.
-    pub fn sequence_positions_in(&mut self, interval: TimeInterval) -> Vec<(ObjectId, Vec<u32>)> {
-        let Iupt { store, index } = self;
-        let hits = index.range_query(interval.start.millis(), interval.end.millis());
-        let mut by_object: HashMap<ObjectId, Vec<u32>> = HashMap::new();
-        for &(_, i) in hits {
-            by_object.entry(ObjectId(store.oid(i))).or_default().push(i);
-        }
-        let mut seqs: Vec<(ObjectId, Vec<u32>)> = by_object.into_iter().collect();
-        seqs.sort_unstable_by_key(|(oid, _)| *oid);
-        seqs
-    }
-
     /// One object's sequence within the window.
     pub fn sequence_of(&mut self, oid: ObjectId, interval: TimeInterval) -> ObjectSequence<'_> {
         let Iupt { store, index } = self;
@@ -438,24 +420,6 @@ mod tests {
         assert_eq!(seqs[2].len(), 3);
         for s in &seqs {
             assert!(s.records.windows(2).all(|w| w[0].t <= w[1].t));
-        }
-    }
-
-    #[test]
-    fn sequence_positions_match_sequences() {
-        let mut t = table();
-        let iv = TimeInterval::new(Timestamp::from_secs(2), Timestamp::from_secs(6));
-        let expected: Vec<(ObjectId, Vec<SampleSet>)> = t
-            .sequences_in(iv)
-            .iter()
-            .map(|s| (s.oid, s.records.iter().map(|r| r.samples.clone()).collect()))
-            .collect();
-        let positions = t.sequence_positions_in(iv);
-        assert_eq!(positions.len(), expected.len());
-        for ((oid, idx), (eoid, esets)) in positions.iter().zip(&expected) {
-            assert_eq!(oid, eoid);
-            let got: Vec<SampleSet> = idx.iter().map(|&i| t.samples_at(i).clone()).collect();
-            assert_eq!(&got, esets);
         }
     }
 

@@ -32,7 +32,7 @@ type WindowScores = (Vec<f64>, SearchStats);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdvanceStrategy {
     /// The engine's one advance: every window object's union
-    /// contribution, cached per span of sealed buckets, merged per
+    /// contribution, cached per span of buckets, merged per
     /// window and sliced per registered query.
     #[default]
     Eager,
@@ -159,6 +159,8 @@ struct ServeMetrics {
     straddler_recomputes: Counter,
     fresh_presence: Counter,
     presence_cells: Counter,
+    spans_in_advance: Counter,
+    spans_unused: Counter,
     cache_resets: Counter,
     log_bytes: Gauge,
     intern_hits: Gauge,
@@ -180,6 +182,8 @@ impl ServeMetrics {
             straddler_recomputes: registry.counter(names::STRADDLER_RECOMPUTES),
             fresh_presence: registry.counter(names::FRESH_PRESENCE),
             presence_cells: registry.counter(names::PRESENCE_CELLS),
+            spans_in_advance: registry.counter(names::SPANS_IN_ADVANCE),
+            spans_unused: registry.counter(names::SPANS_UNUSED),
             cache_resets: registry.counter(names::CACHE_RESETS),
             log_bytes: registry.gauge(names::LOG_BYTES),
             intern_hits: registry.gauge(names::INTERN_HITS),
@@ -214,6 +218,8 @@ impl ServeMetrics {
         lift(&self.straddler_recomputes, stats.straddler_recomputes);
         lift(&self.fresh_presence, stats.fresh_presence);
         lift(&self.presence_cells, stats.presence_cells);
+        lift(&self.spans_in_advance, stats.spans_in_advance);
+        lift(&self.spans_unused, stats.spans_unused);
         lift(&self.cache_resets, stats.cache_resets);
         self.log_bytes.set(stats.log_bytes);
         self.intern_hits.set(stats.intern_hits);
@@ -231,10 +237,13 @@ pub struct ServeStats {
     /// Window advances served (each advance evaluates every registered
     /// query).
     pub advances: u64,
-    /// Window objects served from the shards' span caches: objects the
-    /// slide neither gave a record nor took one from, once per distinct
-    /// window they are in. Work shared across registered queries shows
-    /// up here: a window two queries share is assembled once.
+    /// Window objects served from the shards' span caches, once per
+    /// distinct window they are in: objects the slide neither gave a
+    /// record nor took one from, and the spans the shards evaluated ahead
+    /// of the advance — the trailing edge, and the leading-edge spans of
+    /// objects that had fallen quiet. Work shared across registered
+    /// queries shows up here: a window two queries share is assembled
+    /// once.
     pub cache_hits: u64,
     /// Multi-bucket spans evaluated — each distinct span once, when an
     /// advance first asks for it (or the shards evaluate it ahead of
@@ -242,16 +251,26 @@ pub struct ServeStats {
     pub straddler_recomputes: u64,
     /// Presence computations counted per object — the quantity the
     /// bucketing scheme minimizes: spans evaluated, i.e. one per object
-    /// per distinct run of sealed buckets its windowed records cover
-    /// (PSL-pruned spans pay nothing and are not counted). The spans the
-    /// shards evaluated ahead of the slide that truncates them are
-    /// reported with the following advance.
+    /// per distinct run of buckets its windowed records cover
+    /// (PSL-pruned spans pay nothing and are not counted). Spans the
+    /// shards evaluated ahead of an advance are counted too, including
+    /// the [`ServeStats::spans_unused`] that no advance asked for; they
+    /// are reported with the advance that follows their evaluation.
     pub fresh_presence: u64,
     /// The same computations counted per (object, location) cell: the
     /// union locations each evaluated span's contribution covers. A span
     /// is evaluated against the whole union of registered location sets,
     /// once, not once per query or location.
     pub presence_cells: u64,
+    /// Spans the advances evaluated themselves, on the record→delta
+    /// path. Every other evaluated span was paid ahead of its advance,
+    /// while the shards would otherwise have waited.
+    pub spans_in_advance: u64,
+    /// Spans evaluated ahead of an advance — trailing edge or
+    /// leading-edge speculation — that were dropped or replaced before
+    /// any advance asked for them: the waste of working ahead. Counted
+    /// with the advance that follows the drop.
+    pub spans_unused: u64,
     /// Resident bytes of the shard logs' columnar stores (summed across
     /// shards). A *gauge*, not a counter: [`ServeEngine::stats`] asks
     /// the shards for their live [`indoor_iupt::StoreStats`], so the
@@ -275,9 +294,9 @@ pub struct ServeStats {
     /// [`ServeEngine::register`] / [`ServeEngine::unregister`].
     pub registered_queries: u64,
     /// Times a registration grew the union of registered location sets
-    /// and forced the shards to drop their caches (the next advance
-    /// re-seals from the append-only logs). Shrinking the union never
-    /// resets.
+    /// and forced the shards to drop their span caches (the next advance
+    /// evaluates every span afresh from the append-only logs). Shrinking
+    /// the union never resets.
     pub cache_resets: u64,
 }
 
@@ -288,6 +307,8 @@ impl ServeStats {
         self.straddler_recomputes += work.straddlers as u64;
         self.fresh_presence += work.fresh_presence as u64;
         self.presence_cells += work.presence_cells as u64;
+        self.spans_in_advance += work.in_advance as u64;
+        self.spans_unused += work.unused as u64;
     }
 }
 
@@ -306,12 +327,12 @@ struct Registered {
 /// Ingestion partitions records by object across `num_shards` worker
 /// threads of a [`popflow_exec::ShardPool`] (routed by the pool's shared
 /// [`popflow_exec::Partitioner`]); each worker owns its shard's IUPT
-/// partition and ONE set of sealed buckets and cached contributions,
-/// computed against the **union** of every registered query's location
-/// set. An
-/// [`advance_all`](ServeEngine::advance_all) seals newly completed
-/// buckets once, then evaluates every registered query on top — slicing
-/// the shared union contributions per location subset — and reports one
+/// partition, its record positions grouped by bucket at ingest, and ONE
+/// cache of contributions computed against the **union** of every
+/// registered query's location set. An
+/// [`advance_all`](ServeEngine::advance_all) closes the newly completed
+/// bucket once, evaluates every registered query on top — slicing the
+/// shared union contributions per location subset — and reports one
 /// [`ContinuousUpdate`] per query.
 /// Queries may use different window lengths (sharing the bucket width);
 /// each keeps its own frontier and delta state, so windows of different
@@ -330,18 +351,18 @@ struct Registered {
 /// [`unregister`](ServeEngine::unregister) may be called mid-stream.
 /// Registering a query whose locations grow the union drops the shard
 /// caches (counted in [`ServeStats::cache_resets`]); because shard logs
-/// are append-only, the next advance re-seals deterministically, so a
+/// are append-only, the next advance re-evaluates deterministically, so a
 /// query registered mid-stream returns exactly what it would have
 /// returned had it been registered from the start.
 ///
 /// # Failure contract
 ///
-/// A failed advance poisons the engine. Once shards have begun sealing,
-/// a mid-advance error (a shard worker dying, a presence computation
-/// failing) leaves coordinator and shard state divergent — some shards
-/// have sealed and evicted, others may not have — so instead of serving
-/// unpredictable results, every later `ingest`/`advance` returns
-/// [`FlowError::EngineUnavailable`]. Rejected inputs (late records,
+/// A failed advance poisons the engine. Once shards have begun an
+/// advance, a mid-advance error (a shard worker dying, a presence
+/// computation failing) leaves coordinator and shard state divergent —
+/// some shards have swept their caches, others may not have — so instead
+/// of serving unpredictable results, every later `ingest`/`advance`
+/// returns [`FlowError::EngineUnavailable`]. Rejected inputs (late records,
 /// backwards advances, unknown or invalid queries) do **not** poison:
 /// they leave the engine untouched by design.
 ///
@@ -392,10 +413,10 @@ pub struct ServeEngine {
     first_ingest: Option<Timestamp>,
     last_ingest: Option<Timestamp>,
     last_advance: Option<Timestamp>,
-    /// Records must land at or after the sealed frontier: once a bucket
-    /// is sealed its cache is immutable, so a record falling into it
-    /// would silently be ignored by future windows. Such late records
-    /// are rejected at ingest instead.
+    /// Records must land at or after the sealed frontier: once an
+    /// advance has closed a bucket, the spans cached over it are final,
+    /// so a record falling into it would silently be ignored by future
+    /// windows. Such late records are rejected at ingest instead.
     sealed_frontier_millis: Option<i64>,
     /// Set by the first failed advance; see the failure contract above.
     poisoned: Option<String>,
@@ -422,18 +443,12 @@ impl ServeEngine {
         let flow = config.flow;
         let bucket_millis = config.bucket_millis;
         let registry = MetricsRegistry::new();
-        // Workers share one seal histogram (same name resolves to the
-        // same storage); the coordinator's handles are resolved below.
-        let seal_ns = config
-            .metrics
-            .then(|| registry.histogram(names::SHARD_SEAL_NS));
         let mut pool = ShardPool::new("popflow-shard", config.num_shards, |_| {
             ShardWorker::new(
                 Arc::clone(&space),
                 QuerySet::new(Vec::new()),
                 flow,
                 bucket_millis,
-                seal_ns.clone(),
             )
         });
         let metrics = if config.metrics {
@@ -610,7 +625,7 @@ impl ServeEngine {
     /// The spec's window must use the engine's bucket width
     /// ([`FlowError::InvalidQuery`] otherwise). If the query's locations
     /// grow the union of registered sets, shard caches reset and the
-    /// next advance re-seals from the append-only logs — making the
+    /// next advance re-evaluates from the append-only logs — making the
     /// late-registered query's results identical to an engine that held
     /// it from the start.
     pub fn register(&mut self, spec: QuerySpec) -> Result<QueryId, FlowError> {
@@ -860,9 +875,9 @@ impl ServeEngine {
     }
 
     /// Advances every registered query to `now` and returns one update
-    /// per query, in registration order. Buckets are sealed **once**
-    /// across all queries; per-query evaluation runs on top of the
-    /// shared caches.
+    /// per query, in registration order. The shards assemble each
+    /// distinct window **once** across all queries; per-query evaluation
+    /// runs on top of the shared caches.
     ///
     /// `now` must be non-decreasing across calls, and at least one query
     /// must be registered ([`FlowError::InvalidQuery`] otherwise — a
@@ -899,14 +914,12 @@ impl ServeEngine {
             .collect();
         starts.sort_unstable();
         starts.dedup();
-        // anlz:allow(panic-in-hot-path): non-empty — advance_all rejects an empty registry above
-        let global_start = starts[0];
 
-        let result = self.advance_eager(global_start, end_bucket, &starts, &mut trace);
+        let result = self.advance_eager(end_bucket, &starts, &mut trace);
         // Buckets through `end_bucket` are now sealed engine-wide — even
-        // if a shard reported an error: some shards may have sealed
-        // their caches, and accepting a late record into a sealed bucket
-        // would silently corrupt every future window.
+        // if a shard reported an error: some shards may have cached
+        // spans over them, and accepting a late record into a sealed
+        // bucket would silently corrupt every future window.
         let frontier = (end_bucket + 1) * self.config.bucket_millis;
         self.sealed_frontier_millis = Some(
             self.sealed_frontier_millis
@@ -943,6 +956,24 @@ impl ServeEngine {
             ));
         }
         trace.add_phase(names::PHASE_SLICE_NS, slice_timer.elapsed_ns());
+        // Last, with the results in hand: the shards are idle until the
+        // next records arrive, and already hold everything that decides
+        // which spans the next slide will truncate. No reply — nothing
+        // here can change a result — but the hand-off is part of the
+        // shard round trip the caller waits for.
+        let ahead_timer = Timer::start();
+        for shard in 0..self.pool.shards() {
+            let request = starts.clone();
+            self.pool
+                .tell(shard, move |worker| {
+                    worker.evaluate_ahead(end_bucket, &request)
+                })
+                .map_err(|down| {
+                    let e = self.shard_down(down);
+                    self.poison(e)
+                })?;
+        }
+        trace.add_phase(names::PHASE_EVAL_RPC_NS, ahead_timer.elapsed_ns());
         trace.total_ns = total_timer.elapsed_ns();
         if let Some(m) = &self.metrics {
             m.advance_ns.record(trace.total_ns);
@@ -956,21 +987,6 @@ impl ServeEngine {
                 }
                 self.traces.push_back(trace);
             }
-        }
-        // Last, with the advance timed and its results in hand: the
-        // shards are idle until the next records arrive, and already
-        // hold everything that decides which spans the next slide will
-        // truncate. No reply — nothing here can change a result.
-        for shard in 0..self.pool.shards() {
-            let request = starts.clone();
-            self.pool
-                .tell(shard, move |worker| {
-                    worker.evaluate_ahead(end_bucket, &request)
-                })
-                .map_err(|down| {
-                    let e = self.shard_down(down);
-                    self.poison(e)
-                })?;
         }
         Ok(updates)
     }
@@ -995,14 +1011,13 @@ impl ServeEngine {
             })
     }
 
-    /// The eager advance: every shard seals once and replies with its
-    /// full contribution list for every requested window in one
-    /// round-trip ([`ShardPool::ask_all`] — gathered in shard order);
-    /// the coordinator merges each window once and slices the merged
-    /// union scores per query.
+    /// The eager advance: every shard replies with its full
+    /// contribution list for every requested window in one round-trip
+    /// ([`ShardPool::ask_all`] — gathered in shard order); the
+    /// coordinator merges each window once and slices the merged union
+    /// scores per query.
     fn advance_eager(
         &mut self,
-        global_start: i64,
         end_bucket: i64,
         starts: &[i64],
         trace: &mut AdvanceTrace,
@@ -1011,9 +1026,7 @@ impl ServeEngine {
         let rpc_timer = Timer::start();
         let reports = self
             .pool
-            .ask_all(move |_, worker: &mut ShardWorker| {
-                worker.evaluate_multi(global_start, end_bucket, &request)
-            })
+            .ask_all(move |_, worker: &mut ShardWorker| worker.evaluate_multi(end_bucket, &request))
             .map_err(|down| self.shard_down(down))?;
         trace.add_phase(names::PHASE_EVAL_RPC_NS, rpc_timer.elapsed_ns());
 

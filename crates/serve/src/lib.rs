@@ -15,12 +15,14 @@
 //!   shard worker 0  shard worker 1 … shard worker N-1   (std::thread + mpsc)
 //!   ┌───────────┐   ┌───────────┐
 //!   │ IUPT part │   │ IUPT part │   per-object records, own TimeIndex
-//!   │ buckets:  │   │ buckets:  │   sealed buckets group record positions;
-//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   ONE contribution cache per shard,
-//!   │ spans     │   │ spans     │   keyed (object, first, last bucket),
-//!   └─────┬─────┘   └─────┬─────┘   computed against the UNION of all
-//!         └───────┬───────┘         registered location sets
-//!                 ▼  advance_all(now): seal once, evaluate every query
+//!   │ buckets:  │   │ buckets:  │   record positions grouped per bucket
+//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   and object as they land; ONE
+//!   │ spans     │   │ spans     │   contribution cache per shard, keyed
+//!   └─────┬─────┘   └─────┬─────┘   (object, first, last bucket), computed
+//!         └───────┬───────┘         against the UNION of all registered
+//!                 │                 location sets; quiet objects' open
+//!                 │                 spans evaluated during ingest
+//!                 ▼  advance_all(now): evaluate every query
 //!     merge union contributions by object id → slice per query;
 //!     then each shard evaluates the next slide's truncated spans ahead
 //! ```
@@ -39,7 +41,9 @@
 //!   the same position) deduplicate at ingest, bucket caches reference
 //!   stable `u32` log positions, and
 //!   [`ServeStats::log_bytes`]/[`ServeStats::intern_hits`] report the
-//!   resident footprint per advance.
+//!   resident footprint per advance. Each record's log position is filed
+//!   under its bucket and object as it lands, so an advance groups
+//!   nothing.
 //! * **Queries are registry entries, not construction parameters.** A
 //!   [`QuerySpec`]`{ k, query_set, window }` is registered with
 //!   [`ServeEngine::register`] (mid-stream is fine) and removed with
@@ -53,7 +57,7 @@
 //!   contributions, so N overlapping queries cost far less than N
 //!   engines ([`ServeStats::presence_cells`] measures exactly this).
 //! * **The sliding window is bucketed** ([`popflow_core::WindowSpec`]):
-//!   a slide evicts expired buckets and seals newly completed ones
+//!   a slide drops its oldest bucket and closes the newly completed one
 //!   instead of recomputing history. A bucket seals only once its final
 //!   millisecond has *elapsed* (`now ≥ bucket end + 1`); a record
 //!   timestamped inside a sealed bucket is late and rejected at ingest,
@@ -64,9 +68,14 @@
 //!   window — and merges them per slide. A slide changes the span of an
 //!   object it gave a record to or took a bucket from, and of no other,
 //!   so presence is computed once per distinct span
-//!   ([`ServeStats::fresh_presence`]), not once per slide; the spans a
-//!   slide will truncate are evaluated ahead of it, while the shards are
-//!   idle. Spans are evaluated through the batch search's per-object
+//!   ([`ServeStats::fresh_presence`]), not once per slide. Both edges of
+//!   a slide are paid ahead of it where they can be: the spans a slide
+//!   will truncate right after the previous advance, and the span of an
+//!   object in the still-open bucket once it has fallen quiet — silent
+//!   for twice its own last reporting gap — during ingest. The advance
+//!   pays only for the rest ([`ServeStats::spans_in_advance`]); a span
+//!   paid ahead that no advance asks for is counted in
+//!   [`ServeStats::spans_unused`]. Spans are evaluated through the batch search's per-object
 //!   kernel ([`popflow_core::object_flow_contributions`]) and merged in
 //!   the same object-id order, so every registered query's advance
 //!   reports *bit-identical* top-k sets and flows to a batch
@@ -402,7 +411,7 @@ mod tests {
 
     /// A query registered mid-stream returns, from its first advance on,
     /// results bit-identical to a dedicated engine that held it from the
-    /// start: growing the union resets the shard caches, and re-sealing
+    /// start: growing the union resets the shard caches, and re-evaluating
     /// from the append-only logs is deterministic.
     #[test]
     fn register_mid_stream_matches_dedicated_from_start() {
@@ -725,6 +734,8 @@ mod tests {
             (metric_names::CACHE_HITS, stats.cache_hits),
             (metric_names::FRESH_PRESENCE, stats.fresh_presence),
             (metric_names::PRESENCE_CELLS, stats.presence_cells),
+            (metric_names::SPANS_IN_ADVANCE, stats.spans_in_advance),
+            (metric_names::SPANS_UNUSED, stats.spans_unused),
         ] {
             assert_eq!(
                 snap.counters.get(name).copied().unwrap_or(0),
@@ -747,8 +758,10 @@ mod tests {
         // the records themselves are counted by `records_ingested`.
         assert_eq!(snap.histograms[metric_names::INGEST_NS].count, 1);
         assert!(stats.records_ingested > 1);
-        // The seal histogram saw work on the worker threads.
-        assert!(snap.histograms[metric_names::SHARD_SEAL_NS].count > 0);
+        // One run, then the only advance: every span was evaluated
+        // inside it, and none ahead of it.
+        assert_eq!(stats.spans_in_advance, stats.fresh_presence);
+        assert!(stats.spans_in_advance > 0);
     }
 
     /// Regression (panic-in-hot-path sweep): `ServeConfig.queries` is a

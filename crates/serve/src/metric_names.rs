@@ -4,8 +4,11 @@
 //!
 //! All durations are nanoseconds. The per-phase advance histograms
 //! tile an advance: summing [`EAGER_PHASES`] accounts for essentially
-//! all of [`ADVANCE_NS`], so a latency spike is attributable to
-//! sealing/RPC vs merging vs slicing.
+//! all of [`ADVANCE_NS`], so a latency spike is attributable to the
+//! shard round trip vs merging vs slicing. Where the shards' kernel
+//! work was paid shows in two counters: [`SPANS_IN_ADVANCE`] on the
+//! record→delta path, and [`SPANS_UNUSED`] for what was paid ahead of
+//! an advance and wasted.
 
 /// Histogram: one ingest *hand-off* — a whole
 /// [`ServeEngine::ingest_run`](crate::ServeEngine::ingest_run) /
@@ -16,8 +19,9 @@ pub const INGEST_NS: &str = "serve.ingest_ns";
 /// Histogram: one whole `advance_all` call.
 pub const ADVANCE_NS: &str = "serve.advance_ns";
 
-/// Histogram (advance phase): the `evaluate_multi` shard round-trip —
-/// bucket sealing and per-window contribution assembly on the workers.
+/// Histogram (advance phase): the shard round trips — the
+/// `evaluate_multi` request (per-window contribution assembly on the
+/// workers) and the hand-off of the next slide's trailing-edge job.
 pub const PHASE_EVAL_RPC_NS: &str = "serve.advance.eval_rpc_ns";
 /// Histogram (advance phase): merging shard reports into per-window
 /// union flow vectors.
@@ -25,10 +29,6 @@ pub const PHASE_MERGE_NS: &str = "serve.advance.merge_ns";
 /// Histogram (advance phase): per-query slicing — ranking each
 /// registered query's locations and assembling its update/delta.
 pub const PHASE_SLICE_NS: &str = "serve.advance.slice_ns";
-
-/// Histogram: one shard worker's bucket-sealing pass (recorded on the
-/// worker thread; nested inside [`PHASE_EVAL_RPC_NS`]).
-pub const SHARD_SEAL_NS: &str = "serve.shard.seal_ns";
 
 /// The phases that tile an advance end-to-end.
 pub const EAGER_PHASES: [&str; 3] = [PHASE_EVAL_RPC_NS, PHASE_MERGE_NS, PHASE_SLICE_NS];
@@ -46,13 +46,19 @@ pub const CACHE_HITS: &str = "serve.cache_hits";
 /// — multi-bucket spans evaluated, each once, not once per slide.
 pub const STRADDLER_RECOMPUTES: &str = "serve.straddler_recomputes";
 /// Counter: mirrors [`ServeStats::fresh_presence`](crate::ServeStats) —
-/// spans evaluated; what the shards evaluated ahead of a slide is
+/// spans evaluated; what the shards evaluated ahead of an advance is
 /// counted with the following advance.
 pub const FRESH_PRESENCE: &str = "serve.fresh_presence";
 /// Counter: mirrors [`ServeStats::presence_cells`](crate::ServeStats) —
 /// the same evaluations per (object, location) cell: the union locations
 /// each evaluated span covers.
 pub const PRESENCE_CELLS: &str = "serve.presence_cells";
+/// Counter: mirrors [`ServeStats::spans_in_advance`](crate::ServeStats) —
+/// spans the advances evaluated themselves.
+pub const SPANS_IN_ADVANCE: &str = "serve.spans_in_advance";
+/// Counter: mirrors [`ServeStats::spans_unused`](crate::ServeStats) —
+/// spans evaluated ahead of an advance that none asked for.
+pub const SPANS_UNUSED: &str = "serve.spans_unused";
 /// Counter: mirrors [`ServeStats::cache_resets`](crate::ServeStats).
 pub const CACHE_RESETS: &str = "serve.cache_resets";
 
