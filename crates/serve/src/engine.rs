@@ -563,7 +563,7 @@ impl ServeEngine {
     /// justifies" rather than an infinite list. Empty before the first
     /// ingest.
     ///
-    /// This is the serving front-end's tick planner: a scheduler calls
+    /// This is the serving front-end's planner: a scheduler calls
     /// it (or [`ServeEngine::advance_due`]) with its release watermark
     /// and knows exactly which `advance_all` calls are pending without
     /// guessing at wall-clock alignment.
@@ -593,7 +593,7 @@ impl ServeEngine {
     ///
     /// Each advance is atomic: the deadline is consulted only *between*
     /// `advance_all` calls, never inside one, so a tight budget defers
-    /// whole window slides to the next tick instead of splitting one —
+    /// whole window slides to the next call instead of splitting one —
     /// which is what keeps budgeted serving bit-identical to an
     /// unbudgeted driver. At least one due advance always runs per call
     /// (when `max_advances > 0`), so a scheduler that is persistently

@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(stats.advances, 1);
     }
 
-    /// The tick planner: `due_advances` names exactly the bucket
+    /// The scheduler's planner: `due_advances` names exactly the bucket
     /// boundaries between the sealed frontier and the last ingested
     /// record's bucket, and a budgeted `advance_due` catch-up replays
     /// them bit-identically to an unbudgeted driver.

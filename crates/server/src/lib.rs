@@ -6,8 +6,9 @@
 //! framework: the wire format is a hand-rolled length-prefixed binary
 //! protocol ([`protocol`]), the transport is blocking `std::net`
 //! sockets, and concurrency is one reader and one writer thread per
-//! connection feeding a single tick-budgeted scheduler thread that
-//! owns the engine.
+//! connection feeding a single scheduler thread that owns the engine.
+//! The scheduler has no clock: it sleeps until a reader posts work and
+//! bounds each pass by budgets, not by a period.
 //!
 //! The architecture exists to preserve the one property the rest of
 //! the workspace is built around: **determinism**. Clients partition

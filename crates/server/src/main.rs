@@ -22,8 +22,7 @@ OPTIONS:
   --seed N               load-profile seed (default 7)
   --streams N            ingest connections to wait for before
                          releasing any record (default 0)
-  --tick-millis N        scheduler tick period (default from profile)
-  --budget-records N     per-tick ingest drain budget (default from
+  --budget-records N     per-pass ingest drain budget (default from
                          profile)
   --queue-records N      global ingest queue capacity (default from
                          profile)
@@ -49,7 +48,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut scale = 0.1f64;
     let mut seed = 7u64;
     let mut streams = 0u32;
-    let mut tick_millis: Option<u64> = None;
     let mut budget_records: Option<usize> = None;
     let mut queue_records: Option<usize> = None;
 
@@ -60,7 +58,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "--scale" => scale = parse(flag, it.next())?,
             "--seed" => seed = parse(flag, it.next())?,
             "--streams" => streams = parse(flag, it.next())?,
-            "--tick-millis" => tick_millis = Some(parse(flag, it.next())?),
             "--budget-records" => budget_records = Some(parse(flag, it.next())?),
             "--queue-records" => queue_records = Some(parse(flag, it.next())?),
             "--help" | "-h" => {
@@ -81,11 +78,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let space = Arc::new(world.space);
 
     let mut config = profile.server_config().with_min_ingest_streams(streams);
-    if let Some(t) = tick_millis {
-        config = config.with_tick_millis(t);
-    }
     if let Some(r) = budget_records {
-        let bytes = config.tick_budget_bytes;
+        let bytes = config.drain_budget_bytes;
         config = config.with_ingest_budget(r, bytes);
     }
     if let Some(q) = queue_records {

@@ -3,8 +3,8 @@
 //!
 //! Each ingest connection delivers its objects' records in time order.
 //! [`merge_run`] moves records out of the connections' queues into one
-//! tick-local [`Run`] in global `(timestamp, connection id, arrival)`
-//! order, stopping where the order is no longer provable or the tick's
+//! pass-local [`Run`] in global `(timestamp, connection id, arrival)`
+//! order, stopping where the order is no longer provable or the pass's
 //! budget is spent, and notes which batch every record came out of so
 //! the scheduler can post each batch's ack once the engine has taken
 //! the run.
@@ -24,7 +24,7 @@ pub(crate) struct PendingBatch {
     /// Estimated wire bytes per record, for the byte budget.
     pub per_record_bytes: usize,
     /// Records the engine has accepted / rejected so far — over every
-    /// tick that drained a part of this batch.
+    /// pass that drained a part of this batch.
     pub accepted: u32,
     pub rejected: u32,
     /// When the batch entered the queue (carried for the batch-latency
@@ -63,12 +63,12 @@ impl IngestQueue {
     }
 }
 
-/// What one tick took out of one batch.
+/// What one pass took out of one batch.
 #[derive(Debug)]
 pub(crate) struct Drained {
     pub conn: u64,
     pub seq: u64,
-    /// Records this tick moved out of the batch.
+    /// Records this pass moved out of the batch.
     pub taken: u32,
     /// How many of those the engine rejected (filled in by the
     /// scheduler after the hand-off).
@@ -79,21 +79,23 @@ pub(crate) struct Drained {
     pub done: Option<PendingBatch>,
 }
 
-/// One tick's drain: the merged records plus their attribution.
-/// Reused across ticks; empty between them.
+/// One pass's drain: the merged records plus their attribution.
+/// Reused across passes; empty between them.
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     /// The drained records, in merge order.
     pub records: Vec<Record>,
     /// `source[i]` indexes `batches`: where `records[i]` came from.
     pub source: Vec<u32>,
-    /// Every batch this tick touched, in first-touched order.
+    /// Every batch this pass touched, in first-touched order.
     pub batches: Vec<Drained>,
 }
 
 /// Moves records from `queues` (ascending connection id) into `run`
 /// until a budget is spent or the next record's place in the global
-/// order is not yet provable.
+/// order is not yet provable. Returns `true` when a budget stopped it
+/// with a record whose place *is* provable still queued — the caller
+/// should drain again without waiting for new input.
 ///
 /// Candidate: the globally smallest queued head, the lowest connection
 /// id on ties. Floor: the earliest timestamp an *empty, still-open*
@@ -106,12 +108,12 @@ pub(crate) fn merge_run(
     budget_records: usize,
     budget_bytes: usize,
     run: &mut Run,
-) {
+) -> bool {
     // The `run.batches` entry of each connection's current front batch,
-    // once this tick has touched it.
+    // once this pass has touched it.
     let mut slots: Vec<Option<u32>> = vec![None; queues.len()];
     let mut bytes = 0usize;
-    while run.records.len() < budget_records && bytes < budget_bytes {
+    loop {
         let mut floor = i64::MAX;
         let mut best: Option<(usize, i64)> = None;
         for (qi, (_, queue)) in queues.iter().enumerate() {
@@ -121,18 +123,21 @@ pub(crate) fn merge_run(
                 Some(_) | None => {}
             }
         }
-        let Some((qi, t)) = best else { break };
+        let Some((qi, t)) = best else { return false };
         if t > floor {
-            break;
+            return false;
+        }
+        if run.records.len() >= budget_records || bytes >= budget_bytes {
+            return true;
         }
         let (Some((conn, queue)), Some(slot)) = (queues.get_mut(qi), slots.get_mut(qi)) else {
-            break;
+            return false;
         };
         let Some(batch) = queue.batches.front_mut() else {
-            break;
+            return false;
         };
         let Some(record) = batch.records.next() else {
-            break;
+            return false;
         };
         bytes += batch.per_record_bytes;
         let at = *slot.get_or_insert_with(|| {
@@ -208,12 +213,13 @@ mod tests {
     /// The obvious version: stable-sort everything queued by
     /// `(t, conn id, arrival)`, then cut at the first record above the
     /// floor of the connections that are empty and open *at that point*
-    /// or at the budget.
+    /// or at the budget — and say whether it was the budget that left
+    /// a record below the floor behind.
     fn oracle(
         queues: &[(u64, &mut IngestQueue)],
         budget_records: usize,
         budget_bytes: usize,
-    ) -> Vec<Queued> {
+    ) -> (Vec<Queued>, bool) {
         let mut all: Vec<Queued> = Vec::new();
         for (conn, queue) in queues {
             for b in &queue.batches {
@@ -236,9 +242,6 @@ mod tests {
         let mut out = Vec::new();
         let mut bytes = 0;
         for q in all {
-            if out.len() >= budget_records || bytes >= budget_bytes {
-                break;
-            }
             let floor = queues
                 .iter()
                 .zip(&remaining)
@@ -249,6 +252,9 @@ mod tests {
             if q.t > floor {
                 break;
             }
+            if out.len() >= budget_records || bytes >= budget_bytes {
+                return (out, true);
+            }
             let qi = queues
                 .iter()
                 .position(|(c, _)| *c == q.conn)
@@ -257,7 +263,7 @@ mod tests {
             bytes += q.bytes;
             out.push(q);
         }
-        out
+        (out, false)
     }
 
     /// Builds 1–4 random connection queues: tied timestamps across
@@ -293,7 +299,7 @@ mod tests {
                         .collect();
                     let mut b = batch(seq, records, rng.gen_range(20..60usize));
                     if seq == 0 && len > 1 && rng.gen_bool(0.4) {
-                        // An earlier tick took the head of this batch.
+                        // An earlier pass took the head of this batch.
                         for _ in 0..rng.gen_range(1..len) {
                             b.records.next();
                             b.accepted += 1;
@@ -326,7 +332,7 @@ mod tests {
             };
             let mut queues: Vec<(u64, &mut IngestQueue)> =
                 owned.iter_mut().map(|(id, q)| (*id, q)).collect();
-            let want = oracle(&queues, budget_records, budget_bytes);
+            let (want, want_left) = oracle(&queues, budget_records, budget_bytes);
             let seqs_before: Vec<Vec<(u64, usize)>> = queues
                 .iter()
                 .map(|(_, q)| {
@@ -338,7 +344,8 @@ mod tests {
                 .collect();
 
             let mut run = Run::default();
-            merge_run(&mut queues, budget_records, budget_bytes, &mut run);
+            let left = merge_run(&mut queues, budget_records, budget_bytes, &mut run);
+            assert_eq!(left, want_left, "seed {seed}: budget left work");
 
             let got: Vec<(i64, u32)> = run
                 .records
@@ -414,7 +421,13 @@ mod tests {
             ..IngestQueue::default()
         };
         let mut run = Run::default();
-        merge_run(&mut [(1, &mut a), (2, &mut b)], 100, usize::MAX, &mut run);
+        // Held by the floor, not by the budget: nothing to drain again.
+        assert!(!merge_run(
+            &mut [(1, &mut a), (2, &mut b)],
+            100,
+            usize::MAX,
+            &mut run
+        ));
         assert_eq!(run.records.len(), 2);
         assert_eq!(release_bound([&a, &b].into_iter()), 7);
         // Once B ends it gates nothing.
@@ -448,7 +461,13 @@ mod tests {
         b.batches
             .push_back(batch(0, vec![record(20, 4), record(21, 5)], 26));
         let mut run = Run::default();
-        merge_run(&mut [(1, &mut a), (2, &mut b)], 3, usize::MAX, &mut run);
+        // The budget leaves B's last record, free to go, behind.
+        assert!(merge_run(
+            &mut [(1, &mut a), (2, &mut b)],
+            3,
+            usize::MAX,
+            &mut run
+        ));
         let order: Vec<u32> = run.records.iter().map(|r| r.oid.0).collect();
         assert_eq!(order, vec![10, 11, 20]);
         assert_eq!(run.source, vec![0, 0, 1]);

@@ -8,17 +8,24 @@
 //! expositions, which is why every name here is `server.`-prefixed —
 //! the two namespaces can never collide.
 
-/// Histogram: ns spent in the tick's one `ServeEngine::ingest_run`
-/// hand-off — one sample per tick that drained anything, however many
-/// records the run carried ([`RECORDS_INGESTED`] counts the records).
-/// Taken with the queue lock released.
+/// Histogram: ns spent in a scheduler pass's one
+/// `ServeEngine::ingest_run` hand-off — one sample per pass that
+/// drained anything, however many records the run carried
+/// ([`RECORDS_INGESTED`] counts the records). Taken with the queue lock
+/// released.
 pub const INGEST_NS: &str = "server.ingest_ns";
 
-/// Histogram: ns one full scheduler tick took (control + drain +
-/// advances + delta push).
+/// Histogram: ns one full scheduler pass took (control + drain +
+/// advances + delta push). Its count is the number of passes: one per
+/// wake-up, plus one per pass that a budget cut short. (The scheduler
+/// has no clock; the name is older than that.)
 pub const TICK_NS: &str = "server.tick_ns";
 
-/// Histogram: ns the tick started behind its schedule — the direct
+/// Histogram: ns from the oldest unserved post (a batch admitted, a
+/// control op, a `StreamEnd`, a disconnect, an ingest Hello) to the
+/// start of the pass that serves it — how long work waited for the
+/// scheduler. Near the thread wake-up cost on an idle server; the
+/// length of the pass in progress on a busy one, so it is the direct
 /// measure of an overloaded scheduler.
 pub const TICK_LAG_NS: &str = "server.tick_lag_ns";
 
@@ -28,7 +35,7 @@ pub const TICK_LAG_NS: &str = "server.tick_lag_ns";
 pub const BATCH_LATENCY_NS: &str = "server.batch_latency_ns";
 
 /// Gauge: records sitting in the bounded ingest queue, sampled at the
-/// end of each tick's drain.
+/// end of each pass's drain.
 pub const QUEUE_DEPTH: &str = "server.queue_depth";
 
 /// Gauge: the highest queue depth ever observed at an enqueue or a
@@ -55,8 +62,8 @@ pub const RECORDS_REJECTED: &str = "server.records_rejected";
 /// Counter: records the engine accepted during drains.
 pub const RECORDS_INGESTED: &str = "server.records_ingested";
 
-/// Counter: due window advances deferred past a tick's deadline or
-/// per-tick budget (they run on a later tick).
+/// Counter: due window advances deferred past a pass's deadline or
+/// per-pass budget (they run in the passes that follow at once).
 pub const ADVANCES_DEFERRED: &str = "server.advances_deferred";
 
 /// Counter: `advance_all` calls the scheduler performed.

@@ -106,13 +106,12 @@ impl LoadProfile {
             .with_metrics(true)
     }
 
-    /// The server configuration: 1 ms ticks with a small drain budget
-    /// and queue so closed-loop producers visibly saturate it (the
-    /// throttle path the load experiment gates on), while a paced
-    /// stream passes untouched.
+    /// The server configuration: a small per-pass drain budget and
+    /// queue so closed-loop producers visibly saturate it (the throttle
+    /// path the load experiment gates on), while a paced stream passes
+    /// untouched.
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig::new(self.serve_config())
-            .with_tick_millis(1)
             .with_ingest_budget(256, 256 * 1024)
             .with_queue_capacity(self.queue_records)
             .with_advance_budget(4, 2_000)

@@ -1,5 +1,5 @@
 //! The server runtime: accept/reader/writer threads around one
-//! tick-budgeted scheduler thread that owns the serving engine.
+//! work-driven scheduler thread that owns the serving engine.
 //!
 //! # Threading model
 //!
@@ -12,16 +12,31 @@
 //!   outbound frames. Every producer uses `try_send`: a consumer that
 //!   stops reading fills its channel and is evicted, it can never
 //!   bleed memory or stall the scheduler.
-//! - The single **scheduler thread** owns the [`ServeEngine`]. Each
-//!   tick it applies control ops, drains the ingest queues through a
+//! - The single **scheduler thread** owns the [`ServeEngine`]. One
+//!   *pass* applies control ops, drains the ingest queues through a
 //!   watermark-gated merge up to a record/byte budget — under the
 //!   queue lock only the merge itself ([`crate::merge`]: records are
-//!   moved into one tick-local run), then, with the lock released, one
+//!   moved into one pass-local run), then, with the lock released, one
 //!   [`ServeEngine::ingest_run`] hand-off for the whole run, then the
 //!   acks of the batches it finished — runs the window advances that
 //!   became due (deadline- and count-bounded via
 //!   [`ServeEngine::advance_due`]), pushes the resulting top-k deltas
 //!   to subscribers, and reaps dead connections.
+//!
+//! # Waking
+//!
+//! There is no clock. Every event that can give the scheduler
+//! something to do — a batch admitted, a control op queued, a
+//! `StreamEnd`, a disconnect, an ingest Hello, a connection the
+//! scheduler itself evicts — is *posted* under the queue lock
+//! (`Shared::post`), which stamps the oldest unserved post and signals
+//! the condition variable. The scheduler sleeps until a post (or
+//! shutdown) arrives, and one pass serves every post made before it
+//! took the lock. A pass that stopped on a budget with work
+//! left (releasable records past the drain budget, or due advances past
+//! the advance budget) is followed by the next pass at once. So a
+//! record waits for the scheduler only while the scheduler is busy, and
+//! an idle server does no work at all.
 //!
 //! # Determinism
 //!
@@ -33,7 +48,7 @@
 //! sent) is the proof. Advances run at bucket boundaries computed from
 //! the merged event time, so the advance sequence — and therefore
 //! every cache state and every flow bit pattern — is independent of
-//! tick timing, thread scheduling, and network jitter.
+//! when passes run, thread scheduling, and network jitter.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write;
@@ -54,23 +69,21 @@ use crate::metric_names as names;
 use crate::protocol::{error_code, role, Frame, FrameReader, WireError, PROTOCOL_VERSION};
 use crate::scenario::delta_frame;
 
-/// How the server paces and bounds its work. Everything here is a
-/// *bound*, not a target: an idle server spends its ticks parked on a
-/// condition variable.
+/// How the server bounds its work. Everything here is a *bound*, not a
+/// target: the scheduler runs when work is posted and sleeps otherwise.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The wrapped engine's configuration (shards, bucket width, flow
     /// parameters). Engine metrics are forced on so a scrape always has
     /// phase timings to export.
     pub serve: ServeConfig,
-    /// Scheduler tick period in milliseconds (≥ 1).
-    pub tick_millis: u64,
-    /// Most records one tick may drain from the ingest queues into the
-    /// engine.
-    pub tick_budget_records: usize,
-    /// Most wire bytes' worth of records one tick may drain (estimated
+    /// Most records one scheduler pass may drain from the ingest queues
+    /// into the engine. Records the budget leaves behind go in the
+    /// next pass, which follows at once.
+    pub drain_budget_records: usize,
+    /// Most wire bytes' worth of records one pass may drain (estimated
     /// from encoded batch sizes).
-    pub tick_budget_bytes: usize,
+    pub drain_budget_bytes: usize,
     /// Global bound on queued ingest records. A batch that would push
     /// the total past this is refused with a throttle frame — except
     /// that a connection with an empty queue may always enqueue one
@@ -78,10 +91,11 @@ pub struct ServerConfig {
     /// resident queue is therefore at most `queue_capacity_records`
     /// plus one batch per connection.
     pub queue_capacity_records: usize,
-    /// Most window advances one tick may run; the rest stay due and
-    /// run on later ticks ([`ServeEngine::advance_due`]).
-    pub max_advances_per_tick: usize,
-    /// Soft deadline for a tick's advance phase, in microseconds
+    /// Most window advances one pass may run; the rest stay due and run
+    /// in the passes that follow ([`ServeEngine::advance_due`]), with
+    /// control ops and ingest served in between.
+    pub max_advances_per_pass: usize,
+    /// Soft deadline for a pass's advance phase, in microseconds
     /// (0 = none). Checked between advances; at least one due advance
     /// always runs.
     pub advance_deadline_micros: u64,
@@ -95,33 +109,25 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults tuned for the load experiment: 1 ms ticks, a drain
-    /// budget that saturates well below four closed-loop producers,
-    /// and a queue small enough to throttle visibly.
+    /// Defaults: a 4096-record drain budget per pass, a 64 Ki-record
+    /// queue, and at most 8 advances or 2 ms of advancing per pass.
     pub fn new(serve: ServeConfig) -> Self {
         ServerConfig {
             serve: serve.with_metrics(true),
-            tick_millis: 1,
-            tick_budget_records: 4096,
-            tick_budget_bytes: 1 << 20,
+            drain_budget_records: 4096,
+            drain_budget_bytes: 1 << 20,
             queue_capacity_records: 65_536,
-            max_advances_per_tick: 8,
+            max_advances_per_pass: 8,
             advance_deadline_micros: 2_000,
             min_ingest_streams: 0,
             outbound_frames: 1024,
         }
     }
 
-    /// Overrides the tick period.
-    pub fn with_tick_millis(mut self, tick_millis: u64) -> Self {
-        self.tick_millis = tick_millis.max(1);
-        self
-    }
-
-    /// Overrides the per-tick drain budgets.
+    /// Overrides the per-pass drain budgets.
     pub fn with_ingest_budget(mut self, records: usize, bytes: usize) -> Self {
-        self.tick_budget_records = records.max(1);
-        self.tick_budget_bytes = bytes.max(1);
+        self.drain_budget_records = records.max(1);
+        self.drain_budget_bytes = bytes.max(1);
         self
     }
 
@@ -131,9 +137,9 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the per-tick advance count budget and deadline.
+    /// Overrides the per-pass advance count budget and deadline.
     pub fn with_advance_budget(mut self, max_advances: usize, deadline_micros: u64) -> Self {
-        self.max_advances_per_tick = max_advances.max(1);
+        self.max_advances_per_pass = max_advances.max(1);
         self.advance_deadline_micros = deadline_micros;
         self
     }
@@ -250,6 +256,9 @@ struct Inner {
     ingest_seen: u32,
     total_queued: usize,
     peak_queued: usize,
+    /// When the oldest post the scheduler has not yet picked up was
+    /// made; `None` while nothing is posted.
+    posted_at: Option<Instant>,
     shutdown: bool,
     next_conn: u64,
 }
@@ -277,23 +286,37 @@ impl Shared {
         self.lock().shutdown
     }
 
+    /// Hands the scheduler work: marks it posted (keeping the stamp of
+    /// the oldest unserved post), releases the lock and wakes the
+    /// scheduler. The caller has just changed, under `inner`, something
+    /// a pass reads.
+    fn post(&self, mut inner: MutexGuard<'_, Inner>) {
+        inner.posted_at.get_or_insert_with(Instant::now);
+        drop(inner);
+        self.wake.notify_one();
+    }
+
     /// Queues a frame on a connection's writer, evicting the
     /// connection if its channel is full (slow consumer).
     fn send_frame(&self, inner: &mut Inner, conn: u64, frame: Frame) {
         let Some(state) = inner.conns.get_mut(&conn) else {
             return;
         };
-        match state.out.try_send(OutMsg::Frame(frame)) {
-            Ok(()) => {}
+        let evicted = match state.out.try_send(OutMsg::Frame(frame)) {
+            Ok(()) => false,
             Err(TrySendError::Full(_)) => {
                 self.metrics.slow_consumer_drops.inc();
-                state.gone = true;
-                state.ingest.ended = true;
+                true
             }
-            Err(TrySendError::Disconnected(_)) => {
-                state.gone = true;
-                state.ingest.ended = true;
-            }
+            Err(TrySendError::Disconnected(_)) => true,
+        };
+        if evicted {
+            state.gone = true;
+            state.ingest.ended = true;
+            // An ended stream stops holding the merge floor and waits to
+            // be reaped, and no reader will post for it: the scheduler
+            // (the only caller) owes itself another pass.
+            inner.posted_at.get_or_insert_with(Instant::now);
         }
     }
 }
@@ -328,6 +351,7 @@ impl Server {
                 ingest_seen: 0,
                 total_queued: 0,
                 peak_queued: 0,
+                posted_at: None,
                 shutdown: false,
                 next_conn: 1,
             }),
@@ -378,7 +402,7 @@ impl Server {
             }
             inner.shutdown = true;
         }
-        self.shared.wake.notify_all();
+        self.shared.wake.notify_one();
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
@@ -451,7 +475,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 // ------------------------------------------------------------- writer
 
 /// Writes every message already queued, then flushes once before
-/// blocking on the channel again: a tick's burst of acks leaves in one
+/// blocking on the channel again: a pass's burst of acks leaves in one
 /// `write`, and a frame is still on the wire the moment the channel
 /// runs empty.
 fn writer_loop(rx: Receiver<OutMsg>, stream: TcpStream, frames_out: Counter) {
@@ -502,8 +526,7 @@ fn reader_loop(shared: Arc<Shared>, conn_id: u64, stream: TcpStream, out: SyncSe
                 conn: conn_id,
                 http: true,
             });
-            drop(inner);
-            shared.wake.notify_all();
+            shared.post(inner);
             return;
         }
         Sniff::Binary => {}
@@ -643,11 +666,13 @@ fn handshake(
             return false;
         };
         state.role = r;
+        // A new ingest stream can open the release gate, and it holds
+        // the merge floor until its first batch.
         if r == role::INGEST {
             inner.ingest_seen += 1;
+            shared.post(inner);
         }
     }
-    shared.wake.notify_all();
     let _ = out.try_send(OutMsg::Frame(Frame::Welcome {
         version: PROTOCOL_VERSION,
         conn_id,
@@ -672,8 +697,7 @@ fn handle_frame(shared: &Shared, conn_id: u64, frame: Frame, out: &SyncSender<Ou
                 window_buckets,
                 slocs,
             });
-            drop(inner);
-            shared.wake.notify_all();
+            shared.post(inner);
         }
         Frame::Unregister { query_id } => {
             let mut inner = shared.lock();
@@ -681,16 +705,14 @@ fn handle_frame(shared: &Shared, conn_id: u64, frame: Frame, out: &SyncSender<Ou
                 conn: conn_id,
                 query_id,
             });
-            drop(inner);
-            shared.wake.notify_all();
+            shared.post(inner);
         }
         Frame::StreamEnd => {
             let mut inner = shared.lock();
             if let Some(state) = inner.conns.get_mut(&conn_id) {
                 state.ingest.ended = true;
             }
-            drop(inner);
-            shared.wake.notify_all();
+            shared.post(inner);
         }
         Frame::MetricsRequest => {
             let mut inner = shared.lock();
@@ -698,8 +720,7 @@ fn handle_frame(shared: &Shared, conn_id: u64, frame: Frame, out: &SyncSender<Ou
                 conn: conn_id,
                 http: false,
             });
-            drop(inner);
-            shared.wake.notify_all();
+            shared.post(inner);
         }
         // A second Hello, or a server-originated kind echoed back.
         _ => {
@@ -830,8 +851,7 @@ fn handle_batch(
         inner.peak_queued = inner.total_queued;
         shared.metrics.queue_peak.set(inner.peak_queued as u64);
     }
-    drop(inner);
-    shared.wake.notify_all();
+    shared.post(inner);
 }
 
 /// Marks a connection dead (socket closed or protocol failure); the
@@ -842,60 +862,53 @@ fn disconnect(shared: &Shared, conn_id: u64) {
         state.ingest.ended = true;
         state.gone = true;
     }
-    drop(inner);
-    shared.wake.notify_all();
+    shared.post(inner);
 }
 
 // ---------------------------------------------------------- scheduler
 
 fn scheduler_loop(shared: Arc<Shared>, mut engine: ServeEngine) {
     let cfg = shared.config.clone();
-    let tick = Duration::from_millis(cfg.tick_millis.max(1));
     let mut subs: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    // The tick-local drain buffers, reused from tick to tick.
+    // The pass-local drain buffers, reused from pass to pass.
     let mut run = Run::default();
-    let mut next_tick = Instant::now() + tick;
+    // The last pass stopped on a budget with work left.
+    let mut unfinished = false;
     loop {
-        // Park until the tick boundary (woken early by new work or
-        // shutdown; early wakes just re-check the clock).
-        {
+        // Sleep until something is posted, unless work is left over.
+        let posted_at = {
             let mut inner = shared.lock();
-            loop {
-                if inner.shutdown {
-                    for state in inner.conns.values() {
-                        let _ = state.out.try_send(OutMsg::Close);
-                    }
-                    inner.conns.clear();
-                    shared.metrics.connections.set(0);
-                    return;
-                }
-                let now = Instant::now();
-                if now >= next_tick {
-                    break;
-                }
-                let (guard, _) = shared
+            while !inner.shutdown && !unfinished && inner.posted_at.is_none() {
+                inner = shared
                     .wake
-                    .wait_timeout(inner, next_tick - now)
+                    .wait(inner)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
-                inner = guard;
             }
-        }
-        let tick_start = Instant::now();
-        let lag = tick_start.saturating_duration_since(next_tick);
-        shared.metrics.tick_lag_ns.record(lag.as_nanos() as u64);
-        next_tick += tick;
-        if next_tick < tick_start {
-            next_tick = tick_start;
+            if inner.shutdown {
+                for state in inner.conns.values() {
+                    let _ = state.out.try_send(OutMsg::Close);
+                }
+                inner.conns.clear();
+                shared.metrics.connections.set(0);
+                return;
+            }
+            inner.posted_at.take()
+        };
+        let pass_start = Instant::now();
+        if let Some(at) = posted_at {
+            let lag = pass_start.saturating_duration_since(at);
+            shared.metrics.tick_lag_ns.record(lag.as_nanos() as u64);
         }
 
         run_control_ops(&shared, &mut engine, &mut subs);
-        let bound = drain_ingest(&shared, &mut engine, &cfg, &mut run);
-        run_advances(&shared, &mut engine, &cfg, &subs, bound, tick_start);
+        let (bound, records_left) = drain_ingest(&shared, &mut engine, &cfg, &mut run);
+        let advances_left = run_advances(&shared, &mut engine, &cfg, &subs, bound, pass_start);
         reap_connections(&shared, &mut subs);
+        unfinished = records_left || advances_left;
         shared
             .metrics
             .tick_ns
-            .record(tick_start.elapsed().as_nanos() as u64);
+            .record(pass_start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -993,12 +1006,13 @@ fn http_response(body: &str) -> Vec<u8> {
 }
 
 /// Drains queued records into the engine through the watermark-gated
-/// merge, up to the tick budgets. Returns the advance upper bound: the
+/// merge, up to the pass budgets. Returns the advance upper bound — the
 /// smallest timestamp any connection could still deliver (`i64::MIN`
 /// while the release gate holds, `i64::MAX` once every stream ended
-/// and drained).
+/// and drained) — and whether the budget left releasable records
+/// queued.
 ///
-/// Under the queue lock the tick only *moves* records into `run`
+/// Under the queue lock the pass only *moves* records into `run`
 /// ([`merge_run`]); the lock is dropped for the engine's one
 /// [`ServeEngine::ingest_run`] hand-off — readers keep enqueueing
 /// meanwhile — and retaken to post the acks of the batches the run
@@ -1008,12 +1022,12 @@ fn drain_ingest(
     engine: &mut ServeEngine,
     cfg: &ServerConfig,
     run: &mut Run,
-) -> i64 {
-    {
+) -> (i64, bool) {
+    let records_left = {
         let mut inner = shared.lock();
         if inner.ingest_seen < cfg.min_ingest_streams {
             shared.metrics.queue_depth.set(inner.total_queued as u64);
-            return i64::MIN;
+            return (i64::MIN, false);
         }
         let mut queues: Vec<(u64, &mut IngestQueue)> = inner
             .conns
@@ -1021,18 +1035,19 @@ fn drain_ingest(
             .filter(|(_, state)| state.role == role::INGEST)
             .map(|(&id, state)| (id, &mut state.ingest))
             .collect();
-        merge_run(
+        let records_left = merge_run(
             &mut queues,
-            cfg.tick_budget_records,
-            cfg.tick_budget_bytes,
+            cfg.drain_budget_records,
+            cfg.drain_budget_bytes,
             run,
         );
         inner.total_queued = inner.total_queued.saturating_sub(run.records.len());
         shared.metrics.queue_depth.set(inner.total_queued as u64);
         if run.records.is_empty() {
-            return advance_bound(&inner);
+            return (advance_bound(&inner), records_left);
         }
-    }
+        records_left
+    };
 
     let t0 = Instant::now();
     let outcome = engine.ingest_run(run.records.drain(..), LateRecord::Skip);
@@ -1087,7 +1102,7 @@ fn drain_ingest(
             }
             // Records remain: the batch is still its connection's
             // front (only this thread pops), and carries the counts to
-            // the tick that finishes it.
+            // the pass that finishes it.
             None => {
                 let front = inner
                     .conns
@@ -1101,7 +1116,7 @@ fn drain_ingest(
             }
         }
     }
-    advance_bound(&inner)
+    (advance_bound(&inner), records_left)
 }
 
 /// Nothing at or before the returned timestamp can still arrive on any
@@ -1116,26 +1131,30 @@ fn advance_bound(inner: &Inner) -> i64 {
     )
 }
 
+/// Runs the advances due under `bound` within the pass's budgets and
+/// pushes their deltas. Returns whether due advances were deferred.
 fn run_advances(
     shared: &Shared,
     engine: &mut ServeEngine,
     cfg: &ServerConfig,
     subs: &BTreeMap<u64, BTreeSet<u64>>,
     bound: i64,
-    tick_start: Instant,
-) {
+    pass_start: Instant,
+) -> bool {
     if bound == i64::MIN || engine.query_ids().is_empty() {
-        return;
+        return false;
     }
     let deadline = (cfg.advance_deadline_micros > 0)
-        .then(|| tick_start + Duration::from_micros(cfg.advance_deadline_micros));
-    match engine.advance_due(Timestamp(bound), deadline, cfg.max_advances_per_tick.max(1)) {
+        .then(|| pass_start + Duration::from_micros(cfg.advance_deadline_micros));
+    match engine.advance_due(Timestamp(bound), deadline, cfg.max_advances_per_pass.max(1)) {
         Ok((runs, remaining)) => {
             if remaining > 0 {
                 shared.metrics.advances_deferred.add(remaining as u64);
             }
+            // At least one due advance always runs, so nothing ran only
+            // if nothing was due.
             if runs.is_empty() {
-                return;
+                return false;
             }
             let mut inner = shared.lock();
             for (t, updates) in runs {
@@ -1149,10 +1168,12 @@ fn run_advances(
                     }
                 }
             }
+            remaining > 0
         }
         Err(e) => {
             // The engine poisons itself on a failed advance; there is
-            // nothing left to serve. Tell every client and stop.
+            // nothing left to serve. Tell every client and stop (the
+            // scheduler sees the flag before it next sleeps).
             let mut inner = shared.lock();
             let conn_ids: Vec<u64> = inner.conns.keys().copied().collect();
             for conn in conn_ids {
@@ -1166,8 +1187,7 @@ fn run_advances(
                 );
             }
             inner.shutdown = true;
-            drop(inner);
-            shared.wake.notify_all();
+            false
         }
     }
 }

@@ -33,11 +33,18 @@ fn help_exits_zero_and_lists_no_strategy_flag() {
     assert!(usage.contains("USAGE: popflow-server"), "{usage}");
     assert!(usage.contains("--scale"), "{usage}");
     assert!(!usage.contains("--strategy"), "{usage}");
+    assert!(!usage.contains("--tick-millis"), "{usage}");
 }
 
 #[test]
 fn strategy_is_an_unknown_flag() {
     assert_usage_error(&["--strategy", "pruned"], "unknown flag \"--strategy\"");
+}
+
+/// The scheduler wakes on work, so there is no tick period to set.
+#[test]
+fn tick_millis_is_an_unknown_flag() {
+    assert_usage_error(&["--tick-millis", "1"], "unknown flag \"--tick-millis\"");
 }
 
 #[test]

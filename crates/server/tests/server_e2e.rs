@@ -3,7 +3,7 @@
 //! recovery, and both metrics surfaces (binary frame and HTTP scrape).
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -78,9 +78,7 @@ fn drive_ingest(client: &mut Client, records: &[Record], batch: usize) -> usize 
 #[test]
 fn server_deltas_match_in_process_engine_bit_for_bit() {
     let (space, stream) = world();
-    let config = ServerConfig::new(serve_config())
-        .with_tick_millis(1)
-        .with_min_ingest_streams(2);
+    let config = ServerConfig::new(serve_config()).with_min_ingest_streams(2);
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
     let addr = server.local_addr();
 
@@ -153,16 +151,43 @@ fn server_deltas_match_in_process_engine_bit_for_bit() {
     server.shutdown();
 }
 
+/// The scrape's `server_throttles` counter.
+fn scraped_throttles(text: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix("server_throttles "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Connects an ingest stream that sends no record until the server has
+/// refused a batch, and then ends. While it is open and empty it is the
+/// merge's floor, so every other connection's batches stay queued: the
+/// queue fills by construction, however fast the scheduler drains, and
+/// the throttle path is reached without a race. Join the handle before
+/// reading the server's counters.
+fn hold_merge_until_throttled(addr: SocketAddr) -> std::thread::JoinHandle<()> {
+    let mut holder = Client::connect(addr, role::INGEST).expect("holder connect");
+    holder
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    std::thread::spawn(move || {
+        while scraped_throttles(&holder.metrics_text().expect("scrape")) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        holder.stream_end().expect("holder stream end");
+    })
+}
+
 #[test]
 fn full_queue_throttles_then_recovers() {
     let (space, stream) = world();
-    // A long tick and a tiny queue: batches pile up faster than the
-    // scheduler drains them.
+    // A tiny queue behind a held merge: batches pile up until one is
+    // refused.
     let config = ServerConfig::new(serve_config())
-        .with_tick_millis(40)
         .with_queue_capacity(8)
         .with_min_ingest_streams(1);
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
+    let holder = hold_merge_until_throttled(server.local_addr());
 
     let mut ingest = Client::connect(server.local_addr(), role::INGEST).expect("connect");
     ingest
@@ -191,6 +216,7 @@ fn full_queue_throttles_then_recovers() {
         }
     }
     ingest.stream_end().expect("stream end");
+    holder.join().expect("holder thread");
     assert!(
         throttles > 0,
         "a 64-record burst into an 8-record queue must throttle"
@@ -225,10 +251,13 @@ fn pipelined_overrun_recovers_across_the_throttle_gate() {
 
     let (space, stream) = world();
     let config = ServerConfig::new(serve_config())
-        .with_tick_millis(5)
         .with_queue_capacity(8)
         .with_min_ingest_streams(1);
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
+    // The first window overruns the held queue, so the gate goes up
+    // before anything drains; the interleaved fresh sends and re-sends
+    // below keep it exercised after the hold ends.
+    let holder = hold_merge_until_throttled(server.local_addr());
 
     let mut ingest = Client::connect(server.local_addr(), role::INGEST).expect("connect");
     ingest
@@ -271,6 +300,7 @@ fn pipelined_overrun_recovers_across_the_throttle_gate() {
         settle_front(&mut outstanding, &mut ingest);
     }
     ingest.stream_end().expect("stream end");
+    holder.join().expect("holder thread");
     assert_eq!(acked, chunks.len(), "every batch must eventually ack");
     assert!(
         throttles > 0,
@@ -296,7 +326,7 @@ fn pipelined_overrun_recovers_across_the_throttle_gate() {
 #[test]
 fn malformed_frame_reports_error_and_connection_survives() {
     let (space, _) = world();
-    let config = ServerConfig::new(serve_config()).with_tick_millis(1);
+    let config = ServerConfig::new(serve_config());
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -343,7 +373,7 @@ fn malformed_frame_reports_error_and_connection_survives() {
 #[test]
 fn http_get_scrapes_prometheus_text() {
     let (space, _) = world();
-    let config = ServerConfig::new(serve_config()).with_tick_millis(1);
+    let config = ServerConfig::new(serve_config());
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -365,8 +395,50 @@ fn http_get_scrapes_prometheus_text() {
     server.shutdown();
 }
 
-/// Ack accounting on the run-shaped drain. A 50-record tick budget
-/// splits every 128-record batch across ticks; two connections carry
+/// The scheduler has no clock. An idle server runs no pass at all; a
+/// batch is served by the pass its own arrival starts; and once it is
+/// served the server is idle again.
+#[test]
+fn the_scheduler_sleeps_until_work_is_posted() {
+    let (space, stream) = world();
+    let mut server = Server::start(
+        Arc::clone(space),
+        ServerConfig::new(serve_config()),
+        "127.0.0.1:0",
+    )
+    .expect("start");
+    let passes = |server: &Server| server.server_snapshot().histograms["server.tick_ns"].count;
+
+    // A control connection's Hello gives the scheduler nothing to do.
+    let _control = Client::connect(server.local_addr(), role::CONTROL).expect("control connect");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(passes(&server), 0, "an idle server ran scheduler passes");
+
+    let mut ingest = Client::connect(server.local_addr(), role::INGEST).expect("ingest connect");
+    ingest
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let records: Vec<Record> = stream.to_records().into_iter().take(16).collect();
+    ingest.send_batch(0, records).expect("send batch");
+    assert!(ingest.wait_batch_outcome(0).expect("outcome"), "not acked");
+    // The pass that sent the ack may still be finishing.
+    std::thread::sleep(Duration::from_millis(20));
+    let served = passes(&server);
+    assert!(served >= 1, "the batch was acked without a pass");
+    let snap = server.server_snapshot();
+    assert!(snap.histograms["server.tick_lag_ns"].count >= 1);
+
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        passes(&server) <= served + 1,
+        "passes ran with nothing posted: {served} → {}",
+        passes(&server)
+    );
+    server.shutdown();
+}
+
+/// Ack accounting on the run-shaped drain. A 50-record drain budget
+/// splits every 128-record batch across passes; two connections carry
 /// the same timestamps, so the merge alternates between them on ties;
 /// a third joins after the stream has been sealed and sends one batch
 /// whose head is late. Every `BatchAck` must carry exactly the counts
@@ -389,7 +461,6 @@ fn acks_count_what_the_engine_took_across_ticks_ties_and_late_records() {
     const BATCH: usize = 128;
     let (space, stream) = world();
     let config = ServerConfig::new(serve_config())
-        .with_tick_millis(1)
         .with_ingest_budget(50, 1 << 20)
         .with_min_ingest_streams(2);
     let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
