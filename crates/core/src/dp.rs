@@ -16,7 +16,7 @@
 //! results — property-tested against the enumeration engine.
 
 use indoor_iupt::SampleSet;
-use indoor_model::{IndoorSpace, SLocId};
+use indoor_model::{IndoorSpace, PLocId, SLocId};
 
 use crate::config::Normalization;
 use crate::paths::full_product_mass;
@@ -37,7 +37,7 @@ pub fn presence_dp<S: std::borrow::Borrow<SampleSet>>(
     let matrix = space.matrix();
 
     // Per-step state, indexed like the step's sample list.
-    let mut locs: Vec<indoor_model::PLocId> = first.plocs().collect();
+    let mut locs: Vec<PLocId> = first.plocs().collect();
     let mut s_mass: Vec<f64> = first.samples().iter().map(|e| e.prob).collect();
     let mut m_mass = s_mass.clone();
 
@@ -135,55 +135,117 @@ pub fn presence_dp_multi<S: std::borrow::Borrow<SampleSet>>(
     let Some(first) = sets.first() else {
         return vec![0.0; nq];
     };
-    let first = first.borrow();
-    let matrix = space.matrix();
-
-    let mut locs: Vec<indoor_model::PLocId> = first.plocs().collect();
-    // Shared valid-path mass, indexed like the step's sample list.
-    let mut s_mass: Vec<f64> = first.samples().iter().map(|e| e.prob).collect();
-    // Per-query miss-weighted mass, q-major: `m_mass[k * n + i]`.
-    let mut m_mass: Vec<f64> = Vec::with_capacity(nq * s_mass.len());
-    for _ in 0..nq {
-        m_mass.extend_from_slice(&s_mass);
-    }
-    let mut pass = vec![0.0; nq];
-
-    let mut m_alive: Vec<bool> = Vec::new();
+    let mut state = DpState::start(first.borrow(), nq);
+    let mut next = DpState::default();
+    let mut scratch = DpScratch::default();
     for set in &sets[1..] {
-        let next_samples = set.borrow().samples();
-        let n = locs.len();
+        state.step_into(space, set.borrow(), qs, &mut scratch, &mut next);
+        std::mem::swap(&mut state, &mut next);
+        if state.is_dead() {
+            // No valid continuation: presence is 0 for every query under
+            // both normalizations (no valid paths exist).
+            return vec![0.0; nq];
+        }
+    }
+    let full_mass = match normalization {
+        Normalization::FullProduct => full_product_mass(sets),
+        Normalization::ValidPaths => 0.0, // unused
+    };
+    state.scores(nq, normalization, full_mass)
+}
+
+/// The forward state of [`presence_dp_multi`] after some steps — what
+/// one step hands the next, and everything the final sums read.
+/// [`crate::SpanFold`] keeps one between records.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DpState {
+    /// The last step's P-locations, in sample order.
+    locs: Vec<PLocId>,
+    /// Shared valid-path mass, indexed like `locs`.
+    s: Vec<f64>,
+    /// Per-query miss-weighted mass, q-major: `m[k * n + i]`.
+    m: Vec<f64>,
+}
+
+/// Buffers a step reuses.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DpScratch {
+    pass: Vec<f64>,
+    alive: Vec<bool>,
+}
+
+impl DpState {
+    /// The state after the first set, with `nq` query rows.
+    pub(crate) fn start(first: &SampleSet, nq: usize) -> Self {
+        let s: Vec<f64> = first.samples().iter().map(|e| e.prob).collect();
+        let mut m = Vec::with_capacity(nq * s.len());
+        for _ in 0..nq {
+            m.extend_from_slice(&s);
+        }
+        DpState {
+            locs: first.plocs().collect(),
+            s,
+            m,
+        }
+    }
+
+    /// Writes into `next` the state after one more set, with one row per
+    /// entry of `qs` (the rows this state holds, in order), reusing
+    /// `next`'s buffers.
+    pub(crate) fn step_into(
+        &self,
+        space: &IndoorSpace,
+        set: &SampleSet,
+        qs: &[SLocId],
+        scratch: &mut DpScratch,
+        next: &mut DpState,
+    ) {
+        let matrix = space.matrix();
+        let nq = qs.len();
+        let next_samples = set.samples();
+        let n = self.locs.len();
         let m = next_samples.len();
+        debug_assert_eq!(self.m.len(), nq * n);
+        scratch.pass.resize(nq, 0.0);
         // Per-predecessor liveness, hoisted out of the j loop: a dead
         // predecessor (zero valid mass, zero miss mass under every
         // query) contributes only `+0.0` terms, and one with live valid
         // mass but all-zero miss masses needs no MIL cell scan — both
-        // skips are bit-safe (see the doc comment) and mirror the
+        // skips are bit-safe (see `presence_dp_multi`) and mirror the
         // single-query kernel's `s[i] == 0 && m[i] == 0` skip.
-        m_alive.clear();
-        m_alive.extend((0..n).map(|i| (0..nq).any(|k| m_mass[k * n + i] != 0.0)));
-        let mut next_locs = Vec::with_capacity(m);
-        let mut next_s = vec![0.0; m];
-        let mut next_m = vec![0.0; nq * m];
+        scratch.alive.clear();
+        scratch
+            .alive
+            .extend((0..n).map(|i| (0..nq).any(|k| self.m[k * n + i] != 0.0)));
+        let DpState {
+            locs: next_locs,
+            s: next_s,
+            m: next_m,
+        } = next;
+        next_locs.clear();
+        next_s.clear();
+        next_s.resize(m, 0.0);
+        next_m.clear();
+        next_m.resize(nq * m, 0.0);
         for (j, e) in next_samples.iter().enumerate() {
             next_locs.push(e.loc);
             let mut s_in = 0.0;
-            for (i, &prev) in locs.iter().enumerate() {
-                // anlz:allow(panic-in-hot-path): i < n == locs.len() by construction
-                let miss_alive = m_alive[i];
-                if s_mass[i] == 0.0 && !miss_alive {
+            for (i, &prev) in self.locs.iter().enumerate() {
+                let miss_alive = scratch.alive[i];
+                if self.s[i] == 0.0 && !miss_alive {
                     continue;
                 }
                 if !matrix.connected(prev, e.loc) {
                     continue;
                 }
-                s_in += s_mass[i];
+                s_in += self.s[i];
                 if miss_alive {
-                    pair_pass_probabilities(space, prev, e.loc, qs, &mut pass);
+                    pair_pass_probabilities(space, prev, e.loc, qs, &mut scratch.pass);
                     // Chunked flat pass: for each query row, fold this
                     // predecessor's miss mass into sample j's slot. Fixed
                     // i-ascending accumulation order per (k, j) slot.
-                    for (k, &a) in pass.iter().enumerate() {
-                        next_m[k * m + j] += m_mass[k * n + i] * (1.0 - a);
+                    for (k, &a) in scratch.pass.iter().enumerate() {
+                        next_m[k * m + j] += self.m[k * n + i] * (1.0 - a);
                     }
                 }
             }
@@ -192,39 +254,51 @@ pub fn presence_dp_multi<S: std::borrow::Borrow<SampleSet>>(
                 next_m[k * m + j] *= e.prob;
             }
         }
-        locs = next_locs;
-        s_mass = next_s;
-        m_mass = next_m;
-        if s_mass.iter().all(|&v| v == 0.0) {
-            // No valid continuation: presence is 0 for every query under
-            // both normalizations (no valid paths exist).
-            return vec![0.0; nq];
-        }
     }
 
-    let n = locs.len();
-    // Fixed ascending-index summation — same order as the single-query
-    // kernel's final sums.
-    let valid_mass: f64 = s_mass.iter().sum();
-    let full_mass = match normalization {
-        Normalization::FullProduct => full_product_mass(sets),
-        Normalization::ValidPaths => 0.0, // unused
-    };
-    (0..nq)
-        .map(|k| {
-            let miss_mass: f64 = m_mass[k * n..(k + 1) * n].iter().sum();
-            let weighted = (valid_mass - miss_mass).max(0.0);
-            let denom = match normalization {
-                Normalization::FullProduct => full_mass,
-                Normalization::ValidPaths => valid_mass,
-            };
-            if denom <= 0.0 {
-                0.0
-            } else {
-                weighted / denom
-            }
-        })
-        .collect()
+    /// Whether no valid path continues through the last step: presence
+    /// is then 0 everywhere, whatever follows.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.s.iter().all(|&v| v == 0.0)
+    }
+
+    /// Inserts a query row at `k` as a copy of the valid mass — exact
+    /// for a location no pair folded in so far can pass, whose miss mass
+    /// has had every predecessor's mass added at factor `1.0 - 0.0`,
+    /// that is, equals `s` bit for bit.
+    pub(crate) fn insert_row(&mut self, k: usize) {
+        let n = self.locs.len();
+        self.m.splice(k * n..k * n, self.s.iter().copied());
+    }
+
+    /// Presence per query row (`nq` of them). `full_mass` is the
+    /// [`Normalization::FullProduct`] denominator; unused otherwise.
+    pub(crate) fn scores(
+        &self,
+        nq: usize,
+        normalization: Normalization,
+        full_mass: f64,
+    ) -> Vec<f64> {
+        let n = self.locs.len();
+        // Fixed ascending-index summation — same order as the
+        // single-query kernel's final sums.
+        let valid_mass: f64 = self.s.iter().sum();
+        (0..nq)
+            .map(|k| {
+                let miss_mass: f64 = self.m[k * n..(k + 1) * n].iter().sum();
+                let weighted = (valid_mass - miss_mass).max(0.0);
+                let denom = match normalization {
+                    Normalization::FullProduct => full_mass,
+                    Normalization::ValidPaths => valid_mass,
+                };
+                if denom <= 0.0 {
+                    0.0
+                } else {
+                    weighted / denom
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

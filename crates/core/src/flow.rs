@@ -8,12 +8,11 @@ use std::collections::HashMap;
 use indoor_iupt::{Iupt, ObjectId, SampleSet, TimeInterval};
 use indoor_model::{IndoorSpace, SLocId};
 
-use crate::config::{FlowConfig, FlowError, Normalization, PresenceEngine};
-use crate::dp::presence_dp_multi;
-use crate::paths::{build_paths_tracking, full_product_mass, TrackedPathSet};
+use crate::config::{FlowConfig, FlowError};
+use crate::fold::SpanFold;
 use crate::presence::presence_prepared_tracked;
-use crate::query_set::{intersect_sorted, QuerySet};
-use crate::reduction::{reduce_for_query, scan_sequence};
+use crate::query_set::QuerySet;
+use crate::reduction::reduce_for_query;
 
 /// Result of a single-location flow computation.
 #[derive(Debug, Clone)]
@@ -107,7 +106,8 @@ impl ObjectContribution {
 /// Computes one object's contributions to every location of `query_set`
 /// from its windowed positioning sequence: runs the §3.2 reduction
 /// (per `cfg`), applies PSL pruning, and evaluates presence with the
-/// configured engine.
+/// configured engine — by pushing every record into one [`SpanFold`]
+/// and finishing it.
 ///
 /// Returns `Ok(None)` when the object is pruned by its PSLs (reduction
 /// enabled and `psls ∩ Q = ∅`) — the Algorithm 1 line 13 exclusion. With
@@ -127,108 +127,11 @@ pub fn object_flow_contributions<'a, I>(
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
-    let scanned = scan_sequence(space, sets, cfg.use_reduction)?;
-    // PSL pruning applies only with data reduction on; the paper's -ORG
-    // variants report a pruning ratio of 0.
-    if cfg.use_reduction && !query_set.intersects_sorted(&scanned.psls) {
-        return Ok(None);
+    let mut fold = SpanFold::new(space, cfg);
+    for set in sets {
+        fold.push(space, query_set, set)?;
     }
-    let relevant = intersect_sorted(query_set.slocs(), &scanned.psls);
-    if relevant.is_empty() {
-        // Reachable for -ORG runs only: the object cannot contribute,
-        // but it was still processed.
-        return Ok(Some(ObjectContribution::default()));
-    }
-    let (scores, dp_fallback) = contributions_for(space, &scanned.sets, &relevant, query_set, cfg)?;
-    Ok(Some(ObjectContribution {
-        relevant,
-        scores,
-        dp_fallback,
-    }))
-}
-
-/// Evaluates the per-location presences of one prepared (already reduced)
-/// sequence, dense over `relevant`, with the configured engine. Returns
-/// the scores and whether the hybrid engine fell back to the DP.
-fn contributions_for<S: std::borrow::Borrow<SampleSet>>(
-    space: &IndoorSpace,
-    sets: &[S],
-    relevant: &[SLocId],
-    query_set: &QuerySet,
-    cfg: &FlowConfig,
-) -> Result<(Vec<f64>, bool), FlowError> {
-    match cfg.engine {
-        PresenceEngine::PathEnumeration => {
-            let tracked = build_paths_tracking(space, query_set, relevant, sets, cfg.path_budget)?;
-            Ok((
-                scores_from_tracked(space, sets, relevant, cfg, &tracked),
-                false,
-            ))
-        }
-        PresenceEngine::TransitionDp => Ok((scores_from_dp(space, sets, relevant, cfg), false)),
-        PresenceEngine::Hybrid => {
-            match build_paths_tracking(space, query_set, relevant, sets, cfg.path_budget) {
-                Ok(tracked) => Ok((
-                    scores_from_tracked(space, sets, relevant, cfg, &tracked),
-                    false,
-                )),
-                Err(FlowError::PathBudgetExceeded { .. }) => {
-                    Ok((scores_from_dp(space, sets, relevant, cfg), true))
-                }
-                Err(e) => Err(e),
-            }
-        }
-    }
-}
-
-/// Per-location scores from a tracked path set (Algorithm 3 lines 9–25):
-/// each valid path's pass probability is weighted by the path probability
-/// and normalized per `cfg`.
-fn scores_from_tracked<S: std::borrow::Borrow<SampleSet>>(
-    space: &IndoorSpace,
-    sets: &[S],
-    relevant: &[SLocId],
-    cfg: &FlowConfig,
-    tracked: &TrackedPathSet,
-) -> Vec<f64> {
-    let mut local = vec![0.0; relevant.len()];
-    let mut prsum = 0.0;
-    for tp in &tracked.tracked {
-        prsum += tp.path.prob;
-        for bit in tp.touched.iter() {
-            // anlz:allow(panic-in-hot-path): touched bitsets are allocated with relevant.len() bits
-            let q = relevant[bit];
-            let pass = tracked.set.pass_probability(space, tp.path, q);
-            if pass > 0.0 {
-                // anlz:allow(panic-in-hot-path): local was allocated with relevant.len() slots
-                local[bit] += pass * tp.path.prob;
-            }
-        }
-    }
-    let denom = match cfg.normalization {
-        Normalization::FullProduct => full_product_mass(sets),
-        Normalization::ValidPaths => prsum,
-    };
-    if denom > 0.0 {
-        for v in &mut local {
-            *v /= denom;
-        }
-    } else {
-        local.iter_mut().for_each(|v| *v = 0.0);
-    }
-    local
-}
-
-/// Per-location scores via the transition DP — one shared flat pass for
-/// all of `relevant` ([`presence_dp_multi`]), bit-identical per location
-/// to the per-query [`crate::dp::presence_dp`] it replaced.
-fn scores_from_dp<S: std::borrow::Borrow<SampleSet>>(
-    space: &IndoorSpace,
-    sets: &[S],
-    relevant: &[SLocId],
-    cfg: &FlowConfig,
-) -> Vec<f64> {
-    presence_dp_multi(space, sets, relevant, cfg.normalization)
+    fold.finish(space)
 }
 
 /// Computes the indoor flow for S-location `q` over `[ts, te]`
@@ -483,6 +386,7 @@ mod tests {
     /// `scan_psls` returns exactly the PSL list `scan_sequence` computes.
     #[test]
     fn scan_psls_matches_scan_sequence() {
+        use crate::reduction::scan_sequence;
         let fig = paper_figure1();
         let mut iupt = paper_table2();
         for seq in iupt.sequences_in(interval()) {

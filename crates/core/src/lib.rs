@@ -14,6 +14,11 @@
 //!   P-locations, inter-merge of stationary runs, and
 //!   possible-semantic-location pruning.
 //! * **Flow computation** (§3.3, Algorithm 2): [`flow::flow`].
+//!   Every search scores an object through one kernel,
+//!   [`object_flow_contributions`], which is a left fold over the
+//!   object's records: [`SpanFold`] keeps the reduction's and the
+//!   transition DP's state between records, so a sequence that grows —
+//!   a serving shard's open bucket — is paid for once per record.
 //! * **TkPLQ search algorithms** (§4): [`query::naive`],
 //!   [`query::nested_loop`] (Algorithm 3), [`query::best_first`]
 //!   (Algorithm 4's best-first COUNT-bound search, over exact
@@ -54,6 +59,7 @@ mod bitset;
 mod config;
 pub mod dp;
 pub mod flow;
+mod fold;
 pub mod paths;
 pub mod presence;
 pub mod query;
@@ -63,6 +69,7 @@ pub mod reduction;
 pub use bitset::SmallBitset;
 pub use config::{FlowConfig, FlowError, Normalization, PresenceEngine};
 pub use flow::{flow, object_flow_contributions, FlowComputation, ObjectContribution};
+pub use fold::SpanFold;
 pub use popflow_exec::ExecConfig;
 pub use query::{
     best_first, diff_topk, naive, nested_loop, rank_topk, BatchEngine, ContinuousEngine,

@@ -14,7 +14,6 @@ use indoor_model::{IndoorSpace, LocationMatrix, PLocId, SLocId};
 
 use crate::bitset::SmallBitset;
 use crate::config::FlowError;
-use crate::query_set::QuerySet;
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -223,13 +222,11 @@ pub struct TrackedPathSet {
 /// `relevant[b]`.
 pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
     space: &IndoorSpace,
-    query: &QuerySet,
     relevant: &[SLocId],
     sets: &[S],
     budget: u64,
 ) -> Result<TrackedPathSet, FlowError> {
     debug_assert!(relevant.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(relevant.iter().all(|&s| query.contains(s)));
     let matrix = space.matrix();
     let mut out = TrackedPathSet::default();
     let Some(first) = sets.first() else {
@@ -399,10 +396,9 @@ mod tests {
         let fig = paper_figure1();
         let (space, sets) = sets_of(O3);
         // Q = {r4, r6}; o3's PSLs are {r3, r4, r6} → relevant = {r4, r6}.
-        let query = QuerySet::new(vec![fig.r[3], fig.r[5]]);
         let mut relevant = vec![fig.r[3], fig.r[5]];
         relevant.sort_unstable();
-        let out = build_paths_tracking(&space, &query, &relevant, &sets, u64::MAX).unwrap();
+        let out = build_paths_tracking(&space, &relevant, &sets, u64::MAX).unwrap();
         assert_eq!(out.tracked.len(), 4);
         // Every path of o3 crosses r4's cell; only (p2, p2, p3) touches r6.
         let r4_bit = relevant.binary_search(&fig.r[3]).unwrap();
@@ -421,10 +417,9 @@ mod tests {
     fn tracking_and_plain_agree_on_paths() {
         let fig = paper_figure1();
         let (space, sets) = sets_of(O2);
-        let query = QuerySet::new(fig.r.to_vec());
-        let relevant: Vec<_> = query.slocs().to_vec();
+        let relevant = crate::QuerySet::new(fig.r.to_vec()).slocs().to_vec();
         let plain = build_paths(space.matrix(), &sets, u64::MAX).unwrap();
-        let tracked = build_paths_tracking(&space, &query, &relevant, &sets, u64::MAX).unwrap();
+        let tracked = build_paths_tracking(&space, &relevant, &sets, u64::MAX).unwrap();
         assert_eq!(plain.len(), tracked.tracked.len());
         for (&a, b) in plain.paths().iter().zip(tracked.tracked.iter()) {
             assert_eq!(plain.locs(a), tracked.set.locs(b.path));

@@ -5,7 +5,7 @@
 use std::borrow::Cow;
 
 use indoor_iupt::{Sample, SampleSet, SampleSetError};
-use indoor_model::{IndoorSpace, LocationMatrix, SLocId};
+use indoor_model::{IndoorSpace, LocationMatrix, PLocId, SLocId};
 
 use crate::bitset::SmallBitset;
 use crate::config::FlowError;
@@ -59,10 +59,12 @@ impl ReducedSequence<'_> {
 ///
 /// # One streaming fold
 ///
-/// Steps 1 and 2 run as one pass that builds no sample set per record.
-/// A record whose raw support differs from its predecessor's is
-/// intra-merged by [`intra_merge`]'s own code and either opens a run or
-/// joins the open one. A record that *repeats* its predecessor's
+/// Steps 1 and 2 run as one pass that builds no sample set per record,
+/// and the pass is a left fold: everything it carries from one record
+/// to the next is one resumable state, which [`crate::SpanFold`] keeps
+/// between records that arrive apart. A record whose raw support
+/// differs from its predecessor's is intra-merged by [`intra_merge`]'s
+/// own code and either opens a run or joins the open one. A record that *repeats* its predecessor's
 /// support — a dwelling device re-reporting the same candidate
 /// positions, the bulk of an indoor feed — belongs to the open run by
 /// construction, so its probabilities are added straight into the run's
@@ -95,75 +97,138 @@ pub fn scan_sequence<'a, I>(
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
-    if !merge {
-        let sets: Vec<Cow<'a, SampleSet>> = sets.into_iter().map(Cow::Borrowed).collect();
-        let psls = scan_psls(space, sets.iter().map(|s| &**s));
-        return Ok(ReducedSequence { sets, psls });
-    }
-
-    let matrix = space.matrix();
     let mut psls = PslCollector::new(space);
+    let mut run = RunFold::new(merge);
     let mut out: Vec<Cow<'a, SampleSet>> = Vec::new();
-    // The open run: its first record intra-merged, the per-location
-    // probability sums over its records (in `head.samples()` order), and
-    // its length.
-    let mut head: Option<Cow<'a, SampleSet>> = None;
-    let mut sums: Vec<f64> = Vec::new();
-    let mut run_len = 0usize;
-    // The predecessor record, and the fold plan of its raw support —
-    // built on the first repeat, so a support seen once costs no plan.
-    let mut prev: Option<&'a SampleSet> = None;
-    let mut plan = FoldPlan::default();
-    let mut plan_stale = true;
-
     for set in sets {
-        match prev {
-            Some(p) if p.same_plocs(set) => {
-                if plan_stale {
-                    plan.rebuild(matrix, set);
-                    plan_stale = false;
-                }
-                plan.add_record(set.samples(), &mut sums)?;
-                run_len += 1;
-            }
-            _ => {
-                // PSLs come from the raw support (equivalent after
-                // intra-merge, since equivalent P-locations share their
-                // cell sets), so a repeated support adds none.
-                psls.add(set);
-                plan_stale = true;
-                let merged = intra_merge_cow(space, set)?;
-                match &head {
-                    // A different raw support with the same merged one
-                    // (`{p6}` then `{p6, p8}`) continues the run.
-                    Some(h) if h.same_plocs(&merged) => {
-                        for (sum, s) in sums.iter_mut().zip(merged.samples()) {
-                            *sum += s.prob;
-                        }
-                        run_len += 1;
-                    }
-                    _ => {
-                        if let Some(h) = head.take() {
-                            out.push(close_run(h, &sums, run_len)?);
-                        }
-                        sums.clear();
-                        sums.extend(merged.samples().iter().map(|s| s.prob));
-                        head = Some(merged);
-                        run_len = 1;
-                    }
-                }
-            }
+        let (closed, new_support) = run.push(space, set, |merged| merged)?;
+        // PSLs come from the raw support (equivalent after intra-merge,
+        // since equivalent P-locations share their cell sets), so a
+        // repeated support adds none.
+        if new_support {
+            psls.add(space, set);
         }
-        prev = Some(set);
+        out.extend(closed);
     }
-    if let Some(h) = head {
-        out.push(close_run(h, &sums, run_len)?);
-    }
-
+    out.extend(run.close()?);
     Ok(ReducedSequence {
         sets: out,
         psls: psls.finish(),
     })
+}
+
+/// The §3.2 reduction as a left fold, one record at a time: the state
+/// [`scan_sequence`] carries from one record to the next, and all of
+/// it — so a caller that keeps a `RunFold` can resume the reduction
+/// where it stopped.
+///
+/// `'a` is how long the open run's head may borrow its record: the
+/// whole input for [`scan_sequence`], which then returns untouched sets
+/// borrowed; `'static` for [`crate::SpanFold`], which owns every head.
+#[derive(Debug)]
+pub(crate) struct RunFold<'a> {
+    /// Merge (`true`) or pass every set through as a run of its own.
+    merge: bool,
+    /// The open run's first record, intra-merged; `None` before the
+    /// first record.
+    head: Option<Cow<'a, SampleSet>>,
+    /// The per-location probability sums over the open run's records,
+    /// in `head.samples()` order.
+    sums: Vec<f64>,
+    /// The open run's length.
+    len: usize,
+    /// The predecessor record's raw support.
+    prev: Vec<PLocId>,
+    /// The fold plan of `prev` — built on the first repeat, so a support
+    /// seen once costs no plan.
+    plan: FoldPlan,
+    plan_stale: bool,
+}
+
+impl<'a> RunFold<'a> {
+    pub(crate) fn new(merge: bool) -> Self {
+        RunFold {
+            merge,
+            head: None,
+            sums: Vec::new(),
+            len: 0,
+            prev: Vec::new(),
+            plan: FoldPlan::default(),
+            plan_stale: true,
+        }
+    }
+
+    /// Folds in the next record. Returns the run it closed, if any, and
+    /// whether the record's raw support differs from its predecessor's
+    /// (only then can it bring new PSLs). `keep` turns the record, when
+    /// it opens a run, into the run's head.
+    pub(crate) fn push<'b>(
+        &mut self,
+        space: &IndoorSpace,
+        set: &'b SampleSet,
+        keep: impl FnOnce(Cow<'b, SampleSet>) -> Cow<'a, SampleSet>,
+    ) -> Result<(Option<Cow<'a, SampleSet>>, bool), FlowError> {
+        let repeat = self.head.is_some()
+            && self.prev.len() == set.len()
+            && self
+                .prev
+                .iter()
+                .zip(set.samples())
+                .all(|(&p, s)| p == s.loc);
+        if !repeat {
+            self.prev.clear();
+            self.prev.extend(set.plocs());
+        }
+        if !self.merge {
+            let closed = self.head.replace(keep(Cow::Borrowed(set)));
+            self.len = 1;
+            return Ok((closed, !repeat));
+        }
+        if repeat {
+            // A record that repeats its predecessor's support belongs
+            // to the open run by construction.
+            if self.plan_stale {
+                self.plan.rebuild(space.matrix(), set);
+                self.plan_stale = false;
+            }
+            self.plan.add_record(set.samples(), &mut self.sums)?;
+            self.len += 1;
+            return Ok((None, false));
+        }
+        self.plan_stale = true;
+        let merged = intra_merge_cow(space, set)?;
+        // A different raw support with the same merged one (`{p6}` then
+        // `{p6, p8}`) continues the run.
+        if self.head.as_ref().is_some_and(|h| h.same_plocs(&merged)) {
+            for (sum, s) in self.sums.iter_mut().zip(merged.samples()) {
+                *sum += s.prob;
+            }
+            self.len += 1;
+            return Ok((None, true));
+        }
+        let closed = match self.head.take() {
+            Some(h) => Some(close_run(h, &self.sums, self.len)?),
+            None => None,
+        };
+        self.sums.clear();
+        self.sums.extend(merged.samples().iter().map(|s| s.prob));
+        self.head = Some(keep(merged));
+        self.len = 1;
+        Ok((closed, true))
+    }
+
+    /// The open run, closed — `None` before the first record. Leaves the
+    /// fold as it was, so more records can follow.
+    pub(crate) fn close_open(&self) -> Result<Option<Cow<'_, SampleSet>>, FlowError> {
+        let head = self.head.as_deref().map(Cow::Borrowed);
+        head.map(|h| close_run(h, &self.sums, self.len)).transpose()
+    }
+
+    /// The open run, closed, consuming the fold.
+    fn close(self) -> Result<Option<Cow<'a, SampleSet>>, FlowError> {
+        let (sums, len) = (self.sums, self.len);
+        self.head.map(|h| close_run(h, &sums, len)).transpose()
+    }
 }
 
 /// How one raw support intra-merges, worked out once and applied to
@@ -258,31 +323,37 @@ fn close_run<'a>(
 /// The one place the `plocs → cells_of → slocs_in_cell` walk happens:
 /// collects the S-locations of every cell a sample set touches, visiting
 /// each distinct cell once.
-struct PslCollector<'s> {
-    space: &'s IndoorSpace,
+#[derive(Debug, Clone)]
+pub(crate) struct PslCollector {
     seen_cells: SmallBitset,
     psls: Vec<SLocId>,
 }
 
-impl<'s> PslCollector<'s> {
-    fn new(space: &'s IndoorSpace) -> Self {
+impl PslCollector {
+    pub(crate) fn new(space: &IndoorSpace) -> Self {
         PslCollector {
-            space,
             seen_cells: SmallBitset::with_capacity(space.cells().len()),
             psls: Vec::new(),
         }
     }
 
-    fn add(&mut self, set: &SampleSet) {
-        let matrix = self.space.matrix();
+    pub(crate) fn add(&mut self, space: &IndoorSpace, set: &SampleSet) {
+        let matrix = space.matrix();
         for loc in set.plocs() {
             for cell in matrix.cells_of(loc).iter() {
                 if !self.seen_cells.get(cell.index()) {
                     self.seen_cells.set(cell.index());
-                    self.psls.extend_from_slice(self.space.slocs_in_cell(cell));
+                    self.psls.extend_from_slice(space.slocs_in_cell(cell));
                 }
             }
         }
+    }
+
+    /// Every S-location collected so far, in collection order, with
+    /// repeats (one per cell that lists it); `added()[before..]` is what
+    /// the adds since `added().len()` was `before` brought.
+    pub(crate) fn added(&self) -> &[SLocId] {
+        &self.psls
     }
 
     /// The collected PSLs, sorted and deduplicated (an S-location
@@ -307,7 +378,7 @@ where
 {
     let mut psls = PslCollector::new(space);
     for set in sets {
-        psls.add(set);
+        psls.add(space, set);
     }
     psls.finish()
 }
@@ -418,7 +489,7 @@ pub fn inter_merge<S: std::borrow::Borrow<SampleSet>>(run: &[S]) -> Result<Sampl
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::borrow::Cow;
 
@@ -556,7 +627,7 @@ mod tests {
     /// support before last (A, B, A); and a run continued by a different
     /// raw support with the same intra-merged one (a lone class member,
     /// then the representative with a class-mate).
-    fn random_sequence(rng: &mut StdRng, space: &IndoorSpace) -> Vec<SampleSet> {
+    pub(crate) fn random_sequence(rng: &mut StdRng, space: &IndoorSpace) -> Vec<SampleSet> {
         let mut sets: Vec<SampleSet> = Vec::new();
         let mut supports: Vec<Vec<PLocId>> = Vec::new();
         for _ in 0..rng.gen_range(1..7usize) {

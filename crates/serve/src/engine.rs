@@ -160,6 +160,7 @@ struct ServeMetrics {
     fresh_presence: Counter,
     presence_cells: Counter,
     spans_in_advance: Counter,
+    spans_finished: Counter,
     spans_unused: Counter,
     cache_resets: Counter,
     log_bytes: Gauge,
@@ -183,6 +184,7 @@ impl ServeMetrics {
             fresh_presence: registry.counter(names::FRESH_PRESENCE),
             presence_cells: registry.counter(names::PRESENCE_CELLS),
             spans_in_advance: registry.counter(names::SPANS_IN_ADVANCE),
+            spans_finished: registry.counter(names::SPANS_FINISHED),
             spans_unused: registry.counter(names::SPANS_UNUSED),
             cache_resets: registry.counter(names::CACHE_RESETS),
             log_bytes: registry.gauge(names::LOG_BYTES),
@@ -219,6 +221,7 @@ impl ServeMetrics {
         lift(&self.fresh_presence, stats.fresh_presence);
         lift(&self.presence_cells, stats.presence_cells);
         lift(&self.spans_in_advance, stats.spans_in_advance);
+        lift(&self.spans_finished, stats.spans_finished);
         lift(&self.spans_unused, stats.spans_unused);
         lift(&self.cache_resets, stats.cache_resets);
         self.log_bytes.set(stats.log_bytes);
@@ -240,8 +243,9 @@ pub struct ServeStats {
     /// Window objects served from the shards' span caches, once per
     /// distinct window they are in: objects the slide neither gave a
     /// record nor took one from, and the spans the shards evaluated ahead
-    /// of the advance — the trailing edge, and the leading-edge spans of
-    /// objects that had fallen quiet. Work shared across registered
+    /// of the advance — the trailing edge, and the leading-edge folds
+    /// finished when their object moved on to a later bucket before the
+    /// advance. Work shared across registered
     /// queries shows up here: a window two queries share is assembled
     /// once.
     pub cache_hits: u64,
@@ -262,14 +266,20 @@ pub struct ServeStats {
     /// is evaluated against the whole union of registered location sets,
     /// once, not once per query or location.
     pub presence_cells: u64,
-    /// Spans the advances evaluated themselves, on the record→delta
-    /// path. Every other evaluated span was paid ahead of its advance,
+    /// Spans the advances had to fold from the log themselves, on the
+    /// record→delta path: spans with neither a cache entry nor a live
+    /// fold. Every other evaluated span was paid ahead of its advance,
     /// while the shards would otherwise have waited.
     pub spans_in_advance: u64,
-    /// Spans evaluated ahead of an advance — trailing edge or
-    /// leading-edge speculation — that were dropped or replaced before
-    /// any advance asked for them: the waste of working ahead. Counted
-    /// with the advance that follows the drop.
+    /// Spans obtained by finishing a live fold — the leading edge, whose
+    /// records the shards fold in as they land: by the advance that asks
+    /// for the span (one DP step and a sum on the record→delta path), or
+    /// ahead of it when the object moved on to a later bucket first.
+    pub spans_finished: u64,
+    /// Spans evaluated ahead of an advance — the trailing edge, or a fold
+    /// finished ahead — that were dropped or replaced before any advance
+    /// asked for them: the waste of working ahead. Counted with the
+    /// advance that follows the drop.
     pub spans_unused: u64,
     /// Resident bytes of the shard logs' columnar stores (summed across
     /// shards). A *gauge*, not a counter: [`ServeEngine::stats`] asks
@@ -286,7 +296,7 @@ pub struct ServeStats {
     /// [`ServeStats::cache_hits`] counts. Kept, with
     /// [`ServeStats::memo_misses`], only because the frozen benchmark
     /// reads both for its `popflow-serve.memo_hit_ratio`; both go when
-    /// that metric does (ROADMAP item 3).
+    /// that metric does (ROADMAP item 1(c)).
     pub memo_hits: u64,
     /// Always 0; see [`ServeStats::memo_hits`].
     pub memo_misses: u64,
@@ -308,6 +318,7 @@ impl ServeStats {
         self.fresh_presence += work.fresh_presence as u64;
         self.presence_cells += work.presence_cells as u64;
         self.spans_in_advance += work.in_advance as u64;
+        self.spans_finished += work.finished as u64;
         self.spans_unused += work.unused as u64;
     }
 }
@@ -403,6 +414,9 @@ pub struct ServeEngine {
     /// Union of every registered query's location set — what the shard
     /// caches are computed against.
     union: QuerySet,
+    /// The registered queries' distinct window widths, in buckets,
+    /// ascending — what the shards keep their leading-edge folds for.
+    widths: Vec<i64>,
     /// How many S-locations the space has. Their ids are dense indexes,
     /// so this bounds the eager merge's by-id slot table whatever ids a
     /// client registers.
@@ -465,6 +479,7 @@ impl ServeEngine {
             queries: Vec::new(),
             next_id: 0,
             union: QuerySet::new(Vec::new()),
+            widths: Vec::new(),
             num_slocs: space.slocs().len(),
             first_ingest: None,
             last_ingest: None,
@@ -685,10 +700,11 @@ impl ServeEngine {
             .and_then(|r| r.previous.as_deref())
     }
 
-    /// Recomputes the union of registered location sets and retargets
-    /// every shard at it. Growth forces a cache reset (cached
-    /// contributions were computed against the smaller union and would
-    /// be missing locations); shrinkage keeps the caches.
+    /// Recomputes the union of registered location sets and the
+    /// registered window widths, and retargets every shard at them when
+    /// either changed. Growth forces a cache reset (cached contributions
+    /// were computed against the smaller union and would be missing
+    /// locations); shrinkage keeps the caches.
     fn sync_union(&mut self) -> Result<(), FlowError> {
         self.stats.registered_queries = self.queries.len() as u64;
         if let Some(m) = &self.metrics {
@@ -699,7 +715,14 @@ impl ServeEngine {
             .iter()
             .flat_map(|r| r.spec.query_set.slocs().iter().copied())
             .collect();
-        if union == self.union {
+        let mut widths: Vec<i64> = self
+            .queries
+            .iter()
+            .map(|r| r.spec.window.window_buckets as i64)
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        if union == self.union && widths == self.widths {
             return Ok(());
         }
         let grew = union.slocs().iter().any(|&s| !self.union.contains(s));
@@ -707,10 +730,11 @@ impl ServeEngine {
             self.stats.cache_resets += 1;
         }
         self.union = union.clone();
+        self.widths = widths.clone();
         for shard in 0..self.pool.shards() {
-            let union = union.clone();
+            let (union, widths) = (union.clone(), widths.clone());
             self.pool
-                .tell(shard, move |worker| worker.set_union(union, grew))
+                .tell(shard, move |worker| worker.retarget(union, widths, grew))
                 .map_err(|down| {
                     let e = self.shard_down(down);
                     self.poison(e)

@@ -14,21 +14,23 @@
 //!        ▼              ▼              ▼
 //!   shard worker 0  shard worker 1 … shard worker N-1   (std::thread + mpsc)
 //!   ┌───────────┐   ┌───────────┐
-//!   │ IUPT part │   │ IUPT part │   per-object records, own TimeIndex
+//!   │ IUPT part │   │ IUPT part │   the shard's append-only log;
 //!   │ buckets:  │   │ buckets:  │   record positions grouped per bucket
 //!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   and object as they land; ONE
 //!   │ spans     │   │ spans     │   contribution cache per shard, keyed
 //!   └─────┬─────┘   └─────┬─────┘   (object, first, last bucket), computed
 //!         └───────┬───────┘         against the UNION of all registered
-//!                 │                 location sets; quiet objects' open
-//!                 │                 spans evaluated during ingest
+//!                 │                 location sets; open-bucket spans
+//!                 │                 folded record by record at ingest
 //!                 ▼  advance_all(now): evaluate every query
 //!     merge union contributions by object id → slice per query;
 //!     then each shard evaluates the next slide's truncated spans ahead
 //! ```
 //!
 //! * **Ingestion** partitions records by object across worker threads;
-//!   each worker owns one IUPT partition (its own 1D R-tree time index).
+//!   each worker owns one IUPT partition and files every record's log
+//!   position under its object and bucket as it lands, so no advance
+//!   range-queries the partition by time.
 //!   Records travel in *runs* ([`ServeEngine::ingest_run`]): one call
 //!   validates a run, splits it by shard and hands each shard its part
 //!   with a single `tell`, and the shard appends it through
@@ -69,14 +71,17 @@
 //!   object it gave a record to or took a bucket from, and of no other,
 //!   so presence is computed once per distinct span
 //!   ([`ServeStats::fresh_presence`]), not once per slide. Both edges of
-//!   a slide are paid ahead of it where they can be: the spans a slide
-//!   will truncate right after the previous advance, and the span of an
-//!   object in the still-open bucket once it has fallen quiet — silent
-//!   for twice its own last reporting gap — during ingest. The advance
-//!   pays only for the rest ([`ServeStats::spans_in_advance`]); a span
-//!   paid ahead that no advance asks for is counted in
-//!   [`ServeStats::spans_unused`]. Spans are evaluated through the batch search's per-object
-//!   kernel ([`popflow_core::object_flow_contributions`]) and merged in
+//!   a slide are paid ahead of it: the spans a slide will truncate right
+//!   after the previous advance, and the spans in the still-open bucket
+//!   record by record — each object's open-bucket span is a resumable
+//!   [`popflow_core::SpanFold`] that takes every record as it lands, so
+//!   the advance only finishes it ([`ServeStats::spans_finished`]). The
+//!   advance folds from the log only the spans that had no live fold
+//!   ([`ServeStats::spans_in_advance`]); a span paid ahead that no
+//!   advance asks for is counted in [`ServeStats::spans_unused`]. Spans
+//!   are evaluated through the batch search's per-object kernel
+//!   ([`popflow_core::object_flow_contributions`] is that fold, pushed
+//!   and finished) and merged in
 //!   the same object-id order, so every registered query's advance
 //!   reports *bit-identical* top-k sets and flows to a batch
 //!   recomputation — and to a dedicated single-query engine — over the
@@ -735,6 +740,7 @@ mod tests {
             (metric_names::FRESH_PRESENCE, stats.fresh_presence),
             (metric_names::PRESENCE_CELLS, stats.presence_cells),
             (metric_names::SPANS_IN_ADVANCE, stats.spans_in_advance),
+            (metric_names::SPANS_FINISHED, stats.spans_finished),
             (metric_names::SPANS_UNUSED, stats.spans_unused),
         ] {
             assert_eq!(
@@ -758,10 +764,16 @@ mod tests {
         // the records themselves are counted by `records_ingested`.
         assert_eq!(snap.histograms[metric_names::INGEST_NS].count, 1);
         assert!(stats.records_ingested > 1);
-        // One run, then the only advance: every span was evaluated
-        // inside it, and none ahead of it.
-        assert_eq!(stats.spans_in_advance, stats.fresh_presence);
-        assert!(stats.spans_in_advance > 0);
+        // One run of five buckets, then the only advance: records in the
+        // first two were folded as they landed — the query was
+        // registered before them — and the rest, a backlog no advance
+        // was keeping up with, was folded from the log by the advance.
+        // Every span was evaluated exactly once, one way or the other.
+        assert!(stats.spans_in_advance > 0 && stats.spans_finished > 0);
+        assert_eq!(
+            stats.spans_in_advance + stats.spans_finished,
+            stats.fresh_presence
+        );
     }
 
     /// Regression (panic-in-hot-path sweep): `ServeConfig.queries` is a

@@ -6,9 +6,10 @@
 //! tile an advance: summing [`EAGER_PHASES`] accounts for essentially
 //! all of [`ADVANCE_NS`], so a latency spike is attributable to the
 //! shard round trip vs merging vs slicing. Where the shards' kernel
-//! work was paid shows in two counters: [`SPANS_IN_ADVANCE`] on the
-//! record→delta path, and [`SPANS_UNUSED`] for what was paid ahead of
-//! an advance and wasted.
+//! work was paid shows in three counters: [`SPANS_IN_ADVANCE`] folded
+//! from the log on the record→delta path, [`SPANS_FINISHED`] folded as
+//! the records landed and only finished by or ahead of the advance, and
+//! [`SPANS_UNUSED`] for what was paid ahead of an advance and wasted.
 
 /// Histogram: one ingest *hand-off* — a whole
 /// [`ServeEngine::ingest_run`](crate::ServeEngine::ingest_run) /
@@ -54,8 +55,11 @@ pub const FRESH_PRESENCE: &str = "serve.fresh_presence";
 /// each evaluated span covers.
 pub const PRESENCE_CELLS: &str = "serve.presence_cells";
 /// Counter: mirrors [`ServeStats::spans_in_advance`](crate::ServeStats) —
-/// spans the advances evaluated themselves.
+/// spans the advances had to fold from the log themselves.
 pub const SPANS_IN_ADVANCE: &str = "serve.spans_in_advance";
+/// Counter: mirrors [`ServeStats::spans_finished`](crate::ServeStats) —
+/// spans obtained by finishing a live fold.
+pub const SPANS_FINISHED: &str = "serve.spans_finished";
 /// Counter: mirrors [`ServeStats::spans_unused`](crate::ServeStats) —
 /// spans evaluated ahead of an advance that none asked for.
 pub const SPANS_UNUSED: &str = "serve.spans_unused";

@@ -29,19 +29,17 @@
 //! * a **hit** — same key, same `n` — costs one refcount bump: an object
 //!   the slide neither gave a record nor took one from is served as it was
 //!   last slide, whether its records sit in one bucket or cross several;
-//! * a **miss** evaluates the span once, exactly, through the same
-//!   [`object_flow_contributions`] kernel the batch search uses, and
-//!   caches it in place of any entry whose `n` differed. The key carries
-//!   no window width, so queries of different widths share every span
-//!   that does not touch their own trailing edge.
-//!
-//! [`ShardWorker::evaluate_span`] is the one place the shard calls the
-//! kernel.
+//! * a **miss** finishes the object's live fold over the span if it has
+//!   one (see below), and otherwise folds the span's records from the log
+//!   once, exactly, through the same [`SpanFold`] kernel the batch search
+//!   uses; either way the result replaces any entry whose `n` differed.
+//!   The key carries no window width, so queries of different widths
+//!   share every span that does not touch their own trailing edge.
 //!
 //! # Work done ahead of the advance
 //!
 //! Both edges of a slide can be known before the advance that needs
-//! them, and the shard evaluates them while it would otherwise wait:
+//! them, and the shard pays for them while it would otherwise wait:
 //!
 //! * **The trailing edge.** An object in a window's oldest bucket loses
 //!   that bucket on the next slide, and what remains of it is complete
@@ -50,18 +48,25 @@
 //! * **The leading edge.** An object whose latest record lies in a bucket
 //!   `L` no advance has reached yet will be asked for `(object, first,
 //!   L)` by the advance that closes `L`, where `first` follows from the
-//!   window widths. Once the object has *fallen quiet* — the shard's
-//!   newest record is more than [`QUIET_GAPS`] of the object's own last
-//!   reporting gap past its latest one — the ingest job that notices
-//!   evaluates that span for each window width of the last advance. The
-//!   speculation is exact: the log is append-only and time-ordered, so
-//!   `(object, first, L, n)` determines the records, and an object that
-//!   reports again in `L` changes `n`, which turns the entry into a miss
-//!   that the next evaluation replaces. A wasted speculation costs time,
-//!   never correctness; [`SpanWork::unused`] counts them.
+//!   window widths. For each registered window width, the shard
+//!   keeps a live [`SpanFold`] over that span and pushes each of the
+//!   object's records into it as the record lands, so the advance only
+//!   finishes it: one DP step and a sum. An object that moves on to a
+//!   later bucket before the advance that closes `L` has its folds
+//!   finished into the cache first, where that advance finds them. The
+//!   log is append-only and time-ordered and a fold takes every record of
+//!   its object, so a live fold over `L` always covers the object's
+//!   current count there, and its result is exact.
 //!
-//! An advance then pays first-time work only for the objects that were
-//! still reporting when their bucket closed.
+//! Only the next two buckets past the last advance are folded as their
+//! records land: a record further out means the advances have fallen
+//! behind — a backlog replayed before any advance, say — and folding it
+//! then would only hold the shard back. An advance therefore folds a
+//! span from the log only for an object with no live fold over it: one
+//! whose records in the bucket landed as part of a backlog or before the
+//! queries were registered or changed, or, when an advance slides by more
+//! than one bucket, one whose window reaches back to a different first
+//! bucket than its fold does.
 //!
 //! Because queries may have different window widths, one advance asks for
 //! several windows at once (one per distinct width, all ending at the
@@ -71,21 +76,24 @@
 //!
 //! One request per advance ([`ShardWorker::evaluate_multi`]) replies with
 //! each requested window's complete contribution list, assembled from the
-//! span cache as above; one `tell` after it
+//! span cache and the live folds as above; one `tell` after it
 //! ([`ShardWorker::evaluate_ahead`]) fills the cache with the next
-//! slide's trailing edge, and every ingest job with the leading edge that
-//! has fallen quiet.
+//! slide's trailing edge, and every ingest job keeps the leading edge's
+//! folds current.
 //!
 //! # Registration changes
 //!
-//! [`ShardWorker::set_union`] retargets the shard at a new union set.
-//! When the union *grows*, cached spans are stale (they were computed
+//! [`ShardWorker::retarget`] points the shard at a new union set and new
+//! window widths and drops every live fold: a fold's locations are the
+//! union it was started with, and its first bucket follows from a width.
+//! When the union *grows*, cached spans are stale too (they were computed
 //! against the smaller set), so the engine requests a cache reset, which
 //! drops every span; the bucket positions do not depend on the union and
-//! stay. Every span is then evaluated afresh, deterministically — which
-//! is why a query registered mid-stream still gets results bit-identical
-//! to an engine that held it from the start. A *shrunk* union keeps the
-//! spans: they are valid supersets, sliced at merge time.
+//! stay. Every span is then evaluated afresh,
+//! deterministically — which is why a query registered mid-stream still
+//! gets results bit-identical to an engine that held it from the start.
+//! A *shrunk* union keeps the spans: they are valid supersets, sliced at
+//! merge time.
 //!
 //! The worker owns no thread of its own: the engine runs one
 //! [`ShardWorker`] per shard inside a [`popflow_exec::ShardPool`], whose
@@ -93,33 +101,14 @@
 //! ingest or registration routed before an advance is always reflected
 //! by it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use indoor_iupt::{Iupt, ObjectId, Record, StoreStats};
 use indoor_model::IndoorSpace;
 use popflow_core::{
-    object_flow_contributions, FlowConfig, FlowError, ObjectContribution, QuerySet,
+    object_flow_contributions, FlowConfig, FlowError, ObjectContribution, QuerySet, SpanFold,
 };
-
-/// How many of its own last reporting gaps an object must stay silent
-/// for, measured against the shard's newest record, before its
-/// open-bucket span is evaluated ahead of the advance that closes the
-/// bucket.
-///
-/// Measured on the benchmark's three venue streams (seed 42, two shards),
-/// replayed in process in runs of 1, 32, 128 and 4096 records and in the
-/// runs a 1-ms scheduler tick releases at the paced 150,000 records/s:
-/// two gaps wasted no speculation at all, while taking every object that
-/// sent nothing for one whole run as quiet wasted 105–109 speculations
-/// per paced advance under the tick's release and about 3,670 under
-/// single-record ingest. Over the socket, where the server hands over
-/// one run per scheduler pass (about one per admitted batch), two gaps
-/// again wasted none on any of the three streams. Judging silence by the object's own gap, not by
-/// a fixed period, is what keeps an irregularly sampled device from being
-/// taken for one that left.
-const QUIET_GAPS: i64 = 2;
 
 /// One window's slice of an advance reply.
 pub(crate) struct WindowEval {
@@ -145,12 +134,17 @@ pub(crate) struct SpanWork {
     pub presence_cells: usize,
     /// Evaluated spans that cross a bucket boundary.
     pub straddlers: usize,
-    /// Spans [`ShardWorker::evaluate_multi`] evaluated itself, on the
-    /// advance's critical path (PSL-pruned ones included).
+    /// Spans [`ShardWorker::evaluate_multi`] had to fold from the log
+    /// itself, on the advance's critical path (PSL-pruned ones
+    /// included).
     pub in_advance: usize,
-    /// Spans evaluated ahead of an advance — trailing edge or speculation
-    /// — that were dropped or replaced before any advance asked for them
-    /// (PSL-pruned ones included).
+    /// Spans obtained by finishing a live fold — by the advance that
+    /// asked for them, or ahead of it when the object moved on to a later
+    /// bucket (PSL-pruned ones included).
+    pub finished: usize,
+    /// Spans evaluated ahead of an advance — trailing edge or a fold
+    /// finished ahead — that were dropped or replaced before any advance
+    /// asked for them (PSL-pruned ones included).
     pub unused: usize,
 }
 
@@ -187,7 +181,8 @@ struct SpanEntry {
     n: usize,
     /// The generation of the advance that last asked for the span; one
     /// past the running generation for a trailing-edge span evaluated
-    /// ahead of the advance that will ask for it, 0 for a speculation.
+    /// ahead of the advance that will ask for it, 0 for a fold finished
+    /// ahead.
     asked: u64,
     /// Evaluated ahead of an advance and not asked for by one yet.
     ahead: bool,
@@ -203,11 +198,14 @@ struct ObjectLog {
     /// `(bucket, index into positions of its first record there)` for
     /// every bucket it reported in, ascending.
     buckets: Vec<(i64, u32)>,
-    /// Timestamp of its latest record.
-    last: i64,
-    /// When it falls quiet — `last` plus [`QUIET_GAPS`] of its last gap;
-    /// `None` before its second record and once it has fallen quiet.
-    due: Option<i64>,
+    /// Its live folds, `(first bucket, fold)`: one per distinct first
+    /// bucket the shard's window widths give its latest bucket,
+    /// each holding every one of its records from `first` on.
+    folds: Vec<(i64, SpanFold)>,
+    /// The bucket its folds end in and the advance generation they were
+    /// lined up with the window widths in; `None` while it has no folds
+    /// to keep.
+    folded: Option<(i64, u64)>,
 }
 
 impl ObjectLog {
@@ -240,6 +238,147 @@ impl ObjectLog {
             self.buckets.get(last.checked_sub(1)?)?,
         );
         (first <= to).then_some((first, last))
+    }
+
+    /// Its live fold over `first..=last`, if it has one.
+    fn fold(&self, first: i64, last: i64) -> Option<&SpanFold> {
+        let (folded, _) = self.folded?;
+        let fold = self.folds.iter().find(|(f, _)| *f == first);
+        (folded == last).then_some(&fold?.1)
+    }
+
+    /// Drops its folds and their room: most objects never report again.
+    fn drop_folds(&mut self) {
+        self.folds = Vec::new();
+        self.folded = None;
+    }
+}
+
+/// What folding a record needs besides its object: the kernel's inputs,
+/// the log, and the shard's plan.
+struct FoldInputs<'w> {
+    space: &'w IndoorSpace,
+    union: &'w QuerySet,
+    cfg: &'w FlowConfig,
+    log: &'w Iupt,
+    /// The buckets whose records are folded as they land: the next two
+    /// past the newest an advance has closed.
+    open: std::ops::RangeInclusive<i64>,
+    /// The window widths folds are kept for, in buckets, ascending.
+    widths: &'w [i64],
+    generation: u64,
+}
+
+impl FoldInputs<'_> {
+    /// Takes in `oid`'s newest record, at `position` in the bucket
+    /// `bucket` past the last advance, which `object` has filed.
+    ///
+    /// In the bucket and generation its folds were lined up for, the
+    /// record is pushed into each of them. Otherwise its folds over an
+    /// earlier bucket, still open, are finished into `spans` — complete,
+    /// for the advance that closes that bucket — and, if `bucket` is
+    /// `open`, lined up with it: every window width asks for a fold from
+    /// the first bucket it reaches back to; a fold already starting there
+    /// carries on, and any other starts from the log. A record beyond
+    /// `open` leaves the object without folds, so a fold always holds
+    /// every record of its object from its first bucket on. A fold the
+    /// kernel rejects a record of is dropped: the advance that needs its
+    /// span meets the same error folding it from the log.
+    fn fold_record(
+        &self,
+        oid: ObjectId,
+        object: &mut ObjectLog,
+        (bucket, position): (i64, u32),
+        spans: &mut BTreeMap<SpanKey, SpanEntry>,
+        work: &mut SpanWork,
+    ) {
+        let set = self.log.samples_at(position);
+        if object.folded == Some((bucket, self.generation)) {
+            object
+                .folds
+                .retain_mut(|(_, fold)| fold.push(self.space, self.union, set).is_ok());
+            return;
+        }
+        if let Some((last, _)) = object.folded.filter(|&(last, _)| last != bucket) {
+            let n = object.span(last, last).1;
+            for (first, fold) in &object.folds {
+                if let Ok(contribution) = fold.finish(self.space) {
+                    let entry = SpanEntry {
+                        contribution: contribution.map(Arc::new),
+                        n,
+                        asked: 0,
+                        ahead: true,
+                    };
+                    work.finished += 1;
+                    cache_span(spans, work, (oid, *first, last), entry);
+                }
+            }
+        }
+        if !self.open.contains(&bucket) {
+            object.drop_folds();
+            return;
+        }
+        // Line the folds up in place, one per distinct first bucket in
+        // width order.
+        let mut kept = 0;
+        let mut previous = None;
+        for &width in self.widths {
+            let Some((first, _)) = object.span_in(bucket - width + 1, bucket) else {
+                continue;
+            };
+            // Widths ascend, so firsts never do: equal ones are adjacent.
+            if previous.replace(first) == Some(first) {
+                continue;
+            }
+            let found = object
+                .folds
+                .iter()
+                .skip(kept)
+                .position(|(f, _)| *f == first);
+            let pushed = match found {
+                Some(i) => {
+                    object.folds.swap(kept, kept + i);
+                    let fold = object.folds.get_mut(kept).map(|(_, fold)| fold);
+                    fold.is_some_and(|fold| fold.push(self.space, self.union, set).is_ok())
+                }
+                None => {
+                    let records = object.span(first, bucket).0;
+                    let mut fold = SpanFold::new(self.space, self.cfg);
+                    let folded = records.iter().try_for_each(|&i| {
+                        fold.push(self.space, self.union, self.log.samples_at(i))
+                    });
+                    if folded.is_ok() {
+                        object.folds.insert(kept, (first, fold));
+                    }
+                    folded.is_ok()
+                }
+            };
+            if pushed {
+                kept += 1;
+            } else if found.is_some() {
+                object.folds.remove(kept);
+            }
+        }
+        object.folds.truncate(kept);
+        object.folded = Some((bucket, self.generation));
+    }
+}
+
+/// Caches one evaluated span, replacing any entry under its key, and
+/// counts its work.
+fn cache_span(
+    spans: &mut BTreeMap<SpanKey, SpanEntry>,
+    work: &mut SpanWork,
+    key: SpanKey,
+    entry: SpanEntry,
+) {
+    work.straddlers += usize::from(key.1 != key.2);
+    if let Some(c) = &entry.contribution {
+        work.fresh_presence += 1;
+        work.presence_cells += c.relevant.len();
+    }
+    if let Some(replaced) = spans.insert(key, entry) {
+        work.unused += usize::from(replaced.ahead);
     }
 }
 
@@ -274,7 +413,7 @@ pub(crate) struct ShardWorker {
     /// that survives that advance's sweep was evaluated or checked
     /// against the final count — so only entries whose `last` lay beyond
     /// the previous advance need the check. A union that grows clears
-    /// the map ([`ShardWorker::set_union`]); one that shrinks leaves
+    /// the map ([`ShardWorker::retarget`]); one that shrinks leaves
     /// valid supersets.
     ///
     /// **An untouched closed key is dead.** Every window ends at the
@@ -287,26 +426,20 @@ pub(crate) struct ShardWorker {
     /// query registered later, which simply evaluates it again — a miss
     /// costs time, never correctness — so every advance stamps the span
     /// of each window object it sees and drops every entry whose
-    /// [`SpanEntry::asked`] is older than itself, except speculations
-    /// whose `last` lies beyond its end bucket. The map stays bounded by
-    /// window objects × distinct widths, plus what
+    /// [`SpanEntry::asked`] is older than itself, except folds finished
+    /// ahead whose `last` lies beyond its end bucket. The map stays
+    /// bounded by window objects × distinct widths, plus what
     /// [`ShardWorker::evaluate_ahead`] stamped for the next advance, plus
-    /// the live speculations.
+    /// the folds finished ahead.
     spans: BTreeMap<SpanKey, SpanEntry>,
     /// Counts advances; what [`SpanEntry::asked`] is measured in.
     generation: u64,
-    /// The last advance's end bucket and distinct window widths (in
-    /// buckets, ascending): what a speculation computes its span's
-    /// `first` for. `None` before the first advance, when there is
-    /// nothing to speculate for.
-    plan: Option<(i64, Vec<i64>)>,
-    /// Quiet timers, earliest first: `(due, object)`, one pushed per
-    /// record from an object's second on, so an object re-arms only when
-    /// it reports again. A timer its object's next record superseded is
-    /// left in place and dropped when it surfaces — its due no longer
-    /// matches [`ObjectLog::due`] — which costs one pop instead of a
-    /// search on every record.
-    quiet: BinaryHeap<Reverse<(i64, ObjectId)>>,
+    /// The last advance's end bucket (`i64::MIN` before the first) and
+    /// the distinct window widths, in buckets, ascending, of the last
+    /// advance or of the queries registered since: what the live folds'
+    /// first buckets follow from. With no width there is nothing to fold
+    /// for.
+    plan: (i64, Vec<i64>),
     /// Span evaluations no report has carried yet. A reply drains it;
     /// what is evaluated ahead waits here for the next report — so every
     /// span evaluated is reported exactly once, with the advance it was
@@ -332,8 +465,7 @@ impl ShardWorker {
             buckets: BTreeMap::new(),
             spans: BTreeMap::new(),
             generation: 0,
-            plan: None,
-            quiet: BinaryHeap::new(),
+            plan: (i64::MIN, Vec::new()),
             unreported: SpanWork::default(),
         }
     }
@@ -341,8 +473,7 @@ impl ShardWorker {
     /// Appends a run of records (already validated and routed by the
     /// engine, in stream order) to this shard's partition of the
     /// positioning log, files each record's position under its object
-    /// and bucket, then evaluates the open-bucket span of every object
-    /// the run left quiet.
+    /// and bucket, and pushes it into its object's live folds.
     ///
     /// The log keeps *copies* made here, on the shard's own thread, and
     /// the run — allocated by whoever decoded it — is freed in one piece
@@ -356,68 +487,43 @@ impl ShardWorker {
     /// straight back for the next copy.
     pub(crate) fn ingest(&mut self, run: Vec<Record>) {
         let positions = self.iupt.extend(run.iter().cloned());
+        let bucket_of = |r: &Record| r.t.millis().div_euclid(self.bucket_millis);
+        let first = self.buckets.keys().next().copied();
+        let (end, widths) = &self.plan;
+        // Records land in the bucket the next advance closes, and some in
+        // the one after it before that advance runs; one further out
+        // means the advances have fallen behind — a backlog replayed
+        // before any advance — and folding it now would only hold the
+        // shard back. Before the first advance, the next one closes the
+        // stream's first bucket.
+        let closed = match first.or_else(|| run.first().map(bucket_of)) {
+            Some(first) if *end == i64::MIN => first.saturating_sub(1),
+            _ => *end,
+        };
+        let inputs = (!widths.is_empty()).then_some(FoldInputs {
+            space: &self.space,
+            union: &self.union,
+            cfg: &self.cfg,
+            log: &self.iupt,
+            open: closed.saturating_add(1)..=closed.saturating_add(2),
+            widths,
+            generation: self.generation,
+        });
         for (position, record) in positions.zip(&run) {
-            let (oid, t) = (record.oid, record.t.millis());
-            let bucket = t.div_euclid(self.bucket_millis);
+            let oid = record.oid;
+            let bucket = bucket_of(record);
             let object = self.objects.entry(oid).or_default();
             if object.buckets.last().is_none_or(|&(b, _)| b != bucket) {
                 object.buckets.push((bucket, object.positions.len() as u32));
                 self.buckets.entry(bucket).or_default().push(oid);
             }
-            // From its second record on, an object falls quiet once the
-            // shard's newest record passes this one by more than
-            // `QUIET_GAPS` times the gap since its previous one.
-            if !object.positions.is_empty() {
-                let gap = t.saturating_sub(object.last);
-                let due = t.saturating_add(gap.saturating_mul(QUIET_GAPS));
-                object.due = Some(due);
-                self.quiet.push(Reverse((due, oid)));
-            }
             object.positions.push(position);
-            object.last = t;
-        }
-        if let Some(newest) = run.last() {
-            self.speculate(newest.t.millis());
-        }
-    }
-
-    /// Evaluates, for each window width of the last advance, the span of
-    /// every object that has fallen quiet by `newest` and whose latest
-    /// record lies in a bucket no advance has reached yet. The entries
-    /// are stamped as never asked for: the sweep of each advance keeps
-    /// them while their bucket is still open, and the advance that closes
-    /// it hits them if the object has stayed quiet.
-    fn speculate(&mut self, newest: i64) {
-        let mut keys = Vec::new();
-        while let Some(&Reverse((due, oid))) = self.quiet.peek() {
-            if due >= newest {
-                break;
+            // Records in buckets the last advance reached are late, and
+            // the engine rejects them.
+            if let Some(inputs) = inputs.as_ref().filter(|i| bucket >= *i.open.start()) {
+                let work = &mut self.unreported;
+                inputs.fold_record(oid, object, (bucket, position), &mut self.spans, work);
             }
-            self.quiet.pop();
-            let Some(object) = self.objects.get_mut(&oid).filter(|o| o.due == Some(due)) else {
-                // Superseded by a later record of the object.
-                continue;
-            };
-            object.due = None;
-            let last = object.last.div_euclid(self.bucket_millis);
-            let Some((end, widths)) = &self.plan else {
-                continue;
-            };
-            if last <= *end {
-                continue;
-            }
-            for &width in widths {
-                if let Some((first, _)) = object.span_in(last - width + 1, last) {
-                    keys.push((oid, first, last));
-                }
-            }
-            // Widths ascend, so firsts never do: equal keys are adjacent.
-            keys.dedup();
-        }
-        for key in keys {
-            // A kernel error caches nothing; the advance that needs the
-            // span meets the same error itself.
-            let _ = self.evaluate_span(key, 0, true);
         }
     }
 
@@ -432,12 +538,24 @@ impl ShardWorker {
         self.iupt.store_stats()
     }
 
-    /// Retargets the shard at a new union of registered location sets.
-    /// `reset` drops every span (required when the union grew — cached
-    /// contributions would be missing the new locations); the grouped
-    /// records do not depend on the union and stay.
-    pub(crate) fn set_union(&mut self, union: QuerySet, reset: bool) {
+    /// Retargets the shard at a new union of registered location sets
+    /// and new registered window widths (in buckets, ascending), dropping
+    /// every live fold: each was started against the old union and
+    /// widths. `reset` drops every span too (required when the union grew
+    /// — cached contributions would be missing the new locations); the
+    /// grouped records do not depend on the union and stay.
+    pub(crate) fn retarget(&mut self, union: QuerySet, widths: Vec<i64>, reset: bool) {
         self.union = union;
+        self.plan.1 = widths;
+        // Objects with live folds have their latest record past the
+        // last advance.
+        for (_, oids) in self.buckets.range(self.plan.0 + 1..) {
+            for oid in oids {
+                if let Some(object) = self.objects.get_mut(oid) {
+                    object.drop_folds();
+                }
+            }
+        }
         if reset {
             let unused = self.spans.values().filter(|entry| entry.ahead).count();
             self.unreported.unused += unused;
@@ -446,8 +564,9 @@ impl ShardWorker {
     }
 
     /// Assembles one contribution list per requested window, all ending
-    /// at bucket `window_end`, from the span cache: one lookup per window
-    /// object, one kernel call per miss. `window_starts` ascend.
+    /// at bucket `window_end`, from the span cache and the live folds:
+    /// one lookup per window object, and one fold from the log per span
+    /// neither holds. `window_starts` ascend.
     pub(crate) fn evaluate_multi(&mut self, window_end: i64, window_starts: &[i64]) -> EagerReport {
         self.generation += 1;
         let generation = self.generation;
@@ -458,8 +577,7 @@ impl ShardWorker {
         let widths = window_starts.iter().rev().map(|&s| window_end - s + 1);
         // Entries over buckets the previous advance reached cover their
         // final count (see `spans`).
-        let checked = self.plan.replace((window_end, widths.collect()));
-        let checked = checked.map_or(i64::MIN, |(end, _)| end);
+        let (checked, _) = std::mem::replace(&mut self.plan, (window_end, widths.collect()));
 
         'windows: for &window_start in window_starts {
             let presence = self.window_presence(window_start, window_end);
@@ -505,6 +623,19 @@ impl ShardWorker {
             live
         });
         self.unreported.unused += unused;
+        // The buckets this advance closed take their folds with them.
+        if window_end > checked {
+            for (_, oids) in self.buckets.range(checked + 1..=window_end) {
+                for oid in oids {
+                    let Some(object) = self.objects.get_mut(oid) else {
+                        continue;
+                    };
+                    if object.folded.is_some_and(|(last, _)| last <= window_end) {
+                        object.drop_folds();
+                    }
+                }
+            }
+        }
         EagerReport {
             windows,
             cache_hits,
@@ -516,9 +647,10 @@ impl ShardWorker {
 
     /// Evaluates one span exactly against the whole union over every
     /// record the log holds for it, and caches it stamped `asked` —
-    /// replacing any entry with the same key — which is the shard's one
-    /// kernel call. `ahead` marks an evaluation no advance has asked for.
-    /// A kernel error caches nothing.
+    /// replacing any entry with the same key. A live fold over the span
+    /// is finished; otherwise the span's records are folded from the log.
+    /// `ahead` marks an evaluation no advance has asked for. A kernel
+    /// error caches nothing.
     fn evaluate_span(
         &mut self,
         key: SpanKey,
@@ -526,30 +658,30 @@ impl ShardWorker {
         ahead: bool,
     ) -> Result<Option<Arc<ObjectContribution>>, FlowError> {
         let (oid, first, last) = key;
-        let (records, n) = self
-            .objects
-            .get(&oid)
-            .map_or((&[][..], 0), |object| object.span(first, last));
-        let log = &self.iupt;
-        let sets = records.iter().map(|&i| log.samples_at(i));
-        let contribution =
-            object_flow_contributions(&self.space, sets, &self.union, &self.cfg)?.map(Arc::new);
+        let object = self.objects.get(&oid);
+        let (records, n) = object.map_or((&[][..], 0), |object| object.span(first, last));
+        // A live fold over `last` holds every record the object has
+        // there, so it covers `n` of them.
+        let (contribution, finished) = match object.and_then(|o| o.fold(first, last)) {
+            Some(fold) => (fold.finish(&self.space)?, true),
+            None => {
+                let sets = records.iter().map(|&i| self.iupt.samples_at(i));
+                let contribution =
+                    object_flow_contributions(&self.space, sets, &self.union, &self.cfg)?;
+                (contribution, false)
+            }
+        };
         let work = &mut self.unreported;
-        work.straddlers += usize::from(first != last);
-        work.in_advance += usize::from(!ahead);
-        if let Some(c) = &contribution {
-            work.fresh_presence += 1;
-            work.presence_cells += c.relevant.len();
-        }
+        work.finished += usize::from(finished);
+        work.in_advance += usize::from(!finished && !ahead);
+        let contribution = contribution.map(Arc::new);
         let entry = SpanEntry {
             contribution: contribution.clone(),
             n,
             asked,
             ahead,
         };
-        if let Some(replaced) = self.spans.insert(key, entry) {
-            self.unreported.unused += usize::from(replaced.ahead);
-        }
+        cache_span(&mut self.spans, &mut self.unreported, key, entry);
         Ok(contribution)
     }
 
@@ -772,83 +904,99 @@ mod tests {
         worker.spans.keys().copied().collect()
     }
 
-    /// The oracle's side of a schedule: what the span map must hold and
-    /// what each open-bucket entry must contain, worked out from the
-    /// records ingested so far — the shard's log — and the advances
-    /// made.
+    /// The oracle's side of a schedule: what the span map must hold, which
+    /// live folds each object must have and what each must contain,
+    /// worked out from the records ingested so far — the shard's log —
+    /// and the advances made.
     #[derive(Default)]
     struct Model {
-        /// The records ingested so far, in log order.
-        log: Vec<Record>,
-        /// Their timestamps, by object.
-        times: BTreeMap<ObjectId, Vec<i64>>,
-        /// The last advance's end bucket and window widths.
-        plan: Option<(i64, Vec<i64>)>,
-        /// The object's record count when it was last found quiet.
-        quiet_at: BTreeMap<ObjectId, usize>,
+        /// The records ingested so far, by object, in log order.
+        records: BTreeMap<ObjectId, Vec<Record>>,
+        /// The last advance's end bucket and the window widths folds are
+        /// kept for.
+        plan: (i64, Vec<i64>),
+        /// Advances so far.
+        generation: u64,
+        /// The bucket of the first record.
+        first: Option<i64>,
+        /// Per object, its live folds: the bucket they end in, the
+        /// generation they were lined up in, and their first buckets.
+        folds: BTreeMap<ObjectId, (i64, u64, Vec<i64>)>,
         /// The keys the last advance kept, plus what was stamped ahead
         /// for the next one.
         closed: BTreeSet<SpanKey>,
         /// Stamped ahead of the next advance.
         ahead: BTreeSet<SpanKey>,
-        /// Live speculations: their last bucket is still open.
+        /// Folds finished ahead: their last bucket is still open.
         live: BTreeSet<SpanKey>,
-        /// Open-bucket entries already checked against the kernel.
+        /// Folds finished since the last report.
+        finished: usize,
+        /// Live folds and open-bucket entries already checked against
+        /// the kernel, with the record count they covered.
         checked: BTreeSet<(SpanKey, usize)>,
     }
 
     impl Model {
+        fn new() -> Self {
+            Model {
+                plan: (i64::MIN, Vec::new()),
+                ..Model::default()
+            }
+        }
+
         /// The buckets `oid` reported in.
         fn buckets(&self, oid: ObjectId) -> BTreeSet<i64> {
-            let times = self.times.get(&oid).into_iter().flatten();
-            times.map(|t| t.div_euclid(BUCKET)).collect()
+            let records = self.records.get(&oid).into_iter().flatten();
+            records.map(bucket_of).collect()
         }
 
         /// `oid`'s records in bucket `b`.
         fn count_in(&self, oid: ObjectId, b: i64) -> usize {
-            let times = self.times.get(&oid).into_iter().flatten();
-            times.filter(|t| t.div_euclid(BUCKET) == b).count()
+            let records = self.records.get(&oid).into_iter().flatten();
+            records.filter(|r| bucket_of(r) == b).count()
         }
 
-        /// Takes in an ingested run: every object whose latest record the
-        /// newest one now passes by more than two of its last gaps has
-        /// fallen quiet, and is speculated once per width if its bucket
-        /// is past the last advance.
+        /// Takes in an ingested run, record by record: a record past the
+        /// last advance lines its object's folds up with its bucket and
+        /// the last advance's widths, unless they already are; folds over
+        /// an earlier, still open bucket are finished ahead first.
         fn ingested(&mut self, run: &[Record]) {
-            self.log.extend_from_slice(run);
             for r in run {
-                self.times.entry(r.oid).or_default().push(r.t.millis());
-            }
-            let Some(newest) = run.last().map(|r| r.t.millis()) else {
-                return;
-            };
-            let mut quiet = Vec::new();
-            for (&oid, times) in &self.times {
-                let [.., before, last] = times[..] else {
+                self.records.entry(r.oid).or_default().push(r.clone());
+                let (end, widths) = &self.plan;
+                let b = bucket_of(r);
+                let first = self.first.get_or_insert(b);
+                let closed = if *end == i64::MIN { *first - 1 } else { *end };
+                if widths.is_empty() || b <= closed {
                     continue;
-                };
-                if newest > last + 2 * (last - before)
-                    && self.quiet_at.insert(oid, times.len()) != Some(times.len())
-                {
-                    quiet.push((oid, last.div_euclid(BUCKET)));
                 }
-            }
-            let Some((end, widths)) = &self.plan else {
-                return;
-            };
-            for (oid, l) in quiet {
-                if l > *end {
-                    let buckets = self.buckets(oid);
-                    for w in widths {
-                        self.live.extend(span_from(oid, &buckets, l - w + 1));
+                let lined_up = (b, self.generation);
+                match self.folds.get(&r.oid) {
+                    Some(&(last, generation, _)) if (last, generation) == lined_up => continue,
+                    Some((last, _, firsts)) if *last != b => {
+                        self.finished += firsts.len();
+                        self.live.extend(firsts.iter().map(|&f| (r.oid, f, *last)));
                     }
+                    _ => {}
                 }
+                // Past the next two buckets: a backlog, left unfolded.
+                if b > closed + 2 {
+                    self.folds.remove(&r.oid);
+                    continue;
+                }
+                let buckets = self.buckets(r.oid);
+                let mut firsts: Vec<i64> = widths
+                    .iter()
+                    .filter_map(|w| Some(span_from(r.oid, &buckets, b - w + 1)?.1))
+                    .collect();
+                firsts.dedup();
+                self.folds.insert(r.oid, (b, self.generation, firsts));
             }
         }
 
-        /// The reference contribution of an open-bucket entry: the
-        /// object's records in `first..last` and its first `n` in `last`,
-        /// straight from the log through the batch kernel.
+        /// The reference contribution of `oid`'s records in
+        /// `first..last` and its first `n` in `last`, straight from the
+        /// log through the batch kernel.
         fn reference(
             &self,
             worker: &ShardWorker,
@@ -857,9 +1005,11 @@ mod tests {
         ) -> Option<ObjectContribution> {
             let mut in_last = 0;
             let sets = self
-                .log
-                .iter()
-                .filter(|r| r.oid == oid && (first..=last).contains(&bucket_of(r)))
+                .records
+                .get(&oid)
+                .into_iter()
+                .flatten()
+                .filter(|r| (first..=last).contains(&bucket_of(r)))
                 .filter(|r| {
                     in_last += usize::from(bucket_of(r) == last);
                     bucket_of(r) < last || in_last <= n
@@ -872,15 +1022,23 @@ mod tests {
         /// The entries over buckets the last advance reached, stamps
         /// and counts included.
         fn closed_entries(&self, worker: &ShardWorker) -> Vec<(SpanKey, u64, bool, usize)> {
-            let end = self.plan.as_ref().map_or(i64::MIN, |(end, _)| *end);
+            let end = self.plan.0;
             let closed = worker.spans.iter().filter(|(k, _)| k.2 <= end);
             closed.map(|(&k, e)| (k, e.asked, e.ahead, e.n)).collect()
         }
 
+        /// The live folds the model expects.
+        fn fold_keys(&self) -> BTreeSet<SpanKey> {
+            let folds = self.folds.iter();
+            folds
+                .flat_map(|(&oid, (last, _, firsts))| firsts.iter().map(move |&f| (oid, f, *last)))
+                .collect()
+        }
+
         /// After an ingest: the span map holds what the last advance
-        /// kept, untouched, and the live speculations, and every
-        /// open-bucket entry is exactly the kernel over the records it
-        /// covers.
+        /// kept, untouched, and the folds finished ahead; the live folds
+        /// are the ones expected; and every open-bucket entry and every
+        /// live fold is exactly the kernel over the records it covers.
         fn check_ingest(
             &mut self,
             worker: &ShardWorker,
@@ -894,69 +1052,99 @@ mod tests {
                 untouched,
                 "seed {seed}: an ingest touched a span over closed buckets"
             );
-            let end = self.plan.as_ref().map_or(i64::MIN, |(end, _)| *end);
+            let end = self.plan.0;
             for (&key, entry) in &worker.spans {
                 if key.2 <= end || !self.checked.insert((key, entry.n)) {
                     continue;
                 }
-                assert!(
-                    entry.n >= 1,
-                    "seed {seed}: {key:?} covers nothing of its last bucket"
-                );
+                assert_eq!(entry.n, self.count_in(key.0, key.2), "seed {seed}: {key:?}");
                 let want = self.reference(worker, key, entry.n);
                 assert_eq!(
                     bits(entry.contribution.as_deref(), &worker.union),
                     bits(want.as_ref(), &worker.union),
-                    "seed {seed}: speculation {key:?} over {} records of its last bucket",
+                    "seed {seed}: fold {key:?} finished ahead over {} records of its last bucket",
                     entry.n
                 );
             }
+            let mut folds = BTreeSet::new();
+            for (&oid, object) in &worker.objects {
+                let Some((last, _)) = object.folded else {
+                    assert!(object.folds.is_empty(), "seed {seed}: {oid} folds unkept");
+                    continue;
+                };
+                for (first, fold) in &object.folds {
+                    let key = (oid, *first, last);
+                    folds.insert(key);
+                    let n = self.count_in(oid, last);
+                    if !self.checked.insert((key, n)) {
+                        continue;
+                    }
+                    let got = fold.finish(&worker.space).expect("live fold");
+                    let want = self.reference(worker, key, n);
+                    assert_eq!(
+                        bits(got.as_ref(), &worker.union),
+                        bits(want.as_ref(), &worker.union),
+                        "seed {seed}: live fold {key:?} over {n} records of its last bucket"
+                    );
+                }
+            }
+            assert_eq!(folds, self.fold_keys(), "seed {seed}: live folds");
         }
 
-        /// Takes in an advance that asked for `asked`; returns how many
-        /// of them were speculations that hit.
+        /// Takes in an advance that asked for `asked`, `before` being the
+        /// span map's counts beforehand; returns how many of the asked
+        /// spans live folds answered and how many the advance had to fold
+        /// from the log.
         fn advanced(
             &mut self,
             worker: &ShardWorker,
             (end, starts): (i64, &[i64]),
-            asked: BTreeSet<SpanKey>,
+            asked: &BTreeSet<SpanKey>,
             before: &BTreeMap<SpanKey, usize>,
-        ) -> usize {
-            let speculated = self
-                .live
+        ) -> (usize, usize) {
+            let fold_keys = self.fold_keys();
+            let missed = asked
                 .iter()
-                .filter(|k| k.2 <= end && asked.contains(k))
-                .filter(|k| before.get(k) == Some(&self.count_in(k.0, k.2)))
-                .count();
-            self.plan = Some((end, starts.iter().rev().map(|s| end - s + 1).collect()));
+                .filter(|k| before.get(k) != Some(&self.count_in(k.0, k.2)));
+            let (finished, from_log): (Vec<&SpanKey>, _) =
+                missed.partition(|k| fold_keys.contains(k));
+            self.generation += 1;
+            self.plan = (end, starts.iter().rev().map(|s| end - s + 1).collect());
             self.live.retain(|k| k.2 > end);
-            self.closed = asked;
+            self.folds.retain(|_, (last, _, _)| *last > end);
+            self.closed = asked.clone();
             self.closed.append(&mut self.ahead);
             let expected: BTreeSet<SpanKey> = self.closed.union(&self.live).copied().collect();
             assert_eq!(held(worker), expected, "span map after advance to {end}");
-            speculated
+            (finished.len(), from_log.len())
         }
 
-        /// A cache reset: every span is gone.
-        fn reset(&mut self) {
-            self.closed.clear();
-            self.ahead.clear();
-            self.live.clear();
+        /// A retarget: every fold is gone, and after a cache reset every
+        /// span too.
+        fn retargeted(&mut self, widths: Vec<i64>, reset: bool) {
+            self.plan.1 = widths;
+            self.folds.clear();
+            if reset {
+                self.closed.clear();
+                self.ahead.clear();
+                self.live.clear();
+            }
         }
     }
 
     /// Drives one worker through a seeded random schedule of ingest
     /// runs (single records on some seeds, and on some a stream that
     /// lost half its records at random — irregular sampling, so objects
-    /// pause and report again), union changes and advances
-    /// over 1–3 widths (sliding by one bucket, by two, or not at all),
-    /// sometimes ingesting past the advance's end bucket first. Every
-    /// reply is checked against [`ShardWorker::reference_evaluate_multi`],
-    /// every open-bucket speculation against the kernel, and the span
-    /// map against the spans the schedule asked for, stamped ahead and
-    /// speculated. Advances are followed, most of the time, by an
-    /// ahead-of-time job. Returns how many cache hits, DP fallbacks,
-    /// cache resets, speculative hits and unused spans it saw.
+    /// pause and report again), union changes and advances over 1–3
+    /// widths (sliding by one bucket, by two, or not at all), sometimes
+    /// ingesting past the advance's end bucket first. Every reply is
+    /// checked against [`ShardWorker::reference_evaluate_multi`], every
+    /// live fold and every fold finished ahead against the kernel after
+    /// each ingest, and the span map against the spans the schedule
+    /// asked for, stamped ahead and finished ahead. Advances are
+    /// followed, most of the time, by an ahead-of-time job. Returns how
+    /// many cache hits, DP fallbacks, cache resets, spans answered by a
+    /// live fold and unused spans it saw.
     fn drive(seed: u64) -> [usize; 5] {
         let mut rng = StdRng::seed_from_u64(seed);
         let scenario = StreamScenario {
@@ -984,7 +1172,15 @@ mod tests {
         let single_records = seed % 6 == 5;
         let mut union = random_subset(&mut rng, &all);
         let mut worker = ShardWorker::new(Arc::clone(&space), union.clone(), cfg, BUCKET);
-        let mut model = Model::default();
+        let mut model = Model::new();
+        // Most schedules register their widths before the stream, so
+        // folds run from the first record; the rest learn them from the
+        // first advance.
+        if seed % 3 != 0 {
+            let widths = random_widths(&mut rng);
+            worker.retarget(union.clone(), widths.clone(), false);
+            model.retargeted(widths, false);
+        }
 
         let last_bucket = bucket_of(records.last().expect("records")) - 1;
         let mut end = bucket_of(&records[0]) - 1;
@@ -995,9 +1191,13 @@ mod tests {
             end += if rng.gen_range(0..6) == 0 { 2 } else { 1 };
             let mut upto = records.partition_point(|r| bucket_of(r) <= end);
             // Now and then part of the next bucket lands first: the
-            // advance must leave its speculations alone.
+            // advance must leave the folds over it alone.
             if rng.gen_range(0..3) == 0 {
                 upto += rng.gen_range(0..120usize);
+            } else if rng.gen_range(0..8) == 0 {
+                // Or two more buckets: records more than two past the
+                // last advance are a backlog, which is not folded.
+                upto = records.partition_point(|r| bucket_of(r) <= end + 2);
             }
             let upto = upto.clamp(next, records.len());
             while next < upto {
@@ -1016,11 +1216,10 @@ mod tests {
                 let target = random_subset(&mut rng, &all);
                 let grew = target.slocs().iter().any(|&s| !union.contains(s));
                 union = target;
-                worker.set_union(union.clone(), grew);
-                if grew {
-                    model.reset();
-                    seen[2] += 1;
-                }
+                let widths = random_widths(&mut rng);
+                worker.retarget(union.clone(), widths.clone(), grew);
+                model.retargeted(widths, grew);
+                seen[2] += usize::from(grew);
             }
             let repeats = 1 + usize::from(rng.gen_range(0..5) == 0);
             for _ in 0..repeats {
@@ -1032,7 +1231,7 @@ mod tests {
 
                 let reference = worker.reference_evaluate_multi(end, &starts);
                 let advance = (end, &starts[..], &reference[..]);
-                let (hits, speculated, unused) =
+                let (hits, finished, unused) =
                     drive_advance(&mut worker, &mut rng, &union, advance, seed, &mut model);
                 seen[0] += hits;
                 seen[4] += unused;
@@ -1041,7 +1240,7 @@ mod tests {
                     .flat_map(|win| &win.contributions)
                     .filter(|(_, c)| c.dp_fallback)
                     .count();
-                seen[3] += speculated;
+                seen[3] += finished;
                 advances += 1;
             }
         }
@@ -1049,10 +1248,20 @@ mod tests {
         seen
     }
 
+    /// 1–3 distinct window widths, ascending.
+    fn random_widths(rng: &mut StdRng) -> Vec<i64> {
+        let mut widths: Vec<i64> = (0..rng.gen_range(1..=3))
+            .map(|_| [1, 2, 3, 5, 9][rng.gen_range(0..5usize)])
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        widths
+    }
+
     /// One advance to `end` over the windows `starts` (whose
     /// contributions are `reference`) and, three times in four, its
-    /// ahead-of-time job. Returns the advance's cache hits, how many of
-    /// them were speculations, and the unused spans it reported.
+    /// ahead-of-time job. Returns the advance's cache hits, how many
+    /// spans live folds answered, and the unused spans it reported.
     fn drive_advance(
         worker: &mut ShardWorker,
         rng: &mut StdRng,
@@ -1078,18 +1287,21 @@ mod tests {
             );
         }
 
-        // The advance evaluated exactly the spans it asked for that the
-        // cache did not hold with their current record count.
+        // The advance finished the live fold of every span it asked for
+        // that the cache did not hold with its current record count, and
+        // folded the rest from the log.
         let asked = spans_asked(worker, end, starts);
-        let missed = asked
-            .iter()
-            .filter(|k| before.get(k) != Some(&model.count_in(k.0, k.2)))
-            .count();
+        let (finished, from_log) = model.advanced(worker, (end, starts), &asked, &before);
         assert_eq!(
-            report.work.in_advance, missed,
+            report.work.in_advance, from_log,
             "seed {seed}: advance to {end}"
         );
-        let speculated = model.advanced(worker, (end, starts), asked, &before);
+        let finished_ahead = std::mem::take(&mut model.finished);
+        assert_eq!(
+            report.work.finished,
+            finished + finished_ahead,
+            "seed {seed}: advance to {end}"
+        );
 
         if rng.gen_range(0..4) != 0 {
             worker.evaluate_ahead(end, starts);
@@ -1102,7 +1314,7 @@ mod tests {
                 "seed {seed}: span map ahead of {end}"
             );
         }
-        (report.cache_hits, speculated, report.work.unused)
+        (report.cache_hits, finished, report.work.unused)
     }
 
     #[test]
@@ -1113,50 +1325,23 @@ mod tests {
                 *total += n;
             }
         }
-        // The schedules did exercise hits, DP fallbacks, resets,
-        // speculations that hit and spans worked out ahead in vain.
+        // The schedules did exercise hits, DP fallbacks, resets, spans
+        // answered by live folds and spans worked out ahead in vain.
         assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 
-    /// An object that falls quiet, is speculated, and then reports again
-    /// in the same bucket wastes exactly that one speculation — and the
-    /// advance that closes the bucket still matches the reference. The
-    /// same schedule without the return wastes nothing.
+    /// An object that pauses and then reports again in the same bucket
+    /// costs the advance that closes the bucket nothing but one finish:
+    /// its fold took every record as it landed, nothing is folded from
+    /// the log, and nothing is wasted — and the reply matches the
+    /// reference. The same schedule without the return is no different.
     #[test]
-    fn a_pause_then_a_report_in_the_same_bucket_wastes_one_speculation() {
+    fn a_pause_then_a_report_in_the_same_bucket_costs_nothing() {
         let fig = paper_figure1();
         let table = paper_table2().to_records();
-        let sets = |oid: u32| {
-            table
-                .iter()
-                .filter(move |r| r.oid.0 == oid)
-                .map(|r| r.samples.clone())
-        };
-        let (a, b) = (ObjectId(1), ObjectId(2));
-        let timed = |oid: ObjectId, times: &[i64]| -> Vec<Record> {
-            times
-                .iter()
-                .zip(sets(oid.0))
-                .map(|(&t, samples)| Record {
-                    oid,
-                    t: Timestamp(t),
-                    samples,
-                })
-                .collect()
-        };
-        for returns in [false, true] {
-            // `a` reports at 1 s and 2 s, so it is quiet once the stream
-            // passes 4 s; `b` reports every 2 s and never is.
-            let mut records = timed(
-                a,
-                if returns {
-                    &[1_000, 2_000, 6_000]
-                } else {
-                    &[1_000, 2_000]
-                },
-            );
-            records.extend(timed(b, &[1_000, 3_000, 5_000, 7_000]));
-            records.sort_by_key(|r| r.t);
+        let a = ObjectId(2);
+        for times in [&[1_000, 2_000][..], &[1_000, 2_000, 30_000]] {
+            let records = times.iter().zip(table.iter().filter(|r| r.oid == a));
             let union = QuerySet::new(fig.r.to_vec());
             let mut worker = ShardWorker::new(
                 Arc::new(fig.space.clone()),
@@ -1164,34 +1349,25 @@ mod tests {
                 FlowConfig::default(),
                 BUCKET,
             );
-            // An advance before the stream fixes the window width.
-            worker.evaluate_multi(-1, &[-1]);
-            for record in records {
-                worker.ingest(vec![record]);
+            // One registered query, one bucket wide.
+            worker.retarget(union.clone(), vec![1], false);
+            for (&t, record) in records {
+                worker.ingest(vec![Record {
+                    t: Timestamp(t),
+                    ..record.clone()
+                }]);
             }
-            let speculated = worker.spans.get(&(a, 0, 0)).map(|entry| entry.n);
-            assert_eq!(speculated, Some(2), "returns {returns}");
             let reference = worker.reference_evaluate_multi(0, &[0]);
             let report = worker.evaluate_multi(0, &[0]);
             assert_eq!(
                 rows(&report.windows[0], &union),
-                rows(&reference[0], &union)
+                rows(&reference[0], &union),
+                "records at {times:?}"
             );
-            assert_eq!(
-                report.work.unused,
-                usize::from(returns),
-                "returns {returns}"
-            );
-            assert_eq!(
-                report.work.in_advance,
-                1 + usize::from(returns),
-                "returns {returns}"
-            );
-            assert_eq!(
-                report.cache_hits,
-                usize::from(!returns),
-                "returns {returns}"
-            );
+            let work = &report.work;
+            let counts = (work.finished, work.in_advance, work.unused);
+            assert_eq!(counts, (1, 0, 0), "records at {times:?}");
+            assert_eq!(report.cache_hits, 0);
         }
     }
 }
