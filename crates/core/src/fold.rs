@@ -181,6 +181,21 @@ impl SpanFold {
     /// open run, and the path engine's
     /// [`FlowError::PathBudgetExceeded`].
     pub fn finish(&self, space: &IndoorSpace) -> Result<Option<ObjectContribution>, FlowError> {
+        self.finish_with(space, &mut FinishScratch::default())
+    }
+
+    /// [`SpanFold::finish`] with the closing DP step's buffers taken
+    /// from `scratch` instead of allocated: a caller that finishes many
+    /// folds keeps one [`FinishScratch`] for all of them. The result
+    /// does not depend on what `scratch` held.
+    ///
+    /// # Errors
+    /// As [`SpanFold::finish`].
+    pub fn finish_with(
+        &self,
+        space: &IndoorSpace,
+        scratch: &mut FinishScratch,
+    ) -> Result<Option<ObjectContribution>, FlowError> {
         let open = self.run.close_open()?;
         let open = match open {
             Some(open) if !self.rows.is_empty() => open,
@@ -198,9 +213,8 @@ impl SpanFold {
                     None => DpState::start(&open, nq).scores(nq, self.cfg.normalization, full_mass),
                     Some(_) if *dead => vec![0.0; nq],
                     Some(state) => {
-                        let mut last = DpState::default();
-                        let mut scratch = DpScratch::default();
-                        state.step_into(space, &open, &self.rows, &mut scratch, &mut last);
+                        let FinishScratch { dp, last } = scratch;
+                        state.step_into(space, &open, &self.rows, dp, last);
                         if last.is_dead() {
                             vec![0.0; nq]
                         } else {
@@ -235,6 +249,14 @@ impl SpanFold {
             dp_fallback,
         }))
     }
+}
+
+/// The buffers [`SpanFold::finish_with`] takes its closing DP step in.
+#[derive(Debug, Default)]
+pub struct FinishScratch {
+    dp: DpScratch,
+    /// The state after the closing step.
+    last: DpState,
 }
 
 /// Per-location scores from a tracked path set (Algorithm 3 lines 9–25):

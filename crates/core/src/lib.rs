@@ -69,7 +69,7 @@ pub mod reduction;
 pub use bitset::SmallBitset;
 pub use config::{FlowConfig, FlowError, Normalization, PresenceEngine};
 pub use flow::{flow, object_flow_contributions, FlowComputation, ObjectContribution};
-pub use fold::SpanFold;
+pub use fold::{FinishScratch, SpanFold};
 pub use popflow_exec::ExecConfig;
 pub use query::{
     best_first, diff_topk, naive, nested_loop, rank_topk, BatchEngine, ContinuousEngine,

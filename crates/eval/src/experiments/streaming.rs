@@ -964,7 +964,7 @@ mod tests {
             "\"experiment\": \"obs\"",
             "\"metrics_overhead\"",
             "\"phase_coverage\"",
-            metric_names::PHASE_EVAL_RPC_NS,
+            metric_names::PHASE_SHARD_REPLY_NS,
         ] {
             assert!(obs.contains(key), "missing {key} in:\n{obs}");
         }

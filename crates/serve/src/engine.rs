@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use indoor_iupt::{Iupt, Record, Timestamp};
+use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
     diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, QueryId,
@@ -17,7 +17,7 @@ use popflow_exec::{ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
 
 use crate::metric_names as names;
-use crate::shard::{EagerReport, ShardWorker, SpanWork};
+use crate::shard::{ShardWorker, SpanWork, WindowEval};
 use crate::trace::{AdvanceTrace, QueryTrace, ShardTrace};
 
 /// One merged window of an advance: the union-wide flows, in
@@ -168,7 +168,7 @@ struct ServeMetrics {
     registered_queries: Gauge,
     ingest_ns: Histogram,
     advance_ns: Histogram,
-    /// One histogram per advance phase, keyed by metric name (3
+    /// One histogram per advance phase, keyed by metric name (5
     /// entries; linear scan beats hashing at this size).
     phases: Vec<(&'static str, Histogram)>,
 }
@@ -240,12 +240,13 @@ pub struct ServeStats {
     /// Window advances served (each advance evaluates every registered
     /// query).
     pub advances: u64,
-    /// Window objects served from the shards' span caches, once per
-    /// distinct window they are in: objects the slide neither gave a
-    /// record nor took one from, and the spans the shards evaluated ahead
-    /// of the advance — the trailing edge, and the leading-edge folds
-    /// finished when their object moved on to a later bucket before the
-    /// advance. Work shared across registered
+    /// Window objects an advance served without evaluating anything,
+    /// once per distinct window they are in: objects the slide neither
+    /// gave a record nor took one from (carried in the shards' rosters),
+    /// spans shared with another window width's roster, and the spans
+    /// the shards evaluated ahead of the advance — the trailing edge, and
+    /// the leading-edge folds finished when their object moved on to a
+    /// later bucket before the advance. Work shared across registered
     /// queries shows up here: a window two queries share is assembled
     /// once.
     pub cache_hits: u64,
@@ -292,7 +293,7 @@ pub struct ServeStats {
     /// already-stored copy (summed across shards). Like
     /// [`ServeStats::log_bytes`], a live gauge.
     pub intern_hits: u64,
-    /// Always 0: the shards keep no kernel memo, only the span cache
+    /// Always 0: the shards keep no kernel memo, only the rosters
     /// [`ServeStats::cache_hits`] counts. Kept, with
     /// [`ServeStats::memo_misses`], only because the frozen benchmark
     /// reads both for its `popflow-serve.memo_hit_ratio`; both go when
@@ -304,7 +305,7 @@ pub struct ServeStats {
     /// [`ServeEngine::register`] / [`ServeEngine::unregister`].
     pub registered_queries: u64,
     /// Times a registration grew the union of registered location sets
-    /// and forced the shards to drop their span caches (the next advance
+    /// and forced the shards to empty their rosters (the next advance
     /// evaluates every span afresh from the append-only logs). Shrinking
     /// the union never resets.
     pub cache_resets: u64,
@@ -338,9 +339,9 @@ struct Registered {
 /// Ingestion partitions records by object across `num_shards` worker
 /// threads of a [`popflow_exec::ShardPool`] (routed by the pool's shared
 /// [`popflow_exec::Partitioner`]); each worker owns its shard's IUPT
-/// partition, its record positions grouped by bucket at ingest, and ONE
-/// cache of contributions computed against the **union** of every
-/// registered query's location set. An
+/// partition, its record positions grouped by bucket at ingest, and one
+/// roster per window width of contributions computed against the
+/// **union** of every registered query's location set. An
 /// [`advance_all`](ServeEngine::advance_all) closes the newly completed
 /// bucket once, evaluates every registered query on top — slicing the
 /// shared union contributions per location subset — and reports one
@@ -371,7 +372,7 @@ struct Registered {
 /// A failed advance poisons the engine. Once shards have begun an
 /// advance, a mid-advance error (a shard worker dying, a presence
 /// computation failing) leaves coordinator and shard state divergent —
-/// some shards have swept their caches, others may not have — so instead
+/// some shards have carried their rosters on, others may not have — so instead
 /// of serving unpredictable results, every later `ingest`/`advance`
 /// returns [`FlowError::EngineUnavailable`]. Rejected inputs (late records,
 /// backwards advances, unknown or invalid queries) do **not** poison:
@@ -981,10 +982,10 @@ impl ServeEngine {
         }
         trace.add_phase(names::PHASE_SLICE_NS, slice_timer.elapsed_ns());
         // Last, with the results in hand: the shards are idle until the
-        // next records arrive, and already hold everything that decides
-        // which spans the next slide will truncate. No reply — nothing
-        // here can change a result — but the hand-off is part of the
-        // shard round trip the caller waits for.
+        // next records arrive, and already hold everything the next
+        // slide's settled rosters follow from. No reply — nothing here
+        // can change a result — and the pool's FIFO queues run it before
+        // any later ingest or advance.
         let ahead_timer = Timer::start();
         for shard in 0..self.pool.shards() {
             let request = starts.clone();
@@ -997,7 +998,7 @@ impl ServeEngine {
                     self.poison(e)
                 })?;
         }
-        trace.add_phase(names::PHASE_EVAL_RPC_NS, ahead_timer.elapsed_ns());
+        trace.add_phase(names::PHASE_AHEAD_NS, ahead_timer.elapsed_ns());
         trace.total_ns = total_timer.elapsed_ns();
         if let Some(m) = &self.metrics {
             m.advance_ns.record(trace.total_ns);
@@ -1035,11 +1036,10 @@ impl ServeEngine {
             })
     }
 
-    /// The eager advance: every shard replies with its full
-    /// contribution list for every requested window in one round-trip
-    /// ([`ShardPool::ask_all`] — gathered in shard order); the
-    /// coordinator merges each window once and slices the merged union
-    /// scores per query.
+    /// The eager advance: every shard replies with its block for every
+    /// requested window in one round-trip ([`ShardPool::ask_all`] —
+    /// gathered in shard order); the coordinator merges each window once
+    /// and slices the merged union scores per query.
     fn advance_eager(
         &mut self,
         end_bucket: i64,
@@ -1052,7 +1052,12 @@ impl ServeEngine {
             .pool
             .ask_all(move |_, worker: &mut ShardWorker| worker.evaluate_multi(end_bucket, &request))
             .map_err(|down| self.shard_down(down))?;
-        trace.add_phase(names::PHASE_EVAL_RPC_NS, rpc_timer.elapsed_ns());
+        let rpc_ns = rpc_timer.elapsed_ns();
+        // The slowest shard's own work, and what the round trip spent
+        // besides: jobs queued ahead of the request and wake-ups.
+        let reply_ns = reports.iter().map(|r| r.reply_ns).max().unwrap_or(0);
+        trace.add_phase(names::PHASE_SHARD_REPLY_NS, reply_ns);
+        trace.add_phase(names::PHASE_SHARD_WAIT_NS, rpc_ns.saturating_sub(reply_ns));
 
         let merge_timer = Timer::start();
         self.stats.log_bytes = 0;
@@ -1063,12 +1068,17 @@ impl ServeEngine {
             self.stats.intern_hits += report.store.intern_hits;
             let mut shard_trace = ShardTrace {
                 shard,
+                reply_ns: report.reply_ns,
                 ..ShardTrace::default()
             };
             shard_trace.add_work(&report.work, report.cache_hits);
             trace.shards.push(shard_trace);
         }
-        let merged = self.merge_windows(reports, starts.len())?;
+        if let Some(e) = reports.iter().find_map(|r| r.error.clone()) {
+            return Err(e);
+        }
+        let windows: Vec<Vec<Arc<WindowEval>>> = reports.into_iter().map(|r| r.windows).collect();
+        let merged = merge_windows(&self.union, self.num_slocs, &windows, starts.len())?;
         trace.add_phase(names::PHASE_MERGE_NS, merge_timer.elapsed_ns());
 
         let slice_timer = Timer::start();
@@ -1106,84 +1116,82 @@ impl ServeEngine {
         trace.add_phase(names::PHASE_SLICE_NS, slice_timer.elapsed_ns());
         Ok(outcomes)
     }
+}
 
-    /// Merges eager shard reports into one dense flow vector per window
-    /// (`union.slocs()` order), accumulating per-object contributions in
-    /// ascending object-id order with zero scores skipped — the exact
-    /// order (and therefore the exact floating-point sums) of the batch
-    /// Nested-Loop search. Each shard's list is already ascending and an
-    /// object lives on one shard, so the lists are merged, not
-    /// concatenated and re-sorted, and the reports are consumed: a
-    /// contribution is read in place and its `Arc` dropped, never cloned.
-    /// The per-window [`SearchStats`] describe the shared union
-    /// evaluation and are reported identically for every query using the
-    /// window.
-    fn merge_windows(
-        &self,
-        reports: Vec<EagerReport>,
-        num_windows: usize,
-    ) -> Result<Vec<WindowScores>, FlowError> {
-        for report in &reports {
-            if let Some(e) = &report.error {
-                return Err(e.clone());
-            }
+/// Merges the shards' blocks (`shards[shard][window]`) into one dense
+/// flow vector per window (`union.slocs()` order), accumulating
+/// per-object contributions in ascending object-id order with zero
+/// scores skipped — the exact order (and therefore the exact
+/// floating-point sums) of the batch Nested-Loop search. Each shard's
+/// block is ascending and an object lives on one shard, so the blocks are
+/// merged, not concatenated and re-sorted: every block is read once,
+/// front to back. `num_slocs` bounds the S-location ids. The per-window
+/// [`SearchStats`] describe the shared union evaluation and are reported
+/// identically for every query using the window.
+fn merge_windows(
+    union: &QuerySet,
+    num_slocs: usize,
+    shards: &[Vec<Arc<WindowEval>>],
+    num_windows: usize,
+) -> Result<Vec<WindowScores>, FlowError> {
+    // Where each S-location's flow accumulates: its position in the
+    // union, looked up by id. Locations outside the current union — a
+    // block may hold supersets of a shrunk union — keep the out-of-range
+    // default and are skipped.
+    let mut slots = vec![usize::MAX; num_slocs];
+    for (slot, s) in union.slocs().iter().enumerate() {
+        if let Some(entry) = slots.get_mut(s.index()) {
+            *entry = slot;
         }
-        // Where each S-location's flow accumulates: its position in the
-        // union, looked up by id. Locations outside the current union —
-        // a cached contribution may be a superset of a shrunk union —
-        // keep the out-of-range default and are skipped.
-        let mut slots = vec![usize::MAX; self.num_slocs];
-        for (slot, s) in self.union.slocs().iter().enumerate() {
-            if let Some(entry) = slots.get_mut(s.index()) {
-                *entry = slot;
-            }
-        }
-        let mut shards: Vec<_> = reports
-            .into_iter()
-            .map(|report| report.windows.into_iter())
-            .collect();
-        let mut merged = Vec::with_capacity(num_windows);
-        for wi in 0..num_windows {
-            let mut flows = vec![0.0; self.union.len()];
-            let mut stats = SearchStats::default();
-            let mut runs = Vec::with_capacity(shards.len());
-            for windows in &mut shards {
-                let win = windows.next().ok_or_else(|| FlowError::EngineUnavailable {
+    }
+    let mut merged = Vec::with_capacity(num_windows);
+    for wi in 0..num_windows {
+        let mut flows = vec![0.0; union.len()];
+        let mut stats = SearchStats::default();
+        let mut blocks = Vec::with_capacity(shards.len());
+        for windows in shards {
+            let win = windows
+                .get(wi)
+                .ok_or_else(|| FlowError::EngineUnavailable {
                     detail: format!("shard reply is missing window {wi} of the advance plan"),
                 })?;
-                stats.objects_total += win.objects_total;
-                stats.objects_computed += win.contributions.len();
-                runs.push(win.contributions.into_iter().peekable());
-            }
-            let mut previous = None;
-            loop {
-                let lowest = runs
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(shard, run)| run.peek().map(|(oid, _)| (*oid, shard)))
-                    .min();
-                let Some((oid, contribution)) = lowest
-                    .and_then(|(_, shard)| runs.get_mut(shard))
-                    .and_then(Iterator::next)
-                else {
-                    break;
-                };
-                debug_assert!(previous < Some(oid), "shard lists ascend and are disjoint");
-                previous = Some(oid);
-                stats.dp_fallback_objects += usize::from(contribution.dp_fallback);
-                for (q, &score) in contribution.relevant.iter().zip(&contribution.scores) {
-                    if score > 0.0 {
-                        let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
-                        if let Some(flow) = slot {
-                            *flow += score;
-                        }
+            stats.objects_total += win.len();
+            stats.objects_computed += win.len() - win.pruned;
+            stats.dp_fallback_objects += win.dp_fallback;
+            blocks.push((&**win, 0));
+        }
+        let mut previous = None;
+        loop {
+            // The block whose next object has the lowest id.
+            let mut lowest: Option<(ObjectId, usize)> = None;
+            for (shard, &(win, i)) in blocks.iter().enumerate() {
+                if let Some(&oid) = win.oids.get(i) {
+                    if lowest.is_none_or(|(low, _)| oid < low) {
+                        lowest = Some((oid, shard));
                     }
                 }
             }
-            merged.push((flows, stats));
+            let Some((oid, (win, i))) =
+                lowest.and_then(|(oid, shard)| Some((oid, blocks.get_mut(shard)?)))
+            else {
+                break;
+            };
+            debug_assert!(previous < Some(oid), "shard blocks ascend and are disjoint");
+            previous = Some(oid);
+            let (locs, scores) = win.cells(*i);
+            *i += 1;
+            for (q, &score) in locs.iter().zip(scores) {
+                if score > 0.0 {
+                    let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
+                    if let Some(flow) = slot {
+                        *flow += score;
+                    }
+                }
+            }
         }
-        Ok(merged)
+        merged.push((flows, stats));
     }
+    Ok(merged)
 }
 
 impl ContinuousEngine for ServeEngine {
@@ -1226,3 +1234,129 @@ impl ContinuousEngine for ServeEngine {
 
 // No Drop impl: dropping the engine drops its `ShardPool`, which closes
 // every worker queue and joins the threads.
+
+#[cfg(test)]
+mod tests {
+    use popflow_core::ObjectContribution;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    /// A random contribution over a random ascending subset of `all`:
+    /// scores of very different magnitudes, so that the order they are
+    /// added in shows in the sums' bits, and some exactly zero.
+    fn random_contribution(rng: &mut StdRng, all: &[SLocId]) -> ObjectContribution {
+        let relevant: Vec<SLocId> = all
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_range(0..3) == 0)
+            .collect();
+        let scores = relevant
+            .iter()
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..1e-9),
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        ObjectContribution {
+            relevant,
+            scores,
+            dp_fallback: rng.gen_range(0..4) == 0,
+        }
+    }
+
+    /// Sums `entries` into flows over `union` in the order given, zero
+    /// scores skipped.
+    fn sum_in_order<'a>(
+        union: &QuerySet,
+        entries: impl IntoIterator<Item = &'a Option<ObjectContribution>>,
+    ) -> Vec<f64> {
+        let mut flows = vec![0.0; union.len()];
+        for contribution in entries.into_iter().flatten() {
+            for (&q, &score) in contribution.relevant.iter().zip(&contribution.scores) {
+                if let Some(slot) = union.index_of(q).filter(|_| score > 0.0) {
+                    flows[slot] += score;
+                }
+            }
+        }
+        flows
+    }
+
+    fn to_bits(flows: &[f64]) -> Vec<u64> {
+        flows.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Random per-shard blocks — evaluated against a union that has
+    /// since shrunk, with PSL-pruned objects and zero scores — merge to
+    /// exactly what collecting every contribution by object id and
+    /// summing in id order gives: flows `to_bits`-equal, stats equal.
+    /// Summing one shard's block before the other's would not be: the
+    /// schedules include windows where that order changes the bits.
+    #[test]
+    fn merge_windows_sums_flat_blocks_in_object_order() {
+        let num_slocs = 24;
+        let all: Vec<SLocId> = (0..num_slocs as u32).map(SLocId).collect();
+        let mut order_shows = 0;
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let union: QuerySet = all
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0..3) != 0)
+                .collect();
+            let shards = rng.gen_range(1..=4usize);
+            let num_windows = rng.gen_range(1..=3);
+            let mut blocks: Vec<Vec<Arc<WindowEval>>> = vec![Vec::new(); shards];
+            let mut expected = Vec::new();
+            for _ in 0..num_windows {
+                let mut per_shard: Vec<WindowEval> =
+                    (0..shards).map(|_| WindowEval::default()).collect();
+                let mut by_shard: Vec<Vec<Option<ObjectContribution>>> = vec![Vec::new(); shards];
+                let mut entries = Vec::new();
+                let mut oid = 0;
+                for _ in 0..rng.gen_range(0..80) {
+                    oid += rng.gen_range(1..4u32);
+                    let contribution =
+                        (rng.gen_range(0..5) != 0).then(|| random_contribution(&mut rng, &all));
+                    let shard = oid as usize % shards;
+                    per_shard[shard].push(ObjectId(oid), (0, 0), contribution.as_ref());
+                    by_shard[shard].push(contribution.clone());
+                    entries.push(contribution);
+                }
+                let flows = sum_in_order(&union, &entries);
+                let shard_by_shard = sum_in_order(&union, by_shard.iter().flatten());
+                order_shows += usize::from(to_bits(&flows) != to_bits(&shard_by_shard));
+                let computed: Vec<&ObjectContribution> = entries.iter().flatten().collect();
+                let stats = SearchStats {
+                    objects_total: entries.len(),
+                    objects_computed: computed.len(),
+                    dp_fallback_objects: computed.iter().filter(|c| c.dp_fallback).count(),
+                };
+                expected.push((flows, stats));
+                for (shard, block) in per_shard.into_iter().enumerate() {
+                    blocks[shard].push(Arc::new(block));
+                }
+            }
+            let merged = merge_windows(&union, num_slocs, &blocks, num_windows).expect("merge");
+            assert_eq!(merged.len(), expected.len());
+            for (wi, ((got, got_stats), (want, want_stats))) in
+                merged.iter().zip(&expected).enumerate()
+            {
+                assert_eq!(to_bits(got), to_bits(want), "seed {seed}, window {wi}");
+                let counts =
+                    |s: &SearchStats| (s.objects_total, s.objects_computed, s.dp_fallback_objects);
+                assert_eq!(
+                    counts(got_stats),
+                    counts(want_stats),
+                    "seed {seed}, window {wi}"
+                );
+            }
+        }
+        assert!(
+            order_shows > 10,
+            "only {order_shows} windows tell the orders apart"
+        );
+    }
+}

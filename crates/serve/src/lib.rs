@@ -16,15 +16,15 @@
 //!   ┌───────────┐   ┌───────────┐
 //!   │ IUPT part │   │ IUPT part │   the shard's append-only log;
 //!   │ buckets:  │   │ buckets:  │   record positions grouped per bucket
-//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   and object as they land; ONE
-//!   │ spans     │   │ spans     │   contribution cache per shard, keyed
-//!   └─────┬─────┘   └─────┬─────┘   (object, first, last bucket), computed
-//!         └───────┬───────┘         against the UNION of all registered
-//!                 │                 location sets; open-bucket spans
-//!                 │                 folded record by record at ingest
+//!   │ [b₀][b₁]… │   │ [b₀][b₁]… │   and object as they land; one
+//!   │ rosters   │   │ rosters   │   roster per window width: the window's
+//!   └─────┬─────┘   └─────┬─────┘   objects with their spans and UNION
+//!         └───────┬───────┘         contributions, one flat block;
+//!                 │                 open-bucket spans folded record by
+//!                 │                 record at ingest
 //!                 ▼  advance_all(now): evaluate every query
-//!     merge union contributions by object id → slice per query;
-//!     then each shard evaluates the next slide's truncated spans ahead
+//!     merge the blocks by object id → slice per query;
+//!     then each shard settles its rosters for the next slide
 //! ```
 //!
 //! * **Ingestion** partitions records by object across worker threads;
@@ -64,15 +64,15 @@
 //!   millisecond has *elapsed* (`now ≥ bucket end + 1`); a record
 //!   timestamped inside a sealed bucket is late and rejected at ingest,
 //!   while anything at or after the sealed frontier is accepted.
-//! * **Evaluation is incremental but exact.** An advance keeps every
-//!   window object's full union contribution in a per-shard cache keyed
-//!   by the object's *span* — its first and last sealed bucket in the
-//!   window — and merges them per slide. A slide changes the span of an
-//!   object it gave a record to or took a bucket from, and of no other,
-//!   so presence is computed once per distinct span
-//!   ([`ServeStats::fresh_presence`]), not once per slide. Both edges of
-//!   a slide are paid ahead of it: the spans a slide will truncate right
-//!   after the previous advance, and the spans in the still-open bucket
+//! * **Evaluation is incremental but exact.** Each shard carries, per
+//!   window width, a roster of every window object's *span* — its first
+//!   and last sealed bucket in the window — and full union contribution,
+//!   from slide to slide. A slide changes the span of an object it gave
+//!   a record to or took a bucket from, and of no other, so presence is
+//!   computed once per distinct span ([`ServeStats::fresh_presence`]),
+//!   not once per slide. Both edges of a slide are paid ahead of it: the
+//!   spans a slide will truncate right after the previous advance, and
+//!   the spans in the still-open bucket
 //!   record by record — each object's open-bucket span is a resumable
 //!   [`popflow_core::SpanFold`] that takes every record as it lands, so
 //!   the advance only finishes it ([`ServeStats::spans_finished`]). The
@@ -637,9 +637,11 @@ mod tests {
         assert_eq!(snap.gauges["serve.log_bytes"], after.log_bytes);
     }
 
-    /// Every advance leaves a trace in the ring buffer: phases tile the
-    /// measured total, shard and query attribution is present, and the
-    /// buffer caps at the configured capacity (oldest dropped first).
+    /// Every advance leaves a trace in the ring buffer: every phase is
+    /// recorded once, they tile the measured total, shard and query
+    /// attribution is present (the shard reply phase is the slowest
+    /// shard's own time), and the buffer caps at the configured capacity
+    /// (oldest dropped first).
     #[test]
     fn advance_traces_ring_buffer() {
         let fig = paper_figure1();
@@ -667,15 +669,18 @@ mod tests {
         for trace in &traces {
             assert!(trace.total_ns > 0);
             assert!(trace.phase_total_ns() <= trace.total_ns);
-            for phase in expected {
-                assert!(
-                    trace.phases.iter().any(|(n, _)| n == phase),
-                    "phase {phase} missing from {:?}",
-                    trace.phases
-                );
-            }
+            // Each phase once, in the order an advance runs them.
+            let names: Vec<&str> = trace.phases.iter().map(|&(n, _)| n).collect();
+            assert_eq!(names, expected);
             assert_eq!(trace.shards.len(), 3);
             assert_eq!(trace.queries.len(), 1);
+            // The shard reply phase is the slowest shard's own time.
+            let slowest = trace.shards.iter().map(|s| s.reply_ns).max();
+            assert_eq!(
+                slowest,
+                Some(trace.phase_ns(metric_names::PHASE_SHARD_REPLY_NS))
+            );
+            assert!(trace.shards.iter().all(|s| s.reply_ns > 0));
         }
         // Advance-scoped histograms mirror the traces.
         let snap = engine.metrics().snapshot();

@@ -5,7 +5,8 @@
 //! All durations are nanoseconds. The per-phase advance histograms
 //! tile an advance: summing [`EAGER_PHASES`] accounts for essentially
 //! all of [`ADVANCE_NS`], so a latency spike is attributable to the
-//! shard round trip vs merging vs slicing. Where the shards' kernel
+//! shards' own work vs waiting for them vs merging vs slicing vs the
+//! hand-off after the advance. Where the shards' kernel
 //! work was paid shows in three counters: [`SPANS_IN_ADVANCE`] folded
 //! from the log on the record→delta path, [`SPANS_FINISHED`] folded as
 //! the records landed and only finished by or ahead of the advance, and
@@ -20,19 +21,32 @@ pub const INGEST_NS: &str = "serve.ingest_ns";
 /// Histogram: one whole `advance_all` call.
 pub const ADVANCE_NS: &str = "serve.advance_ns";
 
-/// Histogram (advance phase): the shard round trips — the
-/// `evaluate_multi` request (per-window contribution assembly on the
-/// workers) and the hand-off of the next slide's trailing-edge job.
-pub const PHASE_EVAL_RPC_NS: &str = "serve.advance.eval_rpc_ns";
+/// Histogram (advance phase): the slowest shard's own time answering
+/// the advance's request — carrying its rosters to the new windows —
+/// as the shard measured it.
+pub const PHASE_SHARD_REPLY_NS: &str = "serve.advance.shard_reply_ns";
+/// Histogram (advance phase): the rest of the request's round trip —
+/// ingest jobs queued on the shards ahead of it, and wake-ups.
+pub const PHASE_SHARD_WAIT_NS: &str = "serve.advance.shard_wait_ns";
 /// Histogram (advance phase): merging shard reports into per-window
 /// union flow vectors.
 pub const PHASE_MERGE_NS: &str = "serve.advance.merge_ns";
 /// Histogram (advance phase): per-query slicing — ranking each
 /// registered query's locations and assembling its update/delta.
 pub const PHASE_SLICE_NS: &str = "serve.advance.slice_ns";
+/// Histogram (advance phase): handing every shard the job that follows
+/// the advance (settling the next window's rosters); the job itself runs
+/// after the advance returns.
+pub const PHASE_AHEAD_NS: &str = "serve.advance.ahead_ns";
 
 /// The phases that tile an advance end-to-end.
-pub const EAGER_PHASES: [&str; 3] = [PHASE_EVAL_RPC_NS, PHASE_MERGE_NS, PHASE_SLICE_NS];
+pub const EAGER_PHASES: [&str; 5] = [
+    PHASE_SHARD_REPLY_NS,
+    PHASE_SHARD_WAIT_NS,
+    PHASE_MERGE_NS,
+    PHASE_SLICE_NS,
+    PHASE_AHEAD_NS,
+];
 
 /// Counter: mirrors [`ServeStats::records_ingested`](crate::ServeStats).
 pub const RECORDS_INGESTED: &str = "serve.records_ingested";
@@ -41,7 +55,7 @@ pub const RECORDS_REJECTED: &str = "serve.records_rejected";
 /// Counter: mirrors [`ServeStats::advances`](crate::ServeStats).
 pub const ADVANCES: &str = "serve.advances";
 /// Counter: mirrors [`ServeStats::cache_hits`](crate::ServeStats) —
-/// window objects served from the shards' span caches.
+/// window objects an advance served without evaluating anything.
 pub const CACHE_HITS: &str = "serve.cache_hits";
 /// Counter: mirrors [`ServeStats::straddler_recomputes`](crate::ServeStats)
 /// — multi-bucket spans evaluated, each once, not once per slide.

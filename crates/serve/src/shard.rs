@@ -19,44 +19,64 @@
 //!
 //! A window's flow decomposes per object, and an object's windowed
 //! sequence is the concatenation of its bucket lists from its first
-//! in-window bucket to its last — its **span**. The shard keeps one
-//! compute cache, from `(object, first bucket, last bucket)` to the
-//! object's contribution over that span together with `n`, how many of
-//! the object's records in `last` it covers (see [`ShardWorker::spans`]
-//! for why key and `n` determine the content). Every window object is
-//! looked up by its span:
+//! in-window bucket to its last — its **span**. Once an advance has
+//! reached a span's last bucket, the span's records never change (the
+//! engine rejects records for closed buckets), so its contribution is a
+//! pure function of `(object, first, last)` and the union.
 //!
-//! * a **hit** — same key, same `n` — costs one refcount bump: an object
-//!   the slide neither gave a record nor took one from is served as it was
-//!   last slide, whether its records sit in one bucket or cross several;
-//! * a **miss** finishes the object's live fold over the span if it has
-//!   one (see below), and otherwise folds the span's records from the log
-//!   once, exactly, through the same [`SpanFold`] kernel the batch search
-//!   uses; either way the result replaces any entry whose `n` differed.
-//!   The key carries no window width, so queries of different widths
-//!   share every span that does not touch their own trailing edge.
+//! # Rosters
+//!
+//! For every window width an advance asks for, the shard keeps a
+//! **roster** of [`WindowEval`] blocks: the window the advance asked
+//! for, and — once the hand-off after the advance has settled it — that
+//! window without its oldest bucket. A block lists every object with
+//! records in its window, ascending by id, with its span and the cells
+//! of its contribution (a PSL-pruned object is listed and counted, but
+//! has no cells). Blocks are carried from window to window. Carrying one
+//! to another window changes only the objects with records in a bucket
+//! of one window and not of the other; every other object keeps its
+//! span, and so its entry. A changed object's new entry comes from the
+//! first of:
+//!
+//! * a block that holds the object over the same span — windows of
+//!   different widths share every span that does not touch their own
+//!   edges;
+//! * a fold finished ahead (see below);
+//! * the object's live fold over the span, finished now: one DP step and
+//!   a sum;
+//! * the span's records folded from the log once, exactly, through the
+//!   same [`SpanFold`] kernel the batch search uses.
+//!
+//! The new entries are merged by object id into the carried block in one
+//! sequential pass; with nothing changed — an advance repeated at the
+//! same instant — the carried block is the new one. That is the only
+//! assembly path: the first window, a window after a cache reset (which
+//! empties the rosters) and a slide of several buckets are the same
+//! update with more objects changed.
 //!
 //! # Work done ahead of the advance
 //!
 //! Both edges of a slide can be known before the advance that needs
 //! them, and the shard pays for them while it would otherwise wait:
 //!
-//! * **The trailing edge.** An object in a window's oldest bucket loses
-//!   that bucket on the next slide, and what remains of it is complete
-//!   history. After each advance the engine hands the shard
-//!   [`ShardWorker::evaluate_ahead`], which evaluates those spans.
+//! * **The trailing edge.** After each advance the engine hands the shard
+//!   [`ShardWorker::evaluate_ahead`], which settles every asked window
+//!   one bucket on, to the next window without its newest bucket:
+//!   objects whose only in-window bucket was the oldest leave, and
+//!   objects that lose it get the rest of their span — complete
+//!   history — evaluated.
 //! * **The leading edge.** An object whose latest record lies in a bucket
 //!   `L` no advance has reached yet will be asked for `(object, first,
 //!   L)` by the advance that closes `L`, where `first` follows from the
 //!   window widths. For each registered window width, the shard
 //!   keeps a live [`SpanFold`] over that span and pushes each of the
 //!   object's records into it as the record lands, so the advance only
-//!   finishes it: one DP step and a sum. An object that moves on to a
-//!   later bucket before the advance that closes `L` has its folds
-//!   finished into the cache first, where that advance finds them. The
-//!   log is append-only and time-ordered and a fold takes every record of
-//!   its object, so a live fold over `L` always covers the object's
-//!   current count there, and its result is exact.
+//!   finishes it. An object that moves on to a later bucket before the
+//!   advance that closes `L` has its folds finished first and kept until
+//!   that advance takes them. The log is append-only and time-ordered
+//!   and a fold takes every record of its object, so a live fold over `L`
+//!   always covers every record the object has there, and its result is
+//!   exact.
 //!
 //! Only the next two buckets past the last advance are folded as their
 //! records land: a record further out means the advances have fallen
@@ -68,58 +88,189 @@
 //! than one bucket, one whose window reaches back to a different first
 //! bucket than its fold does.
 //!
-//! Because queries may have different window widths, one advance asks for
-//! several windows at once (one per distinct width, all ending at the
-//! same bucket), each assembled from the shared buckets and spans.
-//!
 //! # The evaluation protocol
 //!
-//! One request per advance ([`ShardWorker::evaluate_multi`]) replies with
-//! each requested window's complete contribution list, assembled from the
-//! span cache and the live folds as above; one `tell` after it
-//! ([`ShardWorker::evaluate_ahead`]) fills the cache with the next
-//! slide's trailing edge, and every ingest job keeps the leading edge's
-//! folds current.
+//! One request per advance ([`ShardWorker::evaluate_multi`]) asks for
+//! several windows at once (one per distinct width, all ending at the
+//! same bucket). For a one-bucket slide, each window's block was settled
+//! by the previous [`ShardWorker::evaluate_ahead`]: the request finishes
+//! the live folds of the closing bucket's objects, merges them into the
+//! settled block, and replies with the new block itself — shared with
+//! the coordinator, not copied. Everything else happens in the `tell` that
+//! follows every advance ([`ShardWorker::evaluate_ahead`]), off the
+//! record→delta path: it drops the closed buckets' live folds, the folds
+//! finished ahead that no advance took, and the rosters of widths the
+//! advance did not ask for, then settles the next window's blocks. The
+//! engine sends it before anything else can reach the shard, and the
+//! shard relies on that.
 //!
 //! # Registration changes
 //!
 //! [`ShardWorker::retarget`] points the shard at a new union set and new
 //! window widths and drops every live fold: a fold's locations are the
 //! union it was started with, and its first bucket follows from a width.
-//! When the union *grows*, cached spans are stale too (they were computed
-//! against the smaller set), so the engine requests a cache reset, which
-//! drops every span; the bucket positions do not depend on the union and
-//! stay. Every span is then evaluated afresh,
-//! deterministically — which is why a query registered mid-stream still
-//! gets results bit-identical to an engine that held it from the start.
-//! A *shrunk* union keeps the spans: they are valid supersets, sliced at
-//! merge time.
+//! When the union *grows*, every evaluated contribution is stale too (it
+//! was computed against the smaller set), so the engine requests a cache
+//! reset, which empties the rosters and drops the folds finished ahead;
+//! the bucket positions do not depend on the union and stay. Every span
+//! is then evaluated afresh, deterministically — which is why a query
+//! registered mid-stream still gets results bit-identical to an engine
+//! that held it from the start. A *shrunk* union keeps the rosters: their
+//! entries are valid supersets, sliced at merge time.
 //!
 //! The worker owns no thread of its own: the engine runs one
 //! [`ShardWorker`] per shard inside a [`popflow_exec::ShardPool`], whose
 //! FIFO job queues give exactly the ordering the protocol relies on — an
 //! ingest or registration routed before an advance is always reflected
-//! by it.
+//! by it, and the hand-off after an advance runs before anything routed
+//! after it.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use indoor_iupt::{Iupt, ObjectId, Record, StoreStats};
-use indoor_model::IndoorSpace;
+use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
-    object_flow_contributions, FlowConfig, FlowError, ObjectContribution, QuerySet, SpanFold,
+    object_flow_contributions, FinishScratch, FlowConfig, FlowError, ObjectContribution, QuerySet,
+    SpanFold,
 };
+use popflow_obs::Timer;
 
-/// One window's slice of an advance reply.
+/// What a window entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// PSL-pruned over its span: counted, but no contribution.
+    Pruned,
+    /// Scored by the configured engine.
+    Scored,
+    /// Scored by the transition DP after the path budget ran out.
+    Fallback,
+}
+
+/// One window as one columnar block, ascending by object id: what a
+/// shard replies with for the window, and — with each entry's span —
+/// what its roster carries to the next window.
+///
+/// Entry `i` is `oids[i]`; its union contribution is the cells
+/// `ends[i - 1]..ends[i]` of `locs` and `scores` (from 0 for the first
+/// entry), ascending by location.
+#[derive(Debug, Default)]
 pub(crate) struct WindowEval {
-    /// Non-pruned objects in the window with their **union**
-    /// contributions, ascending by object id. `Arc` because the
-    /// contributions are shared with the span cache across many advances
-    /// — a window object costs one refcount bump per slide, not two
-    /// `Vec` clones.
-    pub contributions: Vec<(ObjectId, Arc<ObjectContribution>)>,
-    /// Distinct objects with records in the window (including pruned).
-    pub objects_total: usize,
+    /// Every object with records in the window, ascending.
+    pub oids: Vec<ObjectId>,
+    /// Where each entry's cells end.
+    ends: Vec<usize>,
+    /// The union locations of each entry's contribution.
+    locs: Vec<SLocId>,
+    /// Presence per cell.
+    scores: Vec<f64>,
+    /// Entries that are PSL-pruned: objects of the window that have no
+    /// cells and were not computed.
+    pub pruned: usize,
+    /// Entries whose scores fell back to the transition DP.
+    pub dp_fallback: usize,
+    /// Each entry's span: the first and the last bucket of the window
+    /// that hold a record of it.
+    spans: Vec<(i64, i64)>,
+    /// Each entry's kind.
+    kinds: Vec<Kind>,
+}
+
+impl WindowEval {
+    fn with_capacity(entries: usize, cells: usize) -> Self {
+        WindowEval {
+            oids: Vec::with_capacity(entries),
+            ends: Vec::with_capacity(entries),
+            locs: Vec::with_capacity(cells),
+            scores: Vec::with_capacity(cells),
+            pruned: 0,
+            dp_fallback: 0,
+            spans: Vec::with_capacity(entries),
+            kinds: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Entries in the block.
+    pub(crate) fn len(&self) -> usize {
+        self.oids.len()
+    }
+
+    /// Where the cells of entry `i` begin (where the block's cells end,
+    /// for `i` = [`WindowEval::len`]).
+    fn start(&self, i: usize) -> usize {
+        let previous = i.checked_sub(1).and_then(|p| self.ends.get(p));
+        previous.copied().unwrap_or(0)
+    }
+
+    /// The locations and scores of entry `i`.
+    pub(crate) fn cells(&self, i: usize) -> (&[SLocId], &[f64]) {
+        let cells = self.start(i)..self.ends.get(i).copied().unwrap_or(0);
+        let locs = self.locs.get(cells.clone()).unwrap_or_default();
+        (locs, self.scores.get(cells).unwrap_or_default())
+    }
+
+    /// The entry of `oid` over exactly `span`, if the block has it.
+    fn find(&self, oid: ObjectId, span: (i64, i64)) -> Option<usize> {
+        let i = self.oids.binary_search(&oid).ok()?;
+        (self.spans.get(i) == Some(&span)).then_some(i)
+    }
+
+    /// Appends `oid` over `span` with its union contribution (`None`:
+    /// PSL-pruned). Entries must be appended in ascending id order.
+    pub(crate) fn push(
+        &mut self,
+        oid: ObjectId,
+        span: (i64, i64),
+        contribution: Option<&ObjectContribution>,
+    ) {
+        debug_assert!(self.oids.last().is_none_or(|&last| last < oid));
+        let kind = match contribution {
+            None => Kind::Pruned,
+            Some(c) => {
+                self.locs.extend_from_slice(&c.relevant);
+                self.scores.extend_from_slice(&c.scores);
+                if c.dp_fallback {
+                    Kind::Fallback
+                } else {
+                    Kind::Scored
+                }
+            }
+        };
+        self.oids.push(oid);
+        self.spans.push(span);
+        self.kinds.push(kind);
+        self.ends.push(self.locs.len());
+        self.pruned += usize::from(kind == Kind::Pruned);
+        self.dp_fallback += usize::from(kind == Kind::Fallback);
+    }
+
+    /// Appends the entries `range` of `from`, cells and all: a run of
+    /// slice copies.
+    fn extend_from(&mut self, from: &WindowEval, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        let cells = from.start(range.start)..from.start(range.end);
+        let base = self.locs.len();
+        let kinds = from.kinds.get(range.clone()).unwrap_or_default();
+        self.oids
+            .extend_from_slice(from.oids.get(range.clone()).unwrap_or_default());
+        self.spans
+            .extend_from_slice(from.spans.get(range.clone()).unwrap_or_default());
+        self.kinds.extend_from_slice(kinds);
+        let ends = from.ends.get(range).unwrap_or_default();
+        self.ends
+            .extend(ends.iter().map(|&end| end - cells.start + base));
+        self.locs
+            .extend_from_slice(from.locs.get(cells.clone()).unwrap_or_default());
+        self.scores
+            .extend_from_slice(from.scores.get(cells).unwrap_or_default());
+        for &kind in kinds {
+            self.pruned += usize::from(kind == Kind::Pruned);
+            self.dp_fallback += usize::from(kind == Kind::Fallback);
+        }
+    }
 }
 
 /// Span evaluations performed — the work a report carries.
@@ -148,20 +299,36 @@ pub(crate) struct SpanWork {
     pub unused: usize,
 }
 
+impl SpanWork {
+    /// Counts one evaluated span.
+    fn evaluated(&mut self, (_, first, last): SpanKey, contribution: Option<&ObjectContribution>) {
+        self.straddlers += usize::from(first != last);
+        if let Some(c) = contribution {
+            self.fresh_presence += 1;
+            self.presence_cells += c.relevant.len();
+        }
+    }
+}
+
 /// One shard's answer to an advance: one [`WindowEval`] per
 /// requested window start, in request order.
 pub(crate) struct EagerReport {
-    pub windows: Vec<WindowEval>,
-    /// Window objects, summed over the requested windows, served from
-    /// the span cache.
+    /// The windows' blocks, shared with the shard's rosters.
+    pub windows: Vec<Arc<WindowEval>>,
+    /// Window objects, summed over the requested windows, whose entries
+    /// no evaluation in this advance paid for: carried over from the
+    /// previous window, settled ahead of the advance, or shared with
+    /// another roster or a fold finished ahead.
     pub cache_hits: usize,
-    /// Spans evaluated since the previous report: this advance's misses
-    /// plus whatever was evaluated ahead of it — each distinct span once,
-    /// not once per slide it stays in a window.
+    /// Spans evaluated since the previous report: this advance's
+    /// evaluations plus whatever was evaluated ahead of it — each
+    /// distinct span once, not once per slide it stays in a window.
     pub work: SpanWork,
     /// Footprint/interner accounting of this shard's log, as of this
     /// advance.
     pub store: StoreStats,
+    /// The shard's own time in [`ShardWorker::evaluate_multi`], in ns.
+    pub reply_ns: u64,
     /// First error hit, if any (the report is then partial).
     pub error: Option<FlowError>,
 }
@@ -170,23 +337,6 @@ pub(crate) struct EagerReport {
 /// bucket from the first to the last, both of which hold at least one of
 /// them.
 type SpanKey = (ObjectId, i64, i64);
-
-/// One evaluated span.
-struct SpanEntry {
-    /// The object's union contribution over the span (`None` when
-    /// PSL-pruned — a result worth caching like any other).
-    contribution: Option<Arc<ObjectContribution>>,
-    /// How many of the object's records in the span's last bucket the
-    /// contribution covers.
-    n: usize,
-    /// The generation of the advance that last asked for the span; one
-    /// past the running generation for a trailing-edge span evaluated
-    /// ahead of the advance that will ask for it, 0 for a fold finished
-    /// ahead.
-    asked: u64,
-    /// Evaluated ahead of an advance and not asked for by one yet.
-    ahead: bool,
-}
 
 /// One object's share of the shard log, grouped as its records land.
 #[derive(Default)]
@@ -216,17 +366,12 @@ impl ObjectLog {
             .map_or(self.positions.len(), |&(_, i)| i as usize)
     }
 
-    /// Its records in buckets `first..=last`, and how many of them lie
-    /// in `last`.
-    fn span(&self, first: i64, last: i64) -> (&[u32], usize) {
+    /// Its records in buckets `first..=last`.
+    fn span(&self, first: i64, last: i64) -> &[u32] {
         let from = self.buckets.partition_point(|&(b, _)| b < first);
         let to = self.buckets.partition_point(|&(b, _)| b <= last);
-        let in_last = match to.checked_sub(1).and_then(|k| self.buckets.get(k)) {
-            Some(&(b, i)) if b == last => self.start(to) - i as usize,
-            _ => 0,
-        };
         let records = self.positions.get(self.start(from)..self.start(to));
-        (records.unwrap_or_default(), in_last)
+        records.unwrap_or_default()
     }
 
     /// The first and the last bucket in `from..=to` it reported in.
@@ -275,22 +420,23 @@ impl FoldInputs<'_> {
     ///
     /// In the bucket and generation its folds were lined up for, the
     /// record is pushed into each of them. Otherwise its folds over an
-    /// earlier bucket, still open, are finished into `spans` — complete,
-    /// for the advance that closes that bucket — and, if `bucket` is
-    /// `open`, lined up with it: every window width asks for a fold from
-    /// the first bucket it reaches back to; a fold already starting there
-    /// carries on, and any other starts from the log. A record beyond
-    /// `open` leaves the object without folds, so a fold always holds
-    /// every record of its object from its first bucket on. A fold the
-    /// kernel rejects a record of is dropped: the advance that needs its
-    /// span meets the same error folding it from the log.
+    /// earlier, still open bucket are finished into `finished` —
+    /// complete, for the advance that closes that bucket — and, if
+    /// `bucket` is `open`, lined up with it: every window width asks for
+    /// a fold from the first bucket it reaches back to; a fold already
+    /// starting there carries on, and any other starts from the log. A
+    /// record beyond `open` leaves the object without folds, so a fold
+    /// always holds every record of its object from its first bucket on.
+    /// A fold the kernel rejects a record of is dropped: the advance that
+    /// needs its span meets the same error folding it from the log.
     fn fold_record(
         &self,
         oid: ObjectId,
         object: &mut ObjectLog,
         (bucket, position): (i64, u32),
-        spans: &mut BTreeMap<SpanKey, SpanEntry>,
+        finished: &mut BTreeMap<SpanKey, Option<ObjectContribution>>,
         work: &mut SpanWork,
+        scratch: &mut FinishScratch,
     ) {
         let set = self.log.samples_at(position);
         if object.folded == Some((bucket, self.generation)) {
@@ -300,17 +446,14 @@ impl FoldInputs<'_> {
             return;
         }
         if let Some((last, _)) = object.folded.filter(|&(last, _)| last != bucket) {
-            let n = object.span(last, last).1;
             for (first, fold) in &object.folds {
-                if let Ok(contribution) = fold.finish(self.space) {
-                    let entry = SpanEntry {
-                        contribution: contribution.map(Arc::new),
-                        n,
-                        asked: 0,
-                        ahead: true,
-                    };
+                if let Ok(contribution) = fold.finish_with(self.space, scratch) {
+                    let key = (oid, *first, last);
                     work.finished += 1;
-                    cache_span(spans, work, (oid, *first, last), entry);
+                    work.evaluated(key, contribution.as_ref());
+                    if finished.insert(key, contribution).is_some() {
+                        work.unused += 1;
+                    }
                 }
             }
         }
@@ -342,7 +485,7 @@ impl FoldInputs<'_> {
                     fold.is_some_and(|fold| fold.push(self.space, self.union, set).is_ok())
                 }
                 None => {
-                    let records = object.span(first, bucket).0;
+                    let records = object.span(first, bucket);
                     let mut fold = SpanFold::new(self.space, self.cfg);
                     let folded = records.iter().try_for_each(|&i| {
                         fold.push(self.space, self.union, self.log.samples_at(i))
@@ -364,21 +507,237 @@ impl FoldInputs<'_> {
     }
 }
 
-/// Caches one evaluated span, replacing any entry under its key, and
-/// counts its work.
-fn cache_span(
-    spans: &mut BTreeMap<SpanKey, SpanEntry>,
-    work: &mut SpanWork,
-    key: SpanKey,
-    entry: SpanEntry,
-) {
-    work.straddlers += usize::from(key.1 != key.2);
-    if let Some(c) = &entry.contribution {
-        work.fresh_presence += 1;
-        work.presence_cells += c.relevant.len();
+/// One window's block, and the window it describes.
+struct Carried {
+    /// The buckets `[start, end]` the block describes (`start > end`
+    /// for none).
+    window: (i64, i64),
+    /// The window's objects; an asked window's block is shared with the
+    /// reply that asked for it.
+    block: Arc<WindowEval>,
+    /// Entries evaluated ahead of the advance that will ask for them,
+    /// ascending by object id.
+    ahead: Vec<ObjectId>,
+}
+
+/// One window width's roster: the window the last advance asked for,
+/// and that window without its oldest bucket, settled for the next
+/// slide by the hand-off after the advance.
+struct Roster {
+    /// The window width, in buckets.
+    width: i64,
+    /// The window the last advance asked for (`None` before the first
+    /// advance that asked for the width).
+    asked: Option<Carried>,
+    /// `asked` without its oldest bucket, once the hand-off after the
+    /// advance has settled it; an advance consumes it.
+    settled: Option<Carried>,
+}
+
+impl Roster {
+    /// What to carry to `window`: a block of that very window if the
+    /// roster has one (nothing changes), else the settled block, else
+    /// the asked one.
+    fn base(&self, window: (i64, i64)) -> Option<&Carried> {
+        let blocks = [&self.asked, &self.settled];
+        let exact = blocks.into_iter().flatten().find(|c| c.window == window);
+        exact.or(self.settled.as_ref()).or(self.asked.as_ref())
     }
-    if let Some(replaced) = spans.insert(key, entry) {
-        work.unused += usize::from(replaced.ahead);
+
+    /// Entries evaluated ahead that no advance has asked for yet.
+    fn unasked(&self) -> usize {
+        let blocks = [&self.asked, &self.settled].into_iter().flatten();
+        blocks.map(|c| c.ahead.len()).sum()
+    }
+
+    /// Its blocks.
+    fn blocks(&self) -> impl Iterator<Item = &WindowEval> {
+        let blocks = [&self.asked, &self.settled].into_iter().flatten();
+        blocks.map(|c| &*c.block)
+    }
+}
+
+/// The objects whose span differs between the window `from` and the
+/// window `[start, end]`: those with records in a bucket of one of them
+/// but not of the other — every object of `[start, end]` when `from` is
+/// `None`. Ascending, each once.
+fn changed_objects(
+    buckets: &BTreeMap<i64, Vec<ObjectId>>,
+    from: Option<(i64, i64)>,
+    (start, end): (i64, i64),
+) -> Vec<ObjectId> {
+    let pieces = match from {
+        None => vec![(start, end)],
+        Some((first, last)) => vec![
+            (start, end.min(first.saturating_sub(1))),
+            (start.max(last.saturating_add(1)), end),
+            (first, last.min(start.saturating_sub(1))),
+            (first.max(end.saturating_add(1)), last),
+        ],
+    };
+    let mut oids = Vec::new();
+    for (lo, hi) in pieces {
+        if lo <= hi {
+            for objects in buckets.range(lo..=hi).map(|(_, objects)| objects) {
+                oids.extend_from_slice(objects);
+            }
+        }
+    }
+    oids.sort_unstable();
+    oids.dedup();
+    oids
+}
+
+/// Where a changed object's new entry comes from.
+enum Source<'r> {
+    /// Entry `.1` of a roster's block.
+    Shared(&'r WindowEval, usize),
+    /// A contribution (`None`: PSL-pruned), and whether this assembly
+    /// evaluated it.
+    Owned(Option<ObjectContribution>, bool),
+}
+
+/// What carrying a block to a new window reads and counts: the shard's
+/// state, borrowed apart from its rosters.
+struct Assembly<'w> {
+    space: &'w IndoorSpace,
+    union: &'w QuerySet,
+    cfg: &'w FlowConfig,
+    log: &'w Iupt,
+    objects: &'w HashMap<ObjectId, ObjectLog>,
+    buckets: &'w BTreeMap<i64, Vec<ObjectId>>,
+    finished: &'w mut BTreeMap<SpanKey, Option<ObjectContribution>>,
+    work: &'w mut SpanWork,
+    scratch: &'w mut FinishScratch,
+    /// Whether an advance is asking, rather than the shard working ahead
+    /// of one.
+    advance: bool,
+}
+
+impl Assembly<'_> {
+    /// Carries `base` (no block: an empty one describing no window) to
+    /// the window `[start, end]`: every changed object's new entry (see
+    /// [`changed_objects`]) is found or evaluated, in ascending id
+    /// order, and merged with the unchanged entries in one pass; with
+    /// nothing changed the block is `base`'s own. `rosters` are the
+    /// shard's, searched for shared entries. Returns the carried block
+    /// and how many of its entries no evaluation paid for.
+    fn carry(
+        &mut self,
+        rosters: &[Roster],
+        base: Option<&Carried>,
+        (start, end): (i64, i64),
+    ) -> Result<(Carried, usize), FlowError> {
+        let changed = changed_objects(self.buckets, base.map(|c| c.window), (start, end));
+        let empty = WindowEval::default();
+        let carried = base.map_or(&empty, |c| &*c.block);
+        let carried_ahead = base.map_or(&[][..], |c| &c.ahead);
+        // Entries evaluated ahead stay unasked until an advance takes
+        // the block.
+        let mut ahead = if self.advance {
+            Vec::new()
+        } else {
+            let kept = carried_ahead.iter();
+            kept.filter(|oid| changed.binary_search(oid).is_err())
+                .copied()
+                .collect()
+        };
+        if changed.is_empty() {
+            let block = base.map_or_else(Arc::default, |c| Arc::clone(&c.block));
+            let hits = block.len();
+            let window = (start, end);
+            return Ok((
+                Carried {
+                    window,
+                    block,
+                    ahead,
+                },
+                hits,
+            ));
+        }
+        let mut block = WindowEval::with_capacity(
+            carried.len() + changed.len(),
+            carried.locs.len() + 8 * changed.len(),
+        );
+        let mut evaluated = 0;
+        let mut next = 0;
+        for &oid in &changed {
+            let below = carried.oids.get(next..).unwrap_or_default();
+            let upto = next + below.partition_point(|&o| o < oid);
+            block.extend_from(carried, next..upto);
+            next = upto;
+            if carried.oids.get(next) == Some(&oid) {
+                next += 1;
+                // Evaluated ahead, then replaced or dropped unasked.
+                self.work.unused += usize::from(carried_ahead.binary_search(&oid).is_ok());
+            }
+            let object = self.objects.get(&oid);
+            let Some(span) = object.and_then(|o| o.span_in(start, end)) else {
+                continue;
+            };
+            match self.source(rosters, oid, span)? {
+                Source::Shared(from, i) => block.extend_from(from, i..i + 1),
+                Source::Owned(contribution, fresh) => {
+                    block.push(oid, span, contribution.as_ref());
+                    evaluated += usize::from(fresh);
+                    if fresh && !self.advance {
+                        ahead.push(oid);
+                    }
+                }
+            }
+        }
+        block.extend_from(carried, next..carried.len());
+        ahead.sort_unstable();
+        let hits = block.len() - evaluated;
+        let window = (start, end);
+        let block = Arc::new(block);
+        Ok((
+            Carried {
+                window,
+                block,
+                ahead,
+            },
+            hits,
+        ))
+    }
+
+    /// The entry of `oid` over `span`: shared with a roster's block,
+    /// taken from the folds finished ahead, or evaluated — by finishing
+    /// its live fold over the span or by folding the span's records from
+    /// the log. A kernel error evaluates nothing.
+    fn source<'r>(
+        &mut self,
+        rosters: &'r [Roster],
+        oid: ObjectId,
+        span: (i64, i64),
+    ) -> Result<Source<'r>, FlowError> {
+        for block in rosters.iter().flat_map(Roster::blocks) {
+            if let Some(i) = block.find(oid, span) {
+                return Ok(Source::Shared(block, i));
+            }
+        }
+        let key = (oid, span.0, span.1);
+        if let Some(contribution) = self.finished.remove(&key) {
+            return Ok(Source::Owned(contribution, false));
+        }
+        let object = self.objects.get(&oid);
+        let contribution = match object.and_then(|o| o.fold(span.0, span.1)) {
+            Some(fold) => {
+                let contribution = fold.finish_with(self.space, self.scratch)?;
+                self.work.finished += 1;
+                contribution
+            }
+            None => {
+                let records = object.map_or(&[][..], |o| o.span(span.0, span.1));
+                let sets = records.iter().map(|&i| self.log.samples_at(i));
+                let contribution =
+                    object_flow_contributions(self.space, sets, self.union, self.cfg)?;
+                self.work.in_advance += usize::from(self.advance);
+                contribution
+            }
+        };
+        self.work.evaluated(key, contribution.as_ref());
+        Ok(Source::Owned(contribution, true))
     }
 }
 
@@ -400,39 +759,24 @@ pub(crate) struct ShardWorker {
     /// The objects with records in each bucket, in the order of their
     /// first record there.
     buckets: BTreeMap<i64, Vec<ObjectId>>,
-    /// The shard's one contribution cache.
+    /// One roster per window width the last advance asked for (and,
+    /// until the hand-off after an advance drops them, per width the one
+    /// before asked for), in no particular order.
     ///
-    /// **Key and `n` ⇒ content, while the union is unchanged.** The log
-    /// is append-only and a shard's records arrive in time order, so the
-    /// records of `(object, first, last)` covering `n` records of `last`
-    /// — the object's records in every bucket of `first..last` and its
-    /// first `n` in `last` — never change, and the contribution is a pure
-    /// function of those records and the union. A lookup therefore hits
-    /// only when `n` still equals the object's count in `last`. Once an
-    /// advance has reached `last` nothing can land there, and every entry
-    /// that survives that advance's sweep was evaluated or checked
-    /// against the final count — so only entries whose `last` lay beyond
-    /// the previous advance need the check. A union that grows clears
-    /// the map ([`ShardWorker::retarget`]); one that shrinks leaves
-    /// valid supersets.
-    ///
-    /// **An untouched closed key is dead.** Every window ends at the
-    /// newest closed bucket and window starts only move forward, so a
-    /// window object's key changes exactly when the newest bucket gives
-    /// it a record (`last` moves) or a window start passes its first
-    /// bucket (`first` moves), and neither ever moves back. A key with
-    /// `last` at or before the advance's end bucket that the advance did
-    /// not ask for can therefore only be asked for again by a wider
-    /// query registered later, which simply evaluates it again — a miss
-    /// costs time, never correctness — so every advance stamps the span
-    /// of each window object it sees and drops every entry whose
-    /// [`SpanEntry::asked`] is older than itself, except folds finished
-    /// ahead whose `last` lies beyond its end bucket. The map stays
-    /// bounded by window objects × distinct widths, plus what
-    /// [`ShardWorker::evaluate_ahead`] stamped for the next advance, plus
-    /// the folds finished ahead.
-    spans: BTreeMap<SpanKey, SpanEntry>,
-    /// Counts advances; what [`SpanEntry::asked`] is measured in.
+    /// **A block is exact for its window.** Every entry is the object's
+    /// span in the block's window and the contribution of that span,
+    /// whose records are final (see the module docs); so an entry can be
+    /// shared with any block that needs the same span, and a block can
+    /// be carried from its window to any other. A union that grows
+    /// empties the rosters ([`ShardWorker::retarget`]); one that shrinks
+    /// leaves valid supersets.
+    rosters: Vec<Roster>,
+    /// Folds finished ahead, by span, when their object moved on to a
+    /// later bucket before the advance that closes theirs: taken by the
+    /// advance that asks for the span, and dropped by the hand-off after
+    /// the advance that closes it otherwise.
+    finished: BTreeMap<SpanKey, Option<ObjectContribution>>,
+    /// Counts advances; what the live folds' line-up is measured in.
     generation: u64,
     /// The last advance's end bucket (`i64::MIN` before the first) and
     /// the distinct window widths, in buckets, ascending, of the last
@@ -440,6 +784,11 @@ pub(crate) struct ShardWorker {
     /// first buckets follow from. With no width there is nothing to fold
     /// for.
     plan: (i64, Vec<i64>),
+    /// The newest bucket whose objects' live folds the hand-off after an
+    /// advance has dropped (`i64::MIN` before the first).
+    swept: i64,
+    /// Buffers for finishing folds.
+    scratch: FinishScratch,
     /// Span evaluations no report has carried yet. A reply drains it;
     /// what is evaluated ahead waits here for the next report — so every
     /// span evaluated is reported exactly once, with the advance it was
@@ -463,9 +812,12 @@ impl ShardWorker {
             iupt: Iupt::new(),
             objects: HashMap::new(),
             buckets: BTreeMap::new(),
-            spans: BTreeMap::new(),
+            rosters: Vec::new(),
+            finished: BTreeMap::new(),
             generation: 0,
             plan: (i64::MIN, Vec::new()),
+            swept: i64::MIN,
+            scratch: FinishScratch::default(),
             unreported: SpanWork::default(),
         }
     }
@@ -521,8 +873,9 @@ impl ShardWorker {
             // Records in buckets the last advance reached are late, and
             // the engine rejects them.
             if let Some(inputs) = inputs.as_ref().filter(|i| bucket >= *i.open.start()) {
-                let work = &mut self.unreported;
-                inputs.fold_record(oid, object, (bucket, position), &mut self.spans, work);
+                let (finished, work) = (&mut self.finished, &mut self.unreported);
+                let fold = (bucket, position);
+                inputs.fold_record(oid, object, fold, finished, work, &mut self.scratch);
             }
         }
     }
@@ -541,15 +894,16 @@ impl ShardWorker {
     /// Retargets the shard at a new union of registered location sets
     /// and new registered window widths (in buckets, ascending), dropping
     /// every live fold: each was started against the old union and
-    /// widths. `reset` drops every span too (required when the union grew
-    /// — cached contributions would be missing the new locations); the
-    /// grouped records do not depend on the union and stay.
+    /// widths. `reset` empties the rosters and drops the folds finished
+    /// ahead too (required when the union grew — their contributions
+    /// would be missing the new locations); the grouped records do not
+    /// depend on the union and stay.
     pub(crate) fn retarget(&mut self, union: QuerySet, widths: Vec<i64>, reset: bool) {
         self.union = union;
         self.plan.1 = widths;
         // Objects with live folds have their latest record past the
-        // last advance.
-        for (_, oids) in self.buckets.range(self.plan.0 + 1..) {
+        // last hand-off's sweep.
+        for (_, oids) in self.buckets.range(self.swept.saturating_add(1)..) {
             for oid in oids {
                 if let Some(object) = self.objects.get_mut(oid) {
                     object.drop_folds();
@@ -557,75 +911,114 @@ impl ShardWorker {
             }
         }
         if reset {
-            let unused = self.spans.values().filter(|entry| entry.ahead).count();
-            self.unreported.unused += unused;
-            self.spans.clear();
+            let ahead: usize = self.rosters.iter().map(Roster::unasked).sum();
+            self.unreported.unused += ahead + self.finished.len();
+            self.rosters.clear();
+            self.finished.clear();
         }
     }
 
-    /// Assembles one contribution list per requested window, all ending
-    /// at bucket `window_end`, from the span cache and the live folds:
-    /// one lookup per window object, and one fold from the log per span
-    /// neither holds. `window_starts` ascend.
+    /// Where the roster of `width` is (a new, empty one if the shard
+    /// had none).
+    fn roster(&mut self, width: i64) -> usize {
+        let found = self.rosters.iter().position(|r| r.width == width);
+        found.unwrap_or_else(|| {
+            let roster = Roster {
+                width,
+                asked: None,
+                settled: None,
+            };
+            self.rosters.push(roster);
+            self.rosters.len() - 1
+        })
+    }
+
+    /// The shard's state as a roster assembly reads it, and its rosters.
+    fn assembly(&mut self, advance: bool) -> (Assembly<'_>, &[Roster]) {
+        let assembly = Assembly {
+            space: &self.space,
+            union: &self.union,
+            cfg: &self.cfg,
+            log: &self.iupt,
+            objects: &self.objects,
+            buckets: &self.buckets,
+            finished: &mut self.finished,
+            work: &mut self.unreported,
+            scratch: &mut self.scratch,
+            advance,
+        };
+        (assembly, &self.rosters)
+    }
+
+    /// Carries each requested window's roster to the window
+    /// `[start, window_end]` and replies with their blocks. After a
+    /// one-bucket slide that is the closing bucket's objects, each
+    /// finished from its live fold (or taken from the fold finished
+    /// ahead when it moved on), merged into the block settled by the
+    /// last [`ShardWorker::evaluate_ahead`]; an advance repeated at the
+    /// same instant changes nothing and replies with the same blocks.
+    /// `window_starts` ascend.
+    ///
+    /// Every call must be followed by [`ShardWorker::evaluate_ahead`]
+    /// with the same arguments before anything else reaches the shard.
     pub(crate) fn evaluate_multi(&mut self, window_end: i64, window_starts: &[i64]) -> EagerReport {
+        let timer = Timer::start();
         self.generation += 1;
-        let generation = self.generation;
         let store = self.store_stats();
+        let widths = window_starts.iter().rev().map(|&s| window_end - s + 1);
+        self.plan = (window_end, widths.collect());
         let mut windows = Vec::with_capacity(window_starts.len());
         let mut cache_hits = 0;
         let mut error = None;
-        let widths = window_starts.iter().rev().map(|&s| window_end - s + 1);
-        // Entries over buckets the previous advance reached cover their
-        // final count (see `spans`).
-        let (checked, _) = std::mem::replace(&mut self.plan, (window_end, widths.collect()));
-
-        'windows: for &window_start in window_starts {
-            let presence = self.window_presence(window_start, window_end);
-            let mut win = WindowEval {
-                contributions: Vec::with_capacity(presence.len()),
-                objects_total: presence.len(),
-            };
-            for (&oid, &(first, last)) in &presence {
-                let key = (oid, first, last);
-                let n = (last > checked)
-                    .then(|| self.objects.get(&oid).map_or(0, |o| o.span(first, last).1));
-                let contribution = match self.spans.get_mut(&key) {
-                    Some(entry) if n.is_none_or(|n| n == entry.n) => {
-                        entry.asked = generation;
-                        entry.ahead = false;
-                        cache_hits += 1;
-                        entry.contribution.clone()
-                    }
-                    _ => match self.evaluate_span(key, generation, false) {
-                        Ok(contribution) => contribution,
-                        Err(e) => {
-                            error = Some(e);
-                            windows.push(win);
-                            break 'windows;
-                        }
-                    },
-                };
-                // PSL-pruned over the span: contributes nothing.
-                if let Some(contribution) = contribution {
-                    win.contributions.push((oid, contribution));
+        for &start in window_starts {
+            let window = (start, window_end);
+            let i = self.roster(window_end - start + 1);
+            let (mut assembly, rosters) = self.assembly(true);
+            let base = rosters.get(i).and_then(|r| r.base(window));
+            let carried = assembly.carry(rosters, base, window);
+            let (asked, hits) = match carried {
+                Ok(carried) => carried,
+                Err(e) => {
+                    error = Some(e);
+                    break;
                 }
+            };
+            cache_hits += hits;
+            windows.push(Arc::clone(&asked.block));
+            if let Some(roster) = self.rosters.get_mut(i) {
+                // A settled block survives only an advance that asked for
+                // the window it was settled from again.
+                let settles = (start + 1, window_end);
+                roster.settled = roster.settled.take().filter(|s| s.window == settles);
+                roster.asked = Some(asked);
             }
-            // `presence` iterates in key order.
-            debug_assert!(win.contributions.is_sorted_by(|a, b| a.0 < b.0));
-            windows.push(win);
         }
-        // See the invariant on `spans`: what this advance did not ask
-        // for is dead, unless its last bucket is still open.
-        let mut unused = 0;
-        self.spans.retain(|&(_, _, last), entry| {
-            let live = entry.asked >= generation || last > window_end;
-            unused += usize::from(!live && entry.ahead);
-            live
-        });
-        self.unreported.unused += unused;
-        // The buckets this advance closed take their folds with them.
-        if window_end > checked {
-            for (_, oids) in self.buckets.range(checked + 1..=window_end) {
+        EagerReport {
+            windows,
+            cache_hits,
+            work: std::mem::take(&mut self.unreported),
+            store,
+            reply_ns: timer.elapsed_ns(),
+            error,
+        }
+    }
+
+    /// The hand-off after an advance to `window_end` over the windows
+    /// `window_starts`, run while the shard would otherwise wait: drops
+    /// the live folds of the buckets the advance closed, the folds
+    /// finished ahead over them that it did not take, and the rosters of
+    /// widths it did not ask for; then carries each of its windows'
+    /// blocks to the next window without its newest bucket —
+    /// `[start + 1, window_end]` — so the next one-bucket slide only has
+    /// its closing bucket to merge in.
+    ///
+    /// Changes no result: a block is exact for whatever window it is
+    /// carried to, and a kernel error here settles nothing — the advance
+    /// that needs the span meets the same error itself.
+    pub(crate) fn evaluate_ahead(&mut self, window_end: i64, window_starts: &[i64]) {
+        if self.swept < window_end {
+            let closed = self.swept.saturating_add(1)..=window_end;
+            for (_, oids) in self.buckets.range(closed) {
                 for oid in oids {
                     let Some(object) = self.objects.get_mut(oid) else {
                         continue;
@@ -635,120 +1028,30 @@ impl ShardWorker {
                     }
                 }
             }
+            self.swept = window_end;
         }
-        EagerReport {
-            windows,
-            cache_hits,
-            work: std::mem::take(&mut self.unreported),
-            store,
-            error,
-        }
-    }
-
-    /// Evaluates one span exactly against the whole union over every
-    /// record the log holds for it, and caches it stamped `asked` —
-    /// replacing any entry with the same key. A live fold over the span
-    /// is finished; otherwise the span's records are folded from the log.
-    /// `ahead` marks an evaluation no advance has asked for. A kernel
-    /// error caches nothing.
-    fn evaluate_span(
-        &mut self,
-        key: SpanKey,
-        asked: u64,
-        ahead: bool,
-    ) -> Result<Option<Arc<ObjectContribution>>, FlowError> {
-        let (oid, first, last) = key;
-        let object = self.objects.get(&oid);
-        let (records, n) = object.map_or((&[][..], 0), |object| object.span(first, last));
-        // A live fold over `last` holds every record the object has
-        // there, so it covers `n` of them.
-        let (contribution, finished) = match object.and_then(|o| o.fold(first, last)) {
-            Some(fold) => (fold.finish(&self.space)?, true),
-            None => {
-                let sets = records.iter().map(|&i| self.iupt.samples_at(i));
-                let contribution =
-                    object_flow_contributions(&self.space, sets, &self.union, &self.cfg)?;
-                (contribution, false)
-            }
-        };
-        let work = &mut self.unreported;
-        work.finished += usize::from(finished);
-        work.in_advance += usize::from(!finished && !ahead);
-        let contribution = contribution.map(Arc::new);
-        let entry = SpanEntry {
-            contribution: contribution.clone(),
-            n,
-            asked,
-            ahead,
-        };
-        cache_span(&mut self.spans, &mut self.unreported, key, entry);
-        Ok(contribution)
-    }
-
-    /// The spans the next one-bucket slide will truncate, evaluated
-    /// while the shard is idle: an object in a requested window's oldest
-    /// bucket loses that bucket next time, and what is left of it — from
-    /// the next bucket that holds it to its last — is complete history.
-    /// Called with the plan of the advance that just ended; stamped for
-    /// the next one, so the entries outlive that advance's sweep even if
-    /// it turns out not to slide (a re-advance at the same instant).
-    ///
-    /// Changes no result: an object that reports again in the next
-    /// bucket has a new `last` and simply misses, and a kernel error
-    /// caches nothing — the advance that needs the span meets the same
-    /// error itself.
-    pub(crate) fn evaluate_ahead(&mut self, window_end: i64, window_starts: &[i64]) {
-        let asked = self.generation + 1;
-        for &window_start in window_starts {
-            // A one-bucket window keeps nothing of itself.
-            if window_start >= window_end {
-                continue;
-            }
-            let Some(oldest) = self.buckets.get(&window_start) else {
-                continue;
-            };
-            let truncated: Vec<SpanKey> = oldest
-                .iter()
-                .filter_map(|oid| {
-                    let object = self.objects.get(oid)?;
-                    let (first, last) = object.span_in(window_start + 1, window_end)?;
-                    Some((*oid, first, last))
-                })
-                .collect();
-            for key in truncated {
-                match self.spans.get_mut(&key) {
-                    Some(entry) => entry.asked = asked,
-                    None => {
-                        let _ = self.evaluate_span(key, asked, true);
-                    }
-                }
+        let mut unused = 0;
+        self.finished.retain(|&(_, _, last), _| {
+            unused += usize::from(last <= window_end);
+            last > window_end
+        });
+        let widths: Vec<i64> = window_starts.iter().map(|&s| window_end - s + 1).collect();
+        self.rosters.retain(|roster| {
+            let asked = widths.contains(&roster.width);
+            unused += if asked { 0 } else { roster.unasked() };
+            asked
+        });
+        self.unreported.unused += unused;
+        for &start in window_starts {
+            let window = (start + 1, window_end);
+            let i = self.roster(window_end - start + 1);
+            let (mut assembly, rosters) = self.assembly(false);
+            let base = rosters.get(i).and_then(|r| r.base(window));
+            let settled = assembly.carry(rosters, base, window);
+            if let Some(roster) = self.rosters.get_mut(i) {
+                roster.settled = settled.ok().map(|(settled, _)| settled);
             }
         }
-    }
-
-    /// Which buckets of the window does each object appear in? Its
-    /// span: the first and the last that hold a record of it (most
-    /// objects appear in exactly one, so nothing per bucket is kept).
-    ///
-    /// Ordered map on purpose: callers iterate this to build shard
-    /// replies, and with a `HashMap` the *first* evaluation error (and
-    /// every per-object side effect) would depend on hash order — the
-    /// exact nondeterminism `popflow-anlz` exists to reject.
-    fn window_presence(
-        &self,
-        window_start: i64,
-        window_end: i64,
-    ) -> BTreeMap<ObjectId, (i64, i64)> {
-        let mut presence: BTreeMap<ObjectId, (i64, i64)> = BTreeMap::new();
-        for (&b, objects) in self.buckets.range(window_start..=window_end) {
-            for &oid in objects {
-                presence
-                    .entry(oid)
-                    .and_modify(|span| span.1 = b)
-                    .or_insert((b, b));
-            }
-        }
-        presence
     }
 }
 
@@ -764,35 +1067,35 @@ impl ShardWorker {
     }
 
     /// The slow obvious eager evaluation, kept as the oracle for
-    /// [`ShardWorker::evaluate_multi`]: every requested window's
-    /// contribution list recomputed from the log — each window object's
-    /// records read straight out of the window's time range and handed
-    /// to the batch kernel. No buckets, no span cache, nothing carried
-    /// from one advance to the next.
+    /// [`ShardWorker::evaluate_multi`]: every requested window's block
+    /// recomputed from the log — each window object's records read
+    /// straight out of the window's time range and handed to the batch
+    /// kernel. No buckets, no rosters, nothing carried from one advance
+    /// to the next.
     fn reference_evaluate_multi(
         &mut self,
         window_end: i64,
         window_starts: &[i64],
     ) -> Vec<WindowEval> {
         let end = self.bucket_interval(window_end).end;
+        let bucket_millis = self.bucket_millis;
         window_starts
             .iter()
             .map(|&window_start| {
                 let interval =
                     indoor_iupt::TimeInterval::new(self.bucket_interval(window_start).start, end);
                 let sequences = self.iupt.sequences_in(interval);
-                let mut win = WindowEval {
-                    contributions: Vec::new(),
-                    objects_total: sequences.len(),
-                };
+                let mut win = WindowEval::default();
                 for seq in &sequences {
                     let sets = seq.records.iter().map(|r| r.samples);
                     let contribution =
                         object_flow_contributions(&self.space, sets, &self.union, &self.cfg)
                             .expect("reference kernel");
-                    if let Some(contribution) = contribution {
-                        win.contributions.push((seq.oid, Arc::new(contribution)));
-                    }
+                    let bucket = |r: Option<&indoor_iupt::RecordRef<'_>>| {
+                        r.map_or(0, |r| r.t.millis().div_euclid(bucket_millis))
+                    };
+                    let span = (bucket(seq.records.first()), bucket(seq.records.last()));
+                    win.push(seq.oid, span, contribution.as_ref());
                 }
                 win
             })
@@ -804,8 +1107,8 @@ impl ShardWorker {
 mod tests {
     use std::collections::BTreeSet;
 
-    use indoor_iupt::fixtures::paper_table2;
-    use indoor_iupt::{TimeInterval, Timestamp};
+    use indoor_iupt::fixtures::{paper_table2, O1, O2, O3};
+    use indoor_iupt::Timestamp;
     use indoor_model::fixtures::paper_figure1;
     use indoor_model::SLocId;
     use indoor_sim::StreamScenario;
@@ -832,9 +1135,9 @@ mod tests {
     }
 
     /// One contribution in comparable form, restricted to `union`: a
-    /// contribution cached before the union shrank is a superset, sliced
-    /// at merge time, and one that slices to nothing is an object the
-    /// smaller union prunes.
+    /// contribution evaluated before the union shrank is a superset,
+    /// sliced at merge time, and one that slices to nothing is an object
+    /// the smaller union prunes.
     type Bits = (Vec<SLocId>, Vec<u64>, bool);
 
     fn bits(contribution: Option<&ObjectContribution>, union: &QuerySet) -> Option<Bits> {
@@ -843,68 +1146,69 @@ mod tests {
         (!c.relevant.is_empty()).then_some((c.relevant, scores, c.dp_fallback))
     }
 
+    impl WindowEval {
+        /// Entry `i`'s contribution (`None`: PSL-pruned).
+        fn contribution(&self, i: usize) -> Option<ObjectContribution> {
+            let kind = *self.kinds.get(i)?;
+            let (locs, scores) = self.cells(i);
+            (kind != Kind::Pruned).then(|| ObjectContribution {
+                relevant: locs.to_vec(),
+                scores: scores.to_vec(),
+                dp_fallback: kind == Kind::Fallback,
+            })
+        }
+
+        /// Every entry's span key.
+        fn keys(&self) -> BTreeSet<SpanKey> {
+            let spans = self.oids.iter().zip(&self.spans);
+            spans
+                .map(|(&oid, &(first, last))| (oid, first, last))
+                .collect()
+        }
+    }
+
     fn rows(win: &WindowEval, union: &QuerySet) -> Vec<(ObjectId, Bits)> {
-        win.contributions
-            .iter()
-            .filter_map(|(oid, c)| Some((*oid, bits(Some(c), union)?)))
+        (0..win.len())
+            .filter_map(|i| Some((win.oids[i], bits(win.contribution(i).as_ref(), union)?)))
             .collect()
     }
 
-    /// The buckets each object of the window `start..=end` reports in,
-    /// recounted from the log's timestamps.
-    fn reported(worker: &mut ShardWorker, start: i64, end: i64) -> Vec<(ObjectId, BTreeSet<i64>)> {
-        let interval = TimeInterval::new(
-            worker.bucket_interval(start).start,
-            worker.bucket_interval(end).end,
-        );
-        let sequences = worker.iupt.sequences_in(interval);
-        sequences
-            .iter()
-            .map(|seq| {
-                let buckets = seq.records.iter().map(|r| r.t.millis().div_euclid(BUCKET));
-                (seq.oid, buckets.collect())
+    /// A block's window and spans.
+    type Keys = ((i64, i64), BTreeSet<SpanKey>);
+
+    /// One roster's blocks: the window asked for, and the settled one.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Blocks {
+        asked: Option<Keys>,
+        settled: Option<Keys>,
+    }
+
+    impl Blocks {
+        fn holds(&self, key: &SpanKey) -> bool {
+            let blocks = [&self.asked, &self.settled].into_iter().flatten();
+            blocks.into_iter().any(|(_, keys)| keys.contains(key))
+        }
+    }
+
+    /// Per width, the roster's blocks.
+    type RosterKeys = BTreeMap<i64, Blocks>;
+
+    fn roster_keys(worker: &ShardWorker) -> RosterKeys {
+        let keys = |c: &Option<Carried>| c.as_ref().map(|c| (c.window, c.block.keys()));
+        let rosters = worker.rosters.iter();
+        rosters
+            .map(|r| {
+                let blocks = Blocks {
+                    asked: keys(&r.asked),
+                    settled: keys(&r.settled),
+                };
+                (r.width, blocks)
             })
             .collect()
     }
 
-    /// The span of an object reporting in `buckets`, from bucket `from`
-    /// on.
-    fn span_from(oid: ObjectId, buckets: &BTreeSet<i64>, from: i64) -> Option<SpanKey> {
-        let mut inside = buckets.range(from..);
-        let first = *inside.next()?;
-        Some((oid, first, *inside.next_back().unwrap_or(&first)))
-    }
-
-    /// Each window object's span.
-    fn spans_asked(worker: &mut ShardWorker, end: i64, starts: &[i64]) -> BTreeSet<SpanKey> {
-        let mut keys = BTreeSet::new();
-        for &start in starts {
-            for (oid, buckets) in reported(worker, start, end) {
-                keys.extend(span_from(oid, &buckets, start));
-            }
-        }
-        keys
-    }
-
-    /// What a one-bucket slide leaves of each object in a window's
-    /// oldest bucket.
-    fn spans_ahead(worker: &mut ShardWorker, end: i64, starts: &[i64]) -> BTreeSet<SpanKey> {
-        let mut keys = BTreeSet::new();
-        for &start in starts {
-            for (oid, buckets) in reported(worker, start, end) {
-                if buckets.contains(&start) {
-                    keys.extend(span_from(oid, &buckets, start + 1));
-                }
-            }
-        }
-        keys
-    }
-
-    fn held(worker: &ShardWorker) -> BTreeSet<SpanKey> {
-        worker.spans.keys().copied().collect()
-    }
-
-    /// The oracle's side of a schedule: what the span map must hold, which
+    /// The oracle's side of a schedule: which spans each roster must
+    /// hold, which folds finished ahead must wait for an advance, which
     /// live folds each object must have and what each must contain,
     /// worked out from the records ingested so far — the shard's log —
     /// and the advances made.
@@ -922,16 +1226,13 @@ mod tests {
         /// Per object, its live folds: the bucket they end in, the
         /// generation they were lined up in, and their first buckets.
         folds: BTreeMap<ObjectId, (i64, u64, Vec<i64>)>,
-        /// The keys the last advance kept, plus what was stamped ahead
-        /// for the next one.
-        closed: BTreeSet<SpanKey>,
-        /// Stamped ahead of the next advance.
-        ahead: BTreeSet<SpanKey>,
-        /// Folds finished ahead: their last bucket is still open.
+        /// The rosters.
+        rosters: RosterKeys,
+        /// Folds finished ahead that no advance has taken.
         live: BTreeSet<SpanKey>,
         /// Folds finished since the last report.
         finished: usize,
-        /// Live folds and open-bucket entries already checked against
+        /// Live folds and folds finished ahead already checked against
         /// the kernel, with the record count they covered.
         checked: BTreeSet<(SpanKey, usize)>,
     }
@@ -954,6 +1255,23 @@ mod tests {
         fn count_in(&self, oid: ObjectId, b: i64) -> usize {
             let records = self.records.get(&oid).into_iter().flatten();
             records.filter(|r| bucket_of(r) == b).count()
+        }
+
+        /// The span of `oid` in the window `start..=end`, if it has one.
+        fn span(&self, oid: ObjectId, start: i64, end: i64) -> Option<SpanKey> {
+            if start > end {
+                return None;
+            }
+            let buckets = self.buckets(oid);
+            let mut inside = buckets.range(start..=end);
+            let first = *inside.next()?;
+            Some((oid, first, *inside.next_back().unwrap_or(&first)))
+        }
+
+        /// Every window object's span.
+        fn window(&self, start: i64, end: i64) -> BTreeSet<SpanKey> {
+            let oids = self.records.keys();
+            oids.filter_map(|&oid| self.span(oid, start, end)).collect()
         }
 
         /// Takes in an ingested run, record by record: a record past the
@@ -984,10 +1302,9 @@ mod tests {
                     self.folds.remove(&r.oid);
                     continue;
                 }
-                let buckets = self.buckets(r.oid);
                 let mut firsts: Vec<i64> = widths
                     .iter()
-                    .filter_map(|w| Some(span_from(r.oid, &buckets, b - w + 1)?.1))
+                    .filter_map(|w| Some(self.span(r.oid, b - w + 1, b)?.1))
                     .collect();
                 firsts.dedup();
                 self.folds.insert(r.oid, (b, self.generation, firsts));
@@ -1019,14 +1336,6 @@ mod tests {
                 .expect("reference kernel")
         }
 
-        /// The entries over buckets the last advance reached, stamps
-        /// and counts included.
-        fn closed_entries(&self, worker: &ShardWorker) -> Vec<(SpanKey, u64, bool, usize)> {
-            let end = self.plan.0;
-            let closed = worker.spans.iter().filter(|(k, _)| k.2 <= end);
-            closed.map(|(&k, e)| (k, e.asked, e.ahead, e.n)).collect()
-        }
-
         /// The live folds the model expects.
         fn fold_keys(&self) -> BTreeSet<SpanKey> {
             let folds = self.folds.iter();
@@ -1035,35 +1344,28 @@ mod tests {
                 .collect()
         }
 
-        /// After an ingest: the span map holds what the last advance
-        /// kept, untouched, and the folds finished ahead; the live folds
-        /// are the ones expected; and every open-bucket entry and every
-        /// live fold is exactly the kernel over the records it covers.
-        fn check_ingest(
-            &mut self,
-            worker: &ShardWorker,
-            untouched: Vec<(SpanKey, u64, bool, usize)>,
-            seed: u64,
-        ) {
-            let expected: BTreeSet<SpanKey> = self.closed.union(&self.live).copied().collect();
-            assert_eq!(held(worker), expected, "seed {seed}: span map after ingest");
+        /// After an ingest: the rosters are what the last hand-off left,
+        /// the folds finished ahead and the live folds are the ones
+        /// expected, and every one of those folds is exactly the kernel
+        /// over the records it covers.
+        fn check_ingest(&mut self, worker: &ShardWorker, seed: u64) {
             assert_eq!(
-                self.closed_entries(worker),
-                untouched,
-                "seed {seed}: an ingest touched a span over closed buckets"
+                roster_keys(worker),
+                self.rosters,
+                "seed {seed}: an ingest changed a roster"
             );
-            let end = self.plan.0;
-            for (&key, entry) in &worker.spans {
-                if key.2 <= end || !self.checked.insert((key, entry.n)) {
+            let finished: BTreeSet<SpanKey> = worker.finished.keys().copied().collect();
+            assert_eq!(finished, self.live, "seed {seed}: folds finished ahead");
+            for (&key, contribution) in &worker.finished {
+                let n = self.count_in(key.0, key.2);
+                if !self.checked.insert((key, n)) {
                     continue;
                 }
-                assert_eq!(entry.n, self.count_in(key.0, key.2), "seed {seed}: {key:?}");
-                let want = self.reference(worker, key, entry.n);
+                let want = self.reference(worker, key, n);
                 assert_eq!(
-                    bits(entry.contribution.as_deref(), &worker.union),
+                    bits(contribution.as_ref(), &worker.union),
                     bits(want.as_ref(), &worker.union),
-                    "seed {seed}: fold {key:?} finished ahead over {} records of its last bucket",
-                    entry.n
+                    "seed {seed}: fold {key:?} finished ahead over {n} records of its last bucket"
                 );
             }
             let mut folds = BTreeSet::new();
@@ -1091,42 +1393,84 @@ mod tests {
             assert_eq!(folds, self.fold_keys(), "seed {seed}: live folds");
         }
 
-        /// Takes in an advance that asked for `asked`, `before` being the
-        /// span map's counts beforehand; returns how many of the asked
-        /// spans live folds answered and how many the advance had to fold
-        /// from the log.
+        /// Takes in an advance to `end` over the windows `starts`: each
+        /// window is carried from its roster's block of the same window,
+        /// else from the settled one, else from the asked one, and takes
+        /// the spans that block did not hold from any roster's block,
+        /// from the folds finished ahead, from a live fold or from the
+        /// log, in that order. Returns how many spans live folds answered
+        /// and how many the advance had to fold from the log.
         fn advanced(
             &mut self,
             worker: &ShardWorker,
             (end, starts): (i64, &[i64]),
-            asked: &BTreeSet<SpanKey>,
-            before: &BTreeMap<SpanKey, usize>,
+            seed: u64,
         ) -> (usize, usize) {
             let fold_keys = self.fold_keys();
-            let missed = asked
-                .iter()
-                .filter(|k| before.get(k) != Some(&self.count_in(k.0, k.2)));
-            let (finished, from_log): (Vec<&SpanKey>, _) =
-                missed.partition(|k| fold_keys.contains(k));
             self.generation += 1;
             self.plan = (end, starts.iter().rev().map(|s| end - s + 1).collect());
-            self.live.retain(|k| k.2 > end);
+            let (mut finished, mut from_log) = (0, 0);
+            for &start in starts {
+                let width = end - start + 1;
+                let window = (start, end);
+                let roster = self.rosters.get(&width).cloned().unwrap_or_default();
+                let blocks = [&roster.asked, &roster.settled].into_iter().flatten();
+                let base = blocks.into_iter().find(|(w, _)| *w == window);
+                let base = base.or(roster.settled.as_ref()).or(roster.asked.as_ref());
+                let carried = base.map(|(_, keys)| keys.clone()).unwrap_or_default();
+                let keys = self.window(start, end);
+                for key in keys.difference(&carried) {
+                    let shared = self.rosters.values().any(|r| r.holds(key));
+                    if shared || self.live.remove(key) {
+                        continue;
+                    }
+                    if fold_keys.contains(key) {
+                        finished += 1;
+                    } else {
+                        from_log += 1;
+                    }
+                }
+                let settles = (start + 1, end);
+                let settled = roster.settled.filter(|(w, _)| *w == settles);
+                let asked = Some((window, keys));
+                self.rosters.insert(width, Blocks { asked, settled });
+            }
+            assert_eq!(
+                roster_keys(worker),
+                self.rosters,
+                "seed {seed}: rosters after the advance to {end}"
+            );
+            (finished, from_log)
+        }
+
+        /// Takes in the hand-off after an advance: the closed buckets'
+        /// folds go, and so do the rosters of widths it did not ask for;
+        /// every other roster is settled for the next window.
+        fn handed_off(&mut self, worker: &ShardWorker, (end, starts): (i64, &[i64]), seed: u64) {
             self.folds.retain(|_, (last, _, _)| *last > end);
-            self.closed = asked.clone();
-            self.closed.append(&mut self.ahead);
-            let expected: BTreeSet<SpanKey> = self.closed.union(&self.live).copied().collect();
-            assert_eq!(held(worker), expected, "span map after advance to {end}");
-            (finished.len(), from_log.len())
+            self.live.retain(|key| key.2 > end);
+            let widths: Vec<i64> = starts.iter().map(|s| end - s + 1).collect();
+            self.rosters.retain(|width, _| widths.contains(width));
+            for &start in starts {
+                let settled = ((start + 1, end), self.window(start + 1, end));
+                if let Some(roster) = self.rosters.get_mut(&(end - start + 1)) {
+                    roster.settled = Some(settled);
+                }
+            }
+            assert_eq!(
+                roster_keys(worker),
+                self.rosters,
+                "seed {seed}: rosters settled after {end}"
+            );
         }
 
         /// A retarget: every fold is gone, and after a cache reset every
-        /// span too.
+        /// roster and every fold finished ahead too.
         fn retargeted(&mut self, widths: Vec<i64>, reset: bool) {
             self.plan.1 = widths;
             self.folds.clear();
             if reset {
-                self.closed.clear();
-                self.ahead.clear();
+                self.rosters.clear();
                 self.live.clear();
             }
         }
@@ -1140,11 +1484,10 @@ mod tests {
     /// ingesting past the advance's end bucket first. Every reply is
     /// checked against [`ShardWorker::reference_evaluate_multi`], every
     /// live fold and every fold finished ahead against the kernel after
-    /// each ingest, and the span map against the spans the schedule
-    /// asked for, stamped ahead and finished ahead. Advances are
-    /// followed, most of the time, by an ahead-of-time job. Returns how
-    /// many cache hits, DP fallbacks, cache resets, spans answered by a
-    /// live fold and unused spans it saw.
+    /// each ingest, and the rosters against the spans of the windows the
+    /// schedule asked for and settled. Returns how many cache hits, DP
+    /// fallbacks, cache resets, spans answered by a live fold and unused
+    /// spans it saw.
     fn drive(seed: u64) -> [usize; 5] {
         let mut rng = StdRng::seed_from_u64(seed);
         let scenario = StreamScenario {
@@ -1206,10 +1549,9 @@ mod tests {
                 } else {
                     rng.gen_range(1..=400usize).min(upto - next)
                 };
-                let untouched = model.closed_entries(&worker);
                 worker.ingest(records[next..next + run].to_vec());
                 model.ingested(&records[next..next + run]);
-                model.check_ingest(&worker, untouched, seed);
+                model.check_ingest(&worker, seed);
                 next += run;
             }
             if rng.gen_range(0..5) == 0 {
@@ -1232,14 +1574,10 @@ mod tests {
                 let reference = worker.reference_evaluate_multi(end, &starts);
                 let advance = (end, &starts[..], &reference[..]);
                 let (hits, finished, unused) =
-                    drive_advance(&mut worker, &mut rng, &union, advance, seed, &mut model);
+                    drive_advance(&mut worker, &union, advance, seed, &mut model);
                 seen[0] += hits;
                 seen[4] += unused;
-                seen[1] += reference
-                    .iter()
-                    .flat_map(|win| &win.contributions)
-                    .filter(|(_, c)| c.dp_fallback)
-                    .count();
+                seen[1] += reference.iter().map(|win| win.dp_fallback).sum::<usize>();
                 seen[3] += finished;
                 advances += 1;
             }
@@ -1258,28 +1596,22 @@ mod tests {
         widths
     }
 
-    /// One advance to `end` over the windows `starts` (whose
-    /// contributions are `reference`) and, three times in four, its
-    /// ahead-of-time job. Returns the advance's cache hits, how many
-    /// spans live folds answered, and the unused spans it reported.
+    /// One advance to `end` over the windows `starts` (whose blocks are
+    /// `reference`) and the hand-off after it. Returns the advance's
+    /// cache hits, how many spans live folds answered, and the unused
+    /// spans it reported.
     fn drive_advance(
         worker: &mut ShardWorker,
-        rng: &mut StdRng,
         union: &QuerySet,
         (end, starts, reference): (i64, &[i64], &[WindowEval]),
         seed: u64,
         model: &mut Model,
     ) -> (usize, usize, usize) {
-        let before: BTreeMap<SpanKey, usize> =
-            worker.spans.iter().map(|(&k, e)| (k, e.n)).collect();
         let report = worker.evaluate_multi(end, starts);
         assert!(report.error.is_none(), "seed {seed}: {:?}", report.error);
         assert_eq!(report.windows.len(), reference.len());
         for ((got, want), start) in report.windows.iter().zip(reference).zip(starts) {
-            assert_eq!(
-                got.objects_total, want.objects_total,
-                "seed {seed}: window {start}..={end}"
-            );
+            assert_eq!(got.oids, want.oids, "seed {seed}: window {start}..={end}");
             assert_eq!(
                 rows(got, union),
                 rows(want, union),
@@ -1287,11 +1619,10 @@ mod tests {
             );
         }
 
-        // The advance finished the live fold of every span it asked for
-        // that the cache did not hold with its current record count, and
-        // folded the rest from the log.
-        let asked = spans_asked(worker, end, starts);
-        let (finished, from_log) = model.advanced(worker, (end, starts), &asked, &before);
+        // The advance finished the live fold of every span its rosters
+        // did not hold and could not share, and folded the rest from the
+        // log.
+        let (finished, from_log) = model.advanced(worker, (end, starts), seed);
         assert_eq!(
             report.work.in_advance, from_log,
             "seed {seed}: advance to {end}"
@@ -1303,17 +1634,8 @@ mod tests {
             "seed {seed}: advance to {end}"
         );
 
-        if rng.gen_range(0..4) != 0 {
-            worker.evaluate_ahead(end, starts);
-            model.ahead = spans_ahead(worker, end, starts);
-            model.closed.extend(model.ahead.iter());
-            let expected: BTreeSet<SpanKey> = model.closed.union(&model.live).copied().collect();
-            assert_eq!(
-                held(worker),
-                expected,
-                "seed {seed}: span map ahead of {end}"
-            );
-        }
+        worker.evaluate_ahead(end, starts);
+        model.handed_off(worker, (end, starts), seed);
         (report.cache_hits, finished, report.work.unused)
     }
 
@@ -1330,6 +1652,86 @@ mod tests {
         assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 
+    /// A worker over Figure 1 with one query over its rooms, registered
+    /// `width` buckets wide.
+    fn figure1_worker(width: i64) -> (ShardWorker, QuerySet) {
+        let fig = paper_figure1();
+        let union = QuerySet::new(fig.r.to_vec());
+        let space = Arc::new(fig.space.clone());
+        let mut worker = ShardWorker::new(space, union.clone(), FlowConfig::default(), BUCKET);
+        worker.retarget(union.clone(), vec![width], false);
+        (worker, union)
+    }
+
+    /// Table 2's records of `oids`, moved into bucket `b`.
+    fn table2_in(b: i64, oids: &[ObjectId]) -> Vec<Record> {
+        let records = paper_table2().to_records().into_iter();
+        let mut records: Vec<Record> = records
+            .filter(|r| oids.contains(&r.oid))
+            .map(|r| Record {
+                t: Timestamp(r.t.millis() + b * BUCKET),
+                ..r
+            })
+            .collect();
+        records.sort_by_key(|r| r.t);
+        records
+    }
+
+    /// A slide that gives no object a record and takes none away
+    /// evaluates nothing: the settled roster is the reply.
+    #[test]
+    fn a_slide_nobody_reports_in_or_leaves_is_answered_from_the_roster() {
+        let (mut worker, union) = figure1_worker(3);
+        worker.ingest(table2_in(1, &[O1, O2, O3]));
+        worker.ingest(table2_in(2, &[O1]));
+        // Windows 0..=2, then 1..=3: bucket 0 and bucket 3 are empty.
+        worker.evaluate_multi(2, &[0]);
+        worker.evaluate_ahead(2, &[0]);
+        let reference = worker.reference_evaluate_multi(3, &[1]);
+        let report = worker.evaluate_multi(3, &[1]);
+        assert_eq!(
+            rows(&report.windows[0], &union),
+            rows(&reference[0], &union)
+        );
+        assert_eq!(report.windows[0].len(), 3);
+        let work = &report.work;
+        let counts = (work.fresh_presence, work.in_advance, work.finished);
+        assert_eq!(counts, (0, 0, 0));
+        assert_eq!(report.cache_hits, 3);
+    }
+
+    /// A slide that only moves the trailing edge evaluates nothing in
+    /// the advance: exactly the objects that lost the oldest bucket and
+    /// have records left were evaluated by the hand-off before it.
+    #[test]
+    fn a_slide_that_only_moves_the_trailing_edge_evaluates_what_was_worked_out_ahead() {
+        let (mut worker, union) = figure1_worker(2);
+        // Windows 0..=1, 1..=2, then 2..=3: bucket 3 is empty, O3
+        // leaves, and O1 and O2 lose bucket 1.
+        worker.ingest(table2_in(1, &[O1, O2, O3]));
+        worker.evaluate_multi(1, &[0]);
+        worker.evaluate_ahead(1, &[0]);
+        worker.ingest(table2_in(2, &[O1, O2]));
+        worker.evaluate_multi(2, &[1]);
+        worker.evaluate_ahead(2, &[1]);
+        let settled = worker.rosters[0].settled.as_ref().expect("settled");
+        assert_eq!(settled.ahead, vec![O1, O2]);
+        let reference = worker.reference_evaluate_multi(3, &[2]);
+        let report = worker.evaluate_multi(3, &[2]);
+        assert_eq!(
+            rows(&report.windows[0], &union),
+            rows(&reference[0], &union)
+        );
+        assert_eq!(report.windows[0].oids, vec![O1, O2]);
+        let work = &report.work;
+        assert_eq!((work.in_advance, work.finished, work.unused), (0, 0, 0));
+        // The two spans, both over bucket 2 alone, were paid ahead.
+        let computed = reference[0].len() - reference[0].pruned;
+        assert_eq!((work.fresh_presence, work.straddlers), (computed, 0));
+        assert!(computed > 0);
+        assert_eq!(report.cache_hits, 2);
+    }
+
     /// An object that pauses and then reports again in the same bucket
     /// costs the advance that closes the bucket nothing but one finish:
     /// its fold took every record as it landed, nothing is folded from
@@ -1337,20 +1739,12 @@ mod tests {
     /// reference. The same schedule without the return is no different.
     #[test]
     fn a_pause_then_a_report_in_the_same_bucket_costs_nothing() {
-        let fig = paper_figure1();
-        let table = paper_table2().to_records();
         let a = ObjectId(2);
         for times in [&[1_000, 2_000][..], &[1_000, 2_000, 30_000]] {
+            let table = paper_table2().to_records();
             let records = times.iter().zip(table.iter().filter(|r| r.oid == a));
-            let union = QuerySet::new(fig.r.to_vec());
-            let mut worker = ShardWorker::new(
-                Arc::new(fig.space.clone()),
-                union.clone(),
-                FlowConfig::default(),
-                BUCKET,
-            );
             // One registered query, one bucket wide.
-            worker.retarget(union.clone(), vec![1], false);
+            let (mut worker, union) = figure1_worker(1);
             for (&t, record) in records {
                 worker.ingest(vec![Record {
                     t: Timestamp(t),

@@ -18,10 +18,14 @@ pub struct ShardTrace {
     /// union locations of every span it evaluated, including the spans
     /// it evaluated ahead of time after the previous advance.
     pub presence_cells: u64,
-    /// Window objects this shard served from its span cache.
+    /// Window objects this shard served without evaluating anything.
     pub cache_hits: u64,
     /// Multi-bucket spans this shard evaluated.
     pub straddlers: u64,
+    /// The shard's own time answering the advance's request, in ns (the
+    /// slowest shard's is the advance's
+    /// [`PHASE_SHARD_REPLY_NS`](crate::metric_names::PHASE_SHARD_REPLY_NS)).
+    pub reply_ns: u64,
 }
 
 impl ShardTrace {
@@ -73,7 +77,7 @@ pub struct QueryTrace {
 ///
 /// let trace = engine.recent_traces().last().expect("one advance ran");
 /// assert!(trace.total_ns > 0);
-/// assert!(trace.phase_ns(metric_names::PHASE_EVAL_RPC_NS) > 0);
+/// assert!(trace.phase_ns(metric_names::PHASE_SHARD_REPLY_NS) > 0);
 /// // The phase breakdown accounts for the advance end to end.
 /// assert!(trace.phase_total_ns() <= trace.total_ns);
 /// for shard in &trace.shards {
