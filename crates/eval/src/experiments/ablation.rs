@@ -1,6 +1,6 @@
-//! Ablations beyond the paper (see DESIGN.md §4): the transition-DP
-//! presence engine versus the paper's path enumeration, and the
-//! full-product versus valid-path presence normalization.
+//! Ablations beyond the paper (see the README's experiment list): the
+//! transition-DP presence engine versus the paper's path enumeration,
+//! and the full-product versus valid-path presence normalization.
 
 use std::time::Instant;
 
@@ -67,7 +67,7 @@ pub fn ablation_dp(opts: &ExpOpts) -> Vec<Row> {
 }
 
 /// ablation-norm: ranking agreement between the two presence
-/// normalizations (DESIGN.md §2.2), each scored against ground truth.
+/// normalizations, each scored against ground truth.
 pub fn ablation_norm(opts: &ExpOpts) -> Vec<Row> {
     let mut lab = Lab::real_analog();
     let mut rows = Vec::new();

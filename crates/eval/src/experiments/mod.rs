@@ -1,14 +1,10 @@
 //! Experiment runners regenerating every table and figure of the paper's
 //! evaluation (§5). Each function returns [`Row`]s ready for rendering;
-//! the `experiments` binary dispatches on experiment ids (see DESIGN.md §4
-//! for the index).
+//! the `experiments` binary dispatches on experiment ids (the README's
+//! experiment list maps each id to its paper artifact).
 
 pub mod ablation;
-pub mod batch_scale;
 pub mod real;
-pub mod server_load;
-pub mod store_footprint;
-pub mod streaming;
 pub mod synthetic;
 
 use popflow_core::TkPlQuery;
@@ -32,9 +28,6 @@ pub struct ExpOpts {
     pub mc_rounds_synthetic: usize,
     /// Base seed for workload draws.
     pub seed: u64,
-    /// Concurrent registered queries for the streaming experiment's
-    /// multi-query sharing audit (1 = single-query comparison only).
-    pub queries: usize,
 }
 
 impl Default for ExpOpts {
@@ -45,7 +38,6 @@ impl Default for ExpOpts {
             mc_rounds_real: 200,
             mc_rounds_synthetic: 120,
             seed: 42,
-            queries: 1,
         }
     }
 }

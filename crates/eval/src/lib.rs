@@ -1,8 +1,10 @@
 //! `popflow-eval` — evaluation harness for the TKDE'19 reproduction:
 //! effectiveness metrics (§5.1), a uniform timed runner over every method,
-//! and experiment functions regenerating each table and figure of the
-//! paper's evaluation (DESIGN.md §4 maps experiment ids to paper
-//! artifacts).
+//! experiment functions regenerating each table and figure of the
+//! paper's evaluation (the README's experiment list maps experiment ids
+//! to paper artifacts), and the bucket-by-bucket stream [`replay`] the
+//! serving demo and tests share. Performance is measured by the
+//! separate `bench/` harness, not here.
 //!
 //! Run the whole suite or one experiment with the bundled binary:
 //!
@@ -14,11 +16,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_json;
 pub mod experiments;
 pub mod lab;
 pub mod method;
 pub mod metrics;
+pub mod replay;
 pub mod report;
 pub mod svg;
 

@@ -1,5 +1,5 @@
-//! A small blocking client for the wire protocol — the load
-//! generator's workhorse and the e2e tests' harness.
+//! A small blocking client for the wire protocol — the e2e tests' and
+//! the benchmark's harness.
 //!
 //! The client is deliberately synchronous: one socket, one
 //! [`FrameReader`], and a pending-frame queue so a caller waiting for

@@ -17,8 +17,8 @@
 //! window advances run at bucket boundaries derived from event time —
 //! never wall-clock — so the deltas pushed over the wire are
 //! bit-identical (`f64::to_bits`) to an in-process engine fed the same
-//! stream. The `server_load` experiment in `popflow-eval` gates on
-//! exactly that.
+//! stream. The `cross_process` test gates on exactly that, with the
+//! binary in its own process.
 //!
 //! Memory is bounded end to end: the ingest queue admits at most
 //! [`ServerConfig::queue_capacity_records`] records (plus one

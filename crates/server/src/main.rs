@@ -2,9 +2,9 @@
 //! venue over TCP until killed.
 //!
 //! The venue (and therefore the engine's `IndoorSpace`) is derived
-//! from `--scale`/`--seed` exactly as the `server_load` experiment's
-//! reference engine derives it, so a client driving the matching
-//! profile gets bit-identical deltas.
+//! from `--scale`/`--seed` through `LoadProfile` exactly as a
+//! client's in-process reference engine derives it, so a client driving
+//! the matching profile gets bit-identical deltas.
 
 use std::sync::Arc;
 

@@ -8,7 +8,7 @@
 //! are little-endian; flows and sample probabilities travel as raw IEEE
 //! 754 bit patterns (`f64::to_bits`), so a ranking read off the wire is
 //! **bit-identical** to the one the engine computed — the property the
-//! `server_load` experiment gates on.
+//! server's end-to-end tests gate on.
 //!
 //! Both directions are total: encoding a frame whose collections
 //! exceed their wire count fields (or whose payload exceeds

@@ -1,7 +1,7 @@
 //! The shared load profile: one definition of the workload, engine
-//! configuration, and query set that the `popflow-server` binary, the
-//! `server_load` load generator in `popflow-eval`, and the e2e tests
-//! all construct from the same `(scale, seed)` pair.
+//! configuration, and query set that the `popflow-server` binary and
+//! its clients (the cross-process test) construct from the same
+//! `(scale, seed)` pair.
 //!
 //! Sharing the profile is what makes the bit-identity gate meaningful:
 //! the server process and the in-process reference engine are
@@ -23,8 +23,8 @@ use crate::protocol::Frame;
 use crate::ServerConfig;
 
 /// The canonical serving workload, parameterized by population scale
-/// and seed. Mirrors the `popflow-eval` streaming shape: a half-day
-/// visitor venue, 36-minute buckets, a 16-bucket window.
+/// and seed: a half-day visitor venue, 36-minute buckets, a 16-bucket
+/// window.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadProfile {
     /// Population multiplier (1.0 ≈ 3000 visitors; floor 30).
@@ -108,7 +108,7 @@ impl LoadProfile {
 
     /// The server configuration: a small per-pass drain budget and
     /// queue so closed-loop producers visibly saturate it (the throttle
-    /// path the load experiment gates on), while a paced stream passes
+    /// path the cross-process test gates on), while a paced stream passes
     /// untouched.
     pub fn server_config(&self) -> ServerConfig {
         ServerConfig::new(self.serve_config())

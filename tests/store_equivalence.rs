@@ -11,11 +11,12 @@
 //!    no interner) fed through the same `object_flow_contributions`
 //!    kernel in ascending object-id order must produce the *identical
 //!    flow bits* as `nested_loop` over the columnar table, at thread
-//!    counts 1 and 4 (property test over random
-//!    worlds/streams, and a deterministic `batch_scale`-fixture +
-//!    skewed-stream gate).
-//! 2. **Round-trip invariance** — `naive` and `best_first` (at 1 and 4
-//!    threads) over the columnar table equal, flow-bit for flow-bit,
+//!    counts 1 and 4 (property test over random worlds/streams, and a
+//!    deterministic skewed-stream gate) and 1, 2, 4 and 8 (a
+//!    deterministic synthetic-scenario gate).
+//! 2. **Round-trip invariance** — `naive` and `best_first` (the latter
+//!    at the same thread counts) over the columnar table equal, flow-bit
+//!    for flow-bit,
 //!    the same engine over a table rebuilt from the row copy: interning
 //!    is value-preserving, so a store round-trip cannot move a single
 //!    bit.
@@ -86,10 +87,16 @@ fn assert_flow_bits_equal(tag: &str, got: &QueryOutcome, want: &[RankedLocation]
     }
 }
 
-/// Batch gates 1 and 2 over one world: columnar NL (1 and 4 threads)
-/// equals the row baseline bitwise; naive/BF equal themselves over the
-/// row-rebuilt table bitwise.
-fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowConfig) {
+/// Batch gates 1 and 2 over one world: columnar NL at every thread
+/// count in `threads` equals the row baseline bitwise; naive/BF equal
+/// themselves over the row-rebuilt table bitwise, and BF at every
+/// thread count equals BF at one.
+fn assert_batch_equivalence(
+    world: &World,
+    interval: TimeInterval,
+    cfg: &FlowConfig,
+    threads: &[usize],
+) {
     let space = &world.space;
     let slocs: Vec<SLocId> = space.slocs().iter().map(|s| s.id).collect();
     let k = slocs.len();
@@ -102,7 +109,7 @@ fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowCon
     // Gate 1: the shared kernel over columnar storage, forked or not,
     // against the kernel over bare rows.
     let mut columnar = world.iupt.clone();
-    for threads in [1usize, 4] {
+    for &threads in threads {
         let swept = FlowConfig {
             exec: ExecConfig::with_threads(threads),
             ..*cfg
@@ -120,12 +127,18 @@ fn assert_batch_equivalence(world: &World, interval: TimeInterval, cfg: &FlowCon
     let bf_col = best_first(space, &mut columnar, &query, cfg).expect("bf columnar");
     let bf_row = best_first(space, &mut rebuilt, &query, cfg).expect("bf rebuilt");
     assert_flow_bits_equal("best_first columnar vs rebuilt", &bf_col, &bf_row.ranking);
-    let forked = FlowConfig {
-        exec: ExecConfig::with_threads(4),
-        ..*cfg
-    };
-    let bf_par = best_first(space, &mut columnar, &query, &forked).expect("bf@4t");
-    assert_flow_bits_equal("best_first@4t vs @1t", &bf_par, &bf_col.ranking);
+    for &threads in threads {
+        let forked = FlowConfig {
+            exec: ExecConfig::with_threads(threads),
+            ..*cfg
+        };
+        let bf_par = best_first(space, &mut columnar, &query, &forked).expect("bf");
+        assert_flow_bits_equal(
+            &format!("best_first@{threads}t vs @1t"),
+            &bf_par,
+            &bf_col.ranking,
+        );
+    }
 }
 
 /// Gate 3 over one generated stream: the serve engine at shard
@@ -212,39 +225,50 @@ proptest! {
         };
 
         let interval = world.full_interval();
-        assert_batch_equivalence(&world, interval, &cfg);
+        assert_batch_equivalence(&world, interval, &cfg, &[1, 4]);
 
         let spec = WindowSpec::new((duration_secs / 6).max(1) * 1000, 4);
         assert_serve_equivalence(&world, &stream, spec, 3, &cfg, true);
     }
 }
 
-/// The deterministic acceptance gate on the `batch_scale` fixture (the
-/// synthetic scenario the thread-scaling experiment measures): every
-/// engine's flows over the columnar store are bit-identical to the
-/// row-store baseline.
+/// The deterministic acceptance gate on the synthetic scenario the
+/// batch drivers scale over: every engine's flows over the columnar
+/// store are bit-identical to the row-store baseline, and NL and BF are
+/// bit-identical to themselves at 1, 2, 4 and 8 threads.
 #[test]
 fn batch_scale_fixture_flows_match_row_store_bitwise() {
     let world = World::generate(Scenario::synthetic_scaled(0.02).with_seed(0xf00d));
     let cfg = FlowConfig::default().with_dp_engine();
-    assert_batch_equivalence(&world, world.full_interval(), &cfg);
+    assert_batch_equivalence(&world, world.full_interval(), &cfg, &[1, 2, 4, 8]);
 }
 
 /// The deterministic acceptance gate on a `destination_skew = 0.9`
 /// visitor stream: the serve engine bit-matches the row baseline, the
 /// interner actually deduplicates (hit rate > 0), and the interned
-/// stream undercuts the row layout it replaced.
+/// stream undercuts the row layout it replaced — as it must at skews
+/// 0.0 and 0.5 too, where there is less to deduplicate.
 #[test]
 fn skewed_stream_serves_row_identical_flows_with_dedup() {
-    let scenario = StreamScenario {
+    let scenario = |destination_skew| StreamScenario {
         num_objects: 60,
         duration_secs: 2400,
         visit_secs: (60, 120),
-        destination_skew: 0.9,
+        destination_skew,
         dwell_cache: true,
         seed: 0xabcd,
     };
-    let (world, stream) = scenario.build();
+    for skew in [0.0, 0.5] {
+        let (_, stream) = scenario(skew).build();
+        let stats = stream.store_stats();
+        assert!(
+            stats.bytes < stream.row_bytes(),
+            "skew {skew}: interned stream ({}) not below row layout ({})",
+            stats.bytes,
+            stream.row_bytes()
+        );
+    }
+    let (world, stream) = scenario(0.9).build();
     let stats = stream.store_stats();
     assert!(
         stats.intern_hits > 0,
@@ -262,7 +286,7 @@ fn skewed_stream_serves_row_identical_flows_with_dedup() {
     );
 
     let cfg = FlowConfig::default().with_dp_engine();
-    assert_batch_equivalence(&world, world.full_interval(), &cfg);
+    assert_batch_equivalence(&world, world.full_interval(), &cfg, &[1, 4]);
     let spec = WindowSpec::new(300_000, 4);
     assert_serve_equivalence(&world, &stream, spec, 3, &cfg, true);
 }
