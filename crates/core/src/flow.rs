@@ -66,11 +66,6 @@ impl ObjectContribution {
         }
     }
 
-    /// Whether every score is zero (the object cannot affect the ranking).
-    pub fn is_zero(&self) -> bool {
-        self.scores.iter().all(|&s| s == 0.0)
-    }
-
     /// Restricts the contribution to a **sorted** location subset.
     ///
     /// Per-location presence does not depend on which other locations

@@ -26,9 +26,9 @@
 //!   driver per algorithm: per-object work forks across
 //!   [`FlowConfig::exec`] threads and merges in object-id order, so
 //!   results are bit-identical at every thread count.
-//! * **Continuous queries** (§7's online direction): the
-//!   [`ContinuousEngine`] trait and its recompute-per-slide baseline,
-//!   [`RecomputeEngine`].
+//! * **Continuous queries** (§7's online direction): [`WindowSpec`]'s
+//!   bucketed sliding window, [`QuerySpec`], [`diff_topk`] and the
+//!   recompute-per-slide baseline, [`RecomputeEngine`].
 //! * **Baselines & comparators** (§5): SC, SC-ρ, MC, and the RFID-based
 //!   SCC and UR methods used in the paper's Table 7.
 //!
@@ -72,10 +72,9 @@ pub use flow::{flow, object_flow_contributions, FlowComputation, ObjectContribut
 pub use fold::{FinishScratch, SpanFold};
 pub use popflow_exec::ExecConfig;
 pub use query::{
-    best_first, diff_topk, naive, nested_loop, rank_topk, BatchEngine, ContinuousEngine,
-    ContinuousUpdate, Instrumented, LocationBound, QueryId, QueryOutcome, QuerySpec,
-    RankedLocation, RecomputeEngine, SearchStats, ThresholdHeap, ThresholdStep, TkPlQuery,
-    TkplqRequest, WindowSpec,
+    best_first, diff_topk, naive, nested_loop, rank_topk, ContinuousUpdate, LocationBound, QueryId,
+    QueryOutcome, QuerySpec, RankedLocation, RecomputeEngine, SearchStats, ThresholdHeap,
+    ThresholdStep, TkPlQuery, WindowSpec,
 };
 pub use query_set::{intersect_sorted, QuerySet};
 pub use reduction::{reduce_for_query, scan_psls, scan_sequence, ReducedSequence};

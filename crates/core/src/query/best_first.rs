@@ -196,26 +196,7 @@ fn apply_update(data: &mut ObjectData<'_>, update: PathUpdate) {
 ///
 /// With the default `threads = 1` nothing is spawned. The ranking and
 /// every flow are **bit-identical** at every thread count.
-///
-/// Thin forwarding wrapper over the unified batch entry point
-/// ([`crate::query::request::BestFirst`] consuming a
-/// [`crate::query::request::TkplqRequest`]).
 pub fn best_first(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<QueryOutcome, FlowError> {
-    use crate::query::request::{BatchEngine, BestFirst, TkplqRequest};
-    BestFirst.evaluate(
-        space,
-        iupt,
-        &TkplqRequest::from_query(query, cfg),
-        query.interval,
-    )
-}
-
-pub(crate) fn run(
     space: &IndoorSpace,
     iupt: &mut Iupt,
     query: &TkPlQuery,

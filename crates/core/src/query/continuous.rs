@@ -2,15 +2,18 @@
 //! ("it is relevant to consider an online and continuous version of the
 //! top-k popular location query in similar scenarios").
 //!
-//! The [`ContinuousEngine`] trait is the standing-query shape: ingest a
-//! time-ordered record stream, advance a bucketed sliding window, report
-//! what changed in the top-k relative to the previous evaluation — the
-//! delta a dashboard or alerting pipeline would consume. Two
-//! implementations exist: [`RecomputeEngine`] here (re-runs the
-//! Nested-Loop search per slide — the baseline; each slide touches only
-//! the records inside the new window through the time index, so the cost
-//! per advance is that of one windowed query, independent of the table's
-//! total history) and the sharded incremental engine in `popflow-serve`.
+//! A standing query ingests a time-ordered record stream, advances a
+//! bucketed sliding window, and reports what changed in the top-k
+//! relative to the previous evaluation — the delta a dashboard or
+//! alerting pipeline would consume. Two engines serve it:
+//! [`RecomputeEngine`] here (re-runs the Nested-Loop search per slide —
+//! the baseline; each slide touches only the records inside the new
+//! window through the time index, so the cost per advance is that of one
+//! windowed query, independent of the table's total history) and the
+//! sharded incremental multi-query engine in `popflow-serve`. Both share
+//! [`WindowSpec`]'s arithmetic, the lateness contract on
+//! [`RecomputeEngine::ingest`], and [`diff_topk`], so they accept the
+//! same streams and report the same deltas.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -128,11 +131,6 @@ impl QuerySpec {
             window,
         }
     }
-
-    /// The effective top-k size: `k` clamped to `|query_set|`.
-    pub fn k_eff(&self) -> usize {
-        self.k.min(self.query_set.len())
-    }
 }
 
 /// Opaque handle to a query registered with a multi-query engine.
@@ -148,53 +146,8 @@ impl std::fmt::Display for QueryId {
     }
 }
 
-/// A standing continuous top-k query: feed it a time-ordered positioning
-/// stream with [`ContinuousEngine::ingest`], slide the window with
-/// [`ContinuousEngine::advance`], read the latest ranking with
-/// [`ContinuousEngine::current`].
-///
-/// Both methods return [`FlowError`] instead of panicking on malformed
-/// input (out-of-order records, backwards advances): a serving process
-/// must survive a bad record.
-///
-/// # Lateness and the sealed frontier
-///
-/// Bucket `b` covers the closed millisecond range
-/// `[b·width, (b+1)·width − 1]` and **seals** at the first advance whose
-/// `now ≥ (b+1)·width` — strictly after the bucket's final millisecond
-/// has elapsed, so a record timestamped `(b+1)·width − 1` that arrives
-/// at that same wall-clock instant is *not* late. An advance at `now`
-/// seals every bucket through [`WindowSpec::last_complete_bucket`]`(now)`
-/// and moves the *sealed frontier* to the end of that bucket (exclusive,
-/// i.e. `(last_complete + 1)·width`). From then on a record is **late**
-/// exactly when its timestamp lies strictly before the frontier: it
-/// would land inside evaluated, immutable history, so `ingest` rejects
-/// it with [`FlowError::TimeRegression`] rather than silently dropping
-/// it from every future window. Records at or after the frontier are
-/// accepted regardless of how much wall-clock time the advance took.
-pub trait ContinuousEngine {
-    /// Engine name for reports and experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// Feeds one positioning record. Records must arrive in
-    /// non-decreasing time order, and — once an advance has run — after
-    /// the sealed frontier (the end of the last complete bucket that
-    /// advance covered): evaluated windows are immutable history. A
-    /// regression or late record is rejected with
-    /// [`FlowError::TimeRegression`] and leaves the engine unchanged.
-    fn ingest(&mut self, record: Record) -> Result<(), FlowError>;
-
-    /// Advances the window to `now` (non-decreasing) and re-evaluates the
-    /// top-k over the last [`WindowSpec::window_buckets`] complete
-    /// buckets.
-    fn advance(&mut self, now: Timestamp) -> Result<ContinuousUpdate, FlowError>;
-
-    /// The most recent top-k, if any advance has run.
-    fn current(&self) -> Option<&[SLocId]>;
-}
-
 /// Diffs a fresh top-k against the previous one: `(changed, entered,
-/// left)`. Shared by every [`ContinuousEngine`] so deltas are reported
+/// left)`. Shared by both continuous engines so deltas are reported
 /// uniformly.
 pub fn diff_topk(
     previous: Option<&[SLocId]>,
@@ -220,7 +173,9 @@ pub fn diff_topk(
     }
 }
 
-/// The outcome of one slide.
+/// The outcome of one slide, as both continuous engines report it:
+/// [`RecomputeEngine::advance`] for its one query, and `popflow-serve`'s
+/// `advance_all` once per registered query.
 #[derive(Debug, Clone)]
 pub struct ContinuousUpdate {
     /// The fresh top-k evaluation.
@@ -237,10 +192,14 @@ pub struct ContinuousUpdate {
 }
 
 /// The recompute-per-slide baseline engine: owns its IUPT, and every
-/// [`ContinuousEngine::advance`] re-runs the full Nested-Loop search over
-/// the bucket-aligned window, behind the streaming [`ContinuousEngine`]
-/// interface so it can be compared head-to-head against the incremental
-/// `popflow-serve` engine on identical windows.
+/// [`RecomputeEngine::advance`] re-runs the full Nested-Loop search over
+/// the bucket-aligned window, so it can be compared head-to-head against
+/// the incremental `popflow-serve` engine on identical windows.
+///
+/// [`RecomputeEngine::ingest`] and [`RecomputeEngine::advance`] return
+/// [`FlowError`] instead of panicking on malformed input (out-of-order
+/// records, backwards advances): a serving process must survive a bad
+/// record.
 #[derive(Debug, Clone)]
 pub struct RecomputeEngine {
     space: Arc<IndoorSpace>,
@@ -254,8 +213,7 @@ pub struct RecomputeEngine {
     last_advance: Option<Timestamp>,
     /// End (exclusive, in ms) of the last bucket an advance evaluated —
     /// the same late-record frontier the serve engine enforces, so both
-    /// [`ContinuousEngine`] implementations accept exactly the same
-    /// streams.
+    /// continuous engines accept exactly the same streams.
     sealed_frontier_millis: Option<i64>,
 }
 
@@ -283,12 +241,6 @@ impl RecomputeEngine {
         }
     }
 
-    /// [`RecomputeEngine::new`] from a [`QuerySpec`] — the baseline
-    /// counterpart of registering one spec with a multi-query engine.
-    pub fn from_spec(space: Arc<IndoorSpace>, spec: QuerySpec, cfg: FlowConfig) -> Self {
-        RecomputeEngine::new(space, spec.k, spec.query_set, spec.window, cfg)
-    }
-
     /// Number of records ingested so far.
     pub fn records_ingested(&self) -> usize {
         self.iupt.len()
@@ -304,14 +256,31 @@ impl RecomputeEngine {
     pub fn spec(&self) -> WindowSpec {
         self.spec
     }
-}
 
-impl ContinuousEngine for RecomputeEngine {
-    fn name(&self) -> &'static str {
-        "recompute-nl"
-    }
-
-    fn ingest(&mut self, record: Record) -> Result<(), FlowError> {
+    /// Feeds one positioning record. Records must arrive in
+    /// non-decreasing time order, and — once an advance has run — at or
+    /// after the sealed frontier; a regression or late record is
+    /// rejected with [`FlowError::TimeRegression`] and leaves the engine
+    /// unchanged.
+    ///
+    /// # Lateness and the sealed frontier
+    ///
+    /// Bucket `b` covers the closed millisecond range
+    /// `[b·width, (b+1)·width − 1]` and **seals** at the first advance
+    /// whose `now ≥ (b+1)·width` — strictly after the bucket's final
+    /// millisecond has elapsed, so a record timestamped
+    /// `(b+1)·width − 1` that arrives at that same wall-clock instant is
+    /// *not* late. An advance at `now` seals every bucket through
+    /// [`WindowSpec::last_complete_bucket`]`(now)` and moves the *sealed
+    /// frontier* to the end of that bucket (exclusive, i.e.
+    /// `(last_complete + 1)·width`). From then on a record is **late**
+    /// exactly when its timestamp lies strictly before the frontier: it
+    /// would land inside evaluated, immutable history, so it is rejected
+    /// rather than silently dropped from every future window. Records at
+    /// or after the frontier are accepted regardless of how much
+    /// wall-clock time the advance took. `popflow-serve`'s engine
+    /// enforces the same contract.
+    pub fn ingest(&mut self, record: Record) -> Result<(), FlowError> {
         if let Some(last) = self.last_ingest {
             if record.t < last {
                 return Err(FlowError::TimeRegression {
@@ -333,7 +302,11 @@ impl ContinuousEngine for RecomputeEngine {
         Ok(())
     }
 
-    fn advance(&mut self, now: Timestamp) -> Result<ContinuousUpdate, FlowError> {
+    /// Advances the window to `now` (non-decreasing; a regression is
+    /// rejected with [`FlowError::TimeRegression`]) and re-evaluates the
+    /// top-k over the last [`WindowSpec::window_buckets`] complete
+    /// buckets.
+    pub fn advance(&mut self, now: Timestamp) -> Result<ContinuousUpdate, FlowError> {
         if let Some(last) = self.last_advance {
             if now < last {
                 return Err(FlowError::TimeRegression {
@@ -364,7 +337,8 @@ impl ContinuousEngine for RecomputeEngine {
         })
     }
 
-    fn current(&self) -> Option<&[SLocId]> {
+    /// The most recent top-k, if any advance has run.
+    pub fn current(&self) -> Option<&[SLocId]> {
         self.previous.as_deref()
     }
 }
@@ -566,7 +540,6 @@ mod tests {
             spec,
             cfg(),
         );
-        assert_eq!(engine.name(), "recompute-nl");
         for r in paper_table2().to_records() {
             engine.ingest(r).unwrap();
         }

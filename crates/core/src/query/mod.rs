@@ -7,16 +7,14 @@ pub mod bounds;
 pub mod continuous;
 mod naive;
 mod nested_loop;
-pub mod request;
 
 pub use best_first::best_first;
 pub use bounds::{LocationBound, ThresholdHeap, ThresholdStep};
 pub use continuous::{
-    diff_topk, ContinuousEngine, ContinuousUpdate, QueryId, QuerySpec, RecomputeEngine, WindowSpec,
+    diff_topk, ContinuousUpdate, QueryId, QuerySpec, RecomputeEngine, WindowSpec,
 };
 pub use naive::naive;
 pub use nested_loop::nested_loop;
-pub use request::{BatchEngine, Instrumented, TkplqRequest};
 
 use indoor_iupt::{ObjectId, TimeInterval};
 use indoor_model::SLocId;
@@ -77,28 +75,6 @@ impl SearchStats {
             return 0.0;
         }
         (self.objects_total - self.objects_computed) as f64 / self.objects_total as f64
-    }
-
-    /// Records these counters into `registry` under
-    /// `batch.<engine>.{evaluations, objects_total, objects_computed,
-    /// dp_fallback_objects}` — the shared export path batch and serve
-    /// telemetry agree on. Callers of the classic free functions
-    /// (`nested_loop`, `best_first`, ...) can route their stats with
-    /// one call instead of bespoke plumbing; the
-    /// [`Instrumented`] engine wrapper does this automatically.
-    pub fn record_to(&self, registry: &popflow_obs::MetricsRegistry, engine: &str) {
-        registry
-            .counter(&format!("batch.{engine}.evaluations"))
-            .inc();
-        registry
-            .counter(&format!("batch.{engine}.objects_total"))
-            .add(self.objects_total as u64);
-        registry
-            .counter(&format!("batch.{engine}.objects_computed"))
-            .add(self.objects_computed as u64);
-        registry
-            .counter(&format!("batch.{engine}.dp_fallback_objects"))
-            .add(self.dp_fallback_objects as u64);
     }
 }
 
@@ -189,6 +165,56 @@ mod tests {
             dp_fallback_objects: 0,
         };
         assert!((st.pruning_ratio() - 0.6).abs() < 1e-12);
+    }
+
+    /// The three searches return the same ranking with bit-identical
+    /// flows on one query, whether or not their per-object work is
+    /// forked.
+    #[test]
+    fn all_engines_agree_on_one_request() {
+        use crate::config::FlowConfig;
+        use indoor_iupt::fixtures::paper_table2;
+        use indoor_model::fixtures::paper_figure1;
+
+        type Search = fn(
+            &indoor_model::IndoorSpace,
+            &mut indoor_iupt::Iupt,
+            &TkPlQuery,
+            &FlowConfig,
+        ) -> Result<QueryOutcome, crate::config::FlowError>;
+        let fig = paper_figure1();
+        let mut iupt = paper_table2();
+        let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
+        let flow = FlowConfig::default().with_full_product_normalization();
+        let query = TkPlQuery::new(3, QuerySet::new(fig.r.to_vec()), interval);
+        let searches: [(&str, Search); 3] = [
+            ("naive", naive),
+            ("nested-loop", nested_loop),
+            ("best-first", best_first),
+        ];
+        let reference = nested_loop(&fig.space, &mut iupt, &query, &flow).unwrap();
+        assert_eq!(reference.ranking[0].sloc, fig.r[5]); // Example 4: r6 tops
+        for threads in [1, 4] {
+            let forked = FlowConfig {
+                exec: popflow_exec::ExecConfig::with_threads(threads),
+                ..flow
+            };
+            for (name, search) in searches {
+                let out = search(&fig.space, &mut iupt, &query, &forked).unwrap();
+                assert_eq!(
+                    out.topk_slocs(),
+                    reference.topk_slocs(),
+                    "engine {name} threads {threads}"
+                );
+                for (a, b) in out.ranking.iter().zip(&reference.ranking) {
+                    assert_eq!(
+                        a.flow.to_bits(),
+                        b.flow.to_bits(),
+                        "engine {name} threads {threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,26 +11,7 @@ use crate::flow::flow;
 use crate::query::{rank_topk, ComputedSet, QueryOutcome, SearchStats, TkPlQuery};
 
 /// Evaluates a TkPLQ by one [`flow`] call per query location.
-///
-/// Thin forwarding wrapper over the unified batch entry point
-/// ([`crate::query::request::Naive`] consuming a
-/// [`crate::query::request::TkplqRequest`]).
 pub fn naive(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<QueryOutcome, FlowError> {
-    use crate::query::request::{BatchEngine, Naive, TkplqRequest};
-    Naive.evaluate(
-        space,
-        iupt,
-        &TkplqRequest::from_query(query, cfg),
-        query.interval,
-    )
-}
-
-pub(crate) fn run(
     space: &IndoorSpace,
     iupt: &mut Iupt,
     query: &TkPlQuery,

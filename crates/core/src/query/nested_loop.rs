@@ -28,26 +28,7 @@ use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
 /// order**, so rankings, flows and [`SearchStats`] are **bit-identical**
 /// at every thread count, and an error surfaces as the first error in
 /// object-id order.
-///
-/// Thin forwarding wrapper over the unified batch entry point
-/// ([`crate::query::request::NestedLoop`] consuming a
-/// [`crate::query::request::TkplqRequest`]).
 pub fn nested_loop(
-    space: &IndoorSpace,
-    iupt: &mut Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<QueryOutcome, FlowError> {
-    use crate::query::request::{BatchEngine, NestedLoop, TkplqRequest};
-    NestedLoop.evaluate(
-        space,
-        iupt,
-        &TkplqRequest::from_query(query, cfg),
-        query.interval,
-    )
-}
-
-pub(crate) fn run(
     space: &IndoorSpace,
     iupt: &mut Iupt,
     query: &TkPlQuery,

@@ -112,12 +112,6 @@ impl Lab {
         self.iupt = indoor_sim::generate_iupt(&self.world.space, &self.world.trajectories, &cfg);
     }
 
-    /// Mutable access to the queried IUPT (time-index range queries take
-    /// `&mut` for lazy rebuilds after appends).
-    pub fn iupt_mut(&mut self) -> &mut Iupt {
-        &mut self.iupt
-    }
-
     /// Split borrow of the space and the queried IUPT, for calling the
     /// query algorithms directly.
     pub fn space_and_iupt(&mut self) -> (&indoor_model::IndoorSpace, &mut Iupt) {

@@ -4,10 +4,13 @@
 //! A replay cuts the stream at its bucket boundaries and advances once
 //! per complete bucket, at the instant the bucket completes
 //! (`bucket end + 1 ms`, the earliest moment it may legally seal). A
-//! serving engine takes each slide's records through
-//! [`ServeEngine::ingest_all`] and advances with one
-//! [`ServeEngine::advance_all`]; the recompute baseline, which has no
-//! batch path, takes them record by record.
+//! serving engine, its queries registered beforehand, takes each
+//! slide's records through [`ServeEngine::ingest_all`] and advances
+//! with one [`ServeEngine::advance_all`], which reports every
+//! registered query; the recompute baseline, which answers one query
+//! and has no batch path, takes them through
+//! [`RecomputeEngine::ingest`] record by record and advances with
+//! [`RecomputeEngine::advance`].
 //!
 //! On top of the loop sit the paired-lockstep driver ([`replay_paired`])
 //! and the observability gate it feeds ([`run_paired`],
@@ -21,7 +24,7 @@ use std::time::Instant;
 use indoor_iupt::{Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::{RecordStream, StreamScenario};
-use popflow_core::{ContinuousEngine, ContinuousUpdate, RecomputeEngine, WindowSpec};
+use popflow_core::{ContinuousUpdate, QuerySpec, RecomputeEngine, WindowSpec};
 use popflow_obs::Snapshot;
 use popflow_serve::{metric_names, AdvanceTrace, ServeConfig, ServeEngine, ServeStats};
 
@@ -246,9 +249,9 @@ impl PairedRun {
 }
 
 /// Measures instrumentation: six paired replays ([`replay_paired`]) of
-/// a fresh engine built from `config` with metrics on against a fresh
-/// one with metrics off, the two roles swapping lockstep position
-/// each repeat — a null experiment (identical engines on both sides)
+/// a fresh engine built from `config`, with `query` registered and
+/// metrics on, against a fresh one with metrics off, the two roles
+/// swapping lockstep position each repeat — a null experiment (identical engines on both sides)
 /// shows the first position consistently measures a few percent slower,
 /// so a fixed assignment would charge that structural bias to one side.
 /// Per slide, each side keeps its *minimum* latency across the repeats,
@@ -258,14 +261,22 @@ impl PairedRun {
 pub fn run_paired(
     space: &Arc<IndoorSpace>,
     config: &ServeConfig,
+    query: &QuerySpec,
     stream: &RecordStream,
-    spec: WindowSpec,
     duration_secs: i64,
 ) -> PairedRun {
+    let spec = query.window;
+    let engine = |metrics: bool| {
+        let mut engine = ServeEngine::new(Arc::clone(space), config.clone().with_metrics(metrics));
+        engine
+            .register(query.clone())
+            .expect("the query fits the engine's buckets and venue");
+        engine
+    };
     let mut first: Option<PairedRun> = None;
     for rep in 0..OVERHEAD_REPEATS {
-        let mut on = ServeEngine::new(Arc::clone(space), config.clone().with_metrics(true));
-        let mut off = ServeEngine::new(Arc::clone(space), config.clone().with_metrics(false));
+        let mut on = engine(true);
+        let mut off = engine(false);
         let (driven_on, driven_off) = if rep % 2 == 0 {
             replay_paired(&mut on, &mut off, stream, spec, duration_secs)
         } else {
@@ -354,7 +365,7 @@ pub fn validate_obs(run: &PairedRun) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popflow_core::{FlowConfig, QuerySet, QuerySpec};
+    use popflow_core::{FlowConfig, QuerySet};
 
     /// A miniature paired run: both sides agree with the recompute
     /// baseline on every slide, the incremental engine does strictly
@@ -391,10 +402,10 @@ mod tests {
             RecomputeEngine::new(Arc::clone(&space), cfg.k, slocs.clone(), spec, flow);
         let baseline = replay_recompute(&mut recompute, &stream, spec, duration);
         let serve = ServeConfig::with_buckets(spec.bucket_millis)
-            .with_query(QuerySpec::new(cfg.k, slocs, spec))
             .with_shards(cfg.num_shards)
             .with_flow(flow);
-        let run = run_paired(&space, &serve, &stream, spec, duration);
+        let query = QuerySpec::new(cfg.k, slocs, spec);
+        let run = run_paired(&space, &serve, &query, &stream, duration);
 
         let slides = baseline.len();
         assert_eq!(slides, 12);

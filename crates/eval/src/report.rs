@@ -108,19 +108,6 @@ pub fn render_tsv(rows: &[Row]) -> String {
     out
 }
 
-/// Formats a float for a hand-rolled JSON artifact: fixed decimals, with
-/// non-finite values (∞ from a zero denominator, NaN from 0/0) emitted
-/// as `null` — `{inf}`/`NaN` are not valid JSON tokens and would corrupt
-/// the file. Shared by every `BENCH_*.json` writer so the rule cannot
-/// drift between artifacts.
-pub fn json_num(v: f64, decimals: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.decimals$}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

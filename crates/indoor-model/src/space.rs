@@ -3,7 +3,7 @@ use indoor_geom::{Point, Rect};
 use crate::building::Building;
 use crate::cells::{derive_cells, Cell, CellDuo};
 use crate::door_graph::{DoorGraph, DEFAULT_STAIR_COST};
-use crate::ids::{CellId, DoorId, FloorId, PLocId, PartitionId, SLocId};
+use crate::ids::{CellId, DoorId, PLocId, PartitionId, SLocId};
 use crate::isl_graph::IslGraph;
 use crate::location_matrix::LocationMatrix;
 use crate::locations::{PLocKind, PLocation, SLocation};
@@ -280,19 +280,6 @@ impl IndoorSpace {
         &self.slocs_of_ploc[ploc.index()]
     }
 
-    /// S-locations containing an arbitrary point.
-    pub fn slocs_containing_point(&self, floor: FloorId, point: Point) -> Vec<SLocId> {
-        let mut hits: Vec<SLocId> = self
-            .building
-            .partitions_at(floor, point)
-            .into_iter()
-            .flat_map(|part| self.slocs_of_partition[part.index()].iter().copied())
-            .collect();
-        hits.sort_unstable();
-        hits.dedup();
-        hits
-    }
-
     /// Builds the shortest-path oracle for this building.
     pub fn door_graph(&self) -> DoorGraph {
         DoorGraph::build(&self.building, DEFAULT_STAIR_COST)
@@ -473,6 +460,7 @@ impl SpaceBuilder {
 mod tests {
     use super::*;
     use crate::building::BuildingBuilder;
+    use crate::ids::FloorId;
     use crate::partition::PartitionKind;
 
     fn simple_space() -> IndoorSpace {

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
-    diff_topk, rank_topk, ContinuousEngine, ContinuousUpdate, FlowConfig, FlowError, QueryId,
-    QueryOutcome, QuerySet, QuerySpec, SearchStats,
+    diff_topk, rank_topk, ContinuousUpdate, FlowConfig, FlowError, QueryId, QueryOutcome, QuerySet,
+    QuerySpec, SearchStats,
 };
 use popflow_exec::{ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
@@ -56,10 +56,9 @@ pub enum LateRecord {
 }
 
 /// Configuration of a [`ServeEngine`]: the shared serving substrate
-/// (shard count, bucket granularity, flow configuration) plus any
-/// queries to register at construction. Further queries can be added
-/// and removed mid-stream with [`ServeEngine::register`] /
-/// [`ServeEngine::unregister`].
+/// (shard count, bucket granularity, flow configuration). Queries are
+/// added and removed, at any point in the stream, with
+/// [`ServeEngine::register`] / [`ServeEngine::unregister`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shard workers (threads). Objects are hash-partitioned
@@ -71,8 +70,6 @@ pub struct ServeConfig {
     pub bucket_millis: i64,
     /// Flow computation configuration (engine, normalization, reduction).
     pub flow: FlowConfig,
-    /// Queries registered at engine construction, in registration order.
-    pub queries: Vec<QuerySpec>,
     /// Whether to record internal telemetry (phase histograms, mirrored
     /// counters, advance traces) into the engine's
     /// [`MetricsRegistry`]. On by default — instrumentation is relaxed
@@ -87,32 +84,18 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A query-less config with the given bucket granularity and
-    /// sensible defaults (4 shards, DP presence engine — the right
-    /// engine for a serving path, where tail latency matters more than
-    /// paper fidelity). Add queries with [`ServeConfig::with_query`] or
-    /// register them on the engine.
+    /// A config with the given bucket granularity and sensible defaults
+    /// (4 shards, DP presence engine — the right engine for a serving
+    /// path, where tail latency matters more than paper fidelity).
     pub fn with_buckets(bucket_millis: i64) -> Self {
         assert!(bucket_millis > 0, "bucket width must be positive");
         ServeConfig {
             num_shards: 4,
             bucket_millis,
             flow: FlowConfig::default().with_dp_engine(),
-            queries: Vec::new(),
             metrics: true,
             trace_capacity: 64,
         }
-    }
-
-    /// Adds a query to register at construction. Its window must use the
-    /// config's bucket width.
-    pub fn with_query(mut self, spec: QuerySpec) -> Self {
-        assert_eq!(
-            spec.window.bucket_millis, self.bucket_millis,
-            "query bucket width must match the engine's cache granularity"
-        );
-        self.queries.push(spec);
-        self
     }
 
     /// Overrides the shard count.
@@ -383,32 +366,32 @@ struct Registered {
 /// use indoor_iupt::fixtures::paper_table2;
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
-/// use popflow_core::{ContinuousEngine, FlowConfig, QuerySet, QuerySpec, WindowSpec};
+/// use popflow_core::{FlowConfig, QuerySet, QuerySpec, WindowSpec};
 /// use popflow_serve::{ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
 /// let cfg = ServeConfig::with_buckets(4_000)
-///     .with_query(QuerySpec::new(
+///     .with_flow(FlowConfig::default().with_full_product_normalization());
+/// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+/// let id = engine
+///     .register(QuerySpec::new(
 ///         2,
 ///         QuerySet::new(fig.r.to_vec()),
 ///         WindowSpec::new(4_000, 2), // two 4-second buckets
 ///     ))
-///     .with_flow(FlowConfig::default().with_full_product_normalization());
-/// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
-/// for r in paper_table2().to_records() {
-///     engine.ingest(r).unwrap();
-/// }
-/// let update = engine.advance(Timestamp::from_secs(8)).unwrap();
-/// assert_eq!(update.outcome.ranking[0].sloc, fig.r[5]); // r6 (Example 4)
+///     .unwrap();
+/// engine.ingest_all(paper_table2().to_records()).unwrap();
+/// let updates = engine.advance_all(Timestamp::from_secs(8)).unwrap();
+/// assert_eq!(updates[0].0, id);
+/// assert_eq!(updates[0].1.outcome.ranking[0].sloc, fig.r[5]); // r6 (Example 4)
+/// assert_eq!(engine.current_for(id).unwrap()[0], fig.r[5]);
 /// ```
 #[derive(Debug)]
 pub struct ServeEngine {
     config: ServeConfig,
     pool: ShardPool<ShardWorker>,
     stats: ServeStats,
-    /// Registered queries in registration order. The first is the
-    /// *primary* query the single-query [`ContinuousEngine`] facade
-    /// reports for.
+    /// Registered queries in registration order.
     queries: Vec<Registered>,
     /// Next [`QueryId`] to hand out; ids are never reused.
     next_id: u64,
@@ -418,9 +401,9 @@ pub struct ServeEngine {
     /// The registered queries' distinct window widths, in buckets,
     /// ascending — what the shards keep their leading-edge folds for.
     widths: Vec<i64>,
-    /// How many S-locations the space has. Their ids are dense indexes,
-    /// so this bounds the eager merge's by-id slot table whatever ids a
-    /// client registers.
+    /// How many S-locations the space has. Their ids are dense indexes:
+    /// [`ServeEngine::register`] rejects any id at or past this bound, and
+    /// it sizes the eager merge's by-id slot table.
     num_slocs: usize,
     /// Timestamp of the first accepted record — anchors
     /// [`ServeEngine::due_advances`] before the first advance seals a
@@ -451,8 +434,8 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Spawns the shard worker pool and registers `config.queries` (in
-    /// order). `space` is shared read-only with all workers.
+    /// Spawns the shard worker pool, with no query registered. `space` is
+    /// shared read-only with all workers.
     pub fn new(space: Arc<IndoorSpace>, config: ServeConfig) -> Self {
         assert!(config.num_shards >= 1, "need at least one shard");
         let flow = config.flow;
@@ -472,8 +455,7 @@ impl ServeEngine {
         } else {
             None
         };
-        let initial = config.queries.clone();
-        let mut engine = ServeEngine {
+        ServeEngine {
             config,
             pool,
             stats: ServeStats::default(),
@@ -491,22 +473,7 @@ impl ServeEngine {
             metrics,
             traces: VecDeque::new(),
             shard_runs: Vec::new(),
-        };
-        for spec in initial {
-            // `with_query` validates specs, but `ServeConfig.queries` is
-            // a public field: a hand-built config can smuggle in an
-            // invalid spec. That is an engine-construction failure, not
-            // a crash — poison, so every later call reports
-            // `EngineUnavailable` with the rejection as its cause.
-            if let Err(e) = engine.register(spec) {
-                engine.poisoned = Some(format!(
-                    "engine construction rejected a configured query ({e}); \
-                     rebuild the config through with_query"
-                ));
-                break;
-            }
         }
-        engine
     }
 
     /// Cumulative serving counters.
@@ -637,11 +604,13 @@ impl ServeEngine {
         Ok((done, remaining))
     }
 
-    /// Registers a standing query mid-stream and returns its handle.
-    /// The spec's window must use the engine's bucket width
-    /// ([`FlowError::InvalidQuery`] otherwise). If the query's locations
-    /// grow the union of registered sets, shard caches reset and the
-    /// next advance re-evaluates from the append-only logs — making the
+    /// Registers a standing query, at any point in the stream, and
+    /// returns its handle. The spec's window must use the engine's
+    /// bucket width, and every location must exist in the space
+    /// ([`FlowError::InvalidQuery`] otherwise; a rejection leaves the
+    /// engine unchanged). If the query's locations grow the union of
+    /// registered sets, shard caches reset and the next advance
+    /// re-evaluates from the append-only logs — making the
     /// late-registered query's results identical to an engine that held
     /// it from the start.
     pub fn register(&mut self, spec: QuerySpec) -> Result<QueryId, FlowError> {
@@ -652,6 +621,19 @@ impl ServeEngine {
                     "query bucket width {}ms does not match the engine's cache \
                      granularity of {}ms",
                     spec.window.bucket_millis, self.config.bucket_millis
+                ),
+            });
+        }
+        if let Some(&unknown) = spec
+            .query_set
+            .slocs()
+            .iter()
+            .find(|s| s.index() >= self.num_slocs)
+        {
+            return Err(FlowError::InvalidQuery {
+                detail: format!(
+                    "unknown S-location {} (the space has {})",
+                    unknown.0, self.num_slocs
                 ),
             });
         }
@@ -1192,44 +1174,6 @@ fn merge_windows(
         merged.push((flows, stats));
     }
     Ok(merged)
-}
-
-impl ContinuousEngine for ServeEngine {
-    fn name(&self) -> &'static str {
-        "popflow-serve"
-    }
-
-    /// A run of one: the same path as [`ServeEngine::ingest_all`], one
-    /// `tell`.
-    fn ingest(&mut self, record: Record) -> Result<(), FlowError> {
-        self.ingest_run(std::iter::once(record), LateRecord::Stop)
-            .map(|_| ())
-    }
-
-    /// The single-query facade over [`ServeEngine::advance_all`]: every
-    /// registered query advances, and the **primary** (first-registered)
-    /// query's update is returned.
-    fn advance(&mut self, now: Timestamp) -> Result<ContinuousUpdate, FlowError> {
-        let primary =
-            self.queries
-                .first()
-                .map(|r| r.id)
-                .ok_or_else(|| FlowError::InvalidQuery {
-                    detail: "advance with no registered queries".to_string(),
-                })?;
-        let updates = self.advance_all(now)?;
-        updates
-            .into_iter()
-            .find(|(id, _)| *id == primary)
-            .map(|(_, update)| update)
-            .ok_or_else(|| FlowError::EngineUnavailable {
-                detail: format!("advance_all returned no update for primary query {primary:?}"),
-            })
-    }
-
-    fn current(&self) -> Option<&[SLocId]> {
-        self.queries.first().and_then(|r| r.previous.as_deref())
-    }
 }
 
 // No Drop impl: dropping the engine drops its `ShardPool`, which closes

@@ -36,7 +36,7 @@
 //!   with a single `tell`, and the shard appends it through
 //!   `Iupt::extend` — a shard's log is the stream filtered by shard
 //!   whatever the run lengths (`tests/ingest_equivalence.rs`), and a
-//!   single [`popflow_core::ContinuousEngine::ingest`] is a run of one.
+//!   single record is a run of one.
 //!   The partition is a columnar, interned `popflow-store` log: the
 //!   shard holds `SetRef`s into its hash-consing pool instead of owned
 //!   sample sets, so redundant streams (a dwelling device re-reporting
@@ -91,11 +91,12 @@
 //!   benchmark workload, so there is none.)
 //!
 //! The recompute-per-slide baseline lives in `popflow-core`
-//! ([`popflow_core::RecomputeEngine`]); all engines implement
-//! [`popflow_core::ContinuousEngine`] (for a [`ServeEngine`], the
-//! single-query facade reporting its first-registered query) and are
-//! compared head-to-head by the `streaming` experiment and `serve_demo`
-//! example in `popflow-eval`.
+//! ([`popflow_core::RecomputeEngine`]). It answers one query; a
+//! [`ServeEngine`] answers each registered query through
+//! [`ServeEngine::advance_all`] and [`ServeEngine::current_for`]. The two
+//! accept the same streams and are compared slide by slide by
+//! `tests/serve_equivalence.rs` and the `serve_demo` example in
+//! `popflow-eval`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -107,8 +108,9 @@ mod trace;
 
 pub use engine::{AdvanceStrategy, LateRecord, ServeConfig, ServeEngine, ServeStats};
 pub use trace::{AdvanceTrace, QueryTrace, ShardTrace};
-// The registry vocabulary lives in `popflow-core` (the `RecomputeEngine`
-// baseline shares it); re-exported so serving call sites need one import.
+// The registry vocabulary lives in `popflow-core`, beside the window
+// geometry both continuous engines share; re-exported so serving call
+// sites need one import.
 pub use popflow_core::{QueryId, QuerySpec};
 
 #[cfg(test)]
@@ -120,35 +122,54 @@ mod tests {
     use indoor_model::fixtures::paper_figure1;
     use indoor_sim::{Scenario, World};
     use popflow_core::{
-        ContinuousEngine, FlowConfig, FlowError, PresenceEngine, QuerySet, RecomputeEngine,
+        ContinuousUpdate, FlowConfig, FlowError, PresenceEngine, QuerySet, RecomputeEngine,
         WindowSpec,
     };
 
     use super::*;
 
-    fn paper_engine(spec: WindowSpec, shards: usize) -> (ServeEngine, Arc<IndoorSpaceAlias>) {
+    /// An engine over the paper's Figure 1 with one query registered:
+    /// the top 2 of all six rooms.
+    fn paper_engine(spec: WindowSpec, shards: usize) -> (ServeEngine, QueryId) {
         let fig = paper_figure1();
-        let space = Arc::new(fig.space.clone());
         let cfg = ServeConfig::with_buckets(spec.bucket_millis)
-            .with_query(QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), spec))
             .with_shards(shards)
             .with_flow(FlowConfig::default().with_full_product_normalization());
-        (ServeEngine::new(Arc::clone(&space), cfg), space)
+        engine_with(
+            &Arc::new(fig.space.clone()),
+            cfg,
+            QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), spec),
+        )
     }
 
-    type IndoorSpaceAlias = indoor_model::IndoorSpace;
+    /// An engine over `space` with `spec` registered.
+    fn engine_with(
+        space: &Arc<indoor_model::IndoorSpace>,
+        cfg: ServeConfig,
+        spec: QuerySpec,
+    ) -> (ServeEngine, QueryId) {
+        let mut engine = ServeEngine::new(Arc::clone(space), cfg);
+        let id = engine.register(spec).unwrap();
+        (engine, id)
+    }
+
+    /// The update of the one query an `advance_all` evaluated.
+    fn only(mut updates: Vec<(QueryId, ContinuousUpdate)>) -> ContinuousUpdate {
+        assert_eq!(updates.len(), 1, "one registered query, one update");
+        updates.remove(0).1
+    }
 
     #[test]
     fn paper_example_topk_served() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(2_000, 4), 3);
+        let (mut engine, id) = paper_engine(WindowSpec::new(2_000, 4), 3);
         engine.ingest_all(paper_table2().to_records()).unwrap();
         // Window at t=8999: buckets 0..=3 = [0, 7999] — the full Table 2.
-        let update = engine.advance(Timestamp(8_999)).unwrap();
+        let update = only(engine.advance_all(Timestamp(8_999)).unwrap());
         let fig = paper_figure1();
         assert_eq!(update.outcome.ranking[0].sloc, fig.r[5]);
         assert!((update.outcome.ranking[0].flow - 1.85).abs() < 1e-9);
         assert!(update.changed);
-        assert_eq!(engine.current().unwrap(), update.outcome.topk_slocs());
+        assert_eq!(engine.current_for(id).unwrap(), update.outcome.topk_slocs());
         let stats = engine.stats();
         assert_eq!(stats.records_ingested, 10);
         assert_eq!(stats.advances, 1);
@@ -161,7 +182,7 @@ mod tests {
     #[test]
     fn due_advances_plan_and_budgeted_catchup() {
         let width = 2_000i64;
-        let (mut engine, _space) = paper_engine(WindowSpec::new(width, 2), 2);
+        let (mut engine, _) = paper_engine(WindowSpec::new(width, 2), 2);
         assert!(engine.due_advances(Timestamp(i64::MAX)).is_empty());
         assert_eq!(engine.last_ingest(), None);
         assert_eq!(engine.last_advance(), None);
@@ -181,7 +202,7 @@ mod tests {
 
         // An already-expired deadline still performs exactly one due
         // advance (the progress guarantee).
-        let (mut reference, _space2) = paper_engine(WindowSpec::new(width, 2), 2);
+        let (mut reference, _) = paper_engine(WindowSpec::new(width, 2), 2);
         reference.ingest_all(paper_table2().to_records()).unwrap();
         let expired = Some(std::time::Instant::now());
         let (runs, remaining) = engine
@@ -231,10 +252,13 @@ mod tests {
         let flow = FlowConfig::default().with_dp_engine();
 
         let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
-            .with_query(QuerySpec::new(3, QuerySet::new(slocs.clone()), spec))
             .with_shards(3)
             .with_flow(flow);
-        let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg);
+        let (mut serve, _) = engine_with(
+            &space,
+            serve_cfg,
+            QuerySpec::new(3, QuerySet::new(slocs.clone()), spec),
+        );
         let mut batch =
             RecomputeEngine::new(Arc::clone(&space), 3, QuerySet::new(slocs), spec, flow);
 
@@ -243,11 +267,11 @@ mod tests {
         for slide in 1..=12 {
             let now = Timestamp::from_secs(slide * 45);
             while next < records.len() && records[next].t <= now {
-                serve.ingest(records[next].clone()).unwrap();
+                serve.ingest_all([records[next].clone()]).unwrap();
                 batch.ingest(records[next].clone()).unwrap();
                 next += 1;
             }
-            let a = serve.advance(now).unwrap();
+            let a = only(serve.advance_all(now).unwrap());
             let b = batch.advance(now).unwrap();
             assert_eq!(a.window, b.window, "slide {slide}");
             assert_eq!(
@@ -284,27 +308,27 @@ mod tests {
 
     #[test]
     fn rejects_out_of_order_and_late_records_without_dying() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(1_000, 2), 2);
+        let (mut engine, _) = paper_engine(WindowSpec::new(1_000, 2), 2);
         let records = paper_table2().to_records();
-        engine.ingest(records[5].clone()).unwrap();
+        engine.ingest_all([records[5].clone()]).unwrap();
         // Out of order.
-        let err = engine.ingest(records[0].clone()).unwrap_err();
+        let err = engine.ingest_all([records[0].clone()]).unwrap_err();
         assert!(matches!(err, FlowError::TimeRegression { .. }));
         // Advance at t=5000 seals through bucket 4 (frontier t=5000); a
         // record at t=4500 is late even though it is after the last
         // ingest.
-        engine.advance(Timestamp(5_000)).unwrap();
+        engine.advance_all(Timestamp(5_000)).unwrap();
         let late = Record {
             t: Timestamp(4_500),
             ..records[5].clone()
         };
-        let err = engine.ingest(late).unwrap_err();
+        let err = engine.ingest_all([late]).unwrap_err();
         assert!(matches!(err, FlowError::TimeRegression { .. }));
         assert_eq!(engine.stats().records_rejected, 2);
         // Rejections do not poison: the engine still serves.
         assert!(!engine.is_poisoned());
-        engine.ingest(records[9].clone()).unwrap();
-        let update = engine.advance(Timestamp(8_999)).unwrap();
+        engine.ingest_all([records[9].clone()]).unwrap();
+        let update = only(engine.advance_all(Timestamp(8_999)).unwrap());
         assert_eq!(update.outcome.ranking.len(), 2);
         assert_eq!(engine.stats().records_ingested, 2);
     }
@@ -315,30 +339,30 @@ mod tests {
     /// last millisecond had not elapsed, so the bucket was not sealed.
     #[test]
     fn frontier_timestamped_record_accepted_after_advance() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(1_000, 2), 2);
+        let (mut engine, _) = paper_engine(WindowSpec::new(1_000, 2), 2);
         let template = paper_table2().to_records()[0].clone();
         engine
-            .ingest(Record {
+            .ingest_all([Record {
                 t: Timestamp(1_500),
                 ..template.clone()
-            })
+            }])
             .unwrap();
         // Advance at t=4999: bucket 4 covers [4000, 4999] and is not
         // yet complete, so only buckets through 3 seal (frontier 4000).
-        engine.advance(Timestamp(4_999)).unwrap();
+        engine.advance_all(Timestamp(4_999)).unwrap();
         engine
-            .ingest(Record {
+            .ingest_all([Record {
                 t: Timestamp(4_999),
                 ..template.clone()
-            })
+            }])
             .expect("a frontier-timestamped record is not late");
         // One millisecond later bucket 4 seals; now 4999 is history.
-        engine.advance(Timestamp(5_000)).unwrap();
+        engine.advance_all(Timestamp(5_000)).unwrap();
         let err = engine
-            .ingest(Record {
+            .ingest_all([Record {
                 t: Timestamp(4_999),
                 ..template
-            })
+            }])
             .unwrap_err();
         assert!(matches!(err, FlowError::TimeRegression { .. }));
     }
@@ -351,20 +375,19 @@ mod tests {
     fn failed_advance_poisons_engine() {
         let fig = paper_figure1();
         let cfg = ServeConfig::with_buckets(4_000)
-            .with_query(QuerySpec::new(
-                2,
-                QuerySet::new(fig.r.to_vec()),
-                WindowSpec::new(4_000, 2),
-            ))
             .with_shards(2)
             .with_flow(FlowConfig {
                 engine: PresenceEngine::PathEnumeration,
                 path_budget: 1,
                 ..FlowConfig::default()
             });
-        let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+        let (mut engine, _) = engine_with(
+            &Arc::new(fig.space.clone()),
+            cfg,
+            QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(4_000, 2)),
+        );
         engine.ingest_all(paper_table2().to_records()).unwrap();
-        let err = engine.advance(Timestamp::from_secs(8)).unwrap_err();
+        let err = engine.advance_all(Timestamp::from_secs(8)).unwrap_err();
         assert!(
             matches!(err, FlowError::PathBudgetExceeded { .. }),
             "unexpected injected error {err}"
@@ -376,20 +399,20 @@ mod tests {
             t: Timestamp::from_secs(20),
             ..paper_table2().to_records()[0].clone()
         };
-        let err = engine.ingest(record).unwrap_err();
+        let err = engine.ingest_all([record]).unwrap_err();
         assert!(matches!(err, FlowError::EngineUnavailable { .. }));
-        let err = engine.advance(Timestamp::from_secs(30)).unwrap_err();
+        let err = engine.advance_all(Timestamp::from_secs(30)).unwrap_err();
         assert!(matches!(err, FlowError::EngineUnavailable { .. }));
     }
 
     #[test]
     fn advance_is_monotonic() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(1_000, 1), 1);
-        engine.advance(Timestamp(5_000)).unwrap();
-        let err = engine.advance(Timestamp(4_000)).unwrap_err();
+        let (mut engine, _) = paper_engine(WindowSpec::new(1_000, 1), 1);
+        engine.advance_all(Timestamp(5_000)).unwrap();
+        let err = engine.advance_all(Timestamp(4_000)).unwrap_err();
         assert!(matches!(err, FlowError::TimeRegression { .. }));
         assert!(!engine.is_poisoned(), "a rejected advance must not poison");
-        engine.advance(Timestamp(5_000)).unwrap(); // idempotent re-advance ok
+        engine.advance_all(Timestamp(5_000)).unwrap(); // idempotent re-advance ok
     }
 
     #[test]
@@ -397,9 +420,9 @@ mod tests {
         let records = paper_table2().to_records();
         let mut rankings = Vec::new();
         for shards in [1, 2, 5] {
-            let (mut engine, _space) = paper_engine(WindowSpec::new(4_000, 2), shards);
+            let (mut engine, _) = paper_engine(WindowSpec::new(4_000, 2), shards);
             engine.ingest_all(records.clone()).unwrap();
-            let update = engine.advance(Timestamp::from_secs(8)).unwrap();
+            let update = only(engine.advance_all(Timestamp::from_secs(8)).unwrap());
             rankings.push(
                 update
                     .outcome
@@ -432,24 +455,18 @@ mod tests {
         let records: Vec<Record> = world.iupt.to_records();
 
         let base = ServeConfig::with_buckets(30_000).with_shards(2);
-        let mut registry = ServeEngine::new(
-            Arc::clone(&space),
-            base.clone()
-                .with_query(QuerySpec::new(2, set_a.clone(), spec)),
-        );
+        let (mut registry, _) =
+            engine_with(&space, base.clone(), QuerySpec::new(2, set_a.clone(), spec));
         let resets_before = registry.stats().cache_resets;
-        let mut dedicated = ServeEngine::new(
-            Arc::clone(&space),
-            base.clone()
-                .with_query(QuerySpec::new(3, set_b.clone(), spec)),
-        );
+        let (mut dedicated, dedicated_id) =
+            engine_with(&space, base.clone(), QuerySpec::new(3, set_b.clone(), spec));
         let mut next = 0usize;
         let mut b_id = None;
         for slide in 1..=8 {
             let now = Timestamp::from_secs(slide * 40);
             while next < records.len() && records[next].t <= now {
-                registry.ingest(records[next].clone()).unwrap();
-                dedicated.ingest(records[next].clone()).unwrap();
+                registry.ingest_all([records[next].clone()]).unwrap();
+                dedicated.ingest_all([records[next].clone()]).unwrap();
                 next += 1;
             }
             if slide == 4 {
@@ -465,7 +482,7 @@ mod tests {
                 assert_eq!(registry.stats().registered_queries, 2);
             }
             let updates = registry.advance_all(now).unwrap();
-            let d = dedicated.advance(now).unwrap();
+            let d = only(dedicated.advance_all(now).unwrap());
             if let Some(id) = b_id {
                 let (_, b) = updates.iter().find(|(i, _)| *i == id).unwrap();
                 assert_eq!(b.window, d.window, "slide {slide}");
@@ -480,7 +497,7 @@ mod tests {
                 }
                 assert_eq!(
                     registry.current_for(id).unwrap(),
-                    dedicated.current().unwrap(),
+                    dedicated.current_for(dedicated_id).unwrap(),
                     "slide {slide}"
                 );
             }
@@ -513,25 +530,19 @@ mod tests {
         let records: Vec<Record> = world.iupt.to_records();
 
         let base = ServeConfig::with_buckets(30_000).with_shards(2);
-        let mut registry = ServeEngine::new(
-            Arc::clone(&space),
-            base.clone()
-                .with_query(narrow.clone())
-                .with_query(wide.clone()),
-        );
+        let (mut registry, narrow_id) = engine_with(&space, base.clone(), narrow.clone());
+        let wide_id = registry.register(wide.clone()).unwrap();
         let ids = registry.query_ids();
-        assert_eq!(ids.len(), 2);
-        let mut narrow_only =
-            ServeEngine::new(Arc::clone(&space), base.clone().with_query(narrow.clone()));
-        let mut wide_only =
-            ServeEngine::new(Arc::clone(&space), base.clone().with_query(wide.clone()));
+        assert_eq!(ids, [narrow_id, wide_id]);
+        let (mut narrow_only, _) = engine_with(&space, base.clone(), narrow.clone());
+        let (mut wide_only, _) = engine_with(&space, base.clone(), wide.clone());
         let mut next = 0usize;
         for slide in 1..=8 {
             let now = Timestamp::from_secs(slide * 40);
             while next < records.len() && records[next].t <= now {
-                registry.ingest(records[next].clone()).unwrap();
-                narrow_only.ingest(records[next].clone()).unwrap();
-                wide_only.ingest(records[next].clone()).unwrap();
+                registry.ingest_all([records[next].clone()]).unwrap();
+                narrow_only.ingest_all([records[next].clone()]).unwrap();
+                wide_only.ingest_all([records[next].clone()]).unwrap();
                 next += 1;
             }
             let updates = registry.advance_all(now).unwrap();
@@ -544,8 +555,8 @@ mod tests {
                 "slide {slide}: the narrow window must trail the wide one"
             );
             for (got, reference) in [
-                (&n.1, narrow_only.advance(now).unwrap()),
-                (&w.1, wide_only.advance(now).unwrap()),
+                (&n.1, only(narrow_only.advance_all(now).unwrap())),
+                (&w.1, only(wide_only.advance_all(now).unwrap())),
             ] {
                 assert_eq!(got.window, reference.window, "slide {slide}");
                 for (x, y) in got
@@ -561,8 +572,9 @@ mod tests {
         }
     }
 
-    /// Registry rejections (no queries, mismatched bucket width, stale
-    /// handles) are rejections — the engine keeps serving afterwards.
+    /// Registry rejections (no queries, mismatched bucket width,
+    /// S-locations the space lacks, stale handles) are rejections — the
+    /// engine keeps serving afterwards.
     #[test]
     fn registry_rejections_do_not_poison() {
         let fig = paper_figure1();
@@ -572,8 +584,6 @@ mod tests {
         );
         engine.ingest_all(paper_table2().to_records()).unwrap();
         // No registered queries: an advance has nothing to evaluate.
-        let err = engine.advance(Timestamp(5_000)).unwrap_err();
-        assert!(matches!(err, FlowError::InvalidQuery { .. }));
         let err = engine.advance_all(Timestamp(5_000)).unwrap_err();
         assert!(matches!(err, FlowError::InvalidQuery { .. }));
         // A spec with the wrong bucket width cannot share the caches.
@@ -585,6 +595,22 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, FlowError::InvalidQuery { .. }));
+        // A location id the venue does not have would rank with flow 0
+        // forever; it is named in the rejection.
+        let mut slocs = fig.r.to_vec();
+        slocs.push(indoor_model::SLocId(1_000_000));
+        let err = engine
+            .register(QuerySpec::new(
+                2,
+                QuerySet::new(slocs),
+                WindowSpec::new(1_000, 2),
+            ))
+            .unwrap_err();
+        match err {
+            FlowError::InvalidQuery { detail } => assert!(detail.contains("1000000"), "{detail}"),
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
+        assert!(engine.query_ids().is_empty());
         assert!(!engine.is_poisoned());
         // After a valid registration the engine serves normally — the
         // records ingested while the registry was empty are all visible.
@@ -596,7 +622,7 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(engine.spec(id).unwrap().k, 2);
-        let update = engine.advance(Timestamp(8_999)).unwrap();
+        let update = only(engine.advance_all(Timestamp(8_999)).unwrap());
         assert_eq!(update.outcome.ranking.len(), 2);
         assert_eq!(engine.current_for(id).unwrap(), update.outcome.topk_slocs());
     }
@@ -608,7 +634,7 @@ mod tests {
     /// `stats()` call.
     #[test]
     fn store_gauges_are_fresh_between_advances() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(4_000, 2), 2);
+        let (mut engine, _) = paper_engine(WindowSpec::new(4_000, 2), 2);
         let records = paper_table2().to_records();
         engine.ingest_all(records[..5].to_vec()).unwrap();
         // Before any advance the old code reported 0 — the ingested
@@ -621,7 +647,7 @@ mod tests {
         // Advance only to the next record's timestamp: the sealed
         // frontier stays at or below it, so the rest of the stream is
         // not late.
-        engine.advance(records[5].t).unwrap();
+        engine.advance_all(records[5].t).unwrap();
         let at_advance = engine.stats();
         assert!(at_advance.log_bytes >= before.log_bytes);
         // Ingest more without advancing: the gauge must grow NOW, not at
@@ -646,17 +672,16 @@ mod tests {
     fn advance_traces_ring_buffer() {
         let fig = paper_figure1();
         let cfg = ServeConfig::with_buckets(1_000)
-            .with_query(QuerySpec::new(
-                2,
-                QuerySet::new(fig.r.to_vec()),
-                WindowSpec::new(1_000, 4),
-            ))
             .with_shards(3)
             .with_trace_capacity(3);
-        let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+        let (mut engine, _) = engine_with(
+            &Arc::new(fig.space.clone()),
+            cfg,
+            QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(1_000, 4)),
+        );
         engine.ingest_all(paper_table2().to_records()).unwrap();
         for slide in 1..=5 {
-            engine.advance(Timestamp::from_secs(4 + slide)).unwrap();
+            engine.advance_all(Timestamp::from_secs(4 + slide)).unwrap();
         }
         let traces: Vec<_> = engine.recent_traces().collect();
         assert_eq!(traces.len(), 3, "capacity not enforced");
@@ -699,20 +724,16 @@ mod tests {
     #[test]
     fn metrics_off_leaves_no_footprint_and_identical_results() {
         let fig = paper_figure1();
-        let base = ServeConfig::with_buckets(2_000)
-            .with_query(QuerySpec::new(
-                2,
-                QuerySet::new(fig.r.to_vec()),
-                WindowSpec::new(2_000, 4),
-            ))
-            .with_shards(2);
-        let mut on = ServeEngine::new(Arc::new(fig.space.clone()), base.clone());
-        let mut off = ServeEngine::new(Arc::new(fig.space.clone()), base.with_metrics(false));
+        let space = Arc::new(fig.space.clone());
+        let base = ServeConfig::with_buckets(2_000).with_shards(2);
+        let spec = QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(2_000, 4));
+        let (mut on, _) = engine_with(&space, base.clone(), spec.clone());
+        let (mut off, _) = engine_with(&space, base.with_metrics(false), spec);
         for engine in [&mut on, &mut off] {
             engine.ingest_all(paper_table2().to_records()).unwrap();
         }
-        let a = on.advance(Timestamp(8_999)).unwrap();
-        let b = off.advance(Timestamp(8_999)).unwrap();
+        let a = only(on.advance_all(Timestamp(8_999)).unwrap());
+        let b = only(off.advance_all(Timestamp(8_999)).unwrap());
         assert_eq!(a.outcome.topk_slocs(), b.outcome.topk_slocs());
         for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
             assert_eq!(x.flow.to_bits(), y.flow.to_bits());
@@ -733,9 +754,9 @@ mod tests {
     /// registered under the serve prefix.
     #[test]
     fn registry_mirrors_serve_stats() {
-        let (mut engine, _space) = paper_engine(WindowSpec::new(2_000, 4), 2);
+        let (mut engine, _) = paper_engine(WindowSpec::new(2_000, 4), 2);
         engine.ingest_all(paper_table2().to_records()).unwrap();
-        engine.advance(Timestamp(8_999)).unwrap();
+        engine.advance_all(Timestamp(8_999)).unwrap();
         let stats = engine.stats();
         let snap = engine.metrics().snapshot();
         for (name, value) in [
@@ -779,40 +800,5 @@ mod tests {
             stats.spans_in_advance + stats.spans_finished,
             stats.fresh_presence
         );
-    }
-
-    /// Regression (panic-in-hot-path sweep): `ServeConfig.queries` is a
-    /// public field, so an invalid spec can bypass `with_query`'s
-    /// assertion. Construction used to `expect()` — killing the server
-    /// thread. It must instead produce a poisoned engine whose every
-    /// call reports `EngineUnavailable` with the rejection as cause.
-    #[test]
-    fn invalid_configured_query_poisons_instead_of_panicking() {
-        let fig = paper_figure1();
-        let space = Arc::new(fig.space.clone());
-        let mut cfg = ServeConfig::with_buckets(2_000);
-        // Window bucket width (1s) disagrees with the engine cache
-        // granularity (2s) — `register` rejects this, and `with_query`
-        // would have asserted.
-        cfg.queries.push(QuerySpec::new(
-            2,
-            QuerySet::new(fig.r.to_vec()),
-            WindowSpec::new(1_000, 4),
-        ));
-        let mut engine = ServeEngine::new(space, cfg);
-        assert!(engine.is_poisoned());
-        let record = paper_table2().to_records()[0].clone();
-        let err = engine
-            .ingest(record)
-            .expect_err("a poisoned engine accepts nothing");
-        match err {
-            FlowError::EngineUnavailable { detail } => {
-                assert!(
-                    detail.contains("bucket width"),
-                    "poison cause should surface the rejection, got: {detail}"
-                );
-            }
-            other => panic!("expected EngineUnavailable, got {other:?}"),
-        }
     }
 }

@@ -60,20 +60,23 @@ pub struct QueryTrace {
 /// use indoor_iupt::fixtures::paper_table2;
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
-/// use popflow_core::{ContinuousEngine, QuerySet, QuerySpec, WindowSpec};
+/// use popflow_core::{QuerySet, QuerySpec, WindowSpec};
 /// use popflow_serve::{metric_names, ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
-/// let cfg = ServeConfig::with_buckets(4_000).with_query(QuerySpec::new(
-///     2,
-///     QuerySet::new(fig.r.to_vec()),
-///     WindowSpec::new(4_000, 2),
-/// ));
+/// let cfg = ServeConfig::with_buckets(4_000);
 /// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
+/// engine
+///     .register(QuerySpec::new(
+///         2,
+///         QuerySet::new(fig.r.to_vec()),
+///         WindowSpec::new(4_000, 2),
+///     ))
+///     .unwrap();
 /// for r in paper_table2().to_records() {
-///     engine.ingest(r).unwrap();
+///     engine.ingest_all([r]).unwrap();
 /// }
-/// engine.advance(Timestamp::from_secs(8)).unwrap();
+/// engine.advance_all(Timestamp::from_secs(8)).unwrap();
 ///
 /// let trace = engine.recent_traces().last().expect("one advance ran");
 /// assert!(trace.total_ns > 0);

@@ -14,9 +14,7 @@ use std::sync::Arc;
 use indoor_iupt::{Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::{RecordStream, StreamScenario, World};
-use popflow_core::{
-    ContinuousEngine, ContinuousUpdate, FlowError, QueryId, QuerySet, QuerySpec, WindowSpec,
-};
+use popflow_core::{ContinuousUpdate, FlowError, QueryId, QuerySet, QuerySpec, WindowSpec};
 use popflow_serve::{ServeConfig, ServeEngine};
 
 use crate::protocol::Frame;
@@ -206,8 +204,12 @@ pub fn reference_deltas(
     for spec in specs {
         engine.register(spec.clone())?;
     }
+    // One hand-off per record: handing the whole stream to the shards
+    // at once queues it all before they fold any of it, and the deeper
+    // queues raise the peak resident set of whoever builds this
+    // reference.
     for record in records {
-        engine.ingest(record.clone())?;
+        engine.ingest_all([record.clone()])?;
     }
     let (runs, _) = engine.advance_due(Timestamp(i64::MAX), None, usize::MAX)?;
     let mut frames = Vec::new();

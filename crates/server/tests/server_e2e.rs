@@ -370,6 +370,57 @@ fn malformed_frame_reports_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// A Register naming an S-location the venue does not have is refused
+/// with REJECTED, naming the id, and the engine is not poisoned: the
+/// next, valid Register on the same connection gets its handle.
+#[test]
+fn register_with_an_unknown_location_is_rejected_and_the_connection_survives() {
+    let (space, _) = world();
+    let config = ServerConfig::new(serve_config());
+    let mut server = Server::start(Arc::clone(space), config, "127.0.0.1:0").expect("start");
+    let mut control = Client::connect(server.local_addr(), role::CONTROL).expect("connect");
+    control
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let valid = query_slocs(space, 1).remove(0);
+    let unknown = space.slocs().len() as u32 + 1_000;
+    let mut bad = valid.clone();
+    bad.push(unknown);
+    control
+        .send(&Frame::Register {
+            k: 3,
+            bucket_millis: BUCKET_MILLIS,
+            window_buckets: WINDOW_BUCKETS,
+            slocs: bad,
+        })
+        .expect("send register");
+    match control
+        .wait_for(|f| matches!(f, Frame::Registered { .. } | Frame::Error { .. }))
+        .expect("reply")
+    {
+        Frame::Error { code, detail } => {
+            assert_eq!(code, error_code::REJECTED);
+            assert!(detail.contains(&unknown.to_string()), "{detail}");
+        }
+        other => panic!("expected REJECTED, got {other:?}"),
+    }
+    control
+        .send(&Frame::Register {
+            k: 3,
+            bucket_millis: BUCKET_MILLIS,
+            window_buckets: WINDOW_BUCKETS,
+            slocs: valid,
+        })
+        .expect("send register");
+    assert!(matches!(
+        control
+            .wait_for(|f| matches!(f, Frame::Registered { .. } | Frame::Error { .. }))
+            .expect("reply"),
+        Frame::Registered { .. }
+    ));
+    server.shutdown();
+}
+
 #[test]
 fn http_get_scrapes_prometheus_text() {
     let (space, _) = world();
@@ -442,7 +493,7 @@ fn the_scheduler_sleeps_until_work_is_posted() {
 /// the same timestamps, so the merge alternates between them on ties;
 /// a third joins after the stream has been sealed and sends one batch
 /// whose head is late. Every `BatchAck` must carry exactly the counts
-/// one `ingest` per record gives an in-process engine, the server's
+/// one `ingest_all` per record gives an in-process engine, the server's
 /// counters must add up, and the deltas must stay bit-identical.
 ///
 /// (Over the wire a late record can only sit at the *head* of a
@@ -454,7 +505,7 @@ fn the_scheduler_sleeps_until_work_is_posted() {
 fn acks_count_what_the_engine_took_across_ticks_ties_and_late_records() {
     use indoor_iupt::{ObjectId, Timestamp};
     use indoor_model::SLocId;
-    use popflow_core::{ContinuousEngine, QuerySet, QuerySpec, WindowSpec};
+    use popflow_core::{QuerySet, QuerySpec, WindowSpec};
     use popflow_serve::ServeEngine;
     use popflow_server::scenario::delta_frame;
 
@@ -501,13 +552,13 @@ fn acks_count_what_the_engine_took_across_ticks_ties_and_late_records() {
     let mut merged: Vec<Record> = first.iter().chain(&second).cloned().collect();
     merged.sort_by_key(|r| r.t);
 
-    // The reference: one `ingest` per record on an in-process engine.
+    // The reference: one `ingest_all` per record on an in-process engine.
     let mut reference = ServeEngine::new(Arc::clone(space), serve_config());
     for spec in &specs {
         reference.register(spec.clone()).expect("register");
     }
     for r in &merged {
-        reference.ingest(r.clone()).expect("merged order");
+        reference.ingest_all([r.clone()]).expect("merged order");
     }
     let deltas_of = |engine: &mut ServeEngine| -> Vec<Frame> {
         let (runs, _) = engine
@@ -590,7 +641,7 @@ fn acks_count_what_the_engine_took_across_ticks_ties_and_late_records() {
         .collect();
     let rejected = tail
         .iter()
-        .filter(|r| reference.ingest((*r).clone()).is_err())
+        .filter(|r| reference.ingest_all([(*r).clone()]).is_err())
         .count() as u32;
     assert_eq!(rejected, 40);
     let want_tail = deltas_of(&mut reference);

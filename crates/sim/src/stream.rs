@@ -87,21 +87,6 @@ impl StreamScenario {
         }
     }
 
-    /// Overrides the visit-length range.
-    pub fn with_visits(mut self, visit_secs: (i64, i64)) -> Self {
-        assert!(visit_secs.0 >= 1 && visit_secs.0 <= visit_secs.1);
-        self.visit_secs = visit_secs;
-        self
-    }
-
-    /// Overrides the destination-choice skew (Zipf exponent; 0 =
-    /// uniform).
-    pub fn with_skew(mut self, destination_skew: f64) -> Self {
-        assert!(destination_skew >= 0.0, "skew must be non-negative");
-        self.destination_skew = destination_skew;
-        self
-    }
-
     /// Overrides the dwell-cache behaviour of the positioning pipeline.
     pub fn with_dwell_cache(mut self, dwell_cache: bool) -> Self {
         self.dwell_cache = dwell_cache;

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use popflow_core::{ContinuousEngine, FlowConfig, QuerySet, QuerySpec, RecomputeEngine};
+use popflow_core::{FlowConfig, QuerySet, QuerySpec, RecomputeEngine};
 use popflow_eval::replay::{
     replay_recompute, run_paired, topks, validate_obs, PairedRun, StreamingConfig,
 };
@@ -121,10 +121,10 @@ fn main() {
     let mut recompute = RecomputeEngine::new(Arc::clone(&space), cfg.k, slocs.clone(), spec, flow);
     let baseline = replay_recompute(&mut recompute, &stream, spec, duration);
     let serve = ServeConfig::with_buckets(spec.bucket_millis)
-        .with_query(QuerySpec::new(cfg.k, slocs, spec))
         .with_shards(cfg.num_shards)
         .with_flow(flow);
-    let run = run_paired(&space, &serve, &stream, spec, duration);
+    let query = QuerySpec::new(cfg.k, slocs, spec);
+    let run = run_paired(&space, &serve, &query, &stream, duration);
 
     let base_ms: Vec<f64> = baseline.iter().map(|s| s.0).collect();
     let base_work: u64 = baseline
@@ -142,7 +142,7 @@ fn main() {
         &run.min_on_ms,
         run.stats.fresh_presence,
     );
-    print_latency(recompute.name(), &base_ms, base_work);
+    print_latency("recompute-nl", &base_ms, base_work);
     println!();
     print_phases(&run);
     println!(

@@ -4,8 +4,8 @@
 //! non-empty shard per `ingest_all` / `ingest_run` call — and the shard
 //! appends a run through `Iupt::extend`. Everything downstream (bucket
 //! caches hold log *positions*, records keep their pool's `SetRef`)
-//! rests on the shard logs being exactly what one `ingest` per record
-//! builds, so that is what is checked here, position by position, for
+//! rests on the shard logs being exactly what one single-record
+//! `ingest_all` per record builds, so that is what is checked here, position by position, for
 //! run lengths from 1 to 4,096 and 1, 2 and 4 shards — together with
 //! the counters, every advance's updates, the late-record contracts of
 //! the two callers, and the job count.
@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::StreamScenario;
-use popflow_core::{ContinuousEngine, ContinuousUpdate, FlowError, QueryId, QuerySet, WindowSpec};
+use popflow_core::{ContinuousUpdate, FlowError, QueryId, QuerySet, WindowSpec};
 use popflow_serve::{LateRecord, QuerySpec, ServeConfig, ServeEngine};
 
 const BUCKET_MILLIS: i64 = 1_800_000;
@@ -45,19 +45,18 @@ fn world() -> &'static (Arc<IndoorSpace>, Vec<Record>) {
 fn engine(space: &Arc<IndoorSpace>, shards: usize) -> ServeEngine {
     let slocs: Vec<SLocId> = space.slocs().iter().map(|s| s.id).collect();
     let narrow = slocs[..slocs.len() / 2].to_vec();
-    let config = ServeConfig::with_buckets(BUCKET_MILLIS)
-        .with_query(QuerySpec::new(
-            3,
-            QuerySet::new(slocs),
-            WindowSpec::new(BUCKET_MILLIS, 3),
-        ))
-        .with_query(QuerySpec::new(
-            2,
-            QuerySet::new(narrow),
-            WindowSpec::new(BUCKET_MILLIS, 2),
-        ))
-        .with_shards(shards);
-    ServeEngine::new(Arc::clone(space), config)
+    let config = ServeConfig::with_buckets(BUCKET_MILLIS).with_shards(shards);
+    let mut engine = ServeEngine::new(Arc::clone(space), config);
+    for (k, set, width) in [(3, slocs, 3), (2, narrow, 2)] {
+        engine
+            .register(QuerySpec::new(
+                k,
+                QuerySet::new(set),
+                WindowSpec::new(BUCKET_MILLIS, width),
+            ))
+            .expect("register");
+    }
+    engine
 }
 
 /// Everything a log position holds: `(oid, t, SetRef index, sample
@@ -159,7 +158,7 @@ fn runs_build_the_logs_single_records_build() {
         let mut single = engine(space, shards);
         let want_updates = replay(&mut single, records, |engine, part| {
             for r in part {
-                engine.ingest(r.clone()).expect("ordered stream");
+                engine.ingest_all([r.clone()]).expect("ordered stream");
             }
         });
         let want_logs = logs(&single);
@@ -185,7 +184,7 @@ fn runs_build_the_logs_single_records_build() {
 /// A late record in the middle of a run: `ingest_all` stops there with
 /// the records before it in the log, the skipping entry (the server's)
 /// leaves it out and carries on — and both count it once, exactly as
-/// one `ingest` per record does.
+/// one single-record `ingest_all` per record does.
 #[test]
 fn a_late_record_stops_ingest_all_and_is_skipped_by_the_server_entry() {
     let (space, records) = world();
@@ -239,12 +238,12 @@ fn a_late_record_stops_ingest_all_and_is_skipped_by_the_server_entry() {
         assert_eq!(after.records_rejected, before.records_rejected + 1);
         assert_eq!(after.records_ingested, before.records_ingested + 6);
 
-        // One `ingest` per record, errors ignored — what the server's
+        // One `ingest_all` per record, errors ignored — what the server's
         // scheduler used to do.
         let mut single = fresh();
         let rejected = run
             .iter()
-            .filter(|r| single.ingest((*r).clone()).is_err())
+            .filter(|r| single.ingest_all([(*r).clone()]).is_err())
             .count();
         assert_eq!(rejected, 1);
         assert_eq!(logs(&skipping), logs(&single), "{shards} shards: skip");

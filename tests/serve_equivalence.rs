@@ -23,6 +23,10 @@
 //!    registration and an unregistration — and its work is bounded by
 //!    what each slide changed, not by what the window holds (counts
 //!    only, no clock).
+//! 5. **Lateness** — fed one stream laced with time regressions and
+//!    records behind the sealed frontier, the serving engine and the
+//!    recompute baseline reject the same records and report the same
+//!    slides.
 //!
 //! Run with: `cargo test -p popflow-eval --test serve_equivalence`
 
@@ -34,12 +38,34 @@ use indoor_iupt::{Iupt, ObjectId, Record, TimeInterval, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use indoor_sim::StreamScenario;
 use popflow_core::{
-    nested_loop, ContinuousEngine, ContinuousUpdate, FlowConfig, QuerySet, RecomputeEngine,
-    TkPlQuery, WindowSpec,
+    nested_loop, ContinuousUpdate, FlowConfig, QuerySet, RecomputeEngine, TkPlQuery, WindowSpec,
 };
 use popflow_eval::replay::{replay, replay_recompute, topks, Slide, StreamingConfig};
-use popflow_serve::{QuerySpec, ServeConfig, ServeEngine};
+use popflow_serve::{QueryId, QuerySpec, ServeConfig, ServeEngine};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A serving engine built from `config` with `specs` registered in
+/// order, and their handles.
+fn registered(
+    space: &Arc<IndoorSpace>,
+    config: ServeConfig,
+    specs: &[QuerySpec],
+) -> (ServeEngine, Vec<QueryId>) {
+    let mut engine = ServeEngine::new(Arc::clone(space), config);
+    let ids = specs
+        .iter()
+        .map(|spec| engine.register(spec.clone()).expect("register"))
+        .collect();
+    (engine, ids)
+}
+
+/// The update of the one query an `advance_all` evaluated.
+fn only(mut updates: Vec<(QueryId, ContinuousUpdate)>) -> ContinuousUpdate {
+    assert_eq!(updates.len(), 1, "one registered query, one update");
+    updates.remove(0).1
+}
 
 /// Drives the serve engine and the recompute baseline over one
 /// generated world with the given geometry, asserting equal top-k lists,
@@ -67,10 +93,13 @@ fn assert_equivalent(
     };
 
     let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
-        .with_query(QuerySpec::new(k, QuerySet::new(slocs.clone()), spec))
         .with_shards(num_shards)
         .with_flow(flow);
-    let mut serve = ServeEngine::new(Arc::clone(&space), serve_cfg);
+    let (mut serve, _) = registered(
+        &space,
+        serve_cfg,
+        &[QuerySpec::new(k, QuerySet::new(slocs.clone()), spec)],
+    );
     let mut batch = RecomputeEngine::new(
         Arc::clone(&space),
         k,
@@ -88,11 +117,13 @@ fn assert_equivalent(
         // Advance at the instant bucket `b` completes (end + 1 ms).
         let now = Timestamp(spec.bucket_interval(b).end.millis() + 1);
         while next < records.len() && records[next].t <= now {
-            serve.ingest(records[next].clone()).expect("ordered stream");
+            serve
+                .ingest_all([records[next].clone()])
+                .expect("ordered stream");
             batch.ingest(records[next].clone()).expect("ordered stream");
             next += 1;
         }
-        let a = serve.advance(now).expect("serve advance");
+        let a = only(serve.advance_all(now).expect("serve advance"));
         let c = batch.advance(now).expect("batch advance");
         prop_assert_eq!(&a.window, &c.window);
         prop_assert_eq!(a.outcome.topk_slocs(), c.outcome.topk_slocs());
@@ -184,15 +215,10 @@ fn assert_registry_matches_dedicated(
         .zip(widths)
         .map(|(qs, &w)| QuerySpec::new(k, qs.clone(), WindowSpec::new(bucket_secs * 1000, w)))
         .collect();
-    let mut registry_cfg = base.clone();
-    for spec in &specs {
-        registry_cfg = registry_cfg.with_query(spec.clone());
-    }
-    let mut registry = ServeEngine::new(Arc::clone(&space), registry_cfg);
-    let ids = registry.query_ids();
+    let (mut registry, ids) = registered(&space, base.clone(), &specs);
     let mut dedicated: Vec<ServeEngine> = specs
         .iter()
-        .map(|spec| ServeEngine::new(Arc::clone(&space), base.clone().with_query(spec.clone())))
+        .map(|spec| registered(&space, base.clone(), std::slice::from_ref(spec)).0)
         .collect();
 
     let mut next = 0usize;
@@ -200,11 +226,11 @@ fn assert_registry_matches_dedicated(
         let now = Timestamp(step.bucket_interval(b).end.millis() + 1);
         while next < records.len() && records[next].t <= now {
             registry
-                .ingest(records[next].clone())
+                .ingest_all([records[next].clone()])
                 .expect("ordered stream");
             for engine in dedicated.iter_mut() {
                 engine
-                    .ingest(records[next].clone())
+                    .ingest_all([records[next].clone()])
                     .expect("ordered stream");
             }
             next += 1;
@@ -212,7 +238,7 @@ fn assert_registry_matches_dedicated(
         let updates = registry.advance_all(now).expect("registry advance");
         prop_assert_eq!(updates.len(), ids.len());
         for (qi, engine) in dedicated.iter_mut().enumerate() {
-            let reference = engine.advance(now).expect("dedicated advance");
+            let reference = only(engine.advance_all(now).expect("dedicated advance"));
             let (_, got) = updates
                 .iter()
                 .find(|(id, _)| *id == ids[qi])
@@ -315,21 +341,14 @@ fn four_overlapping_queries_share_work() {
         .with_shards(cfg.num_shards)
         .with_flow(FlowConfig::default().with_dp_engine());
 
-    let mut registry = ServeEngine::new(
-        Arc::clone(&space),
-        specs
-            .iter()
-            .cloned()
-            .fold(base.clone(), ServeConfig::with_query),
-    );
+    let (mut registry, _) = registered(&space, base.clone(), &specs);
     let shared = ranking_bits(&replay(&mut registry, &stream, spec, duration));
     let registry_cells = registry.stats().presence_cells;
     assert!(!shared.is_empty(), "the stream produced no slides");
 
     let mut dedicated_cells = 0u64;
     for (qi, query) in specs.iter().enumerate() {
-        let mut single =
-            ServeEngine::new(Arc::clone(&space), base.clone().with_query(query.clone()));
+        let (mut single, _) = registered(&space, base.clone(), std::slice::from_ref(query));
         let solo = ranking_bits(&replay(&mut single, &stream, spec, duration));
         dedicated_cells += single.stats().presence_cells;
         let mismatched = shared
@@ -378,12 +397,12 @@ fn incremental_advances_beat_recompute_5x_with_identical_topk() {
 
     let mut recompute = RecomputeEngine::new(Arc::clone(&space), cfg.k, slocs.clone(), spec, flow);
     let baseline = replay_recompute(&mut recompute, &stream, spec, duration);
-    let mut serve = ServeEngine::new(
-        space,
+    let (mut serve, _) = registered(
+        &space,
         ServeConfig::with_buckets(spec.bucket_millis)
-            .with_query(QuerySpec::new(cfg.k, slocs, spec))
             .with_shards(cfg.num_shards)
             .with_flow(flow),
+        &[QuerySpec::new(cfg.k, slocs, spec)],
     );
     let incremental = replay(&mut serve, &stream, spec, duration);
 
@@ -549,14 +568,10 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
     }
 
     for num_shards in [1, 2, 4] {
-        let mut config = ServeConfig::with_buckets(BUCKET)
+        let config = ServeConfig::with_buckets(BUCKET)
             .with_shards(num_shards)
             .with_flow(flow);
-        for spec in &specs[..late] {
-            config = config.with_query(spec.clone());
-        }
-        let mut engine = ServeEngine::new(Arc::clone(&space), config);
-        let mut ids = engine.query_ids();
+        let (mut engine, mut ids) = registered(&space, config, &specs[..late]);
         let mut next = 0;
         for (b, want) in buckets.clone().zip(&reference) {
             let now = Timestamp((b + 1) * BUCKET);
@@ -623,10 +638,14 @@ fn work_gate_engine(space: &Arc<IndoorSpace>, bucket_millis: i64) -> ServeEngine
     let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
     let window = WindowSpec::new(bucket_millis, GATE_WIDTH as usize);
     let config = ServeConfig::with_buckets(bucket_millis)
-        .with_query(QuerySpec::new(3, QuerySet::new(slocs), window))
         .with_shards(2)
         .with_flow(FlowConfig::default().with_dp_engine());
-    ServeEngine::new(Arc::clone(space), config)
+    registered(
+        space,
+        config,
+        &[QuerySpec::new(3, QuerySet::new(slocs), window)],
+    )
+    .0
 }
 
 /// Replays a turnover stream through a w/b = 16 engine and holds
@@ -817,5 +836,112 @@ fn repeated_advance_computes_nothing() {
         work_slid.0 - work_third.0,
         arrivals,
         "the slide paid for more than the objects that reported in its new bucket"
+    );
+}
+
+/// One feed item of the lateness test.
+enum Feed {
+    Record(Record),
+    Advance(Timestamp),
+}
+
+/// A stream laced with rejections: per complete bucket, the bucket's
+/// records in time order with a time regression (a copy of an earlier
+/// record, stamped before the latest one) after roughly one record in
+/// eight, then the advance that seals the bucket, then records stamped
+/// inside the bucket just sealed — one at or after the latest record,
+/// late only by the frontier, and a few anywhere in the bucket — and one
+/// stamped exactly at the frontier, which is on time.
+fn laced_feed(records: &[Record], spec: WindowSpec, seed: u64) -> Vec<Feed> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let width = spec.bucket_millis;
+    let last = spec.last_complete_bucket(records.last().expect("a non-empty stream").t);
+    let mut feed = Vec::new();
+    let mut next = 0;
+    let mut latest = records[0].t.millis();
+    for b in spec.bucket_of(records[0].t)..=last {
+        let now = Timestamp((b + 1) * width);
+        for r in take_before(records, &mut next, now) {
+            latest = r.t.millis();
+            feed.push(Feed::Record(r.clone()));
+            if rng.gen_range(0..8) == 0 {
+                let t = Timestamp(r.t.millis() - rng.gen_range(1..2 * width));
+                feed.push(Feed::Record(Record { t, ..r.clone() }));
+            }
+        }
+        feed.push(Feed::Advance(now));
+        let template = records[next.min(records.len() - 1)].clone();
+        let behind_only = rng.gen_range(latest..now.millis());
+        let anywhere = (0..rng.gen_range(1..4)).map(|_| now.millis() - rng.gen_range(1..width));
+        for t in std::iter::once(behind_only).chain(anywhere) {
+            feed.push(Feed::Record(Record {
+                t: Timestamp(t),
+                ..template.clone()
+            }));
+        }
+        feed.push(Feed::Record(Record { t: now, ..template }));
+        latest = now.millis();
+    }
+    feed
+}
+
+/// The lateness contract both continuous engines document: fed the same
+/// record at a time — time regressions and records behind the sealed
+/// frontier mixed in between advances — the serving engine and the
+/// recompute baseline accept and reject exactly the same records, with
+/// the same error, and report the same window, top-k, flow bits and
+/// deltas on every slide.
+#[test]
+fn both_continuous_engines_reject_the_same_records() {
+    let world = indoor_sim::World::generate(indoor_sim::Scenario::tiny().with_seed(29));
+    let space = Arc::new(world.space.clone());
+    let slocs = QuerySet::new(world.space.slocs().iter().map(|s| s.id).collect());
+    let spec = WindowSpec::new(30_000, 4);
+    let flow = FlowConfig::default().with_dp_engine();
+    let feed = laced_feed(&world.iupt.to_records(), spec, 29);
+
+    let mut recompute = RecomputeEngine::new(Arc::clone(&space), 3, slocs.clone(), spec, flow);
+    let (mut serve, _) = registered(
+        &space,
+        ServeConfig::with_buckets(spec.bucket_millis)
+            .with_shards(3)
+            .with_flow(flow),
+        &[QuerySpec::new(3, slocs, spec)],
+    );
+    let (mut rejected, mut behind_frontier, mut slides) = (Vec::new(), 0, 0);
+    let mut latest = None;
+    for (i, item) in feed.into_iter().enumerate() {
+        match item {
+            Feed::Record(r) => {
+                let t = r.t;
+                let want = recompute.ingest(r.clone());
+                let got = serve.ingest_all([r]);
+                assert_eq!(got, want, "feed item {i}");
+                if want.is_err() {
+                    rejected.push(i);
+                    behind_frontier += usize::from(latest.is_some_and(|l| t >= l));
+                } else {
+                    latest = Some(t);
+                }
+            }
+            Feed::Advance(now) => {
+                let want = recompute.advance(now).expect("recompute advance");
+                let got = only(serve.advance_all(now).expect("serve advance"));
+                assert_eq!(update_key(&got), update_key(&want), "slide at {now:?}");
+                slides += 1;
+            }
+        }
+    }
+    assert!(slides >= 10, "only {slides} slides");
+    assert_eq!(
+        serve.stats().records_rejected,
+        rejected.len() as u64,
+        "the serving engine counted other rejections than the ones it returned"
+    );
+    assert!(
+        behind_frontier > 0 && behind_frontier < rejected.len(),
+        "{behind_frontier} of {} rejections were late only by the frontier: the feed must \
+         exercise both the regression and the frontier check",
+        rejected.len()
     );
 }

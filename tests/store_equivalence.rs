@@ -35,8 +35,8 @@ use indoor_iupt::{Iupt, ObjectId, Record, SampleSet, TimeInterval, Timestamp};
 use indoor_model::SLocId;
 use indoor_sim::{Scenario, StreamScenario, World};
 use popflow_core::{
-    best_first, naive, nested_loop, object_flow_contributions, rank_topk, ContinuousEngine,
-    ExecConfig, FlowConfig, QueryOutcome, QuerySet, RankedLocation, TkPlQuery, WindowSpec,
+    best_first, naive, nested_loop, object_flow_contributions, rank_topk, ExecConfig, FlowConfig,
+    QueryOutcome, QuerySet, RankedLocation, TkPlQuery, WindowSpec,
 };
 use popflow_serve::{QuerySpec, ServeConfig, ServeEngine};
 use proptest::prelude::*;
@@ -168,14 +168,18 @@ fn assert_serve_equivalence(
 
     for shards in [1usize, 4] {
         let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
-            .with_query(QuerySpec::new(k, query_set.clone(), spec))
             .with_shards(shards)
             .with_flow(*cfg);
         let mut engine = ServeEngine::new(Arc::clone(&space), serve_cfg);
+        engine
+            .register(QuerySpec::new(k, query_set.clone(), spec))
+            .expect("register");
         for r in &rows {
-            engine.ingest(r.clone()).expect("ordered stream");
+            engine.ingest_all([r.clone()]).expect("ordered stream");
         }
-        let update = engine.advance(now).expect("final advance");
+        let mut updates = engine.advance_all(now).expect("final advance");
+        assert_eq!(updates.len(), 1);
+        let (_, update) = updates.remove(0);
         let tag = format!("serve {shards} shards vs rows");
         assert_flow_bits_equal(&tag, &update.outcome, &want);
 
