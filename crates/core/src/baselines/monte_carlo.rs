@@ -37,7 +37,7 @@ impl Default for MonteCarloConfig {
 /// the paper groups MC with the no-reduction methods in Table 4.
 pub fn monte_carlo(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     cfg: &MonteCarloConfig,
 ) -> QueryOutcome {
@@ -135,10 +135,10 @@ mod tests {
     fn converges_toward_uncertainty_aware_ranking() {
         let fig = paper_figure1();
         let query = TkPlQuery::new(2, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval());
-        let mut i1 = paper_table2();
+        let i1 = paper_table2();
         let mc = monte_carlo(
             &fig.space,
-            &mut i1,
+            &i1,
             &query,
             &MonteCarloConfig {
                 rounds: 2000,
@@ -150,10 +150,10 @@ mod tests {
         assert_eq!(mc.ranking[0].sloc, fig.r[5]);
         assert!(mc.ranking[0].flow > mc.ranking[1].flow);
         // And the MC estimate of Θ(r6) is near the exact value.
-        let mut i2 = paper_table2();
+        let i2 = paper_table2();
         let exact = naive(
             &fig.space,
-            &mut i2,
+            &i2,
             &query,
             &FlowConfig::default().without_reduction(),
         )
@@ -174,10 +174,10 @@ mod tests {
             rounds: 50,
             seed: 7,
         };
-        let mut i1 = paper_table2();
-        let a = monte_carlo(&fig.space, &mut i1, &query, &cfg);
-        let mut i2 = paper_table2();
-        let b = monte_carlo(&fig.space, &mut i2, &query, &cfg);
+        let i1 = paper_table2();
+        let a = monte_carlo(&fig.space, &i1, &query, &cfg);
+        let i2 = paper_table2();
+        let b = monte_carlo(&fig.space, &i2, &query, &cfg);
         assert_eq!(a.topk_slocs(), b.topk_slocs());
         for (x, y) in a.ranking.iter().zip(b.ranking.iter()) {
             assert_eq!(x.flow, y.flow);
@@ -187,11 +187,11 @@ mod tests {
     #[test]
     fn flows_bounded_by_object_count() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
         let out = monte_carlo(
             &fig.space,
-            &mut iupt,
+            &iupt,
             &query,
             &MonteCarloConfig {
                 rounds: 100,

@@ -15,14 +15,14 @@ use indoor_model::{IndoorSpace, SLocId};
 use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
 
 /// The SC baseline: argmax sample per record.
-pub fn simple_counting(space: &IndoorSpace, iupt: &mut Iupt, query: &TkPlQuery) -> QueryOutcome {
+pub fn simple_counting(space: &IndoorSpace, iupt: &Iupt, query: &TkPlQuery) -> QueryOutcome {
     counting_impl(space, iupt, query, None)
 }
 
 /// The SC-ρ baseline: all samples with probability at least `rho`.
 pub fn simple_counting_rho(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     rho: f64,
 ) -> QueryOutcome {
@@ -31,7 +31,7 @@ pub fn simple_counting_rho(
 
 fn counting_impl(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     rho: Option<f64>,
 ) -> QueryOutcome {
@@ -124,9 +124,9 @@ mod tests {
     #[test]
     fn sc_counts_argmax_samples_once_per_location() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let out = simple_counting(&fig.space, &mut iupt, &query);
+        let out = simple_counting(&fig.space, &iupt, &query);
         assert_eq!(out.ranking.len(), 6);
         // Flows are whole numbers (counts).
         for r in &out.ranking {
@@ -142,10 +142,10 @@ mod tests {
     fn sc_rho_includes_more_samples_than_sc() {
         let fig = paper_figure1();
         let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let mut i1 = paper_table2();
-        let sc = simple_counting(&fig.space, &mut i1, &query);
-        let mut i2 = paper_table2();
-        let sc_rho = simple_counting_rho(&fig.space, &mut i2, &query, 0.25);
+        let i1 = paper_table2();
+        let sc = simple_counting(&fig.space, &i1, &query);
+        let i2 = paper_table2();
+        let sc_rho = simple_counting_rho(&fig.space, &i2, &query, 0.25);
         let total_sc: f64 = sc.ranking.iter().map(|r| r.flow).sum();
         let total_rho: f64 = sc_rho.ranking.iter().map(|r| r.flow).sum();
         assert!(total_rho >= total_sc, "{total_rho} < {total_sc}");
@@ -156,18 +156,18 @@ mod tests {
         // o1 visits r6-related P-locations at t1, t3, t4 — but contributes
         // at most 1 to r6.
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[5]]), interval());
-        let out = simple_counting(&fig.space, &mut iupt, &query);
+        let out = simple_counting(&fig.space, &iupt, &query);
         assert!(out.ranking[0].flow <= 3.0); // at most one per object
     }
 
     #[test]
     fn rho_one_counts_only_certain_samples() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let out = simple_counting_rho(&fig.space, &mut iupt, &query, 1.0);
+        let out = simple_counting_rho(&fig.space, &iupt, &query, 1.0);
         // Only the certain records (o1's three, o3's last) qualify.
         let total: f64 = out.ranking.iter().map(|r| r.flow).sum();
         assert!(total > 0.0);

@@ -313,7 +313,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn sets_of(oid: ObjectId) -> Vec<SampleSet> {
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         iupt.sequence_of(oid, iv)
             .records

@@ -130,12 +130,14 @@ where
 }
 
 /// Computes the indoor flow for S-location `q` over `[ts, te]`
-/// (Algorithm 2): fetch the window's records through the 1D R-tree, group
-/// them per object, reduce each sequence (pruning objects whose PSLs miss
-/// `q` when reduction is enabled), and sum per-object presences.
+/// (Algorithm 2): fetch the window's records through the time index (the
+/// paper's 1D R-tree; here a binary search on the log's sorted time
+/// column), group them per object, reduce each sequence (pruning objects
+/// whose PSLs miss `q` when reduction is enabled), and sum per-object
+/// presences.
 pub fn flow(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     q: SLocId,
     interval: TimeInterval,
     cfg: &FlowConfig,
@@ -198,10 +200,10 @@ mod tests {
     #[test]
     fn example3_flows_raw() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
-        let r6 = flow(&fig.space, &mut iupt, fig.r[5], interval(), &raw_cfg()).unwrap();
+        let iupt = paper_table2();
+        let r6 = flow(&fig.space, &iupt, fig.r[5], interval(), &raw_cfg()).unwrap();
         assert!((r6.flow - 1.97).abs() < 1e-9, "Θ(r6) = {}", r6.flow);
-        let r1 = flow(&fig.space, &mut iupt, fig.r[0], interval(), &raw_cfg()).unwrap();
+        let r1 = flow(&fig.space, &iupt, fig.r[0], interval(), &raw_cfg()).unwrap();
         assert!((r1.flow - 0.5).abs() < 1e-9, "Θ(r1) = {}", r1.flow);
         // No reduction → no pruning; all 3 objects computed.
         assert_eq!(r6.objects_seen, 3);
@@ -214,9 +216,9 @@ mod tests {
     #[test]
     fn reduction_prunes_and_preserves_flows() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let cfg = FlowConfig::default().with_full_product_normalization();
-        let r1 = flow(&fig.space, &mut iupt, fig.r[0], interval(), &cfg).unwrap();
+        let r1 = flow(&fig.space, &iupt, fig.r[0], interval(), &cfg).unwrap();
         assert!((r1.flow - 0.5).abs() < 1e-9);
         // r1's flow involves only o1 (o2 and o3 are pruned: o2's PSLs do
         // include r1? o2's reports touch p1..p8 — cells c4, c5, c6, c1 —
@@ -229,7 +231,7 @@ mod tests {
         // so Θ(r6) becomes 1 + 0.85 + 0 = 1.85 instead of the raw 1.97.
         // (The paper's Table 4 likewise reports slightly different
         // effectiveness with and without reduction.)
-        let r6 = flow(&fig.space, &mut iupt, fig.r[5], interval(), &cfg).unwrap();
+        let r6 = flow(&fig.space, &iupt, fig.r[5], interval(), &cfg).unwrap();
         assert!((r6.flow - 1.85).abs() < 1e-9, "Θ(r6) = {}", r6.flow);
         // o3 is not pruned for r6 (r6 ∈ its PSLs), merely contributes 0.
         assert_eq!(r6.computed_objects.len(), 3);
@@ -239,12 +241,12 @@ mod tests {
     #[test]
     fn dp_engine_agrees() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         for q in fig.r {
-            let en = flow(&fig.space, &mut iupt, q, interval(), &raw_cfg()).unwrap();
+            let en = flow(&fig.space, &iupt, q, interval(), &raw_cfg()).unwrap();
             let dp = flow(
                 &fig.space,
-                &mut iupt,
+                &iupt,
                 q,
                 interval(),
                 &raw_cfg().with_dp_engine(),
@@ -267,7 +269,7 @@ mod tests {
     #[test]
     fn partial_kernel_scores_bit_identical_to_full() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query_set = QuerySet::new(fig.r.to_vec());
         for cfg in [
             FlowConfig::default(),
@@ -317,7 +319,7 @@ mod tests {
     #[test]
     fn sliced_union_contribution_matches_dedicated_subset() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let union = QuerySet::new(fig.r.to_vec());
         // Overlapping subsets as a registry would hold them.
         let subsets = [
@@ -383,7 +385,7 @@ mod tests {
     fn scan_psls_matches_scan_sequence() {
         use crate::reduction::scan_sequence;
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         for seq in iupt.sequences_in(interval()) {
             let cheap =
                 crate::reduction::scan_psls(&fig.space, seq.records.iter().map(|r| r.samples));
@@ -400,9 +402,9 @@ mod tests {
     #[test]
     fn empty_window() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(100), Timestamp::from_secs(200));
-        let out = flow(&fig.space, &mut iupt, fig.r[0], iv, &FlowConfig::default()).unwrap();
+        let out = flow(&fig.space, &iupt, fig.r[0], iv, &FlowConfig::default()).unwrap();
         assert_eq!(out.flow, 0.0);
         assert_eq!(out.objects_seen, 0);
         assert_eq!(out.pruning_ratio(), 0.0);
@@ -413,10 +415,10 @@ mod tests {
     #[test]
     fn subinterval_flow_smaller() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(3));
-        let sub = flow(&fig.space, &mut iupt, fig.r[5], iv, &raw_cfg()).unwrap();
-        let full = flow(&fig.space, &mut iupt, fig.r[5], interval(), &raw_cfg()).unwrap();
+        let sub = flow(&fig.space, &iupt, fig.r[5], iv, &raw_cfg()).unwrap();
+        let full = flow(&fig.space, &iupt, fig.r[5], interval(), &raw_cfg()).unwrap();
         assert!(sub.flow <= full.flow + 1e-9);
     }
 }

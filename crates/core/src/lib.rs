@@ -41,13 +41,13 @@
 //! use popflow_core::{best_first, FlowConfig, QuerySet, TkPlQuery};
 //!
 //! let fig = paper_figure1();           // the paper's Figure 1 floor plan
-//! let mut iupt = paper_table2();       // the paper's Table 2 data
+//! let iupt = paper_table2();           // the paper's Table 2 data
 //! let query = TkPlQuery::new(
 //!     1,
 //!     QuerySet::new(vec![fig.r[0], fig.r[5]]), // Q = {r1, r6}
 //!     TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8)),
 //! );
-//! let out = best_first(&fig.space, &mut iupt, &query, &FlowConfig::default()).unwrap();
+//! let out = best_first(&fig.space, &iupt, &query, &FlowConfig::default()).unwrap();
 //! assert_eq!(out.ranking[0].sloc, fig.r[5]); // r6 is the most popular (Example 4)
 //! ```
 

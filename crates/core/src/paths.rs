@@ -305,7 +305,7 @@ mod tests {
 
     fn sets_of(oid: indoor_iupt::ObjectId) -> (indoor_model::IndoorSpace, Vec<SampleSet>) {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let sets = iupt
             .sequence_of(oid, iv)

@@ -176,7 +176,7 @@ mod tests {
 
     fn sets_of(fig: &Figure1, oid: ObjectId) -> Vec<SampleSet> {
         let _ = fig;
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         iupt.sequence_of(oid, iv)
             .records

@@ -198,7 +198,7 @@ fn apply_update(data: &mut ObjectData<'_>, update: PathUpdate) {
 /// every flow are **bit-identical** at every thread count.
 pub fn best_first(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
@@ -334,14 +334,14 @@ mod tests {
     #[test]
     fn example4_top1_is_r6() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval());
         let cfg = FlowConfig {
             use_reduction: false,
             ..FlowConfig::default()
         }
         .with_full_product_normalization();
-        let out = best_first(&fig.space, &mut iupt, &query, &cfg).unwrap();
+        let out = best_first(&fig.space, &iupt, &query, &cfg).unwrap();
         assert_eq!(out.ranking[0].sloc, fig.r[5]);
         assert!((out.ranking[0].flow - 1.97).abs() < 1e-9);
     }
@@ -378,14 +378,14 @@ mod tests {
             for cfg in &cfgs {
                 let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), interval());
                 let full_query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-                let mut i1 = paper_table2();
-                let bf = best_first(&fig.space, &mut i1, &query, cfg).unwrap();
-                let mut i2 = paper_table2();
-                let nv = naive(&fig.space, &mut i2, &query, cfg).unwrap();
-                let mut i3 = paper_table2();
-                let nl = nested_loop(&fig.space, &mut i3, &query, cfg).unwrap();
-                let mut i4 = paper_table2();
-                let exact = naive(&fig.space, &mut i4, &full_query, cfg).unwrap();
+                let i1 = paper_table2();
+                let bf = best_first(&fig.space, &i1, &query, cfg).unwrap();
+                let i2 = paper_table2();
+                let nv = naive(&fig.space, &i2, &query, cfg).unwrap();
+                let i3 = paper_table2();
+                let nl = nested_loop(&fig.space, &i3, &query, cfg).unwrap();
+                let i4 = paper_table2();
+                let exact = naive(&fig.space, &i4, &full_query, cfg).unwrap();
 
                 assert_eq!(nl.topk_slocs(), nv.topk_slocs(), "k={k} cfg={cfg:?}");
                 assert_eq!(bf.topk_slocs(), nl.topk_slocs(), "k={k} cfg={cfg:?}");
@@ -422,10 +422,10 @@ mod tests {
         let fig = paper_figure1();
         let query = TkPlQuery::new(1, QuerySet::new(fig.r.to_vec()), interval());
         let cfg = FlowConfig::default();
-        let mut i1 = paper_table2();
-        let bf = best_first(&fig.space, &mut i1, &query, &cfg).unwrap();
-        let mut i2 = paper_table2();
-        let nl = nested_loop(&fig.space, &mut i2, &query, &cfg).unwrap();
+        let i1 = paper_table2();
+        let bf = best_first(&fig.space, &i1, &query, &cfg).unwrap();
+        let i2 = paper_table2();
+        let nl = nested_loop(&fig.space, &i2, &query, &cfg).unwrap();
         assert!(bf.stats.objects_computed <= nl.stats.objects_computed);
         assert_eq!(bf.ranking[0].sloc, nl.ranking[0].sloc);
     }
@@ -444,10 +444,10 @@ mod tests {
             let window = TimeInterval::new(Timestamp::from_secs(from), Timestamp::from_secs(to));
             for k in 1..=6 {
                 let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), window);
-                let mut i1 = paper_table2();
-                let bf = best_first(&fig.space, &mut i1, &query, &FlowConfig::default()).unwrap();
-                let mut i2 = paper_table2();
-                let nl = nested_loop(&fig.space, &mut i2, &query, &FlowConfig::default()).unwrap();
+                let i1 = paper_table2();
+                let bf = best_first(&fig.space, &i1, &query, &FlowConfig::default()).unwrap();
+                let i2 = paper_table2();
+                let nl = nested_loop(&fig.space, &i2, &query, &FlowConfig::default()).unwrap();
                 assert_eq!(bf.ranking.len(), k);
                 assert_eq!(
                     bf.topk_slocs(),
@@ -475,12 +475,12 @@ mod tests {
     fn dp_engine_agrees() {
         let fig = paper_figure1();
         let query = TkPlQuery::new(3, QuerySet::new(fig.r.to_vec()), interval());
-        let mut i1 = paper_table2();
-        let en = best_first(&fig.space, &mut i1, &query, &FlowConfig::default()).unwrap();
-        let mut i2 = paper_table2();
+        let i1 = paper_table2();
+        let en = best_first(&fig.space, &i1, &query, &FlowConfig::default()).unwrap();
+        let i2 = paper_table2();
         let dp = best_first(
             &fig.space,
-            &mut i2,
+            &i2,
             &query,
             &FlowConfig::default().with_dp_engine(),
         )
@@ -507,10 +507,10 @@ mod tests {
                 FlowConfig::default().with_full_product_normalization(),
             ] {
                 let query = TkPlQuery::new(k, QuerySet::new(fig.r.to_vec()), interval());
-                let mut i1 = paper_table2();
-                let serial = best_first(&fig.space, &mut i1, &query, &cfg).unwrap();
-                let mut i3 = paper_table2();
-                let nl = nested_loop(&fig.space, &mut i3, &query, &cfg).unwrap();
+                let i1 = paper_table2();
+                let serial = best_first(&fig.space, &i1, &query, &cfg).unwrap();
+                let i3 = paper_table2();
+                let nl = nested_loop(&fig.space, &i3, &query, &cfg).unwrap();
                 assert_eq!(serial.topk_slocs(), nl.topk_slocs(), "k={k} cfg={cfg:?}");
                 for (a, b) in serial.ranking.iter().zip(&nl.ranking) {
                     assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "k={k} cfg={cfg:?}");
@@ -521,8 +521,8 @@ mod tests {
                         exec: popflow_exec::ExecConfig::with_threads(threads),
                         ..cfg
                     };
-                    let mut i2 = paper_table2();
-                    let par = best_first(&fig.space, &mut i2, &query, &par_cfg).unwrap();
+                    let i2 = paper_table2();
+                    let par = best_first(&fig.space, &i2, &query, &par_cfg).unwrap();
                     assert_eq!(
                         serial.topk_slocs(),
                         par.topk_slocs(),
@@ -558,8 +558,8 @@ mod tests {
                 ..FlowConfig::default()
             };
             let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-            let mut iupt = paper_table2();
-            let err = best_first(&fig.space, &mut iupt, &query, &cfg).unwrap_err();
+            let iupt = paper_table2();
+            let err = best_first(&fig.space, &iupt, &query, &cfg).unwrap_err();
             assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
         }
     }

@@ -324,7 +324,7 @@ impl RecomputeEngine {
                 .max(frontier),
         );
         let query = TkPlQuery::new(self.k, self.query_set.clone(), window);
-        let outcome = nested_loop(&self.space, &mut self.iupt, &query, &self.cfg)?;
+        let outcome = nested_loop(&self.space, &self.iupt, &query, &self.cfg)?;
         let fresh = outcome.topk_slocs();
         let (changed, entered, left) = diff_topk(self.previous.as_deref(), &fresh);
         self.previous = Some(fresh);
@@ -406,10 +406,10 @@ mod tests {
             let update = engine.advance(Timestamp::from_secs(t)).unwrap();
             assert_eq!(update.window.start, Timestamp::from_secs(t - 3));
             assert_eq!(update.window.end, Timestamp(t * 1_000 - 1));
-            let mut iupt = paper_table2();
+            let iupt = paper_table2();
             let one_shot = nested_loop(
                 &fig.space,
-                &mut iupt,
+                &iupt,
                 &TkPlQuery::new(1, QuerySet::new(fig.r.to_vec()), update.window),
                 &cfg(),
             )
@@ -548,10 +548,10 @@ mod tests {
         // Window covers buckets 0..=3 → [0, 7999]; compare with one-shot.
         assert_eq!(update.window.start, Timestamp(0));
         assert_eq!(update.window.end, Timestamp(7_999));
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let one_shot = nested_loop(
             &fig.space,
-            &mut iupt,
+            &iupt,
             &TkPlQuery::new(
                 3,
                 QuerySet::new(fig.r.to_vec()),

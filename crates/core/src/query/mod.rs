@@ -178,12 +178,12 @@ mod tests {
 
         type Search = fn(
             &indoor_model::IndoorSpace,
-            &mut indoor_iupt::Iupt,
+            &indoor_iupt::Iupt,
             &TkPlQuery,
             &FlowConfig,
         ) -> Result<QueryOutcome, crate::config::FlowError>;
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let flow = FlowConfig::default().with_full_product_normalization();
         let query = TkPlQuery::new(3, QuerySet::new(fig.r.to_vec()), interval);
@@ -192,7 +192,7 @@ mod tests {
             ("nested-loop", nested_loop),
             ("best-first", best_first),
         ];
-        let reference = nested_loop(&fig.space, &mut iupt, &query, &flow).unwrap();
+        let reference = nested_loop(&fig.space, &iupt, &query, &flow).unwrap();
         assert_eq!(reference.ranking[0].sloc, fig.r[5]); // Example 4: r6 tops
         for threads in [1, 4] {
             let forked = FlowConfig {
@@ -200,7 +200,7 @@ mod tests {
                 ..flow
             };
             for (name, search) in searches {
-                let out = search(&fig.space, &mut iupt, &query, &forked).unwrap();
+                let out = search(&fig.space, &iupt, &query, &forked).unwrap();
                 assert_eq!(
                     out.topk_slocs(),
                     reference.topk_slocs(),

@@ -13,7 +13,7 @@ use crate::query::{rank_topk, ComputedSet, QueryOutcome, SearchStats, TkPlQuery}
 /// Evaluates a TkPLQ by one [`flow`] call per query location.
 pub fn naive(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
@@ -59,14 +59,14 @@ mod tests {
     #[test]
     fn example4_top1_is_r6() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let cfg = FlowConfig {
             use_reduction: false,
             ..FlowConfig::default()
         }
         .with_full_product_normalization();
         let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval());
-        let out = naive(&fig.space, &mut iupt, &query, &cfg).unwrap();
+        let out = naive(&fig.space, &iupt, &query, &cfg).unwrap();
         assert_eq!(out.ranking.len(), 1);
         assert_eq!(out.ranking[0].sloc, fig.r[5]);
         assert!((out.ranking[0].flow - 1.97).abs() < 1e-9);
@@ -75,9 +75,9 @@ mod tests {
     #[test]
     fn full_query_ranks_all_locations() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-        let out = naive(&fig.space, &mut iupt, &query, &FlowConfig::default()).unwrap();
+        let out = naive(&fig.space, &iupt, &query, &FlowConfig::default()).unwrap();
         assert_eq!(out.ranking.len(), 6);
         // Flows are non-increasing.
         for w in out.ranking.windows(2) {

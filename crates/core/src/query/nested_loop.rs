@@ -30,7 +30,7 @@ use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
 /// object-id order.
 pub fn nested_loop(
     space: &IndoorSpace,
-    iupt: &mut Iupt,
+    iupt: &Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
@@ -90,14 +90,14 @@ mod tests {
     #[test]
     fn example4_top1_is_r6() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval());
         let cfg = FlowConfig {
             use_reduction: false,
             ..FlowConfig::default()
         }
         .with_full_product_normalization();
-        let out = nested_loop(&fig.space, &mut iupt, &query, &cfg).unwrap();
+        let out = nested_loop(&fig.space, &iupt, &query, &cfg).unwrap();
         assert_eq!(out.ranking[0].sloc, fig.r[5]);
         assert!((out.ranking[0].flow - 1.97).abs() < 1e-9);
     }
@@ -120,10 +120,10 @@ mod tests {
                         normalization,
                         ..FlowConfig::default()
                     };
-                    let mut iupt = paper_table2();
-                    let nl = nested_loop(&fig.space, &mut iupt, &query, &cfg).unwrap();
-                    let mut iupt = paper_table2();
-                    let nv = naive(&fig.space, &mut iupt, &query, &cfg).unwrap();
+                    let iupt = paper_table2();
+                    let nl = nested_loop(&fig.space, &iupt, &query, &cfg).unwrap();
+                    let iupt = paper_table2();
+                    let nv = naive(&fig.space, &iupt, &query, &cfg).unwrap();
                     assert_eq!(nl.topk_slocs(), nv.topk_slocs(), "cfg {cfg:?}");
                     for (a, b) in nl.ranking.iter().zip(nv.ranking.iter()) {
                         assert!(
@@ -143,14 +143,14 @@ mod tests {
     #[test]
     fn psl_pruning_reflected_in_stats() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         // Q = {r1, r2, r5}: prunes o3 (PSLs {r3, r4, r6}).
         let query = TkPlQuery::new(
             3,
             QuerySet::new(vec![fig.r[0], fig.r[1], fig.r[4]]),
             interval(),
         );
-        let out = nested_loop(&fig.space, &mut iupt, &query, &FlowConfig::default()).unwrap();
+        let out = nested_loop(&fig.space, &iupt, &query, &FlowConfig::default()).unwrap();
         assert_eq!(out.stats.objects_total, 3);
         assert_eq!(out.stats.objects_computed, 2);
         assert!((out.stats.pruning_ratio() - 1.0 / 3.0).abs() < 1e-12);
@@ -168,15 +168,15 @@ mod tests {
             FlowConfig::default().with_full_product_normalization(),
         ] {
             let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-            let mut i1 = paper_table2();
-            let serial = nested_loop(&fig.space, &mut i1, &query, &cfg).unwrap();
+            let i1 = paper_table2();
+            let serial = nested_loop(&fig.space, &i1, &query, &cfg).unwrap();
             for threads in [1, 2, 4, 7] {
                 let par_cfg = FlowConfig {
                     exec: popflow_exec::ExecConfig::with_threads(threads),
                     ..cfg
                 };
-                let mut i2 = paper_table2();
-                let par = nested_loop(&fig.space, &mut i2, &query, &par_cfg).unwrap();
+                let i2 = paper_table2();
+                let par = nested_loop(&fig.space, &i2, &query, &par_cfg).unwrap();
                 assert_eq!(serial.topk_slocs(), par.topk_slocs(), "threads {threads}");
                 for (a, b) in serial.ranking.iter().zip(par.ranking.iter()) {
                     assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "threads {threads}");
@@ -203,8 +203,8 @@ mod tests {
                 ..FlowConfig::default()
             };
             let query = TkPlQuery::new(6, QuerySet::new(fig.r.to_vec()), interval());
-            let mut iupt = paper_table2();
-            let err = nested_loop(&fig.space, &mut iupt, &query, &cfg).unwrap_err();
+            let iupt = paper_table2();
+            let err = nested_loop(&fig.space, &iupt, &query, &cfg).unwrap_err();
             assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
         }
     }
@@ -213,14 +213,14 @@ mod tests {
     #[test]
     fn org_variant_processes_all_objects() {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let query = TkPlQuery::new(
             3,
             QuerySet::new(vec![fig.r[0], fig.r[1], fig.r[4]]),
             interval(),
         );
         let cfg = FlowConfig::default().without_reduction();
-        let out = nested_loop(&fig.space, &mut iupt, &query, &cfg).unwrap();
+        let out = nested_loop(&fig.space, &iupt, &query, &cfg).unwrap();
         assert_eq!(out.stats.objects_computed, 3);
         assert_eq!(out.stats.pruning_ratio(), 0.0);
     }

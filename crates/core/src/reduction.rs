@@ -804,7 +804,7 @@ pub(crate) mod tests {
 
     fn o2_sets() -> (indoor_model::IndoorSpace, Vec<SampleSet>) {
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let sets: Vec<SampleSet> = iupt
             .sequence_of(O2, iv)
@@ -844,7 +844,7 @@ pub(crate) mod tests {
     fn psls_of_o3_match_paper() {
         // §3.2: o3's PSLs are r3, r4 and r6.
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let sets: Vec<SampleSet> = iupt
             .sequence_of(O3, iv)
@@ -866,7 +866,7 @@ pub(crate) mod tests {
         // §3.2: "if a query location set is {r1, r2, r5} or one of its
         // subsets, o3's sequence can be ruled out".
         let fig = paper_figure1();
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let sets: Vec<SampleSet> = iupt
             .sequence_of(O3, iv)

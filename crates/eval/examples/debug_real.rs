@@ -2,7 +2,7 @@ use popflow_core::{nested_loop, FlowConfig, PresenceEngine, TkPlQuery};
 use popflow_eval::{kendall_tau, Lab};
 
 fn main() {
-    let mut lab = Lab::real_analog();
+    let lab = Lab::real_analog();
     let qs = lab.query_fraction(1.0, 1);
     let iv = lab.random_window(30, 99);
     let query = TkPlQuery::new(qs.len(), qs.clone(), iv);
@@ -11,8 +11,8 @@ fn main() {
         engine: PresenceEngine::Hybrid,
         ..FlowConfig::default()
     };
-    let (space, iupt) = lab.space_and_iupt();
-    let out = nested_loop(space, iupt, &query, &cfg).unwrap();
+    let space = &lab.world.space;
+    let out = nested_loop(space, lab.iupt(), &query, &cfg).unwrap();
     println!(
         "{:<12} {:>8}   ||   {:<12} {:>8}",
         "flow-rank", "value", "gt-rank", "count"

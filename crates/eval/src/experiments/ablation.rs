@@ -15,7 +15,7 @@ use crate::report::Row;
 /// engine vs the transition DP, over growing Δt, with a result-identity
 /// check.
 pub fn ablation_dp(opts: &ExpOpts) -> Vec<Row> {
-    let mut lab = Lab::synthetic(opts.scale);
+    let lab = Lab::synthetic(opts.scale);
     let mut rows = Vec::new();
     for (pi, dt) in [5i64, 15, 30, 60].into_iter().enumerate() {
         let seed = seed_for(opts, 100, pi as u64, 0);
@@ -24,14 +24,13 @@ pub fn ablation_dp(opts: &ExpOpts) -> Vec<Row> {
             lab.query_fraction(0.08, seed),
             lab.random_window(dt, seed ^ 0x1),
         );
-        let mut record = |engine: PresenceEngine, name: &str| {
+        let record = |engine: PresenceEngine, name: &str| {
             let cfg = FlowConfig {
                 engine,
                 ..FlowConfig::default()
             };
             let start = Instant::now();
-            let (space, iupt) = lab.space_and_iupt();
-            let out = nested_loop(space, iupt, &query, &cfg);
+            let out = nested_loop(&lab.world.space, lab.iupt(), &query, &cfg);
             let elapsed = start.elapsed().as_secs_f64();
             let mut row = Row::new("ablation-dp", format!("dt={dt}min"), name);
             row.time_secs = Some(elapsed);
@@ -69,7 +68,7 @@ pub fn ablation_dp(opts: &ExpOpts) -> Vec<Row> {
 /// ablation-norm: ranking agreement between the two presence
 /// normalizations, each scored against ground truth.
 pub fn ablation_norm(opts: &ExpOpts) -> Vec<Row> {
-    let mut lab = Lab::real_analog();
+    let lab = Lab::real_analog();
     let mut rows = Vec::new();
     for (pi, dt) in [30i64, 60].into_iter().enumerate() {
         let seed = seed_for(opts, 101, pi as u64, 0);
@@ -79,7 +78,7 @@ pub fn ablation_norm(opts: &ExpOpts) -> Vec<Row> {
             lab.random_window(dt, seed ^ 0x2),
         );
         let truth = lab.ground_truth_topk(&query);
-        let mut run = |norm: Normalization, name: &str| {
+        let run = |norm: Normalization, name: &str| {
             // The DP engine isolates the normalization difference from any
             // path-budget effects (identical values, no enumeration).
             let cfg = FlowConfig {
@@ -88,8 +87,7 @@ pub fn ablation_norm(opts: &ExpOpts) -> Vec<Row> {
                 ..FlowConfig::default()
             };
             let start = Instant::now();
-            let (space, iupt) = lab.space_and_iupt();
-            let out = nested_loop(space, iupt, &query, &cfg).unwrap();
+            let out = nested_loop(&lab.world.space, lab.iupt(), &query, &cfg).unwrap();
             let elapsed = start.elapsed().as_secs_f64();
             let mut row = Row::new("ablation-norm", format!("dt={dt}min"), name);
             row.time_secs = Some(elapsed);

@@ -112,10 +112,10 @@ impl Lab {
         self.iupt = indoor_sim::generate_iupt(&self.world.space, &self.world.trajectories, &cfg);
     }
 
-    /// Split borrow of the space and the queried IUPT, for calling the
-    /// query algorithms directly.
-    pub fn space_and_iupt(&mut self) -> (&indoor_model::IndoorSpace, &mut Iupt) {
-        (&self.world.space, &mut self.iupt)
+    /// The queried IUPT, for calling the query algorithms directly (the
+    /// space is `self.world.space`).
+    pub fn iupt(&self) -> &Iupt {
+        &self.iupt
     }
 
     /// Ensures RFID tracking data exists (generated lazily — only the
@@ -141,13 +141,13 @@ impl Lab {
             self.ensure_rfid();
         }
         let vmax = self.world.scenario.mobility.vmax;
-        let mut input = MethodInput {
+        let input = MethodInput {
             space: &self.world.space,
-            iupt: &mut self.iupt,
+            iupt: &self.iupt,
             rfid: self.rfid.as_ref(),
             vmax,
         };
-        let run = run_method(method, &mut input, query);
+        let run = run_method(method, &input, query);
         let truth = self
             .world
             .ground_truth_topk(query.interval, query.query_set.slocs(), query.k)

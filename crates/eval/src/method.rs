@@ -80,8 +80,8 @@ pub struct MethodRun {
 pub struct MethodInput<'a> {
     /// The indoor space queried against.
     pub space: &'a IndoorSpace,
-    /// The uncertain positioning table (mutable for index warm-up).
-    pub iupt: &'a mut Iupt,
+    /// The uncertain positioning table.
+    pub iupt: &'a Iupt,
     /// RFID tracking data for the SCC/UR comparators.
     pub rfid: Option<&'a RfidTrackingData>,
     /// Vmax for the UR comparator's ellipses.
@@ -92,7 +92,7 @@ pub struct MethodInput<'a> {
 /// path-enumeration budget are retried once with the DP engine (flagged in
 /// the result) so full-scale experiments degrade gracefully instead of
 /// aborting.
-pub fn run_method(method: Method, input: &mut MethodInput<'_>, query: &TkPlQuery) -> MethodRun {
+pub fn run_method(method: Method, input: &MethodInput<'_>, query: &TkPlQuery) -> MethodRun {
     let start = Instant::now();
     let (outcome, dp_fallback) = match method {
         Method::Bf
@@ -168,7 +168,7 @@ fn flow_config(method: Method) -> FlowConfig {
 
 fn run_exact(
     method: Method,
-    input: &mut MethodInput<'_>,
+    input: &MethodInput<'_>,
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
@@ -207,14 +207,14 @@ mod tests {
             Method::ScRho(0.25),
             Method::Mc(50),
         ] {
-            let mut iupt = paper_table2();
-            let mut input = MethodInput {
+            let iupt = paper_table2();
+            let input = MethodInput {
                 space: &fig.space,
-                iupt: &mut iupt,
+                iupt: &iupt,
                 rfid: None,
                 vmax: 1.0,
             };
-            let run = run_method(method, &mut input, &query);
+            let run = run_method(method, &input, &query);
             assert_eq!(run.outcome.ranking.len(), 2, "{}", method.name());
             assert!(run.elapsed_secs >= 0.0);
             assert!(!run.dp_fallback);

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn table2_shape() {
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         assert_eq!(iupt.len(), 10);
         assert_eq!(iupt.object_count(), 3);
         let iv = TimeInterval::new(t(1), t(8));
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn o2_ploc_sets_change_over_time() {
-        let mut iupt = paper_table2();
+        let iupt = paper_table2();
         let iv = TimeInterval::new(t(1), t(8));
         let seq = iupt.sequence_of(O2, iv);
         let first: Vec<PLocId> = seq.records[0].samples.plocs().collect();

@@ -242,13 +242,14 @@ impl SampleSet {
     }
 }
 
-/// Hash-consing support: lets `popflow-store`'s interner deduplicate
-/// identical sample sets. The hash covers the exact `(loc, prob-bits)`
-/// content, so it is consistent with the derived [`PartialEq`] for every
-/// constructible set (probabilities are positive and finite, so value
-/// equality coincides with bit equality).
-impl popflow_store::PoolItem for SampleSet {
-    fn content_hash(&self) -> u64 {
+/// Hash-consing support for the log's interner.
+impl SampleSet {
+    /// Content hash over the exact `(loc, prob-bits)` pairs, the key the
+    /// interner buckets candidates by. Consistent with the derived
+    /// [`PartialEq`] for every constructible set: probabilities are
+    /// positive and finite, so value equality coincides with bit
+    /// equality, and equal sets hash equal.
+    pub(crate) fn content_hash(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for s in &self.samples {
@@ -258,7 +259,9 @@ impl popflow_store::PoolItem for SampleSet {
         h.finish()
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Heap bytes owned by this set (beyond `size_of::<SampleSet>()`),
+    /// for footprint accounting.
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.samples.len() * std::mem::size_of::<Sample>()
     }
 }
@@ -472,12 +475,11 @@ mod tests {
         }
 
         /// Interning consistency: equal sets hash equal (the property the
-        /// `popflow-store` pool's dedup rests on).
+        /// log's interner rests on).
         #[test]
         fn equal_sets_hash_equal(
             weights in proptest::collection::vec(0.01..10.0f64, 1..6)
         ) {
-            use popflow_store::PoolItem;
             let items: Vec<(PLocId, f64)> = weights
                 .iter()
                 .enumerate()

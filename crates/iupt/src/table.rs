@@ -1,10 +1,9 @@
 use std::collections::HashMap;
+use std::ops::Range;
 
-use popflow_store::{RecordStore, SetRef, StoreStats};
-
+use crate::pool::{SampleSetPool, SetRef};
 use crate::sample::SampleSet;
 use crate::time::{TimeInterval, Timestamp};
-use crate::time_index::TimeIndex;
 
 /// Identifier of an indoor moving object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,8 +61,7 @@ pub struct RecordRef<'a> {
 }
 
 /// Zero-copy access to an interned sample set — a borrow of the pool's
-/// single arena copy (re-exported shape of
-/// [`popflow_store::SampleSetView`]).
+/// single arena copy.
 pub type SampleSetView<'a> = &'a SampleSet;
 
 impl PartialEq for RecordRef<'_> {
@@ -116,16 +114,20 @@ impl ObjectSequence<'_> {
 }
 
 /// The Indoor Uncertain Positioning Table (IUPT): the append-only log of
-/// positioning records, indexed on its time attribute by a 1D R-tree
-/// (§3.3).
+/// positioning records, in non-decreasing time order.
 ///
 /// # Storage layout
 ///
-/// Since the `popflow-store` port the table is a thin façade over a
-/// columnar [`popflow_store::RecordStore`]: parallel `oid`/`t`/`set`
-/// columns, with every sample set hash-consed through the store's
-/// interner so identical reports (a dwelling device re-reporting the
-/// same probabilistic position) share **one** arena-backed copy.
+/// Parallel `oid`/`t`/`set` columns, with every sample set hash-consed
+/// through the table's interner so identical reports (a dwelling device
+/// re-reporting the same probabilistic position) share **one** copy and
+/// each record holds a 4-byte [`SetRef`].
+///
+/// The time column is the paper's time index (§3.3): records are
+/// appended in time order, so a window `[ts, te]` is the contiguous
+/// position range two binary searches on that column find — the same
+/// records, in the same order, that a 1D R-tree over the time attribute
+/// returns, with no second copy of the timestamps.
 ///
 /// Two invariants carry the layers above:
 ///
@@ -138,21 +140,11 @@ impl ObjectSequence<'_> {
 ///   bit-identical to flows over the original owned records.
 #[derive(Debug, Clone, Default)]
 pub struct Iupt {
-    store: RecordStore<SampleSet>,
-    index: TimeIndex<u32>,
-}
-
-/// Converts a raw store view into the table's typed [`RecordRef`] — the
-/// one place the scalar columns pick up their domain types. Free
-/// function (not a method) so the split-borrow call sites, which hold
-/// `&RecordStore` while the time index is borrowed mutably, can use it.
-fn record_ref(v: popflow_store::RecordView<'_, SampleSet>) -> RecordRef<'_> {
-    RecordRef {
-        oid: ObjectId(v.oid),
-        t: Timestamp(v.t),
-        set_ref: v.set_ref,
-        samples: v.set,
-    }
+    oids: Vec<u32>,
+    /// Non-decreasing: the index every window lookup searches.
+    times: Vec<i64>,
+    sets: Vec<SetRef>,
+    pool: SampleSetPool,
 }
 
 impl Iupt {
@@ -173,60 +165,79 @@ impl Iupt {
     /// Appends a record, interning its sample set; records must arrive in
     /// non-decreasing time order. Returns the record's (stable) position.
     /// The one-record case of [`Iupt::extend`].
+    ///
+    /// # Panics
+    /// Panics on an out-of-order record, as [`Iupt::extend`] does.
     pub fn push(&mut self, record: Record) -> u32 {
         self.extend(std::iter::once(record)).start
     }
 
-    /// Appends a run of records in iteration order — the columns and the
-    /// time index each grow once for the whole run — interning every
-    /// sample set; the run must continue the table's non-decreasing time
-    /// order. Returns the run's (stable) position range. The log that
-    /// results is position-identical to pushing the records one by one.
-    pub fn extend<I: IntoIterator<Item = Record>>(&mut self, records: I) -> std::ops::Range<u32> {
-        let run = self.store.extend(
-            records
-                .into_iter()
-                .map(|r| (r.oid.0, r.t.millis(), r.samples)),
-        );
-        // The index is fed from the time column the store just grew.
-        let times = &self.store.times()[run.start as usize..];
-        self.index.extend(times.iter().copied().zip(run.clone()));
-        run
+    /// Appends a run of records in iteration order — each column grows
+    /// once for the whole run — interning every sample set. Returns the
+    /// run's (stable) position range. The log that results is
+    /// position-identical to pushing the records one by one.
+    ///
+    /// # Panics
+    /// Panics on a record older than the one before it: the IUPT is an
+    /// append-only log of positioning reports and its time column is its
+    /// index, so an out-of-order record is a bug upstream rather than a
+    /// condition to tolerate silently.
+    pub fn extend<I: IntoIterator<Item = Record>>(&mut self, records: I) -> Range<u32> {
+        let records = records.into_iter();
+        let expected = records.size_hint().0;
+        self.oids.reserve(expected);
+        self.times.reserve(expected);
+        self.sets.reserve(expected);
+        let start = self.len() as u32;
+        for Record { oid, t, samples } in records {
+            let t = t.millis();
+            if let Some(&last) = self.times.last() {
+                assert!(t >= last, "Iupt append out of order: {t} after {last}");
+            }
+            let set = self.pool.intern(samples);
+            self.oids.push(oid.0);
+            self.times.push(t);
+            self.sets.push(set);
+        }
+        start..u32::try_from(self.len()).expect("log exceeds u32 positions")
     }
 
-    /// Explicitly rebuilds the time index after a batch of appends (see
-    /// [`TimeIndex::freeze`]), so subsequent range queries pay no lazy
-    /// rebuild — the pattern the streaming ingestion path uses between
-    /// record bursts.
-    pub fn freeze(&mut self) {
-        self.index.freeze();
-    }
+    /// Does nothing: the time column needs no build step. Kept because
+    /// the frozen benchmark still calls it; it goes when the benchmark
+    /// is next changed (ROADMAP item 1(c)).
+    pub fn freeze(&self) {}
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.oids.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.oids.is_empty()
     }
 
     /// Zero-copy view of the record at `pos` (positions are dense, in
     /// time order).
     pub fn view(&self, pos: u32) -> RecordRef<'_> {
-        record_ref(self.store.view(pos))
+        let i = pos as usize;
+        RecordRef {
+            oid: ObjectId(self.oids[i]),
+            t: Timestamp(self.times[i]),
+            set_ref: self.sets[i],
+            samples: self.pool.get(self.sets[i]),
+        }
     }
 
     /// Zero-copy borrow of the sample set at `pos` — the accessor the
     /// serve shards use to resolve their cached record positions.
     pub fn samples_at(&self, pos: u32) -> SampleSetView<'_> {
-        self.store.set(pos)
+        self.pool.get(self.sets[pos as usize])
     }
 
     /// Iterates all records in time (append) order, zero-copy.
     pub fn iter(&self) -> impl Iterator<Item = RecordRef<'_>> + '_ {
-        (0..self.len() as u32).map(move |pos| self.view(pos))
+        self.positions(0..self.len())
     }
 
     /// Materializes the table as owned records (clones every sample set)
@@ -238,43 +249,46 @@ impl Iupt {
 
     /// Earliest and latest record timestamps.
     pub fn time_bounds(&self) -> Option<TimeInterval> {
-        if self.is_empty() {
-            return None;
+        match (self.times.first(), self.times.last()) {
+            (Some(&lo), Some(&hi)) => Some(TimeInterval::new(Timestamp(lo), Timestamp(hi))),
+            _ => None,
         }
-        let times = self.store.times();
-        Some(TimeInterval::new(
-            Timestamp(times[0]),
-            Timestamp(times[times.len() - 1]),
-        ))
     }
 
     /// Number of distinct objects in the table.
     pub fn object_count(&self) -> usize {
-        let mut ids: Vec<u32> = self.store.oids().to_vec();
+        let mut ids = self.oids.clone();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
     }
 
-    /// Records within `[ts, te]` via the time index (Algorithm 2 line 1).
-    pub fn range_query(&mut self, interval: TimeInterval) -> Vec<RecordRef<'_>> {
-        let Iupt { store, index } = self;
-        index
-            .range_query(interval.start.millis(), interval.end.millis())
-            .iter()
-            .map(|&(_, i)| record_ref(store.view(i)))
-            .collect()
+    /// The positions of the records within `[ts, te]`: a contiguous
+    /// range, found by binary search on the sorted time column
+    /// (Algorithm 2 line 1).
+    fn window(&self, interval: TimeInterval) -> Range<usize> {
+        let (ts, te) = (interval.start.millis(), interval.end.millis());
+        let first = self.times.partition_point(|&t| t < ts);
+        let last = self.times.partition_point(|&t| t <= te);
+        first..last.max(first)
+    }
+
+    /// Views of the records at `range`, in position order.
+    fn positions(&self, range: Range<usize>) -> impl Iterator<Item = RecordRef<'_>> + '_ {
+        range.map(move |i| self.view(i as u32))
+    }
+
+    /// Records within `[ts, te]`, in time order (Algorithm 2 line 1).
+    pub fn range_query(&self, interval: TimeInterval) -> Vec<RecordRef<'_>> {
+        self.positions(self.window(interval)).collect()
     }
 
     /// The per-object hash table `HO : {oid} → {X}` of Algorithms 2–4:
     /// records in `[ts, te]` grouped by object, each group ordered by time.
     /// Groups are returned sorted by object id for deterministic iteration.
-    pub fn sequences_in(&mut self, interval: TimeInterval) -> Vec<ObjectSequence<'_>> {
-        let Iupt { store, index } = self;
-        let hits = index.range_query(interval.start.millis(), interval.end.millis());
+    pub fn sequences_in(&self, interval: TimeInterval) -> Vec<ObjectSequence<'_>> {
         let mut by_object: HashMap<ObjectId, Vec<RecordRef<'_>>> = HashMap::new();
-        for &(_, i) in hits {
-            let r = record_ref(store.view(i));
+        for r in self.positions(self.window(interval)) {
             by_object.entry(r.oid).or_default().push(r);
         }
         let mut seqs: Vec<ObjectSequence<'_>> = by_object
@@ -286,13 +300,11 @@ impl Iupt {
     }
 
     /// One object's sequence within the window.
-    pub fn sequence_of(&mut self, oid: ObjectId, interval: TimeInterval) -> ObjectSequence<'_> {
-        let Iupt { store, index } = self;
-        let records = index
-            .range_query(interval.start.millis(), interval.end.millis())
-            .iter()
-            .filter(|&&(_, i)| store.oid(i) == oid.0)
-            .map(|&(_, i)| record_ref(store.view(i)))
+    pub fn sequence_of(&self, oid: ObjectId, interval: TimeInterval) -> ObjectSequence<'_> {
+        let records = self
+            .window(interval)
+            .filter(|&i| self.oids[i] == oid.0)
+            .map(|i| self.view(i as u32))
             .collect();
         ObjectSequence { oid, records }
     }
@@ -301,8 +313,8 @@ impl Iupt {
     pub fn stats(&self) -> IuptStats {
         let mut samples = 0usize;
         let mut max_set = 0usize;
-        for &r in self.store.set_refs() {
-            let len = self.store.pool().get(r).len();
+        for &r in &self.sets {
+            let len = self.pool.get(r).len();
             samples += len;
             max_set = max_set.max(len);
         }
@@ -314,18 +326,83 @@ impl Iupt {
         }
     }
 
-    /// Footprint and interner accounting of the columnar store backing
-    /// this table.
+    /// Footprint and interner accounting of the log.
     pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
+        let columns = self.len()
+            * (std::mem::size_of::<u32>()
+                + std::mem::size_of::<i64>()
+                + std::mem::size_of::<SetRef>());
+        StoreStats {
+            records: self.len(),
+            bytes: columns + self.pool.bytes(),
+            sets_interned: self.pool.sets_interned(),
+            intern_hits: self.pool.intern_hits(),
+        }
     }
 
-    /// Bytes the pre-interning row layout (a `Vec` of owned records)
-    /// would occupy for the same content — the counterfactual the memory
-    /// experiments report against (see
-    /// [`popflow_store::RecordStore::row_bytes`]).
+    /// The row-layout counterfactual: bytes a plain `Vec` of
+    /// `(oid, t, set)` rows — every record owning its own set — would
+    /// occupy for the same content. Measured with the same convention as
+    /// [`StoreStats::bytes`] (payload only, no allocator slack), and
+    /// slightly *below* a real row struct's cost since per-row padding
+    /// is ignored — so beating it is a conservative win.
     pub fn row_bytes(&self) -> usize {
-        self.store.row_bytes()
+        self.sets
+            .iter()
+            .map(|&r| {
+                std::mem::size_of::<u32>()
+                    + std::mem::size_of::<i64>()
+                    + std::mem::size_of::<SampleSet>()
+                    + self.pool.get(r).heap_bytes()
+            })
+            .sum()
+    }
+}
+
+/// Footprint and interner accounting of an [`Iupt`], or of several
+/// merged with [`StoreStats::merge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreStats {
+    /// Records in the log.
+    pub records: usize,
+    /// Resident bytes: the three record columns plus the interned-set
+    /// arena and its minimal hash-index payload. Allocator slack is
+    /// excluded on both sides of any comparison with
+    /// [`Iupt::row_bytes`].
+    pub bytes: usize,
+    /// Distinct sample sets in the pool.
+    pub sets_interned: usize,
+    /// Interns that deduplicated to an existing set.
+    pub intern_hits: u64,
+}
+
+impl StoreStats {
+    /// Combines per-shard stats into totals (fields are additive).
+    pub fn merge(self, other: StoreStats) -> StoreStats {
+        StoreStats {
+            records: self.records + other.records,
+            bytes: self.bytes + other.bytes,
+            sets_interned: self.sets_interned + other.sets_interned,
+            intern_hits: self.intern_hits + other.intern_hits,
+        }
+    }
+
+    /// Mean resident bytes per record (0 for an empty log).
+    pub fn bytes_per_record(&self) -> f64 {
+        if self.records == 0 {
+            0.0
+        } else {
+            self.bytes as f64 / self.records as f64
+        }
+    }
+
+    /// Fraction of interns served by deduplication, in `[0, 1]`.
+    pub fn intern_hit_rate(&self) -> f64 {
+        if self.records == 0 {
+            0.0
+        } else {
+            self.intern_hits as f64 / self.records as f64
+        }
     }
 }
 
@@ -401,7 +478,7 @@ mod tests {
 
     #[test]
     fn range_query_filters_by_time() {
-        let mut t = table();
+        let t = table();
         let iv = TimeInterval::new(Timestamp::from_secs(3), Timestamp::from_secs(5));
         let hits = t.range_query(iv);
         assert_eq!(hits.len(), 5);
@@ -410,7 +487,7 @@ mod tests {
 
     #[test]
     fn sequences_grouped_and_ordered() {
-        let mut t = table();
+        let t = table();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let seqs = t.sequences_in(iv);
         assert_eq!(seqs.len(), 3);
@@ -425,7 +502,7 @@ mod tests {
 
     #[test]
     fn sequence_of_single_object() {
-        let mut t = table();
+        let t = table();
         let iv = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
         let s = t.sequence_of(ObjectId(3), iv);
         assert_eq!(s.len(), 3);
@@ -443,12 +520,22 @@ mod tests {
 
     #[test]
     fn empty_table_behaviour() {
-        let mut t = Iupt::new();
+        let t = Iupt::new();
         assert!(t.is_empty());
         assert!(t.time_bounds().is_none());
         let iv = TimeInterval::new(Timestamp(0), Timestamp(1000));
         assert!(t.sequences_in(iv).is_empty());
         assert_eq!(t.store_stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn empty_table_window_lookups() {
+        let t = Iupt::new();
+        let iv = TimeInterval::new(Timestamp(0), Timestamp(100));
+        assert!(t.range_query(iv).is_empty());
+        assert!(t.sequences_in(iv).is_empty());
+        assert!(t.sequence_of(ObjectId(0), iv).is_empty());
+        assert!(t.time_bounds().is_none());
     }
 
     /// The interning contract: identical sample sets pushed as separate
@@ -491,5 +578,211 @@ mod tests {
         for (a, b) in round.iter().zip(t.iter()) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn columns_and_views_agree() {
+        let mut t = Iupt::new();
+        let dup = rec(1, 1, &[(2, 0.5), (3, 0.5)]);
+        let p0 = t.push(dup.clone());
+        let p1 = t.push(rec(2, 2, &[(4, 1.0)]));
+        let p2 = t.push(rec(1, 3, &[(2, 0.5), (3, 0.5)])); // duplicate set
+        assert_eq!((p0, p1, p2), (0, 1, 2));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.oids, [1, 2, 1]);
+        assert_eq!(t.times, [1000, 2000, 3000]);
+        assert_eq!(
+            t.view(p0).set_ref,
+            t.view(p2).set_ref,
+            "duplicates share a handle"
+        );
+        assert_ne!(t.view(p0).set_ref, t.view(p1).set_ref);
+        let v = t.view(p2);
+        assert_eq!((v.oid, v.t), (ObjectId(1), Timestamp::from_secs(3)));
+        assert_eq!(v.samples, &dup.samples);
+        assert!(
+            std::ptr::eq(t.samples_at(p0), t.samples_at(p2)),
+            "one arena copy"
+        );
+        assert_eq!(t.iter().count(), 3);
+    }
+
+    #[test]
+    fn positions_stay_stable_across_appends() {
+        let mut t = Iupt::new();
+        let early = t.push(rec(3, 30, &[(3, 1.0)]));
+        for i in 0..500u32 {
+            t.push(rec(i, 30 + i64::from(i), &[(i % 7, 1.0)]));
+        }
+        let v = t.view(early);
+        assert_eq!((v.oid, v.t), (ObjectId(3), Timestamp::from_secs(30)));
+        assert_eq!(v.samples, &rec(3, 30, &[(3, 1.0)]).samples);
+    }
+
+    fn at(ms: i64) -> Record {
+        Record {
+            oid: ObjectId((ms % 3) as u32),
+            t: Timestamp(ms),
+            samples: SampleSet::certain(PLocId(1)),
+        }
+    }
+
+    fn times(hits: &[RecordRef<'_>]) -> Vec<i64> {
+        hits.iter().map(|r| r.t.millis()).collect()
+    }
+
+    fn window(ts: i64, te: i64) -> TimeInterval {
+        TimeInterval {
+            start: Timestamp(ts),
+            end: Timestamp(te),
+        }
+    }
+
+    #[test]
+    fn exact_boundaries_inclusive() {
+        let t = Iupt::from_records((0..100).map(|i| at(i * 10)).collect());
+        let hits = t.range_query(window(100, 200));
+        assert_eq!(times(&hits), (10..=20).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    fn assert_empty_window(t: &Iupt, ts: i64, te: i64) {
+        assert!(t.range_query(window(ts, te)).is_empty(), "[{ts}, {te}]");
+        assert!(t.sequences_in(window(ts, te)).is_empty(), "[{ts}, {te}]");
+        assert!(t.sequence_of(ObjectId(0), window(ts, te)).is_empty());
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let t = Iupt::from_records((0..10).map(|i| at(i * 10)).collect());
+        assert_empty_window(&t, 50, 40);
+        assert_empty_window(&t, 40, 39);
+    }
+
+    #[test]
+    fn range_outside_data_is_empty() {
+        let t = Iupt::from_records((0..10).map(|i| at(i * 10)).collect());
+        for (ts, te) in [(-100, -1), (1000, 2000), (i64::MIN, -1), (91, 99)] {
+            assert_empty_window(&t, ts, te);
+        }
+    }
+
+    /// Ties at both edges: every record at `ts` and every record at `te`
+    /// is inside, in append order.
+    #[test]
+    fn duplicate_timestamps_all_returned() {
+        let ms = [3, 5, 5, 5, 6, 7, 7, 7, 9];
+        let t = Iupt::from_records(ms.iter().map(|&m| at(m)).collect());
+        assert_eq!(times(&t.range_query(window(5, 7))), [5, 5, 5, 6, 7, 7, 7]);
+        assert_eq!(times(&t.range_query(window(5, 5))), [5, 5, 5]);
+        let positions: Vec<u32> = (1..8).collect();
+        let got: Vec<RecordRef<'_>> = positions.iter().map(|&p| t.view(p)).collect();
+        assert_eq!(t.range_query(window(5, 7)), got);
+    }
+
+    /// The whole log through an end of `i64::MAX`, the window the
+    /// benchmark's `cut_after` uses.
+    #[test]
+    fn an_end_of_i64_max_reaches_the_last_record() {
+        let t = Iupt::from_records((0..50).map(|i| at(i * 7)).collect());
+        assert_eq!(t.range_query(window(0, i64::MAX)).len(), 50);
+        assert_eq!(t.range_query(window(300, i64::MAX)).len(), 7);
+        assert_eq!(t.range_query(window(i64::MIN, i64::MAX)).len(), 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn out_of_order_push_panics() {
+        let mut t = Iupt::new();
+        t.push(at(10));
+        t.push(at(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn out_of_order_extend_panics() {
+        let mut t = Iupt::new();
+        t.push(at(10));
+        t.extend([at(10), at(12), at(11)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random time-sorted tables with ties, every window lookup
+        /// equals a linear filter over `iter()`.
+        #[test]
+        fn matches_linear_filter(
+            mut ms in proptest::collection::vec(0i64..500, 0..300),
+            ts in -10i64..510,
+            len in -20i64..300,
+            oid in 0u32..4,
+        ) {
+            ms.sort_unstable();
+            let t = Iupt::from_records(ms.iter().map(|&m| at(m)).collect());
+            let iv = window(ts, ts + len);
+            let inside: Vec<RecordRef<'_>> = t.iter().filter(|r| iv.contains(r.t)).collect();
+            proptest::prop_assert_eq!(t.range_query(iv), inside.clone());
+
+            let seqs = t.sequences_in(iv);
+            let mut oids: Vec<ObjectId> = inside.iter().map(|r| r.oid).collect();
+            oids.sort_unstable();
+            oids.dedup();
+            proptest::prop_assert_eq!(seqs.iter().map(|s| s.oid).collect::<Vec<_>>(), oids);
+            for seq in &seqs {
+                let want: Vec<RecordRef<'_>> =
+                    inside.iter().copied().filter(|r| r.oid == seq.oid).collect();
+                proptest::prop_assert_eq!(&seq.records, &want);
+            }
+
+            let want: Vec<RecordRef<'_>> =
+                inside.iter().copied().filter(|r| r.oid == ObjectId(oid)).collect();
+            proptest::prop_assert_eq!(t.sequence_of(ObjectId(oid), iv).records, want);
+        }
+    }
+
+    #[test]
+    fn stats_merge_is_additive() {
+        let mut a = Iupt::new();
+        let mut b = Iupt::new();
+        a.push(rec(1, 1, &[(1, 1.0)]));
+        a.push(rec(1, 2, &[(1, 1.0)]));
+        b.push(rec(2, 1, &[(2, 1.0)]));
+        let m = a.store_stats().merge(b.store_stats());
+        assert_eq!(m.records, 3);
+        assert_eq!(m.sets_interned, 2);
+        assert_eq!(m.intern_hits, 1);
+        assert_eq!(m.bytes, a.store_stats().bytes + b.store_stats().bytes);
+    }
+
+    /// Three distinct sets over 100 records: the interned log undercuts
+    /// the row layout, and the hit rate counts the 97 repeats.
+    #[test]
+    fn interned_store_beats_row_layout_on_redundant_data() {
+        let t = Iupt::from_records(
+            (0..100)
+                .map(|i| rec(i % 5, i64::from(i), &[(i % 3, 0.5), (i % 3 + 1, 0.5)]))
+                .collect(),
+        );
+        let st = t.store_stats();
+        assert_eq!(st.records, 100);
+        assert_eq!(st.sets_interned, 3);
+        assert_eq!(st.intern_hits, 97);
+        assert!((st.intern_hit_rate() - 0.97).abs() < 1e-12);
+        assert!(
+            st.bytes < t.row_bytes(),
+            "interned {} vs row {}",
+            st.bytes,
+            t.row_bytes()
+        );
+        assert!(st.bytes_per_record() > 0.0);
+    }
+
+    #[test]
+    fn empty_store_stats_are_zero() {
+        let t = Iupt::new();
+        let st = t.store_stats();
+        assert_eq!(st.bytes_per_record(), 0.0);
+        assert_eq!(st.intern_hit_rate(), 0.0);
+        assert_eq!(t.row_bytes(), 0);
     }
 }

@@ -37,7 +37,7 @@
 //!   `Iupt::extend` — a shard's log is the stream filtered by shard
 //!   whatever the run lengths (`tests/ingest_equivalence.rs`), and a
 //!   single record is a run of one.
-//!   The partition is a columnar, interned `popflow-store` log: the
+//!   The partition is a columnar, interned `indoor_iupt::Iupt` log: the
 //!   shard holds `SetRef`s into its hash-consing pool instead of owned
 //!   sample sets, so redundant streams (a dwelling device re-reporting
 //!   the same position) deduplicate at ingest, bucket caches reference

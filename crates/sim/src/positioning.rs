@@ -62,7 +62,7 @@ pub struct PositioningConfig {
     /// this way — an unchanged fingerprint match returns the cached
     /// result, so a dwelling device re-reports the *identical* sample
     /// set for long stretches (the redundancy LOCATER-style WiFi feeds
-    /// and public-space traces both exhibit, and what `popflow-store`
+    /// and public-space traces both exhibit, and what the `Iupt` log's
     /// interning exploits). Off by default: the paper's §5 workloads
     /// draw fresh weight noise per report, and every batch experiment
     /// keeps that behaviour bit for bit.

@@ -8,7 +8,7 @@
 //! global timestamp order, exactly as a live deployment's sensor
 //! pipeline would deliver them. The stream holds the world's columnar,
 //! interned log (one `SetRef` per record, one arena copy per distinct
-//! sample set — see `popflow-store`) rather than a row copy, so a
+//! sample set — see `indoor_iupt::Iupt`) rather than a row copy, so a
 //! replayable stream costs a fraction of the old `Vec<Record>` clone.
 
 use indoor_iupt::{Iupt, Record, RecordRef, StoreStats, TimeInterval};

@@ -20,7 +20,7 @@ use popflow_eval::Lab;
 fn main() {
     // ---- Part 1: the paper's Figure 4 trace.
     let fig = paper_figure1();
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
     let sets: Vec<_> = iupt
         .sequence_of(O2, interval)
@@ -61,14 +61,14 @@ fn main() {
     println!("query {{r3}} prunes o2 entirely: {}", pruned.is_none());
 
     // ---- Part 2: reduction on simulated Wi-Fi data.
-    let mut lab = Lab::real_analog();
+    let lab = Lab::real_analog();
     let window = lab.random_window(30, 3);
-    let (space, iupt) = lab.space_and_iupt();
+    let space = &lab.world.space;
     let mut raw_sets = 0usize;
     let mut reduced_sets = 0usize;
     let mut raw_bound: f64 = 0.0;
     let mut reduced_bound: f64 = 0.0;
-    for seq in iupt.sequences_in(window) {
+    for seq in lab.iupt().sequences_in(window) {
         let sets: Vec<_> = seq.records.iter().map(|r| r.samples.clone()).collect();
         let red = reduction::scan_sequence(space, sets.iter(), true).unwrap();
         raw_sets += sets.len();

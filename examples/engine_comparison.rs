@@ -19,7 +19,7 @@ use popflow_core::{nested_loop, FlowConfig, PresenceEngine, TkPlQuery};
 use popflow_eval::Lab;
 
 fn main() {
-    let mut lab = Lab::synthetic(0.02);
+    let lab = Lab::synthetic(0.02);
     println!("world: {}", lab.world.space.stats());
     println!("IUPT: {}\n", lab.world.iupt.stats());
     println!(
@@ -34,14 +34,14 @@ fn main() {
             lab.random_window(dt, 1000 + dt as u64),
         );
 
-        let mut timed = |engine: PresenceEngine| {
+        let timed = |engine: PresenceEngine| {
             let cfg = FlowConfig {
                 engine,
                 ..FlowConfig::default()
             };
-            let (space, iupt) = lab.space_and_iupt();
             let start = Instant::now();
-            let out = nested_loop(space, iupt, &query, &cfg).expect("NL evaluates");
+            let out =
+                nested_loop(&lab.world.space, lab.iupt(), &query, &cfg).expect("NL evaluates");
             (start.elapsed().as_secs_f64(), out)
         };
 

@@ -70,12 +70,11 @@ fn main() {
     let interval = world.window(60, 60); // the last hour
     let query = TkPlQuery::new(5, QuerySet::new(exhibits.clone()), interval);
 
-    let mut iupt = world.iupt.clone();
     let cfg = FlowConfig {
         engine: PresenceEngine::Hybrid,
         ..FlowConfig::default()
     };
-    let outcome = best_first(&world.space, &mut iupt, &query, &cfg).expect("query evaluates");
+    let outcome = best_first(&world.space, &world.iupt, &query, &cfg).expect("query evaluates");
 
     println!("\ntop-5 exhibits by estimated visitor flow:");
     for (rank, r) in outcome.ranking.iter().enumerate() {

@@ -91,9 +91,8 @@ fn main() {
     // would crowd the ranking.
     let candidates: Vec<_> = shops.iter().copied().step_by(3).collect();
     let all_query = TkPlQuery::new(k, QuerySet::new(candidates.clone()), interval);
-    let mut iupt = world.iupt.clone();
-    let bf = best_first(&world.space, &mut iupt, &all_query, &cfg).expect("BF evaluates");
-    let sc = simple_counting(&world.space, &mut iupt, &all_query);
+    let bf = best_first(&world.space, &world.iupt, &all_query, &cfg).expect("BF evaluates");
+    let sc = simple_counting(&world.space, &world.iupt, &all_query);
 
     let truth: Vec<_> = world
         .ground_truth_topk(interval, &candidates, k)
@@ -137,8 +136,8 @@ fn main() {
     // pruning — most shoppers never come near these six units.
     let anchor: Vec<_> = shops.iter().copied().take(6).collect();
     let anchor_query = TkPlQuery::new(3, QuerySet::new(anchor), interval);
-    let mut iupt = world.iupt.clone();
-    let bf_anchor = best_first(&world.space, &mut iupt, &anchor_query, &cfg).expect("BF evaluates");
+    let bf_anchor =
+        best_first(&world.space, &world.iupt, &anchor_query, &cfg).expect("BF evaluates");
     println!(
         "\nanchor-tenant query (|Q| = 6, k = 3): top unit {} — {:.1}% of shoppers pruned",
         world.space.sloc(bf_anchor.ranking[0].sloc).name,

@@ -16,7 +16,7 @@ use popflow_eval::svg::{render_floor, SvgOptions};
 use popflow_eval::Lab;
 
 fn main() {
-    let mut lab = Lab::real_analog();
+    let lab = Lab::real_analog();
     let qs = lab.query_fraction(1.0, 2);
     let interval = lab.random_window(60, 7);
     let query = TkPlQuery::new(qs.len(), qs.clone(), interval);
@@ -26,8 +26,8 @@ fn main() {
         engine: PresenceEngine::Hybrid,
         ..FlowConfig::default()
     };
-    let (space, iupt) = lab.space_and_iupt();
-    let outcome = nested_loop(space, iupt, &query, &cfg).expect("query evaluates");
+    let space = &lab.world.space;
+    let outcome = nested_loop(space, lab.iupt(), &query, &cfg).expect("query evaluates");
     let mut flows = vec![0.0; space.slocs().len()];
     for r in &outcome.ranking {
         flows[r.sloc.index()] = r.flow;

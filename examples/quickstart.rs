@@ -28,7 +28,7 @@ fn main() {
 
     // The Table 2 IUPT: objects o1, o2, o3 reporting probabilistic sample
     // sets between t1 and t8.
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     println!("\nIUPT: {}", iupt.stats());
 
     // Example 3: indoor flows over [t1, t8] under the worked-example
@@ -38,13 +38,13 @@ fn main() {
         .without_reduction()
         .with_full_product_normalization();
     for (name, q) in [("r1", fig.r[0]), ("r6", fig.r[5])] {
-        let result = flow(space, &mut iupt, q, interval, &cfg).expect("flow computes");
+        let result = flow(space, &iupt, q, interval, &cfg).expect("flow computes");
         println!("Θ(t1..t8, {name}) = {:.2}", result.flow);
     }
 
     // Example 4: the top-1 popular location among Q = {r1, r6} is r6.
     let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval);
-    let outcome = best_first(space, &mut iupt, &query, &cfg).expect("query evaluates");
+    let outcome = best_first(space, &iupt, &query, &cfg).expect("query evaluates");
     let top = &outcome.ranking[0];
     println!(
         "\ntop-1 popular location: {} (flow {:.2})",

@@ -96,15 +96,14 @@ fn uncertainty_aware_flow_tracks_ground_truth() {
     // On the real-data analog the full flow ranking must correlate
     // strongly with ground truth (the paper's τ at k = 3 is 0.859; the
     // full-ranking correlation behind it is higher still).
-    let mut lab = Lab::real_analog();
+    let lab = Lab::real_analog();
     let qs = lab.query_fraction(1.0, 4);
     let query = TkPlQuery::new(qs.len(), qs.clone(), lab.random_window(30, 17));
     let cfg = FlowConfig {
         engine: PresenceEngine::Hybrid,
         ..FlowConfig::default()
     };
-    let (space, iupt) = lab.space_and_iupt();
-    let out = popflow_core::nested_loop(space, iupt, &query, &cfg).unwrap();
+    let out = popflow_core::nested_loop(&lab.world.space, lab.iupt(), &query, &cfg).unwrap();
     let truth: Vec<_> = lab.ground_truth_topk(&query);
     let tau = popflow_eval::kendall_tau(&out.topk_slocs(), &truth);
     assert!(tau > 0.6, "full-ranking Kendall τ = {tau}");

@@ -6,9 +6,8 @@
 use popflow_core::{nested_loop, FlowConfig, Normalization, PresenceEngine, TkPlQuery};
 use popflow_eval::Lab;
 
-fn run(lab: &mut Lab, query: &TkPlQuery, cfg: &FlowConfig) -> Vec<(u32, f64)> {
-    let (space, iupt) = lab.space_and_iupt();
-    nested_loop(space, iupt, query, cfg)
+fn run(lab: &Lab, query: &TkPlQuery, cfg: &FlowConfig) -> Vec<(u32, f64)> {
+    nested_loop(&lab.world.space, lab.iupt(), query, cfg)
         .expect("evaluates")
         .ranking
         .iter()
@@ -37,7 +36,7 @@ fn engines_agree_on_generated_worlds() {
                     ..FlowConfig::default()
                 };
                 let enumeration = run(
-                    &mut lab,
+                    &lab,
                     &query,
                     &FlowConfig {
                         engine: PresenceEngine::PathEnumeration,
@@ -45,7 +44,7 @@ fn engines_agree_on_generated_worlds() {
                     },
                 );
                 let dp = run(
-                    &mut lab,
+                    &lab,
                     &query,
                     &FlowConfig {
                         engine: PresenceEngine::TransitionDp,
@@ -53,7 +52,7 @@ fn engines_agree_on_generated_worlds() {
                     },
                 );
                 let hybrid = run(
-                    &mut lab,
+                    &lab,
                     &query,
                     &FlowConfig {
                         engine: PresenceEngine::Hybrid,
@@ -78,11 +77,11 @@ fn engines_agree_on_generated_worlds() {
 
 #[test]
 fn hybrid_and_dp_agree_on_full_windows() {
-    let mut lab = Lab::new(indoor_sim::Scenario::tiny().with_seed(5));
+    let lab = Lab::new(indoor_sim::Scenario::tiny().with_seed(5));
     let query = TkPlQuery::new(6, lab.query_fraction(1.0, 6), lab.world.full_interval());
     let base = FlowConfig::default();
     let hybrid = run(
-        &mut lab,
+        &lab,
         &query,
         &FlowConfig {
             engine: PresenceEngine::Hybrid,
@@ -90,7 +89,7 @@ fn hybrid_and_dp_agree_on_full_windows() {
         },
     );
     let dp = run(
-        &mut lab,
+        &lab,
         &query,
         &FlowConfig {
             engine: PresenceEngine::TransitionDp,
@@ -107,10 +106,10 @@ fn hybrid_and_dp_agree_on_full_windows() {
 fn hybrid_fallback_is_exact() {
     // Force the hybrid engine into its DP fallback with a tiny budget and
     // verify the flows still match the pure DP.
-    let mut lab = Lab::new(indoor_sim::Scenario::tiny().with_seed(21));
+    let lab = Lab::new(indoor_sim::Scenario::tiny().with_seed(21));
     let query = TkPlQuery::new(6, lab.query_fraction(1.0, 3), lab.world.full_interval());
     let hybrid_starved = run(
-        &mut lab,
+        &lab,
         &query,
         &FlowConfig {
             engine: PresenceEngine::Hybrid,
@@ -119,7 +118,7 @@ fn hybrid_fallback_is_exact() {
         },
     );
     let dp = run(
-        &mut lab,
+        &lab,
         &query,
         &FlowConfig {
             engine: PresenceEngine::TransitionDp,

@@ -24,7 +24,7 @@ fn worked_example_cfg() -> FlowConfig {
 }
 
 fn sets_of(oid: ObjectId) -> Vec<SampleSet> {
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     iupt.sequence_of(oid, interval())
         .records
         .iter()
@@ -70,11 +70,11 @@ fn example2_and_3_presences() {
 #[test]
 fn example3_flows() {
     let fig = paper_figure1();
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     let cfg = worked_example_cfg();
-    let r6 = flow(&fig.space, &mut iupt, fig.r[5], interval(), &cfg).unwrap();
+    let r6 = flow(&fig.space, &iupt, fig.r[5], interval(), &cfg).unwrap();
     assert!((r6.flow - 1.97).abs() < 1e-9, "Θ(r6) = {}", r6.flow);
-    let r1 = flow(&fig.space, &mut iupt, fig.r[0], interval(), &cfg).unwrap();
+    let r1 = flow(&fig.space, &iupt, fig.r[0], interval(), &cfg).unwrap();
     assert!((r1.flow - 0.5).abs() < 1e-9, "Θ(r1) = {}", r1.flow);
 }
 
@@ -85,7 +85,7 @@ fn example4_top1_query_all_algorithms() {
     let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval());
     type Algo = fn(
         &indoor_model::IndoorSpace,
-        &mut indoor_iupt::Iupt,
+        &indoor_iupt::Iupt,
         &TkPlQuery,
         &FlowConfig,
     ) -> Result<popflow_core::QueryOutcome, popflow_core::FlowError>;
@@ -95,8 +95,8 @@ fn example4_top1_query_all_algorithms() {
         ("best_first", best_first),
     ];
     for (name, f) in algos {
-        let mut iupt = paper_table2();
-        let out = f(&fig.space, &mut iupt, &query, &cfg).unwrap();
+        let iupt = paper_table2();
+        let out = f(&fig.space, &iupt, &query, &cfg).unwrap();
         assert_eq!(out.ranking[0].sloc, fig.r[5], "{name} returns r6");
         assert!((out.ranking[0].flow - 1.97).abs() < 1e-9, "{name}");
     }

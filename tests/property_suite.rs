@@ -248,9 +248,8 @@ proptest! {
             }
         };
 
-        let mut iupt = world.iupt.clone();
-        let nl = nested_loop(&world.space, &mut iupt, &query, &base).unwrap();
-        let bf = best_first(&world.space, &mut iupt, &query, &base).unwrap();
+        let nl = nested_loop(&world.space, &world.iupt, &query, &base).unwrap();
+        let bf = best_first(&world.space, &world.iupt, &query, &base).unwrap();
         prop_assert_eq!(nl.topk_slocs(), bf.topk_slocs(), "NL vs BF slocs (seed {})", seed);
         for (a, b) in nl.ranking.iter().zip(bf.ranking.iter()) {
             prop_assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "NL vs BF bits (seed {})", seed);
@@ -262,8 +261,8 @@ proptest! {
                 ..base
             };
             for (name, serial, par) in [
-                ("nested_loop", &nl, nested_loop(&world.space, &mut iupt, &query, &cfg).unwrap()),
-                ("best_first", &bf, best_first(&world.space, &mut iupt, &query, &cfg).unwrap()),
+                ("nested_loop", &nl, nested_loop(&world.space, &world.iupt, &query, &cfg).unwrap()),
+                ("best_first", &bf, best_first(&world.space, &world.iupt, &query, &cfg).unwrap()),
             ] {
                 prop_assert_eq!(
                     serial.topk_slocs(),

@@ -99,7 +99,7 @@ fn windows() -> (World, Vec<TimeInterval>) {
 
 #[test]
 fn fold_equals_per_record_pipeline_on_every_object_window() {
-    let (mut world, windows) = windows();
+    let (world, windows) = windows();
     let (mut object_windows, mut records, mut reduced_sets, mut borrowed) = (0, 0, 0, 0);
     for interval in windows {
         for seq in world.iupt.sequences_in(interval) {
@@ -152,7 +152,7 @@ fn fold_equals_per_record_pipeline_on_every_object_window() {
 
 #[test]
 fn psl_scans_share_one_collector() {
-    let (mut world, windows) = windows();
+    let (world, windows) = windows();
     let mut compared = 0;
     for interval in windows {
         for seq in world.iupt.sequences_in(interval) {

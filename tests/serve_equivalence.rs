@@ -136,10 +136,10 @@ fn assert_equivalent(
         // Mid-replay, pin one slide against a literal one-shot batch
         // query over the same records — guarding the baseline itself.
         if !checked_one_shot && b >= window_buckets as i64 {
-            let mut iupt = Iupt::from_records(records[..next].to_vec());
+            let iupt = Iupt::from_records(records[..next].to_vec());
             let one_shot = nested_loop(
                 &world.space,
-                &mut iupt,
+                &iupt,
                 &TkPlQuery::new(k, QuerySet::new(slocs.clone()), a.window),
                 &flow,
             )

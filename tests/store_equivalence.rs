@@ -1,5 +1,5 @@
-//! Store-equivalence gates for the columnar, interned `popflow-store`
-//! record spine.
+//! Store-equivalence gates for the columnar, interned `Iupt` record
+//! log.
 //!
 //! The refactor's contract is that swapping the row-oriented
 //! `Vec<Record>` log for the interned struct-of-arrays store changes
@@ -108,31 +108,31 @@ fn assert_batch_equivalence(
 
     // Gate 1: the shared kernel over columnar storage, forked or not,
     // against the kernel over bare rows.
-    let mut columnar = world.iupt.clone();
+    let columnar = world.iupt.clone();
     for &threads in threads {
         let swept = FlowConfig {
             exec: ExecConfig::with_threads(threads),
             ..*cfg
         };
-        let nl = nested_loop(space, &mut columnar, &query, &swept).expect("nested_loop");
+        let nl = nested_loop(space, &columnar, &query, &swept).expect("nested_loop");
         assert_flow_bits_equal(&format!("nested_loop@{threads}t vs rows"), &nl, &want);
     }
 
     // Gate 2: the other engines, columnar vs a table round-tripped
     // through the owned row copy (fresh store, fresh interner).
-    let mut rebuilt = Iupt::from_records(rows);
-    let nv_col = naive(space, &mut columnar, &query, cfg).expect("naive columnar");
-    let nv_row = naive(space, &mut rebuilt, &query, cfg).expect("naive rebuilt");
+    let rebuilt = Iupt::from_records(rows);
+    let nv_col = naive(space, &columnar, &query, cfg).expect("naive columnar");
+    let nv_row = naive(space, &rebuilt, &query, cfg).expect("naive rebuilt");
     assert_flow_bits_equal("naive columnar vs rebuilt", &nv_col, &nv_row.ranking);
-    let bf_col = best_first(space, &mut columnar, &query, cfg).expect("bf columnar");
-    let bf_row = best_first(space, &mut rebuilt, &query, cfg).expect("bf rebuilt");
+    let bf_col = best_first(space, &columnar, &query, cfg).expect("bf columnar");
+    let bf_row = best_first(space, &rebuilt, &query, cfg).expect("bf rebuilt");
     assert_flow_bits_equal("best_first columnar vs rebuilt", &bf_col, &bf_row.ranking);
     for &threads in threads {
         let forked = FlowConfig {
             exec: ExecConfig::with_threads(threads),
             ..*cfg
         };
-        let bf_par = best_first(space, &mut columnar, &query, &forked).expect("bf");
+        let bf_par = best_first(space, &columnar, &query, &forked).expect("bf");
         assert_flow_bits_equal(
             &format!("best_first@{threads}t vs @1t"),
             &bf_par,

@@ -23,15 +23,15 @@ fn worked_example_config() -> FlowConfig {
 fn paper_running_example_end_to_end() {
     let fig = paper_figure1();
     let space = &fig.space;
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
     let cfg = worked_example_config();
 
     // Example 3: Θ(t1..t8, r6) = 1.97 and Θ(t1..t8, r1) = 0.5.
-    let theta_r6 = flow(space, &mut iupt, fig.r[5], interval, &cfg)
+    let theta_r6 = flow(space, &iupt, fig.r[5], interval, &cfg)
         .expect("flow over r6 computes")
         .flow;
-    let theta_r1 = flow(space, &mut iupt, fig.r[0], interval, &cfg)
+    let theta_r1 = flow(space, &iupt, fig.r[0], interval, &cfg)
         .expect("flow over r1 computes")
         .flow;
     assert!(
@@ -46,7 +46,7 @@ fn paper_running_example_end_to_end() {
     // Example 4: top-1 among Q = {r1, r6} is r6, with the same flow
     // value the direct computation produced.
     let query = TkPlQuery::new(1, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval);
-    let outcome = best_first(space, &mut iupt, &query, &cfg).expect("query evaluates");
+    let outcome = best_first(space, &iupt, &query, &cfg).expect("query evaluates");
     assert_eq!(outcome.ranking.len(), 1, "top-1 query returns one location");
     let top = &outcome.ranking[0];
     assert_eq!(top.sloc, fig.r[5], "the paper's Example 4 returns r6");
@@ -72,11 +72,11 @@ fn four_thread_parallel_drivers_match_serial_on_paper_fixture() {
         };
         let query = TkPlQuery::new(3, QuerySet::new(fig.r.to_vec()), interval);
 
-        let mut iupt = paper_table2();
-        let nl = nested_loop(space, &mut iupt, &query, &base).expect("nested_loop@1t");
-        let nl_par = nested_loop(space, &mut iupt, &query, &par_cfg).expect("nested_loop@4t");
-        let bf = best_first(space, &mut iupt, &query, &base).expect("best_first@1t");
-        let bf_par = best_first(space, &mut iupt, &query, &par_cfg).expect("best_first@4t");
+        let iupt = paper_table2();
+        let nl = nested_loop(space, &iupt, &query, &base).expect("nested_loop@1t");
+        let nl_par = nested_loop(space, &iupt, &query, &par_cfg).expect("nested_loop@4t");
+        let bf = best_first(space, &iupt, &query, &base).expect("best_first@1t");
+        let bf_par = best_first(space, &iupt, &query, &par_cfg).expect("best_first@4t");
         for (name, serial, par) in [("nested_loop", nl, nl_par), ("best_first", bf, bf_par)] {
             assert_eq!(serial.topk_slocs(), par.topk_slocs(), "{name}");
             for (a, b) in serial.ranking.iter().zip(par.ranking.iter()) {
@@ -90,12 +90,12 @@ fn four_thread_parallel_drivers_match_serial_on_paper_fixture() {
 fn paper_running_example_top2_ranks_both() {
     let fig = paper_figure1();
     let space = &fig.space;
-    let mut iupt = paper_table2();
+    let iupt = paper_table2();
     let interval = TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8));
     let cfg = worked_example_config();
 
     let query = TkPlQuery::new(2, QuerySet::new(vec![fig.r[0], fig.r[5]]), interval);
-    let outcome = best_first(space, &mut iupt, &query, &cfg).expect("query evaluates");
+    let outcome = best_first(space, &iupt, &query, &cfg).expect("query evaluates");
     assert_eq!(outcome.ranking.len(), 2);
     assert_eq!(outcome.ranking[0].sloc, fig.r[5], "r6 first");
     assert_eq!(outcome.ranking[1].sloc, fig.r[0], "r1 second");
