@@ -14,6 +14,10 @@
 //! The reason is mandatory: a pragma without one is itself reported
 //! (as `malformed-pragma`), so suppressions stay auditable. Every parsed
 //! pragma is retained and printed by `--list-allows`.
+//!
+//! Only plain comments (`//`, `/* */`) are pragmas. A doc comment
+//! (`///`, `//!`, `/** */`, `/*! */`) documents code, and may quote the
+//! syntax — as this one does — without suppressing anything.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -76,6 +80,9 @@ pub fn collect_allows(tokens: &[Token], src: &str) -> AllowSet {
             continue;
         }
         let text = tok.text(src);
+        if is_doc_comment(text) {
+            continue;
+        }
         let Some(at) = text.find(MARKER) else {
             continue;
         };
@@ -119,6 +126,15 @@ pub fn collect_allows(tokens: &[Token], src: &str) -> AllowSet {
         });
     }
     set
+}
+
+/// True if the comment `text` is a doc comment: `///` (not `////`),
+/// `//!`, `/**` (not `/***` or the empty `/**/`) or `/*!` — the forms
+/// rustc reads as documentation.
+fn is_doc_comment(text: &str) -> bool {
+    let outer_line = text.starts_with("///") && !text.starts_with("////");
+    let outer_block = text.starts_with("/**") && !text.starts_with("/***") && text != "/**/";
+    outer_line || outer_block || text.starts_with("//!") || text.starts_with("/*!")
 }
 
 /// True if the comment at `idx` has no code earlier on its line (i.e.
@@ -253,6 +269,29 @@ other();";
         assert_eq!(set.allows.len(), 1);
         assert!(set.is_allowed("atomic-ordering-audit", 2));
         assert_eq!(set.allows[0].reason, "counter is telemetry-only");
+    }
+
+    #[test]
+    fn doc_comments_are_not_pragmas() {
+        for doc in [
+            "/// anlz:allow(panic-in-hot-path): quoted",
+            "//! anlz:allow(panic-in-hot-path): quoted",
+            "/** anlz:allow(panic-in-hot-path): quoted */",
+            "/*! anlz:allow(panic-in-hot-path): quoted */",
+            "/// anlz:allow(no reason)",
+        ] {
+            let set = allows(&format!("{doc}\nx.unwrap();"));
+            assert!(set.allows.is_empty(), "{doc}");
+            assert!(set.malformed.is_empty(), "{doc}");
+        }
+        // Four or more slashes, or `/***`, are plain comments again.
+        for plain in [
+            "//// anlz:allow(panic-in-hot-path): plain",
+            "/*** anlz:allow(panic-in-hot-path): plain */",
+        ] {
+            let set = allows(&format!("{plain}\nx.unwrap();"));
+            assert!(set.is_allowed("panic-in-hot-path", 2), "{plain}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ const R4_BAD: &str = include_str!("fixtures/r4_bad.rs");
 const R4_CLEAN: &str = include_str!("fixtures/r4_clean.rs");
 const R5_BAD: &str = include_str!("fixtures/r5_bad.rs");
 const R5_CLEAN: &str = include_str!("fixtures/r5_clean.rs");
+const DOC_PRAGMA: &str = include_str!("fixtures/doc_pragma.rs");
 
 /// `(rule, line)` pairs of the unsuppressed findings.
 fn findings(path: &str, src: &str, is_crate_root: bool) -> Vec<(String, u32)> {
@@ -127,4 +128,15 @@ fn r5_bad_is_quiet_when_not_a_crate_root() {
 #[test]
 fn r5_clean_is_quiet() {
     assert_eq!(findings("crates/eval/src/lib.rs", R5_CLEAN, true), vec![]);
+}
+
+#[test]
+fn a_doc_comment_quoting_a_pragma_suppresses_nothing() {
+    let report = analyze_source(HOT, DOC_PRAGMA, false);
+    assert_eq!(
+        findings(HOT, DOC_PRAGMA, false),
+        vec![("panic-in-hot-path".to_string(), 8)]
+    );
+    assert!(report.allows.is_empty(), "{:?}", report.allows);
+    assert!(report.suppressed.is_empty());
 }

@@ -33,7 +33,8 @@ pub enum Normalization {
 pub enum PresenceEngine {
     /// Enumerate valid possible paths exactly as Algorithms 2–3 do.
     /// Faithful to the paper; cost grows with the number of valid paths
-    /// (bounded by [`FlowConfig::path_budget`]).
+    /// (bounded by [`FlowConfig::path_budget`]). Batch queries only: the
+    /// serving engine runs the transition DP.
     #[default]
     PathEnumeration,
     /// Exact dynamic program over (step, last P-location) pairs — our
@@ -46,7 +47,8 @@ pub enum PresenceEngine {
     /// [`FlowConfig::path_budget`] — the paper's engine wherever it is
     /// feasible, with exact graceful degradation elsewhere (the paper
     /// spills oversized path sets to disk instead). The experiment harness
-    /// uses this engine.
+    /// uses this engine. Batch queries only, like
+    /// [`PresenceEngine::PathEnumeration`].
     Hybrid,
 }
 
@@ -128,7 +130,9 @@ impl FlowConfig {
 pub enum FlowError {
     /// Path enumeration exceeded [`FlowConfig::path_budget`] extension
     /// steps. Shorten the query interval, enable data reduction, or switch
-    /// to [`PresenceEngine::TransitionDp`].
+    /// to [`PresenceEngine::TransitionDp`]. Only a batch query under
+    /// [`PresenceEngine::PathEnumeration`] returns it: the serving engine
+    /// runs the transition DP, which has no budget.
     PathBudgetExceeded {
         /// The configured budget that was exhausted.
         budget: u64,

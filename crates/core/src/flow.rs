@@ -8,11 +8,13 @@ use std::collections::HashMap;
 use indoor_iupt::{Iupt, ObjectId, SampleSet, TimeInterval};
 use indoor_model::{IndoorSpace, SLocId};
 
-use crate::config::{FlowConfig, FlowError};
+use crate::config::{FlowConfig, FlowError, Normalization, PresenceEngine};
+use crate::dp::presence_dp_multi;
 use crate::fold::SpanFold;
+use crate::paths::{build_paths_tracking, full_product_mass, TrackedPathSet};
 use crate::presence::presence_prepared_tracked;
-use crate::query_set::QuerySet;
-use crate::reduction::reduce_for_query;
+use crate::query_set::{intersect_sorted, QuerySet};
+use crate::reduction::{reduce_for_query, scan_sequence};
 
 /// Result of a single-location flow computation.
 #[derive(Debug, Clone)]
@@ -65,44 +67,16 @@ impl ObjectContribution {
             }
         }
     }
-
-    /// Restricts the contribution to a **sorted** location subset.
-    ///
-    /// Per-location presence does not depend on which other locations
-    /// were evaluated alongside it (see [`object_flow_contributions`]),
-    /// so a contribution computed once against the *union* of several
-    /// queries' location sets slices down to any one query's subset with
-    /// scores **bit-identical** to a contribution computed against that
-    /// subset directly — the property the multi-query serving registry's
-    /// per-query slicing rests on.
-    pub fn sliced(&self, subset: &[SLocId]) -> ObjectContribution {
-        let mut relevant = Vec::new();
-        let mut scores = Vec::new();
-        let mut i = 0;
-        for (&q, &score) in self.relevant.iter().zip(&self.scores) {
-            // anlz:allow(panic-in-hot-path): subset[i] guarded by i < subset.len() in the same condition
-            while i < subset.len() && subset[i] < q {
-                i += 1;
-            }
-            // anlz:allow(panic-in-hot-path): subset[i] guarded by i < subset.len() in the same condition
-            if i < subset.len() && subset[i] == q {
-                relevant.push(q);
-                scores.push(score);
-            }
-        }
-        ObjectContribution {
-            relevant,
-            scores,
-            dp_fallback: self.dp_fallback,
-        }
-    }
 }
 
 /// Computes one object's contributions to every location of `query_set`
 /// from its windowed positioning sequence: runs the §3.2 reduction
 /// (per `cfg`), applies PSL pruning, and evaluates presence with the
-/// configured engine — by pushing every record into one [`SpanFold`]
-/// and finishing it.
+/// configured engine. The transition DP pushes every record into one
+/// [`SpanFold`] and finishes it; the path engines run Algorithm 2 as
+/// printed — reduce the whole sequence, enumerate its valid paths, score
+/// them — with [`PresenceEngine::Hybrid`] falling back to
+/// [`presence_dp_multi`] when the path budget runs out.
 ///
 /// Returns `Ok(None)` when the object is pruned by its PSLs (reduction
 /// enabled and `psls ∩ Q = ∅`) — the Algorithm 1 line 13 exclusion. With
@@ -113,6 +87,10 @@ impl ObjectContribution {
 /// evaluated alongside it — paths, probabilities, and normalization
 /// denominators are all per-object quantities — so each location's score
 /// is **bit-identical** whichever query set holds it.
+///
+/// # Errors
+/// The reduction's [`FlowError::InvalidSampleSet`], and
+/// [`FlowError::PathBudgetExceeded`] from [`PresenceEngine::PathEnumeration`].
 pub fn object_flow_contributions<'a, I>(
     space: &IndoorSpace,
     sets: I,
@@ -122,11 +100,95 @@ pub fn object_flow_contributions<'a, I>(
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
-    let mut fold = SpanFold::new(space, cfg);
+    if cfg.engine != PresenceEngine::TransitionDp {
+        return path_contributions(space, sets, query_set, cfg);
+    }
+    let mut fold = SpanFold::new(space, cfg.normalization, cfg.use_reduction);
     for set in sets {
         fold.push(space, query_set, set)?;
     }
     fold.finish(space)
+}
+
+/// [`object_flow_contributions`] for the path engines (Algorithm 2 as
+/// printed): reduce the whole sequence, intersect its PSLs with the
+/// query set, enumerate the reduced sequence's valid paths tracking the
+/// locations each can pass (Algorithm 3 lines 14–19), and score them.
+fn path_contributions<'a, I>(
+    space: &IndoorSpace,
+    sets: I,
+    query_set: &QuerySet,
+    cfg: &FlowConfig,
+) -> Result<Option<ObjectContribution>, FlowError>
+where
+    I: IntoIterator<Item = &'a SampleSet>,
+{
+    let scanned = scan_sequence(space, sets, cfg.use_reduction)?;
+    if cfg.use_reduction && !query_set.intersects_sorted(&scanned.psls) {
+        return Ok(None);
+    }
+    let relevant = intersect_sorted(query_set.slocs(), &scanned.psls);
+    if relevant.is_empty() {
+        return Ok(Some(ObjectContribution::default()));
+    }
+    let sets = &scanned.sets;
+    let (scores, dp_fallback) = match build_paths_tracking(space, &relevant, sets, cfg.path_budget)
+    {
+        Ok(tracked) => {
+            let full_mass = full_product_mass(sets);
+            let scores = scores_from_tracked(space, &relevant, cfg, &tracked, full_mass);
+            (scores, false)
+        }
+        Err(FlowError::PathBudgetExceeded { .. }) if cfg.engine == PresenceEngine::Hybrid => {
+            let scores = presence_dp_multi(space, sets, &relevant, cfg.normalization);
+            (scores, true)
+        }
+        Err(e) => return Err(e),
+    };
+    Ok(Some(ObjectContribution {
+        relevant,
+        scores,
+        dp_fallback,
+    }))
+}
+
+/// Per-location scores from a tracked path set (Algorithm 3 lines 9–25):
+/// each valid path's pass probability is weighted by the path probability
+/// and normalized per `cfg` (`full_mass` is the
+/// [`Normalization::FullProduct`] denominator).
+fn scores_from_tracked(
+    space: &IndoorSpace,
+    relevant: &[SLocId],
+    cfg: &FlowConfig,
+    tracked: &TrackedPathSet,
+    full_mass: f64,
+) -> Vec<f64> {
+    let mut local = vec![0.0; relevant.len()];
+    let mut prsum = 0.0;
+    for tp in &tracked.tracked {
+        prsum += tp.path.prob;
+        for bit in tp.touched.iter() {
+            let (Some(&q), Some(slot)) = (relevant.get(bit), local.get_mut(bit)) else {
+                continue;
+            };
+            let pass = tracked.set.pass_probability(space, tp.path, q);
+            if pass > 0.0 {
+                *slot += pass * tp.path.prob;
+            }
+        }
+    }
+    let denom = match cfg.normalization {
+        Normalization::FullProduct => full_mass,
+        Normalization::ValidPaths => prsum,
+    };
+    if denom > 0.0 {
+        for v in &mut local {
+            *v /= denom;
+        }
+    } else {
+        local.iter_mut().for_each(|v| *v = 0.0);
+    }
+    local
 }
 
 /// Computes the indoor flow for S-location `q` over `[ts, te]`
@@ -184,6 +246,24 @@ mod tests {
 
     fn interval() -> TimeInterval {
         TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8))
+    }
+
+    /// `c` restricted to the **sorted** location subset `subset`: a
+    /// two-pointer merge of the two ascending lists.
+    fn sliced(c: &ObjectContribution, subset: &[SLocId]) -> ObjectContribution {
+        let mut out = ObjectContribution {
+            dp_fallback: c.dp_fallback,
+            ..ObjectContribution::default()
+        };
+        let mut subset = subset.iter().peekable();
+        for (&q, &score) in c.relevant.iter().zip(&c.scores) {
+            while subset.next_if(|&&s| s < q).is_some() {}
+            if subset.next_if_eq(&&q).is_some() {
+                out.relevant.push(q);
+                out.scores.push(score);
+            }
+        }
+        out
     }
 
     /// Worked-example configuration (Example 3 numbers assume the
@@ -295,7 +375,7 @@ mod tests {
                 for subset in singles.chain([rest]).filter(|s| !s.is_empty()) {
                     let part = contributions(&QuerySet::new(subset.clone()))
                         .expect("a location among the object's PSLs is not pruned");
-                    let want = full.sliced(&subset);
+                    let want = sliced(&full, &subset);
                     assert_eq!(part.relevant, subset);
                     assert_eq!(part.relevant, want.relevant);
                     for (s, f) in part.scores.iter().zip(&want.scores) {
@@ -342,7 +422,7 @@ mod tests {
                 .unwrap();
                 let Some(full) = full else { continue };
                 for subset in &subsets {
-                    let sliced = full.sliced(subset.slocs());
+                    let part = sliced(&full, subset.slocs());
                     let direct = object_flow_contributions(
                         &fig.space,
                         seq.records.iter().map(|r| r.samples),
@@ -353,10 +433,10 @@ mod tests {
                     match direct {
                         // PSL-pruned against the subset: the union
                         // contribution must hold nothing for it either.
-                        None => assert!(sliced.relevant.is_empty()),
+                        None => assert!(part.relevant.is_empty()),
                         Some(direct) => {
-                            assert_eq!(sliced.relevant, direct.relevant);
-                            for (s, d) in sliced.scores.iter().zip(&direct.scores) {
+                            assert_eq!(part.relevant, direct.relevant);
+                            for (s, d) in part.scores.iter().zip(&direct.scores) {
                                 assert_eq!(s.to_bits(), d.to_bits(), "cfg {cfg:?}");
                             }
                         }
@@ -373,11 +453,11 @@ mod tests {
             scores: vec![0.25, 0.5, 0.75],
             dp_fallback: true,
         };
-        let s = c.sliced(&[SLocId(1), SLocId(5), SLocId(9), SLocId(11)]);
+        let s = sliced(&c, &[SLocId(1), SLocId(5), SLocId(9), SLocId(11)]);
         assert_eq!(s.relevant, vec![SLocId(5), SLocId(9)]);
         assert_eq!(s.scores, vec![0.5, 0.75]);
         assert!(s.dp_fallback);
-        assert!(c.sliced(&[SLocId(3)]).relevant.is_empty());
+        assert!(sliced(&c, &[SLocId(3)]).relevant.is_empty());
     }
 
     /// `scan_psls` returns exactly the PSL list `scan_sequence` computes.

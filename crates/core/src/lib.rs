@@ -15,10 +15,12 @@
 //!   possible-semantic-location pruning.
 //! * **Flow computation** (§3.3, Algorithm 2): [`flow::flow`].
 //!   Every search scores an object through one kernel,
-//!   [`object_flow_contributions`], which is a left fold over the
-//!   object's records: [`SpanFold`] keeps the reduction's and the
-//!   transition DP's state between records, so a sequence that grows —
-//!   a serving shard's open bucket — is paid for once per record.
+//!   [`object_flow_contributions`]. Under the transition DP it is a left
+//!   fold over the object's records: [`SpanFold`] keeps the reduction's
+//!   and the DP's state between records, so a sequence that grows — a
+//!   serving shard's open bucket — is paid for once per record; the
+//!   serving shards run nothing else. The path engines, batch-only, run
+//!   Algorithm 2 as printed: reduce, enumerate, score.
 //! * **TkPLQ search algorithms** (§4): [`query::naive`],
 //!   [`query::nested_loop`] (Algorithm 3), [`query::best_first`]
 //!   (Algorithm 4's best-first COUNT-bound search, over exact

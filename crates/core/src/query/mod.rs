@@ -56,7 +56,7 @@ pub struct RankedLocation {
 }
 
 /// Work accounting for a TkPLQ evaluation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Objects with records in the query window (`|O|`).
     pub objects_total: usize,

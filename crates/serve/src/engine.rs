@@ -10,8 +10,8 @@ use std::sync::Arc;
 use indoor_iupt::{Iupt, ObjectId, Record, Timestamp};
 use indoor_model::{IndoorSpace, SLocId};
 use popflow_core::{
-    diff_topk, rank_topk, ContinuousUpdate, FlowConfig, FlowError, QueryId, QueryOutcome, QuerySet,
-    QuerySpec, SearchStats,
+    diff_topk, rank_topk, ContinuousUpdate, FlowError, Normalization, QueryId, QueryOutcome,
+    QuerySet, QuerySpec, SearchStats,
 };
 use popflow_exec::{ShardDown, ShardPool};
 use popflow_obs::{Counter, Gauge, Histogram, MetricsRegistry, Timer};
@@ -56,9 +56,15 @@ pub enum LateRecord {
 }
 
 /// Configuration of a [`ServeEngine`]: the shared serving substrate
-/// (shard count, bucket granularity, flow configuration). Queries are
-/// added and removed, at any point in the stream, with
-/// [`ServeEngine::register`] / [`ServeEngine::unregister`].
+/// (shard count, bucket granularity, presence normalization) and its
+/// telemetry. Queries are added and removed, at any point in the stream,
+/// with [`ServeEngine::register`] / [`ServeEngine::unregister`].
+///
+/// The shards run one kernel: the transition DP over the §3.2-reduced
+/// sequence ([`popflow_core::SpanFold`]), bit-identical to a batch
+/// search with the transition-DP engine, data reduction on and the same
+/// normalization. Path enumeration is for batch queries only; there is
+/// no path budget to run out of here.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of shard workers (threads). Objects are hash-partitioned
@@ -68,8 +74,9 @@ pub struct ServeConfig {
     /// registered query must share (their window *lengths* are free to
     /// differ).
     pub bucket_millis: i64,
-    /// Flow computation configuration (engine, normalization, reduction).
-    pub flow: FlowConfig,
+    /// How presence is normalized over an object's paths. It changes
+    /// results: the paper defines it two ways (see [`Normalization`]).
+    pub normalization: Normalization,
     /// Whether to record internal telemetry (phase histograms, mirrored
     /// counters, advance traces) into the engine's
     /// [`MetricsRegistry`]. On by default — instrumentation is relaxed
@@ -84,15 +91,15 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with the given bucket granularity and sensible defaults
-    /// (4 shards, DP presence engine — the right engine for a serving
-    /// path, where tail latency matters more than paper fidelity).
+    /// A config with the given bucket granularity and defaults: 4
+    /// shards, the default [`Normalization`] (Algorithm 2's valid-path
+    /// normalization), metrics on, 64 traces kept.
     pub fn with_buckets(bucket_millis: i64) -> Self {
         assert!(bucket_millis > 0, "bucket width must be positive");
         ServeConfig {
             num_shards: 4,
             bucket_millis,
-            flow: FlowConfig::default().with_dp_engine(),
+            normalization: Normalization::default(),
             metrics: true,
             trace_capacity: 64,
         }
@@ -104,9 +111,9 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the flow configuration.
-    pub fn with_flow(mut self, flow: FlowConfig) -> Self {
-        self.flow = flow;
+    /// Overrides the presence normalization.
+    pub fn with_normalization(mut self, normalization: Normalization) -> Self {
+        self.normalization = normalization;
         self
     }
 
@@ -366,12 +373,12 @@ struct Registered {
 /// use indoor_iupt::fixtures::paper_table2;
 /// use indoor_iupt::Timestamp;
 /// use indoor_model::fixtures::paper_figure1;
-/// use popflow_core::{FlowConfig, QuerySet, QuerySpec, WindowSpec};
+/// use popflow_core::{Normalization, QuerySet, QuerySpec, WindowSpec};
 /// use popflow_serve::{ServeConfig, ServeEngine};
 ///
 /// let fig = paper_figure1();
 /// let cfg = ServeConfig::with_buckets(4_000)
-///     .with_flow(FlowConfig::default().with_full_product_normalization());
+///     .with_normalization(Normalization::FullProduct);
 /// let mut engine = ServeEngine::new(Arc::new(fig.space.clone()), cfg);
 /// let id = engine
 ///     .register(QuerySpec::new(
@@ -438,14 +445,14 @@ impl ServeEngine {
     /// shared read-only with all workers.
     pub fn new(space: Arc<IndoorSpace>, config: ServeConfig) -> Self {
         assert!(config.num_shards >= 1, "need at least one shard");
-        let flow = config.flow;
+        let normalization = config.normalization;
         let bucket_millis = config.bucket_millis;
         let registry = MetricsRegistry::new();
         let mut pool = ShardPool::new("popflow-shard", config.num_shards, |_| {
             ShardWorker::new(
                 Arc::clone(&space),
                 QuerySet::new(Vec::new()),
-                flow,
+                normalization,
                 bucket_millis,
             )
         });
@@ -1138,8 +1145,6 @@ fn merge_windows(
                     detail: format!("shard reply is missing window {wi} of the advance plan"),
                 })?;
             stats.objects_total += win.len();
-            stats.objects_computed += win.len() - win.pruned;
-            stats.dp_fallback_objects += win.dp_fallback;
             blocks.push((&**win, 0));
         }
         let mut previous = None;
@@ -1162,6 +1167,8 @@ fn merge_windows(
             previous = Some(oid);
             let (locs, scores) = win.cells(*i);
             *i += 1;
+            // A PSL-pruned entry has no cells.
+            stats.objects_computed += usize::from(!locs.is_empty());
             for (q, &score) in locs.iter().zip(scores) {
                 if score > 0.0 {
                     let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
@@ -1180,6 +1187,18 @@ fn merge_windows(
 // every worker queue and joins the threads.
 
 #[cfg(test)]
+impl ServeEngine {
+    /// Test hook: from the shards' next job on, every span of `oid` a
+    /// shard evaluates fails as if the kernel had rejected it.
+    pub(crate) fn fail_on_object(&self, oid: ObjectId) {
+        for shard in 0..self.pool.shards() {
+            let marked = self.pool.tell(shard, move |w| w.mark_faulty(oid));
+            marked.expect("shard worker alive");
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use popflow_core::ObjectContribution;
     use rand::rngs::StdRng;
@@ -1187,14 +1206,18 @@ mod tests {
 
     use super::*;
 
-    /// A random contribution over a random ascending subset of `all`:
-    /// scores of very different magnitudes, so that the order they are
-    /// added in shows in the sums' bits, and some exactly zero.
+    /// A random contribution over a random non-empty ascending subset of
+    /// `all` (a scored entry has a cell at least: the kernel prunes an
+    /// object that touches no location): scores of very different
+    /// magnitudes, so that the order they are added in shows in the
+    /// sums' bits, and some exactly zero.
     fn random_contribution(rng: &mut StdRng, all: &[SLocId]) -> ObjectContribution {
+        let first = rng.gen_range(0..all.len());
         let relevant: Vec<SLocId> = all
             .iter()
-            .copied()
-            .filter(|_| rng.gen_range(0..3) == 0)
+            .enumerate()
+            .filter(|&(i, _)| i == first || rng.gen_range(0..3) == 0)
+            .map(|(_, &s)| s)
             .collect();
         let scores = relevant
             .iter()
@@ -1207,7 +1230,7 @@ mod tests {
         ObjectContribution {
             relevant,
             scores,
-            dp_fallback: rng.gen_range(0..4) == 0,
+            ..ObjectContribution::default()
         }
     }
 
@@ -1272,11 +1295,10 @@ mod tests {
                 let flows = sum_in_order(&union, &entries);
                 let shard_by_shard = sum_in_order(&union, by_shard.iter().flatten());
                 order_shows += usize::from(to_bits(&flows) != to_bits(&shard_by_shard));
-                let computed: Vec<&ObjectContribution> = entries.iter().flatten().collect();
                 let stats = SearchStats {
                     objects_total: entries.len(),
-                    objects_computed: computed.len(),
-                    dp_fallback_objects: computed.iter().filter(|c| c.dp_fallback).count(),
+                    objects_computed: entries.iter().flatten().count(),
+                    ..SearchStats::default()
                 };
                 expected.push((flows, stats));
                 for (shard, block) in per_shard.into_iter().enumerate() {
@@ -1289,13 +1311,7 @@ mod tests {
                 merged.iter().zip(&expected).enumerate()
             {
                 assert_eq!(to_bits(got), to_bits(want), "seed {seed}, window {wi}");
-                let counts =
-                    |s: &SearchStats| (s.objects_total, s.objects_computed, s.dp_fallback_objects);
-                assert_eq!(
-                    counts(got_stats),
-                    counts(want_stats),
-                    "seed {seed}, window {wi}"
-                );
+                assert_eq!(got_stats, want_stats, "seed {seed}, window {wi}");
             }
         }
         assert!(

@@ -79,9 +79,10 @@
 //!   advance folds from the log only the spans that had no live fold
 //!   ([`ServeStats::spans_in_advance`]); a span paid ahead that no
 //!   advance asks for is counted in [`ServeStats::spans_unused`]. Spans
-//!   are evaluated through the batch search's per-object kernel
-//!   ([`popflow_core::object_flow_contributions`] is that fold, pushed
-//!   and finished) and merged in
+//!   are evaluated through the batch search's per-object kernel — the
+//!   transition DP, the one kernel the shards run
+//!   ([`popflow_core::object_flow_contributions`] under the DP is that
+//!   fold, pushed and finished) — and merged in
 //!   the same object-id order, so every registered query's advance
 //!   reports *bit-identical* top-k sets and flows to a batch
 //!   recomputation — and to a dedicated single-query engine — over the
@@ -117,14 +118,11 @@ pub use popflow_core::{QueryId, QuerySpec};
 mod tests {
     use std::sync::Arc;
 
-    use indoor_iupt::fixtures::paper_table2;
+    use indoor_iupt::fixtures::{paper_table2, O2};
     use indoor_iupt::{Record, Timestamp};
     use indoor_model::fixtures::paper_figure1;
     use indoor_sim::{Scenario, World};
-    use popflow_core::{
-        ContinuousUpdate, FlowConfig, FlowError, PresenceEngine, QuerySet, RecomputeEngine,
-        WindowSpec,
-    };
+    use popflow_core::{ContinuousUpdate, FlowError, Normalization, QuerySet, WindowSpec};
 
     use super::*;
 
@@ -134,7 +132,7 @@ mod tests {
         let fig = paper_figure1();
         let cfg = ServeConfig::with_buckets(spec.bucket_millis)
             .with_shards(shards)
-            .with_flow(FlowConfig::default().with_full_product_normalization());
+            .with_normalization(Normalization::FullProduct);
         engine_with(
             &Arc::new(fig.space.clone()),
             cfg,
@@ -244,69 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_recompute_engine_on_every_slide() {
-        let world = World::generate(Scenario::tiny().with_seed(5));
-        let space = Arc::new(world.space.clone());
-        let slocs: Vec<_> = world.space.slocs().iter().map(|s| s.id).collect();
-        let spec = WindowSpec::new(30_000, 4); // 30 s buckets, 2 min window
-        let flow = FlowConfig::default().with_dp_engine();
-
-        let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
-            .with_shards(3)
-            .with_flow(flow);
-        let (mut serve, _) = engine_with(
-            &space,
-            serve_cfg,
-            QuerySpec::new(3, QuerySet::new(slocs.clone()), spec),
-        );
-        let mut batch =
-            RecomputeEngine::new(Arc::clone(&space), 3, QuerySet::new(slocs), spec, flow);
-
-        let records: Vec<Record> = world.iupt.to_records();
-        let mut next = 0usize;
-        for slide in 1..=12 {
-            let now = Timestamp::from_secs(slide * 45);
-            while next < records.len() && records[next].t <= now {
-                serve.ingest_all([records[next].clone()]).unwrap();
-                batch.ingest(records[next].clone()).unwrap();
-                next += 1;
-            }
-            let a = only(serve.advance_all(now).unwrap());
-            let b = batch.advance(now).unwrap();
-            assert_eq!(a.window, b.window, "slide {slide}");
-            assert_eq!(
-                a.outcome.topk_slocs(),
-                b.outcome.topk_slocs(),
-                "slide {slide}"
-            );
-            // Bit-identical flows, not merely equal rankings.
-            for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
-                assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "slide {slide}");
-            }
-            assert_eq!(a.changed, b.changed);
-            assert_eq!(a.entered, b.entered);
-            assert_eq!(a.left, b.left);
-        }
-        // The windows genuinely slid and the caches were exercised.
-        let stats = serve.stats();
-        assert_eq!(stats.advances, 12);
-        assert!(stats.cache_hits > 0, "no cached window objects: {stats:?}");
-        // The shard logs' store accounting surfaces through ServeStats:
-        // the gauge reflects the interned columnar footprint at the last
-        // advance. Interning is per shard, so a set shared by objects on
-        // different shards is stored once per shard — the sharded log can
-        // only be at least as large (and dedup at most as often) as the
-        // batch engine's single store over the identical records.
-        assert!(stats.log_bytes > 0, "no log footprint reported: {stats:?}");
-        assert!(stats.log_bytes >= batch.store_stats().bytes as u64);
-        assert!(stats.intern_hits <= batch.store_stats().intern_hits);
-        assert!(
-            stats.intern_hits > 0,
-            "dwell-free tiny world still dedups singles"
-        );
-    }
-
-    #[test]
     fn rejects_out_of_order_and_late_records_without_dying() {
         let (mut engine, _) = paper_engine(WindowSpec::new(1_000, 2), 2);
         let records = paper_table2().to_records();
@@ -369,27 +304,22 @@ mod tests {
 
     /// A failed advance must poison the engine: coordinator and shard
     /// state have diverged, so everything afterwards is refused. The
-    /// failure is injected through a path-enumeration budget small enough
-    /// that evaluating the paper data blows it.
+    /// failure is injected through the shards' test hook, which fails
+    /// the evaluation of one marked object's spans.
     #[test]
     fn failed_advance_poisons_engine() {
         let fig = paper_figure1();
-        let cfg = ServeConfig::with_buckets(4_000)
-            .with_shards(2)
-            .with_flow(FlowConfig {
-                engine: PresenceEngine::PathEnumeration,
-                path_budget: 1,
-                ..FlowConfig::default()
-            });
+        let cfg = ServeConfig::with_buckets(4_000).with_shards(2);
         let (mut engine, _) = engine_with(
             &Arc::new(fig.space.clone()),
             cfg,
             QuerySpec::new(2, QuerySet::new(fig.r.to_vec()), WindowSpec::new(4_000, 2)),
         );
         engine.ingest_all(paper_table2().to_records()).unwrap();
+        engine.fail_on_object(O2);
         let err = engine.advance_all(Timestamp::from_secs(8)).unwrap_err();
         assert!(
-            matches!(err, FlowError::PathBudgetExceeded { .. }),
+            matches!(&err, FlowError::InvalidSampleSet { detail } if detail.contains("injected")),
             "unexpected injected error {err}"
         );
         assert!(engine.is_poisoned());

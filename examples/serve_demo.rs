@@ -120,9 +120,7 @@ fn main() {
     // branch predictors) before the paired replays time anything.
     let mut recompute = RecomputeEngine::new(Arc::clone(&space), cfg.k, slocs.clone(), spec, flow);
     let baseline = replay_recompute(&mut recompute, &stream, spec, duration);
-    let serve = ServeConfig::with_buckets(spec.bucket_millis)
-        .with_shards(cfg.num_shards)
-        .with_flow(flow);
+    let serve = ServeConfig::with_buckets(spec.bucket_millis).with_shards(cfg.num_shards);
     let query = QuerySpec::new(cfg.k, slocs, spec);
     let run = run_paired(&space, &serve, &query, &stream, duration);
 

@@ -94,7 +94,7 @@ fn assert_equivalent(
 
     let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
         .with_shards(num_shards)
-        .with_flow(flow);
+        .with_normalization(flow.normalization);
     let (mut serve, _) = registered(
         &space,
         serve_cfg,
@@ -170,6 +170,70 @@ proptest! {
     }
 }
 
+/// One fixed world, slide by slide: the serving engine against the
+/// recompute baseline — same windows, top-k, deltas and bit-identical
+/// flows — with its span caches exercised and the shard logs' store
+/// accounting bounded by the baseline's single store.
+#[test]
+fn matches_recompute_engine_on_every_slide() {
+    let world = indoor_sim::World::generate(indoor_sim::Scenario::tiny().with_seed(5));
+    let space = Arc::new(world.space.clone());
+    let slocs: Vec<_> = world.space.slocs().iter().map(|s| s.id).collect();
+    let spec = WindowSpec::new(30_000, 4); // 30 s buckets, 2 min window
+    let flow = FlowConfig::default().with_dp_engine();
+
+    let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis).with_shards(3);
+    let (mut serve, _) = registered(
+        &space,
+        serve_cfg,
+        &[QuerySpec::new(3, QuerySet::new(slocs.clone()), spec)],
+    );
+    let mut batch = RecomputeEngine::new(Arc::clone(&space), 3, QuerySet::new(slocs), spec, flow);
+
+    let records: Vec<Record> = world.iupt.to_records();
+    let mut next = 0usize;
+    for slide in 1..=12 {
+        let now = Timestamp::from_secs(slide * 45);
+        while next < records.len() && records[next].t <= now {
+            serve.ingest_all([records[next].clone()]).unwrap();
+            batch.ingest(records[next].clone()).unwrap();
+            next += 1;
+        }
+        let a = only(serve.advance_all(now).unwrap());
+        let b = batch.advance(now).unwrap();
+        assert_eq!(a.window, b.window, "slide {slide}");
+        assert_eq!(
+            a.outcome.topk_slocs(),
+            b.outcome.topk_slocs(),
+            "slide {slide}"
+        );
+        // Bit-identical flows, not merely equal rankings.
+        for (x, y) in a.outcome.ranking.iter().zip(b.outcome.ranking.iter()) {
+            assert_eq!(x.flow.to_bits(), y.flow.to_bits(), "slide {slide}");
+        }
+        assert_eq!(a.changed, b.changed);
+        assert_eq!(a.entered, b.entered);
+        assert_eq!(a.left, b.left);
+    }
+    // The windows genuinely slid and the caches were exercised.
+    let stats = serve.stats();
+    assert_eq!(stats.advances, 12);
+    assert!(stats.cache_hits > 0, "no cached window objects: {stats:?}");
+    // The shard logs' store accounting surfaces through ServeStats:
+    // the gauge reflects the interned columnar footprint at the last
+    // advance. Interning is per shard, so a set shared by objects on
+    // different shards is stored once per shard — the sharded log can
+    // only be at least as large (and dedup at most as often) as the
+    // batch engine's single store over the identical records.
+    assert!(stats.log_bytes > 0, "no log footprint reported: {stats:?}");
+    assert!(stats.log_bytes >= batch.store_stats().bytes as u64);
+    assert!(stats.intern_hits <= batch.store_stats().intern_hits);
+    assert!(
+        stats.intern_hits > 0,
+        "dwell-free tiny world still dedups singles"
+    );
+}
+
 /// Registers several overlapping queries — rotated ~¾-of-the-venue
 /// location subsets with per-query window widths over one shared bucket
 /// width — on a single registry engine, and replays the same stream into
@@ -200,16 +264,13 @@ fn assert_registry_matches_dedicated(
             )
         })
         .collect();
-    let flow = FlowConfig::default().with_dp_engine();
     let records: Vec<Record> = world.iupt.to_records();
     let duration = world.scenario.mobility.duration_secs;
     // Slide once per bucket; every registered window shares this width.
     let step = WindowSpec::new(bucket_secs * 1000, 1);
     let last_bucket = step.last_complete_bucket(Timestamp::from_secs(duration));
 
-    let base = ServeConfig::with_buckets(bucket_secs * 1000)
-        .with_shards(num_shards)
-        .with_flow(flow);
+    let base = ServeConfig::with_buckets(bucket_secs * 1000).with_shards(num_shards);
     let specs: Vec<QuerySpec> = subsets
         .iter()
         .zip(widths)
@@ -337,9 +398,7 @@ fn four_overlapping_queries_share_work() {
             QuerySpec::new(cfg.k, subset.collect(), spec)
         })
         .collect();
-    let base = ServeConfig::with_buckets(spec.bucket_millis)
-        .with_shards(cfg.num_shards)
-        .with_flow(FlowConfig::default().with_dp_engine());
+    let base = ServeConfig::with_buckets(spec.bucket_millis).with_shards(cfg.num_shards);
 
     let (mut registry, _) = registered(&space, base.clone(), &specs);
     let shared = ranking_bits(&replay(&mut registry, &stream, spec, duration));
@@ -399,9 +458,7 @@ fn incremental_advances_beat_recompute_5x_with_identical_topk() {
     let baseline = replay_recompute(&mut recompute, &stream, spec, duration);
     let (mut serve, _) = registered(
         &space,
-        ServeConfig::with_buckets(spec.bucket_millis)
-            .with_shards(cfg.num_shards)
-            .with_flow(flow),
+        ServeConfig::with_buckets(spec.bucket_millis).with_shards(cfg.num_shards),
         &[QuerySpec::new(cfg.k, slocs, spec)],
     );
     let incremental = replay(&mut serve, &stream, spec, duration);
@@ -570,7 +627,7 @@ fn assert_turnover_registry_matches_recompute(seed: u64) {
     for num_shards in [1, 2, 4] {
         let config = ServeConfig::with_buckets(BUCKET)
             .with_shards(num_shards)
-            .with_flow(flow);
+            .with_normalization(flow.normalization);
         let (mut engine, mut ids) = registered(&space, config, &specs[..late]);
         let mut next = 0;
         for (b, want) in buckets.clone().zip(&reference) {
@@ -637,9 +694,7 @@ const GATE_WIDTH: i64 = 16;
 fn work_gate_engine(space: &Arc<IndoorSpace>, bucket_millis: i64) -> ServeEngine {
     let slocs: Vec<_> = space.slocs().iter().map(|s| s.id).collect();
     let window = WindowSpec::new(bucket_millis, GATE_WIDTH as usize);
-    let config = ServeConfig::with_buckets(bucket_millis)
-        .with_shards(2)
-        .with_flow(FlowConfig::default().with_dp_engine());
+    let config = ServeConfig::with_buckets(bucket_millis).with_shards(2);
     registered(
         space,
         config,
@@ -903,9 +958,7 @@ fn both_continuous_engines_reject_the_same_records() {
     let mut recompute = RecomputeEngine::new(Arc::clone(&space), 3, slocs.clone(), spec, flow);
     let (mut serve, _) = registered(
         &space,
-        ServeConfig::with_buckets(spec.bucket_millis)
-            .with_shards(3)
-            .with_flow(flow),
+        ServeConfig::with_buckets(spec.bucket_millis).with_shards(3),
         &[QuerySpec::new(3, slocs, spec)],
     );
     let (mut rejected, mut behind_frontier, mut slides) = (Vec::new(), 0, 0);

@@ -169,7 +169,7 @@ fn assert_serve_equivalence(
     for shards in [1usize, 4] {
         let serve_cfg = ServeConfig::with_buckets(spec.bucket_millis)
             .with_shards(shards)
-            .with_flow(*cfg);
+            .with_normalization(cfg.normalization);
         let mut engine = ServeEngine::new(Arc::clone(&space), serve_cfg);
         engine
             .register(QuerySpec::new(k, query_set.clone(), spec))
