@@ -10,7 +10,7 @@ use popflow_anlz::{analyze_source, workspace_sources};
 
 /// Real pragmas allowed across the workspace (doc comments that quote
 /// the syntax are not pragmas).
-const PRAGMA_BUDGET: usize = 8;
+const PRAGMA_BUDGET: usize = 5;
 
 #[test]
 fn workspace_pragmas_stay_within_budget() {

@@ -12,9 +12,8 @@ use crate::config::{FlowConfig, FlowError, Normalization, PresenceEngine};
 use crate::dp::presence_dp_multi;
 use crate::fold::SpanFold;
 use crate::paths::{build_paths_tracking, full_product_mass, TrackedPathSet};
-use crate::presence::presence_prepared_tracked;
 use crate::query_set::{intersect_sorted, QuerySet};
-use crate::reduction::{reduce_for_query, scan_sequence};
+use crate::reduction::scan_sequence;
 
 /// Result of a single-location flow computation.
 #[derive(Debug, Clone)]
@@ -194,9 +193,10 @@ fn scores_from_tracked(
 /// Computes the indoor flow for S-location `q` over `[ts, te]`
 /// (Algorithm 2): fetch the window's records through the time index (the
 /// paper's 1D R-tree; here a binary search on the log's sorted time
-/// column), group them per object, reduce each sequence (pruning objects
-/// whose PSLs miss `q` when reduction is enabled), and sum per-object
-/// presences.
+/// column), group them per object, and sum the objects' presences, each
+/// from [`object_flow_contributions`] over the one-location query set
+/// `{q}` — which reduces the sequence and, with reduction on, prunes an
+/// object whose PSLs miss `q`.
 pub fn flow(
     space: &IndoorSpace,
     iupt: &Iupt,
@@ -212,21 +212,14 @@ pub fn flow(
     let mut dp_fallback_objects = 0usize;
 
     for seq in sequences {
-        let sets_iter = seq.records.iter().map(|r| r.samples);
-        let effective: Vec<std::borrow::Cow<'_, SampleSet>> = if cfg.use_reduction {
-            match reduce_for_query(space, sets_iter, &q_set, true)? {
-                Some(reduced) => reduced.sets,
-                None => continue, // pruned by PSLs
-            }
-        } else {
-            // The -ORG variants process every object's raw sequence
-            // (borrowed — no sample data is copied).
-            sets_iter.map(std::borrow::Cow::Borrowed).collect()
+        let sets = seq.records.iter().map(|r| r.samples);
+        // `None`: pruned by its PSLs.
+        let Some(contribution) = object_flow_contributions(space, sets, &q_set, cfg)? else {
+            continue;
         };
-        let (phi, fell_back) = presence_prepared_tracked(space, &effective, q, cfg)?;
-        dp_fallback_objects += usize::from(fell_back);
+        dp_fallback_objects += usize::from(contribution.dp_fallback);
         computed_objects.push(seq.oid);
-        total += phi;
+        total += contribution.scores.first().copied().unwrap_or(0.0);
     }
 
     Ok(FlowComputation {

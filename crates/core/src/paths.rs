@@ -227,12 +227,15 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
     budget: u64,
 ) -> Result<TrackedPathSet, FlowError> {
     debug_assert!(relevant.windows(2).all(|w| w[0] < w[1]));
-    let matrix = space.matrix();
+    if attempts_exceed(space.matrix(), sets, budget) {
+        return Err(FlowError::PathBudgetExceeded { budget });
+    }
     let mut out = TrackedPathSet::default();
     let Some(first) = sets.first() else {
         return Ok(out);
     };
-    for s in first.borrow().samples() {
+    let mut prev = first.borrow().samples();
+    for s in prev {
         out.set.push_root(s.loc, s.prob);
     }
     let roots = std::mem::take(&mut out.set.paths);
@@ -243,42 +246,35 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
             touched: SmallBitset::with_capacity(relevant.len()),
         })
         .collect();
-    let mut spent: u64 = 0;
+    // Per path of `current`, the index of its tail in `prev`.
+    let mut tails: Vec<usize> = (0..current.len()).collect();
     let mut extended: Vec<PathRef> = Vec::with_capacity(4);
 
     for sample_set in &sets[1..] {
+        let samples = sample_set.borrow().samples();
+        let steps = step_masks(space, relevant, prev, samples);
         let mut next = Vec::with_capacity(current.len());
-        for tp in &current {
-            let tail = out.set.tail_loc(tp.path);
-            for s in sample_set.borrow().samples() {
-                spent += 1;
-                if spent > budget {
-                    return Err(FlowError::PathBudgetExceeded { budget });
-                }
-                let cells = matrix.cells_between(tail, s.loc);
-                if cells.is_empty() {
+        let mut next_tails = Vec::with_capacity(current.len());
+        for (tp, &tail) in current.iter().zip(&tails) {
+            let row = steps.get(tail * samples.len()..).unwrap_or_default();
+            for ((j, s), step) in samples.iter().enumerate().zip(row) {
+                let Some(mask) = step else {
                     continue;
-                }
-                // list'Q ← C2S(MIL[tail, e.loc]) ∩ Q, restricted to the
-                // object's relevant list (a superset of anything
-                // reachable, by the PSL definition).
+                };
                 let mut touched = tp.touched.clone();
-                for cell in cells.iter() {
-                    for &sloc in space.slocs_in_cell(cell) {
-                        if let Ok(b) = relevant.binary_search(&sloc) {
-                            touched.set(b);
-                        }
-                    }
-                }
+                touched.union_with(mask);
                 extended.clear();
                 out.set.extend(tp.path, s.loc, s.prob, &mut extended);
                 next.push(TrackedPath {
                     path: extended[0],
                     touched,
                 });
+                next_tails.push(j);
             }
         }
         current = next;
+        tails = next_tails;
+        prev = samples;
         if current.is_empty() {
             break;
         }
@@ -286,6 +282,87 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
     out.tracked = current;
     out.set.paths = out.tracked.iter().map(|tp| tp.path).collect();
     Ok(out)
+}
+
+/// Whether enumerating the valid paths of `sets` would take more than
+/// `budget` extension attempts — [`build_paths`]'s budget rule — worked
+/// out without enumerating: a step attempts every sample of its set on
+/// every path alive before it, and the number of valid paths ending at
+/// each sample follows from the previous step's by the pairs' `MIL`
+/// cells alone (a pair with none is invalid, as in the enumeration),
+/// in `O(n · m²)` for `n` sets of at most `m` samples. A path set that
+/// blows the budget then costs this count instead of the enumeration up
+/// to the budget.
+fn attempts_exceed<S: std::borrow::Borrow<SampleSet>>(
+    matrix: &LocationMatrix,
+    sets: &[S],
+    budget: u64,
+) -> bool {
+    let Some((first, rest)) = sets.split_first() else {
+        return false;
+    };
+    let mut prev = first.borrow().samples();
+    // Valid paths ending at each sample of `prev`; at most `budget` each
+    // while the count runs, so the products below cannot overflow.
+    let mut ending: Vec<u128> = vec![1; prev.len()];
+    let mut spent: u128 = 0;
+    for set in rest {
+        let samples = set.borrow().samples();
+        let alive: u128 = ending.iter().sum();
+        spent += alive * samples.len() as u128;
+        if spent > u128::from(budget) {
+            return true;
+        }
+        let next: Vec<u128> = samples
+            .iter()
+            .map(|s| {
+                let from = prev.iter().zip(&ending);
+                let from = from.filter(|(p, _)| !matrix.cells_between(p.loc, s.loc).is_empty());
+                from.map(|(_, &n)| n).sum()
+            })
+            .collect();
+        if next.iter().all(|&n| n == 0) {
+            return false;
+        }
+        ending = next;
+        prev = samples;
+    }
+    false
+}
+
+/// Per transition from a sample of `from` to one of `to` (row-major,
+/// `from` index first): `None` when the pair is disconnected, else the
+/// relevant locations the pair's cells can pass — `list'Q ←
+/// C2S(MIL[tail, e.loc]) ∩ Q`, restricted to the object's relevant list
+/// (a superset of anything reachable, by the PSL definition). Worked out
+/// once per step, not once per path extension.
+fn step_masks(
+    space: &IndoorSpace,
+    relevant: &[SLocId],
+    from: &[indoor_iupt::Sample],
+    to: &[indoor_iupt::Sample],
+) -> Vec<Option<SmallBitset>> {
+    let matrix = space.matrix();
+    let mut masks = Vec::with_capacity(from.len() * to.len());
+    for a in from {
+        for b in to {
+            let cells = matrix.cells_between(a.loc, b.loc);
+            if cells.is_empty() {
+                masks.push(None);
+                continue;
+            }
+            let mut mask = SmallBitset::with_capacity(relevant.len());
+            for cell in cells.iter() {
+                for &sloc in space.slocs_in_cell(cell) {
+                    if let Ok(bit) = relevant.binary_search(&sloc) {
+                        mask.set(bit);
+                    }
+                }
+            }
+            masks.push(Some(mask));
+        }
+    }
+    masks
 }
 
 /// Total probability mass of the raw Cartesian product,

@@ -1,12 +1,12 @@
 //! Pass probabilities (Eq. 2) and uncertainty-aware object presence
-//! (Eq. 1) evaluated by explicit path enumeration — the paper's engine.
+//! (Eq. 1), the latter through the one per-object kernel.
 
 use indoor_iupt::SampleSet;
 use indoor_model::{IndoorSpace, PLocId, SLocId};
 
-use crate::config::{FlowConfig, FlowError, Normalization, PresenceEngine};
-use crate::paths::{build_paths, full_product_mass, PathSet};
-use crate::reduction::scan_sequence;
+use crate::config::{FlowConfig, FlowError};
+use crate::flow::object_flow_contributions;
+use crate::query_set::QuerySet;
 
 /// The probability that one sequential P-location pair passes `q`:
 /// `pr_{locj,locj+1 ⊃ q} = |{c ∈ C | c covers q}| / |C|` where
@@ -73,98 +73,23 @@ pub fn path_pass_probability(space: &IndoorSpace, locs: &[PLocId], q: SLocId) ->
     1.0 - miss
 }
 
-/// Evaluates Eq. 1 over an already-built valid path set.
-///
-/// `full_mass` is the `Π_i Σ_e prob(e)` denominator used by
-/// [`Normalization::FullProduct`].
-pub fn presence_from_paths(
-    space: &IndoorSpace,
-    paths: &PathSet,
-    q: SLocId,
-    normalization: Normalization,
-    full_mass: f64,
-) -> f64 {
-    let mut weighted = 0.0;
-    let mut valid_mass = 0.0;
-    for &p in paths.paths() {
-        valid_mass += p.prob;
-        let pass = paths.pass_probability(space, p, q);
-        if pass > 0.0 {
-            weighted += pass * p.prob;
-        }
-    }
-    let denom = match normalization {
-        Normalization::FullProduct => full_mass,
-        Normalization::ValidPaths => valid_mass,
-    };
-    if denom <= 0.0 {
-        0.0
-    } else {
-        weighted / denom
-    }
-}
-
 /// The object presence `Φ_{ts,te}(q, o)` (Eq. 1) of one positioning
-/// sequence, applying (per `cfg`) the data reduction and the selected
-/// engine.
+/// sequence: [`crate::object_flow_contributions`] over the one-location
+/// query set `{q}`, so the data reduction and the engine are `cfg`'s. An
+/// object whose PSLs miss `q` has presence 0.
+///
+/// # Errors
+/// Those of [`crate::object_flow_contributions`].
 pub fn object_presence(
     space: &IndoorSpace,
     sets: &[SampleSet],
     q: SLocId,
     cfg: &FlowConfig,
 ) -> Result<f64, FlowError> {
-    if cfg.use_reduction {
-        let reduced = scan_sequence(space, sets.iter(), true)?.sets;
-        presence_prepared(space, &reduced, q, cfg)
-    } else {
-        presence_prepared(space, sets, q, cfg)
-    }
-}
-
-/// [`object_presence`] on a sequence that has already been reduced (or is
-/// deliberately raw) — the building block the query algorithms use after
-/// running `ReduceData` themselves.
-pub fn presence_prepared<S: std::borrow::Borrow<SampleSet>>(
-    space: &IndoorSpace,
-    sets: &[S],
-    q: SLocId,
-    cfg: &FlowConfig,
-) -> Result<f64, FlowError> {
-    presence_prepared_tracked(space, sets, q, cfg).map(|(phi, _)| phi)
-}
-
-/// [`presence_prepared`] that also reports whether the hybrid engine had
-/// to fall back to the DP for this object.
-pub fn presence_prepared_tracked<S: std::borrow::Borrow<SampleSet>>(
-    space: &IndoorSpace,
-    sets: &[S],
-    q: SLocId,
-    cfg: &FlowConfig,
-) -> Result<(f64, bool), FlowError> {
-    match cfg.engine {
-        PresenceEngine::PathEnumeration => {
-            let paths = build_paths(space.matrix(), sets, cfg.path_budget)?;
-            Ok((
-                presence_from_paths(space, &paths, q, cfg.normalization, full_product_mass(sets)),
-                false,
-            ))
-        }
-        PresenceEngine::TransitionDp => Ok((
-            crate::dp::presence_dp(space, sets, q, cfg.normalization),
-            false,
-        )),
-        PresenceEngine::Hybrid => match build_paths(space.matrix(), sets, cfg.path_budget) {
-            Ok(paths) => Ok((
-                presence_from_paths(space, &paths, q, cfg.normalization, full_product_mass(sets)),
-                false,
-            )),
-            Err(FlowError::PathBudgetExceeded { .. }) => Ok((
-                crate::dp::presence_dp(space, sets, q, cfg.normalization),
-                true,
-            )),
-            Err(e) => Err(e),
-        },
-    }
+    let contribution = object_flow_contributions(space, sets, &QuerySet::new(vec![q]), cfg)?;
+    Ok(contribution
+        .and_then(|c| c.scores.first().copied())
+        .unwrap_or(0.0))
 }
 
 #[cfg(test)]

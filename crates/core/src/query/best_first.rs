@@ -5,231 +5,114 @@
 //!
 //! The paper obtains its bounds by joining an R-tree over the query
 //! S-locations with a COUNT-aggregate R-tree over the objects' PSL MBRs.
-//! This driver keeps the search and drops the join: a preparation pass
-//! (forked across `cfg.exec.threads` workers) merges the per-object PSL
-//! lists into one exact candidate count per query location
-//! ([`LocationBound`]), and a [`ThresholdHeap`] loop evaluates locations
-//! lazily, fanning each location's candidate objects across the same
-//! workers and accumulating the flow in ascending object-id order. Exact
-//! counts are at least as tight as R-tree node counts, and on the
-//! `batch_adhoc` benchmark workload building and descending the two
-//! trees cost 22 ms of the join's 37 ms per query while pruning no more
-//! than the exact counts do — which is why the join is gone.
+//! This driver keeps the search and drops the join: a bounds pass
+//! (forked across `cfg.exec.threads` workers) collects each window
+//! object's PSLs — only its PSLs: no reduction runs there — and files the
+//! object under every query location they touch, one candidate list per
+//! query position ([`LocationBound`] is a list's length). Exact counts
+//! are at least as tight as R-tree node counts, and on the `batch_adhoc`
+//! benchmark workload building and descending the two trees cost 22 ms
+//! of the join's 37 ms per query while pruning no more than the exact
+//! counts do — which is why the join is gone.
+//!
+//! A [`ThresholdHeap`] loop then evaluates locations lazily. "The
+//! intermediate results of each called object should be shared"
+//! (Algorithm 4): the first location that needs an object computes the
+//! object's whole contribution — [`object_flow_contributions`], the
+//! Nested-Loop kernel, over `Q ∩ psls` — and every later location reads
+//! its presence from that one cache. Each object is computed at most
+//! once, whatever the engine.
 //!
 //! Ties resolve exactly like [`rank_topk`] (descending flow, then
-//! ascending location id), and every per-object presence goes through one
-//! function over shared per-object state, so rankings and flows are
-//! **bit-identical at every thread count** and to
-//! [`nested_loop`](crate::query::nested_loop)'s.
+//! ascending location id), flows accumulate in ascending object-id
+//! order, and every presence is the one
+//! [`nested_loop`](crate::query::nested_loop) computes for the same
+//! object (a location's score does not depend on which query set holds
+//! it), so rankings and flows are **bit-identical at every thread
+//! count** and to Nested-Loop's.
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-
-use indoor_iupt::{Iupt, ObjectId, ObjectSequence, SampleSet};
+use indoor_iupt::{Iupt, ObjectSequence};
 use indoor_model::{IndoorSpace, SLocId};
-use popflow_exec::try_par_map;
+use popflow_exec::{par_map, try_par_map, ExecConfig};
 
-use crate::config::{FlowConfig, FlowError, PresenceEngine};
-use crate::dp::presence_dp;
-use crate::paths::{build_paths, full_product_mass, PathSet};
-use crate::presence::presence_from_paths;
+use crate::config::{FlowConfig, FlowError};
+use crate::flow::{object_flow_contributions, ObjectContribution};
 use crate::query::bounds::{LocationBound, ThresholdHeap, ThresholdStep};
 use crate::query::{rank_topk, QueryOutcome, SearchStats, TkPlQuery};
-use crate::query_set::{intersect_sorted, QuerySet};
-use crate::reduction::scan_sequence;
-
-/// Per-object cached state shared across all exact flow computations
-/// ("the intermediate results of each called object should be shared",
-/// Algorithm 4 line 28 discussion). Sample sets the reduction left
-/// untouched are borrowed straight from the IUPT log.
-struct ObjectData<'a> {
-    sets: Vec<Cow<'a, SampleSet>>,
-    psls: Vec<SLocId>,
-    /// Valid possible paths, built lazily on the first exact computation
-    /// involving this object (enumeration engines only).
-    paths: Option<PathSet>,
-    /// Set when the hybrid engine's enumeration exceeded its budget for
-    /// this object — subsequent computations go straight to the DP.
-    enum_failed: bool,
-    full_mass: f64,
-}
-
-/// Prepares one object's shared evaluation state: scan (and, per `cfg`,
-/// reduce) the sequence and extract its PSLs. Returns `None` when the
-/// PSLs miss the query set entirely — the object can never contribute
-/// (Algorithm 4 line 8's null check; applied to the `-ORG` variants too,
-/// whose sequences stay raw but whose PSLs are still scanned).
-fn prepare_object<'a>(
-    space: &IndoorSpace,
-    query_set: &QuerySet,
-    cfg: &FlowConfig,
-    seq: &ObjectSequence<'a>,
-) -> Result<Option<ObjectData<'a>>, FlowError> {
-    // With `merge = false` (the -ORG variants) the scan returns the raw
-    // sets borrowed in order, so `sets` is the right sequence under
-    // either setting.
-    let scanned = scan_sequence(
-        space,
-        seq.records.iter().map(|r| r.samples),
-        cfg.use_reduction,
-    )?;
-    if !query_set.intersects_sorted(&scanned.psls) {
-        return Ok(None);
-    }
-    let full_mass = full_product_mass(&scanned.sets);
-    Ok(Some(ObjectData {
-        sets: scanned.sets,
-        psls: scanned.psls,
-        paths: None,
-        enum_failed: false,
-        full_mass,
-    }))
-}
-
-/// A deferred mutation of an [`ObjectData`] discovered while computing a
-/// presence against it read-only (so parallel workers can share the
-/// state and the coordinator applies updates after the workers join).
-enum PathUpdate {
-    /// The cached state already had everything needed.
-    Keep,
-    /// Paths were built for the first time — cache them.
-    Built(PathSet),
-    /// The hybrid enumeration blew the budget — go straight to the DP
-    /// from now on.
-    BudgetExceeded,
-}
-
-/// One object's presence `Φ(q, o)` against its shared state, without
-/// mutating it. Every thread count computes presences through this one
-/// function, which is what makes the flows bit-identical.
-fn shared_presence(
-    space: &IndoorSpace,
-    data: &ObjectData<'_>,
-    q: SLocId,
-    cfg: &FlowConfig,
-) -> Result<(f64, bool, PathUpdate), FlowError> {
-    match cfg.engine {
-        PresenceEngine::TransitionDp => Ok((
-            presence_dp(space, &data.sets, q, cfg.normalization),
-            false,
-            PathUpdate::Keep,
-        )),
-        PresenceEngine::PathEnumeration => match &data.paths {
-            Some(paths) => Ok((
-                presence_from_paths(space, paths, q, cfg.normalization, data.full_mass),
-                false,
-                PathUpdate::Keep,
-            )),
-            None => {
-                let built = build_paths(space.matrix(), &data.sets, cfg.path_budget)?;
-                let phi = presence_from_paths(space, &built, q, cfg.normalization, data.full_mass);
-                Ok((phi, false, PathUpdate::Built(built)))
-            }
-        },
-        PresenceEngine::Hybrid => {
-            if let Some(paths) = &data.paths {
-                return Ok((
-                    presence_from_paths(space, paths, q, cfg.normalization, data.full_mass),
-                    false,
-                    PathUpdate::Keep,
-                ));
-            }
-            if !data.enum_failed {
-                match build_paths(space.matrix(), &data.sets, cfg.path_budget) {
-                    Ok(built) => {
-                        let phi = presence_from_paths(
-                            space,
-                            &built,
-                            q,
-                            cfg.normalization,
-                            data.full_mass,
-                        );
-                        return Ok((phi, false, PathUpdate::Built(built)));
-                    }
-                    // Only a blown budget degrades to the exact DP — any
-                    // other failure propagates.
-                    Err(FlowError::PathBudgetExceeded { .. }) => {
-                        return Ok((
-                            presence_dp(space, &data.sets, q, cfg.normalization),
-                            true,
-                            PathUpdate::BudgetExceeded,
-                        ));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((
-                presence_dp(space, &data.sets, q, cfg.normalization),
-                true,
-                PathUpdate::Keep,
-            ))
-        }
-    }
-}
-
-/// Applies a deferred [`PathUpdate`] to the object's cached state.
-fn apply_update(data: &mut ObjectData<'_>, update: PathUpdate) {
-    match update {
-        PathUpdate::Keep => {}
-        PathUpdate::Built(paths) => {
-            if data.paths.is_none() {
-                data.paths = Some(paths);
-            }
-        }
-        PathUpdate::BudgetExceeded => data.enum_failed = true,
-    }
-}
+use crate::query_set::QuerySet;
+use crate::reduction::scan_psls;
 
 /// Evaluates a TkPLQ with the best-first COUNT-bound search.
 ///
-/// 1. **Bounds pass** — every window object is prepared (scan +
-///    reduction + PSL extraction) across `cfg.exec.threads` workers; the
-///    coordinator merges the per-object candidate lists, in ascending
-///    object-id order, into one [`LocationBound`] per query location.
+/// 1. **Bounds pass** — every window object's PSLs are collected across
+///    `cfg.exec.threads` workers (no reduction, see [`scan_psls`]); the
+///    coordinator files each object, in ascending object-id order, under
+///    every query location its PSLs touch. A location's bound is its
+///    candidate count; an object whose PSLs miss `Q` is never a
+///    candidate (Algorithm 4 line 8's null check, applied to the `-ORG`
+///    variants too).
 /// 2. **Threshold loop** — a [`ThresholdHeap`] pops the highest bound;
-///    the location's candidate objects are evaluated concurrently (paths
-///    built lazily and cached per object — "the intermediate results of
-///    each called object should be shared") and their presences
+///    the location's candidates not computed yet get their contribution
+///    concurrently through [`object_flow_contributions`], each object's
+///    cached for every later location, and the candidates' presences
 ///    accumulate in ascending object-id order; the exact flow re-enters
 ///    the heap. Locations whose bound never reaches the k-th exact flow
-///    are never evaluated.
+///    are never evaluated, and objects only they list never computed.
 ///
-/// With the default `threads = 1` nothing is spawned. The ranking and
-/// every flow are **bit-identical** at every thread count.
+/// With the default `threads = 1` nothing is spawned. The ranking, every
+/// flow and the [`SearchStats`] are **bit-identical** at every thread
+/// count. `objects_computed` counts the computed objects and
+/// `dp_fallback_objects` those among them the hybrid engine scored with
+/// the DP.
+///
+/// # Errors
+/// Those of [`object_flow_contributions`], for the computed objects only,
+/// and the first in object-id order within a location's round. An object
+/// the search never computes is never reduced either, so a
+/// [`FlowError::InvalidSampleSet`] its merge would have raised does not
+/// fail the query (Nested-Loop, which computes every object, still
+/// reports it).
 pub fn best_first(
     space: &IndoorSpace,
     iupt: &Iupt,
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
+    search(space, iupt, query, cfg).map(|(outcome, _)| outcome)
+}
+
+/// [`best_first`], also returning how many contributions the kernel
+/// computed — equal to `objects_computed` when no object is computed
+/// twice.
+fn search(
+    space: &IndoorSpace,
+    iupt: &Iupt,
+    query: &TkPlQuery,
+    cfg: &FlowConfig,
+) -> Result<(QueryOutcome, usize), FlowError> {
+    let query_set = &query.query_set;
     let sequences = iupt.sequences_in(query.interval);
-    let objects_total = sequences.len();
 
-    // ---- Phase 1: the bounds pass (Algorithm 4 lines 1–10).
-    let prepared = try_par_map(cfg.exec, &sequences, |_, seq| {
-        prepare_object(space, &query.query_set, cfg, seq)
-    })?;
-    let mut objects: Vec<(ObjectId, ObjectData<'_>)> = Vec::new();
-    for (seq, data) in sequences.iter().zip(prepared) {
-        if let Some(data) = data {
-            objects.push((seq.oid, data));
-        }
-    }
-
-    // Coordinator-merged candidate lists: per location, the indices of
-    // its candidate objects, ascending by object id (`sequences` is
-    // id-sorted and the merge preserves that order).
-    let mut candidates: HashMap<SLocId, Vec<usize>> = HashMap::new();
-    for (i, (_, data)) in objects.iter().enumerate() {
-        for q in intersect_sorted(query.query_set.slocs(), &data.psls) {
-            candidates.entry(q).or_default().push(i);
+    // ---- Phase 1: the bounds pass (Algorithm 4 lines 1–10). Per query
+    // position, the indices of its candidate objects, ascending (the
+    // sequences are id-sorted and `par_map` keeps their order).
+    let psls = par_map(cfg.exec, &sequences, |_, seq| {
+        scan_psls(space, seq.records.iter().map(|r| r.samples))
+    });
+    let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); query_set.len()];
+    for (i, psls) in (0u32..).zip(&psls) {
+        for &s in psls {
+            let list = query_set.index_of(s).and_then(|k| candidates.get_mut(k));
+            if let Some(list) = list {
+                list.push(i);
+            }
         }
     }
 
     // ---- Phase 2: the threshold loop.
     let mut heap = ThresholdHeap::new();
-    for &sloc in query.query_set.slocs() {
-        match candidates.get(&sloc).map_or(0, Vec::len) {
+    for (&sloc, list) in query_set.slocs().iter().zip(&candidates) {
+        match list.len() {
             0 => heap.push_exact(sloc, 0.0),
             n => heap.push_bound(LocationBound {
                 sloc,
@@ -238,94 +121,104 @@ pub fn best_first(
         }
     }
 
-    let mut computed: HashSet<ObjectId> = HashSet::new();
-    let mut dp_fallbacks: HashSet<ObjectId> = HashSet::new();
+    let mut cache: Vec<Option<ObjectContribution>> = vec![None; sequences.len()];
+    let mut kernel_calls = 0;
     let mut finals: Vec<(SLocId, f64)> = Vec::with_capacity(query.k);
     while finals.len() < query.k {
         match heap.pop() {
             None => break,
             Some(ThresholdStep::Finalize(sloc, flow)) => finals.push((sloc, flow)),
             Some(ThresholdStep::Evaluate(sloc)) => {
-                // anlz:allow(panic-in-hot-path): the heap only yields Evaluate for locations seeded from `candidates` with n > 0
-                let idxs = candidates
-                    .get(&sloc)
-                    .expect("only seeded locations are evaluated");
-                let flow = evaluate_location(
-                    space,
-                    cfg,
-                    &mut objects,
-                    idxs,
-                    sloc,
-                    &mut computed,
-                    &mut dp_fallbacks,
-                )?;
-                heap.push_exact(sloc, flow);
+                let list = query_set.index_of(sloc).and_then(|k| candidates.get(k));
+                let list = list.map_or(&[][..], Vec::as_slice);
+                kernel_calls +=
+                    compute_missing(space, cfg, query_set, &sequences, &mut cache, list)?;
+                heap.push_exact(sloc, flow_from_cache(&cache, list, sloc));
             }
         }
     }
 
-    Ok(QueryOutcome {
+    let computed = cache.iter().flatten();
+    let stats = SearchStats {
+        objects_total: sequences.len(),
+        objects_computed: computed.clone().count(),
+        dp_fallback_objects: computed.filter(|c| c.dp_fallback).count(),
+    };
+    let outcome = QueryOutcome {
         ranking: rank_topk(finals, query.k),
-        stats: SearchStats {
-            objects_total,
-            objects_computed: computed.len(),
-            dp_fallback_objects: dp_fallbacks.len(),
-        },
-    })
+        stats,
+    };
+    Ok((outcome, kernel_calls))
 }
 
-/// One lazy evaluation round: computes `q`'s exact flow over its
-/// candidate objects. Presences run concurrently against the shared
-/// read-only object states; the coordinator then applies the deferred
-/// path updates and accumulates the flow in ascending object-id order,
-/// so the floating-point sum does not depend on the thread count.
-fn evaluate_location(
+/// One lazy evaluation round's kernel work: computes the contribution of
+/// every object of `list` whose cache is empty, concurrently and
+/// read-only, and stores them; returns how many it computed. A
+/// contribution covers the object's whole `Q ∩ psls`, so it answers
+/// every later location too.
+fn compute_missing(
     space: &IndoorSpace,
     cfg: &FlowConfig,
-    objects: &mut [(ObjectId, ObjectData<'_>)],
-    idxs: &[usize],
-    q: SLocId,
-    computed: &mut HashSet<ObjectId>,
-    dp_fallbacks: &mut HashSet<ObjectId>,
-) -> Result<f64, FlowError> {
-    // Each threshold round opens its own fork-join scope; for a handful
-    // of candidates the thread spawns would cost more than the presence
-    // work they split, so short lists evaluate on the coordinator
-    // (identical computation, identical bits — only the forking differs).
-    const MIN_PAR_CANDIDATES: usize = 4;
-    let exec = if idxs.len() < MIN_PAR_CANDIDATES {
-        popflow_exec::ExecConfig::with_threads(1)
+    query_set: &QuerySet,
+    sequences: &[ObjectSequence<'_>],
+    cache: &mut [Option<ObjectContribution>],
+    list: &[u32],
+) -> Result<usize, FlowError> {
+    let missing: Vec<u32> = list
+        .iter()
+        .copied()
+        .filter(|&i| cache.get(i as usize).is_some_and(Option::is_none))
+        .collect();
+    // Each round opens its own fork-join scope; for a handful of objects
+    // the thread spawns would cost more than the kernel work they split,
+    // so short lists run on the coordinator (identical computation,
+    // identical bits — only the forking differs).
+    const MIN_PAR_OBJECTS: usize = 4;
+    let exec = if missing.len() < MIN_PAR_OBJECTS {
+        ExecConfig::with_threads(1)
     } else {
         cfg.exec
     };
-    let results = {
-        let shared: &[(ObjectId, ObjectData<'_>)] = objects;
-        try_par_map(exec, idxs, |_, &i| {
-            // anlz:allow(panic-in-hot-path): idxs were produced by enumerate() over this exact slice
-            shared_presence(space, &shared[i].1, q, cfg)
-        })?
-    };
-    let mut flow = 0.0;
-    for (&i, (phi, fell_back, update)) in idxs.iter().zip(results) {
-        // anlz:allow(panic-in-hot-path): idxs were produced by enumerate() over this exact Vec
-        let (oid, data) = &mut objects[i];
-        apply_update(data, update);
-        computed.insert(*oid);
-        if fell_back {
-            dp_fallbacks.insert(*oid);
+    let computed = try_par_map(exec, &missing, |_, &i| {
+        let Some(seq) = sequences.get(i as usize) else {
+            return Ok(None);
+        };
+        let sets = seq.records.iter().map(|r| r.samples);
+        object_flow_contributions(space, sets, query_set, cfg)
+    })?;
+    for (&i, contribution) in missing.iter().zip(computed) {
+        if let Some(slot) = cache.get_mut(i as usize) {
+            // A candidate's PSLs touch `Q`, so the kernel prunes it under
+            // neither setting; the default only keeps the cache total.
+            *slot = Some(contribution.unwrap_or_default());
         }
-        flow += phi;
     }
-    Ok(flow)
+    Ok(missing.len())
+}
+
+/// `sloc`'s exact flow: its presence in each of `list`'s cached
+/// contributions, summed in ascending object-id order.
+fn flow_from_cache(cache: &[Option<ObjectContribution>], list: &[u32], sloc: SLocId) -> f64 {
+    let mut flow = 0.0;
+    for c in list.iter().filter_map(|&i| cache.get(i as usize)?.as_ref()) {
+        if let Ok(k) = c.relevant.binary_search(&sloc) {
+            flow += c.scores.get(k).copied().unwrap_or(0.0);
+        }
+    }
+    flow
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PresenceEngine;
     use crate::query::{naive, nested_loop};
     use indoor_iupt::fixtures::paper_table2;
     use indoor_iupt::{TimeInterval, Timestamp};
     use indoor_model::fixtures::paper_figure1;
+    use indoor_sim::{Scenario, World};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn interval() -> TimeInterval {
         TimeInterval::new(Timestamp::from_secs(1), Timestamp::from_secs(8))
@@ -561,6 +454,81 @@ mod tests {
             let iupt = paper_table2();
             let err = best_first(&fig.space, &iupt, &query, &cfg).unwrap_err();
             assert_eq!(err, FlowError::PathBudgetExceeded { budget: 1 });
+        }
+    }
+
+    /// Ten seeded ad hoc queries over `world`: 300 s windows, about 30 %
+    /// of the S-locations, k cycling through 1, 3, 5 and 10.
+    fn adhoc_queries(world: &World) -> Vec<TkPlQuery> {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let all: Vec<SLocId> = world.space.slocs().iter().map(|s| s.id).collect();
+        let duration = world.scenario.mobility.duration_secs;
+        (0..10)
+            .map(|i| {
+                let start = rng.gen_range(0..duration - 300);
+                let window = TimeInterval::new(
+                    Timestamp::from_secs(start),
+                    Timestamp::from_secs(start + 300),
+                );
+                let slocs = all.iter().copied().filter(|_| rng.gen_range(0..10) < 3);
+                TkPlQuery::new([1, 3, 5, 10][i % 4], slocs.collect(), window)
+            })
+            .collect()
+    }
+
+    /// Per query of [`adhoc_queries`] on a seeded synthetic world and per
+    /// configuration (DP, DP without reduction, hybrid with a 2,000-step
+    /// path budget): `[objects_total, NL objects_computed, NL
+    /// dp_fallback_objects, BF objects_computed, BF dp_fallback_objects]`.
+    const PINNED_STATS: [[[usize; 5]; 3]; 10] = [
+        [[50, 22, 0, 22, 0], [50, 50, 0, 5, 0], [50, 22, 6, 22, 6]],
+        [[50, 32, 0, 32, 0], [50, 50, 0, 13, 0], [50, 32, 6, 32, 6]],
+        [[50, 22, 0, 22, 0], [50, 50, 0, 22, 0], [50, 22, 0, 22, 0]],
+        [[50, 27, 0, 27, 0], [50, 50, 0, 27, 0], [50, 27, 6, 27, 6]],
+        [[50, 30, 0, 7, 0], [50, 50, 0, 3, 0], [50, 30, 3, 7, 2]],
+        [[50, 25, 0, 25, 0], [50, 50, 0, 6, 0], [50, 25, 3, 25, 3]],
+        [[50, 26, 0, 26, 0], [50, 50, 0, 26, 0], [50, 26, 2, 26, 2]],
+        [[50, 33, 0, 33, 0], [50, 50, 0, 33, 0], [50, 33, 0, 33, 0]],
+        [[50, 31, 0, 16, 0], [50, 50, 0, 8, 0], [50, 31, 6, 16, 5]],
+        [[50, 32, 0, 32, 0], [50, 50, 0, 15, 0], [50, 32, 6, 32, 6]],
+    ];
+
+    /// Counts, not times: on a seeded synthetic world, both searches'
+    /// statistics are the pinned ones, BF's flows are NL's bit for bit,
+    /// and BF runs the kernel exactly once per object it computes.
+    #[test]
+    fn pinned_counts_on_a_synthetic_world() {
+        let world = World::generate(Scenario::synthetic_scaled(0.01).with_seed(42));
+        let dp = FlowConfig::default().with_dp_engine();
+        let cfgs = [
+            dp,
+            dp.without_reduction(),
+            FlowConfig {
+                engine: PresenceEngine::Hybrid,
+                path_budget: 2_000,
+                ..FlowConfig::default()
+            },
+        ];
+        for (i, (query, pins)) in adhoc_queries(&world).iter().zip(PINNED_STATS).enumerate() {
+            for (cfg, [total, nl_computed, nl_fallback, bf_computed, bf_fallback]) in
+                cfgs.iter().zip(pins)
+            {
+                let tag = format!("query {i} cfg {cfg:?}");
+                let nl = nested_loop(&world.space, &world.iupt, query, cfg).unwrap();
+                let (bf, kernel_calls) = search(&world.space, &world.iupt, query, cfg).unwrap();
+                let stats = |objects_computed, dp_fallback_objects| SearchStats {
+                    objects_total: total,
+                    objects_computed,
+                    dp_fallback_objects,
+                };
+                assert_eq!(nl.stats, stats(nl_computed, nl_fallback), "{tag}: NL");
+                assert_eq!(bf.stats, stats(bf_computed, bf_fallback), "{tag}: BF");
+                assert_eq!(kernel_calls, bf.stats.objects_computed, "{tag}");
+                assert_eq!(bf.topk_slocs(), nl.topk_slocs(), "{tag}");
+                for (a, b) in bf.ranking.iter().zip(&nl.ranking) {
+                    assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{tag}");
+                }
+            }
         }
     }
 }

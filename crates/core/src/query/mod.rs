@@ -56,6 +56,11 @@ pub struct RankedLocation {
 }
 
 /// Work accounting for a TkPLQ evaluation.
+///
+/// From the serving engine (`popflow-serve`) the statistics describe the
+/// shared evaluation of a window over the *union* of the registered
+/// queries' locations — what a batch Nested-Loop search of that window
+/// over the union would report — and every query on the window gets the same ones.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Objects with records in the query window (`|O|`).

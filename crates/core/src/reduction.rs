@@ -371,14 +371,21 @@ impl PslCollector {
 ///
 /// Returns exactly the `psls` field [`scan_sequence`] would return for
 /// the same sets (sorted, deduplicated): PSLs come from the raw sample
-/// support, which the merge steps never change.
+/// support, which the merge steps never change. Like [`scan_sequence`],
+/// it visits a record's cells only when its raw support differs from its
+/// predecessor's, since a repeated support adds none.
 pub fn scan_psls<'a, I>(space: &IndoorSpace, sets: I) -> Vec<SLocId>
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
     let mut psls = PslCollector::new(space);
+    let mut prev: Vec<PLocId> = Vec::new();
     for set in sets {
-        psls.add(space, set);
+        if !set.plocs().eq(prev.iter().copied()) {
+            prev.clear();
+            prev.extend(set.plocs());
+            psls.add(space, set);
+        }
     }
     psls.finish()
 }
@@ -674,6 +681,25 @@ pub(crate) mod tests {
             let sets = random_sequence(&mut rng, &fig.space);
             assert_matches_reference(&fig.space, &sets, true);
             assert_matches_reference(&fig.space, &sets, false);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `scan_psls`, which skips the cells of a repeated support, is
+        /// `scan_sequence`'s PSL list under both merge settings, on
+        /// sequences full of repeated supports.
+        #[test]
+        fn scan_psls_matches_scan_sequence_on_random_sequences(seed in 0u64..u64::MAX) {
+            let fig = paper_figure1();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sets = random_sequence(&mut rng, &fig.space);
+            let psls = scan_psls(&fig.space, sets.iter());
+            for merge in [true, false] {
+                let scanned = scan_sequence(&fig.space, sets.iter(), merge).unwrap();
+                prop_assert_eq!(&psls, &scanned.psls, "merge={}", merge);
+            }
         }
     }
 

@@ -1,9 +1,14 @@
-use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::pool::{SampleSetPool, SetRef};
 use crate::sample::SampleSet;
 use crate::time::{TimeInterval, Timestamp};
+
+/// How far apart, per record of a window, [`Iupt::sequences_in`] lets
+/// the window's object ids spread before it groups by sorting instead of
+/// counting: the count array then holds at most this many slots per
+/// record.
+const DENSE_SPAN_PER_RECORD: usize = 4;
 
 /// Identifier of an indoor moving object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -283,19 +288,66 @@ impl Iupt {
         self.positions(self.window(interval)).collect()
     }
 
-    /// The per-object hash table `HO : {oid} → {X}` of Algorithms 2–4:
-    /// records in `[ts, te]` grouped by object, each group ordered by time.
-    /// Groups are returned sorted by object id for deterministic iteration.
+    /// The per-object hash table `HO : {oid} → {X}` of Algorithms 2–4,
+    /// built without hashing: the records in `[ts, te]` grouped by object,
+    /// the groups in ascending object id, each group in position (hence
+    /// time) order.
+    ///
+    /// When the window's ids are dense — their span at most four times
+    /// the window's record count — one
+    /// counting pass sizes every group exactly and a second pushes the
+    /// records in position order. Sparse or huge ids are grouped by a
+    /// stable sort of the positions by id instead, so no count array
+    /// outgrows the window. Both give the same groups.
     pub fn sequences_in(&self, interval: TimeInterval) -> Vec<ObjectSequence<'_>> {
-        let mut by_object: HashMap<ObjectId, Vec<RecordRef<'_>>> = HashMap::new();
-        for r in self.positions(self.window(interval)) {
-            by_object.entry(r.oid).or_default().push(r);
+        let window = self.window(interval);
+        let oids = &self.oids[window.clone()];
+        let (Some(&lo), Some(&hi)) = (oids.iter().min(), oids.iter().max()) else {
+            return Vec::new();
+        };
+        let span = (hi - lo) as usize + 1;
+        if span > DENSE_SPAN_PER_RECORD * oids.len() {
+            return self.sequences_by_sort(window);
         }
-        let mut seqs: Vec<ObjectSequence<'_>> = by_object
-            .into_iter()
-            .map(|(oid, records)| ObjectSequence { oid, records })
-            .collect();
-        seqs.sort_by_key(|s| s.oid);
+        // Per id, its record count; then, for the ids present, their
+        // group's index.
+        let mut slots = vec![0u32; span];
+        for &oid in oids {
+            slots[(oid - lo) as usize] += 1;
+        }
+        let mut seqs = Vec::new();
+        for (oid, slot) in (lo..=hi).zip(&mut slots) {
+            if *slot > 0 {
+                let records = Vec::with_capacity(*slot as usize);
+                *slot = seqs.len() as u32;
+                seqs.push(ObjectSequence {
+                    oid: ObjectId(oid),
+                    records,
+                });
+            }
+        }
+        for (pos, &oid) in window.zip(oids) {
+            let group = &mut seqs[slots[(oid - lo) as usize] as usize];
+            group.records.push(self.view(pos as u32));
+        }
+        seqs
+    }
+
+    /// [`Iupt::sequences_in`] over a window of sparse ids: the window's
+    /// positions stably sorted by id, then cut into one group per id.
+    fn sequences_by_sort(&self, window: Range<usize>) -> Vec<ObjectSequence<'_>> {
+        let mut order: Vec<u32> = (window.start as u32..window.end as u32).collect();
+        order.sort_by_key(|&pos| self.oids[pos as usize]);
+        let mut seqs: Vec<ObjectSequence<'_>> = Vec::new();
+        for record in order.into_iter().map(|pos| self.view(pos)) {
+            match seqs.last_mut() {
+                Some(group) if group.oid == record.oid => group.records.push(record),
+                _ => seqs.push(ObjectSequence {
+                    oid: record.oid,
+                    records: vec![record],
+                }),
+            }
+        }
         seqs
     }
 
@@ -784,5 +836,70 @@ mod tests {
         assert_eq!(st.bytes_per_record(), 0.0);
         assert_eq!(st.intern_hit_rate(), 0.0);
         assert_eq!(t.row_bytes(), 0);
+    }
+
+    /// A window's groups as `(oid, [(t, set_ref)])`.
+    type Groups = Vec<(u32, Vec<(i64, SetRef)>)>;
+
+    fn groups(seqs: &[ObjectSequence<'_>]) -> Groups {
+        let group = |s: &ObjectSequence<'_>| {
+            let records = s.records.iter().map(|r| (r.t.millis(), r.set_ref));
+            (s.oid.0, records.collect())
+        };
+        seqs.iter().map(group).collect()
+    }
+
+    /// The grouping `sequences_in` did before it stopped hashing: a
+    /// `HashMap` from id to records in position order, drained and sorted
+    /// by id.
+    fn hashed_groups(t: &Iupt, interval: TimeInterval) -> Groups {
+        let mut by_object: std::collections::HashMap<ObjectId, Vec<RecordRef<'_>>> =
+            std::collections::HashMap::new();
+        for r in t.range_query(interval) {
+            by_object.entry(r.oid).or_default().push(r);
+        }
+        let mut seqs: Vec<ObjectSequence<'_>> = by_object
+            .into_iter()
+            .map(|(oid, records)| ObjectSequence { oid, records })
+            .collect();
+        seqs.sort_by_key(|s| s.oid);
+        groups(&seqs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// Both grouping regimes return exactly the hashed grouping:
+        /// dense small ids and dense ids just below `u32::MAX` (counted),
+        /// ids spread over the whole range and ids at both 0 and
+        /// `u32::MAX` (sorted); timestamps repeat, and the window cuts
+        /// the log anywhere.
+        #[test]
+        fn sequences_in_matches_hashed_grouping(
+            regime in 0u32..4,
+            raw in proptest::collection::vec((0u32..9, 0i64..3, 0u32..4), 0..120),
+            (from, len) in (0i64..150, 0i64..150),
+        ) {
+            let id = |i: u32| match regime {
+                0 => i,
+                1 => u32::MAX - i,
+                2 => i.wrapping_mul(0x9e37_79b9),
+                _ if i % 2 == 0 => i,
+                _ => u32::MAX - i,
+            };
+            let mut t = 0;
+            let records = raw
+                .iter()
+                .map(|&(i, dt, loc)| {
+                    t += dt;
+                    rec(id(i), t, &[(loc, 1.0)])
+                })
+                .collect();
+            let table = Iupt::from_records(records);
+            let interval = TimeInterval::new(Timestamp::from_secs(from), Timestamp::from_secs(from + len));
+            let got = groups(&table.sequences_in(interval));
+            let want = hashed_groups(&table, interval);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

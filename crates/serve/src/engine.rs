@@ -1115,9 +1115,11 @@ impl ServeEngine {
 /// block is ascending and an object lives on one shard, so the blocks are
 /// merged, not concatenated and re-sorted: every block is read once,
 /// front to back. `num_slocs` bounds the S-location ids. The per-window
-/// [`SearchStats`] describe the shared union evaluation and are reported
-/// identically for every query using the window.
-fn merge_windows(
+/// [`SearchStats`] describe the shared union evaluation — a batch search
+/// of the window over the union set — and are reported identically for
+/// every query using the window: an object counts as computed when its
+/// PSLs touch the current union.
+pub(crate) fn merge_windows(
     union: &QuerySet,
     num_slocs: usize,
     shards: &[Vec<Arc<WindowEval>>],
@@ -1167,16 +1169,21 @@ fn merge_windows(
             previous = Some(oid);
             let (locs, scores) = win.cells(*i);
             *i += 1;
-            // A PSL-pruned entry has no cells.
-            stats.objects_computed += usize::from(!locs.is_empty());
+            // Computed: a cell lies inside the current union. A PSL-pruned
+            // entry has no cells, and one scored before the union shrank
+            // may have cells only outside it, where the current union
+            // prunes it.
+            let mut computed = false;
             for (q, &score) in locs.iter().zip(scores) {
-                if score > 0.0 {
-                    let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
-                    if let Some(flow) = slot {
+                let slot = slots.get(q.index()).and_then(|&slot| flows.get_mut(slot));
+                if let Some(flow) = slot {
+                    computed = true;
+                    if score > 0.0 {
                         *flow += score;
                     }
                 }
             }
+            stats.objects_computed += usize::from(computed);
         }
         merged.push((flows, stats));
     }
@@ -1258,14 +1265,16 @@ mod tests {
     /// Random per-shard blocks — evaluated against a union that has
     /// since shrunk, with PSL-pruned objects and zero scores — merge to
     /// exactly what collecting every contribution by object id and
-    /// summing in id order gives: flows `to_bits`-equal, stats equal.
+    /// summing in id order gives: flows `to_bits`-equal, stats equal,
+    /// with an entry whose cells all lie outside the shrunk union counted
+    /// as pruned.
     /// Summing one shard's block before the other's would not be: the
     /// schedules include windows where that order changes the bits.
     #[test]
     fn merge_windows_sums_flat_blocks_in_object_order() {
         let num_slocs = 24;
         let all: Vec<SLocId> = (0..num_slocs as u32).map(SLocId).collect();
-        let mut order_shows = 0;
+        let (mut order_shows, mut outside_only) = (0, 0);
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
             let union: QuerySet = all
@@ -1295,9 +1304,15 @@ mod tests {
                 let flows = sum_in_order(&union, &entries);
                 let shard_by_shard = sum_in_order(&union, by_shard.iter().flatten());
                 order_shows += usize::from(to_bits(&flows) != to_bits(&shard_by_shard));
+                // Computed: a cell inside the union. An entry scored
+                // against the larger union may have cells only outside it.
+                let in_union =
+                    |c: &&ObjectContribution| c.relevant.iter().any(|&q| union.contains(q));
+                let computed = entries.iter().flatten().filter(in_union).count();
+                outside_only += entries.iter().flatten().count() - computed;
                 let stats = SearchStats {
                     objects_total: entries.len(),
-                    objects_computed: entries.iter().flatten().count(),
+                    objects_computed: computed,
                     ..SearchStats::default()
                 };
                 expected.push((flows, stats));
@@ -1318,5 +1333,6 @@ mod tests {
             order_shows > 10,
             "only {order_shows} windows tell the orders apart"
         );
+        assert!(outside_only > 0, "no entry the union prunes");
     }
 }
