@@ -1,75 +1,57 @@
 /// A small dynamic bitset used to track, per possible path, which query
 /// S-locations the path touches (the `Hφ : {path} → 2^Q` hash table of
 /// Algorithm 3, keyed by index into the object's relevant query list).
-///
-/// The first 64 bits live inline, so a bitset over at most 64 locations
-/// clones without allocating — a tracked path enumeration clones one per
-/// path extension.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SmallBitset {
-    /// Bits `0..64`.
-    low: u64,
-    /// Bits from 64 on, 64 to a word.
-    high: Vec<u64>,
+    words: Vec<u64>,
 }
 
 impl SmallBitset {
     /// An empty bitset able to hold `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
         SmallBitset {
-            low: 0,
-            high: vec![0; bits.saturating_sub(64).div_ceil(64)],
+            words: vec![0; bits.div_ceil(64)],
         }
     }
 
     /// Sets bit `i` (growing if needed).
     pub fn set(&mut self, i: usize) {
-        let Some(high) = i.checked_sub(64) else {
-            self.low |= 1u64 << i;
-            return;
-        };
-        let w = high / 64;
-        if w >= self.high.len() {
-            self.high.resize(w + 1, 0);
+        let w = i / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
         }
-        self.high[w] |= 1u64 << (high % 64);
+        self.words[w] |= 1u64 << (i % 64);
     }
 
     /// Whether bit `i` is set.
     pub fn get(&self, i: usize) -> bool {
-        match i.checked_sub(64) {
-            None => (self.low >> i) & 1 == 1,
-            Some(high) => self
-                .high
-                .get(high / 64)
-                .is_some_and(|w| (w >> (high % 64)) & 1 == 1),
-        }
+        let w = i / 64;
+        w < self.words.len() && (self.words[w] >> (i % 64)) & 1 == 1
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &SmallBitset) {
-        self.low |= other.low;
-        if other.high.len() > self.high.len() {
-            self.high.resize(other.high.len(), 0);
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
         }
-        for (a, b) in self.high.iter_mut().zip(other.high.iter()) {
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             *a |= *b;
         }
     }
 
     /// Number of set bits.
     pub fn count(&self) -> usize {
-        self.words().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
-        self.words().all(|w| w == 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Iterates over set bit indexes in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().enumerate().flat_map(|(wi, w)| {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -80,11 +62,6 @@ impl SmallBitset {
                 Some(wi * 64 + tz)
             })
         })
-    }
-
-    /// Every word, lowest bits first.
-    fn words(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.low).chain(self.high.iter().copied())
     }
 }
 

@@ -99,8 +99,30 @@ pub fn object_flow_contributions<'a, I>(
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
+    contributions(space, sets, query_set, cfg, false)
+}
+
+/// [`object_flow_contributions`], where `enumerate_irrelevant` makes the
+/// path engines enumerate a sequence whose PSLs miss the query set
+/// instead of skipping it, as Algorithm 2 does for every sequence it has
+/// not pruned (so [`flow`] under `-ORG`, whose raw sequences nothing
+/// prunes, and [`crate::presence::object_presence`]). Such a sequence
+/// scores nothing, but its paths spend the budget:
+/// [`PresenceEngine::PathEnumeration`] fails on it and
+/// [`PresenceEngine::Hybrid`] falls back. The DP has no budget and
+/// ignores the flag.
+pub(crate) fn contributions<'a, I>(
+    space: &IndoorSpace,
+    sets: I,
+    query_set: &QuerySet,
+    cfg: &FlowConfig,
+    enumerate_irrelevant: bool,
+) -> Result<Option<ObjectContribution>, FlowError>
+where
+    I: IntoIterator<Item = &'a SampleSet>,
+{
     if cfg.engine != PresenceEngine::TransitionDp {
-        return path_contributions(space, sets, query_set, cfg);
+        return path_contributions(space, sets, query_set, cfg, enumerate_irrelevant);
     }
     let mut fold = SpanFold::new(space, cfg.normalization, cfg.use_reduction);
     for set in sets {
@@ -109,26 +131,26 @@ where
     fold.finish(space)
 }
 
-/// [`object_flow_contributions`] for the path engines (Algorithm 2 as
-/// printed): reduce the whole sequence, intersect its PSLs with the
-/// query set, enumerate the reduced sequence's valid paths tracking the
-/// locations each can pass (Algorithm 3 lines 14–19), and score them.
+/// [`contributions`] for the path engines (Algorithm 2 as printed):
+/// reduce the whole sequence, intersect its PSLs with the query set,
+/// enumerate the reduced sequence's valid paths tracking the locations
+/// each can pass (Algorithm 3 lines 14–19), and score them.
 fn path_contributions<'a, I>(
     space: &IndoorSpace,
     sets: I,
     query_set: &QuerySet,
     cfg: &FlowConfig,
+    enumerate_irrelevant: bool,
 ) -> Result<Option<ObjectContribution>, FlowError>
 where
     I: IntoIterator<Item = &'a SampleSet>,
 {
     let scanned = scan_sequence(space, sets, cfg.use_reduction)?;
-    if cfg.use_reduction && !query_set.intersects_sorted(&scanned.psls) {
-        return Ok(None);
-    }
     let relevant = intersect_sorted(query_set.slocs(), &scanned.psls);
-    if relevant.is_empty() {
-        return Ok(Some(ObjectContribution::default()));
+    if relevant.is_empty() && !enumerate_irrelevant {
+        // With reduction on, pruned by its PSLs; under `-ORG` computed,
+        // with nothing to score.
+        return Ok((!cfg.use_reduction).then(ObjectContribution::default));
     }
     let sets = &scanned.sets;
     let (scores, dp_fallback) = match build_paths_tracking(space, &relevant, sets, cfg.path_budget)
@@ -194,9 +216,11 @@ fn scores_from_tracked(
 /// (Algorithm 2): fetch the window's records through the time index (the
 /// paper's 1D R-tree; here a binary search on the log's sorted time
 /// column), group them per object, and sum the objects' presences, each
-/// from [`object_flow_contributions`] over the one-location query set
-/// `{q}` — which reduces the sequence and, with reduction on, prunes an
-/// object whose PSLs miss `q`.
+/// from the Nested-Loop kernel over the one-location query set `{q}` —
+/// which reduces the sequence and, with reduction on, prunes an object
+/// whose PSLs miss `q`. Under `-ORG` nothing is pruned, and the path
+/// engines enumerate every raw sequence, relevant to `q` or not (see
+/// [`contributions`]).
 pub fn flow(
     space: &IndoorSpace,
     iupt: &Iupt,
@@ -214,7 +238,8 @@ pub fn flow(
     for seq in sequences {
         let sets = seq.records.iter().map(|r| r.samples);
         // `None`: pruned by its PSLs.
-        let Some(contribution) = object_flow_contributions(space, sets, &q_set, cfg)? else {
+        let Some(contribution) = contributions(space, sets, &q_set, cfg, !cfg.use_reduction)?
+        else {
             continue;
         };
         dp_fallback_objects += usize::from(contribution.dp_fallback);

@@ -153,11 +153,16 @@ impl Iterator for PairIter<'_> {
 /// `budget` caps the number of path-extension attempts: each considered
 /// `append(φ, e)` counts one unit, bounding both time and memory on
 /// adversarial inputs ([`FlowError::PathBudgetExceeded`] on overflow).
+/// The attempts are counted before anything is enumerated (see
+/// [`attempts_exceed`]), so a blown budget costs no enumeration.
 pub fn build_paths<S: std::borrow::Borrow<SampleSet>>(
     matrix: &LocationMatrix,
     sets: &[S],
     budget: u64,
 ) -> Result<PathSet, FlowError> {
+    if attempts_exceed(matrix, sets, budget) {
+        return Err(FlowError::PathBudgetExceeded { budget });
+    }
     let mut set = PathSet::default();
     let Some(first) = sets.first() else {
         return Ok(set);
@@ -165,7 +170,6 @@ pub fn build_paths<S: std::borrow::Borrow<SampleSet>>(
     for s in first.borrow().samples() {
         set.push_root(s.loc, s.prob);
     }
-    let mut spent: u64 = 0;
     let mut current = std::mem::take(&mut set.paths);
     let mut next: Vec<PathRef> = Vec::new();
 
@@ -175,10 +179,6 @@ pub fn build_paths<S: std::borrow::Borrow<SampleSet>>(
         for &path in &current {
             let tail = set.tail_loc(path);
             for s in sample_set.borrow().samples() {
-                spent += 1;
-                if spent > budget {
-                    return Err(FlowError::PathBudgetExceeded { budget });
-                }
                 if matrix.connected(tail, s.loc) {
                     set.extend(path, s.loc, s.prob, &mut next);
                 }
@@ -227,15 +227,15 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
     budget: u64,
 ) -> Result<TrackedPathSet, FlowError> {
     debug_assert!(relevant.windows(2).all(|w| w[0] < w[1]));
-    if attempts_exceed(space.matrix(), sets, budget) {
+    let matrix = space.matrix();
+    if attempts_exceed(matrix, sets, budget) {
         return Err(FlowError::PathBudgetExceeded { budget });
     }
     let mut out = TrackedPathSet::default();
     let Some(first) = sets.first() else {
         return Ok(out);
     };
-    let mut prev = first.borrow().samples();
-    for s in prev {
+    for s in first.borrow().samples() {
         out.set.push_root(s.loc, s.prob);
     }
     let roots = std::mem::take(&mut out.set.paths);
@@ -246,35 +246,37 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
             touched: SmallBitset::with_capacity(relevant.len()),
         })
         .collect();
-    // Per path of `current`, the index of its tail in `prev`.
-    let mut tails: Vec<usize> = (0..current.len()).collect();
     let mut extended: Vec<PathRef> = Vec::with_capacity(4);
 
     for sample_set in &sets[1..] {
-        let samples = sample_set.borrow().samples();
-        let steps = step_masks(space, relevant, prev, samples);
         let mut next = Vec::with_capacity(current.len());
-        let mut next_tails = Vec::with_capacity(current.len());
-        for (tp, &tail) in current.iter().zip(&tails) {
-            let row = steps.get(tail * samples.len()..).unwrap_or_default();
-            for ((j, s), step) in samples.iter().enumerate().zip(row) {
-                let Some(mask) = step else {
+        for tp in &current {
+            let tail = out.set.tail_loc(tp.path);
+            for s in sample_set.borrow().samples() {
+                let cells = matrix.cells_between(tail, s.loc);
+                if cells.is_empty() {
                     continue;
-                };
+                }
+                // list'Q ← C2S(MIL[tail, e.loc]) ∩ Q, restricted to the
+                // object's relevant list (a superset of anything
+                // reachable, by the PSL definition).
                 let mut touched = tp.touched.clone();
-                touched.union_with(mask);
+                for cell in cells.iter() {
+                    for &sloc in space.slocs_in_cell(cell) {
+                        if let Ok(b) = relevant.binary_search(&sloc) {
+                            touched.set(b);
+                        }
+                    }
+                }
                 extended.clear();
                 out.set.extend(tp.path, s.loc, s.prob, &mut extended);
                 next.push(TrackedPath {
                     path: extended[0],
                     touched,
                 });
-                next_tails.push(j);
             }
         }
         current = next;
-        tails = next_tails;
-        prev = samples;
         if current.is_empty() {
             break;
         }
@@ -284,15 +286,15 @@ pub fn build_paths_tracking<S: std::borrow::Borrow<SampleSet>>(
     Ok(out)
 }
 
-/// Whether enumerating the valid paths of `sets` would take more than
-/// `budget` extension attempts — [`build_paths`]'s budget rule — worked
-/// out without enumerating: a step attempts every sample of its set on
-/// every path alive before it, and the number of valid paths ending at
-/// each sample follows from the previous step's by the pairs' `MIL`
-/// cells alone (a pair with none is invalid, as in the enumeration),
-/// in `O(n · m²)` for `n` sets of at most `m` samples. A path set that
-/// blows the budget then costs this count instead of the enumeration up
-/// to the budget.
+/// The path budget rule of [`build_paths`] and [`build_paths_tracking`]:
+/// whether enumerating the valid paths of `sets` would take more than
+/// `budget` extension attempts, worked out without enumerating. A step
+/// attempts every sample of its set on every path alive before it, and
+/// the number of valid paths ending at each sample follows from the
+/// previous step's by the pairs' `MIL` cells alone (a pair with none is
+/// invalid, as in the enumeration), in `O(n · m²)` for `n` sets of at
+/// most `m` samples. Enumeration stops at the first step no path
+/// survives, and so does the count.
 fn attempts_exceed<S: std::borrow::Borrow<SampleSet>>(
     matrix: &LocationMatrix,
     sets: &[S],
@@ -330,41 +332,6 @@ fn attempts_exceed<S: std::borrow::Borrow<SampleSet>>(
     false
 }
 
-/// Per transition from a sample of `from` to one of `to` (row-major,
-/// `from` index first): `None` when the pair is disconnected, else the
-/// relevant locations the pair's cells can pass — `list'Q ←
-/// C2S(MIL[tail, e.loc]) ∩ Q`, restricted to the object's relevant list
-/// (a superset of anything reachable, by the PSL definition). Worked out
-/// once per step, not once per path extension.
-fn step_masks(
-    space: &IndoorSpace,
-    relevant: &[SLocId],
-    from: &[indoor_iupt::Sample],
-    to: &[indoor_iupt::Sample],
-) -> Vec<Option<SmallBitset>> {
-    let matrix = space.matrix();
-    let mut masks = Vec::with_capacity(from.len() * to.len());
-    for a in from {
-        for b in to {
-            let cells = matrix.cells_between(a.loc, b.loc);
-            if cells.is_empty() {
-                masks.push(None);
-                continue;
-            }
-            let mut mask = SmallBitset::with_capacity(relevant.len());
-            for cell in cells.iter() {
-                for &sloc in space.slocs_in_cell(cell) {
-                    if let Ok(bit) = relevant.binary_search(&sloc) {
-                        mask.set(bit);
-                    }
-                }
-            }
-            masks.push(Some(mask));
-        }
-    }
-    masks
-}
-
 /// Total probability mass of the raw Cartesian product,
 /// `Π_i Σ_e prob(e)` — the [`crate::Normalization::FullProduct`]
 /// denominator (1 for well-formed sample sets, kept explicit for
@@ -379,6 +346,9 @@ mod tests {
     use indoor_iupt::fixtures::{paper_table2, O1, O2, O3};
     use indoor_iupt::{TimeInterval, Timestamp};
     use indoor_model::fixtures::paper_figure1;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sets_of(oid: indoor_iupt::ObjectId) -> (indoor_model::IndoorSpace, Vec<SampleSet>) {
         let fig = paper_figure1();
@@ -458,6 +428,68 @@ mod tests {
         let (space, sets) = sets_of(O2);
         let err = build_paths(space.matrix(), &sets, 3).unwrap_err();
         assert_eq!(err, FlowError::PathBudgetExceeded { budget: 3 });
+    }
+
+    /// Extension attempts of an enumeration, counted one at a time as
+    /// they are made: every path alive before a step tries every sample
+    /// of its set, and a disconnected pair's path dies.
+    fn counted_attempts(matrix: &LocationMatrix, sets: &[SampleSet]) -> u64 {
+        let Some((first, rest)) = sets.split_first() else {
+            return 0;
+        };
+        let mut tails: Vec<PLocId> = first.samples().iter().map(|s| s.loc).collect();
+        let mut spent = 0;
+        for set in rest {
+            let mut next = Vec::new();
+            for &tail in &tails {
+                for s in set.samples() {
+                    spent += 1;
+                    if !matrix.cells_between(tail, s.loc).is_empty() {
+                        next.push(s.loc);
+                    }
+                }
+            }
+            tails = next;
+            if tails.is_empty() {
+                break;
+            }
+        }
+        spent
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Both builders fail exactly when the attempts, counted one at a
+        /// time, exceed the budget: at the exact attempt count and one
+        /// below it, on random short sequences over Figure 1 (whose
+        /// many disconnected pairs kill paths mid-sequence).
+        #[test]
+        fn budget_rule_matches_counted_attempts(seed in 0u64..u64::MAX) {
+            let fig = paper_figure1();
+            let matrix = fig.space.matrix();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sets: Vec<SampleSet> = (0..rng.gen_range(1..9usize))
+                .map(|_| {
+                    let mut locs: Vec<PLocId> = (0..rng.gen_range(1..5usize))
+                        .map(|_| PLocId::from_index(rng.gen_range(0..matrix.ploc_count())))
+                        .collect();
+                    locs.sort_unstable();
+                    locs.dedup();
+                    let weights = locs.into_iter().map(|l| (l, rng.gen_range(0.05..1.0)));
+                    SampleSet::normalized(weights.collect()).unwrap()
+                })
+                .collect();
+            let attempts = counted_attempts(matrix, &sets);
+            let relevant = crate::QuerySet::new(fig.r.to_vec()).slocs().to_vec();
+            for budget in [attempts, attempts.saturating_sub(1)] {
+                let blown = budget < attempts;
+                prop_assert_eq!(attempts_exceed(matrix, &sets, budget), blown);
+                prop_assert_eq!(build_paths(matrix, &sets, budget).is_err(), blown);
+                let tracked = build_paths_tracking(&fig.space, &relevant, &sets, budget);
+                prop_assert_eq!(tracked.is_err(), blown, "budget {}", budget);
+            }
+        }
     }
 
     #[test]

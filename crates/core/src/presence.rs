@@ -5,7 +5,7 @@ use indoor_iupt::SampleSet;
 use indoor_model::{IndoorSpace, PLocId, SLocId};
 
 use crate::config::{FlowConfig, FlowError};
-use crate::flow::object_flow_contributions;
+use crate::flow::contributions;
 use crate::query_set::QuerySet;
 
 /// The probability that one sequential P-location pair passes `q`:
@@ -76,17 +76,20 @@ pub fn path_pass_probability(space: &IndoorSpace, locs: &[PLocId], q: SLocId) ->
 /// The object presence `Φ_{ts,te}(q, o)` (Eq. 1) of one positioning
 /// sequence: [`crate::object_flow_contributions`] over the one-location
 /// query set `{q}`, so the data reduction and the engine are `cfg`'s. An
-/// object whose PSLs miss `q` has presence 0.
+/// object whose PSLs miss `q` has presence 0; the path engines still
+/// enumerate its sequence.
 ///
 /// # Errors
-/// Those of [`crate::object_flow_contributions`].
+/// Those of [`crate::object_flow_contributions`], whose
+/// [`FlowError::PathBudgetExceeded`] a sequence can raise whether or not
+/// its PSLs hold `q`.
 pub fn object_presence(
     space: &IndoorSpace,
     sets: &[SampleSet],
     q: SLocId,
     cfg: &FlowConfig,
 ) -> Result<f64, FlowError> {
-    let contribution = object_flow_contributions(space, sets, &QuerySet::new(vec![q]), cfg)?;
+    let contribution = contributions(space, sets, &QuerySet::new(vec![q]), cfg, true)?;
     Ok(contribution
         .and_then(|c| c.scores.first().copied())
         .unwrap_or(0.0))

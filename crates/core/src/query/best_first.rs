@@ -78,18 +78,6 @@ pub fn best_first(
     query: &TkPlQuery,
     cfg: &FlowConfig,
 ) -> Result<QueryOutcome, FlowError> {
-    search(space, iupt, query, cfg).map(|(outcome, _)| outcome)
-}
-
-/// [`best_first`], also returning how many contributions the kernel
-/// computed — equal to `objects_computed` when no object is computed
-/// twice.
-fn search(
-    space: &IndoorSpace,
-    iupt: &Iupt,
-    query: &TkPlQuery,
-    cfg: &FlowConfig,
-) -> Result<(QueryOutcome, usize), FlowError> {
     let query_set = &query.query_set;
     let sequences = iupt.sequences_in(query.interval);
 
@@ -122,7 +110,6 @@ fn search(
     }
 
     let mut cache: Vec<Option<ObjectContribution>> = vec![None; sequences.len()];
-    let mut kernel_calls = 0;
     let mut finals: Vec<(SLocId, f64)> = Vec::with_capacity(query.k);
     while finals.len() < query.k {
         match heap.pop() {
@@ -131,8 +118,7 @@ fn search(
             Some(ThresholdStep::Evaluate(sloc)) => {
                 let list = query_set.index_of(sloc).and_then(|k| candidates.get(k));
                 let list = list.map_or(&[][..], Vec::as_slice);
-                kernel_calls +=
-                    compute_missing(space, cfg, query_set, &sequences, &mut cache, list)?;
+                compute_missing(space, cfg, query_set, &sequences, &mut cache, list)?;
                 heap.push_exact(sloc, flow_from_cache(&cache, list, sloc));
             }
         }
@@ -144,18 +130,16 @@ fn search(
         objects_computed: computed.clone().count(),
         dp_fallback_objects: computed.filter(|c| c.dp_fallback).count(),
     };
-    let outcome = QueryOutcome {
+    Ok(QueryOutcome {
         ranking: rank_topk(finals, query.k),
         stats,
-    };
-    Ok((outcome, kernel_calls))
+    })
 }
 
 /// One lazy evaluation round's kernel work: computes the contribution of
 /// every object of `list` whose cache is empty, concurrently and
-/// read-only, and stores them; returns how many it computed. A
-/// contribution covers the object's whole `Q ∩ psls`, so it answers
-/// every later location too.
+/// read-only, and stores them. A contribution covers the object's whole
+/// `Q ∩ psls`, so it answers every later location too.
 fn compute_missing(
     space: &IndoorSpace,
     cfg: &FlowConfig,
@@ -163,7 +147,7 @@ fn compute_missing(
     sequences: &[ObjectSequence<'_>],
     cache: &mut [Option<ObjectContribution>],
     list: &[u32],
-) -> Result<usize, FlowError> {
+) -> Result<(), FlowError> {
     let missing: Vec<u32> = list
         .iter()
         .copied()
@@ -188,12 +172,13 @@ fn compute_missing(
     })?;
     for (&i, contribution) in missing.iter().zip(computed) {
         if let Some(slot) = cache.get_mut(i as usize) {
+            debug_assert!(slot.is_none(), "object {i} computed twice");
             // A candidate's PSLs touch `Q`, so the kernel prunes it under
             // neither setting; the default only keeps the cache total.
             *slot = Some(contribution.unwrap_or_default());
         }
     }
-    Ok(missing.len())
+    Ok(())
 }
 
 /// `sloc`'s exact flow: its presence in each of `list`'s cached
@@ -478,44 +463,107 @@ mod tests {
 
     /// Per query of [`adhoc_queries`] on a seeded synthetic world and per
     /// configuration (DP, DP without reduction, hybrid with a 2,000-step
-    /// path budget): `[objects_total, NL objects_computed, NL
-    /// dp_fallback_objects, BF objects_computed, BF dp_fallback_objects]`.
-    const PINNED_STATS: [[[usize; 5]; 3]; 10] = [
-        [[50, 22, 0, 22, 0], [50, 50, 0, 5, 0], [50, 22, 6, 22, 6]],
-        [[50, 32, 0, 32, 0], [50, 50, 0, 13, 0], [50, 32, 6, 32, 6]],
-        [[50, 22, 0, 22, 0], [50, 50, 0, 22, 0], [50, 22, 0, 22, 0]],
-        [[50, 27, 0, 27, 0], [50, 50, 0, 27, 0], [50, 27, 6, 27, 6]],
-        [[50, 30, 0, 7, 0], [50, 50, 0, 3, 0], [50, 30, 3, 7, 2]],
-        [[50, 25, 0, 25, 0], [50, 50, 0, 6, 0], [50, 25, 3, 25, 3]],
-        [[50, 26, 0, 26, 0], [50, 50, 0, 26, 0], [50, 26, 2, 26, 2]],
-        [[50, 33, 0, 33, 0], [50, 50, 0, 33, 0], [50, 33, 0, 33, 0]],
-        [[50, 31, 0, 16, 0], [50, 50, 0, 8, 0], [50, 31, 6, 16, 5]],
-        [[50, 32, 0, 32, 0], [50, 50, 0, 15, 0], [50, 32, 6, 32, 6]],
+    /// path budget, and the hybrid without reduction): `[objects_total,
+    /// NL objects_computed, NL dp_fallback_objects, BF objects_computed,
+    /// BF dp_fallback_objects, Naive objects_computed, Naive
+    /// dp_fallback_objects]`. Naive's hybrid `-ORG` fallbacks count every
+    /// window object, relevant to the location or not: Algorithm 2
+    /// enumerates every raw sequence, and all fifty blow the budget.
+    const PINNED_STATS: [[[usize; 7]; 4]; 10] = [
+        [
+            [50, 22, 0, 22, 0, 22, 0],
+            [50, 50, 0, 5, 0, 50, 0],
+            [50, 22, 6, 22, 6, 22, 2],
+            [50, 50, 22, 5, 5, 50, 50],
+        ],
+        [
+            [50, 32, 0, 32, 0, 32, 0],
+            [50, 50, 0, 13, 0, 50, 0],
+            [50, 32, 6, 32, 6, 32, 2],
+            [50, 50, 32, 13, 13, 50, 50],
+        ],
+        [
+            [50, 22, 0, 22, 0, 22, 0],
+            [50, 50, 0, 22, 0, 50, 0],
+            [50, 22, 0, 22, 0, 22, 0],
+            [50, 50, 22, 22, 22, 50, 50],
+        ],
+        [
+            [50, 27, 0, 27, 0, 27, 0],
+            [50, 50, 0, 27, 0, 50, 0],
+            [50, 27, 6, 27, 6, 27, 2],
+            [50, 50, 27, 27, 27, 50, 50],
+        ],
+        [
+            [50, 30, 0, 7, 0, 30, 0],
+            [50, 50, 0, 3, 0, 50, 0],
+            [50, 30, 3, 7, 2, 30, 2],
+            [50, 50, 30, 3, 3, 50, 50],
+        ],
+        [
+            [50, 25, 0, 25, 0, 25, 0],
+            [50, 50, 0, 6, 0, 50, 0],
+            [50, 25, 3, 25, 3, 25, 2],
+            [50, 50, 25, 6, 6, 50, 50],
+        ],
+        [
+            [50, 26, 0, 26, 0, 26, 0],
+            [50, 50, 0, 26, 0, 50, 0],
+            [50, 26, 2, 26, 2, 26, 1],
+            [50, 50, 26, 26, 26, 50, 50],
+        ],
+        [
+            [50, 33, 0, 33, 0, 33, 0],
+            [50, 50, 0, 33, 0, 50, 0],
+            [50, 33, 0, 33, 0, 33, 0],
+            [50, 50, 33, 33, 33, 50, 50],
+        ],
+        [
+            [50, 31, 0, 16, 0, 31, 0],
+            [50, 50, 0, 8, 0, 50, 0],
+            [50, 31, 6, 16, 5, 31, 2],
+            [50, 50, 31, 8, 8, 50, 50],
+        ],
+        [
+            [50, 32, 0, 32, 0, 32, 0],
+            [50, 50, 0, 15, 0, 50, 0],
+            [50, 32, 6, 32, 6, 32, 2],
+            [50, 50, 32, 15, 15, 50, 50],
+        ],
     ];
 
-    /// Counts, not times: on a seeded synthetic world, both searches'
-    /// statistics are the pinned ones, BF's flows are NL's bit for bit,
-    /// and BF runs the kernel exactly once per object it computes.
+    /// Counts, not times: on a seeded synthetic world, the three
+    /// searches' statistics are the pinned ones and their flows agree bit
+    /// for bit; under pure path enumeration with the same budget, Naive
+    /// and BF fail exactly where NL does. (A debug assertion in
+    /// `compute_missing` checks that BF computes no object twice.)
     #[test]
     fn pinned_counts_on_a_synthetic_world() {
         let world = World::generate(Scenario::synthetic_scaled(0.01).with_seed(42));
         let dp = FlowConfig::default().with_dp_engine();
+        let budgeted = |engine| FlowConfig {
+            engine,
+            path_budget: 2_000,
+            ..FlowConfig::default()
+        };
+        let hybrid = budgeted(PresenceEngine::Hybrid);
         let cfgs = [
             dp,
             dp.without_reduction(),
-            FlowConfig {
-                engine: PresenceEngine::Hybrid,
-                path_budget: 2_000,
-                ..FlowConfig::default()
-            },
+            hybrid,
+            hybrid.without_reduction(),
         ];
+        let (space, iupt) = (&world.space, &world.iupt);
         for (i, (query, pins)) in adhoc_queries(&world).iter().zip(PINNED_STATS).enumerate() {
-            for (cfg, [total, nl_computed, nl_fallback, bf_computed, bf_fallback]) in
-                cfgs.iter().zip(pins)
+            for (
+                cfg,
+                [total, nl_computed, nl_fallback, bf_computed, bf_fallback, nv_computed, nv_fallback],
+            ) in cfgs.iter().zip(pins)
             {
                 let tag = format!("query {i} cfg {cfg:?}");
-                let nl = nested_loop(&world.space, &world.iupt, query, cfg).unwrap();
-                let (bf, kernel_calls) = search(&world.space, &world.iupt, query, cfg).unwrap();
+                let nl = nested_loop(space, iupt, query, cfg).unwrap();
+                let bf = best_first(space, iupt, query, cfg).unwrap();
+                let nv = naive(space, iupt, query, cfg).unwrap();
                 let stats = |objects_computed, dp_fallback_objects| SearchStats {
                     objects_total: total,
                     objects_computed,
@@ -523,11 +571,25 @@ mod tests {
                 };
                 assert_eq!(nl.stats, stats(nl_computed, nl_fallback), "{tag}: NL");
                 assert_eq!(bf.stats, stats(bf_computed, bf_fallback), "{tag}: BF");
-                assert_eq!(kernel_calls, bf.stats.objects_computed, "{tag}");
-                assert_eq!(bf.topk_slocs(), nl.topk_slocs(), "{tag}");
-                for (a, b) in bf.ranking.iter().zip(&nl.ranking) {
-                    assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{tag}");
+                assert_eq!(nv.stats, stats(nv_computed, nv_fallback), "{tag}: Naive");
+                for other in [&bf, &nv] {
+                    assert_eq!(other.topk_slocs(), nl.topk_slocs(), "{tag}");
+                    for (a, b) in other.ranking.iter().zip(&nl.ranking) {
+                        assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{tag}");
+                    }
                 }
+            }
+            let enumeration = budgeted(PresenceEngine::PathEnumeration);
+            for cfg in [enumeration, enumeration.without_reduction()] {
+                let nl = nested_loop(space, iupt, query, &cfg).is_ok();
+                // Only queries 2 and 7, with reduction, fit the budget.
+                assert_eq!(nl, cfg.use_reduction && (i == 2 || i == 7), "query {i}");
+                assert_eq!(
+                    best_first(space, iupt, query, &cfg).is_ok(),
+                    nl,
+                    "query {i}"
+                );
+                assert_eq!(naive(space, iupt, query, &cfg).is_ok(), nl, "query {i}");
             }
         }
     }
