@@ -219,8 +219,8 @@ fn scores_from_tracked(
 /// from the Nested-Loop kernel over the one-location query set `{q}` —
 /// which reduces the sequence and, with reduction on, prunes an object
 /// whose PSLs miss `q`. Under `-ORG` nothing is pruned, and the path
-/// engines enumerate every raw sequence, relevant to `q` or not (see
-/// [`contributions`]).
+/// engines enumerate every raw sequence, relevant to `q` or not: one
+/// whose PSLs miss `q` scores nothing but still spends the path budget.
 pub fn flow(
     space: &IndoorSpace,
     iupt: &Iupt,
